@@ -1,7 +1,8 @@
 //! Emits `BENCH_sparse.json`: matrix-byte footprint and ms per energy
 //! point of the three transmission routes — dense staging (`t_dense` +
 //! `zgesv`, the pre-sparsity layout), BTD-native full RGF, and the
-//! boundary-block-only RGF variant — at two device lengths.
+//! one-sweep Caroli kernel the transmission-only path runs ("boundary")
+//! — at two device lengths.
 //!
 //! The gated ratios are the footprint speedups (dense peak bytes over
 //! BTD / boundary peak bytes), which are allocation counts and therefore
@@ -14,8 +15,11 @@
 
 use qtx_bench::{print_table, Row};
 use qtx_linalg::{c64, gemm, zgesv, Complex64, Op, ZMat};
-use qtx_solver::{rgf_boundary_ws, rgf_diagonal_and_corner_ws, ObcSystem, Workspace};
-use qtx_sparse::{btd_stats, dense_matrix_bytes, peak_matrix_bytes, reset_peak_matrix_bytes, Btd};
+use qtx_solver::{caroli_sweep, rgf_diagonal_and_corner_ws, ObcSystem, Workspace};
+use qtx_sparse::{
+    btd_stats, dense_matrix_bytes, peak_matrix_bytes, reset_peak_matrix_bytes, BlockChain, Btd,
+    CouplingSupport,
+};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -97,9 +101,10 @@ fn btd_route(sys: &ObcSystem, gamma_l: &ZMat, gamma_r: &ZMat, ws: &Workspace) ->
     caroli_of_corner(&g.corner, gamma_l, gamma_r)
 }
 
-fn boundary_route(sys: &ObcSystem, gamma_l: &ZMat, gamma_r: &ZMat, ws: &Workspace) -> f64 {
-    let g = rgf_boundary_ws(sys, ws).expect("boundary RGF");
-    caroli_of_corner(&g.corner, gamma_l, gamma_r)
+/// The transmission-only route: no Green's function block is formed, the
+/// trace comes straight out of the elimination sweep.
+fn boundary_route(sys: &ObcSystem, support: &[CouplingSupport], ws: &Workspace) -> f64 {
+    caroli_sweep(&sys.a, &sys.sigma_l, &sys.sigma_r, support, ws).expect("Caroli sweep")
 }
 
 /// Peak matrix bytes of one warm run of `f` (warm-up pass first so the
@@ -137,19 +142,24 @@ fn main() {
         let gamma_l = gamma_of(&sys.sigma_l.dense());
         let gamma_r = gamma_of(&sys.sigma_r.dense());
 
-        // Cross-check the three routes on this system before timing:
-        // boundary and full RGF share the forward pass (bit-identical
-        // corners); dense agrees to factorization roundoff.
+        // The coupling supports are a property of the device, computed
+        // once per sweep — outside the per-point routes, like Γ.
+        let support = sys.a.coupling_support();
+
+        // Cross-check the three routes on this system before timing: they
+        // are three different eliminations of the same matrix and agree
+        // to factorization roundoff.
         let ws = Workspace::new();
         let t_dense_val = dense_route(&sys, &gamma_l, &gamma_r);
         let t_btd_val = btd_route(&sys, &gamma_l, &gamma_r, &ws);
-        let t_bnd_val = boundary_route(&sys, &gamma_l, &gamma_r, &ws);
-        assert_eq!(t_bnd_val, t_btd_val, "boundary corner drifted from full RGF at nb={nb}");
+        let t_bnd_val = boundary_route(&sys, &support, &ws);
         let scale = t_dense_val.abs().max(1.0);
-        assert!(
-            (t_dense_val - t_btd_val).abs() < 1e-8 * scale,
-            "dense vs BTD Caroli mismatch at nb={nb}: {t_dense_val} vs {t_btd_val}"
-        );
+        for (name, t) in [("BTD", t_btd_val), ("boundary", t_bnd_val)] {
+            assert!(
+                (t_dense_val - t).abs() < 1e-8 * scale,
+                "dense vs {name} Caroli mismatch at nb={nb}: {t_dense_val} vs {t}"
+            );
+        }
 
         // ── Footprint: peak matrix bytes of one warm solve per route ──
         let dense_peak = peak_of(|| {
@@ -161,7 +171,7 @@ fn main() {
         });
         let ws_bnd = Workspace::new();
         let bnd_peak = peak_of(|| {
-            boundary_route(&sys, &gamma_l, &gamma_r, &ws_bnd);
+            boundary_route(&sys, &support, &ws_bnd);
         });
         let stored = btd_stats(&sys.a);
         let fp_btd = dense_peak as f64 / btd_peak as f64;
@@ -193,7 +203,7 @@ fn main() {
         ) * 1e3;
         let bnd_ms = median_secs(
             || {
-                boundary_route(&sys, &gamma_l, &gamma_r, &ws_bnd);
+                boundary_route(&sys, &support, &ws_bnd);
             },
             reps,
         ) * 1e3;

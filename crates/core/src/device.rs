@@ -6,7 +6,7 @@ use qtx_cp2k::{Cp2kRun, Functional, HsFile};
 use qtx_linalg::{c64, Complex64, Result, ZMat};
 use qtx_obc::{LeadBlocks, ObcMethod};
 use qtx_solver::SolverKind;
-use qtx_sparse::Btd;
+use qtx_sparse::{BlockChain, Btd, CouplingSupport, EsMinusH};
 
 /// Runtime configuration of the transport engine.
 #[derive(Debug, Clone, Copy)]
@@ -211,6 +211,20 @@ impl DeviceK {
     /// retries with when the exact-energy solve hits a resonance pole.
     pub fn es_minus_h_eta(&self, e: f64, eta: f64) -> Btd {
         Btd::es_minus_h(c64(e, eta), &self.s, &self.h)
+    }
+
+    /// `A = (E + iη)·S − H` streamed block by block instead of assembled
+    /// ([`Self::es_minus_h_eta`] bit for bit): what the transmission-only
+    /// path hands the Caroli sweep, so no copy of `A` is ever built.
+    pub fn pencil(&self, e: f64, eta: f64) -> EsMinusH<'_> {
+        EsMinusH { z: c64(e, eta), s: &self.s, h: &self.h }
+    }
+
+    /// Structural supports of the inter-slab coupling blocks of
+    /// [`Self::pencil`] — the same for every energy and broadening, so a
+    /// caller solving many points computes them once.
+    pub fn coupling_support(&self) -> Vec<CouplingSupport> {
+        self.pencil(0.0, 0.0).coupling_support()
     }
 }
 

@@ -27,14 +27,14 @@ use crate::error::TransportResult;
 use crate::scheduler::Scheduler;
 use crate::sweep::{parallel_sweep_resumable, SweepOptions, SweepPlan, SweepResult};
 use crate::transport::{
-    self, caroli_from_sigmas, EnergyPointResult, PointOutcome, RobustSolve, METHOD_BOUNDARY,
-    METHOD_CACHE_INTERP,
+    self, EnergyPointResult, PointOutcome, RobustSolve, METHOD_BOUNDARY, METHOD_CACHE_INTERP,
 };
 use qtx_accel::AccelRuntime;
 use qtx_linalg::ZMat;
 use qtx_obc::Side;
+use qtx_sparse::CouplingSupport;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 /// How [`TransportEngine::solve_point`] attacks one (E, kz) pixel.
@@ -53,8 +53,8 @@ pub struct PointPolicy<'rt> {
     /// sweeps — only explicit point queries opt in.
     pub allow_interp: bool,
     /// Skip the scattering-state solve entirely and compute T(E) through
-    /// the boundary-block RGF with compressed Σ (the sparsity fast path;
-    /// see `docs/sparsity.md`). The result carries no wave functions.
+    /// the one-sweep Caroli kernel with compressed Σ (the sparsity fast
+    /// path; see `docs/sparsity.md`). The result carries no wave functions.
     pub transmission_only: bool,
     /// Relative tolerance for compressing self-energies on the
     /// transmission-only path when the engine has no cache (a cache
@@ -85,10 +85,13 @@ impl PointPolicy<'static> {
         PointPolicy { robust: true, allow_interp: true, ..PointPolicy::default() }
     }
 
-    /// Boundary-block-only NEGF: only `G_{0,0}`, `G_{0,n−1}`, `G_{n−1,n−1}`
-    /// are ever materialized and Σ stays in its compressed form end to
-    /// end. The point reports [`transport::METHOD_BOUNDARY`] with the
-    /// recorded Σ-compression bound in [`PointOutcome::interp_bound`].
+    /// Transmission-only NEGF: one right-to-left elimination sweep over
+    /// the streamed blocks of `E·S − H` yields the Caroli trace directly.
+    /// No Green's function block and no copy of `A` is materialized, Σ
+    /// stays in its compressed form end to end, and the working set is a
+    /// few `s × s` blocks whatever the device length. The point reports
+    /// [`transport::METHOD_BOUNDARY`] with the recorded Σ-compression
+    /// bound in [`PointOutcome::interp_bound`].
     pub fn transmission_only() -> Self {
         PointPolicy { transmission_only: true, ..PointPolicy::default() }
     }
@@ -184,6 +187,27 @@ impl TransportEngineBuilder {
     }
 }
 
+/// A folded device at one `kz` with what the engine derives from it once:
+/// its per-lead cache handle and, on first use by a Caroli-route point,
+/// the coupling supports of its block chain (energy-independent).
+#[derive(Clone)]
+struct FoldedK {
+    dk: Arc<DeviceK>,
+    handle: Option<CacheHandle>,
+    support: Arc<OnceLock<Vec<CouplingSupport>>>,
+}
+
+impl FoldedK {
+    fn new(dk: Arc<DeviceK>, cache: Option<&Arc<SigmaCache>>) -> FoldedK {
+        let handle = cache.map(|c| CacheHandle::for_dk(c.clone(), &dk));
+        FoldedK { dk, handle, support: Arc::default() }
+    }
+
+    fn support(&self) -> &[CouplingSupport] {
+        self.support.get_or_init(|| self.dk.coupling_support())
+    }
+}
+
 /// A transport session over one device: the single front door for point
 /// solves and sweeps. Cheap to share behind an `Arc`; all interior state
 /// is synchronized.
@@ -195,13 +219,9 @@ pub struct TransportEngine {
     config: TransportConfig,
     scheduler: Option<Arc<Scheduler>>,
     cache: Option<Arc<SigmaCache>>,
-    /// Folded `DeviceK` (plus its cache handle with the lead hashes
-    /// computed once), memoized per `kz` bit pattern.
+    /// Folded `DeviceK`s, memoized per `kz` bit pattern.
     dks: Mutex<HashMap<u64, FoldedK>>,
 }
-
-/// A folded device at one `kz` together with its per-lead cache handle.
-type FoldedK = (Arc<DeviceK>, Option<CacheHandle>);
 
 impl std::fmt::Debug for TransportEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -237,10 +257,8 @@ impl TransportEngine {
     /// resolves through [`CachePolicy::Auto`], like [`Self::new`].
     pub fn from_device_k(dk: DeviceK, config: TransportConfig) -> TransportEngine {
         let cache = CachePolicy::Auto.resolve();
-        let kz = dk.kz;
-        let dk = Arc::new(dk);
-        let handle = cache.as_ref().map(|c| CacheHandle::for_dk(c.clone(), &dk));
-        let dks = Mutex::new(HashMap::from([(kz.to_bits(), (dk, handle))]));
+        let folded = FoldedK::new(Arc::new(dk), cache.as_ref());
+        let dks = Mutex::new(HashMap::from([(folded.dk.kz.to_bits(), folded)]));
         TransportEngine { device: None, config, scheduler: None, cache, dks }
     }
 
@@ -272,17 +290,15 @@ impl TransportEngine {
     /// (`bond_current_of_state` and friends) borrows the blocks from here
     /// instead of keeping a second copy outside the engine.
     pub fn device_k(&self, kz: f64) -> Option<Arc<DeviceK>> {
-        self.dk_at(kz).map(|(dk, _)| dk)
+        self.dk_at(kz).map(|folded| folded.dk)
     }
 
-    fn dk_at(&self, kz: f64) -> Option<(Arc<DeviceK>, Option<CacheHandle>)> {
+    fn dk_at(&self, kz: f64) -> Option<FoldedK> {
         let mut dks = self.dks.lock().expect("engine dk map");
         match (dks.get(&kz.to_bits()), &self.device) {
             (Some(found), _) => Some(found.clone()),
             (None, Some(device)) => {
-                let dk = Arc::new(device.at_kz(kz));
-                let handle = self.cache.as_ref().map(|c| CacheHandle::for_dk(c.clone(), &dk));
-                let folded = (dk, handle);
+                let folded = FoldedK::new(Arc::new(device.at_kz(kz)), self.cache.as_ref());
                 dks.insert(kz.to_bits(), folded.clone());
                 Some(folded)
             }
@@ -297,8 +313,7 @@ impl TransportEngine {
     /// path produced the point; collapse with [`RobustSolve::into_result`]
     /// when only the result matters.
     pub fn solve_point(&self, e: f64, kz: f64, policy: &PointPolicy<'_>) -> RobustSolve {
-        let start = Instant::now();
-        let Some((dk, handle)) = self.dk_at(kz) else {
+        let Some(folded) = self.dk_at(kz) else {
             return RobustSolve {
                 result: None,
                 outcome: PointOutcome {
@@ -308,31 +323,31 @@ impl TransportEngine {
                     residual: f64::INFINITY,
                     eta: 0.0,
                     interp_bound: 0.0,
-                    wall_ms: start.elapsed().as_secs_f64() * 1e3,
+                    wall_ms: 0.0,
                 },
-                error: Some(TransportError::Panic {
+                error: Some(TransportError::Config {
                     what: format!(
-                        "engine fixed on a pre-folded DeviceK has no device to fold kz={kz}"
+                        "kz={kz} was never seeded and an engine fixed on pre-folded DeviceKs \
+                         (TransportEngine::from_device_k) has no device to fold it from"
                     ),
                 }),
             };
         };
+        let (dk, handle) = (&folded.dk, folded.handle.as_ref());
         let cfg = &self.config;
         if policy.transmission_only {
-            return self.boundary_point(&dk, handle.as_ref(), e, policy.sigma_compress_tol);
+            return self.boundary_point(&folded, e, policy.sigma_compress_tol);
         }
         if policy.allow_interp {
-            if let Some(h) = &handle {
-                if let Some(rs) = self.try_interp_point(&dk, h, e) {
-                    return rs;
-                }
+            if let Some(rs) = self.try_interp_point(&folded, e) {
+                return rs;
             }
         }
         if policy.robust {
-            return transport::solve_point_robust_raw(&dk, e, cfg, handle.as_ref());
+            return transport::solve_point_robust_raw(dk, e, cfg, handle);
         }
         let start = Instant::now();
-        match transport::solve_point_direct(&dk, e, cfg, policy.runtime, handle.as_ref()) {
+        match transport::solve_point_direct(dk, e, cfg, policy.runtime, handle) {
             Ok(result) => RobustSolve {
                 result: Some(result),
                 outcome: PointOutcome {
@@ -363,18 +378,20 @@ impl TransportEngine {
     }
 
     /// Transmission-only fast path: Σ flows compressed from the cache (or
-    /// a fresh solve) into the boundary-block RGF; only three Green's
-    /// function blocks are ever materialized. The recorded Σ-compression
-    /// bound rides in [`PointOutcome::interp_bound`].
-    fn boundary_point(
-        &self,
-        dk: &DeviceK,
-        handle: Option<&CacheHandle>,
-        e: f64,
-        compress_tol: f64,
-    ) -> RobustSolve {
+    /// a fresh solve) into the one-sweep Caroli kernel, which streams the
+    /// device blocks and reuses the folded device's memoized coupling
+    /// supports. The recorded Σ-compression bound rides in
+    /// [`PointOutcome::interp_bound`].
+    fn boundary_point(&self, folded: &FoldedK, e: f64, compress_tol: f64) -> RobustSolve {
         let start = Instant::now();
-        match transport::solve_point_transmission_only(dk, e, &self.config, handle, compress_tol) {
+        match transport::solve_point_transmission_only(
+            &folded.dk,
+            e,
+            &self.config,
+            folded.handle.as_ref(),
+            compress_tol,
+            folded.support(),
+        ) {
             Ok((result, bound)) => RobustSolve {
                 result: Some(result),
                 outcome: PointOutcome {
@@ -409,8 +426,9 @@ impl TransportEngine {
     /// from a validated interval for this to beat the plain hit path).
     /// The transmission then comes from the mode-free Caroli route, like
     /// the decimation rung — interpolated Σ carries no mode sets.
-    fn try_interp_point(&self, dk: &DeviceK, h: &CacheHandle, e: f64) -> Option<RobustSolve> {
+    fn try_interp_point(&self, folded: &FoldedK, e: f64) -> Option<RobustSolve> {
         let start = Instant::now();
+        let (dk, h) = (&folded.dk, folded.handle.as_ref()?);
         let cfg = &self.config;
         let side_sigma = |side: Side| -> Option<(ZMat, f64)> {
             let hash = h.hash_of(side);
@@ -427,10 +445,8 @@ impl TransportEngine {
             // full wave-function result instead of the Caroli fallback.
             return None;
         }
-        let t = caroli_from_sigmas(dk, e, 0.0, &sigma_l, &sigma_r).ok()?;
-        if !t.is_finite() {
-            return None;
-        }
+        let (comp_l, comp_r) = (sigma_l.clone().into(), sigma_r.clone().into());
+        let t = transport::caroli_streamed(dk, e, 0.0, &comp_l, &comp_r, folded.support()).ok()?;
         Some(RobustSolve {
             result: Some(EnergyPointResult {
                 e,
@@ -473,11 +489,7 @@ impl TransportEngine {
         opts: &SweepOptions,
     ) -> TransportResult<SweepResult> {
         let Some(device) = &self.device else {
-            return Err(TransportError::Panic {
-                what: "sweeps need a full Device; this engine is fixed on a pre-folded DeviceK \
-                       (TransportEngine::from_device_k)"
-                    .into(),
-            });
+            return Err(Self::no_device_for_sweep());
         };
         parallel_sweep_resumable(device, plan, n_ranks, &self.inherit(opts))
     }
@@ -493,13 +505,17 @@ impl TransportEngine {
         cfg: &crate::refine::RefineConfig,
     ) -> TransportResult<crate::refine::RefinedSweep> {
         let Some(device) = &self.device else {
-            return Err(TransportError::Panic {
-                what: "sweeps need a full Device; this engine is fixed on a pre-folded DeviceK \
-                       (TransportEngine::from_device_k)"
-                    .into(),
-            });
+            return Err(Self::no_device_for_sweep());
         };
         crate::refine::parallel_sweep_refined(device, base, n_ranks, &self.inherit(opts), cfg)
+    }
+
+    fn no_device_for_sweep() -> TransportError {
+        TransportError::Config {
+            what: "sweeps need a full Device; this engine is fixed on a pre-folded DeviceK \
+                   (TransportEngine::from_device_k)"
+                .into(),
+        }
     }
 
     /// Fills unset sweep options from the engine: `scheduler = None`

@@ -35,6 +35,14 @@ pub enum TransportError {
         /// The panic payload, rendered to text.
         what: String,
     },
+    /// The request does not fit how the engine was set up — a caller
+    /// mistake (a momentum a fixed-`DeviceK` engine was never seeded with,
+    /// a sweep on an engine that has no [`crate::Device`] to fold), not a
+    /// numerical failure: nothing was solved and retrying cannot help.
+    Config {
+        /// What was asked for and why this engine cannot serve it.
+        what: String,
+    },
     /// Every rung of the escalation ladder was exhausted.
     Exhausted {
         /// Energy of the abandoned point (eV).
@@ -55,7 +63,9 @@ impl TransportError {
             TransportError::Obc { source, .. } => source.is_injected(),
             TransportError::Solve(e) => e.is_injected(),
             TransportError::Linalg(e) => e.is_injected(),
-            TransportError::Payload(_) | TransportError::Checkpoint(_) => false,
+            TransportError::Payload(_)
+            | TransportError::Checkpoint(_)
+            | TransportError::Config { .. } => false,
             // A panic may *originate* from the injected `sched_panic`
             // site, but it carries no typed provenance — the sweep health
             // counts panics separately from injected ladder faults.
@@ -86,6 +96,7 @@ impl std::fmt::Display for TransportError {
             TransportError::Payload(e) => write!(f, "gathered sweep payload invalid: {e}"),
             TransportError::Checkpoint(e) => write!(f, "sweep checkpoint invalid: {e}"),
             TransportError::Panic { what } => write!(f, "worker caught a panicking solve: {what}"),
+            TransportError::Config { what } => write!(f, "request does not fit the engine: {what}"),
             TransportError::Exhausted { e, kz, attempts, last } => write!(
                 f,
                 "escalation ladder exhausted at E={e} kz={kz} after {attempts} attempts: {last}"

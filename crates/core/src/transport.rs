@@ -11,7 +11,9 @@
 //!   `|t|²` over propagating channels (flux-normalized modes make the
 //!   amplitudes probabilities directly);
 //! * **NEGF/Caroli** (Eq. 4): `T = Tr[Γ_L·G_{0,n−1}·Γ_R·G_{0,n−1}ᴴ]` via
-//!   the RGF kernel — the cross-check used throughout the test suite.
+//!   the one-sweep kernel [`qtx_solver::caroli_sweep`] — the cross-check
+//!   used throughout the test suite, and the whole of a transmission-only
+//!   point.
 
 use crate::cache::{self, CacheHandle};
 use crate::device::{DeviceK, TransportConfig};
@@ -20,9 +22,9 @@ use qtx_accel::AccelRuntime;
 use qtx_linalg::{qr_least_squares, Complex64, LinalgError, ZMat};
 use qtx_obc::{self_energy, BeynConfig, Eta, LeadBlocks, ModeSet, ObcMethod, ObcResult, Side};
 use qtx_solver::{
-    bcr_solve, btd_lu_solve_ws, rgf_boundary_ws, ObcSystem, SolverKind, SplitSolve, Workspace,
+    bcr_solve, btd_lu_solve_ws, caroli_sweep, ObcSystem, SolverKind, SplitSolve, Workspace,
 };
-use qtx_sparse::CompressedSigma;
+use qtx_sparse::{CompressedSigma, CouplingSupport};
 use std::time::Instant;
 
 thread_local! {
@@ -273,7 +275,7 @@ fn btd_residual(sys: &ObcSystem, x: &ZMat) -> f64 {
     worst
 }
 
-/// NEGF/Caroli transmission through the RGF kernel (Eq. 4 route).
+/// NEGF/Caroli transmission through the one-sweep kernel (Eq. 4 route).
 pub fn caroli_transmission(dk: &DeviceK, e: f64, obc: ObcMethod) -> TransportResult<f64> {
     let obc_l = self_energy(&dk.lead_l, e, Eta::ZERO, Side::Left, obc)
         .map_err(|source| TransportError::Obc { side: Side::Left, source })?;
@@ -285,7 +287,8 @@ pub fn caroli_transmission(dk: &DeviceK, e: f64, obc: ObcMethod) -> TransportRes
 /// Caroli transmission from already-computed self-energies — shared by
 /// [`caroli_transmission`] and the decimation rung of the escalation
 /// ladder (whose Σ comes without modes, so the wave-function route is
-/// unavailable).
+/// unavailable). Derives the coupling supports on the spot; the engine
+/// memoizes them per folded device instead.
 pub fn caroli_from_sigmas(
     dk: &DeviceK,
     e: f64,
@@ -293,70 +296,37 @@ pub fn caroli_from_sigmas(
     sigma_l: &ZMat,
     sigma_r: &ZMat,
 ) -> TransportResult<f64> {
-    let a = if eta == 0.0 { dk.es_minus_h(e) } else { dk.es_minus_h_eta(e, eta) };
-    let sys = ObcSystem {
-        a,
-        sigma_l: sigma_l.clone().into(),
-        sigma_r: sigma_r.clone().into(),
-        rhs_top: ZMat::zeros(dk.h.block_size(), 0),
-        rhs_bottom: ZMat::zeros(dk.h.block_size(), 0),
-    };
-    caroli_of_system(&sys)
+    let (sigma_l, sigma_r) = (sigma_l.clone().into(), sigma_r.clone().into());
+    caroli_streamed(dk, e, eta, &sigma_l, &sigma_r, &dk.coupling_support())
 }
 
-/// `Γ = i(Σ − Σᴴ)` from a possibly-factored Σ. The broadening matrix is
-/// one `s × s` block — expanding a compressed Σ here costs bandwidth²,
-/// never n².
-fn gamma_of(sigma: &CompressedSigma) -> ZMat {
-    let sig = sigma.dense();
-    &sig.scaled(Complex64::I) - &sig.adjoint().scaled(Complex64::I)
+/// The one Caroli route: `(E + iη)·S − H` streamed block by block into
+/// the elimination sweep of [`caroli_sweep`] — no `A` is assembled, no
+/// Green's function block is formed, a factored Σ is never expanded, and
+/// every temporary cycles through the per-thread pool. `support` is
+/// [`DeviceK::coupling_support`] of `dk`.
+pub(crate) fn caroli_streamed(
+    dk: &DeviceK,
+    e: f64,
+    eta: f64,
+    sigma_l: &CompressedSigma,
+    sigma_r: &CompressedSigma,
+    support: &[CouplingSupport],
+) -> TransportResult<f64> {
+    let t = SOLVER_WS.with(|ws| caroli_sweep(&dk.pencil(e, eta), sigma_l, sigma_r, support, ws))?;
+    if !t.is_finite() {
+        return Err(TransportError::Linalg(LinalgError::NonFinite { op: "caroli", count: 1 }));
+    }
+    Ok(t)
 }
 
-/// Caroli transmission of an assembled open system through the
-/// boundary-block-only RGF: the only Green's function blocks ever
-/// materialized are `G_{0,0}`, `G_{0,n−1}` and `G_{n−1,n−1}`.
-fn caroli_of_system(sys: &ObcSystem) -> TransportResult<f64> {
-    let gl = gamma_of(&sys.sigma_l);
-    let gr = gamma_of(&sys.sigma_r);
-    // T = Tr[Γ_L·G_{0,n−1}·Γ_R·G_{0,n−1}ᴴ]: the inner sandwich
-    // A_R = G·Γ_R·Gᴴ is Hermitian (Γ_R is), so it collapses to one
-    // rank-2k update zher2k(½, G·Γ_R, G) = ½(G·Γ_R·Gᴴ + G·Γ_Rᴴ·Gᴴ) at
-    // half the flops of the two gemms, and the trace of the remaining
-    // product is the Frobenius inner product Σᵢⱼ (Γ_L)ᵢⱼ·(A_R)ⱼᵢ — no
-    // third gemm at all. Both temporaries cycle through the per-thread
-    // pool, like the RGF solve that produced G.
-    let t = SOLVER_WS.with(|ws| -> TransportResult<Complex64> {
-        let g = rgf_boundary_ws(sys, ws)?;
-        let s = gr.rows();
-        let ggr = ws.matmul(&g.corner, &gr);
-        let mut a_r = ws.take_scratch(s, s);
-        qtx_linalg::zher2k(
-            Complex64::new(0.5, 0.0),
-            ggr.view(),
-            g.corner.view(),
-            qtx_linalg::Op::None,
-            0.0,
-            &mut a_r,
-        );
-        ws.recycle(ggr);
-        let mut t = Complex64::ZERO;
-        for j in 0..s {
-            for i in 0..s {
-                t = t.mul_add(gl[(i, j)], a_r[(j, i)]);
-            }
-        }
-        ws.recycle(a_r);
-        Ok(t)
-    })?;
-    Ok(t.re)
-}
-
-/// Transmission-only solve through the boundary-block RGF path: Σ flows
+/// Transmission-only solve through the one-sweep Caroli kernel: Σ flows
 /// from the cache (or a fresh OBC solve) in its compressed representation
-/// straight into [`ObcSystem`], no scattering-state system is ever formed,
-/// and the dense working set stays at bandwidth·n. Returns the point plus
-/// the worse of the two Σ-compression bounds (0 when compression is off —
-/// then the transmission is bit-identical to the Caroli route over exact
+/// straight into the sweep, no scattering-state system and no `A` is ever
+/// formed, and the dense working set is a few `s × s` blocks whatever the
+/// device length. Returns the point plus the worse of the two
+/// Σ-compression bounds (0 when compression is off — then the
+/// transmission is bit-identical to [`caroli_transmission`] over the same
 /// self-energies).
 pub(crate) fn solve_point_transmission_only(
     dk: &DeviceK,
@@ -364,6 +334,7 @@ pub(crate) fn solve_point_transmission_only(
     cfg: &TransportConfig,
     cache: Option<&CacheHandle>,
     compress_tol: f64,
+    support: &[CouplingSupport],
 ) -> TransportResult<(EnergyPointResult, f64)> {
     let parts_l = cache::cached_self_energy_parts(
         cache,
@@ -390,18 +361,7 @@ pub(crate) fn solve_point_transmission_only(
         parts_l.inc_modes.iter().filter(|m| m.propagating).count(),
         parts_r.inc_modes.iter().filter(|m| m.propagating).count(),
     );
-    let s = dk.h.block_size();
-    let sys = ObcSystem {
-        a: dk.es_minus_h(e),
-        sigma_l: parts_l.sigma,
-        sigma_r: parts_r.sigma,
-        rhs_top: ZMat::zeros(s, 0),
-        rhs_bottom: ZMat::zeros(s, 0),
-    };
-    let t = caroli_of_system(&sys)?;
-    if !t.is_finite() {
-        return Err(TransportError::Linalg(LinalgError::NonFinite { op: "caroli", count: 1 }));
-    }
+    let t = caroli_streamed(dk, e, 0.0, &parts_l.sigma, &parts_r.sigma, support)?;
     Ok((
         EnergyPointResult {
             e,
@@ -412,8 +372,8 @@ pub(crate) fn solve_point_transmission_only(
             channels,
             psi: ZMat::zeros(0, 0),
             m_left: 0,
-            sigma_l: sys.sigma_l.to_dense(),
-            sigma_r: sys.sigma_r.to_dense(),
+            sigma_l: parts_l.sigma.to_dense(),
+            sigma_r: parts_r.sigma.to_dense(),
         },
         bound,
     ))
@@ -460,8 +420,8 @@ pub const METHOD_FAILED: u8 = 6;
 pub const METHOD_CACHE_INTERP: u8 = 7;
 
 /// `method_used` value of a transmission-only point solved through the
-/// boundary-block RGF with compressed self-energies (engine-only; never
-/// appears in sweep records).
+/// one-sweep Caroli kernel with compressed self-energies (engine-only;
+/// never appears in sweep records).
 pub const METHOD_BOUNDARY: u8 = 8;
 
 /// Robustness record of one (E, k) point: which rung produced the
@@ -599,9 +559,6 @@ fn decimation_caroli_rung(
     )
     .map_err(|source| TransportError::Obc { side: Side::Right, source })?;
     let t = caroli_from_sigmas(dk, e, ETA_BUMP, &obc_l.sigma, &obc_r.sigma)?;
-    if !t.is_finite() {
-        return Err(TransportError::Linalg(LinalgError::NonFinite { op: "caroli", count: 1 }));
-    }
     Ok(EnergyPointResult {
         e,
         kz: dk.kz,
@@ -788,6 +745,35 @@ mod tests {
                     wf.transmission + wf.reflection
                 );
             }
+        }
+    }
+
+    #[test]
+    fn transmission_only_points_keep_the_thread_pool_flat() {
+        // Regression for the ≈ nb·s² bytes a transmission-only point used
+        // to leave in this thread's pool: the pool's population and its
+        // fresh-allocation count must not move over 50 warm points, for a
+        // dense and for a factored Σ.
+        let d = chain_device();
+        let dk = d.at_kz(0.0);
+        let support = dk.coupling_support();
+        let e0 = probe_energies(&dk.lead_l, 1)[0];
+        for tol in [0.0, 1e-8] {
+            let point = |i: usize| {
+                let e = e0 + 1e-3 * (i % 7) as f64;
+                solve_point_transmission_only(&dk, e, &d.config, None, tol, &support).unwrap().0
+            };
+            let first = point(0);
+            point(1);
+            let before = SOLVER_WS.with(|ws| (ws.pooled(), ws.fresh_allocations()));
+            for i in 0..50 {
+                let r = point(i);
+                if i % 7 == 0 {
+                    assert_eq!(r.transmission, first.transmission, "point {i}");
+                }
+            }
+            let after = SOLVER_WS.with(|ws| (ws.pooled(), ws.fresh_allocations()));
+            assert_eq!(after, before, "tol={tol}");
         }
     }
 

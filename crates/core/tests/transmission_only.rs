@@ -1,15 +1,20 @@
-//! Acceptance battery for the boundary-block-only transmission path: T(E)
-//! parity with the dense Caroli route (bit-identical with compression
-//! off, within the recorded Σ bound with it on) and the `bandwidth·n`
-//! peak-memory scaling that retiring dense staging buys.
+//! Acceptance battery for the transmission-only path: T(E) parity with the
+//! Caroli reference (bit-identical with compression off, within the
+//! recorded Σ bound with it on), a working set independent of the device
+//! length, a pool that stays flat over many points, and bit-identical
+//! results on any thread.
 
 use qtx_atomistic::{BasisKind, DeviceBuilder};
 use qtx_core::engine::{PointPolicy, TransportEngine};
-use qtx_core::{caroli_transmission, transport, Device, DeviceK, TransportConfig, METHOD_BOUNDARY};
+use qtx_core::{
+    caroli_transmission, transport, BatchOptions, Device, DeviceK, Scheduler, SchedulerConfig,
+    SweepPlan, TaskAttempt, TransportConfig, TransportError, METHOD_BOUNDARY,
+};
 use qtx_linalg::{c64, gemm, Complex64, Op, ZMat};
 use qtx_obc::{LeadBlocks, ObcMethod};
-use qtx_sparse::{peak_matrix_bytes, reset_peak_matrix_bytes, Btd};
-use std::sync::{Mutex, MutexGuard};
+use qtx_solver::{caroli_sweep, Workspace};
+use qtx_sparse::{live_matrix_bytes, peak_matrix_bytes, reset_peak_matrix_bytes, Btd};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// The peak-byte counter is process-global; every test that reads it (or
 /// allocates heavily enough to disturb a concurrent reader) serializes
@@ -83,6 +88,101 @@ fn uncompressed_boundary_path_is_bit_identical_to_caroli() {
 }
 
 #[test]
+fn clean_wire_transmits_its_channel_count() {
+    let _guard = lock();
+    let d = nanowire(8);
+    let lead = d.at_kz(0.0).lead_l;
+    let engine = TransportEngine::builder(d).cache(qtx_core::CachePolicy::Off).build();
+    let mut open_channels = 0;
+    for k in [0.7, 1.2, 1.7] {
+        let Some(e) = lead.dispersive_energy(k, 0.2, 0.3) else { continue };
+        let r = engine.solve_point(e, 0.0, &PointPolicy::transmission_only());
+        let r = r.into_result().unwrap();
+        assert_eq!(r.channels.0, r.channels.1, "homogeneous wire");
+        assert!(
+            (r.transmission - r.channels.0 as f64).abs() < 1e-6,
+            "E={e}: T={} with {} open channels",
+            r.transmission,
+            r.channels.0
+        );
+        open_channels += r.channels.0;
+    }
+    assert!(open_channels > 0, "no probe energy hit a conducting band");
+}
+
+#[test]
+fn streamed_point_matches_the_assembled_system_bit_for_bit() {
+    let _guard = lock();
+    // The engine streams E·S − H block by block; handing the kernel the
+    // assembled A with the same Σ must give the very same bits.
+    let mut d = nanowire(8);
+    let v: Vec<f64> = (0..d.n_slabs).map(|q| 0.03 * q as f64).collect();
+    d.set_potential(&v);
+    let dk = d.at_kz(0.0);
+    let e = dk.lead_l.dispersive_energy(1.0, 0.2, 0.3).expect("conduction band") + 0.05;
+    let engine = TransportEngine::builder(d).cache(qtx_core::CachePolicy::Off).build();
+    let r = engine.solve_point(e, 0.0, &PointPolicy::transmission_only()).into_result().unwrap();
+    let assembled = caroli_sweep(
+        &dk.es_minus_h(e),
+        &r.sigma_l.clone().into(),
+        &r.sigma_r.clone().into(),
+        &dk.coupling_support(),
+        &Workspace::new(),
+    )
+    .unwrap();
+    assert_eq!(r.transmission, assembled);
+    assert!(r.transmission > 0.0 && r.transmission < r.channels.0 as f64, "ramp must reflect");
+}
+
+#[test]
+fn point_is_bit_identical_on_any_thread() {
+    let _guard = lock();
+    let d = nanowire(8);
+    let lead = d.at_kz(0.0).lead_l;
+    let e0 = lead.dispersive_energy(1.0, 0.2, 0.3).expect("conduction band");
+    let energies: Vec<f64> = (0..6).map(|i| e0 + 0.01 * i as f64).collect();
+    let engine = Arc::new(TransportEngine::builder(d).cache(qtx_core::CachePolicy::Off).build());
+    let solve = |engine: &TransportEngine, e: f64| -> u64 {
+        let rs = engine.solve_point(e, 0.0, &PointPolicy::transmission_only());
+        rs.into_result().unwrap().transmission.to_bits()
+    };
+    let here: Vec<u64> = energies.iter().map(|&e| solve(&engine, e)).collect();
+    for workers in [1, 2, 4] {
+        let pool = Scheduler::new(SchedulerConfig { workers, ..SchedulerConfig::default() });
+        let engine = engine.clone();
+        let reports = pool.execute(
+            energies.clone(),
+            &BatchOptions::default(),
+            move |_, &e, _| TaskAttempt::Done(solve(&engine, e)),
+            |_, _, _, _| 0,
+        );
+        let there: Vec<u64> = reports.iter().map(|r| r.value).collect();
+        assert_eq!(there, here, "{workers}-worker pool");
+    }
+}
+
+#[test]
+fn off_momentum_query_is_a_config_error_not_a_panic() {
+    let _guard = lock();
+    let cfg = TransportConfig { obc: ObcMethod::Decimation, ..TransportConfig::default() };
+    let engine = TransportEngine::from_device_k(block_device_k(4), cfg);
+    for policy in [PointPolicy::transmission_only(), PointPolicy::robust()] {
+        let rs = engine.solve_point(0.3, 0.5, &policy);
+        assert!(rs.result.is_none());
+        assert_eq!(rs.outcome.attempts, 0, "nothing was solved");
+        match rs.error {
+            Some(TransportError::Config { what }) => assert!(what.contains("kz=0.5"), "{what}"),
+            other => panic!("expected a Config error, got {other:?}"),
+        }
+    }
+    // Sweeps on the same engine are the same class of mistake.
+    let plan = SweepPlan { k_points: vec![(0.0, 1.0)], energies: vec![vec![0.3]] };
+    assert!(matches!(engine.sweep(&plan, 1), Err(TransportError::Config { .. })));
+    // The seeded momentum still solves.
+    assert!(engine.solve_point(0.3, 0.0, &PointPolicy::transmission_only()).error.is_none());
+}
+
+#[test]
 fn boundary_path_agrees_with_wave_function_route() {
     let _guard = lock();
     let d = nanowire(8);
@@ -141,27 +241,44 @@ fn compressed_sigma_stays_within_recorded_bound() {
 fn peak_matrix_bytes_scale_with_bandwidth_times_n() {
     let _guard = lock();
     let lengths = [16usize, 64];
-    let mut peaks = [0usize; 2];
-    for (slot, &nb) in peaks.iter_mut().zip(&lengths) {
+    // Per length: bytes the device itself holds, and the high-water mark
+    // of what one warm transmission-only point adds on top.
+    let mut held = [0usize; 2];
+    let mut working_set = [0usize; 2];
+    for (slot, &nb) in lengths.iter().enumerate() {
         let cfg = TransportConfig { obc: ObcMethod::Decimation, ..TransportConfig::default() };
+        let before = live_matrix_bytes();
         let engine = TransportEngine::from_device_k(block_device_k(nb), cfg);
+        held[slot] = live_matrix_bytes() - before;
         // Warm up the thread-local workspace and the OBC machinery so the
         // measured pass sees steady-state allocation behavior.
         engine.solve_point(0.3, 0.0, &PointPolicy::transmission_only()).into_result().unwrap();
         reset_peak_matrix_bytes();
+        let floor = live_matrix_bytes();
         engine.solve_point(0.3, 0.0, &PointPolicy::transmission_only()).into_result().unwrap();
-        *slot = peak_matrix_bytes();
+        working_set[slot] = peak_matrix_bytes() - floor;
     }
-    let ratio = peaks[1] as f64 / peaks[0] as f64;
+    // The device (H, S and the leads) is the bandwidth·n part …
     let linear = (lengths[1] / lengths[0]) as f64;
+    let held_ratio = held[1] as f64 / held[0] as f64;
     assert!(
-        ratio < 2.0 * linear,
-        "peak bytes grew {ratio:.1}× over a {linear}× device — dense (n²) staging is back \
-         (peaks: {peaks:?})"
+        (0.8 * linear..1.2 * linear).contains(&held_ratio),
+        "device bytes grew {held_ratio:.2}× over a {linear}× device (held: {held:?})"
     );
+    // … and a point adds a working set that does not depend on n at all:
+    // no assembled A, no chain of Green's function blocks.
+    assert_eq!(
+        working_set[0], working_set[1],
+        "a transmission-only point's working set depends on the device length"
+    );
+    // It is a handful of s × s blocks (s = 8: 1 KiB each) — the OBC
+    // solve's temporaries included — far below one copy of A (3·nb blocks).
+    let block = 8 * 8 * std::mem::size_of::<Complex64>();
+    assert!(working_set[1] > block, "the counter is not seeing the solve: {working_set:?}");
     assert!(
-        ratio > 0.5 * linear,
-        "peak bytes barely grew ({ratio:.2}× over {linear}×) — the counter is not seeing \
-         the solve (peaks: {peaks:?})"
+        working_set[1] < 3 * lengths[0] * block,
+        "working set {} B reaches the size of an assembled A for nb = {}",
+        working_set[1],
+        lengths[0]
     );
 }

@@ -176,6 +176,30 @@ pub mod counts {
         (8 * n * k * (2 * m).saturating_sub(k).max(1)).max(1)
     }
 
+    /// The one-sweep Caroli transmission kernel (`qtx_solver::caroli_sweep`)
+    /// on a chain of `s × s` blocks. `couplings` lists, per adjacent block
+    /// pair, `(|R_u|, |C_u|, |C_l|)`: the non-zero rows and columns of the
+    /// coupling above the diagonal and the non-zero columns of the one
+    /// below; `wl`/`wr` are the widths of the left/right broadening
+    /// factors. Every block is factored and solved once, against
+    /// `|C_l| + wr` columns (`wr` for the first block, which has no
+    /// coupling below it); every coupling costs one
+    /// `|R_u| × (|C_l| + wr) × |C_u|` product; the trace needs one
+    /// `wl × wr × s` product. Folding a *factored* Σ of rank `r` into its
+    /// corner block adds [`zgemm`]`(s, s, r)` on top.
+    pub fn caroli_sweep(
+        s: usize,
+        couplings: impl IntoIterator<Item = (usize, usize, usize)>,
+        wl: usize,
+        wr: usize,
+    ) -> u64 {
+        let per_coupling: u64 = couplings
+            .into_iter()
+            .map(|(ru, cu, cl)| zgetrf(s) + zgetrs(s, cl + wr) + zgemm(ru, cl + wr, cu))
+            .sum();
+        zgetrf(s) + zgetrs(s, wr) + per_coupling + zgemm(wl, wr, s)
+    }
+
     /// Householder reduction of an n×n matrix to upper Hessenberg form
     /// (`zgehrd`): (10/3)·n³ complex multiply-adds (both-side updates plus
     /// the Q accumulation) ≈ (80/3)·n³ real operations.

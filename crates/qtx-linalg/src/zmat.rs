@@ -212,6 +212,17 @@ impl ZMat {
         m
     }
 
+    /// Builds `out_ij = f(a_ij, b_ij)` in a single pass: every entry is
+    /// written exactly once, with no zero-fill and no intermediate matrix
+    /// (the fused form of `&a.scaled(x) - &b`-style expressions).
+    pub fn from_zip(a: &ZMat, b: &ZMat, f: impl Fn(Complex64, Complex64) -> Complex64) -> Self {
+        assert_eq!((a.rows, a.cols), (b.rows, b.cols), "from_zip shape mismatch");
+        note_alloc();
+        let data: Vec<Complex64> = a.data.iter().zip(&b.data).map(|(&x, &y)| f(x, y)).collect();
+        note_bytes_grow(buf_bytes(&data));
+        ZMat { rows: a.rows, cols: a.cols, data }
+    }
+
     /// Builds from a row-major slice of `(re, im)` pairs — handy in tests.
     pub fn from_rows(rows: usize, cols: usize, entries: &[(f64, f64)]) -> Self {
         assert_eq!(entries.len(), rows * cols, "entry count mismatch");

@@ -16,7 +16,11 @@
 //! * [`bcr`] — block cyclic reduction, OMEN's legacy tight-binding solver
 //!   (ref. [33]).
 //! * [`rgf`] — the recursive Green's function reference used for NEGF
-//!   cross-checks (transmission via the Caroli formula in `qtx-core`).
+//!   cross-checks (diagonal blocks for the spectral function, boundary
+//!   blocks for the contacts).
+//! * [`caroli`] — the NEGF/Caroli transmission from one right-to-left
+//!   elimination sweep: thin broadening factors, support-aware Schur
+//!   updates, an `O(s²)` working set independent of the device length.
 //!
 //! ## Scratch reuse
 //!
@@ -30,6 +34,7 @@
 
 pub mod bcr;
 pub mod btd_lu;
+pub mod caroli;
 pub mod error;
 pub mod rgf;
 pub mod splitsolve;
@@ -37,6 +42,7 @@ pub mod system;
 
 pub use bcr::bcr_solve;
 pub use btd_lu::{btd_lu_factor, btd_lu_solve, btd_lu_solve_ws, BtdLuFactors};
+pub use caroli::caroli_sweep;
 pub use error::{SolveError, SolveOutcome};
 pub use rgf::{
     rgf_boundary, rgf_boundary_ws, rgf_diagonal_and_corner, rgf_diagonal_and_corner_ws,

@@ -65,10 +65,11 @@ fn rgf_forward_pass(sys: &ObcSystem, ws: &Workspace) -> SolveOutcome<Vec<ZMat>> 
 /// Corner column recursion `G_{i,n−1} = −gL_i·U_i·G_{i+1,n−1}` walked up
 /// from the seed `G_{n−1,n−1} = gL_{n−1}` — exact with left-connected
 /// functions only, and shared verbatim by both variants so their corner
-/// blocks are bit-identical.
+/// blocks are bit-identical. Every temporary is pooled; the result is the
+/// caller's own allocation.
 fn rgf_corner(g_left: &[ZMat], sys: &ObcSystem, ws: &Workspace) -> ZMat {
     let nb = g_left.len();
-    let mut corner = g_left[nb - 1].clone();
+    let mut corner = ws.copy_of(&g_left[nb - 1]);
     for i in (0..nb - 1).rev() {
         let t = ws.matmul(&sys.a.upper[i], &corner);
         let mut next = ws.matmul(&g_left[i], &t);
@@ -76,7 +77,31 @@ fn rgf_corner(g_left: &[ZMat], sys: &ObcSystem, ws: &Workspace) -> ZMat {
         next.scale_assign(-Complex64::ONE);
         ws.recycle(std::mem::replace(&mut corner, next));
     }
-    corner
+    let out = corner.clone();
+    ws.recycle(corner);
+    out
+}
+
+/// One step of the backward Dyson recursion, shared by both variants:
+/// on entry `g` holds `gL_i`, on exit
+/// `G_{i,i} = gL_i + gL_i·U_i·G_{i+1,i+1}·L_i·gL_i`.
+fn dyson_step(
+    g: &mut ZMat,
+    i: usize,
+    g_left: &ZMat,
+    g_next: &ZMat,
+    sys: &ObcSystem,
+    ws: &Workspace,
+) {
+    let u_g = ws.matmul(&sys.a.upper[i], g_next);
+    let u_g_l = ws.matmul(&u_g, &sys.a.lower[i]);
+    ws.recycle(u_g);
+    let g_ugl = ws.matmul(g_left, &u_g_l);
+    ws.recycle(u_g_l);
+    let corr = ws.matmul(&g_ugl, g_left);
+    ws.recycle(g_ugl);
+    g.axpy(Complex64::ONE, &corr);
+    ws.recycle(corr);
 }
 
 /// Runs the two-pass RGF borrowing every block temporary from `ws`, so a
@@ -85,21 +110,13 @@ fn rgf_corner(g_left: &[ZMat], sys: &ObcSystem, ws: &Workspace) -> ZMat {
 pub fn rgf_diagonal_and_corner_ws(sys: &ObcSystem, ws: &Workspace) -> SolveOutcome<RgfResult> {
     let nb = sys.num_blocks();
     let g_left = rgf_forward_pass(sys, ws)?;
-    // Backward pass: G_{n−1,n−1} = gL_{n−1};
-    // G_{i,i} = gL_i + gL_i·U_i·G_{i+1,i+1}·L_i·gL_i.
+    // Backward pass from G_{n−1,n−1} = gL_{n−1}; the returned blocks are
+    // the caller's own allocations, never the pool's.
     let mut diag = vec![ZMat::zeros(0, 0); nb];
     diag[nb - 1] = g_left[nb - 1].clone();
     for i in (0..nb - 1).rev() {
-        let u_g = ws.matmul(&sys.a.upper[i], &diag[i + 1]);
-        let u_g_l = ws.matmul(&u_g, &sys.a.lower[i]);
-        ws.recycle(u_g);
-        let g_ugl = ws.matmul(&g_left[i], &u_g_l);
-        ws.recycle(u_g_l);
-        let corr = ws.matmul(&g_ugl, &g_left[i]);
-        ws.recycle(g_ugl);
         let mut gi = g_left[i].clone();
-        gi.axpy(Complex64::ONE, &corr);
-        ws.recycle(corr);
+        dyson_step(&mut gi, i, &g_left[i], &diag[i + 1], sys, ws);
         diag[i] = gi;
     }
     let corner = rgf_corner(&g_left, sys, ws);
@@ -115,13 +132,12 @@ pub fn rgf_diagonal_and_corner_ws(sys: &ObcSystem, ws: &Workspace) -> SolveOutco
     Ok(RgfResult { diag, corner })
 }
 
-/// The three Green's function blocks a transmission-only run needs.
+/// The three Green's function blocks at the contacts.
 #[derive(Debug, Clone)]
 pub struct RgfBoundary {
     /// First diagonal block `G_{0,0}`.
     pub first: ZMat,
-    /// Corner block `G_{0,n−1}` (the Caroli transmission block),
-    /// bit-identical to [`RgfResult::corner`].
+    /// Corner block `G_{0,n−1}`, bit-identical to [`RgfResult::corner`].
     pub corner: ZMat,
     /// Last diagonal block `G_{n−1,n−1}`.
     pub last: ZMat,
@@ -132,34 +148,25 @@ pub fn rgf_boundary(sys: &ObcSystem) -> SolveOutcome<RgfBoundary> {
     rgf_boundary_ws(sys, &Workspace::new())
 }
 
-/// Boundary-block-only RGF: retains just `G_{0,0}`, `G_{0,n−1}` and
-/// `G_{n−1,n−1}` — everything the Caroli transmission and the contact
-/// spectral functions consume. The backward Dyson recursion streams
-/// through interior diagonal blocks without storing them, so beyond the
-/// forward `gL` chain (bandwidth·n) the working set is three `s × s`
-/// blocks regardless of device length. Block values match
-/// [`rgf_diagonal_and_corner_ws`] bit-for-bit: both run the identical
-/// operation sequence per block.
+/// Boundary-block-only RGF: the full RGF's passes with only `G_{0,0}`,
+/// `G_{0,n−1}` and `G_{n−1,n−1}` retained — the contact spectral
+/// functions' inputs. The backward recursion streams through the interior
+/// diagonal blocks in one pooled buffer, so beyond the forward `gL` chain
+/// the working set is a few `s × s` blocks. Block values match
+/// [`rgf_diagonal_and_corner_ws`] bit-for-bit. The transmission alone is
+/// cheaper through [`crate::caroli_sweep`], which needs none of the three.
 pub fn rgf_boundary_ws(sys: &ObcSystem, ws: &Workspace) -> SolveOutcome<RgfBoundary> {
     let nb = sys.num_blocks();
     let g_left = rgf_forward_pass(sys, ws)?;
     let last = g_left[nb - 1].clone();
-    // Backward pass streamed: only the running G_{i,i} survives each step.
-    let mut g_cur = g_left[nb - 1].clone();
+    let mut g_cur = ws.copy_of(&g_left[nb - 1]);
     for i in (0..nb - 1).rev() {
-        let u_g = ws.matmul(&sys.a.upper[i], &g_cur);
-        let u_g_l = ws.matmul(&u_g, &sys.a.lower[i]);
-        ws.recycle(u_g);
-        let g_ugl = ws.matmul(&g_left[i], &u_g_l);
-        ws.recycle(u_g_l);
-        let corr = ws.matmul(&g_ugl, &g_left[i]);
-        ws.recycle(g_ugl);
-        let mut gi = g_left[i].clone();
-        gi.axpy(Complex64::ONE, &corr);
-        ws.recycle(corr);
+        let mut gi = ws.copy_of(&g_left[i]);
+        dyson_step(&mut gi, i, &g_left[i], &g_cur, sys, ws);
         ws.recycle(std::mem::replace(&mut g_cur, gi));
     }
-    let first = g_cur;
+    let first = g_cur.clone();
+    ws.recycle(g_cur);
     let corner = rgf_corner(&g_left, sys, ws);
     for g in g_left {
         ws.recycle(g);
@@ -241,6 +248,24 @@ mod tests {
             assert_eq!(b.last.max_diff(&full.diag[nb - 1]), 0.0, "nb={nb}");
             assert_eq!(b.corner.max_diff(&full.corner), 0.0, "nb={nb}");
         }
+    }
+
+    #[test]
+    fn warm_calls_leave_the_pool_flat() {
+        // Regression: the boundary variant used to recycle `clone()`d
+        // blocks, growing the pool by one buffer per block per call.
+        let sys = random_system(10, 4, 19);
+        let ws = Workspace::new();
+        for _ in 0..2 {
+            rgf_diagonal_and_corner_ws(&sys, &ws).unwrap();
+            rgf_boundary_ws(&sys, &ws).unwrap();
+        }
+        let (pooled, fresh) = (ws.pooled(), ws.fresh_allocations());
+        for _ in 0..10 {
+            rgf_diagonal_and_corner_ws(&sys, &ws).unwrap();
+            rgf_boundary_ws(&sys, &ws).unwrap();
+        }
+        assert_eq!((ws.pooled(), ws.fresh_allocations()), (pooled, fresh));
     }
 
     #[test]

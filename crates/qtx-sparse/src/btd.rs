@@ -8,6 +8,7 @@
 use qtx_linalg::{Complex64, ZMat};
 use serde::{Deserialize, Serialize};
 
+use crate::chain::es_minus_h_entry;
 use crate::csr::Csr;
 use crate::error::SparseShapeError;
 
@@ -188,19 +189,21 @@ impl Btd {
     }
 
     /// `E·S − H` assembled blockwise: the matrix `A` of SplitSolve before
-    /// boundary conditions are added (§3.B).
+    /// boundary conditions are added (§3.B). One pass per block — each
+    /// output entry is computed and written once; [`crate::EsMinusH`]
+    /// streams the same blocks without assembling them.
     pub fn es_minus_h(energy: Complex64, s: &Btd, h: &Btd) -> Btd {
         assert_eq!(s.num_blocks(), h.num_blocks());
-        let nb = s.num_blocks();
-        let mut out = Btd::zeros(nb, s.block_size());
-        for i in 0..nb {
-            out.diag[i] = &s.diag[i].scaled(energy) - &h.diag[i];
+        let band = |s: &[ZMat], h: &[ZMat]| -> Vec<ZMat> {
+            (s.iter().zip(h))
+                .map(|(s, h)| ZMat::from_zip(s, h, |s, h| es_minus_h_entry(energy, s, h)))
+                .collect()
+        };
+        Btd {
+            diag: band(&s.diag, &h.diag),
+            upper: band(&s.upper, &h.upper),
+            lower: band(&s.lower, &h.lower),
         }
-        for i in 0..nb - 1 {
-            out.upper[i] = &s.upper[i].scaled(energy) - &h.upper[i];
-            out.lower[i] = &s.lower[i].scaled(energy) - &h.lower[i];
-        }
-        out
     }
 
     /// Memory footprint in complex entries (for the accelerator memory
@@ -306,6 +309,25 @@ mod tests {
         let t = Btd::es_minus_h(e, &s, &h);
         let expected = &s.to_dense().scaled(e) - &h.to_dense();
         assert!(t.to_dense().max_diff(&expected) < 1e-14);
+    }
+
+    #[test]
+    fn es_minus_h_is_bit_identical_to_scale_then_subtract() {
+        // The fused single pass must reproduce `&s.scaled(e) - &h` exactly
+        // (multiply, then subtract): sweep records depend on these bits.
+        let h = sample_btd(4, 3);
+        let mut s = sample_btd(4, 3);
+        s.scale(c64(0.3, -0.2));
+        for e in [c64(0.7, 0.0), c64(-1.3, 1e-6)] {
+            let t = Btd::es_minus_h(e, &s, &h);
+            for i in 0..4 {
+                assert_eq!(t.diag[i], &s.diag[i].scaled(e) - &h.diag[i]);
+            }
+            for i in 0..3 {
+                assert_eq!(t.upper[i], &s.upper[i].scaled(e) - &h.upper[i]);
+                assert_eq!(t.lower[i], &s.lower[i].scaled(e) - &h.lower[i]);
+            }
+        }
     }
 
     #[test]

@@ -1,0 +1,253 @@
+//! Block-by-block access to a block tri-diagonal matrix, for solvers that
+//! stream through the chain instead of holding an assembled copy.
+//!
+//! A right-to-left elimination sweep touches each diagonal block once and
+//! each coupling block only on its structurally non-zero rows and columns
+//! (tight-binding couplings reach a fraction of a slab's orbitals). The
+//! [`BlockChain`] trait is that access pattern: [`Btd`] implements it for
+//! an assembled matrix, [`EsMinusH`] for the pencil `z·S − H` evaluated on
+//! the fly, so a transmission-only point never materializes `A`.
+
+use crate::btd::Btd;
+use qtx_linalg::{Complex64, ZMat};
+
+/// Structurally non-zero rows and columns of one block: an entry outside
+/// `rows × cols` is exactly `0.0`. Sorted ascending. A dense block simply
+/// has full support.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BlockSupport {
+    /// Rows holding at least one non-zero entry.
+    pub rows: Vec<usize>,
+    /// Columns holding at least one non-zero entry.
+    pub cols: Vec<usize>,
+}
+
+impl BlockSupport {
+    /// Union of the supports of equally shaped `blocks` — the support of
+    /// any linear combination of them.
+    pub fn of(blocks: &[&ZMat]) -> BlockSupport {
+        let (n_rows, n_cols) = blocks.first().map_or((0, 0), |b| (b.rows(), b.cols()));
+        let mut row_hit = vec![false; n_rows];
+        let mut col_hit = vec![false; n_cols];
+        for b in blocks {
+            assert_eq!((b.rows(), b.cols()), (n_rows, n_cols), "support of unequal blocks");
+            let nonzero = |z: &Complex64| z.re != 0.0 || z.im != 0.0;
+            for (j, hit) in col_hit.iter_mut().enumerate() {
+                // Most columns of a sparse coupling are empty: one cheap
+                // scan settles them.
+                let col = b.col(j);
+                if !col.iter().any(nonzero) {
+                    continue;
+                }
+                *hit = true;
+                for (row, z) in row_hit.iter_mut().zip(col) {
+                    *row |= nonzero(z);
+                }
+            }
+        }
+        let indices = |hits: Vec<bool>| -> Vec<usize> {
+            hits.iter().enumerate().filter_map(|(i, &h)| h.then_some(i)).collect()
+        };
+        BlockSupport { rows: indices(row_hit), cols: indices(col_hit) }
+    }
+}
+
+/// Supports of the two coupling blocks between slabs `i` and `i + 1`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CouplingSupport {
+    /// Support of the super-diagonal block `A_{i,i+1}`.
+    pub upper: BlockSupport,
+    /// Support of the sub-diagonal block `A_{i+1,i}`.
+    pub lower: BlockSupport,
+}
+
+/// A square block tri-diagonal matrix read one block at a time.
+pub trait BlockChain {
+    /// Number of diagonal blocks.
+    fn num_blocks(&self) -> usize;
+
+    /// Size of each (square) block.
+    fn block_size(&self) -> usize;
+
+    /// Overwrites every entry of `out` (`s × s`) with the diagonal block
+    /// `A_{i,i}`.
+    fn diag_into(&self, i: usize, out: &mut ZMat);
+
+    /// Entry `(r, c)` of the super-diagonal block `A_{i,i+1}`.
+    fn upper_at(&self, i: usize, r: usize, c: usize) -> Complex64;
+
+    /// Entry `(r, c)` of the sub-diagonal block `A_{i+1,i}`.
+    fn lower_at(&self, i: usize, r: usize, c: usize) -> Complex64;
+
+    /// Supports of the `num_blocks() − 1` coupling pairs. For a pencil
+    /// these are unions over `S` and `H`, hence independent of the
+    /// energy: compute once per device and reuse for every point.
+    fn coupling_support(&self) -> Vec<CouplingSupport>;
+}
+
+impl BlockChain for Btd {
+    fn num_blocks(&self) -> usize {
+        Btd::num_blocks(self)
+    }
+
+    fn block_size(&self) -> usize {
+        Btd::block_size(self)
+    }
+
+    fn diag_into(&self, i: usize, out: &mut ZMat) {
+        out.as_mut_slice().copy_from_slice(self.diag[i].as_slice());
+    }
+
+    fn upper_at(&self, i: usize, r: usize, c: usize) -> Complex64 {
+        self.upper[i][(r, c)]
+    }
+
+    fn lower_at(&self, i: usize, r: usize, c: usize) -> Complex64 {
+        self.lower[i][(r, c)]
+    }
+
+    fn coupling_support(&self) -> Vec<CouplingSupport> {
+        (self.upper.iter().zip(&self.lower))
+            .map(|(u, l)| CouplingSupport {
+                upper: BlockSupport::of(&[u]),
+                lower: BlockSupport::of(&[l]),
+            })
+            .collect()
+    }
+}
+
+/// One entry of `z·S − H`: a complex multiply, then a subtract — the
+/// operation order every assembled and streamed form shares, so they agree
+/// bit for bit.
+#[inline(always)]
+pub(crate) fn es_minus_h_entry(z: Complex64, s: Complex64, h: Complex64) -> Complex64 {
+    s * z - h
+}
+
+/// The pencil `A = z·S − H` of Eq. 5 as a [`BlockChain`]: blocks are
+/// evaluated on demand from the device's overlap and Hamiltonian, so a
+/// streaming solver's working set never includes `A`.
+/// [`Btd::es_minus_h`] is the assembled counterpart.
+#[derive(Debug, Clone, Copy)]
+pub struct EsMinusH<'a> {
+    /// Complex energy `z = E + iη`.
+    pub z: Complex64,
+    /// Overlap matrix `S`.
+    pub s: &'a Btd,
+    /// Hamiltonian `H`.
+    pub h: &'a Btd,
+}
+
+impl BlockChain for EsMinusH<'_> {
+    fn num_blocks(&self) -> usize {
+        self.h.num_blocks()
+    }
+
+    fn block_size(&self) -> usize {
+        self.h.block_size()
+    }
+
+    fn diag_into(&self, i: usize, out: &mut ZMat) {
+        let (s, h) = (self.s.diag[i].as_slice(), self.h.diag[i].as_slice());
+        assert_eq!(out.as_slice().len(), h.len(), "diag_into output shape");
+        for ((o, &s), &h) in out.as_mut_slice().iter_mut().zip(s).zip(h) {
+            *o = es_minus_h_entry(self.z, s, h);
+        }
+    }
+
+    fn upper_at(&self, i: usize, r: usize, c: usize) -> Complex64 {
+        es_minus_h_entry(self.z, self.s.upper[i][(r, c)], self.h.upper[i][(r, c)])
+    }
+
+    fn lower_at(&self, i: usize, r: usize, c: usize) -> Complex64 {
+        es_minus_h_entry(self.z, self.s.lower[i][(r, c)], self.h.lower[i][(r, c)])
+    }
+
+    fn coupling_support(&self) -> Vec<CouplingSupport> {
+        (0..self.num_blocks().saturating_sub(1))
+            .map(|i| CouplingSupport {
+                upper: BlockSupport::of(&[&self.s.upper[i], &self.h.upper[i]]),
+                lower: BlockSupport::of(&[&self.s.lower[i], &self.h.lower[i]]),
+            })
+            .collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use qtx_linalg::c64;
+
+    fn sparse_block(s: usize, rows: &[usize], cols: &[usize], seed: u64) -> ZMat {
+        let dense = ZMat::random(s, s, seed);
+        let mut out = ZMat::zeros(s, s);
+        for &r in rows {
+            for &c in cols {
+                out[(r, c)] = dense[(r, c)];
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn support_is_the_union_of_nonzero_rows_and_cols() {
+        let a = sparse_block(6, &[1, 4], &[0, 2], 3);
+        let b = sparse_block(6, &[4, 5], &[2], 5);
+        assert_eq!(BlockSupport::of(&[&a]), BlockSupport { rows: vec![1, 4], cols: vec![0, 2] });
+        assert_eq!(
+            BlockSupport::of(&[&a, &b]),
+            BlockSupport { rows: vec![1, 4, 5], cols: vec![0, 2] }
+        );
+        let zero = ZMat::zeros(6, 6);
+        assert_eq!(BlockSupport::of(&[&zero]), BlockSupport { rows: vec![], cols: vec![] });
+        let full = BlockSupport::of(&[&ZMat::random(3, 3, 9)]);
+        assert_eq!(full.rows, vec![0, 1, 2]);
+        assert_eq!(full.cols, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn pencil_streams_the_assembled_blocks_bit_for_bit() {
+        let (nb, s) = (4, 5);
+        let mut h = Btd::zeros(nb, s);
+        let mut ov = Btd::zeros(nb, s);
+        for i in 0..nb {
+            h.diag[i] = ZMat::random(s, s, 10 + i as u64);
+            ov.diag[i] = ZMat::random(s, s, 20 + i as u64);
+        }
+        for i in 0..nb - 1 {
+            h.upper[i] = sparse_block(s, &[0, 3], &[1, 2, 4], 30 + i as u64);
+            ov.upper[i] = sparse_block(s, &[3], &[0], 40 + i as u64);
+            h.lower[i] = h.upper[i].adjoint();
+            ov.lower[i] = ov.upper[i].adjoint();
+        }
+        let z = c64(0.37, 1e-6);
+        let a = Btd::es_minus_h(z, &ov, &h);
+        let pencil = EsMinusH { z, s: &ov, h: &h };
+        assert_eq!(BlockChain::num_blocks(&pencil), nb);
+        assert_eq!(BlockChain::block_size(&pencil), s);
+        let mut d = ZMat::random(s, s, 99);
+        for i in 0..nb {
+            pencil.diag_into(i, &mut d);
+            assert_eq!(d, a.diag[i], "diag {i}");
+        }
+        let support = pencil.coupling_support();
+        assert_eq!(support.len(), nb - 1);
+        for (i, sup) in support.iter().enumerate() {
+            assert_eq!(sup.upper.rows, vec![0, 3]);
+            assert_eq!(sup.upper.cols, vec![0, 1, 2, 4]);
+            assert_eq!(sup.lower.rows, sup.upper.cols);
+            assert_eq!(sup.lower.cols, sup.upper.rows);
+            for r in 0..s {
+                for c in 0..s {
+                    assert_eq!(pencil.upper_at(i, r, c), a.upper[i][(r, c)]);
+                    assert_eq!(pencil.lower_at(i, r, c), a.lower[i][(r, c)]);
+                    // The assembled support is contained in the pencil's.
+                    if a.upper[i][(r, c)] != Complex64::ZERO {
+                        assert!(sup.upper.rows.contains(&r) && sup.upper.cols.contains(&c));
+                    }
+                }
+            }
+        }
+        assert_eq!(a.coupling_support()[0].upper, support[0].upper);
+    }
+}

@@ -11,8 +11,13 @@
 //! * [`Btd`] — block tri-diagonal storage with dense blocks, the native
 //!   layout of the Schrödinger matrix `T = E·S − H − Σ^RB` that SplitSolve
 //!   and the RGF kernels consume.
+//! * [`BlockChain`] — the same matrix read one block at a time, either
+//!   from an assembled [`Btd`] or from the pencil [`EsMinusH`] evaluated
+//!   on the fly, with the structural [`CouplingSupport`] of its coupling
+//!   blocks: what a streaming elimination sweep consumes.
 
 pub mod btd;
+pub mod chain;
 pub mod csr;
 pub mod error;
 pub mod lowrank;
@@ -21,6 +26,7 @@ pub mod spy;
 pub mod stats;
 
 pub use btd::Btd;
+pub use chain::{BlockChain, BlockSupport, CouplingSupport, EsMinusH};
 pub use csr::{Csr, CsrBuilder};
 pub use error::SparseShapeError;
 pub use lowrank::CompressedSigma;

@@ -10,6 +10,7 @@
 //! solver corrections, cache frames, transmission bounds — can account
 //! for exactly how much self-energy it gave up.
 
+use crate::chain::BlockSupport;
 use qtx_linalg::{gemm, Complex64, Op, ZMat};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
@@ -170,6 +171,35 @@ impl CompressedSigma {
         }
     }
 
+    /// Thin factor `P` (`n × 2k`) of the broadening matrix,
+    /// `Γ = i(Σ − Σᴴ) = P·K·Pᴴ` with `K = [[0, iI], [−iI, 0]]`.
+    ///
+    /// Any `Σ = X·Yᴴ` gives `Γ = i(X·Yᴴ − Y·Xᴴ)`, which is the stated
+    /// product for `P = [X, Y]`. The factored form supplies `X = U`,
+    /// `Y = V` directly; a dense block is split as `X = E_R` (the unit
+    /// columns of its structurally non-zero rows `R`) and `Y = Σ[R,:]ᴴ`,
+    /// so `k = |R|`. Both are identities on the stored numbers — no rank
+    /// decision, no tolerance — and `k ≪ n` whenever the lead couples
+    /// through a few orbitals only.
+    pub fn broadening_factor(&self) -> ZMat {
+        match self {
+            CompressedSigma::Dense(m) => {
+                let n = m.rows();
+                let rows = BlockSupport::of(&[m]).rows;
+                let k = rows.len();
+                let mut p = ZMat::zeros(n, 2 * k);
+                for (j, &r) in rows.iter().enumerate() {
+                    p[(r, j)] = Complex64::ONE;
+                    for c in 0..m.cols() {
+                        p[(c, k + j)] = m[(r, c)].conj();
+                    }
+                }
+                p
+            }
+            CompressedSigma::Factored { u, v, .. } => u.hcat(v),
+        }
+    }
+
     /// First entry `Σ₀₀` — a cheap deterministic fingerprint used by the
     /// fault-injection chokepoints. Identical to indexing for the dense
     /// form.
@@ -264,6 +294,52 @@ mod tests {
         let mut via_dense = base;
         via_dense.axpy(alpha, &comp.to_dense());
         assert!(via_factor.max_diff(&via_dense) < 1e-10);
+    }
+
+    /// `P·K·Pᴴ` with `K = [[0, iI], [−iI, 0]]`, evaluated densely.
+    fn p_k_ph(p: &ZMat) -> ZMat {
+        let k = p.cols() / 2;
+        let mut pk = ZMat::zeros(p.rows(), 2 * k);
+        for j in 0..k {
+            for i in 0..p.rows() {
+                pk[(i, j)] = -Complex64::I * p[(i, k + j)];
+                pk[(i, k + j)] = Complex64::I * p[(i, j)];
+            }
+        }
+        let mut out = ZMat::zeros(p.rows(), p.rows());
+        gemm(Complex64::ONE, &pk, Op::None, p, Op::Adjoint, Complex64::ZERO, &mut out);
+        out
+    }
+
+    #[test]
+    fn broadening_factor_reconstructs_gamma_without_a_tolerance() {
+        let gamma = |sig: &ZMat| &sig.scaled(Complex64::I) - &sig.adjoint().scaled(Complex64::I);
+        // Dense Σ with structurally empty rows: k is the non-zero row count.
+        let mut sigma = ZMat::random(7, 7, 5);
+        for r in [0, 3, 4, 6] {
+            for c in 0..7 {
+                sigma[(r, c)] = Complex64::ZERO;
+            }
+        }
+        let p = CompressedSigma::Dense(sigma.clone()).broadening_factor();
+        assert_eq!((p.rows(), p.cols()), (7, 6));
+        assert!(p_k_ph(&p).max_diff(&gamma(&sigma)) < 1e-14);
+        // Fully dense Σ: full support, same code.
+        let full = ZMat::random(5, 5, 8);
+        let p = CompressedSigma::Dense(full.clone()).broadening_factor();
+        assert_eq!(p.cols(), 10);
+        assert!(p_k_ph(&p).max_diff(&gamma(&full)) < 1e-14);
+        // Factored Σ: P = [U, V] verbatim.
+        let comp = CompressedSigma::Factored {
+            u: ZMat::random(6, 2, 11),
+            v: ZMat::random(6, 2, 13),
+            bound: 0.0,
+        };
+        let p = comp.broadening_factor();
+        assert_eq!(p.cols(), 4);
+        assert!(p_k_ph(&p).max_diff(&gamma(&comp.to_dense())) < 1e-14);
+        // Σ = 0 has an empty factor.
+        assert_eq!(CompressedSigma::Dense(ZMat::zeros(4, 4)).broadening_factor().cols(), 0);
     }
 
     #[test]

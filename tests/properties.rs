@@ -628,6 +628,178 @@ mod obc_zero_alloc {
     }
 }
 
+mod caroli_kernel {
+    //! The one-sweep Caroli kernel against the dense trace, over random
+    //! coupling supports and both self-energy representations.
+
+    use proptest::prelude::*;
+    use qtx::linalg::{c64, gemm, lu_inverse, Complex64, Op, Workspace, ZMat};
+    use qtx::solver::{caroli_sweep, ObcSystem};
+    use qtx::sparse::{BlockChain, Btd, CompressedSigma};
+
+    /// Deterministic coin for "is row/column `i` of coupling `block`
+    /// structurally empty" under a support `pattern`:
+    /// 0 dense · 1 one zero column · 2 one zero row · 3 one all-zero
+    /// coupling block · 4 random rows and columns knocked out.
+    fn masked(pattern: u32, seed: u64, block: usize, is_row: bool, i: usize, s: usize) -> bool {
+        let pick = (seed as usize + block) % s;
+        match pattern {
+            1 => !is_row && i == pick,
+            2 => is_row && i == pick,
+            3 => block == (seed as usize) % 7,
+            4 => {
+                let h = seed
+                    .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                    .wrapping_add(((block * 2 + is_row as usize) * 64 + i) as u64)
+                    .wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                (h >> 40).is_multiple_of(3)
+            }
+            _ => false,
+        }
+    }
+
+    fn coupling(s: usize, pattern: u32, seed: u64, block: usize, salt: u64) -> ZMat {
+        let dense =
+            ZMat::random(s, s, seed.wrapping_add(salt + block as u64)).scaled(c64(0.4, 0.0));
+        ZMat::from_fn(s, s, |r, c| {
+            if masked(pattern, seed, block, true, r, s) || masked(pattern, seed, block, false, c, s)
+            {
+                Complex64::ZERO
+            } else {
+                dense[(r, c)]
+            }
+        })
+    }
+
+    /// A diagonally dominant chain; Hermitian (`L_i = U_iᴴ`, Hermitian
+    /// diagonal blocks) on request, otherwise with independent `L_i`.
+    fn chain(nb: usize, s: usize, pattern: u32, seed: u64, hermitian: bool) -> Btd {
+        let mut a = Btd::zeros(nb, s);
+        for i in 0..nb {
+            let mut d = ZMat::random(s, s, seed.wrapping_add(i as u64));
+            if hermitian {
+                d.hermitianize();
+            }
+            for k in 0..s {
+                d[(k, k)] += c64(4.0 + s as f64, if hermitian { 0.0 } else { 0.7 });
+            }
+            a.diag[i] = d;
+        }
+        for i in 0..nb - 1 {
+            a.upper[i] = coupling(s, pattern, seed, i, 1000);
+            a.lower[i] = if hermitian {
+                a.upper[i].adjoint()
+            } else {
+                // Masks transposed, so row and column supports differ.
+                coupling(s, pattern, seed, i, 2000).transpose()
+            };
+        }
+        a
+    }
+
+    fn sigma(s: usize, seed: u64, factored: bool) -> CompressedSigma {
+        if factored {
+            let r = 1 + (seed as usize) % s.div_ceil(2);
+            CompressedSigma::Factored {
+                u: ZMat::random(s, r, seed).scaled(c64(0.5, 0.0)),
+                v: ZMat::random(s, r, seed + 1).scaled(c64(0.3, 0.4)),
+                bound: 0.0,
+            }
+        } else {
+            // A dense Σ whose first row is empty when there is room: the
+            // structural row support is then a strict subset.
+            let mut m = ZMat::random(s, s, seed).scaled(c64(0.3, -0.2));
+            if s > 2 {
+                for c in 0..s {
+                    m[(0, c)] = Complex64::ZERO;
+                }
+            }
+            m.into()
+        }
+    }
+
+    fn gamma(sig: &CompressedSigma) -> ZMat {
+        let sig = sig.dense();
+        &sig.scaled(Complex64::I) - &sig.adjoint().scaled(Complex64::I)
+    }
+
+    fn system(a: Btd, sigma_l: CompressedSigma, sigma_r: CompressedSigma) -> ObcSystem {
+        let s = a.block_size();
+        ObcSystem { a, sigma_l, sigma_r, rhs_top: ZMat::zeros(s, 0), rhs_bottom: ZMat::zeros(s, 0) }
+    }
+
+    fn sweep(sys: &ObcSystem) -> f64 {
+        let support = sys.a.coupling_support();
+        caroli_sweep(&sys.a, &sys.sigma_l, &sys.sigma_r, &support, &Workspace::new()).unwrap()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// `T` agrees with `tr[Γ_L·G·Γ_R·Gᴴ]` from the dense inverse for
+        /// every chain length from a single block up, every coupling
+        /// support pattern and dense or factored Σ on either side; on a
+        /// Hermitian chain, swapping the contacts and reversing the chain
+        /// gives the same `T` (reciprocity).
+        #[test]
+        fn sweep_matches_dense_trace_and_is_reciprocal(
+            nb in 1usize..9,
+            s in 1usize..7,
+            pattern in 0u32..5,
+            forms in 0u32..4,
+            hermitian in 0u32..2,
+            seed in 0u64..1_000_000,
+        ) {
+            let hermitian = hermitian == 1;
+            let sys = system(
+                chain(nb, s, pattern, seed, hermitian),
+                sigma(s, seed + 31, forms & 1 == 1),
+                sigma(s, seed + 47, forms & 2 == 2),
+            );
+            let (n, t) = (sys.dim(), sweep(&sys));
+            let g = lu_inverse(&sys.t_dense()).unwrap().block(0, n - s, s, s);
+            let reference =
+                (&(&gamma(&sys.sigma_l) * &g) * &(&gamma(&sys.sigma_r) * &g.adjoint())).trace().re;
+            prop_assert!(
+                (t - reference).abs() < 1e-10,
+                "nb={nb} s={s} pattern={pattern} forms={forms}: {t} vs {reference}"
+            );
+            if hermitian {
+                let mut rev = Btd::zeros(nb, s);
+                for i in 0..nb {
+                    rev.diag[i] = sys.a.diag[nb - 1 - i].clone();
+                }
+                for i in 0..nb - 1 {
+                    rev.upper[i] = sys.a.lower[nb - 2 - i].clone();
+                    rev.lower[i] = sys.a.upper[nb - 2 - i].clone();
+                }
+                let t_rev = sweep(&system(rev, sys.sigma_r.clone(), sys.sigma_l.clone()));
+                prop_assert!((t - t_rev).abs() < 1e-10, "reciprocity: {t} vs {t_rev}");
+            }
+        }
+
+        /// `Γ = P·K·Pᴴ` holds to rounding for both Σ representations.
+        #[test]
+        fn broadening_factor_reconstructs_gamma(
+            s in 1usize..9,
+            factored in 0u32..2,
+            seed in 0u64..1_000_000,
+        ) {
+            let sig = sigma(s, seed, factored == 1);
+            let p = sig.broadening_factor();
+            let k = p.cols() / 2;
+            prop_assert!(p.cols() == 2 * k && k <= s);
+            // P·K = [−i·Y, i·X] for P = [X, Y].
+            let pk = ZMat::from_fn(s, 2 * k, |i, j| {
+                if j < k { -Complex64::I * p[(i, k + j)] } else { Complex64::I * p[(i, j - k)] }
+            });
+            let mut rebuilt = ZMat::zeros(s, s);
+            gemm(Complex64::ONE, &pk, Op::None, &p, Op::Adjoint, Complex64::ZERO, &mut rebuilt);
+            prop_assert!(rebuilt.max_diff(&gamma(&sig)) < 1e-14);
+        }
+    }
+}
+
 mod transport_properties {
     use super::*;
     use qtx::core::{Device, PointPolicy, TransportEngine};
