@@ -7,7 +7,7 @@
 //! a-priori subband-edge heuristic of `EnergyGrid` cannot see. The
 //! experiment: integrate the Landauer current on a very fine uniform
 //! reference grid, find the smallest uniform grid from a 2×-ladder that
-//! reproduces it within `eps`, then let [`parallel_sweep_refined`] grow a
+//! reproduces it within `eps`, then let [`TransportEngine::sweep_refined`] grow a
 //! coarse base grid until it meets the same `eps` — and gate the
 //! points-solved ratio. Two accuracy targets ride the gate on the same
 //! device: at 1% the uniform ladder already pays for the peak, and at
@@ -26,9 +26,8 @@
 use qtx_atomistic::{BasisKind, DeviceBuilder};
 use qtx_bench::{print_table, Row};
 use qtx_core::{
-    landauer_integrate, parallel_sweep_refined, parallel_sweep_resumable, Batching, CacheConfig,
-    CachePolicy, Device, RefineConfig, SigmaCache, SweepOptions, SweepPlan, SweepResult,
-    CONDUCTANCE_QUANTUM_US,
+    landauer_integrate, Batching, CacheConfig, CachePolicy, Device, RefineConfig, SigmaCache,
+    SweepOptions, SweepPlan, SweepResult, TransportEngine, CONDUCTANCE_QUANTUM_US,
 };
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -69,18 +68,22 @@ fn sweep_opts() -> SweepOptions {
         .expect("sweep options")
 }
 
-fn solve(dev: &Device, plan: &SweepPlan) -> SweepResult {
-    let res = parallel_sweep_resumable(dev, plan, 1, &sweep_opts()).expect("sweep");
+fn device_of(engine: &TransportEngine) -> &Device {
+    engine.device().expect("the bench engines are device-backed")
+}
+
+fn solve(engine: &TransportEngine, plan: &SweepPlan) -> SweepResult {
+    let res = engine.sweep_resumable(plan, 1, &sweep_opts()).expect("sweep");
     assert_eq!(res.health.failed, 0, "the bench device must solve every point");
     res
 }
 
 /// Argmax-T scan over the band's interior: where the dot level sits.
-fn locate_resonance(dev: &Device) -> f64 {
-    let dk = dev.at_kz(0.0);
+fn locate_resonance(engine: &TransportEngine) -> f64 {
+    let dk = engine.device_k(0.0).expect("folded device");
     let edge = dk.lead_l.dispersive_band_min(0.1, 0.3).expect("conduction edge");
-    let plan = plan_of(dev, uniform_grid(edge + 0.05, edge + 0.95, 241));
-    let res = solve(dev, &plan);
+    let plan = plan_of(device_of(engine), uniform_grid(edge + 0.05, edge + 0.95, 241));
+    let res = solve(engine, &plan);
     res.spectrum
         .iter()
         .fold((0.0f64, f64::NEG_INFINITY), |best, &(e, t)| if t > best.1 { (e, t) } else { best })
@@ -94,10 +97,11 @@ fn current_ua(dev: &Device, res: &SweepResult) -> f64 {
     out.current_ua
 }
 
-fn uniform_current(dev: &Device, lo: f64, hi: f64, n: usize) -> (f64, usize, f64) {
+fn uniform_current(engine: &TransportEngine, lo: f64, hi: f64, n: usize) -> (f64, usize, f64) {
+    let dev = device_of(engine);
     let plan = plan_of(dev, uniform_grid(lo, hi, n));
     let t0 = Instant::now();
-    let res = solve(dev, &plan);
+    let res = solve(engine, &plan);
     let secs = t0.elapsed().as_secs_f64();
     (current_ua(dev, &res), res.records.len(), secs)
 }
@@ -136,7 +140,7 @@ fn main() {
     const REF_N: usize = 2049;
 
     let mut dev = resonance_device(CELLS, V_BARRIER);
-    let e_res = locate_resonance(&dev);
+    let e_res = locate_resonance(&TransportEngine::new(dev.clone()));
     // ±20 mV bias straddling the dot level; the 5·kT Fermi window at
     // 100 K puts the resonance mid-window with decayed tails at both
     // ends, so the window itself is identical for every contender.
@@ -144,8 +148,12 @@ fn main() {
     dev.config.mu_r = e_res - 0.02;
     let (lo, hi) = dev.fermi_window(5.0);
     println!("resonance at {e_res:.4} eV, window [{lo:.4}, {hi:.4}]");
+    // One engine for every contender: each sweep brings its own fresh Σ
+    // cache (`sweep_opts`), all share the engine's folded device.
+    let engine = TransportEngine::new(dev);
+    let dev = device_of(&engine);
 
-    let (i_ref, _, _) = uniform_current(&dev, lo, hi, REF_N);
+    let (i_ref, _, _) = uniform_current(&engine, lo, hi, REF_N);
     println!("reference I = {i_ref:.6} µA on {REF_N} points");
     assert!(i_ref.abs() > 0.0, "reference current vanished");
 
@@ -164,7 +172,7 @@ fn main() {
         for idx in 0..LADDER.len() {
             if idx >= ladder_runs.len() {
                 let n = LADDER[idx];
-                let (i_n, pts, secs) = uniform_current(&dev, lo, hi, n);
+                let (i_n, pts, secs) = uniform_current(&engine, lo, hi, n);
                 let err = (i_n - i_ref).abs();
                 println!("  uniform n={n}: I={i_n:.6} µA, err={err:.2e}");
                 ladder_runs.push((n, err, pts, secs));
@@ -179,7 +187,7 @@ fn main() {
             uniform.unwrap_or_else(|| panic!("no ladder rung met eps={eps:.3e} for {name}"));
 
         // ── Adaptive contender: refine the BASE_N-point grid ──
-        let base = plan_of(&dev, uniform_grid(lo, hi, BASE_N));
+        let base = plan_of(dev, uniform_grid(lo, hi, BASE_N));
         let cfg = RefineConfig {
             tol: tol_mult * eps / CONDUCTANCE_QUANTUM_US,
             budget: 4 * uni_pts,
@@ -190,12 +198,11 @@ fn main() {
             flag_escalated: false,
         };
         let t0 = Instant::now();
-        let refined =
-            parallel_sweep_refined(&dev, &base, 1, &sweep_opts(), &cfg).expect("refined sweep");
+        let refined = engine.sweep_refined(&base, 1, &sweep_opts(), &cfg).expect("refined sweep");
         let ada_secs = t0.elapsed().as_secs_f64();
         assert!(!refined.truncated, "refinement exhausted its budget for {name}");
         let ada_pts = refined.result.records.len();
-        let i_ada = current_ua(&dev, &refined.result);
+        let i_ada = current_ua(dev, &refined.result);
         let ada_err = (i_ada - i_ref).abs();
         println!(
             "  {name}: eps={eps:.2e} | uniform {uni_pts} pts (err {uni_err:.2e}) vs \

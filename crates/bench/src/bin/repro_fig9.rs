@@ -1,10 +1,12 @@
 //! Fig. 9: OMEN's three-level parallelization — momentum (top), energy
-//! (middle), spatial domain decomposition (bottom) — demonstrated with
-//! real simulated-MPI ranks on a UTB device with a transverse k-grid.
+//! (middle), spatial domain decomposition (bottom) — on a UTB device with
+//! a transverse k-grid. The (k, E) points run as tasks on the scheduler
+//! pool; the rank hierarchy is priced by the pure gather-cost model
+//! (`CostModel::fig9_gather_seconds`), not run.
 
 use qtx_atomistic::{BasisKind, DeviceBuilder};
 use qtx_bench::{print_table, Row};
-use qtx_core::{parallel_sweep, Device, SweepPlan};
+use qtx_core::{Device, SweepPlan, TransportEngine};
 
 fn main() {
     let spec = DeviceBuilder::utb(0.8).cells(8).basis(BasisKind::TightBinding).build();
@@ -24,7 +26,7 @@ fn main() {
     let alloc = plan.allocate_ranks(n_ranks);
     println!("dynamic rank allocation over {n_ranks} ranks (ref. [45]): {alloc:?}");
 
-    let result = parallel_sweep(&dev, &plan, n_ranks).expect("sweep");
+    let result = TransportEngine::new(dev).sweep(&plan, n_ranks).expect("sweep");
     let rows: Vec<Row> = result
         .spectrum
         .iter()
@@ -37,7 +39,7 @@ fn main() {
         &rows,
     );
     println!(
-        "\n{} samples over {} ranks; virtual comm time {:.3} ms",
+        "\n{} samples; modelled gather over {} ranks {:.3} ms",
         result.samples.len(),
         n_ranks,
         result.comm_seconds * 1e3

@@ -146,26 +146,16 @@ pub fn parse_with_fingerprint(buf: &[u8], fingerprint: u64) -> TransportResult<V
     frames.map(|f| PointRecord::decode(f).map_err(TransportError::Payload)).collect()
 }
 
-/// Loads and validates a checkpoint for `plan`.
-pub fn load(path: &Path, plan: &SweepPlan) -> TransportResult<Vec<PointRecord>> {
-    load_with_fingerprint(path, plan_fingerprint(plan))
-}
-
-/// [`load`] against an explicit fingerprint (see
-/// [`encode_with_fingerprint`]).
+/// Loads a checkpoint and validates it against `fingerprint` — the sweep
+/// loop's identity for the run ([`plan_fingerprint`] for a flat sweep,
+/// [`crate::refined_fingerprint`] for a refined one).
 pub fn load_with_fingerprint(path: &Path, fingerprint: u64) -> TransportResult<Vec<PointRecord>> {
     let buf = std::fs::read(path).map_err(CheckpointError::Io)?;
     parse_with_fingerprint(&buf, fingerprint)
 }
 
-/// Atomically writes a checkpoint: temp file in the same directory, then
-/// rename over the target.
-pub fn save(path: &Path, plan: &SweepPlan, records: &[PointRecord]) -> TransportResult<()> {
-    save_with_fingerprint(path, plan_fingerprint(plan), records)
-}
-
-/// [`save`] against an explicit fingerprint (see
-/// [`encode_with_fingerprint`]).
+/// Atomically writes a checkpoint under `fingerprint`: temp file in the
+/// same directory, then rename over the target.
 pub fn save_with_fingerprint(
     path: &Path,
     fingerprint: u64,
@@ -254,14 +244,26 @@ mod tests {
     }
 
     #[test]
+    fn torn_record_stream_is_rejected_loudly() {
+        // A record stream with trailing garbage must surface as a typed
+        // error, not silently decode to fewer records.
+        let mut payload = Vec::new();
+        record(0, 0).encode_into(&mut payload);
+        payload.extend_from_slice(&[0xde, 0xad, 0xbe]); // torn frame
+        let err = qtx_mpi::exact_frames(&payload, POINT_RECORD_BYTES).unwrap_err();
+        assert_eq!(err.payload_len, POINT_RECORD_BYTES + 3);
+    }
+
+    #[test]
     fn save_and_load_through_the_filesystem() {
         let p = plan();
         let records = vec![record(0, 0), record(1, 0)];
         let dir = std::env::temp_dir().join("qtx-checkpoint-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("sweep.qtxswp");
-        save(&path, &p, &records).unwrap();
-        let back = load(&path, &p).unwrap();
+        let fp = plan_fingerprint(&p);
+        save_with_fingerprint(&path, fp, &records).unwrap();
+        let back = load_with_fingerprint(&path, fp).unwrap();
         assert_eq!(back, records);
         assert!(!path.with_extension("qtxswp.tmp").exists(), "temp file cleaned up");
         std::fs::remove_file(&path).ok();

@@ -1,33 +1,32 @@
-//! The unified transport front door.
+//! The transport front door.
 //!
-//! Before this module, callers juggled three free functions
-//! (`solve_energy_point`, `solve_energy_point_with_runtime`,
-//! `solve_energy_point_robust`), a hand-rolled `SweepOptions` literal and
-//! a process-global scheduler — and each call re-derived the shared state
-//! (folded `DeviceK`, lead content hashes, cache resolution) from
-//! scratch. [`TransportEngine`] owns that state once:
+//! [`TransportEngine`] is the one way to solve points and run sweeps. It
+//! owns, once, the state every solve shares:
 //!
 //! * the device and its [`TransportConfig`];
-//! * the momentum-folded `DeviceK` builds, memoized per `kz`;
-//! * the optional scheduler pool shared by its sweeps;
+//! * the momentum-folded `DeviceK` builds, memoized per `kz` and shared
+//!   by point solves and sweeps alike (a sweep folds no device of its
+//!   own);
+//! * the optional scheduler pool its sweeps run on;
 //! * the optional content-addressed self-energy cache
 //!   ([`crate::cache::SigmaCache`]) with the lead hashes computed once.
 //!
 //! Point solves go through [`TransportEngine::solve_point`] with a
-//! [`PointPolicy`] (direct / robust ladder / interpolation-enabled);
-//! sweeps go through [`TransportEngine::sweep`] /
-//! [`TransportEngine::sweep_resumable`] and inherit the engine's
-//! scheduler and cache unless the options override them. The old free
-//! functions survive as `#[deprecated]` forwarders.
+//! [`PointPolicy`] (direct / robust ladder / interpolation-enabled /
+//! transmission-only). Sweeps go through [`TransportEngine::sweep`],
+//! [`TransportEngine::sweep_resumable`] and
+//! [`TransportEngine::sweep_refined`] — three views of the single loop in
+//! [`crate::sweep`] — and inherit the engine's scheduler and cache unless
+//! the options override them.
 
 use crate::cache::{CacheConfig, CacheHandle, CachePolicy, CacheStats, SigmaCache};
 use crate::device::{Device, DeviceK, TransportConfig};
-use crate::error::TransportError;
-use crate::error::TransportResult;
-use crate::scheduler::Scheduler;
-use crate::sweep::{parallel_sweep_resumable, SweepOptions, SweepPlan, SweepResult};
+use crate::error::{TransportError, TransportResult};
+use crate::refine::{RefineConfig, RefinedSweep};
+use crate::scheduler::{self, Scheduler};
+use crate::sweep::{SweepOptions, SweepPlan, SweepResult};
 use crate::transport::{
-    self, EnergyPointResult, PointOutcome, RobustSolve, METHOD_BOUNDARY, METHOD_CACHE_INTERP,
+    self, ms_since, EnergyPointResult, RobustSolve, METHOD_BOUNDARY, METHOD_CACHE_INTERP,
 };
 use qtx_accel::AccelRuntime;
 use qtx_linalg::ZMat;
@@ -80,7 +79,7 @@ impl PointPolicy<'static> {
     /// Ladder + cache interpolation: a point bracketed by a validated
     /// interval skips the OBC solves entirely and reports
     /// [`METHOD_CACHE_INTERP`] with its error bound in
-    /// [`PointOutcome::interp_bound`].
+    /// [`transport::PointOutcome::interp_bound`].
     pub fn interpolating() -> Self {
         PointPolicy { robust: true, allow_interp: true, ..PointPolicy::default() }
     }
@@ -91,7 +90,7 @@ impl PointPolicy<'static> {
     /// stays in its compressed form end to end, and the working set is a
     /// few `s × s` blocks whatever the device length. The point reports
     /// [`transport::METHOD_BOUNDARY`] with the recorded Σ-compression
-    /// bound in [`PointOutcome::interp_bound`].
+    /// bound in [`transport::PointOutcome::interp_bound`].
     pub fn transmission_only() -> Self {
         PointPolicy { transmission_only: true, ..PointPolicy::default() }
     }
@@ -214,7 +213,7 @@ impl FoldedK {
 pub struct TransportEngine {
     /// `None` for an engine fixed on pre-folded `DeviceK`s
     /// ([`TransportEngine::from_device_k`]): point solves work on the
-    /// seeded momenta, sweeps (which re-fold per kz) are unavailable.
+    /// seeded momenta, sweeps (whose plans name arbitrary kz) are unavailable.
     device: Option<Device>,
     config: TransportConfig,
     scheduler: Option<Arc<Scheduler>>,
@@ -314,24 +313,11 @@ impl TransportEngine {
     /// when only the result matters.
     pub fn solve_point(&self, e: f64, kz: f64, policy: &PointPolicy<'_>) -> RobustSolve {
         let Some(folded) = self.dk_at(kz) else {
-            return RobustSolve {
-                result: None,
-                outcome: PointOutcome {
-                    method_used: transport::METHOD_FAILED,
-                    attempts: 0,
-                    escalations: 0,
-                    residual: f64::INFINITY,
-                    eta: 0.0,
-                    interp_bound: 0.0,
-                    wall_ms: 0.0,
-                },
-                error: Some(TransportError::Config {
-                    what: format!(
-                        "kz={kz} was never seeded and an engine fixed on pre-folded DeviceKs \
-                         (TransportEngine::from_device_k) has no device to fold it from"
-                    ),
-                }),
-            };
+            let what = format!(
+                "kz={kz} was never seeded and an engine fixed on pre-folded DeviceKs \
+                 (TransportEngine::from_device_k) has no device to fold it from"
+            );
+            return RobustSolve::failed(TransportError::Config { what }, 0, 0.0);
         };
         let (dk, handle) = (&folded.dk, folded.handle.as_ref());
         let cfg = &self.config;
@@ -348,32 +334,8 @@ impl TransportEngine {
         }
         let start = Instant::now();
         match transport::solve_point_direct(dk, e, cfg, policy.runtime, handle) {
-            Ok(result) => RobustSolve {
-                result: Some(result),
-                outcome: PointOutcome {
-                    method_used: 0,
-                    attempts: 1,
-                    escalations: 0,
-                    residual: 0.0,
-                    eta: 0.0,
-                    interp_bound: 0.0,
-                    wall_ms: start.elapsed().as_secs_f64() * 1e3,
-                },
-                error: None,
-            },
-            Err(error) => RobustSolve {
-                result: None,
-                outcome: PointOutcome {
-                    method_used: transport::METHOD_FAILED,
-                    attempts: 1,
-                    escalations: 0,
-                    residual: f64::INFINITY,
-                    eta: 0.0,
-                    interp_bound: 0.0,
-                    wall_ms: start.elapsed().as_secs_f64() * 1e3,
-                },
-                error: Some(error),
-            },
+            Ok(result) => RobustSolve::solved(result, 0, ms_since(start)),
+            Err(error) => RobustSolve::failed(error, 1, ms_since(start)),
         }
     }
 
@@ -381,7 +343,7 @@ impl TransportEngine {
     /// a fresh solve) into the one-sweep Caroli kernel, which streams the
     /// device blocks and reuses the folded device's memoized coupling
     /// supports. The recorded Σ-compression bound rides in
-    /// [`PointOutcome::interp_bound`].
+    /// [`transport::PointOutcome::interp_bound`].
     fn boundary_point(&self, folded: &FoldedK, e: f64, compress_tol: f64) -> RobustSolve {
         let start = Instant::now();
         match transport::solve_point_transmission_only(
@@ -392,32 +354,12 @@ impl TransportEngine {
             compress_tol,
             folded.support(),
         ) {
-            Ok((result, bound)) => RobustSolve {
-                result: Some(result),
-                outcome: PointOutcome {
-                    method_used: METHOD_BOUNDARY,
-                    attempts: 1,
-                    escalations: 0,
-                    residual: 0.0,
-                    eta: 0.0,
-                    interp_bound: bound,
-                    wall_ms: start.elapsed().as_secs_f64() * 1e3,
-                },
-                error: None,
-            },
-            Err(error) => RobustSolve {
-                result: None,
-                outcome: PointOutcome {
-                    method_used: transport::METHOD_FAILED,
-                    attempts: 1,
-                    escalations: 0,
-                    residual: f64::INFINITY,
-                    eta: 0.0,
-                    interp_bound: 0.0,
-                    wall_ms: start.elapsed().as_secs_f64() * 1e3,
-                },
-                error: Some(error),
-            },
+            Ok((result, bound)) => {
+                let mut rs = RobustSolve::solved(result, METHOD_BOUNDARY, ms_since(start));
+                rs.outcome.interp_bound = bound;
+                rs
+            }
+            Err(error) => RobustSolve::failed(error, 1, ms_since(start)),
         }
     }
 
@@ -447,92 +389,73 @@ impl TransportEngine {
         }
         let (comp_l, comp_r) = (sigma_l.clone().into(), sigma_r.clone().into());
         let t = transport::caroli_streamed(dk, e, 0.0, &comp_l, &comp_r, folded.support()).ok()?;
-        Some(RobustSolve {
-            result: Some(EnergyPointResult {
-                e,
-                kz: dk.kz,
-                transmission: t,
-                transmission_rl: t,
-                reflection: 0.0,
-                channels: (0, 0),
-                psi: ZMat::zeros(0, 0),
-                m_left: 0,
-                sigma_l,
-                sigma_r,
-            }),
-            outcome: PointOutcome {
-                method_used: METHOD_CACHE_INTERP,
-                attempts: 1,
-                escalations: 0,
-                residual: 0.0,
-                eta: 0.0,
-                interp_bound: bound,
-                wall_ms: start.elapsed().as_secs_f64() * 1e3,
-            },
-            error: None,
-        })
+        let result = EnergyPointResult::caroli_only(e, dk.kz, t, (0, 0), sigma_l, sigma_r);
+        let mut rs = RobustSolve::solved(result, METHOD_CACHE_INTERP, ms_since(start));
+        rs.outcome.interp_bound = bound;
+        Some(rs)
     }
 
-    /// Runs a sweep with default options (engine scheduler + cache).
+    /// Sweeps `plan` with default options (the engine's pool and cache).
+    ///
+    /// `n_ranks` is a cost-model input, never a thread count: the points
+    /// solve on the scheduler pool, and `n_ranks` only sizes the Fig. 9
+    /// rank topology whose virtual gather cost lands in
+    /// [`SweepResult::comm_seconds`]. Records do not depend on it.
     pub fn sweep(&self, plan: &SweepPlan, n_ranks: usize) -> TransportResult<SweepResult> {
         self.sweep_resumable(plan, n_ranks, &SweepOptions::default())
     }
 
-    /// [`Self::sweep`] with explicit options. `opts.scheduler = None`
-    /// inherits the engine's pool; `opts.cache = Auto` inherits the
-    /// engine's cache (or stays off when the engine has none — an
-    /// engine-level "Auto" has already been resolved at build time).
+    /// [`Self::sweep`] with explicit options: checkpoint/resume, the
+    /// deterministic kill, batching, and pool or cache overrides
+    /// (`opts.scheduler = None` and `opts.cache = Auto` inherit the
+    /// engine's). The union of a killed run's checkpoint and its resumed
+    /// completion is bit-identical (modulo wall time) to an uninterrupted
+    /// sweep.
     pub fn sweep_resumable(
         &self,
         plan: &SweepPlan,
         n_ranks: usize,
         opts: &SweepOptions,
     ) -> TransportResult<SweepResult> {
-        let Some(device) = &self.device else {
-            return Err(Self::no_device_for_sweep());
-        };
-        parallel_sweep_resumable(device, plan, n_ranks, &self.inherit(opts))
+        Ok(self.run(plan, n_ranks, opts, None)?.result)
     }
 
-    /// [`Self::sweep_resumable`] with adaptive energy-grid refinement
-    /// (see [`crate::refine::parallel_sweep_refined`]); the engine's pool
-    /// and cache are inherited the same way.
+    /// [`Self::sweep_resumable`] with adaptive energy-grid refinement:
+    /// sweeps the base plan, then repeatedly bisects the intervals whose
+    /// estimated integration error exceeds `cfg.tol` until every interval
+    /// clears it, the point budget is spent, or `cfg.max_rounds` rounds
+    /// ran (see [`crate::refine`]). Checkpoint/resume and
+    /// `max_new_points` kills work across round boundaries: the
+    /// checkpoint holds the solved records under the
+    /// [`crate::refined_fingerprint`] identity, and a resumed run
+    /// re-derives the same refined grid from them bit-identically.
     pub fn sweep_refined(
         &self,
         base: &SweepPlan,
         n_ranks: usize,
         opts: &SweepOptions,
-        cfg: &crate::refine::RefineConfig,
-    ) -> TransportResult<crate::refine::RefinedSweep> {
-        let Some(device) = &self.device else {
-            return Err(Self::no_device_for_sweep());
+        cfg: &RefineConfig,
+    ) -> TransportResult<RefinedSweep> {
+        self.run(base, n_ranks, opts, Some(cfg))
+    }
+
+    /// The pool and Σ-cache a sweep under `opts` runs on: an unset
+    /// scheduler falls back to the engine's, then to the process-wide
+    /// pool; `cache = Auto` means the engine's cache (off when it has
+    /// none — the engine resolved its own "Auto" at build time).
+    pub(crate) fn sweep_resources(
+        &self,
+        opts: &SweepOptions,
+    ) -> (Arc<Scheduler>, Option<Arc<SigmaCache>>) {
+        let sched = opts
+            .scheduler
+            .clone()
+            .or_else(|| self.scheduler.clone())
+            .unwrap_or_else(|| scheduler::global().clone());
+        let cache = match &opts.cache {
+            CachePolicy::Auto => self.cache.clone(),
+            policy => policy.resolve(),
         };
-        crate::refine::parallel_sweep_refined(device, base, n_ranks, &self.inherit(opts), cfg)
-    }
-
-    fn no_device_for_sweep() -> TransportError {
-        TransportError::Config {
-            what: "sweeps need a full Device; this engine is fixed on a pre-folded DeviceK \
-                   (TransportEngine::from_device_k)"
-                .into(),
-        }
-    }
-
-    /// Fills unset sweep options from the engine: `scheduler = None`
-    /// inherits the engine's pool; `cache = Auto` inherits the engine's
-    /// cache (or stays off when the engine has none — an engine-level
-    /// "Auto" has already been resolved at build time).
-    fn inherit(&self, opts: &SweepOptions) -> SweepOptions {
-        let mut o = opts.clone();
-        if o.scheduler.is_none() {
-            o.scheduler = self.scheduler.clone();
-        }
-        if matches!(o.cache, CachePolicy::Auto) {
-            o.cache = match &self.cache {
-                Some(c) => CachePolicy::Shared(c.clone()),
-                None => CachePolicy::Off,
-            };
-        }
-        o
+        (sched, cache)
     }
 }

@@ -24,7 +24,8 @@ pub enum TransportError {
     Solve(SolveError),
     /// A dense kernel failed outside the OBC/solver layers.
     Linalg(LinalgError),
-    /// A gathered sweep payload failed frame validation (torn record).
+    /// A stream of fixed-size records failed frame validation (a torn
+    /// record in a checkpoint body).
     Payload(qtx_mpi::FrameError),
     /// A sweep checkpoint file was unreadable or inconsistent.
     Checkpoint(crate::checkpoint::CheckpointError),
@@ -35,10 +36,12 @@ pub enum TransportError {
         /// The panic payload, rendered to text.
         what: String,
     },
-    /// The request does not fit how the engine was set up — a caller
-    /// mistake (a momentum a fixed-`DeviceK` engine was never seeded with,
-    /// a sweep on an engine that has no [`crate::Device`] to fold), not a
-    /// numerical failure: nothing was solved and retrying cannot help.
+    /// The request does not fit how the engine was set up, or is itself
+    /// malformed — a caller mistake (a momentum a fixed-`DeviceK` engine
+    /// was never seeded with, a sweep on an engine that has no
+    /// [`crate::Device`] to fold, a sweep plan whose grids do not pair up
+    /// with its momenta or hold non-finite values), not a numerical
+    /// failure: nothing was solved and retrying cannot help.
     Config {
         /// What was asked for and why this engine cannot serve it.
         what: String,
@@ -93,7 +96,7 @@ impl std::fmt::Display for TransportError {
             TransportError::Obc { side, source } => write!(f, "OBC failure ({side:?}): {source}"),
             TransportError::Solve(e) => write!(f, "solver failure: {e}"),
             TransportError::Linalg(e) => write!(f, "linear-algebra failure: {e}"),
-            TransportError::Payload(e) => write!(f, "gathered sweep payload invalid: {e}"),
+            TransportError::Payload(e) => write!(f, "sweep record stream invalid: {e}"),
             TransportError::Checkpoint(e) => write!(f, "sweep checkpoint invalid: {e}"),
             TransportError::Panic { what } => write!(f, "worker caught a panicking solve: {what}"),
             TransportError::Config { what } => write!(f, "request does not fit the engine: {what}"),

@@ -20,9 +20,15 @@
 //!   (Fig. 10);
 //! * [`scf`] — the self-consistent Schrödinger–Poisson loop and Id–Vgs
 //!   sweeps (Fig. 1(d));
-//! * [`sweep`] — the three-level momentum/energy/domain parallelization of
-//!   Fig. 9 over the simulated MPI fabric, with dynamic node-per-k
-//!   allocation (ref. [45]).
+//! * [`engine`] — [`TransportEngine`], the one front door: point solves
+//!   under a [`PointPolicy`] and the sweeps below, over state (folded
+//!   devices, scheduler pool, Σ-cache) it owns once;
+//! * [`sweep`] — the momentum/energy levels of Fig. 9 as tasks on the
+//!   supervised pool of [`scheduler`] (the spatial level is SplitSolve):
+//!   one loop behind [`TransportEngine::sweep`], `sweep_resumable` and
+//!   `sweep_refined`, with checkpoint/resume, adaptive refinement
+//!   ([`refine`]) and the paper's dynamic node-per-k allocation
+//!   (ref. \[45\]) priced by a pure gather-cost model instead of run.
 
 pub mod cache;
 pub mod checkpoint;
@@ -49,21 +55,19 @@ pub use landauer::{
     LandauerIntegration, CONDUCTANCE_QUANTUM_US,
 };
 pub use observables::{ChargeAndCurrent, SpectralData};
-pub use refine::{parallel_sweep_refined, refined_fingerprint, RefineConfig, RefinedSweep};
+pub use refine::{refined_fingerprint, RefineConfig, RefinedSweep};
 pub use scf::{id_vgs, schrodinger_poisson, IvPoint, ScfConfig, ScfResult};
 pub use scheduler::{
     BatchOptions, BatchStats, Scheduler, SchedulerConfig, TaskAttempt, TaskReport,
 };
 pub use sweep::{
-    parallel_sweep, parallel_sweep_resumable, Batching, PointRecord, SweepHealth, SweepOptions,
-    SweepOptionsBuilder, SweepOptionsError, SweepPlan, SweepResult,
+    Batching, PointRecord, SweepHealth, SweepOptions, SweepOptionsBuilder, SweepOptionsError,
+    SweepPlan, SweepResult,
 };
 pub use transport::{
     caroli_transmission, EnergyPointResult, PointOutcome, RobustSolve, LADDER_METHOD_NAMES,
     METHOD_BOUNDARY, METHOD_CACHE_INTERP, METHOD_FAILED,
 };
-#[allow(deprecated)]
-pub use transport::{solve_energy_point, solve_energy_point_robust};
 
 /// Convenience one-shot ballistic transmission at a single energy with
 /// default configuration (quickstart API).

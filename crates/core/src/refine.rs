@@ -23,17 +23,10 @@
 //! sweep's checkpoint can never silently resume a refined one or vice
 //! versa, and two refined sweeps with different tolerances never mix.
 
-use crate::checkpoint::{self, plan_fingerprint};
-use crate::device::Device;
-use crate::error::TransportResult;
-use crate::scheduler::BatchStats;
-use crate::sweep::{
-    finalize, interpolate_failures, solve_phase, PointRecord, SweepHealth, SweepOptions, SweepPlan,
-    SweepResult, STATUS_OK,
-};
-use std::collections::HashSet;
+use crate::checkpoint::plan_fingerprint;
+use crate::sweep::{PointRecord, SweepPlan, SweepResult, STATUS_OK};
 
-/// Knobs of [`parallel_sweep_refined`].
+/// Knobs of [`crate::TransportEngine::sweep_refined`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RefineConfig {
     /// Per-interval error tolerance (transmission·eV): an interval whose
@@ -88,7 +81,7 @@ pub fn refined_fingerprint(base: &SweepPlan, cfg: &RefineConfig) -> u64 {
     h
 }
 
-/// Output of [`parallel_sweep_refined`].
+/// Output of [`crate::TransportEngine::sweep_refined`].
 #[derive(Debug, Clone)]
 pub struct RefinedSweep {
     /// The aggregated sweep over the refined grid. `samples` and
@@ -106,7 +99,7 @@ pub struct RefinedSweep {
     pub points_added: usize,
     /// Points of the base plan.
     pub base_points: usize,
-    /// The run stopped early on [`SweepOptions::max_new_points`] (the
+    /// The run stopped early on [`crate::SweepOptions::max_new_points`] (the
     /// deterministic kill); resume with the same checkpoint to finish.
     pub truncated: bool,
 }
@@ -126,7 +119,7 @@ struct Candidate {
 /// Pure function of `(records, cfg)`: records are compared and sorted by
 /// energy bit patterns only, so any two runs holding bit-identical
 /// records derive bit-identical refinements.
-fn select_refinements(
+pub(crate) fn select_refinements(
     plan: &SweepPlan,
     records: &[PointRecord],
     cfg: &RefineConfig,
@@ -146,7 +139,7 @@ fn select_refinements(
         let n_e = plan.energies[k_idx as usize].len() as u32;
         let mut rs: Vec<&PointRecord> =
             records.iter().filter(|r| r.k_idx == k_idx && r.e_idx < n_e).collect();
-        rs.sort_by(|a, b| a.e.partial_cmp(&b.e).expect("finite grid energies"));
+        rs.sort_by(|a, b| a.e.total_cmp(&b.e));
         for i in 0..rs.len().saturating_sub(1) {
             let (r0, r1) = (rs[i], rs[i + 1]);
             let de = r1.e - r0.e;
@@ -205,103 +198,6 @@ fn curvature(flank: Option<&PointRecord>, a: &PointRecord, b: &PointRecord) -> f
         }
         _ => 0.0,
     }
-}
-
-/// [`crate::parallel_sweep_resumable`] with adaptive grid refinement:
-/// sweeps the base plan, then repeatedly bisects the intervals whose
-/// estimated integration error exceeds `cfg.tol` until every interval
-/// clears it, the point budget is spent, or `cfg.max_rounds` rounds ran.
-///
-/// Checkpoint/resume and `max_new_points` kills work exactly as in the
-/// flat sweep, across round boundaries: the checkpoint holds the solved
-/// records under the [`refined_fingerprint`] identity, and a resumed run
-/// re-derives the same refined grid from them bit-identically.
-pub fn parallel_sweep_refined(
-    dev: &Device,
-    base: &SweepPlan,
-    n_ranks: usize,
-    opts: &SweepOptions,
-    cfg: &RefineConfig,
-) -> TransportResult<RefinedSweep> {
-    let fp = refined_fingerprint(base, cfg);
-    let mut done: Vec<PointRecord> = match &opts.checkpoint {
-        Some(path) if path.exists() => checkpoint::load_with_fingerprint(path, fp)?,
-        _ => Vec::new(),
-    };
-    let mut plan = base.clone();
-    let base_points = base.total_points();
-    let cache = opts.cache.resolve();
-
-    let mut rounds = 0usize;
-    let mut points_added = 0usize;
-    let mut new_solved = 0usize;
-    let mut truncated = false;
-    let mut stats = BatchStats::default();
-    let mut faults_injected = 0u64;
-    let mut cache_delta = (0u64, 0u64, 0u64);
-    let mut comm_seconds = 0.0f64;
-
-    loop {
-        // Solve everything the current plan wants and the checkpoint does
-        // not already hold, honoring the deterministic kill budget.
-        let done_set: HashSet<(u32, u32)> = done.iter().map(|r| (r.k_idx, r.e_idx)).collect();
-        let mut todo: Vec<(u32, u32)> =
-            plan.canonical_points().into_iter().filter(|p| !done_set.contains(p)).collect();
-        if let Some(limit) = opts.max_new_points {
-            let remaining = limit.saturating_sub(new_solved);
-            if todo.len() > remaining {
-                todo.truncate(remaining);
-                truncated = true;
-            }
-        }
-        if !todo.is_empty() {
-            let phase = solve_phase(dev, &plan, todo, n_ranks, opts, cache.as_ref())?;
-            new_solved += phase.records.len();
-            done.extend(phase.records);
-            done.sort_by_key(|r| (r.k_idx, r.e_idx));
-            stats.panics += phase.stats.panics;
-            stats.retries += phase.stats.retries;
-            stats.quarantined += phase.stats.quarantined;
-            stats.stragglers += phase.stats.stragglers;
-            faults_injected += phase.faults_injected;
-            cache_delta.0 += phase.cache_delta.0;
-            cache_delta.1 += phase.cache_delta.1;
-            cache_delta.2 += phase.cache_delta.2;
-            comm_seconds += phase.comm_seconds;
-            if let Some(path) = &opts.checkpoint {
-                checkpoint::save_with_fingerprint(path, fp, &done)?;
-            }
-        }
-        if truncated {
-            // Killed mid-round: derive nothing from the partial record
-            // set — the resumed run completes the round first and then
-            // replays the same derivation an uninterrupted run makes.
-            break;
-        }
-        if rounds >= cfg.max_rounds {
-            break;
-        }
-        let mids = select_refinements(&plan, &done, cfg, cfg.budget - points_added);
-        if mids.is_empty() {
-            break;
-        }
-        for &(k_idx, mid) in &mids {
-            plan.energies[k_idx as usize].push(mid);
-        }
-        points_added += mids.len();
-        rounds += 1;
-    }
-
-    // Final assembly in (k, E) energy order: refinement-inserted e_idx
-    // values count past the base grid, so index order interleaves wrong —
-    // interpolation and the spectrum both want energy neighbors adjacent.
-    done.sort_by(|a, b| {
-        a.k_idx.cmp(&b.k_idx).then(a.e.partial_cmp(&b.e).expect("finite grid energies"))
-    });
-    interpolate_failures(&mut done);
-    let health = SweepHealth::from_records(&done, faults_injected, stats, cache_delta);
-    let result = finalize(done, health, comm_seconds);
-    Ok(RefinedSweep { result, plan, rounds, points_added, base_points, truncated })
 }
 
 #[cfg(test)]

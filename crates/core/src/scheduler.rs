@@ -4,8 +4,8 @@
 //! per-point solvers (§4, Fig. 9). PR 6 made each *point* fault-tolerant
 //! (escalation ladder, checkpoint/resume); this module makes the
 //! *execution layer* match: a persistent, supervised worker pool replaces
-//! the rayon shim's spawn-per-call scoped threads for
-//! [`crate::sweep::parallel_sweep`], and is reusable for any batch of
+//! the rayon shim's spawn-per-call scoped threads under every sweep of
+//! [`crate::TransportEngine`], and is reusable for any batch of
 //! independent tasks.
 //!
 //! Robustness machinery, per task:
@@ -146,6 +146,15 @@ pub struct BatchStats {
     pub quarantined: usize,
     /// Tasks flagged by the deadline supervisor.
     pub stragglers: usize,
+}
+
+impl std::ops::AddAssign for BatchStats {
+    fn add_assign(&mut self, other: BatchStats) {
+        self.panics += other.panics;
+        self.retries += other.retries;
+        self.quarantined += other.quarantined;
+        self.stragglers += other.stragglers;
+    }
 }
 
 /// Aggregates the run-scoped counters of a batch's reports.

@@ -1,40 +1,52 @@
-//! Three-level parallel (k, E, domain) sweep (§4, Fig. 9) with
-//! per-point fault tolerance.
+//! The (k, E) sweep: one loop, owned by [`TransportEngine`].
 //!
 //! "The momentum k and energy E points are almost embarrassingly parallel,
-//! while FEAST+SplitSolve provides a 1-D spatial domain decomposition."
-//! The sweep distributes simulated MPI ranks over momentum groups with the
-//! dynamic node-per-k allocation of ref. [45] (groups sized by their
-//! energy-point counts), splits each group's communicator over its energy
-//! points, and leaves the spatial level to SplitSolve's partitions inside
-//! each rank.
+//! while FEAST+SplitSolve provides a 1-D spatial domain decomposition"
+//! (§4, Fig. 9). Here the momentum and energy levels are tasks on the
+//! persistent supervised pool of [`crate::scheduler`] (panic isolation,
+//! retry/backoff, deadlines, quarantine — see `docs/scheduler.md`), and
+//! the spatial level is SplitSolve's partitions inside each point.
+//! `QTX_SCHED_WORKERS` (or [`SweepOptions::scheduler`]) sets the compute
+//! threads.
 //!
-//! Every point runs through the escalation ladder of
-//! [`crate::transport::solve_energy_point_robust`]; its [`PointOutcome`]
-//! travels in an 80-byte record through the gather tree. Unrecoverable
-//! points are interpolated from their healthy neighbors in energy (with an
-//! explicit error bound) instead of silently contributing `T = 0`, and the
-//! aggregate [`SweepHealth`] reports what the ladder had to do. A sweep
-//! can checkpoint completed records and resume bit-identically (see
+//! Every sweep — flat, resumed, or adaptively refined
+//! ([`TransportEngine::sweep`], [`TransportEngine::sweep_resumable`],
+//! [`TransportEngine::sweep_refined`]) — is the same private loop: load
+//! the checkpoint, solve what it lacks, save, optionally bisect
+//! ([`crate::refine`]) and go round again, then interpolate and
+//! aggregate. Each momentum's folded device comes from the engine's memo,
+//! so sweeps and point solves share one copy. Every point walks the
+//! escalation ladder of [`crate::PointPolicy::robust`]; its
+//! [`crate::PointOutcome`] becomes an 80-byte [`PointRecord`], the unit
+//! of the checkpoint file. Unrecoverable points are interpolated from
+//! their healthy neighbors in energy (with an explicit error bound)
+//! instead of silently contributing `T = 0`, and the aggregate
+//! [`SweepHealth`] reports what the ladder had to do. A sweep can
+//! checkpoint completed records and resume bit-identically (see
 //! [`crate::checkpoint`]).
 //!
-//! Since PR 7 the point solves run on the persistent supervised pool of
-//! [`crate::scheduler`] (panic isolation, retry/backoff, deadlines,
-//! quarantine — see `docs/scheduler.md`); the simulated MPI ranks then
-//! only encode and gather the finished records, so `n_ranks` models the
-//! Fig. 9 communication topology while `QTX_SCHED_WORKERS` (or
-//! [`SweepOptions::scheduler`]) controls the real compute threads.
+//! The `n_ranks` argument of a sweep is a cost-model input, never a
+//! thread count: the ranks of the paper's dynamic node-per-k allocation
+//! (ref. \[45\]: [`SweepPlan::allocate_ranks`] sizes each momentum group by
+//! its energy-point count, energies deal round-robin inside a group) are
+//! not run, only priced — [`SweepResult::comm_seconds`] is what gathering
+//! the freshly solved records through that topology would cost on the
+//! interconnect of [`qtx_mpi::CostModel::gemini`], computed by the pure
+//! [`qtx_mpi::CostModel::fig9_gather_seconds`]. Records never depend on
+//! `n_ranks`.
 
 use crate::cache::{CacheHandle, CachePolicy, SigmaCache};
-use crate::checkpoint;
+use crate::checkpoint::{self, plan_fingerprint};
 use crate::device::Device;
 use crate::energygrid::EnergyGrid;
+use crate::engine::TransportEngine;
 use crate::error::{TransportError, TransportResult};
-use crate::scheduler::{self, Scheduler};
+use crate::refine::{refined_fingerprint, select_refinements, RefineConfig, RefinedSweep};
+use crate::scheduler::{self, BatchStats, Scheduler};
 use crate::transport::{solve_point_robust_raw, METHOD_FAILED};
-use qtx_mpi::{run_world, Comm, CostModel};
+use qtx_mpi::CostModel;
 use qtx_obc::Side;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -75,7 +87,7 @@ impl SweepPlan {
         self.energies.iter().map(Vec::len).sum()
     }
 
-    /// Dynamic node allocation (ref. [45]): ranks per momentum
+    /// Dynamic node allocation (ref. \\[45\\]): ranks per momentum
     /// proportional to its energy-point count, with at least one rank per
     /// non-empty momentum.
     ///
@@ -92,8 +104,9 @@ impl SweepPlan {
     ///   wins and the sum equals the non-empty count (the sweep's pooled
     ///   fallback path handles that regime instead).
     pub fn allocate_ranks(&self, n_ranks: usize) -> Vec<usize> {
-        let nk = self.k_points.len();
-        let mut alloc = vec![0usize; nk];
+        // Sized by the longer list so a malformed plan (rejected by every
+        // sweep) still allocates instead of indexing out of bounds.
+        let mut alloc = vec![0usize; self.k_points.len().max(self.energies.len())];
         let total = self.total_points();
         if n_ranks == 0 || total == 0 {
             return alloc;
@@ -108,7 +121,8 @@ impl SweepPlan {
             assigned += alloc[i];
         }
         // Distribute leftovers to the largest non-empty groups.
-        let mut order: Vec<usize> = (0..nk).filter(|&i| !self.energies[i].is_empty()).collect();
+        let mut order: Vec<usize> =
+            (0..self.energies.len()).filter(|&i| !self.energies[i].is_empty()).collect();
         order.sort_by_key(|&i| std::cmp::Reverse(self.energies[i].len()));
         let mut idx = 0;
         while assigned < n_ranks {
@@ -140,6 +154,25 @@ impl SweepPlan {
         }
         out
     }
+
+    /// Rejects what the public fields allow but no sweep can run: grids
+    /// that do not pair up with the momenta, and non-finite momenta,
+    /// weights or energies (which have no place in an energy order).
+    fn validate(&self) -> TransportResult<()> {
+        let finite = self.k_points.iter().all(|&(kz, w)| kz.is_finite() && w.is_finite())
+            && self.energies.iter().flatten().all(|e| e.is_finite());
+        if finite && self.energies.len() == self.k_points.len() {
+            return Ok(());
+        }
+        Err(TransportError::Config {
+            what: format!(
+                "malformed sweep plan: {} energy grids for {} momenta (must pair up), \
+                 every kz, weight and energy finite: {finite}",
+                self.energies.len(),
+                self.k_points.len()
+            ),
+        })
+    }
 }
 
 /// Point status: the ladder produced it directly.
@@ -153,7 +186,7 @@ pub const STATUS_INTERPOLATED: u8 = 2;
 pub const POINT_RECORD_BYTES: usize = 80;
 
 /// One sweep point with its full robustness record — the 80-byte unit of
-/// both the gather payloads and the checkpoint file.
+/// the checkpoint file and of the priced Fig. 9 gather.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PointRecord {
     /// Momentum index into [`SweepPlan::k_points`].
@@ -373,7 +406,10 @@ pub struct SweepResult {
     /// k-summed transmission spectrum, sorted by energy (failed points
     /// excluded).
     pub spectrum: Vec<(f64, f64)>,
-    /// Virtual communication seconds (max over ranks).
+    /// Virtual seconds (max over ranks) that gathering this run's freshly
+    /// solved records through the Fig. 9 topology of the sweep's `n_ranks`
+    /// would cost ([`qtx_mpi::CostModel::fig9_gather_seconds`]), summed
+    /// over refinement rounds. A model output: nothing is sent.
     pub comm_seconds: f64,
     /// Per-point robustness records, canonical order.
     pub records: Vec<PointRecord>,
@@ -407,7 +443,8 @@ pub enum Batching {
     Fixed(usize),
 }
 
-/// Knobs of [`parallel_sweep_resumable`]. Construct through
+/// Knobs of [`TransportEngine::sweep_resumable`] and
+/// [`TransportEngine::sweep_refined`]. Construct through
 /// [`SweepOptions::builder`] — the struct is `#[non_exhaustive]` so new
 /// knobs (like `cache`) can land without breaking downstream literals,
 /// and the builder rejects incompatible combinations with a typed error
@@ -532,127 +569,135 @@ impl SweepOptionsBuilder {
     }
 }
 
-/// Runs the sweep over `n_ranks` simulated MPI ranks.
-///
-/// With at least one rank per momentum the hierarchy of Fig. 9 applies
-/// (k-groups → energy distribution). With fewer ranks than momenta, all
-/// ranks pool and stride the flattened (k, E) work list — "each
-/// point/iteration is processed sequentially" (§5.D).
-pub fn parallel_sweep(
-    dev: &Device,
-    plan: &SweepPlan,
-    n_ranks: usize,
-) -> TransportResult<SweepResult> {
-    parallel_sweep_resumable(dev, plan, n_ranks, &SweepOptions::default())
-}
-
-/// [`parallel_sweep`] with checkpoint/resume support. The union of a
-/// killed run's checkpoint and its resumed completion is bit-identical
-/// (modulo wall time) to an uninterrupted sweep.
-pub fn parallel_sweep_resumable(
-    dev: &Device,
-    plan: &SweepPlan,
-    n_ranks: usize,
-    opts: &SweepOptions,
-) -> TransportResult<SweepResult> {
-    // Resume: load completed records, skip their (k, E) pairs.
-    let mut done: Vec<PointRecord> = match &opts.checkpoint {
-        Some(path) if path.exists() => checkpoint::load(path, plan)?,
-        _ => Vec::new(),
-    };
-    let done_set: HashSet<(u32, u32)> = done.iter().map(|r| (r.k_idx, r.e_idx)).collect();
-    let mut todo: Vec<(u32, u32)> =
-        plan.canonical_points().into_iter().filter(|p| !done_set.contains(p)).collect();
-    if let Some(limit) = opts.max_new_points {
-        todo.truncate(limit);
-    }
-
-    let cache = opts.cache.resolve();
-    let phase = solve_phase(dev, plan, todo, n_ranks, opts, cache.as_ref())?;
-    done.extend(phase.records);
-    done.sort_by_key(|r| (r.k_idx, r.e_idx));
-
-    // Persist raw (pre-interpolation) records: the resumed run re-derives
-    // interpolations over the full set, keeping the union bit-identical.
-    if let Some(path) = &opts.checkpoint {
-        checkpoint::save(path, plan, &done)?;
-    }
-
-    interpolate_failures(&mut done);
-    let health =
-        SweepHealth::from_records(&done, phase.faults_injected, phase.stats, phase.cache_delta);
-    Ok(finalize(done, health, phase.comm_seconds))
-}
-
-/// Output of one [`solve_phase`] round: the freshly computed records plus
-/// the run-scoped accounting deltas measured around the round.
-pub(crate) struct SolvePhase {
-    /// Decoded records for exactly the requested `todo` points.
-    pub records: Vec<PointRecord>,
-    /// Scheduler accounting for the round.
-    pub stats: scheduler::BatchStats,
-    /// Fault-injection draws that fired during the round.
-    pub faults_injected: u64,
-    /// `(hits, misses, interp_hits)` Σ-cache delta for the round.
-    pub cache_delta: (u64, u64, u64),
-    /// Virtual communication seconds (max over ranks).
-    pub comm_seconds: f64,
-}
-
-/// One compute + communication round: solves `todo` on the supervised
-/// pool, routes the finished records through the Fig. 9 rank topology
-/// (virtual comm cost only — no recomputation), and decodes the gathered
-/// frames. Both the plain resumable sweep and each adaptive-refinement
-/// round run through this single path, so a refined sweep inherits every
-/// robustness and determinism property of the flat one.
-pub(crate) fn solve_phase(
-    dev: &Device,
-    plan: &SweepPlan,
-    todo: Vec<(u32, u32)>,
-    n_ranks: usize,
-    opts: &SweepOptions,
-    cache: Option<&Arc<SigmaCache>>,
-) -> TransportResult<SolvePhase> {
-    // Fault injection and cache counters are measured as deltas around
-    // the round so a resumed run reports only its own share.
-    let cache_before = cache.map(|c| c.stats());
-    let injected_before = qtx_linalg::fault::injected_total();
-    let (computed, stats) = compute_records(dev, plan, &todo, opts, cache);
-    let faults_injected = qtx_linalg::fault::injected_total() - injected_before;
-    let cache_delta = match (cache, cache_before) {
-        (Some(c), Some(before)) => {
-            let after = c.stats();
-            (
-                after.hits - before.hits,
-                after.misses - before.misses,
-                after.interp_hits - before.interp_hits,
-            )
+impl TransportEngine {
+    /// The one sweep loop behind [`Self::sweep`], [`Self::sweep_resumable`]
+    /// and [`Self::sweep_refined`]: load the checkpoint, solve what the
+    /// current plan wants and the checkpoint lacks, persist, and — with
+    /// `refine` — bisect and go round again. A flat sweep is the loop with
+    /// no refinement step, pinned to the plan's own fingerprint, so a
+    /// refined sweep inherits every robustness and determinism property
+    /// of the flat one.
+    pub(crate) fn run(
+        &self,
+        base: &SweepPlan,
+        n_ranks: usize,
+        opts: &SweepOptions,
+        refine: Option<&RefineConfig>,
+    ) -> TransportResult<RefinedSweep> {
+        if self.device().is_none() {
+            return Err(TransportError::Config {
+                what: "sweeps need a full Device; this engine is fixed on a pre-folded DeviceK \
+                       (TransportEngine::from_device_k)"
+                    .into(),
+            });
         }
-        _ => (0, 0, 0),
-    };
+        base.validate()?;
+        let fp = match refine {
+            Some(cfg) => refined_fingerprint(base, cfg),
+            None => plan_fingerprint(base),
+        };
+        // Resume: load completed records, skip their (k, E) pairs.
+        let mut done: Vec<PointRecord> = match &opts.checkpoint {
+            Some(path) if path.exists() => checkpoint::load_with_fingerprint(path, fp)?,
+            _ => Vec::new(),
+        };
+        let mut plan = base.clone();
+        let (sched, cache) = self.sweep_resources(opts);
 
-    let todo: Arc<HashSet<(u32, u32)>> = Arc::new(todo.into_iter().collect());
-    let records: Arc<HashMap<(u32, u32), PointRecord>> =
-        Arc::new(computed.into_iter().map(|r| ((r.k_idx, r.e_idx), r)).collect());
-    let non_empty = plan.energies.iter().filter(|e| !e.is_empty()).count();
-    let (payload_parts, comm_seconds) = if todo.is_empty() {
-        (Vec::new(), 0.0)
-    } else if n_ranks < non_empty.max(1) {
-        pooled_worker(plan, n_ranks, todo, records)
-    } else {
-        hierarchical_worker(plan, n_ranks, todo, records)
-    };
+        // Run-scoped accounting: fault draws and cache counters are deltas
+        // around the whole run, so a resumed run reports only its share.
+        let cache_counts = || {
+            cache.as_ref().map_or((0, 0, 0), |c| {
+                let s = c.stats();
+                (s.hits, s.misses, s.interp_hits)
+            })
+        };
+        let cache_before = cache_counts();
+        let injected_before = qtx_linalg::fault::injected_total();
+        let mut stats = BatchStats::default();
+        let mut comm_seconds = 0.0f64;
+        let mut rounds = 0usize;
+        let mut points_added = 0usize;
+        let mut new_solved = 0usize;
+        let mut truncated = false;
 
-    // Decode the gathered frames, loudly rejecting torn payloads.
-    let mut fresh = Vec::new();
-    for part in &payload_parts {
-        for frame in
-            qtx_mpi::exact_frames(part, POINT_RECORD_BYTES).map_err(TransportError::Payload)?
-        {
-            fresh.push(PointRecord::decode(frame).map_err(TransportError::Payload)?);
+        loop {
+            let done_set: HashSet<(u32, u32)> = done.iter().map(|r| (r.k_idx, r.e_idx)).collect();
+            let mut todo: Vec<(u32, u32)> =
+                plan.canonical_points().into_iter().filter(|p| !done_set.contains(p)).collect();
+            // The deterministic kill: at most `max_new_points` new points
+            // per run, in canonical order.
+            if let Some(limit) = opts.max_new_points {
+                let remaining = limit.saturating_sub(new_solved);
+                if todo.len() > remaining {
+                    todo.truncate(remaining);
+                    truncated = true;
+                }
+            }
+            if !todo.is_empty() {
+                let (records, round_stats) =
+                    compute_records(self, &plan, &todo, &sched, opts.batching, cache.as_ref());
+                stats += round_stats;
+                let points: Vec<usize> = plan.energies.iter().map(Vec::len).collect();
+                comm_seconds += CostModel::gemini().fig9_gather_seconds(
+                    n_ranks,
+                    &plan.allocate_ranks(n_ranks),
+                    &points,
+                    &todo,
+                    POINT_RECORD_BYTES,
+                );
+                new_solved += records.len();
+                done.extend(records);
+                done.sort_by_key(|r| (r.k_idx, r.e_idx));
+                // Persist raw (pre-interpolation) records: the resumed run
+                // re-derives interpolations over the full set, keeping the
+                // union bit-identical.
+                if let Some(path) = &opts.checkpoint {
+                    checkpoint::save_with_fingerprint(path, fp, &done)?;
+                }
+            }
+            // Killed mid-round: derive nothing from the partial record set
+            // — the resumed run completes the round first and then replays
+            // the same derivation an uninterrupted run makes.
+            let Some(cfg) = refine.filter(|cfg| !truncated && rounds < cfg.max_rounds) else {
+                break;
+            };
+            let mids = select_refinements(&plan, &done, cfg, cfg.budget - points_added);
+            if mids.is_empty() {
+                break;
+            }
+            for &(k_idx, mid) in &mids {
+                plan.energies[k_idx as usize].push(mid);
+            }
+            points_added += mids.len();
+            rounds += 1;
         }
+
+        if refine.is_some() {
+            // Refinement-inserted `e_idx` values count past the base grid,
+            // so index order interleaves wrong — interpolation and the
+            // spectrum both want energy neighbors adjacent.
+            done.sort_by(|a, b| a.k_idx.cmp(&b.k_idx).then(a.e.total_cmp(&b.e)));
+        }
+        interpolate_failures(&mut done);
+        let cache_after = cache_counts();
+        let cache_delta = (
+            cache_after.0 - cache_before.0,
+            cache_after.1 - cache_before.1,
+            cache_after.2 - cache_before.2,
+        );
+        let faults_injected = qtx_linalg::fault::injected_total() - injected_before;
+        let health = SweepHealth::from_records(&done, faults_injected, stats, cache_delta);
+        let result = finalize(done, health, comm_seconds);
+        Ok(RefinedSweep {
+            result,
+            plan,
+            rounds,
+            points_added,
+            base_points: base.total_points(),
+            truncated,
+        })
     }
-    Ok(SolvePhase { records: fresh, stats, faults_injected, cache_delta, comm_seconds })
 }
 
 /// One scheduler chunk: a run of consecutive energy points of one
@@ -707,7 +752,7 @@ enum SweepTask {
     Solve(Arc<ChunkSpec>),
 }
 
-/// One robust point solve, packaged for the wire.
+/// One robust point solve as its record.
 fn solve_record(c: &ChunkSpec, e_idx: u32, e: f64) -> PointRecord {
     let rs = solve_point_robust_raw(&c.dk, e, &c.cfg, c.cache.as_ref());
     let o = rs.outcome;
@@ -729,7 +774,7 @@ fn solve_record(c: &ChunkSpec, e_idx: u32, e: f64) -> PointRecord {
     }
 }
 
-/// Wire record for a point whose every scheduler attempt panicked: the
+/// Record of a point whose every scheduler attempt panicked: the
 /// solve never returned, so no ladder diagnostics exist — the point is
 /// failed and the interpolation path takes over.
 fn panic_record(c: &ChunkSpec, e_idx: u32, e: f64, attempts: u32) -> PointRecord {
@@ -759,47 +804,31 @@ fn point_deadline_ms(dk: &crate::device::DeviceK) -> f64 {
     qtx_machine::DeadlineModel::default().soft_deadline_ms(s, dk.h.num_blocks(), s)
 }
 
-/// Solves every `todo` point on the supervised pool, in canonical order,
-/// returning the records plus the run-scoped scheduler accounting.
+/// Solves every point of a non-empty `todo` on `sched`, in canonical
+/// order, returning the records plus the run-scoped scheduler accounting.
 ///
 /// Escalation-ladder exhaustion surfaces as a scheduler retry (a fresh
 /// full ladder walk, after backoff); a point that also exhausts the
 /// scheduler budget — or whose key was quarantined by an earlier batch —
 /// keeps its last failed record and flows into the interpolation path.
 fn compute_records(
-    dev: &Device,
+    engine: &TransportEngine,
     plan: &SweepPlan,
     todo: &[(u32, u32)],
-    opts: &SweepOptions,
+    sched: &Scheduler,
+    batching: Batching,
     cache: Option<&Arc<SigmaCache>>,
-) -> (Vec<PointRecord>, scheduler::BatchStats) {
-    if todo.is_empty() {
-        return (Vec::new(), scheduler::BatchStats::default());
-    }
-    let sched: Arc<Scheduler> =
-        opts.scheduler.clone().unwrap_or_else(|| scheduler::global().clone());
-    // One folded-device build (and one pair of lead content hashes) per
-    // momentum, shared across its points. Consecutive same-k runs of the
-    // canonical todo list chunk into scheduler tasks.
-    let mut dks: HashMap<u32, (Arc<crate::device::DeviceK>, Option<CacheHandle>)> = HashMap::new();
+) -> (Vec<PointRecord>, BatchStats) {
+    // Consecutive same-k runs of the canonical todo list chunk into
+    // scheduler tasks. Each momentum's folded device comes from the
+    // engine's memo; the lead hashes bind it to this sweep's own cache.
     let mut chunks: Vec<Arc<ChunkSpec>> = Vec::new();
-    let mut i = 0usize;
-    while i < todo.len() {
-        let k_idx = todo[i].0;
-        let mut j = i;
-        while j < todo.len() && todo[j].0 == k_idx {
-            j += 1;
-        }
+    for run in todo.chunk_by(|a, b| a.0 == b.0) {
+        let k_idx = run[0].0;
         let (kz, w) = plan.k_points[k_idx as usize];
-        let (dk, handle) = dks
-            .entry(k_idx)
-            .or_insert_with(|| {
-                let dk = Arc::new(dev.at_kz(kz));
-                let handle = cache.map(|c| CacheHandle::for_dk(c.clone(), &dk));
-                (dk, handle)
-            })
-            .clone();
-        let size = match opts.batching {
+        let dk = engine.device_k(kz).expect("a device-backed engine folds any kz");
+        let handle = cache.map(|c| CacheHandle::for_dk(c.clone(), &dk));
+        let size = match batching {
             Batching::PerPoint => 1,
             Batching::Fixed(n) => n.max(1),
             Batching::Auto => {
@@ -807,8 +836,8 @@ fn compute_records(
                 qtx_machine::DeadlineModel::default().batch_points(s, dk.h.num_blocks(), s)
             }
         };
-        for run in todo[i..j].chunks(size) {
-            let points = run
+        for chunk in run.chunks(size) {
+            let points = chunk
                 .iter()
                 .map(|&(_, e_idx)| (e_idx, plan.energies[k_idx as usize][e_idx as usize]))
                 .collect();
@@ -818,16 +847,15 @@ fn compute_records(
                 w,
                 points,
                 dk: dk.clone(),
-                cfg: dev.config,
+                cfg: *engine.config(),
                 cache: handle.clone(),
             }));
         }
-        i = j;
     }
     // OBC/interior overlap: with a cache to carry the prefetched Σ and any
     // batching beyond the pinned per-point contract, every chunk splits
     // into a Σ-prefetch task and a dependent interior-solve task.
-    let overlap = !matches!(opts.batching, Batching::PerPoint) && cache.is_some();
+    let overlap = !matches!(batching, Batching::PerPoint) && cache.is_some();
     /// Salts Σ-task keys away from their solve task's quarantine key.
     const SIGMA_KEY_SALT: u64 = 0x0051_063A_0BC0_FFEE;
     let mut items: Vec<SweepTask> = Vec::with_capacity(chunks.len() * if overlap { 2 } else { 1 });
@@ -906,92 +934,6 @@ fn compute_records(
     (reports.into_iter().flat_map(|r| r.value).collect(), stats)
 }
 
-/// Fig. 9 hierarchy: k-groups sized by workload, energies round-robin
-/// inside each group, two-level gather to world root. Ranks only encode
-/// and gather the pool-computed records.
-fn hierarchical_worker(
-    plan: &SweepPlan,
-    n_ranks: usize,
-    todo: Arc<HashSet<(u32, u32)>>,
-    records: Arc<HashMap<(u32, u32), PointRecord>>,
-) -> (Vec<Vec<u8>>, f64) {
-    let alloc = plan.allocate_ranks(n_ranks);
-    // Map world rank → (k-group, rank within group). Empty momenta get no
-    // ranks (see `allocate_ranks`); the fallback momentum for any
-    // over-resize is the last worked one.
-    let mut owner = Vec::with_capacity(n_ranks);
-    for (k_idx, &n) in alloc.iter().enumerate() {
-        for _ in 0..n {
-            owner.push(k_idx);
-        }
-    }
-    let fallback = (0..alloc.len()).rev().find(|&i| alloc[i] > 0).unwrap_or(0);
-    owner.resize(n_ranks, fallback);
-    let owner = Arc::new(owner);
-    let plan = Arc::new(plan.clone());
-    let outputs = run_world(n_ranks, CostModel::gemini(), move |comm: Comm| {
-        let k_idx = owner[comm.rank()];
-        // Momentum-level communicator (top of Fig. 9).
-        let k_comm = comm.split(k_idx, comm.rank());
-        let energies = &plan.energies[k_idx];
-        // Energy-level distribution: round-robin inside the k-group.
-        let mut payload = Vec::new();
-        for i in 0..energies.len() {
-            let point = (k_idx as u32, i as u32);
-            if i % k_comm.size() == k_comm.rank() && todo.contains(&point) {
-                records[&point].encode_into(&mut payload);
-            }
-        }
-        // Gather the group's records at the group root, then at world 0.
-        let group_gathered = k_comm.gather(0, payload);
-        let group_payload: Vec<u8> = group_gathered.map(|v| v.concat()).unwrap_or_default();
-        let world_gathered = comm.gather(0, group_payload);
-        let t_comm = comm.comm_time();
-        (world_gathered, t_comm)
-    });
-    collect_outputs(outputs)
-}
-
-/// Fallback for rank-starved sweeps: every rank strides the flattened
-/// (k, E) list; momenta are processed one after the other.
-fn pooled_worker(
-    plan: &SweepPlan,
-    n_ranks: usize,
-    todo: Arc<HashSet<(u32, u32)>>,
-    records: Arc<HashMap<(u32, u32), PointRecord>>,
-) -> (Vec<Vec<u8>>, f64) {
-    let plan = Arc::new(plan.clone());
-    let outputs = run_world(n_ranks.max(1), CostModel::gemini(), move |comm: Comm| {
-        let mut payload = Vec::new();
-        let mut idx = 0usize;
-        for k_idx in 0..plan.k_points.len() {
-            for e_idx in 0..plan.energies[k_idx].len() {
-                let point = (k_idx as u32, e_idx as u32);
-                if idx % comm.size() == comm.rank() && todo.contains(&point) {
-                    records[&point].encode_into(&mut payload);
-                }
-                idx += 1;
-            }
-        }
-        let gathered = comm.gather(0, payload);
-        (gathered, comm.comm_time())
-    });
-    collect_outputs(outputs)
-}
-
-/// Flattens rank outputs into root payload parts + max virtual comm time.
-fn collect_outputs(outputs: Vec<(Option<Vec<Vec<u8>>>, f64)>) -> (Vec<Vec<u8>>, f64) {
-    let mut parts = Vec::new();
-    let mut comm_seconds = 0.0f64;
-    for (gathered, t) in outputs {
-        comm_seconds = comm_seconds.max(t);
-        if let Some(p) = gathered {
-            parts.extend(p);
-        }
-    }
-    (parts, comm_seconds)
-}
-
 /// Patches failed points from their healthy neighbors along the energy
 /// axis of the same momentum: linear interpolation between the bracketing
 /// solved points, nearest-value extrapolation at the grid edges. The
@@ -1056,7 +998,7 @@ pub(crate) fn finalize(
         .filter(|r| r.status != STATUS_FAILED && r.t.is_finite())
         .map(|r| (r.e, r.w, r.t))
         .collect();
-    sorted.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
+    sorted.sort_by(|a, b| a.0.total_cmp(&b.0));
     for (e, w, t) in sorted {
         match spectrum.last_mut() {
             Some((le, lt)) if (*le - e).abs() < 1e-12 => *lt += w * t,
@@ -1141,7 +1083,7 @@ mod tests {
     fn sweep_matches_serial_reference() {
         let d = small_device();
         let plan = SweepPlan::from_device(&d, 0.05, 0.15);
-        let result = parallel_sweep(&d, &plan, 3).unwrap();
+        let result = TransportEngine::new(d.clone()).sweep(&plan, 3).unwrap();
         assert_eq!(result.samples.len(), plan.total_points());
         // A healthy sweep reports a clean bill.
         assert_eq!(result.health.failed, 0);
@@ -1162,7 +1104,7 @@ mod tests {
     fn spectrum_is_sorted_and_weighted() {
         let d = small_device();
         let plan = SweepPlan::from_device(&d, 0.05, 0.15);
-        let result = parallel_sweep(&d, &plan, 2).unwrap();
+        let result = TransportEngine::new(d).sweep(&plan, 2).unwrap();
         for w in result.spectrum.windows(2) {
             assert!(w[0].0 <= w[1].0);
         }
@@ -1201,33 +1143,6 @@ mod tests {
             assert_eq!(err.payload_len, bad.len());
         }
         assert!(PointRecord::decode(&[]).is_err());
-    }
-
-    #[test]
-    fn torn_gather_payload_is_rejected_loudly() {
-        // A record stream with trailing garbage must surface as a typed
-        // error, not silently decode to fewer samples.
-        let r = PointRecord {
-            k_idx: 0,
-            e_idx: 0,
-            kz: 0.0,
-            w: 1.0,
-            e: 0.5,
-            t: 1.0,
-            method: 0,
-            status: STATUS_OK,
-            attempts: 1,
-            escalations: 0,
-            residual: 0.0,
-            eta: 0.0,
-            wall_ms: 1.0,
-            interp_bound: 0.0,
-        };
-        let mut payload = Vec::new();
-        r.encode_into(&mut payload);
-        payload.extend_from_slice(&[0xde, 0xad, 0xbe]); // torn frame
-        let err = qtx_mpi::exact_frames(&payload, POINT_RECORD_BYTES).unwrap_err();
-        assert_eq!(err.payload_len, POINT_RECORD_BYTES + 3);
     }
 
     #[test]

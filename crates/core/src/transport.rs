@@ -60,6 +60,32 @@ pub struct EnergyPointResult {
     pub sigma_r: ZMat,
 }
 
+impl EnergyPointResult {
+    /// A point the mode-free Caroli route produced: one transmission for
+    /// both directions, no reflection and no scattering states.
+    pub(crate) fn caroli_only(
+        e: f64,
+        kz: f64,
+        t: f64,
+        channels: (usize, usize),
+        sigma_l: ZMat,
+        sigma_r: ZMat,
+    ) -> EnergyPointResult {
+        EnergyPointResult {
+            e,
+            kz,
+            transmission: t,
+            transmission_rl: t,
+            reflection: 0.0,
+            channels,
+            psi: ZMat::zeros(0, 0),
+            m_left: 0,
+            sigma_l,
+            sigma_r,
+        }
+    }
+}
+
 /// Expansion coefficients of a boundary block over a mode set.
 fn project_onto_modes(modes: &[ModeSet], block: &[Complex64]) -> Vec<Complex64> {
     if modes.is_empty() {
@@ -76,36 +102,6 @@ fn project_onto_modes(modes: &[ModeSet], block: &[Complex64]) -> Vec<Complex64> 
     b.col_mut(0).copy_from_slice(block);
     let c = qr_least_squares(&u, &b);
     c.col(0).to_vec()
-}
-
-/// Solves one energy point on a momentum-resolved device.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `TransportEngine::solve_point` with `PointPolicy::direct()` — the engine owns \
-            the scheduler, workspace pool and self-energy cache this free function has to \
-            re-resolve on every call"
-)]
-pub fn solve_energy_point(
-    dk: &DeviceK,
-    e: f64,
-    cfg: &TransportConfig,
-) -> TransportResult<EnergyPointResult> {
-    solve_point_direct(dk, e, cfg, None, cache::env_handle(dk).as_ref())
-}
-
-/// Same as [`solve_energy_point`] with an attached accelerator runtime
-/// (for the virtual-time experiments).
-#[deprecated(
-    since = "0.1.0",
-    note = "use `TransportEngine::solve_point` with `PointPolicy::direct().with_runtime(rt)`"
-)]
-pub fn solve_energy_point_with_runtime(
-    dk: &DeviceK,
-    e: f64,
-    cfg: &TransportConfig,
-    rt: Option<&AccelRuntime>,
-) -> TransportResult<EnergyPointResult> {
-    solve_point_direct(dk, e, cfg, rt, cache::env_handle(dk).as_ref())
 }
 
 /// The raw single-attempt entry every public path funnels into: builds
@@ -362,21 +358,8 @@ pub(crate) fn solve_point_transmission_only(
         parts_r.inc_modes.iter().filter(|m| m.propagating).count(),
     );
     let t = caroli_streamed(dk, e, 0.0, &parts_l.sigma, &parts_r.sigma, support)?;
-    Ok((
-        EnergyPointResult {
-            e,
-            kz: dk.kz,
-            transmission: t,
-            transmission_rl: t,
-            reflection: 0.0,
-            channels,
-            psi: ZMat::zeros(0, 0),
-            m_left: 0,
-            sigma_l: parts_l.sigma.to_dense(),
-            sigma_r: parts_r.sigma.to_dense(),
-        },
-        bound,
-    ))
+    let (sigma_l, sigma_r) = (parts_l.sigma.to_dense(), parts_r.sigma.to_dense());
+    Ok((EnergyPointResult::caroli_only(e, dk.kz, t, channels, sigma_l, sigma_r), bound))
 }
 
 /// Lead band edges helper re-exported for grid building.
@@ -478,7 +461,49 @@ pub struct RobustSolve {
     pub error: Option<TransportError>,
 }
 
+/// Milliseconds since `start`, the unit of [`PointOutcome::wall_ms`].
+pub(crate) fn ms_since(start: Instant) -> f64 {
+    start.elapsed().as_secs_f64() * 1e3
+}
+
 impl RobustSolve {
+    /// A point `method_used` produced in one attempt at exact energy
+    /// (`η = 0`, no residual or interpolation bound on record), over
+    /// `wall_ms` of wall time.
+    pub fn solved(result: EnergyPointResult, method_used: u8, wall_ms: f64) -> RobustSolve {
+        RobustSolve {
+            result: Some(result),
+            outcome: PointOutcome {
+                method_used,
+                attempts: 1,
+                escalations: 0,
+                residual: 0.0,
+                eta: 0.0,
+                interp_bound: 0.0,
+                wall_ms,
+            },
+            error: None,
+        }
+    }
+
+    /// A point nothing produced: [`METHOD_FAILED`] after `attempts` solve
+    /// attempts over `wall_ms`, with the error that ended it.
+    pub fn failed(error: TransportError, attempts: u16, wall_ms: f64) -> RobustSolve {
+        RobustSolve {
+            result: None,
+            outcome: PointOutcome {
+                method_used: METHOD_FAILED,
+                attempts,
+                escalations: 0,
+                residual: f64::INFINITY,
+                eta: 0.0,
+                interp_bound: 0.0,
+                wall_ms,
+            },
+            error: Some(error),
+        }
+    }
+
     /// Collapses into a plain `Result`, discarding the ladder record.
     pub fn into_result(self) -> TransportResult<EnergyPointResult> {
         match self.result {
@@ -559,35 +584,15 @@ fn decimation_caroli_rung(
     )
     .map_err(|source| TransportError::Obc { side: Side::Right, source })?;
     let t = caroli_from_sigmas(dk, e, ETA_BUMP, &obc_l.sigma, &obc_r.sigma)?;
-    Ok(EnergyPointResult {
-        e,
-        kz: dk.kz,
-        transmission: t,
-        transmission_rl: t,
-        reflection: 0.0,
-        channels: (0, 0),
-        psi: ZMat::zeros(0, 0),
-        m_left: 0,
-        sigma_l: obc_l.sigma,
-        sigma_r: obc_r.sigma,
-    })
+    Ok(EnergyPointResult::caroli_only(e, dk.kz, t, (0, 0), obc_l.sigma, obc_r.sigma))
 }
 
-/// Fault-tolerant energy-point solve: walks the escalation ladder until a
-/// rung produces a finite answer, recording every attempt. The first rung
-/// is bit-identical to [`solve_point_direct`], so a healthy sweep through
-/// this entry matches the plain one exactly.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `TransportEngine::solve_point` with `PointPolicy::robust()`"
-)]
-pub fn solve_energy_point_robust(dk: &DeviceK, e: f64, cfg: &TransportConfig) -> RobustSolve {
-    solve_point_robust_raw(dk, e, cfg, cache::env_handle(dk).as_ref())
-}
-
-/// The raw escalation-ladder entry (shared by the engine, the sweep
-/// workers and the deprecated free function). Exhausted points and any
-/// rung that errors are never cached — only accepted solves are.
+/// The escalation ladder behind [`crate::PointPolicy::robust`] and every
+/// sweep point: walks the rungs until one produces a finite answer,
+/// recording every attempt. The first rung is bit-identical to
+/// [`solve_point_direct`], so a healthy sweep matches the plain solve
+/// exactly. Exhausted points and any rung that errors are never cached —
+/// only accepted solves are.
 pub(crate) fn solve_point_robust_raw(
     dk: &DeviceK,
     e: f64,
@@ -596,70 +601,40 @@ pub(crate) fn solve_point_robust_raw(
 ) -> RobustSolve {
     let start = Instant::now();
     let mut attempts: u16 = 0;
-    let mut escalations: u16 = 0;
     let mut last_err: Option<TransportError> = None;
     for (code, eta, method) in ladder_rungs(cfg) {
-        if attempts > 0 {
-            escalations += 1;
-        }
         attempts += 1;
         match try_rung(dk, e, eta, method, cfg, cache) {
             Ok((result, residual)) => {
-                return RobustSolve {
-                    result: Some(result),
-                    outcome: PointOutcome {
-                        method_used: code,
-                        attempts,
-                        escalations,
-                        residual,
-                        eta,
-                        interp_bound: 0.0,
-                        wall_ms: start.elapsed().as_secs_f64() * 1e3,
-                    },
-                    error: None,
+                let mut rs = RobustSolve::solved(result, code, ms_since(start));
+                rs.outcome = PointOutcome {
+                    attempts,
+                    escalations: attempts - 1,
+                    residual,
+                    eta,
+                    ..rs.outcome
                 };
+                return rs;
             }
             Err(err) => last_err = Some(err),
         }
     }
-    escalations += 1;
     attempts += 1;
-    match decimation_caroli_rung(dk, e, cache) {
-        Ok(result) => RobustSolve {
-            result: Some(result),
-            outcome: PointOutcome {
-                method_used: 5,
-                attempts,
-                escalations,
-                residual: 0.0,
-                eta: ETA_BUMP,
-                interp_bound: 0.0,
-                wall_ms: start.elapsed().as_secs_f64() * 1e3,
+    let mut rs = match decimation_caroli_rung(dk, e, cache) {
+        Ok(result) => RobustSolve::solved(result, 5, ms_since(start)),
+        Err(err) => RobustSolve::failed(
+            TransportError::Exhausted {
+                e,
+                kz: dk.kz,
+                attempts: attempts as u32,
+                last: Box::new(last_err.unwrap_or(err)),
             },
-            error: None,
-        },
-        Err(err) => {
-            let last = Box::new(last_err.unwrap_or(err));
-            RobustSolve {
-                result: None,
-                outcome: PointOutcome {
-                    method_used: METHOD_FAILED,
-                    attempts,
-                    escalations,
-                    residual: f64::INFINITY,
-                    eta: ETA_BUMP,
-                    interp_bound: 0.0,
-                    wall_ms: start.elapsed().as_secs_f64() * 1e3,
-                },
-                error: Some(TransportError::Exhausted {
-                    e,
-                    kz: dk.kz,
-                    attempts: attempts as u32,
-                    last,
-                }),
-            }
-        }
-    }
+            attempts,
+            ms_since(start),
+        ),
+    };
+    rs.outcome = PointOutcome { attempts, escalations: attempts - 1, eta: ETA_BUMP, ..rs.outcome };
+    rs
 }
 
 #[cfg(test)]

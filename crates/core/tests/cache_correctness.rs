@@ -18,9 +18,8 @@
 use qtx_atomistic::{BasisKind, DeviceBuilder};
 use qtx_core::transport::METHOD_CACHE_INTERP;
 use qtx_core::{
-    parallel_sweep_resumable, CacheConfig, CachePolicy, Device, PointPolicy, Scheduler,
-    SchedulerConfig, SigmaCache, SweepOptions, SweepOptionsError, SweepPlan, SweepResult,
-    TransportEngine,
+    CacheConfig, CachePolicy, Device, PointPolicy, Scheduler, SchedulerConfig, SigmaCache,
+    SweepOptions, SweepOptionsError, SweepPlan, SweepResult, TransportEngine,
 };
 use qtx_obc::obc_solves_total;
 use std::sync::{Arc, Mutex};
@@ -94,10 +93,13 @@ fn cached_runs_are_bit_identical_to_uncached_at_any_worker_count() {
     let _g = lock();
     let dev = small_device();
     let plan = small_plan(&dev);
+    // One engine under every policy: the sweeps share its folded device,
+    // each binds it to its own cache (or to none).
+    let engine = TransportEngine::new(dev);
     let uncached = {
         let opts =
             SweepOptions::builder().scheduler(pool(1)).cache(CachePolicy::Off).build().unwrap();
-        parallel_sweep_resumable(&dev, &plan, 3, &opts).expect("uncached")
+        engine.sweep_resumable(&plan, 3, &opts).expect("uncached")
     };
     for workers in [1usize, 2, 4] {
         let cache = Arc::new(SigmaCache::new(CacheConfig::default()));
@@ -106,21 +108,20 @@ fn cached_runs_are_bit_identical_to_uncached_at_any_worker_count() {
             .cache(CachePolicy::Shared(cache))
             .build()
             .unwrap();
-        let cached = parallel_sweep_resumable(&dev, &plan, 3, &opts).expect("cached");
+        let cached = engine.sweep_resumable(&plan, 3, &opts).expect("cached");
         assert_identity(&uncached, &cached, &format!("cached w={workers}"));
     }
 }
 
 /// Exact point hits through the engine replay the stored solve
-/// bit-identically, and the deprecated free function agrees with the
-/// engine's direct policy (the forwarding contract).
+/// bit-identically.
 #[test]
-fn point_hits_replay_bit_identically_and_forwarders_agree() {
+fn point_hits_replay_bit_identically() {
     let _g = lock();
     let dev = small_device();
     let dk = dev.at_kz(0.0);
     let e = dk.lead_l.dispersive_energy(1.0, 0.2, 0.3).expect("band");
-    let engine = TransportEngine::builder(dev.clone())
+    let engine = TransportEngine::builder(dev)
         .cache(CachePolicy::Shared(Arc::new(SigmaCache::new(CacheConfig::default()))))
         .build();
     let miss = engine.solve_point(e, 0.0, &PointPolicy::direct()).into_result().unwrap();
@@ -130,10 +131,6 @@ fn point_hits_replay_bit_identically_and_forwarders_agree() {
     assert_eq!(hit.sigma_r.max_diff(&miss.sigma_r), 0.0);
     let stats = engine.cache_stats().expect("cache on");
     assert!(stats.hits >= 2, "second solve must hit both sides: {stats:?}");
-
-    #[allow(deprecated)]
-    let legacy = qtx_core::solve_energy_point(&dk, e, &dev.config).unwrap();
-    assert_eq!(legacy.transmission.to_bits(), miss.transmission.to_bits(), "forwarder drifted");
 }
 
 /// The interpolation layer under the engine: anchors + a validation solve
@@ -224,10 +221,13 @@ fn thrashing_byte_budget_never_corrupts_a_sweep() {
     let _g = lock();
     let dev = small_device();
     let plan = small_plan(&dev);
+    // One engine under every policy: the sweeps share its folded device,
+    // each binds it to its own cache (or to none).
+    let engine = TransportEngine::new(dev);
     let uncached = {
         let opts =
             SweepOptions::builder().scheduler(pool(1)).cache(CachePolicy::Off).build().unwrap();
-        parallel_sweep_resumable(&dev, &plan, 3, &opts).expect("uncached")
+        engine.sweep_resumable(&plan, 3, &opts).expect("uncached")
     };
     let cache = Arc::new(SigmaCache::new(CacheConfig {
         max_bytes: 4 << 10, // a handful of frames at most
@@ -238,7 +238,7 @@ fn thrashing_byte_budget_never_corrupts_a_sweep() {
         .cache(CachePolicy::Shared(cache.clone()))
         .build()
         .unwrap();
-    let thrashed = parallel_sweep_resumable(&dev, &plan, 3, &opts).expect("thrashed");
+    let thrashed = engine.sweep_resumable(&plan, 3, &opts).expect("thrashed");
     assert_identity(&uncached, &thrashed, "thrashing budget");
     let stats = cache.stats();
     assert!(stats.evictions > 0, "budget must actually thrash: {stats:?}");

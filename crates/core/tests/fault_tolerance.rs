@@ -13,8 +13,8 @@
 use qtx_atomistic::{BasisKind, DeviceBuilder};
 use qtx_core::transport::{ETA_BUMP, METHOD_FAILED};
 use qtx_core::{
-    landauer_current_counted_ua, parallel_sweep, parallel_sweep_resumable, Device, PointPolicy,
-    PointRecord, SweepOptions, SweepPlan, SweepResult, TransportEngine, CONDUCTANCE_QUANTUM_US,
+    landauer_current_counted_ua, Device, PointPolicy, PointRecord, SweepOptions, SweepPlan,
+    SweepResult, TransportEngine, CONDUCTANCE_QUANTUM_US,
 };
 use qtx_core::{Scheduler, SchedulerConfig};
 use qtx_linalg::fault::{self, FaultConfig};
@@ -53,8 +53,8 @@ fn small_plan(dev: &Device) -> SweepPlan {
     SweepPlan::from_device(dev, 0.05, 0.15)
 }
 
-/// Engine over a clone of the device (the unified point-solve entry; the
-/// fault chokepoints sit below it, so campaigns behave identically).
+/// Engine over a clone of the device (the one entry for points and
+/// sweeps; the fault chokepoints sit below it).
 fn engine(dev: &Device) -> TransportEngine {
     TransportEngine::new(dev.clone())
 }
@@ -89,11 +89,10 @@ fn eta_bump_rung_recovers_points() {
             assert!(rs.error.as_ref().is_some_and(|err| err.is_injected()));
             continue;
         };
-        let clean = engine(&dev)
-            .solve_point(*e, 0.0, &PointPolicy::direct())
-            .into_result()
-            .unwrap()
-            .transmission;
+        let clean = with_faults(None, || {
+            engine(&dev).solve_point(*e, 0.0, &PointPolicy::direct()).into_result().unwrap()
+        })
+        .transmission;
         match rs.outcome.method_used {
             0 => assert_eq!(
                 rs_result.transmission.to_bits(),
@@ -124,11 +123,10 @@ fn ladder_escalates_to_shift_invert_when_contours_fail() {
     let dev = small_device();
     let plan = small_plan(&dev);
     let e = plan.energies[0][plan.energies[0].len() / 2];
-    let clean = engine(&dev)
-        .solve_point(e, 0.0, &PointPolicy::direct())
-        .into_result()
-        .unwrap()
-        .transmission;
+    let clean = with_faults(None, || {
+        engine(&dev).solve_point(e, 0.0, &PointPolicy::direct()).into_result().unwrap()
+    })
+    .transmission;
     let mut cfg = FaultConfig::new(1.0, 3);
     cfg.sites.self_energy = false;
     cfg.sites.splitsolve = false;
@@ -151,7 +149,7 @@ fn total_blackout_degrades_gracefully() {
     let mut plan = small_plan(&dev);
     plan.energies[0].truncate(3);
     let result =
-        with_faults(Some(FaultConfig::new(1.0, 5)), || parallel_sweep(&dev, &plan, 2).unwrap());
+        with_faults(Some(FaultConfig::new(1.0, 5)), || engine(&dev).sweep(&plan, 2).unwrap());
     assert_eq!(result.health.total_points, 3);
     assert_eq!(result.health.failed, 3, "nothing can be interpolated when every point died");
     assert_eq!(result.health.interpolated, 0);
@@ -177,11 +175,11 @@ fn faulty_sweep_matches_clean_within_bounds() {
     // stay within the recorded interpolation bounds of the fault-free run.
     let dev = small_device();
     let plan = small_plan(&dev);
-    let clean = parallel_sweep(&dev, &plan, 3).unwrap();
+    let clean = with_faults(None, || engine(&dev).sweep(&plan, 3).unwrap());
     assert_eq!(clean.health.escalated + clean.health.failed + clean.health.interpolated, 0);
     let before = fault::injected_total();
     let faulty =
-        with_faults(Some(FaultConfig::new(0.2, 7)), || parallel_sweep(&dev, &plan, 3).unwrap());
+        with_faults(Some(FaultConfig::new(0.2, 7)), || engine(&dev).sweep(&plan, 3).unwrap());
     let observed = fault::injected_total() - before;
     assert!(observed > 0, "a 20% campaign over a full sweep must fire");
     assert_eq!(faulty.health.faults_injected, observed, "health must count every injected fault");
@@ -250,7 +248,7 @@ fn checkpoint_resume_is_bit_identical_under_faults() {
     let dev = small_device();
     let plan = small_plan(&dev);
     let campaign = FaultConfig::new(0.2, 7);
-    let uninterrupted = with_faults(Some(campaign), || parallel_sweep(&dev, &plan, 3).unwrap());
+    let uninterrupted = with_faults(Some(campaign), || engine(&dev).sweep(&plan, 3).unwrap());
 
     let dir = std::env::temp_dir().join("qtx-fault-resume-test");
     std::fs::create_dir_all(&dir).unwrap();
@@ -266,7 +264,7 @@ fn checkpoint_resume_is_bit_identical_under_faults() {
             .scheduler(pool(2))
             .build()
             .unwrap();
-        parallel_sweep_resumable(&dev, &plan, 3, &opts).unwrap()
+        engine(&dev).sweep_resumable(&plan, 3, &opts).unwrap()
     });
     assert_eq!(partial.records.len(), kill_after, "the kill limit bounds the partial run");
     assert!(path.exists(), "killed run must leave its checkpoint behind");
@@ -274,7 +272,7 @@ fn checkpoint_resume_is_bit_identical_under_faults() {
     let resumed = with_faults(Some(campaign), || {
         let opts =
             SweepOptions::builder().checkpoint(path.clone()).scheduler(pool(2)).build().unwrap();
-        parallel_sweep_resumable(&dev, &plan, 3, &opts).unwrap()
+        engine(&dev).sweep_resumable(&plan, 3, &opts).unwrap()
     });
     assert_eq!(resumed.records.len(), uninterrupted.records.len());
     for (a, b) in resumed.records.iter().zip(&uninterrupted.records) {
@@ -303,7 +301,7 @@ fn checkpoint_resume_is_bit_identical_under_faults() {
     let replay = with_faults(Some(campaign), || {
         let opts =
             SweepOptions::builder().checkpoint(path.clone()).scheduler(pool(2)).build().unwrap();
-        parallel_sweep_resumable(&dev, &plan, 3, &opts).unwrap()
+        engine(&dev).sweep_resumable(&plan, 3, &opts).unwrap()
     });
     assert_eq!(fault::injected_total(), before, "a cached resume must not recompute");
     assert!(replay.records.iter().zip(&resumed.records).all(|(a, b)| a.identity_eq(b)));
@@ -331,7 +329,7 @@ fn injected_panics_are_isolated_counted_and_quarantined() {
     let sched = pool(2);
     let opts = SweepOptions::builder().scheduler(sched.clone()).build().unwrap();
     let result = with_faults(Some(panic_campaign(1.0, 13)), || {
-        parallel_sweep_resumable(&dev, &plan, 2, &opts).unwrap()
+        engine(&dev).sweep_resumable(&plan, 2, &opts).unwrap()
     });
     assert_eq!(result.health.total_points, 3);
     assert_eq!(result.health.failed, 3, "all-panic points cannot be interpolated");
@@ -344,7 +342,7 @@ fn injected_panics_are_isolated_counted_and_quarantined() {
     // The pool survives the barrage: the same sweep, disarmed, on the
     // same pool is clean — a poisoned key only loses its retries, the
     // first attempt still runs.
-    let clean = with_faults(None, || parallel_sweep_resumable(&dev, &plan, 2, &opts).unwrap());
+    let clean = with_faults(None, || engine(&dev).sweep_resumable(&plan, 2, &opts).unwrap());
     assert_eq!(clean.health.failed, 0);
     assert_eq!(clean.health.panics, 0);
     assert_eq!(clean.health.quarantined, 0);
@@ -358,10 +356,10 @@ fn partial_panic_campaign_recovers_via_retry() {
     // no trace in the math.
     let dev = small_device();
     let plan = small_plan(&dev);
-    let clean = with_faults(None, || parallel_sweep(&dev, &plan, 3).unwrap());
+    let clean = with_faults(None, || engine(&dev).sweep(&plan, 3).unwrap());
     let opts = SweepOptions::builder().scheduler(pool(2)).build().unwrap();
     let faulty = with_faults(Some(panic_campaign(0.4, 17)), || {
-        parallel_sweep_resumable(&dev, &plan, 3, &opts).unwrap()
+        engine(&dev).sweep_resumable(&plan, 3, &opts).unwrap()
     });
     assert!(faulty.health.panics > 0, "a 40% campaign over a full sweep must fire");
     assert_eq!(faulty.health.total_points, plan.total_points());
@@ -394,7 +392,7 @@ fn sweep_is_bit_identical_across_worker_counts_under_faults() {
         .map(|&w| {
             with_faults(Some(campaign), || {
                 let opts = SweepOptions::builder().scheduler(pool(w)).build().unwrap();
-                parallel_sweep_resumable(&dev, &plan, 3, &opts).unwrap()
+                engine(&dev).sweep_resumable(&plan, 3, &opts).unwrap()
             })
         })
         .collect();

@@ -13,10 +13,9 @@
 use proptest::prelude::*;
 use qtx_atomistic::{BasisKind, DeviceBuilder};
 use qtx_core::cache::CacheConfig;
-use qtx_core::refine::parallel_sweep_refined;
 use qtx_core::{
-    parallel_sweep_resumable, Batching, CachePolicy, Device, RefineConfig, RefinedSweep, Scheduler,
-    SchedulerConfig, SigmaCache, SweepOptions, SweepPlan, SweepResult,
+    Batching, CachePolicy, Device, RefineConfig, RefinedSweep, Scheduler, SchedulerConfig,
+    SigmaCache, SweepOptions, SweepPlan, SweepResult, TransportEngine,
 };
 use std::sync::Arc;
 
@@ -30,6 +29,10 @@ fn small_device() -> Device {
     d
 }
 
+fn engine(dev: &Device) -> TransportEngine {
+    TransportEngine::new(dev.clone())
+}
+
 fn sweep_on_fresh_pool(dev: &Device, plan: &SweepPlan, workers: usize) -> SweepResult {
     let opts = SweepOptions::builder()
         .scheduler(Arc::new(Scheduler::new(SchedulerConfig {
@@ -38,7 +41,7 @@ fn sweep_on_fresh_pool(dev: &Device, plan: &SweepPlan, workers: usize) -> SweepR
         })))
         .build()
         .unwrap();
-    parallel_sweep_resumable(dev, plan, 3, &opts).unwrap()
+    engine(dev).sweep_resumable(plan, 3, &opts).unwrap()
 }
 
 fn assert_runs_identical(reference: &SweepResult, other: &SweepResult, label: &str) {
@@ -113,7 +116,7 @@ fn refine_cfg() -> RefineConfig {
 
 fn refined_on_fresh_pool(dev: &Device, plan: &SweepPlan, workers: usize) -> RefinedSweep {
     let opts = options_on_fresh_pool(workers, Batching::Auto);
-    parallel_sweep_refined(dev, plan, 3, &opts, &refine_cfg()).unwrap()
+    engine(dev).sweep_refined(plan, 3, &opts, &refine_cfg()).unwrap()
 }
 
 fn assert_refined_identical(reference: &RefinedSweep, other: &RefinedSweep, label: &str) {
@@ -135,15 +138,15 @@ fn assert_refined_identical(reference: &RefinedSweep, other: &RefinedSweep, labe
 fn batched_sweeps_match_per_point_bit_for_bit() {
     let dev = small_device();
     let plan = SweepPlan::from_device(&dev, 0.05, 0.15);
-    let reference =
-        parallel_sweep_resumable(&dev, &plan, 3, &options_on_fresh_pool(2, Batching::PerPoint))
-            .unwrap();
+    let reference = engine(&dev)
+        .sweep_resumable(&plan, 3, &options_on_fresh_pool(2, Batching::PerPoint))
+        .unwrap();
     for (workers, batching) in
         [(1, Batching::Auto), (4, Batching::Auto), (2, Batching::Fixed(3)), (4, Batching::Fixed(7))]
     {
-        let run =
-            parallel_sweep_resumable(&dev, &plan, 3, &options_on_fresh_pool(workers, batching))
-                .unwrap();
+        let run = engine(&dev)
+            .sweep_resumable(&plan, 3, &options_on_fresh_pool(workers, batching))
+            .unwrap();
         assert_runs_identical(&reference, &run, &format!("{workers} workers, {batching:?}"));
     }
 }
@@ -204,7 +207,7 @@ fn refined_sweep_kill_resume_is_bit_identical() {
         .max_new_points(kill_after)
         .build()
         .unwrap();
-    let partial = parallel_sweep_refined(&dev, &plan, 3, &kill_opts, &refine_cfg()).unwrap();
+    let partial = engine(&dev).sweep_refined(&plan, 3, &kill_opts, &refine_cfg()).unwrap();
     assert!(partial.truncated, "the kill budget must actually truncate the run");
     assert_eq!(partial.result.records.len(), kill_after);
 
@@ -219,7 +222,7 @@ fn refined_sweep_kill_resume_is_bit_identical() {
         .checkpoint(&ckpt)
         .build()
         .unwrap();
-    let resumed = parallel_sweep_refined(&dev, &plan, 3, &resume_opts, &refine_cfg()).unwrap();
+    let resumed = engine(&dev).sweep_refined(&plan, 3, &resume_opts, &refine_cfg()).unwrap();
     assert!(!resumed.truncated);
     assert_refined_identical(&reference, &resumed, "kill/resume");
     std::fs::remove_file(&ckpt).ok();
@@ -239,12 +242,12 @@ fn refined_checkpoint_fingerprint_covers_refine_config() {
 
     let opts = SweepOptions::builder().checkpoint(&ckpt).build().unwrap();
     let cfg = refine_cfg();
-    parallel_sweep_refined(&dev, &plan, 3, &opts, &cfg).unwrap();
+    engine(&dev).sweep_refined(&plan, 3, &opts, &cfg).unwrap();
     assert!(ckpt.exists());
 
     // Same plan, different tolerance: loudly rejected.
     let other = RefineConfig { tol: cfg.tol * 0.5, ..cfg };
-    let err = parallel_sweep_refined(&dev, &plan, 3, &opts, &other).unwrap_err();
+    let err = engine(&dev).sweep_refined(&plan, 3, &opts, &other).unwrap_err();
     assert!(
         matches!(
             &err,
@@ -253,7 +256,7 @@ fn refined_checkpoint_fingerprint_covers_refine_config() {
         "expected PlanMismatch, got {err:?}"
     );
     // The flat sweep must reject a refined checkpoint too.
-    let flat_err = parallel_sweep_resumable(&dev, &plan, 3, &opts).unwrap_err();
+    let flat_err = engine(&dev).sweep_resumable(&plan, 3, &opts).unwrap_err();
     assert!(matches!(
         &flat_err,
         qtx_core::TransportError::Checkpoint(qtx_core::CheckpointError::PlanMismatch { .. })

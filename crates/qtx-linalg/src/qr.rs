@@ -751,6 +751,16 @@ mod tests {
 
     // ── blocked-path tests ───────────────────────────────────────────
 
+    /// [`force_unblocked_qr`] is process-wide and the tests of this
+    /// module share a process: the tests that assert which path
+    /// `qr_factor` took hold this for reading, the one that flips the
+    /// switch for writing.
+    static DISPATCH: std::sync::RwLock<()> = std::sync::RwLock::new(());
+
+    fn dispatch_unforced() -> std::sync::RwLockReadGuard<'static, ()> {
+        DISPATCH.read().unwrap_or_else(|e| e.into_inner())
+    }
+
     /// Reference reconstruction error ‖QR − A‖ and defect ‖QᴴQ − I‖.
     fn check_factorization(a: &ZMat, f: &QrFactors, tol: f64) {
         let q = f.q_thin();
@@ -761,6 +771,7 @@ mod tests {
 
     #[test]
     fn blocked_matches_unblocked_across_crossover() {
+        let _unforced = dispatch_unforced();
         // Square shapes straddle BLOCK_MIN; (560, 130) takes the
         // tall-skinny dispatch (m ≥ 4n with n ≥ BLOCK_MIN_TALL).
         for (m, n, seed) in
@@ -788,6 +799,7 @@ mod tests {
 
     #[test]
     fn blocked_tall_skinny() {
+        let _unforced = dispatch_unforced();
         // m ≫ n with n above the crossover: multiple panels, long tails.
         let a = ZMat::random(700, 224, 31);
         let f = qr_factor(&a);
@@ -804,6 +816,7 @@ mod tests {
 
     #[test]
     fn blocked_rank_deficient() {
+        let _unforced = dispatch_unforced();
         // Duplicate a column band across a panel boundary and zero a few
         // columns outright: the exactly-zero columns produce τ = 0
         // reflectors, exercising the recurrence fallback for T (the
@@ -826,6 +839,7 @@ mod tests {
 
     #[test]
     fn force_unblocked_switch_controls_dispatch() {
+        let _forcing = DISPATCH.write().unwrap_or_else(|e| e.into_inner());
         let a = ZMat::random(224, 224, 51);
         let fb = qr_factor(&a);
         assert!(fb.ts.cols() > 0);
@@ -838,6 +852,7 @@ mod tests {
 
     #[test]
     fn ws_factor_is_bit_identical_to_fresh() {
+        let _unforced = dispatch_unforced();
         let a = ZMat::random(240, 200, 61);
         let b = ZMat::random(240, 4, 62);
         let fresh = qr_factor(&a);
@@ -857,6 +872,7 @@ mod tests {
 
     #[test]
     fn q_thin_into_matches_q_thin() {
+        let _unforced = dispatch_unforced();
         let a = ZMat::random(270, 220, 71);
         let f = qr_factor(&a);
         assert!(f.ts.cols() > 0);

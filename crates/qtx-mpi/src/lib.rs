@@ -9,10 +9,13 @@
 //! (`split`, `barrier`, `bcast`, `allreduce`, `gather`, point-to-point)
 //! plus a latency/bandwidth cost model feeding the virtual timeline.
 //!
-//! Real runs exercise dozens of ranks (tests, examples, Fig. 9
-//! reproduction); the 18 564-node experiments replay through the analytic
-//! model in `qtx-machine`, mirroring how the paper extrapolates from
-//! per-energy-point measurements.
+//! The transport sweeps of `qtx-core` do not run ranks: their points are
+//! tasks on a scheduler pool, and the Fig. 9 gather is only priced, by
+//! the pure [`CostModel::fig9_gather_seconds`]. The threaded fabric is the
+//! reference that function is tested against
+//! (`crates/core/tests/one_sweep_path.rs`); the 18 564-node experiments
+//! replay through the analytic model in `qtx-machine`, mirroring how the
+//! paper extrapolates from per-energy-point measurements.
 
 pub mod comm;
 pub mod frame;

@@ -46,8 +46,6 @@ pub use frame::{
 };
 pub use lead::LeadBlocks;
 pub use modes::{classify_modes, classify_modes_eta, LeadModes, ModeSet};
-#[allow(deprecated)]
-pub use selfenergy::self_energy_eta;
 pub use selfenergy::{
     lead_modes, obc_solves_total, self_energy, self_energy_decimation, Eta, ObcResult, Side,
 };

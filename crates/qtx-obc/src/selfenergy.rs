@@ -254,23 +254,6 @@ pub fn self_energy(
     Ok(ObcResult { sigma, injection, inc_modes, out_modes, stats })
 }
 
-/// Forwarder kept for the pre-merge API shape; the broadened and
-/// unbroadened entry points are now one function.
-#[deprecated(
-    since = "0.1.0",
-    note = "merged into `self_energy`: pass the broadening as `Eta(eta)` \
-            (or `Eta::ZERO` for the exact-energy evaluation)"
-)]
-pub fn self_energy_eta(
-    lead: &LeadBlocks,
-    e: f64,
-    eta: f64,
-    side: Side,
-    method: ObcMethod,
-) -> ObcOutcome<ObcResult> {
-    self_energy(lead, e, Eta(eta), side, method)
-}
-
 /// Self-energy through Sancho–Rubio decimation (ref. [40]) — the
 /// independent NEGF-era route: `Σ_L = T10·g_L·T01`, `Σ_R = T01·g_R·T10`.
 pub fn self_energy_decimation(lead: &LeadBlocks, e: f64, eta: f64, side: Side) -> ObcOutcome<ZMat> {
@@ -424,20 +407,6 @@ mod tests {
         assert!(s0.sigma.max_diff(&s1.sigma) < 1e-3);
         // Broadening keeps the retarded character.
         assert!(s1.sigma[(0, 0)].im < 0.0);
-    }
-
-    /// Pins the deprecated forwarder to the merged entry point until its
-    /// removal — downstream code migrating incrementally relies on the
-    /// two being bit-identical.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_eta_forwarder_matches_merged_entry() {
-        let e = 0.5;
-        let merged =
-            self_energy(&chain(), e, Eta(1e-6), Side::Left, ObcMethod::ShiftInvert).unwrap().sigma;
-        let fwd =
-            self_energy_eta(&chain(), e, 1e-6, Side::Left, ObcMethod::ShiftInvert).unwrap().sigma;
-        assert_eq!(merged.max_diff(&fwd), 0.0, "forwarder must be bit-identical");
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Ultra-thin-body FET with a transverse momentum sweep: the 2-D device
-//! of Fig. 1(c), periodic out-of-plane, solved with the three-level
-//! (k, E, domain) parallelization of Fig. 9 over simulated MPI ranks.
+//! of Fig. 1(c), periodic out-of-plane, swept over (k, E) on the
+//! scheduler pool; the Fig. 9 rank topology is priced, not run.
 //!
 //! Run with: `cargo run --release --example utb_kpoints`
 
-use qtx::core::{parallel_sweep, SweepPlan};
+use qtx::core::{SweepPlan, TransportEngine};
 use qtx::prelude::*;
 
 fn main() {
@@ -22,12 +22,12 @@ fn main() {
     let n_ranks = 8;
     println!("rank allocation over {n_ranks} ranks: {:?}", plan.allocate_ranks(n_ranks));
 
-    let result = parallel_sweep(&dev, &plan, n_ranks).expect("sweep");
+    let result = TransportEngine::new(dev).sweep(&plan, n_ranks).expect("sweep");
     println!("\nk-summed transmission spectrum:");
     println!("{:>10} {:>12}", "E (eV)", "Σ_k w_k T");
     for (e, t) in result.spectrum.iter().step_by((result.spectrum.len() / 20).max(1)) {
         let bar: String = std::iter::repeat_n('#', (t * 3.0) as usize).collect();
         println!("{e:>10.3} {t:>12.4}  {bar}");
     }
-    println!("\nvirtual communication time: {:.3} ms", result.comm_seconds * 1e3);
+    println!("\nmodelled gather time over {n_ranks} ranks: {:.3} ms", result.comm_seconds * 1e3);
 }

@@ -1,7 +1,7 @@
-//! Integration: the three-level parallel sweep (Fig. 9) is independent of
-//! the rank count and matches the serial reference.
+//! Integration: the (k, E) sweep (Fig. 9) is independent of the rank
+//! count of its gather-cost model and matches the serial reference.
 
-use qtx::core::{parallel_sweep, PointPolicy, SweepPlan, TransportEngine};
+use qtx::core::{PointPolicy, SweepPlan, TransportEngine};
 use qtx::prelude::*;
 
 fn utb_device() -> Device {
@@ -21,24 +21,23 @@ fn sweep_is_rank_count_invariant() {
     let plan = SweepPlan::from_device(&dev, 0.05, 0.12);
     assert_eq!(plan.k_points.len(), 3);
     assert!(plan.total_points() > 0);
-    let spectra: Vec<Vec<(f64, f64)>> = [2usize, 5]
-        .iter()
-        .map(|&n| parallel_sweep(&dev, &plan, n).expect("sweep").spectrum)
-        .collect();
-    assert_eq!(spectra[0].len(), spectra[1].len());
-    for (a, b) in spectra[0].iter().zip(&spectra[1]) {
-        assert!((a.0 - b.0).abs() < 1e-12);
-        assert!((a.1 - b.1).abs() < 1e-9, "{a:?} vs {b:?}");
+    let engine = TransportEngine::new(dev);
+    let [two, five] = [2usize, 5].map(|n| engine.sweep(&plan, n).expect("sweep"));
+    assert_eq!(two.records.len(), five.records.len());
+    for (a, b) in two.records.iter().zip(&five.records) {
+        assert!(a.identity_eq(b), "{a:?} vs {b:?}");
     }
+    assert_eq!(two.spectrum, five.spectrum);
+    assert!(five.comm_seconds > two.comm_seconds, "only the priced topology grows with ranks");
 }
 
 #[test]
 fn sweep_matches_serial_per_k_reference() {
     let dev = utb_device();
     let plan = SweepPlan::from_device(&dev, 0.08, 0.15);
-    let result = parallel_sweep(&dev, &plan, 4).expect("sweep");
+    let engine = TransportEngine::new(dev);
+    let result = engine.sweep(&plan, 4).expect("sweep");
     // Pick a handful of samples and recompute serially.
-    let engine = TransportEngine::new(dev.clone());
     for &(kz, _w, e, t) in result.samples.iter().take(5) {
         let reference = engine
             .solve_point(e, kz, &PointPolicy::direct())
