@@ -21,7 +21,8 @@
 
 use crate::lead::LeadBlocks;
 use qtx_linalg::{
-    gemm_view, lu_factor, lu_factor_owned_ws, Complex64, LuFactors, Op, Result, Workspace, ZMat,
+    gemm_into, gemm_view, lu_factor, lu_factor_owned_ws, Complex64, LuFactors, Op, Result,
+    Workspace, ZMat, ZMatMut, ZMatRef,
 };
 
 /// The quadratic companion pencil of a lead at fixed energy.
@@ -35,6 +36,23 @@ pub struct CompanionPencil {
     pub t10: ZMat,
     /// Superblock dimension `nf`.
     pub nf: usize,
+}
+
+/// Node-independent operands of one projector application, built by
+/// [`CompanionPencil::projector_rhs_ws`] and shared by all quadrature nodes.
+#[derive(Debug)]
+pub struct ProjectorRhs<'a> {
+    /// `nf × 2m`: column `2j` holds `T01·y1ⱼ + T00·y2ⱼ`, column `2j + 1`
+    /// holds `T01·y2ⱼ`.
+    terms: ZMat,
+    y2: ZMatRef<'a>,
+}
+
+impl ProjectorRhs<'_> {
+    /// Hands the pooled products back.
+    pub fn recycle_into(self, ws: &Workspace) {
+        ws.recycle(self.terms);
+    }
 }
 
 impl CompanionPencil {
@@ -164,8 +182,9 @@ impl CompanionPencil {
         self.solve_shifted_ws(factors, z, y, &Workspace::new())
     }
 
-    /// [`CompanionPencil::solve_shifted`] over pooled scratch — the form
-    /// the FEAST quadrature loop calls once per node per refinement.
+    /// [`CompanionPencil::solve_shifted`] over pooled scratch (Beyn's moment
+    /// and polish solves; FEAST's quadrature loop shares its products across
+    /// nodes through [`CompanionPencil::solve_projector_ws`]).
     pub fn solve_shifted_ws(
         &self,
         factors: &LuFactors,
@@ -193,24 +212,81 @@ impl CompanionPencil {
             &mut rhs,
         );
         ws.recycle(zt01_t00);
-        // Back-substitution lands straight in a pooled buffer (no fresh
-        // RHS-sized allocation per quadrature node).
-        let mut x2 = ws.take_scratch(nf, m);
-        factors.solve_into(rhs.view(), &mut x2);
-        ws.recycle(rhs);
-        let mut x = ws.take(2 * nf, m);
-        // x1 = z·x2 − y2, written column-wise straight into the output.
+        self.finish_shifted(factors, z, rhs, y2, ws)
+    }
+
+    /// Tail shared by both shifted solves: back-substitutes `P(z)·x2 = rhs`
+    /// in place (the pooled right-hand side becomes `x2`) and assembles
+    /// `x = [z·x2 − y2; x2]`.
+    fn finish_shifted(
+        &self,
+        factors: &LuFactors,
+        z: Complex64,
+        mut x2: ZMat,
+        y2: ZMatRef<'_>,
+        ws: &Workspace,
+    ) -> ZMat {
+        let nf = self.nf;
+        let m = x2.cols();
+        factors.solve_in_place(&mut x2);
+        let mut x = ws.take_scratch(2 * nf, m);
         for j in 0..m {
             let x2col = x2.col(j);
             let y2col = y2.col(j);
-            let xcol = x.col_mut(j);
+            let (top, bottom) = x.col_mut(j).split_at_mut(nf);
             for i in 0..nf {
-                xcol[i] = z * x2col[i] - y2col[i];
+                top[i] = z * x2col[i] - y2col[i];
             }
+            bottom.copy_from_slice(x2col);
         }
-        x.set_block(nf, 0, &x2);
         ws.recycle(x2);
         x
+    }
+
+    /// The node-independent half of FEAST's quadrature right-hand sides
+    /// for columns `c0..` of the block `y = [y1; y2]`.
+    ///
+    /// Every node solves `(z·B − A)·x = B·y`, i.e.
+    /// `P(z)·x2 = T01·(y1 + z·y2) + T00·y2`: only the scalar `z` changes
+    /// from node to node, so `T01·y1 + T00·y2` and `T01·y2` are formed once
+    /// (two gemms) and each node combines them in O(nf·m). A column-major
+    /// `2nf × m` block read as `nf × 2m` interleaves `y1`/`y2` column by
+    /// column, so one gemm against `T01` yields both products.
+    pub fn projector_rhs_ws<'a>(&self, y: &'a ZMat, c0: usize, ws: &Workspace) -> ProjectorRhs<'a> {
+        let nf = self.nf;
+        assert_eq!(y.rows(), 2 * nf);
+        let m = y.cols() - c0;
+        let cols = ZMatRef::from_slice(&y.as_slice()[c0 * 2 * nf..], nf, 2 * m, nf);
+        let mut terms = ws.matmul_op_view(self.t01.view(), Op::None, cols, Op::None);
+        let y2 = y.block_view(nf, c0, nf, m);
+        // Even columns (the `T01·y1` half) additionally take `T00·y2`.
+        let even = ZMatMut::from_slice(terms.as_mut_slice(), nf, m, 2 * nf);
+        gemm_into(Complex64::ONE, self.t00.view(), Op::None, y2, Op::None, Complex64::ONE, even);
+        ProjectorRhs { terms, y2 }
+    }
+
+    /// Solves `(z·B − A)·x = B·y` for the columns prepared by
+    /// [`CompanionPencil::projector_rhs_ws`] — the same `x` as
+    /// `solve_shifted_ws(factors, z, &apply_b(y), ws)` without the per-node
+    /// `z·T01 + T00` temporary and product.
+    pub fn solve_projector_ws(
+        &self,
+        factors: &LuFactors,
+        z: Complex64,
+        rhs: &ProjectorRhs<'_>,
+        ws: &Workspace,
+    ) -> ZMat {
+        let nf = self.nf;
+        let m = rhs.y2.cols();
+        let mut x2 = ws.take_scratch(nf, m);
+        for j in 0..m {
+            let fixed = rhs.terms.col(2 * j);
+            let linear = rhs.terms.col(2 * j + 1);
+            for (i, out) in x2.col_mut(j).iter_mut().enumerate() {
+                *out = fixed[i] + z * linear[i];
+            }
+        }
+        self.finish_shifted(factors, z, x2, rhs.y2, ws)
     }
 
     /// Residual of a quadratic eigenpair: `‖(T10 + λT00 + λ²T01)u‖₂ / ‖u‖₂`
@@ -266,6 +342,31 @@ mod tests {
         let f = p.factor_poly(z).unwrap();
         let x = p.solve_shifted(&f, z, &y);
         assert!(x.max_diff(&x_ref) < 1e-9, "diff = {:.3e}", x.max_diff(&x_ref));
+    }
+
+    #[test]
+    fn hoisted_projector_rhs_matches_per_node_shifted_solve() {
+        let mut h00 = ZMat::random(7, 7, 21);
+        h00.hermitianize();
+        let lead =
+            LeadBlocks::new(h00, ZMat::random(7, 7, 22), ZMat::identity(7), ZMat::zeros(7, 7));
+        let p = CompanionPencil::at_energy(&lead, -0.21, 0.0);
+        let ws = Workspace::new();
+        let y = ZMat::random(p.nbc(), 5, 23);
+        let by = p.apply_b(&y);
+        // All columns, and the appended tail a growing block solves alone.
+        for c0 in [0, 3] {
+            let rhs = p.projector_rhs_ws(&y, c0, &ws);
+            for z in [c64(0.8, 0.6), Complex64::from_polar(16.0, 2.1), c64(0.03, -0.05)] {
+                let f = p.factor_poly(z).unwrap();
+                let reference = p.solve_shifted_ws(&f, z, &by, &ws);
+                let x = p.solve_projector_ws(&f, z, &rhs, &ws);
+                let tail = reference.block(0, c0, p.nbc(), 5 - c0);
+                let scale = reference.norm_max().max(1.0);
+                assert!(x.max_diff(&tail) < 1e-12 * scale, "c0 = {c0}, z = {z}");
+            }
+            rhs.recycle_into(&ws);
+        }
     }
 
     #[test]

@@ -17,6 +17,17 @@
 //! CPU cores — so the factorizations run under rayon here. Rayleigh–Ritz
 //! on the orthonormalized subspace (Eq. 7) plus residual-driven subspace
 //! iteration refine the eigenpairs.
+//!
+//! Only `m ≪ N_BC` modes live in the annulus, so the random block `Y_F`
+//! starts a few columns wide and is sized by the projector itself: while
+//! the rank-truncated `Q_F` fills the block (`rank + 2 ≥ columns`) as many
+//! fresh columns of the same seeded stream are appended and projected
+//! against the node factorizations already held. The width is therefore a
+//! pure function of the pencil — no timing, no neighbouring energy — and
+//! ends within a factor two of the projector's numerical rank (annulus
+//! modes plus the quadrature's leakage from just outside it), which is
+//! what `qtx-machine`'s `perfmodel::feast_flops` budgets as
+//! `max(nf/8, 64)` columns. `docs/obc.md` has the cost ledger.
 
 use crate::companion::CompanionPencil;
 use crate::error::{ObcError, ObcOutcome};
@@ -81,7 +92,10 @@ pub struct FeastConfig {
     pub np: usize,
     /// Outer annulus radius `R` (inner radius is `1/R`).
     pub r_outer: f64,
-    /// Subspace size `m0`; 0 selects `nf + 8` automatically.
+    /// Starting width of the random block `Y_F`. Whatever the start, the
+    /// block grows until the projector's rank no longer fills it, so this
+    /// is not a cap; 0 (the default) starts from a few columns and lets the
+    /// measured rank pick the size — see the module docs.
     pub subspace: usize,
     /// Maximum subspace-iteration refinements.
     pub max_refine: usize,
@@ -106,7 +120,12 @@ pub struct FeastStats {
     pub iterations: usize,
     /// Eigenpairs found inside the annulus.
     pub m_found: usize,
-    /// Linear systems solved (factorizations × refinements).
+    /// Columns of the random block once the sizing loop stopped growing it
+    /// (a report: setting it changes nothing).
+    pub subspace: usize,
+    /// Block back-substitutions: one per quadrature node per projector
+    /// application (every subspace iteration and every growth step of the
+    /// sizing loop), each against all columns projected at that step.
     pub linear_solves: usize,
     /// Worst accepted eigenpair residual.
     pub max_residual: f64,
@@ -137,15 +156,16 @@ pub fn feast_annulus_ws(
     ws: &Workspace,
 ) -> ObcOutcome<(FeastModes, FeastStats)> {
     let mut stats = FeastStats::default();
-    // Integration nodes: offset half-steps avoid band-edge eigenvalues at
-    // λ = ±1 landing exactly on a node.
-    let nodes: Vec<(Complex64, f64)> = (0..cfg.np)
+    // Integration nodes `z_p` with their trapezoid weights `±z_p/N_p`
+    // (Eq. 10; the inner circle is traversed backwards): offset half-steps
+    // avoid band-edge eigenvalues at λ = ±1 landing exactly on a node.
+    let nodes: Vec<(Complex64, Complex64)> = (0..cfg.np)
         .flat_map(|p| {
             let theta = 2.0 * std::f64::consts::PI * (p as f64 + 0.5) / cfg.np as f64;
-            [
-                (Complex64::from_polar(cfg.r_outer, theta), 1.0),
-                (Complex64::from_polar(1.0 / cfg.r_outer, theta), -1.0),
-            ]
+            [(cfg.r_outer, 1.0), (1.0 / cfg.r_outer, -1.0)].map(|(r, sign)| {
+                let z = Complex64::from_polar(r, theta);
+                (z, z.scale(sign / cfg.np as f64))
+            })
         })
         .collect();
     // One LU of P(z_p) per node, reused across refinements and RHS; the
@@ -176,217 +196,228 @@ pub fn feast_annulus_ws(
     }
 }
 
+/// Columns of the seeded random stream FEAST starts from when
+/// [`FeastConfig::subspace`] is 0; the sizing loop in [`feast_core`] widens
+/// the block while the projector's rank fills it.
+const START_BLOCK: usize = 8;
+
+/// Seed of the random block. [`ZMat::randomize`] fills column-major, so a
+/// wider block drawn from the same seed extends a narrower one bit for bit.
+const BLOCK_SEED: u64 = 0x0f_ea_57;
+
+/// Applies the quadrature projector of Eq. 10 to columns `c0..` of `y`:
+/// `Σ_p w_p (z_p/N_p)(z_p B − A)⁻¹ B Y`, the node partials summed in node
+/// order so the result does not depend on which thread solved which node.
+fn apply_projector(
+    pencil: &CompanionPencil,
+    nodes: &[(Complex64, Complex64)],
+    factors: &[qtx_linalg::LuFactors],
+    y: &ZMat,
+    c0: usize,
+    ws: &Workspace,
+    stats: &mut FeastStats,
+) -> ZMat {
+    let rhs = pencil.projector_rhs_ws(y, c0, ws);
+    let partials: Vec<ZMat> = nodes
+        .par_iter()
+        .zip(factors)
+        .map(|(&(z, w), f)| {
+            let mut x = pencil.solve_projector_ws(f, z, &rhs, ws);
+            x.scale_assign(w);
+            x
+        })
+        .collect();
+    rhs.recycle_into(ws);
+    stats.linear_solves += nodes.len();
+    let mut acc = ws.take(y.rows(), y.cols() - c0);
+    for p in partials {
+        acc.axpy(Complex64::ONE, &p);
+        ws.recycle(p);
+    }
+    acc
+}
+
 /// The refinement loop of [`feast_annulus_ws`], separated so the node
 /// factorizations can be recycled on every exit path.
 fn feast_core(
     pencil: &CompanionPencil,
     cfg: FeastConfig,
-    nodes: &[(Complex64, f64)],
+    nodes: &[(Complex64, Complex64)],
     factors: &[qtx_linalg::LuFactors],
     ws: &Workspace,
     stats: &mut FeastStats,
 ) -> ObcOutcome<FeastModes> {
     let nf = pencil.nf;
     let nbc = 2 * nf;
-    let mut m0 = if cfg.subspace == 0 { (nf + 8).min(nbc) } else { cfg.subspace.min(nbc) };
-    let mut y = ws.take_scratch(nbc, m0);
-    y.randomize(0x0f_ea_57);
-    for _attempt in 0..3 {
-        let mut accepted: Vec<(Complex64, Vec<Complex64>)> = Vec::new();
-        let mut prev_accepted = usize::MAX;
-        let mut saturated = false;
-        for it in 0..cfg.max_refine {
-            stats.iterations += 1;
-            // Q = Σ_p w_p (z_p/N_p)(z_p B − A)⁻¹ B Y  (Eq. 10).
-            let by = pencil.apply_b_ws(&y, ws);
-            let partials: Vec<ZMat> = nodes
-                .par_iter()
-                .zip(factors)
-                .map(|(&(z, w), f)| {
-                    let mut x = pencil.solve_shifted_ws(f, z, &by, ws);
-                    x.scale_assign(z.scale(w / cfg.np as f64));
-                    x
-                })
-                .collect();
-            stats.linear_solves += nodes.len();
-            let mut p_acc = ws.take(nbc, y.cols());
-            for p in partials {
-                p_acc.axpy(Complex64::ONE, &p);
-                ws.recycle(p);
-            }
-            ws.recycle(by);
-            let q = match orthonormalize_rank(&p_acc, 1e-13, ws) {
+    let start = if cfg.subspace == 0 { START_BLOCK } else { cfg.subspace };
+    let mut y = ws.take_scratch(nbc, start.min(nbc));
+    y.randomize(BLOCK_SEED);
+    let mut accepted: Vec<(Complex64, Vec<Complex64>)> = Vec::new();
+    let mut prev_accepted = usize::MAX;
+    let mut prev_inside = usize::MAX;
+    for it in 0..cfg.max_refine {
+        stats.iterations += 1;
+        let mut p = apply_projector(pencil, nodes, factors, &y, 0, ws, stats);
+        let q = loop {
+            let q = match orthonormalize_rank(&p, 1e-13, ws) {
                 Ok(q) => q,
                 Err(e) => {
                     // Keep the pool's steady state across transiently
                     // failing energy points: recycle everything live.
-                    ws.recycle(p_acc);
+                    ws.recycle(p);
                     ws.recycle(y);
                     return Err(e);
                 }
             };
-            ws.recycle(p_acc);
-            let k = q.cols();
-            if k == 0 {
-                ws.recycle(q);
-                break; // empty annulus
+            // Sizing: a random block whose projection has (almost) full
+            // rank may be hiding annulus modes, so append as many fresh
+            // columns again and project only those — what is already
+            // projected is kept. Only the random block of the first
+            // iteration can saturate: later blocks are Ritz vectors
+            // spanning a range that already passed this test.
+            let m = y.cols();
+            if it > 0 || m == nbc || q.cols() + 2 < m {
+                break q;
             }
-            // Reduced pencil (Eq. 7): [QᴴAQ]·y = λ·[QᴴBQ]·y, assembled
-            // blockwise from the companion structure instead of through
-            // materialized A·Q/B·Q products: with Q = [Q₁; Q₂],
-            //   QᴴAQ = −Q₁ᴴ·(T00·Q₁ + T10·Q₂) + Q₂ᴴ·Q₁
-            //   QᴴBQ =  Q₁ᴴ·(T01·Q₁) + Q₂ᴴ·Q₂
-            // so every inner dimension is nf (not 2·nf), the 2nf-tall
-            // temporaries are gone, and the Hermitian Q₂ᴴQ₂ term of the
-            // B-projection runs on the half-flop rank-k update.
-            let nf = pencil.nf;
-            let q1 = q.block_view(0, 0, nf, k);
-            let q2 = q.block_view(nf, 0, nf, k);
-            let mut tq = ws.take_scratch(nf, k);
-            gemm_view(
-                Complex64::ONE,
-                pencil.t00.view(),
-                Op::None,
-                q1,
-                Op::None,
-                Complex64::ZERO,
-                &mut tq,
-            );
-            gemm_view(
-                Complex64::ONE,
-                pencil.t10.view(),
-                Op::None,
-                q2,
-                Op::None,
-                Complex64::ONE,
-                &mut tq,
-            );
-            let mut ar = ws.take_scratch(k, k);
-            gemm_view(
-                -Complex64::ONE,
-                q1,
-                Op::Adjoint,
-                tq.view(),
-                Op::None,
-                Complex64::ZERO,
-                &mut ar,
-            );
-            gemm_view(Complex64::ONE, q2, Op::Adjoint, q1, Op::None, Complex64::ONE, &mut ar);
-            let mut br = ws.take(k, k);
-            zherk(1.0, q2, Op::Adjoint, 0.0, &mut br);
-            gemm_view(
-                Complex64::ONE,
-                pencil.t01.view(),
-                Op::None,
-                q1,
-                Op::None,
-                Complex64::ZERO,
-                &mut tq,
-            );
-            gemm_view(
-                Complex64::ONE,
-                q1,
-                Op::Adjoint,
-                tq.view(),
-                Op::None,
-                Complex64::ONE,
-                &mut br,
-            );
-            ws.recycle(tq);
-            let ritz = match eig_generalized_ws(&ar, &br, ws) {
-                Ok(ritz) => ritz,
-                Err(e) => {
-                    for m in [ar, br, q, y] {
-                        ws.recycle(m);
-                    }
-                    return Err(e.into());
-                }
-            };
-            ws.recycle(ar);
-            ws.recycle(br);
-            // Lift Ritz vectors, classify, and measure residuals.
-            let x = ws.matmul(&q, &ritz.vectors);
             ws.recycle(q);
-            ws.recycle(ritz.vectors);
-            accepted.clear();
-            let mut max_res: f64 = 0.0;
-            let mut inside = 0usize;
-            let lo = 1.0 / cfg.r_outer * 0.999;
-            let hi = cfg.r_outer * 1.001;
-            for (j, &lam) in ritz.values.iter().enumerate() {
-                if !lam.is_finite() {
-                    continue;
+            let mut wider = ws.take_scratch(nbc, (2 * m).min(nbc));
+            wider.randomize(BLOCK_SEED);
+            ws.recycle(std::mem::replace(&mut y, wider));
+            let appended = apply_projector(pencil, nodes, factors, &y, m, ws, stats);
+            let mut both = ws.take_scratch(nbc, y.cols());
+            let (head, tail) = both.as_mut_slice().split_at_mut(nbc * m);
+            head.copy_from_slice(p.as_slice());
+            tail.copy_from_slice(appended.as_slice());
+            ws.recycle(appended);
+            ws.recycle(std::mem::replace(&mut p, both));
+        };
+        ws.recycle(p);
+        if it == 0 {
+            stats.subspace = y.cols();
+        }
+        let k = q.cols();
+        if k == 0 {
+            ws.recycle(q);
+            break; // empty annulus
+        }
+        // Reduced pencil (Eq. 7): [QᴴAQ]·y = λ·[QᴴBQ]·y, assembled
+        // blockwise from the companion structure instead of through
+        // materialized A·Q/B·Q products: with Q = [Q₁; Q₂],
+        //   QᴴAQ = −Q₁ᴴ·(T00·Q₁ + T10·Q₂) + Q₂ᴴ·Q₁
+        //   QᴴBQ =  Q₁ᴴ·(T01·Q₁) + Q₂ᴴ·Q₂
+        // so every inner dimension is nf (not 2·nf), the 2nf-tall
+        // temporaries are gone, and the Hermitian Q₂ᴴQ₂ term of the
+        // B-projection runs on the half-flop rank-k update.
+        let q1 = q.block_view(0, 0, nf, k);
+        let q2 = q.block_view(nf, 0, nf, k);
+        let mut tq = ws.take_scratch(nf, k);
+        gemm_view(
+            Complex64::ONE,
+            pencil.t00.view(),
+            Op::None,
+            q1,
+            Op::None,
+            Complex64::ZERO,
+            &mut tq,
+        );
+        gemm_view(
+            Complex64::ONE,
+            pencil.t10.view(),
+            Op::None,
+            q2,
+            Op::None,
+            Complex64::ONE,
+            &mut tq,
+        );
+        let mut ar = ws.take_scratch(k, k);
+        gemm_view(-Complex64::ONE, q1, Op::Adjoint, tq.view(), Op::None, Complex64::ZERO, &mut ar);
+        gemm_view(Complex64::ONE, q2, Op::Adjoint, q1, Op::None, Complex64::ONE, &mut ar);
+        let mut br = ws.take(k, k);
+        zherk(1.0, q2, Op::Adjoint, 0.0, &mut br);
+        gemm_view(
+            Complex64::ONE,
+            pencil.t01.view(),
+            Op::None,
+            q1,
+            Op::None,
+            Complex64::ZERO,
+            &mut tq,
+        );
+        gemm_view(Complex64::ONE, q1, Op::Adjoint, tq.view(), Op::None, Complex64::ONE, &mut br);
+        ws.recycle(tq);
+        let ritz = match eig_generalized_ws(&ar, &br, ws) {
+            Ok(ritz) => ritz,
+            Err(e) => {
+                for m in [ar, br, q, y] {
+                    ws.recycle(m);
                 }
-                let mag = lam.abs();
-                if mag < lo || mag > hi {
-                    continue;
-                }
-                inside += 1;
-                let mut u: Vec<Complex64> = (nf..nbc).map(|i| x[(i, j)]).collect();
-                let norm = u.iter().map(|z| z.norm_sqr()).sum::<f64>().sqrt();
-                if norm < 1e-12 {
-                    continue;
-                }
-                for z in u.iter_mut() {
-                    *z = *z / norm;
-                }
-                let res = pencil.residual(lam, &u);
-                if res < cfg.tol {
-                    accepted.push((lam, u));
-                    max_res = max_res.max(res);
-                }
+                return Err(e.into());
             }
-            stats.max_residual = max_res;
-            // Subspace saturation: annulus may hold more modes than m0.
-            if k + 2 >= m0 && m0 < nbc {
-                saturated = true;
-                ws.recycle(x);
-                break;
+        };
+        ws.recycle(ar);
+        ws.recycle(br);
+        // Lift Ritz vectors, classify, and measure residuals.
+        let x = ws.matmul(&q, &ritz.vectors);
+        ws.recycle(q);
+        ws.recycle(ritz.vectors);
+        accepted.clear();
+        let mut max_res: f64 = 0.0;
+        let mut inside = 0usize;
+        let lo = 1.0 / cfg.r_outer * 0.999;
+        let hi = cfg.r_outer * 1.001;
+        for (j, &lam) in ritz.values.iter().enumerate() {
+            if !lam.is_finite() {
+                continue;
             }
-            if inside > 0 && accepted.len() == inside {
-                stats.m_found = accepted.len();
-                ws.recycle(x);
-                ws.recycle(y);
-                return Ok(accepted);
+            let mag = lam.abs();
+            if mag < lo || mag > hi {
+                continue;
             }
-            // Stabilized acceptance: if the converged count repeats across
-            // two refinements, the stragglers are quadrature leakage from
-            // outside the annulus, not missing modes.
-            if it >= 1 && !accepted.is_empty() && accepted.len() == prev_accepted {
-                stats.m_found = accepted.len();
-                ws.recycle(x);
-                ws.recycle(y);
-                return Ok(accepted);
+            inside += 1;
+            let mut u: Vec<Complex64> = (nf..nbc).map(|i| x[(i, j)]).collect();
+            let norm = u.iter().map(|z| z.norm_sqr()).sum::<f64>().sqrt();
+            if norm < 1e-12 {
+                continue;
             }
-            prev_accepted = accepted.len();
-            if it + 1 < cfg.max_refine {
-                // Subspace iteration: feed the Ritz vectors back, letting
-                // the pool reclaim the previous subspace.
-                ws.recycle(std::mem::replace(&mut y, x));
-            } else {
-                ws.recycle(x);
+            for z in u.iter_mut() {
+                *z = *z / norm;
+            }
+            let res = pencil.residual(lam, &u);
+            if res < cfg.tol {
+                accepted.push((lam, u));
+                max_res = max_res.max(res);
             }
         }
-        if saturated {
-            m0 = (m0 * 2).min(nbc);
-            ws.recycle(y);
-            y = ws.take_scratch(nbc, m0);
-            y.randomize(0x0f_ea_58);
-            continue;
+        stats.max_residual = max_res;
+        // Converged (every Ritz value inside passed), or stabilized
+        // acceptance: if the converged count repeats across two
+        // refinements, the stragglers are quadrature leakage from outside
+        // the annulus, not missing modes.
+        let converged = inside > 0 && accepted.len() == inside;
+        let stabilized = it >= 1 && !accepted.is_empty() && accepted.len() == prev_accepted;
+        // The mirror rule for gaps: no Ritz value inside on two consecutive
+        // iterations leaves nothing to refine towards.
+        let empty = inside == 0 && prev_inside == 0;
+        if converged || stabilized || empty || it + 1 == cfg.max_refine {
+            ws.recycle(x);
+            break;
         }
-        // Not fully converged: return what passed the residual filter.
-        if !accepted.is_empty() {
-            stats.m_found = accepted.len();
-            ws.recycle(y);
-            return Ok(accepted);
-        }
-        break;
+        prev_accepted = accepted.len();
+        prev_inside = inside;
+        // Subspace iteration: feed the Ritz vectors back, letting the pool
+        // reclaim the previous subspace.
+        ws.recycle(std::mem::replace(&mut y, x));
     }
     ws.recycle(y);
+    // Converged, stabilized, or out of refinements: return what passed the
+    // residual filter.
+    stats.m_found = accepted.len();
+    if !accepted.is_empty() {
+        return Ok(accepted);
+    }
     // Either the annulus is empty (legitimate deep in a gap with only
     // fast-decaying modes) or FEAST failed outright; distinguish by one
     // last check with the dense baseline on small pencils.
-    stats.m_found = 0;
     if pencil.nbc() <= 64 {
         let all = crate::baselines::dense_modes(pencil)?;
         let lo = 1.0 / cfg.r_outer;

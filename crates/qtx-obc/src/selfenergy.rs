@@ -23,10 +23,10 @@
 //! function `g_L` provides an independent cross-check (tests below).
 
 use crate::baselines::{sancho_rubio, shift_invert_modes};
-use crate::beyn::beyn_annulus;
+use crate::beyn::beyn_annulus_ws;
 use crate::companion::CompanionPencil;
 use crate::error::{ObcError, ObcOutcome};
-use crate::feast::{feast_annulus, FeastStats};
+use crate::feast::{feast_annulus_ws, FeastStats};
 use crate::lead::LeadBlocks;
 use crate::modes::{classify_modes_eta, LeadModes, ModeSet};
 use crate::ObcMethod;
@@ -146,22 +146,34 @@ pub fn lead_modes_eta(
     method: ObcMethod,
 ) -> ObcOutcome<(LeadModes, Option<FeastStats>)> {
     let pencil = CompanionPencil::at_energy(lead, e, eta);
+    pencil_modes(lead, &pencil, eta, method, &Workspace::new())
+}
+
+/// The mode solve behind [`lead_modes_eta`] and [`self_energy`], on a
+/// pencil and a buffer pool the caller already holds.
+fn pencil_modes(
+    lead: &LeadBlocks,
+    pencil: &CompanionPencil,
+    eta: f64,
+    method: ObcMethod,
+    ws: &Workspace,
+) -> ObcOutcome<(LeadModes, Option<FeastStats>)> {
     let (pairs, stats) = match method {
-        ObcMethod::Feast(cfg) => match feast_annulus(&pencil, cfg) {
+        ObcMethod::Feast(cfg) => match feast_annulus_ws(pencil, cfg, ws) {
             Ok((p, s)) => (p, Some(s)),
             // Injected faults must surface — the robustness battery drives
             // the escalation ladder through exactly this path. Organic
             // FEAST stalls (modes straddling the contour at band edges)
             // keep the exact-but-slower dense fallback.
             Err(e) if e.is_injected() => return Err(e),
-            Err(_) => (shift_invert_modes(&pencil, c64(0.83, 0.41))?, None),
+            Err(_) => (shift_invert_modes(pencil, c64(0.83, 0.41))?, None),
         },
-        ObcMethod::Beyn(cfg) => (beyn_annulus(&pencil, cfg)?, None),
+        ObcMethod::Beyn(cfg) => (beyn_annulus_ws(pencil, cfg, ws)?, None),
         ObcMethod::ShiftInvert | ObcMethod::Decimation => {
-            (shift_invert_modes(&pencil, c64(0.83, 0.41))?, None)
+            (shift_invert_modes(pencil, c64(0.83, 0.41))?, None)
         }
     };
-    Ok((classify_modes_eta(lead, &pencil, &pairs, eta), stats))
+    Ok((classify_modes_eta(lead, pencil, &pairs, eta), stats))
 }
 
 /// Boundary self-energy and injection for one side (mode-based, the
@@ -210,9 +222,12 @@ pub fn self_energy(
         });
     }
     let nf = lead.nf();
-    let (modes, stats) = lead_modes_eta(lead, e, eta, method)?;
-    let (_t00, t01, t10) = lead.t_blocks(e, eta);
+    // One pencil and one buffer pool serve the mode solve and the Σ
+    // assembly alike.
+    let pencil = CompanionPencil::at_energy(lead, e, eta);
     let ws = Workspace::new();
+    let (modes, stats) = pencil_modes(lead, &pencil, eta, method, &ws)?;
+    let CompanionPencil { t01, t10, .. } = pencil;
     let (sigma, inc_modes, out_modes, coupling, lam_pow) = match side {
         Side::Left => {
             // Outgoing into the left lead; F_L⁻¹ = U Λ⁻¹ U⁺.
@@ -222,7 +237,7 @@ pub fn self_energy(
             sigma.scale_assign(-Complex64::ONE);
             let inc: Vec<ModeSet> =
                 modes.right_going.iter().filter(|m| m.propagating).cloned().collect();
-            (sigma, inc, modes.left_going.clone(), t10.clone(), -1)
+            (sigma, inc, modes.left_going, t10, -1)
         }
         Side::Right => {
             // Outgoing into the right lead; F_R = U Λ U⁺.
@@ -232,7 +247,7 @@ pub fn self_energy(
             sigma.scale_assign(-Complex64::ONE);
             let inc: Vec<ModeSet> =
                 modes.left_going.iter().filter(|m| m.propagating).cloned().collect();
-            (sigma, inc, modes.right_going.clone(), t01.clone(), 1)
+            (sigma, inc, modes.right_going, t01, 1)
         }
     };
     // Injection columns: −T·λ^{±1}·u − Σ·u.
