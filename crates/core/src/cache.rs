@@ -38,10 +38,11 @@
 //! write-up.
 
 use crate::device::DeviceK;
+use crate::error::{TransportError, TransportResult};
 use qtx_linalg::ZMat;
 use qtx_obc::{
-    decode_obc_result_parts, encode_obc_result_compressed, Eta, LeadBlocks, ObcFrameParts,
-    ObcMethod, ObcOutcome, ObcResult, Side,
+    decode_obc_result_parts, encode_obc_result_compressed, Eta, LeadBlocks, ObcError,
+    ObcFrameParts, ObcMethod, ObcOutcome, ObcResult, Side,
 };
 use qtx_sparse::CompressedSigma;
 use std::collections::HashMap;
@@ -277,11 +278,9 @@ impl SigmaCache {
         method: ObcMethod,
     ) -> ObcOutcome<ObcResult> {
         let key = Key::new(lead_hash, e, eta, side, method);
-        if let Some(found) = self.lookup(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+        if let Some(found) = self.lookup_counted(&key) {
             return Ok(found.into_result());
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
         let fresh = qtx_obc::self_energy(lead, e, Eta(eta), side, method)?;
         self.insert(key, e, &fresh);
         Ok(fresh)
@@ -302,22 +301,47 @@ impl SigmaCache {
         method: ObcMethod,
     ) -> ObcOutcome<ObcFrameParts> {
         let key = Key::new(lead_hash, e, eta, side, method);
-        if let Some(found) = self.lookup(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(found);
+        match self.lookup_counted(&key) {
+            Some(found) => Ok(found),
+            None => Ok(self.store(key, e, qtx_obc::self_energy(lead, e, Eta(eta), side, method)?)),
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let fresh = qtx_obc::self_energy(lead, e, Eta(eta), side, method)?;
-        self.insert(key, e, &fresh);
-        // Mirror the stored frame: the same deterministic compression the
-        // encoder applied, so a miss and a later hit hand back the same Σ.
-        let sigma = CompressedSigma::compress(&fresh.sigma, self.cfg.sigma_compress_tol);
-        Ok(ObcFrameParts {
-            sigma,
-            injection: fresh.injection,
-            inc_modes: fresh.inc_modes,
-            out_modes: fresh.out_modes,
-        })
+    }
+
+    /// Both contacts of one energy point, `(left, right)`: each key is
+    /// looked up, what is missing is solved and stored, and every hit,
+    /// miss, key and stored frame is what two
+    /// [`SigmaCache::self_energy_parts`] calls (left, then right) produce.
+    /// When both sides miss on leads with one content hash the two fresh
+    /// solves are one [`qtx_obc::self_energy_pair`], which shares the mode
+    /// solve between the contacts. A failure names its contact (both
+    /// lookups are booked before anything is solved, so a failing left
+    /// solve leaves the right lookup counted where the two-call sequence
+    /// would not have reached it).
+    #[allow(clippy::too_many_arguments)]
+    pub fn self_energy_pair(
+        &self,
+        lead_l: &LeadBlocks,
+        hash_l: u64,
+        lead_r: &LeadBlocks,
+        hash_r: u64,
+        e: f64,
+        eta: f64,
+        method: ObcMethod,
+    ) -> Result<(ObcFrameParts, ObcFrameParts), (Side, ObcError)> {
+        let key_l = Key::new(hash_l, e, eta, Side::Left, method);
+        let key_r = Key::new(hash_r, e, eta, Side::Right, method);
+        let (found_l, found_r) = (self.lookup_counted(&key_l), self.lookup_counted(&key_r));
+        if found_l.is_none() && found_r.is_none() && hash_l == hash_r {
+            let (obc_l, obc_r) = qtx_obc::self_energy_pair(lead_l, lead_r, e, Eta(eta), method)?;
+            return Ok((self.store(key_l, e, obc_l), self.store(key_r, e, obc_r)));
+        }
+        let one = |found, key, lead, side| match found {
+            Some(parts) => Ok(parts),
+            None => qtx_obc::self_energy(lead, e, Eta(eta), side, method)
+                .map(|fresh| self.store(key, e, fresh))
+                .map_err(|source| (side, source)),
+        };
+        Ok((one(found_l, key_l, lead_l, Side::Left)?, one(found_r, key_r, lead_r, Side::Right)?))
     }
 
     /// Exact lookup without a solve fallback (the engine's interpolating
@@ -334,6 +358,23 @@ impl SigmaCache {
         let found = self.lookup(&key)?;
         self.hits.fetch_add(1, Ordering::Relaxed);
         Some(found.into_result())
+    }
+
+    /// [`SigmaCache::lookup`] that books the outcome as a hit or a miss.
+    fn lookup_counted(&self, key: &Key) -> Option<ObcFrameParts> {
+        let found = self.lookup(key);
+        let counter = if found.is_some() { &self.hits } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
+        found
+    }
+
+    /// Stores a fresh solve and hands it back as the parts a later hit on
+    /// `key` would serve: the same deterministic compression the frame
+    /// encoder applied (none — Σ moves through untouched — at the default
+    /// tolerance 0).
+    fn store(&self, key: Key, e: f64, fresh: ObcResult) -> ObcFrameParts {
+        self.insert(key, e, &fresh);
+        fresh_parts(fresh, self.cfg.sigma_compress_tol)
     }
 
     fn lookup(&self, key: &Key) -> Option<ObcFrameParts> {
@@ -608,57 +649,53 @@ pub(crate) fn env_handle(dk: &DeviceK) -> Option<CacheHandle> {
     global().map(|c| CacheHandle::for_dk(c.clone(), dk))
 }
 
-/// The one chokepoint every transport path funnels its self-energy builds
-/// through: consults `handle` when caching is on, falls back to the plain
-/// solve when it is not — and **always** bypasses the cache while a
-/// fault-injection campaign is armed, so fault batteries observe exactly
-/// the uncached sequence of chokepoint draws.
-pub(crate) fn cached_self_energy(
-    handle: Option<&CacheHandle>,
-    lead: &LeadBlocks,
-    e: f64,
-    eta: f64,
-    side: Side,
-    method: ObcMethod,
-) -> ObcOutcome<ObcResult> {
-    match handle {
-        Some(h) if !qtx_linalg::fault::armed() => {
-            h.cache.self_energy(lead, h.hash_of(side), e, eta, side, method)
-        }
-        _ => qtx_obc::self_energy(lead, e, Eta(eta), side, method),
+/// A fresh solve as frame parts, Σ compressed at `tol` exactly as
+/// [`encode_obc_result_compressed`] would store it (`tol ≤ 0`: the dense
+/// block moves through untouched).
+fn fresh_parts(fresh: ObcResult, tol: f64) -> ObcFrameParts {
+    let sigma = if tol > 0.0 {
+        CompressedSigma::compress(&fresh.sigma, tol)
+    } else {
+        CompressedSigma::Dense(fresh.sigma)
+    };
+    ObcFrameParts {
+        sigma,
+        injection: fresh.injection,
+        inc_modes: fresh.inc_modes,
+        out_modes: fresh.out_modes,
     }
 }
 
-/// [`cached_self_energy`] for the transmission-only path: hands back
-/// frame *parts* so a Σ that compressed inside the cache reaches the
-/// solver still factored. Without a handle the fresh solve is compressed
-/// here with `compress_tol` (the cache applies its own configured
-/// tolerance, which wins when a handle is present). Same fault-injection
-/// bypass as the dense chokepoint.
-pub(crate) fn cached_self_energy_parts(
+/// The one chokepoint every transport path funnels its self-energy builds
+/// through — both contacts of a point at once, so leads that are the same
+/// bytes pay for one mode solve ([`qtx_obc::self_energy_pair`]). Consults
+/// `handle` when caching is on, falls back to the plain pair when it is
+/// not — and **always** bypasses the cache while a fault-injection
+/// campaign is armed, so fault batteries observe exactly the uncached
+/// sequence of chokepoint draws.
+///
+/// Σ comes back in frame *parts*: a Σ that compressed inside the cache
+/// reaches a boundary-block solver still factored, and dense callers
+/// expand with [`ObcFrameParts::into_result`] (a move when Σ is dense).
+/// An uncached solve is compressed here with `uncached_tol` (0 keeps it
+/// dense and exact; the cache applies its own configured tolerance, which
+/// wins when a handle serves the point).
+pub(crate) fn self_energy_pair(
     handle: Option<&CacheHandle>,
-    lead: &LeadBlocks,
+    dk: &DeviceK,
     e: f64,
     eta: f64,
-    side: Side,
     method: ObcMethod,
-    compress_tol: f64,
-) -> ObcOutcome<ObcFrameParts> {
+    uncached_tol: f64,
+) -> TransportResult<(ObcFrameParts, ObcFrameParts)> {
     match handle {
         Some(h) if !qtx_linalg::fault::armed() => {
-            h.cache.self_energy_parts(lead, h.hash_of(side), e, eta, side, method)
+            h.cache.self_energy_pair(&dk.lead_l, h.hash_l, &dk.lead_r, h.hash_r, e, eta, method)
         }
-        _ => {
-            let fresh = qtx_obc::self_energy(lead, e, Eta(eta), side, method)?;
-            let sigma = CompressedSigma::compress(&fresh.sigma, compress_tol);
-            Ok(ObcFrameParts {
-                sigma,
-                injection: fresh.injection,
-                inc_modes: fresh.inc_modes,
-                out_modes: fresh.out_modes,
-            })
-        }
+        _ => qtx_obc::self_energy_pair(&dk.lead_l, &dk.lead_r, e, Eta(eta), method)
+            .map(|(l, r)| (fresh_parts(l, uncached_tol), fresh_parts(r, uncached_tol))),
     }
+    .map_err(|(side, source)| TransportError::Obc { side, source })
 }
 
 #[cfg(test)]

@@ -158,7 +158,6 @@ impl Device {
         };
         let (d, up, lo) = ucm.folded();
         let (ds, us, ls) = ucm.folded_overlap();
-        let nf = d.rows();
         // Leads sit at the contact potentials (flat extensions).
         let v_l = *self.potential.first().unwrap_or(&0.0);
         let v_r = *self.potential.last().unwrap_or(&0.0);
@@ -182,7 +181,6 @@ impl Device {
                 h.lower[q].axpy(c64(vm, 0.0), &s.lower[q]);
             }
         }
-        let _ = nf;
         DeviceK { lead_l, lead_r, h, s, kz }
     }
 

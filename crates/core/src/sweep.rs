@@ -45,7 +45,6 @@ use crate::refine::{refined_fingerprint, select_refinements, RefineConfig, Refin
 use crate::scheduler::{self, BatchStats, Scheduler};
 use crate::transport::{solve_point_robust_raw, METHOD_FAILED};
 use qtx_mpi::CostModel;
-use qtx_obc::Side;
 use std::collections::HashSet;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -723,21 +722,13 @@ impl ChunkSpec {
     /// not produce.
     fn prefetch_sigma(&self) {
         for &(_, e) in &self.points {
-            let _ = crate::cache::cached_self_energy(
+            let _ = crate::cache::self_energy_pair(
                 self.cache.as_ref(),
-                &self.dk.lead_l,
+                &self.dk,
                 e,
                 0.0,
-                Side::Left,
                 self.cfg.obc,
-            );
-            let _ = crate::cache::cached_self_energy(
-                self.cache.as_ref(),
-                &self.dk.lead_r,
-                e,
                 0.0,
-                Side::Right,
-                self.cfg.obc,
             );
         }
     }

@@ -1,10 +1,16 @@
 //! One (E, k) transport pixel: OBCs + Eq. 5 solve + observables.
 //!
-//! The production pipeline mirrors the paper's interleaving: Step 1 of
-//! SplitSolve (`Q = A⁻¹B`) only needs `A = E·S − H`, so it runs while the
-//! OBC algorithm (FEAST on the CPUs) produces `Σ^RB` and `Inj`; the
-//! post-processing then combines them (Fig. 6's timeline). Transmission is
-//! computed two independent ways:
+//! A point runs in sequence on the thread that picked it up: first the OBC
+//! layer produces `Σ^RB` and `Inj` for both contacts (one lead-mode solve
+//! when the two leads are the same bytes — [`qtx_obc::self_energy_pair`]),
+//! then the interior solve consumes them. The paper overlaps the two —
+//! Step 1 of SplitSolve (`Q = A⁻¹B`) only needs `A = E·S − H`, so it runs
+//! on the GPUs while FEAST produces the boundary conditions on the CPUs
+//! (Fig. 6's timeline) — this code does not. The only overlap is between
+//! points: a batched sweep with a Σ-cache splits each chunk into a
+//! Σ-prefetch task and a dependent interior task, so one chunk's OBC work
+//! runs beside another's interior solves on the pool (`sweep.rs`).
+//! Transmission is computed two independent ways:
 //!
 //! * **Wave function** (Eq. 5): solve for the scattering states injected
 //!   from each contact, project the outgoing block on the lead modes, sum
@@ -20,7 +26,7 @@ use crate::device::{DeviceK, TransportConfig};
 use crate::error::{TransportError, TransportResult};
 use qtx_accel::AccelRuntime;
 use qtx_linalg::{qr_least_squares, Complex64, LinalgError, ZMat};
-use qtx_obc::{self_energy, BeynConfig, Eta, LeadBlocks, ModeSet, ObcMethod, ObcResult, Side};
+use qtx_obc::{self_energy_pair, BeynConfig, Eta, ModeSet, ObcMethod, ObcResult};
 use qtx_solver::{
     bcr_solve, btd_lu_solve_ws, caroli_sweep, ObcSystem, SolverKind, SplitSolve, Workspace,
 };
@@ -114,11 +120,8 @@ pub(crate) fn solve_point_direct(
     rt: Option<&AccelRuntime>,
     cache: Option<&CacheHandle>,
 ) -> TransportResult<EnergyPointResult> {
-    let obc_l = cache::cached_self_energy(cache, &dk.lead_l, e, 0.0, Side::Left, cfg.obc)
-        .map_err(|source| TransportError::Obc { side: Side::Left, source })?;
-    let obc_r = cache::cached_self_energy(cache, &dk.lead_r, e, 0.0, Side::Right, cfg.obc)
-        .map_err(|source| TransportError::Obc { side: Side::Right, source })?;
-    solve_with_obc(dk, e, cfg, &obc_l, &obc_r, rt)
+    let (obc_l, obc_r) = cache::self_energy_pair(cache, dk, e, 0.0, cfg.obc, 0.0)?;
+    solve_with_obc(dk, e, cfg, &obc_l.into_result(), &obc_r.into_result(), rt)
 }
 
 /// Inner solve with precomputed OBCs (lets the sweep reuse them and lets
@@ -273,10 +276,8 @@ fn btd_residual(sys: &ObcSystem, x: &ZMat) -> f64 {
 
 /// NEGF/Caroli transmission through the one-sweep kernel (Eq. 4 route).
 pub fn caroli_transmission(dk: &DeviceK, e: f64, obc: ObcMethod) -> TransportResult<f64> {
-    let obc_l = self_energy(&dk.lead_l, e, Eta::ZERO, Side::Left, obc)
-        .map_err(|source| TransportError::Obc { side: Side::Left, source })?;
-    let obc_r = self_energy(&dk.lead_r, e, Eta::ZERO, Side::Right, obc)
-        .map_err(|source| TransportError::Obc { side: Side::Right, source })?;
+    let (obc_l, obc_r) = self_energy_pair(&dk.lead_l, &dk.lead_r, e, Eta::ZERO, obc)
+        .map_err(|(side, source)| TransportError::Obc { side, source })?;
     caroli_from_sigmas(dk, e, 0.0, &obc_l.sigma, &obc_r.sigma)
 }
 
@@ -332,26 +333,7 @@ pub(crate) fn solve_point_transmission_only(
     compress_tol: f64,
     support: &[CouplingSupport],
 ) -> TransportResult<(EnergyPointResult, f64)> {
-    let parts_l = cache::cached_self_energy_parts(
-        cache,
-        &dk.lead_l,
-        e,
-        0.0,
-        Side::Left,
-        cfg.obc,
-        compress_tol,
-    )
-    .map_err(|source| TransportError::Obc { side: Side::Left, source })?;
-    let parts_r = cache::cached_self_energy_parts(
-        cache,
-        &dk.lead_r,
-        e,
-        0.0,
-        Side::Right,
-        cfg.obc,
-        compress_tol,
-    )
-    .map_err(|source| TransportError::Obc { side: Side::Right, source })?;
+    let (parts_l, parts_r) = cache::self_energy_pair(cache, dk, e, 0.0, cfg.obc, compress_tol)?;
     let bound = parts_l.sigma.bound().max(parts_r.sigma.bound());
     let channels = (
         parts_l.inc_modes.iter().filter(|m| m.propagating).count(),
@@ -360,14 +342,6 @@ pub(crate) fn solve_point_transmission_only(
     let t = caroli_streamed(dk, e, 0.0, &parts_l.sigma, &parts_r.sigma, support)?;
     let (sigma_l, sigma_r) = (parts_l.sigma.to_dense(), parts_r.sigma.to_dense());
     Ok((EnergyPointResult::caroli_only(e, dk.kz, t, channels, sigma_l, sigma_r), bound))
-}
-
-/// Lead band edges helper re-exported for grid building.
-pub fn lead_of(dk: &DeviceK, side: Side) -> &LeadBlocks {
-    match side {
-        Side::Left => &dk.lead_l,
-        Side::Right => &dk.lead_r,
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -548,13 +522,10 @@ fn try_rung(
     cfg: &TransportConfig,
     cache: Option<&CacheHandle>,
 ) -> TransportResult<(EnergyPointResult, f64)> {
-    let obc_l = cache::cached_self_energy(cache, &dk.lead_l, e, eta, Side::Left, method)
-        .map_err(|source| TransportError::Obc { side: Side::Left, source })?;
-    let obc_r = cache::cached_self_energy(cache, &dk.lead_r, e, eta, Side::Right, method)
-        .map_err(|source| TransportError::Obc { side: Side::Right, source })?;
+    let (obc_l, obc_r) = cache::self_energy_pair(cache, dk, e, eta, method, 0.0)?;
     let mut c = *cfg;
     c.obc = method;
-    solve_with_obc_eta(dk, e, eta, &c, &obc_l, &obc_r, None)
+    solve_with_obc_eta(dk, e, eta, &c, &obc_l.into_result(), &obc_r.into_result(), None)
 }
 
 /// Last-resort rung: Sancho–Rubio decimation Σ (no modes, so no
@@ -565,26 +536,11 @@ fn decimation_caroli_rung(
     e: f64,
     cache: Option<&CacheHandle>,
 ) -> TransportResult<EnergyPointResult> {
-    let obc_l = cache::cached_self_energy(
-        cache,
-        &dk.lead_l,
-        e,
-        ETA_BUMP,
-        Side::Left,
-        ObcMethod::Decimation,
-    )
-    .map_err(|source| TransportError::Obc { side: Side::Left, source })?;
-    let obc_r = cache::cached_self_energy(
-        cache,
-        &dk.lead_r,
-        e,
-        ETA_BUMP,
-        Side::Right,
-        ObcMethod::Decimation,
-    )
-    .map_err(|source| TransportError::Obc { side: Side::Right, source })?;
-    let t = caroli_from_sigmas(dk, e, ETA_BUMP, &obc_l.sigma, &obc_r.sigma)?;
-    Ok(EnergyPointResult::caroli_only(e, dk.kz, t, (0, 0), obc_l.sigma, obc_r.sigma))
+    let (obc_l, obc_r) =
+        cache::self_energy_pair(cache, dk, e, ETA_BUMP, ObcMethod::Decimation, 0.0)?;
+    let (sigma_l, sigma_r) = (obc_l.into_result().sigma, obc_r.into_result().sigma);
+    let t = caroli_from_sigmas(dk, e, ETA_BUMP, &sigma_l, &sigma_r)?;
+    Ok(EnergyPointResult::caroli_only(e, dk.kz, t, (0, 0), sigma_l, sigma_r))
 }
 
 /// The escalation ladder behind [`crate::PointPolicy::robust`] and every
@@ -651,7 +607,7 @@ mod tests {
 
     /// Energies guaranteed to cross a *dispersive* conduction band
     /// (flat passivation bands carry no current and are skipped).
-    fn probe_energies(lead: &LeadBlocks, n: usize) -> Vec<f64> {
+    fn probe_energies(lead: &qtx_obc::LeadBlocks, n: usize) -> Vec<f64> {
         let mut out = Vec::new();
         for i in 0..n {
             let k = 0.6 + 0.5 * i as f64;

@@ -55,6 +55,17 @@ impl ProjectorRhs<'_> {
     }
 }
 
+/// The factorization a shifted solve at node `z` runs on.
+#[derive(Debug, Clone, Copy)]
+pub enum NodeFactors<'a> {
+    /// The LU of `P(z)` itself.
+    Own(&'a LuFactors),
+    /// The LU of `P(1/z̄)` of a pencil that [`CompanionPencil::is_hermitian`]:
+    /// there `P(z) = z²·P(1/z̄)ᴴ`, so `P(z)⁻¹·r` is `z⁻²` times an adjoint
+    /// solve on the reciprocal node's factors.
+    Reciprocal(&'a LuFactors),
+}
+
 impl CompanionPencil {
     /// Builds the pencil at energy `e` (+iη broadening).
     pub fn at_energy(lead: &LeadBlocks, e: f64, eta: f64) -> Self {
@@ -140,6 +151,23 @@ impl CompanionPencil {
         p
     }
 
+    /// Whether this is the pencil of a Hermitian lead at a real energy,
+    /// entry for entry: `T00 = T00ᴴ` and `T10 = T01ᴴ` as stored numbers.
+    /// Then `P(1/z̄) = z̄⁻²·(z̄²·T10 + z̄·T00 + T01) = z̄⁻²·P(z)ᴴ` is an
+    /// identity, not an approximation, and the two circles of the annulus
+    /// contour (nodes `z` and `1/z̄`) can share one factorization per angle
+    /// ([`NodeFactors::Reciprocal`]). Any broadening `η > 0` puts `iη·S00`
+    /// on the diagonal of `T00` and fails the test.
+    pub fn is_hermitian(&self) -> bool {
+        let nf = self.nf;
+        (0..nf).all(|j| {
+            (0..nf).all(|i| {
+                self.t10[(i, j)] == self.t01[(j, i)].conj()
+                    && (i > j || self.t00[(i, j)] == self.t00[(j, i)].conj())
+            })
+        })
+    }
+
     /// Deterministic fault-injection key for this pencil's quadrature
     /// factorizations: mixes the node `z` with pencil content (which
     /// carries `E`, `η` and the lead), so an escalation that changes the
@@ -150,12 +178,21 @@ impl CompanionPencil {
         qtx_linalg::fault::key_of(&[z.re, z.im, t.re, t.im])
     }
 
-    /// Factorizes `P(z)` once; reused across all FEAST right-hand sides at
-    /// the same integration point.
-    pub fn factor_poly(&self, z: Complex64) -> Result<LuFactors> {
+    /// The `factor_poly` fault chokepoint of quadrature node `z`, drawn once
+    /// per node whether the node factors `P(z)` itself or borrows the
+    /// reciprocal node's factors — so a campaign fails the same nodes
+    /// either way.
+    pub(crate) fn draw_factor_fault(&self, z: Complex64) -> Result<()> {
         if qtx_linalg::fault::should_fail("factor_poly", self.injection_key(z)) {
             return Err(qtx_linalg::LinalgError::Injected { site: "factor_poly" });
         }
+        Ok(())
+    }
+
+    /// Factorizes `P(z)` once; reused across all FEAST right-hand sides at
+    /// the same integration point.
+    pub fn factor_poly(&self, z: Complex64) -> Result<LuFactors> {
+        self.draw_factor_fault(z)?;
         lu_factor(&self.poly_at(z))
     }
 
@@ -164,9 +201,7 @@ impl CompanionPencil {
     /// index buffers included; hand everything back via
     /// [`LuFactors::recycle_into`] when the factors are spent.
     pub fn factor_poly_ws(&self, z: Complex64, ws: &Workspace) -> Result<LuFactors> {
-        if qtx_linalg::fault::should_fail("factor_poly", self.injection_key(z)) {
-            return Err(qtx_linalg::LinalgError::Injected { site: "factor_poly" });
-        }
+        self.draw_factor_fault(z)?;
         let mut p = ws.copy_of(&self.t01);
         p.scale_assign(z * z);
         p.axpy(z, &self.t00);
@@ -212,7 +247,7 @@ impl CompanionPencil {
             &mut rhs,
         );
         ws.recycle(zt01_t00);
-        self.finish_shifted(factors, z, rhs, y2, ws)
+        self.finish_shifted(NodeFactors::Own(factors), z, rhs, y2, ws)
     }
 
     /// Tail shared by both shifted solves: back-substitutes `P(z)·x2 = rhs`
@@ -220,7 +255,7 @@ impl CompanionPencil {
     /// `x = [z·x2 − y2; x2]`.
     fn finish_shifted(
         &self,
-        factors: &LuFactors,
+        factors: NodeFactors<'_>,
         z: Complex64,
         mut x2: ZMat,
         y2: ZMatRef<'_>,
@@ -228,7 +263,13 @@ impl CompanionPencil {
     ) -> ZMat {
         let nf = self.nf;
         let m = x2.cols();
-        factors.solve_in_place(&mut x2);
+        match factors {
+            NodeFactors::Own(f) => f.solve_in_place(&mut x2),
+            NodeFactors::Reciprocal(f) => {
+                f.solve_adjoint_in_place(&mut x2);
+                x2.scale_assign((z * z).inv());
+            }
+        }
         let mut x = ws.take_scratch(2 * nf, m);
         for j in 0..m {
             let x2col = x2.col(j);
@@ -271,7 +312,7 @@ impl CompanionPencil {
     /// `z·T01 + T00` temporary and product.
     pub fn solve_projector_ws(
         &self,
-        factors: &LuFactors,
+        factors: NodeFactors<'_>,
         z: Complex64,
         rhs: &ProjectorRhs<'_>,
         ws: &Workspace,
@@ -289,9 +330,22 @@ impl CompanionPencil {
         self.finish_shifted(factors, z, x2, rhs.y2, ws)
     }
 
+    /// The pencil magnitude [`CompanionPencil::residual`] measures against:
+    /// the sum of the three blocks' max-norms (three `nf²` scans — callers
+    /// with many eigenpairs take it once).
+    pub fn scale(&self) -> f64 {
+        (self.t00.norm_max() + self.t01.norm_max() + self.t10.norm_max()).max(1e-300)
+    }
+
     /// Residual of a quadratic eigenpair: `‖(T10 + λT00 + λ²T01)u‖₂ / ‖u‖₂`
     /// scaled by the pencil magnitude.
     pub fn residual(&self, lambda: Complex64, u: &[Complex64]) -> f64 {
+        self.residual_scaled(lambda, u, self.scale())
+    }
+
+    /// [`CompanionPencil::residual`] against a [`CompanionPencil::scale`]
+    /// the caller already holds.
+    pub fn residual_scaled(&self, lambda: Complex64, u: &[Complex64], scale: f64) -> f64 {
         let mut p = self.t10.matvec(u);
         let t00u = self.t00.matvec(u);
         let t01u = self.t01.matvec(u);
@@ -300,9 +354,8 @@ impl CompanionPencil {
             p[i] = p[i] + lambda * t00u[i] + l2 * t01u[i];
         }
         let num = p.iter().map(|v| v.norm_sqr()).sum::<f64>().sqrt();
-        let den = u.iter().map(|v| v.norm_sqr()).sum::<f64>().sqrt()
-            * (self.t00.norm_max() + self.t01.norm_max() + self.t10.norm_max()).max(1e-300)
-            * (1.0 + lambda.norm_sqr());
+        let den =
+            u.iter().map(|v| v.norm_sqr()).sum::<f64>().sqrt() * scale * (1.0 + lambda.norm_sqr());
         num / den
     }
 }
@@ -360,13 +413,54 @@ mod tests {
             for z in [c64(0.8, 0.6), Complex64::from_polar(16.0, 2.1), c64(0.03, -0.05)] {
                 let f = p.factor_poly(z).unwrap();
                 let reference = p.solve_shifted_ws(&f, z, &by, &ws);
-                let x = p.solve_projector_ws(&f, z, &rhs, &ws);
+                let x = p.solve_projector_ws(NodeFactors::Own(&f), z, &rhs, &ws);
                 let tail = reference.block(0, c0, p.nbc(), 5 - c0);
                 let scale = reference.norm_max().max(1.0);
                 assert!(x.max_diff(&tail) < 1e-12 * scale, "c0 = {c0}, z = {z}");
             }
             rhs.recycle_into(&ws);
         }
+    }
+
+    #[test]
+    fn reciprocal_node_solves_on_the_adjoint_of_the_outer_factors() {
+        // Hermitian lead with a non-trivial overlap, real energy: the
+        // pencil passes the entrywise test and the inner-circle node 1/z̄
+        // solves through P(z)'s factors to the accuracy of a fresh LU.
+        let n = 9;
+        let mut h00 = ZMat::random(n, n, 31);
+        h00.hermitianize();
+        let mut s00 = ZMat::random(n, n, 33).scaled(c64(0.05, 0.0));
+        s00.hermitianize();
+        s00.axpy(Complex64::ONE, &ZMat::identity(n));
+        let s01 = ZMat::random(n, n, 34).scaled(c64(0.05, 0.0));
+        let lead = LeadBlocks::new(h00, ZMat::random(n, n, 32), s00, s01);
+        let p = CompanionPencil::at_energy(&lead, 0.23, 0.0);
+        assert!(p.is_hermitian());
+        let ws = Workspace::new();
+        let y = ZMat::random(p.nbc(), 4, 35);
+        let rhs = p.projector_rhs_ws(&y, 0, &ws);
+        for z_outer in [Complex64::from_polar(16.0, 0.3), Complex64::from_polar(1.7, -2.2)] {
+            let z_inner = z_outer.conj().inv();
+            let outer = p.factor_poly(z_outer).unwrap();
+            let fresh = p.factor_poly(z_inner).unwrap();
+            let reference = p.solve_projector_ws(NodeFactors::Own(&fresh), z_inner, &rhs, &ws);
+            let x = p.solve_projector_ws(NodeFactors::Reciprocal(&outer), z_inner, &rhs, &ws);
+            let scale = reference.norm_max().max(1.0);
+            assert!(
+                x.max_diff(&reference) < 1e-12 * scale,
+                "|z| = {}: {:.2e}",
+                z_outer.abs(),
+                x.max_diff(&reference) / scale
+            );
+        }
+        rhs.recycle_into(&ws);
+        // Any broadening breaks the identity, and the test says so.
+        assert!(!CompanionPencil::at_energy(&lead, 0.23, 1e-6).is_hermitian());
+        // So does a coupling that is not the adjoint of its partner.
+        let mut skew = p.clone();
+        skew.t10[(0, 1)] += c64(1e-14, 0.0);
+        assert!(!skew.is_hermitian());
     }
 
     #[test]

@@ -18,6 +18,14 @@
 //! on the orthonormalized subspace (Eq. 7) plus residual-driven subspace
 //! iteration refine the eigenpairs.
 //!
+//! The inner-circle node at angle `θ` is `1/z̄` of the outer one, and for
+//! the pencil of a Hermitian lead at a real energy
+//! ([`CompanionPencil::is_hermitian`]) `P(1/z̄) = z̄⁻²·P(z)ᴴ` exactly: only
+//! the outer circle is factored there and the inner nodes solve through
+//! the adjoints of those factors. A broadened (`η > 0`) or non-Hermitian
+//! pencil factors both circles through the same loop; which of the two
+//! happens is read off the pencil, never configured.
+//!
 //! Only `m ≪ N_BC` modes live in the annulus, so the random block `Y_F`
 //! starts a few columns wide and is sized by the projector itself: while
 //! the rank-truncated `Q_F` fills the block (`rank + 2 ≥ columns`) as many
@@ -29,10 +37,11 @@
 //! what `qtx-machine`'s `perfmodel::feast_flops` budgets as
 //! `max(nf/8, 64)` columns. `docs/obc.md` has the cost ledger.
 
-use crate::companion::CompanionPencil;
+use crate::companion::{CompanionPencil, NodeFactors};
 use crate::error::{ObcError, ObcOutcome};
 use qtx_linalg::{
-    eig_generalized_ws, eig_ws, gemm_view, orthonormalize_ws, zherk, Complex64, Op, Workspace, ZMat,
+    eig_generalized_ws, eig_ws, gemm_view, orthonormalize_ws, zherk, Complex64, LuFactors, Op,
+    Workspace, ZMat,
 };
 use rayon::prelude::*;
 
@@ -123,6 +132,10 @@ pub struct FeastStats {
     /// Columns of the random block once the sizing loop stopped growing it
     /// (a report: setting it changes nothing).
     pub subspace: usize,
+    /// Factorizations of `P(z_p)` held by the run (a report): `2·np`, or
+    /// `np` when the pencil is Hermitian and the inner circle runs on the
+    /// outer factors' adjoints.
+    pub factorizations: usize,
     /// Block back-substitutions: one per quadrature node per projector
     /// application (every subspace iteration and every growth step of the
     /// sizing loop), each against all columns projected at that step.
@@ -170,15 +183,27 @@ pub fn feast_annulus_ws(
         .collect();
     // One LU of P(z_p) per node, reused across refinements and RHS; the
     // polynomial evaluations cycle through the shared pool and the factors
-    // adopt their buffers (handed back when the run returns).
+    // adopt their buffers (handed back when the run returns). The nodes
+    // come in (outer, inner) pairs at one angle: an inner node of a
+    // Hermitian pencil holds `None` and borrows its outer neighbour's
+    // factors. Every node draws its fault chokepoint either way.
+    let reciprocal = pencil.is_hermitian();
     let factors = nodes
         .par_iter()
-        .map(|(z, _)| pencil.factor_poly_ws(*z, ws))
-        .collect::<qtx_linalg::Result<Vec<_>>>()
+        .enumerate()
+        .map(|(i, (z, _))| {
+            if reciprocal && i % 2 == 1 {
+                pencil.draw_factor_fault(*z).map(|()| None)
+            } else {
+                pencil.factor_poly_ws(*z, ws).map(Some)
+            }
+        })
+        .collect::<qtx_linalg::Result<Vec<Option<LuFactors>>>>()
         .map_err(ObcError::from);
     let result = factors.and_then(|factors| {
+        stats.factorizations = factors.iter().flatten().count();
         let r = feast_core(pencil, cfg, &nodes, &factors, ws, &mut stats);
-        for f in factors {
+        for f in factors.into_iter().flatten() {
             f.recycle_into(ws);
         }
         r
@@ -211,7 +236,7 @@ const BLOCK_SEED: u64 = 0x0f_ea_57;
 fn apply_projector(
     pencil: &CompanionPencil,
     nodes: &[(Complex64, Complex64)],
-    factors: &[qtx_linalg::LuFactors],
+    factors: &[Option<LuFactors>],
     y: &ZMat,
     c0: usize,
     ws: &Workspace,
@@ -220,8 +245,14 @@ fn apply_projector(
     let rhs = pencil.projector_rhs_ws(y, c0, ws);
     let partials: Vec<ZMat> = nodes
         .par_iter()
-        .zip(factors)
-        .map(|(&(z, w), f)| {
+        .enumerate()
+        .map(|(i, &(z, w))| {
+            let f = match &factors[i] {
+                Some(own) => NodeFactors::Own(own),
+                None => NodeFactors::Reciprocal(
+                    factors[i - 1].as_ref().expect("the outer node of the pair is factored"),
+                ),
+            };
             let mut x = pencil.solve_projector_ws(f, z, &rhs, ws);
             x.scale_assign(w);
             x
@@ -243,18 +274,21 @@ fn feast_core(
     pencil: &CompanionPencil,
     cfg: FeastConfig,
     nodes: &[(Complex64, Complex64)],
-    factors: &[qtx_linalg::LuFactors],
+    factors: &[Option<LuFactors>],
     ws: &Workspace,
     stats: &mut FeastStats,
 ) -> ObcOutcome<FeastModes> {
     let nf = pencil.nf;
     let nbc = 2 * nf;
+    let scale = pencil.scale();
     let start = if cfg.subspace == 0 { START_BLOCK } else { cfg.subspace };
     let mut y = ws.take_scratch(nbc, start.min(nbc));
     y.randomize(BLOCK_SEED);
     let mut accepted: Vec<(Complex64, Vec<Complex64>)> = Vec::new();
     let mut prev_accepted = usize::MAX;
     let mut prev_inside = usize::MAX;
+    // Ritz values the last iteration placed inside the annulus.
+    let mut last_inside = 0usize;
     for it in 0..cfg.max_refine {
         stats.iterations += 1;
         let mut p = apply_projector(pencil, nodes, factors, &y, 0, ws, stats);
@@ -298,6 +332,7 @@ fn feast_core(
         let k = q.cols();
         if k == 0 {
             ws.recycle(q);
+            last_inside = 0;
             break; // empty annulus
         }
         // Reduced pencil (Eq. 7): [QᴴAQ]·y = λ·[QᴴBQ]·y, assembled
@@ -382,13 +417,14 @@ fn feast_core(
             for z in u.iter_mut() {
                 *z = *z / norm;
             }
-            let res = pencil.residual(lam, &u);
+            let res = pencil.residual_scaled(lam, &u, scale);
             if res < cfg.tol {
                 accepted.push((lam, u));
                 max_res = max_res.max(res);
             }
         }
         stats.max_residual = max_res;
+        last_inside = inside;
         // Converged (every Ritz value inside passed), or stabilized
         // acceptance: if the converged count repeats across two
         // refinements, the stragglers are quadrature leakage from outside
@@ -415,9 +451,9 @@ fn feast_core(
     if !accepted.is_empty() {
         return Ok(accepted);
     }
-    // Either the annulus is empty (legitimate deep in a gap with only
-    // fast-decaying modes) or FEAST failed outright; distinguish by one
-    // last check with the dense baseline on small pencils.
+    // Nothing passed the residual filter: the annulus is empty (legitimate
+    // deep in a gap with only fast-decaying modes) or FEAST failed. On
+    // small pencils the dense baseline arbitrates.
     if pencil.nbc() <= 64 {
         let all = crate::baselines::dense_modes(pencil)?;
         let lo = 1.0 / cfg.r_outer;
@@ -425,6 +461,14 @@ fn feast_core(
         if all.iter().any(|(l, _)| (lo..=hi).contains(&l.abs())) {
             return Err(ObcError::NoModes { method: "feast" });
         }
+        return Ok(Vec::new());
+    }
+    // On large ones, Ritz values the last iteration still placed inside
+    // the annulus are a stall, not an empty annulus: say so, and the
+    // caller's exact dense route (then the ladder) takes over instead of a
+    // silent Σ = 0.
+    if last_inside > 0 {
+        return Err(ObcError::NoModes { method: "feast" });
     }
     Ok(Vec::new())
 }
@@ -487,6 +531,29 @@ mod tests {
         let cfg = FeastConfig { r_outer: 3.0, ..FeastConfig::default() };
         let (modes, _) = feast_annulus(&pencil, cfg).unwrap();
         assert!(modes.is_empty());
+    }
+
+    #[test]
+    fn hermitian_pencil_factors_one_circle_and_broadened_pencil_both() {
+        let mut h00 = ZMat::random(6, 6, 51);
+        h00.hermitianize();
+        let h01 = ZMat::random(6, 6, 52).scaled(c64(0.45, 0.0));
+        let lead = LeadBlocks::new(h00, h01, ZMat::identity(6), ZMat::zeros(6, 6));
+        let cfg = FeastConfig { r_outer: 3.0, ..FeastConfig::default() };
+        let exact = CompanionPencil::at_energy(&lead, 0.15, 0.0);
+        let broadened = CompanionPencil::at_energy(&lead, 0.15, 1e-6);
+        let (modes_exact, stats_exact) = feast_annulus(&exact, cfg).unwrap();
+        let (modes_broad, stats_broad) = feast_annulus(&broadened, cfg).unwrap();
+        assert_eq!(stats_exact.factorizations, cfg.np, "outer circle only");
+        assert_eq!(stats_broad.factorizations, 2 * cfg.np, "η > 0 fails the Hermitian test");
+        // Same quadrature either way: every node is solved every pass.
+        assert_eq!(stats_exact.linear_solves % (2 * cfg.np), 0);
+        // And the same answer, to what η = 1e-6 moves the modes.
+        let (a, b) = (sorted_mags(&modes_exact, 0.0, 4.0), sorted_mags(&modes_broad, 0.0, 4.0));
+        assert_eq!(a.len(), b.len());
+        for (x, y) in a.iter().zip(&b) {
+            assert!((x - y).abs() < 1e-4, "{x} vs {y}");
+        }
     }
 
     #[test]

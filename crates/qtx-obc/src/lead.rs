@@ -74,6 +74,23 @@ impl LeadBlocks {
         h
     }
 
+    /// Whether `other` is this lead byte for byte: same block shapes and
+    /// the same f64 bit patterns in all four blocks. Everything that is a
+    /// pure function of the lead (modes, self-energies) is then the same
+    /// for both — the test behind sharing one mode solve between contacts.
+    pub fn same_bits(&self, other: &LeadBlocks) -> bool {
+        let same = |a: &ZMat, b: &ZMat| {
+            (a.rows(), a.cols()) == (b.rows(), b.cols())
+                && a.as_slice().iter().zip(b.as_slice()).all(|(x, y)| {
+                    x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits()
+                })
+        };
+        same(&self.h00, &other.h00)
+            && same(&self.h01, &other.h01)
+            && same(&self.s00, &other.s00)
+            && same(&self.s01, &other.s01)
+    }
+
     /// Energy-shifted blocks `(T00, T01, T10) = (E·S − H)` at energy `e`
     /// with broadening `eta` (retarded: `E + iη`).
     pub fn t_blocks(&self, e: f64, eta: f64) -> (ZMat, ZMat, ZMat) {

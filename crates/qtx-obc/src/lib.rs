@@ -47,7 +47,8 @@ pub use frame::{
 pub use lead::LeadBlocks;
 pub use modes::{classify_modes, classify_modes_eta, LeadModes, ModeSet};
 pub use selfenergy::{
-    lead_modes, obc_solves_total, self_energy, self_energy_decimation, Eta, ObcResult, Side,
+    lead_modes, obc_solves_total, self_energy, self_energy_decimation, self_energy_pair, Eta,
+    ObcResult, Side,
 };
 
 /// Which algorithm computes the lead modes / self-energies.

@@ -30,7 +30,7 @@ use crate::feast::{feast_annulus_ws, FeastStats};
 use crate::lead::LeadBlocks;
 use crate::modes::{classify_modes_eta, LeadModes, ModeSet};
 use crate::ObcMethod;
-use qtx_linalg::{c64, fault, qr_factor_ws, Complex64, LinalgError, Workspace, ZMat};
+use qtx_linalg::{c64, fault, gemm, qr_factor_ws, Complex64, LinalgError, Op, Workspace, ZMat};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Which contact the self-energy belongs to.
@@ -90,13 +90,17 @@ pub struct ObcResult {
     pub stats: Option<FeastStats>,
 }
 
-/// Builds the Bloch propagator piece `U·diag(λ^pow)·U⁺` for a mode set,
-/// every temporary — the mode blocks, the QR factors of `U` and the
-/// pseudo-inverse solve — borrowed from `ws` (the returned product is
-/// pool-backed too; recycle it when spent).
-fn bloch_product(modes: &[ModeSet], nf: usize, pow: i32, ws: &Workspace) -> ZMat {
+/// `−T·U·diag(λ^pow)·U⁺` for the outgoing mode set `U` and the coupling
+/// block `T` of its side — Σ assembled thin: `(T·U·Λ^pow)` is `nf × m` and
+/// `U⁺` is `m × nf`, so the two products cost `nf²·m` each and the
+/// `nf × nf` propagator `U·Λ^pow·U⁺` is never formed. Every temporary —
+/// the mode blocks, the QR factors of `U`, the pseudo-inverse solve — is
+/// borrowed from `ws`.
+fn sigma_of_modes(coupling: &ZMat, modes: &[ModeSet], pow: i32, ws: &Workspace) -> ZMat {
+    let nf = coupling.rows();
+    let mut sigma = ZMat::zeros(nf, nf);
     if modes.is_empty() {
-        return ws.take(nf, nf);
+        return sigma;
     }
     let m = modes.len();
     let mut u = ws.take_scratch(nf, m);
@@ -120,10 +124,12 @@ fn bloch_product(modes: &[ModeSet], nf: usize, pow: i32, ws: &Workspace) -> ZMat
     f.recycle_into(ws);
     ws.recycle(eye);
     ws.recycle(u);
-    let out = ws.matmul(&ul, &u_pinv);
+    let tul = ws.matmul(coupling, &ul);
     ws.recycle(ul);
+    gemm(-Complex64::ONE, &tul, Op::None, &u_pinv, Op::None, Complex64::ZERO, &mut sigma);
+    ws.recycle(tul);
     ws.recycle(u_pinv);
-    out
+    sigma
 }
 
 /// Computes lead modes with the requested algorithm (zero broadening).
@@ -176,22 +182,11 @@ fn pencil_modes(
     Ok((classify_modes_eta(lead, pencil, &pairs, eta), stats))
 }
 
-/// Boundary self-energy and injection for one side (mode-based, the
-/// FEAST+SplitSolve production path): pencil and coupling blocks are both
-/// built at `E + iη`. Pass [`Eta::ZERO`] for the exact-energy evaluation;
-/// the escalation ladder passes its per-rung broadening.
-pub fn self_energy(
-    lead: &LeadBlocks,
-    e: f64,
-    eta: Eta,
-    side: Side,
-    method: ObcMethod,
-) -> ObcOutcome<ObcResult> {
-    let Eta(eta) = eta;
-    // Whole-contact injection chokepoint. The key mixes everything an
-    // escalation can change — energy, broadening, side, method and its
-    // quadrature size — so a plain retry fails identically while any
-    // ladder rung gets a fresh draw.
+/// The whole-contact chokepoint of one Σ build: the fault-injection draw,
+/// then the build counter. The key mixes everything an escalation can
+/// change — energy, broadening, side, method and its quadrature size — so
+/// a plain retry fails identically while any ladder rung gets a fresh draw.
+fn draw_contact(e: f64, eta: f64, side: Side, method: ObcMethod) -> ObcOutcome<()> {
     let (tag, knob) = match method {
         ObcMethod::Feast(c) => (1.0, c.np as f64),
         ObcMethod::Beyn(c) => (2.0, c.np as f64),
@@ -206,6 +201,77 @@ pub fn self_energy(
         return Err(ObcError::Linalg(LinalgError::Injected { site: "self_energy" }));
     }
     OBC_SOLVES.fetch_add(1, Ordering::Relaxed);
+    Ok(())
+}
+
+/// The mode decomposition of one lead at `E + iη` — a function of the lead,
+/// not of the contact: either side's Σ and injection assemble from it.
+struct SolvedLead {
+    pencil: CompanionPencil,
+    modes: LeadModes,
+    stats: Option<FeastStats>,
+    /// The buffer pool of the mode solve, reused by the assemblies.
+    ws: Workspace,
+}
+
+impl SolvedLead {
+    fn solve(lead: &LeadBlocks, e: f64, eta: f64, method: ObcMethod) -> ObcOutcome<SolvedLead> {
+        let pencil = CompanionPencil::at_energy(lead, e, eta);
+        let ws = Workspace::new();
+        let (modes, stats) = pencil_modes(lead, &pencil, eta, method, &ws)?;
+        Ok(SolvedLead { pencil, modes, stats, ws })
+    }
+
+    /// Σ and injection of the contact on `side`.
+    fn contact(&self, side: Side) -> ObcOutcome<ObcResult> {
+        let nf = self.pencil.nf;
+        let (coupling, outgoing, incoming, lam_pow) = match side {
+            // Outgoing into the left lead; F_L⁻¹ = U Λ⁻¹ U⁺.
+            Side::Left => (&self.pencil.t10, &self.modes.left_going, &self.modes.right_going, -1),
+            // Outgoing into the right lead; F_R = U Λ U⁺.
+            Side::Right => (&self.pencil.t01, &self.modes.right_going, &self.modes.left_going, 1),
+        };
+        let sigma = sigma_of_modes(coupling, outgoing, lam_pow, &self.ws);
+        let inc_modes: Vec<ModeSet> = incoming.iter().filter(|m| m.propagating).cloned().collect();
+        // Injection columns: −T·λ^{±1}·u − Σ·u.
+        let mut injection = ZMat::zeros(nf, inc_modes.len());
+        for (j, mode) in inc_modes.iter().enumerate() {
+            let lp = mode.lambda.powi(lam_pow);
+            let tu = coupling.matvec(&mode.u);
+            let su = sigma.matvec(&mode.u);
+            for i in 0..nf {
+                injection[(i, j)] = -(tu[i] * lp) - su[i];
+            }
+        }
+        // Non-finite outputs poison every downstream solve silently (the
+        // max-norms drop NaN); catch them at the boundary-condition seam.
+        let bad = sigma.non_finite_count() + injection.non_finite_count();
+        if bad > 0 {
+            return Err(ObcError::NonFinite { what: "self-energy", count: bad });
+        }
+        Ok(ObcResult {
+            sigma,
+            injection,
+            inc_modes,
+            out_modes: outgoing.clone(),
+            stats: self.stats.clone(),
+        })
+    }
+}
+
+/// Boundary self-energy and injection for one side (mode-based, the
+/// FEAST+SplitSolve production path): pencil and coupling blocks are both
+/// built at `E + iη`. Pass [`Eta::ZERO`] for the exact-energy evaluation;
+/// the escalation ladder passes its per-rung broadening.
+pub fn self_energy(
+    lead: &LeadBlocks,
+    e: f64,
+    eta: Eta,
+    side: Side,
+    method: ObcMethod,
+) -> ObcOutcome<ObcResult> {
+    let Eta(eta) = eta;
+    draw_contact(e, eta, side, method)?;
     if let ObcMethod::Decimation = method {
         let sigma = self_energy_decimation(lead, e, eta.max(1e-8), side)?;
         let bad = sigma.non_finite_count();
@@ -221,52 +287,37 @@ pub fn self_energy(
             stats: None,
         });
     }
-    let nf = lead.nf();
-    // One pencil and one buffer pool serve the mode solve and the Σ
-    // assembly alike.
-    let pencil = CompanionPencil::at_energy(lead, e, eta);
-    let ws = Workspace::new();
-    let (modes, stats) = pencil_modes(lead, &pencil, eta, method, &ws)?;
-    let CompanionPencil { t01, t10, .. } = pencil;
-    let (sigma, inc_modes, out_modes, coupling, lam_pow) = match side {
-        Side::Left => {
-            // Outgoing into the left lead; F_L⁻¹ = U Λ⁻¹ U⁺.
-            let g = bloch_product(&modes.left_going, nf, -1, &ws);
-            let mut sigma = &t10 * &g;
-            ws.recycle(g);
-            sigma.scale_assign(-Complex64::ONE);
-            let inc: Vec<ModeSet> =
-                modes.right_going.iter().filter(|m| m.propagating).cloned().collect();
-            (sigma, inc, modes.left_going, t10, -1)
-        }
-        Side::Right => {
-            // Outgoing into the right lead; F_R = U Λ U⁺.
-            let g = bloch_product(&modes.right_going, nf, 1, &ws);
-            let mut sigma = &t01 * &g;
-            ws.recycle(g);
-            sigma.scale_assign(-Complex64::ONE);
-            let inc: Vec<ModeSet> =
-                modes.left_going.iter().filter(|m| m.propagating).cloned().collect();
-            (sigma, inc, modes.right_going, t01, 1)
-        }
-    };
-    // Injection columns: −T·λ^{±1}·u − Σ·u.
-    let mut injection = ZMat::zeros(nf, inc_modes.len());
-    for (j, mode) in inc_modes.iter().enumerate() {
-        let lp = mode.lambda.powi(lam_pow);
-        let tu = coupling.matvec(&mode.u);
-        let su = sigma.matvec(&mode.u);
-        for i in 0..nf {
-            injection[(i, j)] = -(tu[i] * lp) - su[i];
-        }
+    SolvedLead::solve(lead, e, eta, method)?.contact(side)
+}
+
+/// Both contacts of one energy point, `(left, right)`: bit for bit what
+/// [`self_energy`] returns for `(lead_l, Side::Left)` and then
+/// `(lead_r, Side::Right)`, chokepoint draws and [`obc_solves_total`]
+/// counts included — on one mode solve when the two leads are the same
+/// bytes ([`LeadBlocks::same_bits`]; the modes are a function of the lead
+/// and `E + iη`, not of the contact), on two otherwise. Decimation has no
+/// modes to share. A failure names the contact it belongs to, the order
+/// being left chokepoint, modes, left Σ, right chokepoint, right Σ.
+pub fn self_energy_pair(
+    lead_l: &LeadBlocks,
+    lead_r: &LeadBlocks,
+    e: f64,
+    eta: Eta,
+    method: ObcMethod,
+) -> Result<(ObcResult, ObcResult), (Side, ObcError)> {
+    let left = |source| (Side::Left, source);
+    let right = |source| (Side::Right, source);
+    if method == ObcMethod::Decimation || !lead_l.same_bits(lead_r) {
+        let obc_l = self_energy(lead_l, e, eta, Side::Left, method).map_err(left)?;
+        let obc_r = self_energy(lead_r, e, eta, Side::Right, method).map_err(right)?;
+        return Ok((obc_l, obc_r));
     }
-    // Non-finite outputs poison every downstream solve silently (the
-    // max-norms drop NaN); catch them at the boundary-condition seam.
-    let bad = sigma.non_finite_count() + injection.non_finite_count();
-    if bad > 0 {
-        return Err(ObcError::NonFinite { what: "self-energy", count: bad });
-    }
-    Ok(ObcResult { sigma, injection, inc_modes, out_modes, stats })
+    draw_contact(e, eta.0, Side::Left, method).map_err(left)?;
+    let solved = SolvedLead::solve(lead_l, e, eta.0, method).map_err(left)?;
+    let obc_l = solved.contact(Side::Left).map_err(left)?;
+    draw_contact(e, eta.0, Side::Right, method).map_err(right)?;
+    let obc_r = solved.contact(Side::Right).map_err(right)?;
+    Ok((obc_l, obc_r))
 }
 
 /// Self-energy through Sancho–Rubio decimation (ref. [40]) — the

@@ -1,23 +1,36 @@
 //! The flop ledger of one boundary self-energy.
 //!
-//! One test in a process of its own: [`FlopScope::start_process`] counts
-//! every thread (the quadrature solves fan out), so nothing else may run
-//! beside it.
+//! A test binary of its own, its tests serialized: [`FlopScope::start_process`]
+//! counts every thread (the quadrature solves fan out), so nothing else may
+//! run beside a measurement.
 
 use qtx_atomistic::{BasisKind, DeviceBuilder};
 use qtx_core::Device;
 use qtx_linalg::FlopScope;
-use qtx_obc::{self_energy, Eta, FeastConfig, ObcMethod, Side};
+use qtx_obc::{self_energy, self_energy_pair, Eta, FeastConfig, LeadBlocks, ObcMethod, Side};
+use std::sync::Mutex;
 
 /// What the same Σ cost with the `nf + 8`-column subspace and the per-node
 /// `z·T01 + T00` products this ledger replaced (nf = 90, 16 modes).
 const NF_PLUS_8_FLOPS: f64 = 4.45e8;
 
-#[test]
-fn long_wire_sigma_costs_under_half_of_the_fixed_width_subspace() {
+/// What one contact's Σ cost once FEAST sized its own subspace, with 24
+/// factorizations, a dense Bloch propagator and one mode solve per contact.
+const ONE_SOLVE_PER_CONTACT_FLOPS: f64 = 1.275e8;
+
+static ONE_MEASUREMENT_AT_A_TIME: Mutex<()> = Mutex::new(());
+
+fn long_wire_lead() -> LeadBlocks {
     let spec = DeviceBuilder::nanowire(1.5).cells(4).basis(BasisKind::TightBinding).build();
     let lead = Device::build(spec).expect("device build").at_kz(0.0).lead_l;
     assert_eq!(lead.nf(), 90);
+    lead
+}
+
+#[test]
+fn long_wire_sigma_costs_under_half_of_the_fixed_width_subspace() {
+    let _alone = ONE_MEASUREMENT_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let lead = long_wire_lead();
     let scope = FlopScope::start_process();
     let obc =
         self_energy(&lead, -5.8, Eta::ZERO, Side::Left, ObcMethod::Feast(FeastConfig::default()))
@@ -26,4 +39,22 @@ fn long_wire_sigma_costs_under_half_of_the_fixed_width_subspace() {
     let stats = obc.stats.expect("FEAST ran");
     assert_eq!(stats.m_found, 16, "{stats:?}");
     assert!(flops <= 0.5 * NF_PLUS_8_FLOPS, "Σ took {flops:.3e} flops ({stats:?})");
+}
+
+#[test]
+fn long_wire_pair_costs_about_half_of_two_single_contacts() {
+    let _alone = ONE_MEASUREMENT_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let lead = long_wire_lead();
+    let scope = FlopScope::start_process();
+    let method = ObcMethod::Feast(FeastConfig::default());
+    let (obc_l, obc_r) = self_energy_pair(&lead, &lead, -5.8, Eta::ZERO, method).expect("Σ pair");
+    let flops = scope.elapsed() as f64;
+    let stats = obc_l.stats.expect("FEAST ran");
+    assert_eq!(stats.m_found, 16, "{stats:?}");
+    assert_eq!(stats.factorizations, FeastConfig::default().np, "{stats:?}");
+    assert_eq!(obc_l.out_modes.len() + obc_r.out_modes.len(), 16);
+    assert!(
+        flops <= 0.55 * 2.0 * ONE_SOLVE_PER_CONTACT_FLOPS,
+        "the pair took {flops:.3e} flops ({stats:?})"
+    );
 }
