@@ -2,20 +2,26 @@
 //! point of the three transmission routes — dense staging (`t_dense` +
 //! `zgesv`, the pre-sparsity layout), BTD-native full RGF, and the
 //! one-sweep Caroli kernel the transmission-only path runs ("boundary")
-//! — at two device lengths.
+//! — at two device lengths; plus the `interior` row: the wave-function
+//! solve (SplitSolve) at the long-wire shape, its operation count against
+//! what materializing `Q` cost and its time against block-Thomas LU.
 //!
 //! The gated ratios are the footprint speedups (dense peak bytes over
-//! BTD / boundary peak bytes), which are allocation counts and therefore
-//! deterministic; the wall-clock rows are emitted `"optional": true` so
-//! a narrow CI runner gates them when present without owing the kind
-//! coverage. All three routes compute the same Caroli trace on the same
-//! systems and are cross-checked in-process before anything is written.
+//! BTD / boundary peak bytes) and the interior flop ratio, which are
+//! allocation and operation counts and therefore deterministic; the
+//! wall-clock rows are emitted `"optional": true` so a narrow CI runner
+//! gates them when present without owing the kind coverage. All three
+//! routes compute the same Caroli trace on the same systems and are
+//! cross-checked in-process before anything is written.
 //! Run with `cargo run --release -p qtx-bench --bin bench_sparse_json
 //! [output-path] [--quick]`; `--quick` keeps the short device only.
 
 use qtx_bench::{print_table, Row};
+use qtx_linalg::flops::counts;
 use qtx_linalg::{c64, gemm, zgesv, Complex64, Op, ZMat};
-use qtx_solver::{caroli_sweep, rgf_diagonal_and_corner_ws, ObcSystem, Workspace};
+use qtx_solver::{
+    btd_lu_solve_ws, caroli_sweep, rgf_diagonal_and_corner_ws, ObcSystem, SplitSolve, Workspace,
+};
 use qtx_sparse::{
     btd_stats, dense_matrix_bytes, peak_matrix_bytes, reset_peak_matrix_bytes, BlockChain, Btd,
     CouplingSupport,
@@ -44,6 +50,65 @@ fn random_system(nb: usize, s: usize, m: usize, seed: u64) -> ObcSystem {
         rhs_top: ZMat::random(s, m, seed + 400),
         rhs_bottom: ZMat::random(s, m, seed + 401),
     }
+}
+
+/// The `nw_long_interior` shape: `s` = 90, each coupling on a 24 × 18
+/// support (the last 24 orbitals of a slab reach the first 18 of the
+/// next), each Σ on the rows its lead's coupling touches, six injected
+/// modes.
+fn long_wire_system(nb: usize) -> ObcSystem {
+    let s = 90;
+    let mut sys = random_system(nb, s, 3, 7);
+    let keep = |m: &ZMat, rows: std::ops::Range<usize>, cols: std::ops::Range<usize>| {
+        ZMat::from_fn(s, s, |r, c| {
+            if rows.contains(&r) && cols.contains(&c) {
+                m[(r, c)]
+            } else {
+                Complex64::ZERO
+            }
+        })
+    };
+    for i in 0..nb - 1 {
+        sys.a.upper[i] = keep(&sys.a.upper[i], s - 24..s, 0..18);
+        sys.a.lower[i] = keep(&sys.a.lower[i], 0..18, s - 24..s);
+    }
+    sys.sigma_l = keep(&sys.sigma_l.dense(), 0..18, 0..s).into();
+    sys.sigma_r = keep(&sys.sigma_r.dense(), s - 24..s, 0..s).into();
+    sys
+}
+
+/// The `interior` rows: SplitSolve with `Q` kept as elimination factors on
+/// the coupling supports, against the operation count of the dense-`Q`
+/// algorithm it replaced (deterministic, gated) and against block-Thomas
+/// LU on the clock (optional).
+fn interior_rows(reps: usize, entries: &mut String, rows: &mut Vec<Row>) {
+    let (nb, s) = (32, 90);
+    let sys = long_wire_system(nb);
+    let (ws, solver) = (Workspace::new(), SplitSolve::new(2));
+    let (x, report) = solver.solve_ws(&sys, None, &ws).expect("splitsolve");
+    let reference = btd_lu_solve_ws(&sys, &ws).expect("btd_lu");
+    assert!(x.max_diff(&reference) < 1e-10, "SplitSolve vs BTD-LU: {:.2e}", x.max_diff(&reference));
+    let dense_q = counts::splitsolve_dense_q(nb, s, sys.num_rhs(), 1);
+    let flop_speedup = dense_q as f64 / report.flops as f64;
+    let _ = writeln!(
+        entries,
+        "    {{\"kind\": \"interior\", \"nb\": {nb}, \"s\": {s}, \"support_rows\": 24, \
+         \"support_cols\": 18, \"dense_q_flops\": {dense_q}, \"support_flops\": {}, \
+         \"flop_speedup_support_vs_dense_q\": {flop_speedup:.3}}},",
+        report.flops,
+    );
+    let split_ms = median_secs(|| drop(solver.solve_ws(&sys, None, &ws)), reps) * 1e3;
+    let btd_ms = median_secs(|| drop(btd_lu_solve_ws(&sys, &ws)), reps) * 1e3;
+    let _ = writeln!(
+        entries,
+        "    {{\"kind\": \"interior_latency\", \"nb\": {nb}, \"s\": {s}, \"optional\": true, \
+         \"splitsolve_ms_per_point\": {split_ms:.4}, \"btd_lu_ms_per_point\": {btd_ms:.4}, \
+         \"time_speedup_splitsolve_vs_btd_lu\": {:.3}}},",
+        btd_ms / split_ms,
+    );
+    let mflop = report.flops as f64 * 1e-6;
+    rows.push(Row::new(format!("splitsolve nb={nb} s={s}"), vec![mflop, split_ms, flop_speedup]));
+    rows.push(Row::new(format!("btd-lu nb={nb} s={s}"), vec![f64::NAN, btd_ms, f64::NAN]));
 }
 
 fn median_secs(mut f: impl FnMut(), reps: usize) -> f64 {
@@ -233,19 +298,28 @@ fn main() {
         ));
     }
 
+    let mut interior = Vec::new();
+    interior_rows(reps, &mut entries, &mut interior);
+
     let entries = entries.trim_end().trim_end_matches(',').to_string();
     let json = format!(
         "{{\n  \"bench\": \"sparsity end-to-end: dense staging vs BTD RGF vs boundary-only\",\n  \
          \"cores\": {cores},\n  \"target_cpu\": \"native\",\n  \"quick\": {quick},\n  \
          \"flags_note\": \"footprint speedups are peak matrix-byte ratios (deterministic, \
-         allocation-counter based); latency rows are warm ms/pt on the same systems and are \
-         optional for narrow runners\",\n  \"results\": [\n{entries}\n  ]\n}}\n"
+         allocation-counter based); the interior flop speedup is the dense-Q operation count \
+         over the counted operations of SplitSolve on the coupling supports (deterministic); \
+         latency rows are warm ms/pt on the same systems and are optional for narrow runners\",\n  \"results\": [\n{entries}\n  ]\n}}\n"
     );
     std::fs::write(&out_path, &json).expect("write BENCH_sparse.json");
     print_table(
         "Sparsity: dense staging vs BTD vs boundary-only",
         &["route", "peak MB", "ms/pt", "vs dense x"],
         &rows,
+    );
+    print_table(
+        "Interior solve at the long-wire shape (24 x 18 coupling support)",
+        &["solver", "MFLOP", "ms/pt", "flops vs dense Q x"],
+        &interior,
     );
     println!("\nwrote {out_path}");
 }

@@ -187,11 +187,13 @@ impl TransportEngineBuilder {
 }
 
 /// A folded device at one `kz` with what the engine derives from it once:
-/// its per-lead cache handle and, on first use by a Caroli-route point,
-/// the coupling supports of its block chain (energy-independent).
+/// its per-lead cache handle and, on first use by a point, the coupling
+/// supports of its block chain (energy-independent) — the one memo every
+/// interior solve on this device reads, wave-function and Caroli route,
+/// point solve and sweep alike.
 #[derive(Clone)]
-struct FoldedK {
-    dk: Arc<DeviceK>,
+pub(crate) struct FoldedK {
+    pub(crate) dk: Arc<DeviceK>,
     handle: Option<CacheHandle>,
     support: Arc<OnceLock<Vec<CouplingSupport>>>,
 }
@@ -202,7 +204,7 @@ impl FoldedK {
         FoldedK { dk, handle, support: Arc::default() }
     }
 
-    fn support(&self) -> &[CouplingSupport] {
+    pub(crate) fn support(&self) -> &[CouplingSupport] {
         self.support.get_or_init(|| self.dk.coupling_support())
     }
 }
@@ -292,7 +294,7 @@ impl TransportEngine {
         self.dk_at(kz).map(|folded| folded.dk)
     }
 
-    fn dk_at(&self, kz: f64) -> Option<FoldedK> {
+    pub(crate) fn dk_at(&self, kz: f64) -> Option<FoldedK> {
         let mut dks = self.dks.lock().expect("engine dk map");
         match (dks.get(&kz.to_bits()), &self.device) {
             (Some(found), _) => Some(found.clone()),
@@ -330,10 +332,11 @@ impl TransportEngine {
             }
         }
         if policy.robust {
-            return transport::solve_point_robust_raw(dk, e, cfg, handle);
+            return transport::solve_point_robust_raw(dk, folded.support(), e, cfg, handle);
         }
         let start = Instant::now();
-        match transport::solve_point_direct(dk, e, cfg, policy.runtime, handle) {
+        match transport::solve_point_direct_on(dk, folded.support(), e, cfg, policy.runtime, handle)
+        {
             Ok(result) => RobustSolve::solved(result, 0, ms_since(start)),
             Err(error) => RobustSolve::failed(error, 1, ms_since(start)),
         }

@@ -14,7 +14,7 @@ use crate::error::TransportResult;
 use crate::landauer::landauer_current_ua;
 use crate::observables::accumulate;
 use crate::scheduler::{self, BatchOptions, TaskAttempt};
-use crate::transport::solve_point_direct;
+use crate::transport::solve_point_direct_on;
 use qtx_poisson::{gated_poisson_1d, GateSpec};
 use std::sync::Arc;
 
@@ -144,11 +144,20 @@ pub fn schrodinger_poisson(dev: &mut Device, cfg: &ScfConfig) -> TransportResult
         // shift them, the content address changes and nothing stale is
         // served.)
         let cache = crate::cache::env_handle(&dk_shared);
+        // One structural scan per iteration, not one per energy point.
+        let support = dk_shared.coupling_support();
         let reports = scheduler::global().execute(
             grid.points.clone(),
             &BatchOptions { max_retries: Some(0), ..Default::default() },
             move |_, &e, _| {
-                TaskAttempt::Done(solve_point_direct(&run_dk, e, &cfg_t, None, cache.as_ref()))
+                TaskAttempt::Done(solve_point_direct_on(
+                    &run_dk,
+                    &support,
+                    e,
+                    &cfg_t,
+                    None,
+                    cache.as_ref(),
+                ))
             },
             |_, _, _, err| Err(crate::error::TransportError::Panic { what: err.to_string() }),
         );

@@ -709,7 +709,8 @@ struct ChunkSpec {
     w: f64,
     /// `(e_idx, energy)` pairs, canonical (ascending `e_idx`) order.
     points: Vec<(u32, f64)>,
-    dk: Arc<crate::device::DeviceK>,
+    /// The engine's folded device and its memoized coupling supports.
+    folded: crate::engine::FoldedK,
     cfg: crate::device::TransportConfig,
     cache: Option<CacheHandle>,
 }
@@ -724,7 +725,7 @@ impl ChunkSpec {
         for &(_, e) in &self.points {
             let _ = crate::cache::self_energy_pair(
                 self.cache.as_ref(),
-                &self.dk,
+                &self.folded.dk,
                 e,
                 0.0,
                 self.cfg.obc,
@@ -745,7 +746,7 @@ enum SweepTask {
 
 /// One robust point solve as its record.
 fn solve_record(c: &ChunkSpec, e_idx: u32, e: f64) -> PointRecord {
-    let rs = solve_point_robust_raw(&c.dk, e, &c.cfg, c.cache.as_ref());
+    let rs = solve_point_robust_raw(&c.folded.dk, c.folded.support(), e, &c.cfg, c.cache.as_ref());
     let o = rs.outcome;
     PointRecord {
         k_idx: c.k_idx,
@@ -817,8 +818,9 @@ fn compute_records(
     for run in todo.chunk_by(|a, b| a.0 == b.0) {
         let k_idx = run[0].0;
         let (kz, w) = plan.k_points[k_idx as usize];
-        let dk = engine.device_k(kz).expect("a device-backed engine folds any kz");
-        let handle = cache.map(|c| CacheHandle::for_dk(c.clone(), &dk));
+        let folded = engine.dk_at(kz).expect("a device-backed engine folds any kz");
+        let dk = &folded.dk;
+        let handle = cache.map(|c| CacheHandle::for_dk(c.clone(), dk));
         let size = match batching {
             Batching::PerPoint => 1,
             Batching::Fixed(n) => n.max(1),
@@ -837,7 +839,7 @@ fn compute_records(
                 kz,
                 w,
                 points,
-                dk: dk.clone(),
+                folded: folded.clone(),
                 cfg: *engine.config(),
                 cache: handle.clone(),
             }));
@@ -876,7 +878,7 @@ fn compute_records(
         }
     }
     let batch = scheduler::BatchOptions {
-        deadline_ms: Some(point_deadline_ms(&chunks[0].dk) * max_len as f64),
+        deadline_ms: Some(point_deadline_ms(&chunks[0].folded.dk) * max_len as f64),
         keys: Some(keys),
         max_retries: None,
         deps: if overlap { Some(deps) } else { None },

@@ -4,18 +4,27 @@
 //! layer produces `Σ^RB` and `Inj` for both contacts (one lead-mode solve
 //! when the two leads are the same bytes — [`qtx_obc::self_energy_pair`]),
 //! then the interior solve consumes them. The paper overlaps the two —
-//! Step 1 of SplitSolve (`Q = A⁻¹B`) only needs `A = E·S − H`, so it runs
-//! on the GPUs while FEAST produces the boundary conditions on the CPUs
-//! (Fig. 6's timeline) — this code does not. The only overlap is between
-//! points: a batched sweep with a Σ-cache splits each chunk into a
-//! Σ-prefetch task and a dependent interior task, so one chunk's OBC work
-//! runs beside another's interior solves on the pool (`sweep.rs`).
-//! Transmission is computed two independent ways:
+//! Step 1 of SplitSolve only needs `A = E·S − H`, so it runs on the GPUs
+//! while FEAST produces the boundary conditions on the CPUs (Fig. 6's
+//! timeline) — this code does not. The only overlap is between points: a
+//! batched sweep with a Σ-cache splits each chunk into a Σ-prefetch task
+//! and a dependent interior task, so one chunk's OBC work runs beside
+//! another's interior solves on the pool (`sweep.rs`).
 //!
-//! * **Wave function** (Eq. 5): solve for the scattering states injected
-//!   from each contact, project the outgoing block on the lead modes, sum
-//!   `|t|²` over propagating channels (flux-normalized modes make the
-//!   amplitudes probabilities directly);
+//! Neither route to the transmission assembles `A`: the pencil
+//! `(E + iη)·S − H` is streamed block by block ([`DeviceK::pencil`]) into
+//! an elimination that touches each coupling block on its structural
+//! support only ([`DeviceK::coupling_support`], energy-independent — the
+//! engine computes it once per folded device and hands it down):
+//!
+//! * **Wave function** (Eq. 5): SplitSolve's two elimination sweeps per
+//!   partition keep `Q = A⁻¹B` as thin multipliers and apply it to the
+//!   injection columns ([`qtx_solver::SplitSolve::solve_chain_ws`]); the
+//!   outgoing block is projected on the lead modes and `|t|²` summed over
+//!   propagating channels (flux-normalized modes make the amplitudes
+//!   probabilities directly). The residual `‖T·ψ − Inj‖_max` is read off
+//!   the same streamed chain. The BTD-LU and BCR baselines are the
+//!   exception: they factor an assembled copy of `A`.
 //! * **NEGF/Caroli** (Eq. 4): `T = Tr[Γ_L·G_{0,n−1}·Γ_R·G_{0,n−1}ᴴ]` via
 //!   the one-sweep kernel [`qtx_solver::caroli_sweep`] — the cross-check
 //!   used throughout the test suite, and the whole of a transmission-only
@@ -25,12 +34,13 @@ use crate::cache::{self, CacheHandle};
 use crate::device::{DeviceK, TransportConfig};
 use crate::error::{TransportError, TransportResult};
 use qtx_accel::AccelRuntime;
-use qtx_linalg::{qr_least_squares, Complex64, LinalgError, ZMat};
+use qtx_linalg::{gemm_into, qr_least_squares, Complex64, LinalgError, Op, ZMat};
 use qtx_obc::{self_energy_pair, BeynConfig, Eta, ModeSet, ObcMethod, ObcResult};
 use qtx_solver::{
-    bcr_solve, btd_lu_solve_ws, caroli_sweep, ObcSystem, SolverKind, SplitSolve, Workspace,
+    bcr_solve, btd_lu_solve_ws, caroli_sweep, BoundaryTerms, ObcSystem, SolverKind, SplitSolve,
+    Workspace,
 };
-use qtx_sparse::{CompressedSigma, CouplingSupport};
+use qtx_sparse::{BlockChain, CompressedSigma, CouplingSupport};
 use std::time::Instant;
 
 thread_local! {
@@ -110,9 +120,27 @@ fn project_onto_modes(modes: &[ModeSet], block: &[Complex64]) -> Vec<Complex64> 
     c.col(0).to_vec()
 }
 
-/// The raw single-attempt entry every public path funnels into: builds
-/// both lead self-energies (through the cache when a handle is given) and
-/// runs the Eq. 5 solve with the configured method at exact energy.
+/// The raw single-attempt entry: builds both lead self-energies (through
+/// the cache when a handle is given) and runs the Eq. 5 solve with the
+/// configured method at exact energy. `support` is
+/// [`DeviceK::coupling_support`] of `dk`.
+pub(crate) fn solve_point_direct_on(
+    dk: &DeviceK,
+    support: &[CouplingSupport],
+    e: f64,
+    cfg: &TransportConfig,
+    rt: Option<&AccelRuntime>,
+    cache: Option<&CacheHandle>,
+) -> TransportResult<EnergyPointResult> {
+    let (obc_l, obc_r) = cache::self_energy_pair(cache, dk, e, 0.0, cfg.obc, 0.0)?;
+    let (obc_l, obc_r) = (obc_l.into_result(), obc_r.into_result());
+    let states = scattering_states(dk, support, e, 0.0, cfg, &obc_l, &obc_r, rt)?;
+    Ok(states.into_point(obc_l.sigma, obc_r.sigma).0)
+}
+
+/// [`solve_point_direct_on`] deriving the coupling supports on the spot —
+/// for one-shot callers; anything solving many points on one folded
+/// device computes them once.
 pub(crate) fn solve_point_direct(
     dk: &DeviceK,
     e: f64,
@@ -120,8 +148,7 @@ pub(crate) fn solve_point_direct(
     rt: Option<&AccelRuntime>,
     cache: Option<&CacheHandle>,
 ) -> TransportResult<EnergyPointResult> {
-    let (obc_l, obc_r) = cache::self_energy_pair(cache, dk, e, 0.0, cfg.obc, 0.0)?;
-    solve_with_obc(dk, e, cfg, &obc_l.into_result(), &obc_r.into_result(), rt)
+    solve_point_direct_on(dk, &dk.coupling_support(), e, cfg, rt, cache)
 }
 
 /// Inner solve with precomputed OBCs (lets the sweep reuse them and lets
@@ -140,7 +167,8 @@ pub fn solve_with_obc(
 /// [`solve_with_obc`] at finite broadening `η` (the system becomes
 /// `(E + iη)S − H − Σ`), additionally returning the max-norm residual of
 /// the scattering states — the quality figure the escalation ladder and
-/// the sweep health report record.
+/// the sweep health report record. Derives the coupling supports on the
+/// spot; the engine memoizes them per folded device instead.
 pub fn solve_with_obc_eta(
     dk: &DeviceK,
     e: f64,
@@ -150,27 +178,87 @@ pub fn solve_with_obc_eta(
     obc_r: &ObcResult,
     rt: Option<&AccelRuntime>,
 ) -> TransportResult<(EnergyPointResult, f64)> {
-    let a = if eta == 0.0 { dk.es_minus_h(e) } else { dk.es_minus_h_eta(e, eta) };
-    let sys = ObcSystem {
-        a,
+    let states = scattering_states(dk, &dk.coupling_support(), e, eta, cfg, obc_l, obc_r, rt)?;
+    Ok(states.into_point(obc_l.sigma.clone(), obc_r.sigma.clone()))
+}
+
+/// Everything the Eq. 5 solve produces at one point, short of the
+/// self-energies the caller already holds.
+struct ScatteringStates {
+    e: f64,
+    kz: f64,
+    t_lr: f64,
+    t_rl: f64,
+    r_l: f64,
+    channels: (usize, usize),
+    psi: ZMat,
+    residual: f64,
+}
+
+impl ScatteringStates {
+    /// The point's result (which owns its self-energies) and residual.
+    fn into_point(self, sigma_l: ZMat, sigma_r: ZMat) -> (EnergyPointResult, f64) {
+        let point = EnergyPointResult {
+            e: self.e,
+            kz: self.kz,
+            transmission: self.t_lr,
+            transmission_rl: self.t_rl,
+            reflection: self.r_l,
+            channels: self.channels,
+            psi: self.psi,
+            m_left: self.channels.0,
+            sigma_l,
+            sigma_r,
+        };
+        (point, self.residual)
+    }
+}
+
+/// The Eq. 5 solve at `(E + iη)` and what is read off its solution: the
+/// mode-projected transmissions and reflection, and the residual.
+/// SplitSolve streams the pencil; the BTD-LU and BCR baselines factor an
+/// assembled copy.
+#[allow(clippy::too_many_arguments)]
+fn scattering_states(
+    dk: &DeviceK,
+    support: &[CouplingSupport],
+    e: f64,
+    eta: f64,
+    cfg: &TransportConfig,
+    obc_l: &ObcResult,
+    obc_r: &ObcResult,
+    rt: Option<&AccelRuntime>,
+) -> TransportResult<ScatteringStates> {
+    let pencil = dk.pencil(e, eta);
+    let boundary = BoundaryTerms {
+        sigma_l: &obc_l.sigma,
+        sigma_r: &obc_r.sigma,
+        rhs_top: &obc_l.injection,
+        rhs_bottom: &obc_r.injection,
+    };
+    // The baselines factor an assembled copy of `A`.
+    let assembled = || ObcSystem {
+        a: dk.es_minus_h_eta(e, eta),
         sigma_l: obc_l.sigma.clone().into(),
         sigma_r: obc_r.sigma.clone().into(),
         rhs_top: obc_l.injection.clone(),
         rhs_bottom: obc_r.injection.clone(),
     };
-    let psi = SOLVER_WS.with(|ws| -> TransportResult<ZMat> {
-        Ok(match cfg.solver {
+    let (psi, residual) = SOLVER_WS.with(|ws| -> TransportResult<(ZMat, f64)> {
+        let psi = match cfg.solver {
             SolverKind::SplitSolve { partitions } => {
-                let p = partitions.min(sys.num_blocks().next_power_of_two() / 2).max(1);
-                let p = if p.is_power_of_two() { p } else { 1 };
-                SplitSolve::new(p.min(sys.num_blocks())).solve_ws(&sys, rt, ws)?.0
+                SplitSolve::for_chain(partitions, pencil.num_blocks())
+                    .solve_chain_ws(&pencil, support, &boundary, rt, ws)?
+                    .0
             }
-            SolverKind::BtdLu => btd_lu_solve_ws(&sys, ws)?,
-            SolverKind::Bcr => bcr_solve(&sys)?,
-        })
+            SolverKind::BtdLu => btd_lu_solve_ws(&assembled(), ws)?,
+            SolverKind::Bcr => bcr_solve(&assembled())?,
+        };
+        let residual = chain_residual(&pencil, support, &boundary, &psi, ws);
+        Ok((psi, residual))
     })?;
-    let s = sys.block_size();
-    let n = sys.dim();
+    let s = pencil.block_size();
+    let n = psi.rows();
     let m_left = obc_l.injection.cols();
     let m_right = obc_r.injection.cols();
     // Left→right: project the last block on the right-going mode set.
@@ -214,64 +302,110 @@ pub fn solve_with_obc_eta(
             count: 1,
         }));
     }
-    let residual = btd_residual(&sys, &psi);
-    Ok((
-        EnergyPointResult {
-            e,
-            kz: dk.kz,
-            transmission: t_lr,
-            transmission_rl: t_rl,
-            reflection: r_l,
-            channels: (m_left, m_right),
-            psi,
-            m_left,
-            sigma_l: obc_l.sigma.clone(),
-            sigma_r: obc_r.sigma.clone(),
-        },
+    Ok(ScatteringStates {
+        e,
+        kz: dk.kz,
+        t_lr,
+        t_rl,
+        r_l,
+        channels: (m_left, m_right),
+        psi,
         residual,
-    ))
+    })
 }
 
-/// Max-norm residual `‖T·ψ − b‖_max` evaluated block row by block row —
-/// O(n_b·s²·m), never densifying `T` (the `ObcSystem::residual` check
-/// does, which is fine for tests but not for every sweep point).
-fn btd_residual(sys: &ObcSystem, x: &ZMat) -> f64 {
-    let s = sys.block_size();
-    let nb = sys.num_blocks();
-    let m = sys.num_rhs();
+/// Max-norm residual `‖T·ψ − b‖_max` evaluated block row by block row on
+/// the streamed chain; `T` is never assembled, let alone densified (the
+/// `ObcSystem::residual` check does, which is fine for tests but not for
+/// every sweep point). The couplings act on their supports only, and every
+/// block acts entry by entry with the exact zeros skipped: a tight-binding
+/// slab fills a few percent of its diagonal block, so most of the
+/// `n_b·s²·m` products never happen.
+fn chain_residual<C: BlockChain>(
+    chain: &C,
+    support: &[CouplingSupport],
+    boundary: &BoundaryTerms<'_>,
+    x: &ZMat,
+    ws: &Workspace,
+) -> f64 {
+    let (s, nb, m) = (chain.block_size(), chain.num_blocks(), x.cols());
     if m == 0 {
         return 0.0;
     }
-    let xb = |i: usize| x.block(i * s, 0, s, m);
-    let mut worst = 0.0f64;
+    let mut d = ws.take_scratch(s, s);
+    let mut r = ws.take_scratch(s, m);
+    // Row `c` of a block of `x`, contiguous.
+    let mut x_row = vec![Complex64::ZERO; m];
+    let load_row = |x_row: &mut [Complex64], block: usize, c: usize| {
+        for (k, xk) in x_row.iter_mut().enumerate() {
+            *xk = x.col(k)[block * s + c];
+        }
+    };
+    // `r[row, :] += a·x_row` unless `a` is an exact zero.
+    let add = |r: &mut ZMat, row: usize, a: Complex64, x_row: &[Complex64]| {
+        if a.re != 0.0 || a.im != 0.0 {
+            for (k, &xk) in x_row.iter().enumerate() {
+                r[(row, k)] += a * xk;
+            }
+        }
+    };
+    let mut worst_sqr = 0.0f64;
     for i in 0..nb {
-        let mut r = &sys.a.diag[i] * &xb(i);
+        chain.diag_into(i, &mut d);
+        r.as_mut_slice().fill(Complex64::ZERO);
+        for c in 0..s {
+            load_row(&mut x_row, i, c);
+            for (row, &a) in d.col(c).iter().enumerate() {
+                add(&mut r, row, a, &x_row);
+            }
+        }
         if i + 1 < nb {
-            r.axpy(Complex64::ONE, &(&sys.a.upper[i] * &xb(i + 1)));
+            let on = &support[i].upper;
+            for &c in &on.cols {
+                load_row(&mut x_row, i + 1, c);
+                for &row in &on.rows {
+                    add(&mut r, row, chain.upper_at(i, row, c), &x_row);
+                }
+            }
         }
         if i > 0 {
-            r.axpy(Complex64::ONE, &(&sys.a.lower[i - 1] * &xb(i - 1)));
-        }
-        if i == 0 {
-            r.axpy(-Complex64::ONE, &(&*sys.sigma_l.dense() * &xb(0)));
-            for c in 0..sys.rhs_top.cols() {
-                for row in 0..s {
-                    r[(row, c)] -= sys.rhs_top[(row, c)];
+            let on = &support[i - 1].lower;
+            for &c in &on.cols {
+                load_row(&mut x_row, i - 1, c);
+                for &row in &on.rows {
+                    add(&mut r, row, chain.lower_at(i - 1, row, c), &x_row);
                 }
             }
         }
-        if i == nb - 1 {
-            r.axpy(-Complex64::ONE, &(&*sys.sigma_r.dense() * &xb(nb - 1)));
-            let off = sys.rhs_top.cols();
-            for c in 0..sys.rhs_bottom.cols() {
-                for row in 0..s {
-                    r[(row, off + c)] -= sys.rhs_bottom[(row, c)];
+        for (edge, sigma, rhs, col0) in [
+            (0, boundary.sigma_l, boundary.rhs_top, 0),
+            (nb - 1, boundary.sigma_r, boundary.rhs_bottom, boundary.rhs_top.cols()),
+        ] {
+            if i != edge {
+                continue;
+            }
+            let xi = x.block_view(i * s, 0, s, m);
+            gemm_into(
+                -Complex64::ONE,
+                sigma.view(),
+                Op::None,
+                xi,
+                Op::None,
+                Complex64::ONE,
+                r.view_mut(),
+            );
+            for c in 0..rhs.cols() {
+                for (ri, &bi) in r.col_mut(col0 + c).iter_mut().zip(rhs.col(c)) {
+                    *ri -= bi;
                 }
             }
         }
-        worst = worst.max(r.norm_max());
+        // One square root at the end instead of a `hypot` per entry.
+        worst_sqr = r.as_slice().iter().map(|z| z.norm_sqr()).fold(worst_sqr, f64::max);
     }
-    worst
+    ws.recycle(d);
+    ws.recycle(r);
+    worst_sqr.sqrt()
 }
 
 /// NEGF/Caroli transmission through the one-sweep kernel (Eq. 4 route).
@@ -516,6 +650,7 @@ fn ladder_rungs(cfg: &TransportConfig) -> Vec<(u8, f64, ObcMethod)> {
 /// escalated re-solve never aliases the exact-energy entry.
 fn try_rung(
     dk: &DeviceK,
+    support: &[CouplingSupport],
     e: f64,
     eta: f64,
     method: ObcMethod,
@@ -523,9 +658,9 @@ fn try_rung(
     cache: Option<&CacheHandle>,
 ) -> TransportResult<(EnergyPointResult, f64)> {
     let (obc_l, obc_r) = cache::self_energy_pair(cache, dk, e, eta, method, 0.0)?;
-    let mut c = *cfg;
-    c.obc = method;
-    solve_with_obc_eta(dk, e, eta, &c, &obc_l.into_result(), &obc_r.into_result(), None)
+    let (obc_l, obc_r) = (obc_l.into_result(), obc_r.into_result());
+    let states = scattering_states(dk, support, e, eta, cfg, &obc_l, &obc_r, None)?;
+    Ok(states.into_point(obc_l.sigma, obc_r.sigma))
 }
 
 /// Last-resort rung: Sancho–Rubio decimation Σ (no modes, so no
@@ -533,13 +668,15 @@ fn try_rung(
 /// an empty `psi`; observables needing wave functions see zero columns.
 fn decimation_caroli_rung(
     dk: &DeviceK,
+    support: &[CouplingSupport],
     e: f64,
     cache: Option<&CacheHandle>,
 ) -> TransportResult<EnergyPointResult> {
     let (obc_l, obc_r) =
         cache::self_energy_pair(cache, dk, e, ETA_BUMP, ObcMethod::Decimation, 0.0)?;
     let (sigma_l, sigma_r) = (obc_l.into_result().sigma, obc_r.into_result().sigma);
-    let t = caroli_from_sigmas(dk, e, ETA_BUMP, &sigma_l, &sigma_r)?;
+    let (comp_l, comp_r) = (sigma_l.clone().into(), sigma_r.clone().into());
+    let t = caroli_streamed(dk, e, ETA_BUMP, &comp_l, &comp_r, support)?;
     Ok(EnergyPointResult::caroli_only(e, dk.kz, t, (0, 0), sigma_l, sigma_r))
 }
 
@@ -551,6 +688,7 @@ fn decimation_caroli_rung(
 /// only accepted solves are.
 pub(crate) fn solve_point_robust_raw(
     dk: &DeviceK,
+    support: &[CouplingSupport],
     e: f64,
     cfg: &TransportConfig,
     cache: Option<&CacheHandle>,
@@ -560,7 +698,7 @@ pub(crate) fn solve_point_robust_raw(
     let mut last_err: Option<TransportError> = None;
     for (code, eta, method) in ladder_rungs(cfg) {
         attempts += 1;
-        match try_rung(dk, e, eta, method, cfg, cache) {
+        match try_rung(dk, support, e, eta, method, cfg, cache) {
             Ok((result, residual)) => {
                 let mut rs = RobustSolve::solved(result, code, ms_since(start));
                 rs.outcome = PointOutcome {
@@ -576,7 +714,7 @@ pub(crate) fn solve_point_robust_raw(
         }
     }
     attempts += 1;
-    let mut rs = match decimation_caroli_rung(dk, e, cache) {
+    let mut rs = match decimation_caroli_rung(dk, support, e, cache) {
         Ok(result) => RobustSolve::solved(result, 5, ms_since(start)),
         Err(err) => RobustSolve::failed(
             TransportError::Exhausted {
@@ -706,6 +844,38 @@ mod tests {
             let after = SOLVER_WS.with(|ws| (ws.pooled(), ws.fresh_allocations()));
             assert_eq!(after, before, "tol={tol}");
         }
+    }
+
+    #[test]
+    fn wave_function_points_keep_the_thread_pool_flat() {
+        // The streamed SplitSolve and the residual borrow every temporary
+        // from this thread's pool and hand it back: warm points neither
+        // grow nor drain it.
+        let d = chain_device();
+        let dk = d.at_kz(0.0);
+        let support = dk.coupling_support();
+        let e0 = probe_energies(&dk.lead_l, 1)[0];
+        let point = |i: usize| {
+            let e = e0 + 1e-3 * (i % 5) as f64;
+            solve_point_robust_raw(&dk, &support, e, &d.config, None).result.unwrap()
+        };
+        let first = point(0);
+        point(1);
+        let before = SOLVER_WS.with(|ws| (ws.pooled(), ws.fresh_allocations()));
+        for i in 0..20 {
+            let r = point(i);
+            if i % 5 == 0 {
+                assert_eq!(r.transmission, first.transmission, "point {i}");
+                assert_eq!(r.psi, first.psi, "point {i}");
+            }
+        }
+        assert_eq!(SOLVER_WS.with(|ws| (ws.pooled(), ws.fresh_allocations())), before);
+        // The public entry scans the supports itself: same bits.
+        let (obc_l, obc_r) = self_energy_pair(&dk.lead_l, &dk.lead_r, e0, Eta::ZERO, d.config.obc)
+            .map_err(|(_, e)| e)
+            .unwrap();
+        let public = solve_with_obc(&dk, e0, &d.config, &obc_l, &obc_r, None).unwrap();
+        assert_eq!(public.psi, first.psi);
     }
 
     #[test]

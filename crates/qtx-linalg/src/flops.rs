@@ -200,6 +200,24 @@ pub mod counts {
         zgetrf(s) + zgetrs(s, wr) + per_coupling + zgemm(wl, wr, s)
     }
 
+    /// What SplitSolve cost while it materialized `Q = A⁻¹·B` as `2·n_b`
+    /// dense `s × s` blocks — the reference the factored-`Q` kernel
+    /// (`qtx_solver::SplitSolve`) is gated against. Per block row: two
+    /// pivot factorizations, two `s`-wide solves and four `s³` products
+    /// (Algorithm 1 for the first and the last block column), two more
+    /// products per SPIKE merge level, and the `s × 2s × m` expansion of
+    /// Step 4. The tip and `R` solves are left out, so this bounds from
+    /// below what that code executed: 6 569 164 800 at `n_b` = 128,
+    /// `s` = 90, `m` = 6, one level, where the benchmark's ledger counted
+    /// 6 570 201 600.
+    pub fn splitsolve_dense_q(nb: usize, s: usize, m: usize, levels: usize) -> u64 {
+        let per_row = 2 * zgetrf(s)
+            + 2 * zgetrs(s, s)
+            + (4 + 2 * levels as u64) * zgemm(s, s, s)
+            + zgemm(s, m, 2 * s);
+        nb as u64 * per_row
+    }
+
     /// Householder reduction of an n×n matrix to upper Hessenberg form
     /// (`zgehrd`): (10/3)·n³ complex multiply-adds (both-side updates plus
     /// the Q accumulation) ≈ (80/3)·n³ real operations.
@@ -240,6 +258,9 @@ mod tests {
         // Hessenberg: (80/3)·n³; degenerate sizes stay nonzero.
         assert_eq!(counts::zgehrd(3), 720);
         assert!(counts::zunmqr(1, 1, 0) >= 1 && counts::zgeqrf(1, 0) >= 1);
+        // The dense-Q SplitSolve row of the long wire: the measured
+        // 6 570 201 600 less the tip and R solves.
+        assert_eq!(counts::splitsolve_dense_q(128, 90, 6, 1), 6_569_164_800);
     }
 
     #[test]

@@ -92,9 +92,16 @@ pub struct LuFactors {
 /// Applies a pivot interchange sequence to a right-hand side in place
 /// (LAPACK `zlaswp`): for `k` ascending, swaps rows `k` and `ipiv[k]`.
 pub fn laswp(x: &mut ZMat, ipiv: &[usize]) {
+    laswp_view(&mut x.view_mut(), ipiv);
+}
+
+/// [`laswp`] on a mutable view.
+fn laswp_view(x: &mut ZMatMut<'_>, ipiv: &[usize]) {
     for (k, &p) in ipiv.iter().enumerate() {
         if p != k {
-            x.swap_rows(k, p);
+            for j in 0..x.cols() {
+                x.col_mut(j).swap(k, p);
+            }
         }
     }
 }
@@ -374,14 +381,21 @@ impl LuFactors {
     /// (4-column panels in [`crate::trsm`]), the sweep that dominates
     /// SplitSolve's per-block solves at s = 64.
     pub fn solve_in_place(&self, x: &mut ZMat) {
+        self.solve_in_place_view(x.view_mut());
+    }
+
+    /// [`LuFactors::solve_in_place`] on a mutable view: solves a column
+    /// range of a wider panel where it lies, so a sweep that keeps many
+    /// thin solutions side by side in one buffer needs no staging copy.
+    pub fn solve_in_place_view(&self, mut x: ZMatMut<'_>) {
         let n = self.lu.rows();
         assert_eq!(x.rows(), n, "rhs row count mismatch");
         flops_add(counts::zgetrs(n, x.cols()));
         if self.pivoted {
-            laswp(x, &self.ipiv);
+            laswp_view(&mut x, &self.ipiv);
         }
-        trsm_unc(Side::Left, UpLo::Lower, Op::None, Diag::Unit, self.lu.view(), x.view_mut());
-        trsm_unc(Side::Left, UpLo::Upper, Op::None, Diag::NonUnit, self.lu.view(), x.view_mut());
+        trsm_unc(Side::Left, UpLo::Lower, Op::None, Diag::Unit, self.lu.view(), x.rb());
+        trsm_unc(Side::Left, UpLo::Upper, Op::None, Diag::NonUnit, self.lu.view(), x);
     }
 
     /// Solves `Aᴴ·X = B` in place on the factors of `A`: from `P·A = L·U`,

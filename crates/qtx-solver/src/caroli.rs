@@ -126,11 +126,7 @@ pub fn caroli_sweep<C: BlockChain>(
             Some(b) => {
                 let (rows, cols) = (&b.upper.rows, &b.upper.cols);
                 let mut u = ws.take_scratch(rows.len(), cols.len());
-                for (q, &c) in cols.iter().enumerate() {
-                    for (p, &r) in rows.iter().enumerate() {
-                        u[(p, q)] = chain.upper_at(i - 1, r, c);
-                    }
-                }
+                chain.upper_on(i - 1, &b.upper, &mut u);
                 let mut z = ws.take_scratch(cols.len(), kc + wr);
                 for j in 0..kc + wr {
                     for (q, &c) in cols.iter().enumerate() {

@@ -7,10 +7,11 @@
 //! bottom block rows (Fig. 4).
 //!
 //! * [`splitsolve`] — the paper's contribution: Sherman–Morrison–Woodbury
-//!   decoupling of the OBCs from the big solve (Steps 1–4), the RGF block
-//!   column inversion of Algorithm 1, and the SPIKE-style recursive
-//!   partition merge of Fig. 6, all accounted on the virtual accelerators
-//!   of `qtx-accel`.
+//!   decoupling of the OBCs from the big solve (Steps 1–4), Algorithm 1's
+//!   two elimination sweeps per partition — `Q = A⁻¹B` kept as thin
+//!   multipliers on the coupling supports, never formed — and the
+//!   SPIKE-style recursive partition merge of Fig. 6 on corner blocks,
+//!   all accounted on the virtual accelerators of `qtx-accel`.
 //! * [`btd_lu`] — a MUMPS-like block tri-diagonal direct factorization,
 //!   the sparse-direct baseline of Fig. 8.
 //! * [`bcr`] — block cyclic reduction, OMEN's legacy tight-binding solver
@@ -48,7 +49,7 @@ pub use rgf::{
     rgf_boundary, rgf_boundary_ws, rgf_diagonal_and_corner, rgf_diagonal_and_corner_ws,
     RgfBoundary, RgfResult,
 };
-pub use splitsolve::{SplitSolve, SplitSolveReport};
+pub use splitsolve::{BoundaryTerms, SplitSolve, SplitSolveReport};
 pub use system::ObcSystem;
 // The buffer pool itself lives in `qtx-linalg` (so the OBC layer can use
 // it too); re-exported here because the solver hot paths are its home.

@@ -73,11 +73,35 @@ pub trait BlockChain {
     /// `A_{i,i}`.
     fn diag_into(&self, i: usize, out: &mut ZMat);
 
+    /// Entry `(r, c)` of the diagonal block `A_{i,i}`.
+    fn diag_at(&self, i: usize, r: usize, c: usize) -> Complex64;
+
     /// Entry `(r, c)` of the super-diagonal block `A_{i,i+1}`.
     fn upper_at(&self, i: usize, r: usize, c: usize) -> Complex64;
 
     /// Entry `(r, c)` of the sub-diagonal block `A_{i+1,i}`.
     fn lower_at(&self, i: usize, r: usize, c: usize) -> Complex64;
+
+    /// `out ← A_{i,i+1}[on.rows, on.cols]`: the super-diagonal block
+    /// gathered on a support, `out` being `|rows| × |cols|`.
+    fn upper_on(&self, i: usize, on: &BlockSupport, out: &mut ZMat) {
+        assert_eq!((out.rows(), out.cols()), (on.rows.len(), on.cols.len()), "gather shape");
+        for (q, &c) in on.cols.iter().enumerate() {
+            for (dst, &r) in out.col_mut(q).iter_mut().zip(&on.rows) {
+                *dst = self.upper_at(i, r, c);
+            }
+        }
+    }
+
+    /// `out ← A_{i+1,i}[on.rows, on.cols]`, as [`BlockChain::upper_on`].
+    fn lower_on(&self, i: usize, on: &BlockSupport, out: &mut ZMat) {
+        assert_eq!((out.rows(), out.cols()), (on.rows.len(), on.cols.len()), "gather shape");
+        for (q, &c) in on.cols.iter().enumerate() {
+            for (dst, &r) in out.col_mut(q).iter_mut().zip(&on.rows) {
+                *dst = self.lower_at(i, r, c);
+            }
+        }
+    }
 
     /// Supports of the `num_blocks() − 1` coupling pairs. For a pencil
     /// these are unions over `S` and `H`, hence independent of the
@@ -96,6 +120,10 @@ impl BlockChain for Btd {
 
     fn diag_into(&self, i: usize, out: &mut ZMat) {
         out.as_mut_slice().copy_from_slice(self.diag[i].as_slice());
+    }
+
+    fn diag_at(&self, i: usize, r: usize, c: usize) -> Complex64 {
+        self.diag[i][(r, c)]
     }
 
     fn upper_at(&self, i: usize, r: usize, c: usize) -> Complex64 {
@@ -153,6 +181,10 @@ impl BlockChain for EsMinusH<'_> {
         for ((o, &s), &h) in out.as_mut_slice().iter_mut().zip(s).zip(h) {
             *o = es_minus_h_entry(self.z, s, h);
         }
+    }
+
+    fn diag_at(&self, i: usize, r: usize, c: usize) -> Complex64 {
+        es_minus_h_entry(self.z, self.s.diag[i][(r, c)], self.h.diag[i][(r, c)])
     }
 
     fn upper_at(&self, i: usize, r: usize, c: usize) -> Complex64 {
@@ -229,6 +261,7 @@ mod tests {
         for i in 0..nb {
             pencil.diag_into(i, &mut d);
             assert_eq!(d, a.diag[i], "diag {i}");
+            assert_eq!(pencil.diag_at(i, 1, 2), a.diag[i][(1, 2)]);
         }
         let support = pencil.coupling_support();
         assert_eq!(support.len(), nb - 1);
