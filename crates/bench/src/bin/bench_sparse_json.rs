@@ -1,14 +1,17 @@
 //! Emits `BENCH_sparse.json`: matrix-byte footprint and ms per energy
 //! point of the three transmission routes — dense staging (`t_dense` +
 //! `zgesv`, the pre-sparsity layout), BTD-native full RGF, and the
-//! one-sweep Caroli kernel the transmission-only path runs ("boundary")
+//! two-front Caroli kernel the transmission-only path runs ("boundary")
 //! — at two device lengths; plus the `interior` row: the wave-function
 //! solve (SplitSolve) at the long-wire shape, its operation count against
-//! what materializing `Q` cost and its time against block-Thomas LU.
+//! what materializing `Q` cost and its time against block-Thomas LU; and
+//! the `tonly` row: the Caroli kernel at the same shape with each Σ built
+//! from three lead modes, its operation count on the mode-thin broadening
+//! factor against the row-support one.
 //!
 //! The gated ratios are the footprint speedups (dense peak bytes over
-//! BTD / boundary peak bytes) and the interior flop ratio, which are
-//! allocation and operation counts and therefore deterministic; the
+//! BTD / boundary peak bytes) and the interior and tonly flop ratios, which
+//! are allocation and operation counts and therefore deterministic; the
 //! wall-clock rows are emitted `"optional": true` so a narrow CI runner
 //! gates them when present without owing the kind coverage. All three
 //! routes compute the same Caroli trace on the same systems and are
@@ -18,9 +21,10 @@
 
 use qtx_bench::{print_table, Row};
 use qtx_linalg::flops::counts;
-use qtx_linalg::{c64, gemm, zgesv, Complex64, Op, ZMat};
+use qtx_linalg::{c64, gemm, qr_least_squares, zgesv, Complex64, FlopScope, Op, ZMat};
 use qtx_solver::{
-    btd_lu_solve_ws, caroli_sweep, rgf_diagonal_and_corner_ws, ObcSystem, SplitSolve, Workspace,
+    btd_lu_solve_ws, caroli_sweep, caroli_sweep_contacts, rgf_diagonal_and_corner_ws,
+    CaroliContact, ObcSystem, SplitSolve, Workspace,
 };
 use qtx_sparse::{
     btd_stats, dense_matrix_bytes, peak_matrix_bytes, reset_peak_matrix_bytes, BlockChain, Btd,
@@ -109,6 +113,65 @@ fn interior_rows(reps: usize, entries: &mut String, rows: &mut Vec<Row>) {
     let mflop = report.flops as f64 * 1e-6;
     rows.push(Row::new(format!("splitsolve nb={nb} s={s}"), vec![mflop, split_ms, flop_speedup]));
     rows.push(Row::new(format!("btd-lu nb={nb} s={s}"), vec![f64::NAN, btd_ms, f64::NAN]));
+}
+
+/// The `tonly` rows: the Caroli kernel at the `nw_long_tonly` shape, each
+/// Σ assembled from three lead modes (`Σ = X·U⁺` on the rows its lead's
+/// coupling touches, as FEAST builds it). Carrying `Γ` through the modes
+/// (6 columns a side) against carrying it through the rows Σ occupies (36
+/// and 48): operation counts, panel construction included (deterministic,
+/// gated), and warm time (optional).
+fn tonly_rows(reps: usize, entries: &mut String, rows: &mut Vec<Row>) {
+    let (nb, s, modes) = (32, 90, 3);
+    let mut sys = long_wire_system(nb);
+    let through_modes = |sigma: &ZMat, seed: u64| {
+        let u = ZMat::random(s, modes, seed);
+        let x = sigma * &u;
+        (&x * &qr_least_squares(&u, &ZMat::identity(s)), u)
+    };
+    let (sigma_l, u_l) = through_modes(&sys.sigma_l.dense(), 501);
+    let (sigma_r, u_r) = through_modes(&sys.sigma_r.dense(), 502);
+    (sys.sigma_l, sys.sigma_r) = (sigma_l.into(), sigma_r.into());
+    let support = sys.a.coupling_support();
+    let ws = Workspace::new();
+    let by_rows = || boundary_route(&sys, &support, &ws);
+    let by_modes = || {
+        let p_l = sys.sigma_l.broadening_factor_ws(Some(&u_l), &ws);
+        let p_r = sys.sigma_r.broadening_factor_ws(Some(&u_r), &ws);
+        assert_eq!((p_l.cols(), p_r.cols()), (2 * modes, 2 * modes));
+        let left = CaroliContact { sigma: &sys.sigma_l, panel: &p_l };
+        let right = CaroliContact { sigma: &sys.sigma_r, panel: &p_r };
+        let t = caroli_sweep_contacts(&sys.a, left, right, &support, &ws).expect("Caroli sweep");
+        ws.recycle(p_l);
+        ws.recycle(p_r);
+        t
+    };
+    let counted = |f: &dyn Fn() -> f64| {
+        let scope = FlopScope::start();
+        (f(), scope.elapsed())
+    };
+    let ((t_rows, row_flops), (t_modes, mode_flops)) = (counted(&by_rows), counted(&by_modes));
+    assert!((t_rows - t_modes).abs() < 1e-10, "row factor {t_rows} vs mode factor {t_modes}");
+    let flop_speedup = row_flops as f64 / mode_flops as f64;
+    let _ = writeln!(
+        entries,
+        "    {{\"kind\": \"tonly\", \"nb\": {nb}, \"s\": {s}, \"support_rows\": 24, \
+         \"support_cols\": 18, \"modes\": {modes}, \"row_support_flops\": {row_flops}, \
+         \"mode_panel_flops\": {mode_flops}, \
+         \"flop_speedup_mode_panel_vs_row_support\": {flop_speedup:.3}}},",
+    );
+    let rows_ms = median_secs(|| _ = by_rows(), reps) * 1e3;
+    let modes_ms = median_secs(|| _ = by_modes(), reps) * 1e3;
+    let _ = writeln!(
+        entries,
+        "    {{\"kind\": \"tonly_latency\", \"nb\": {nb}, \"s\": {s}, \"optional\": true, \
+         \"row_support_ms_per_point\": {rows_ms:.4}, \"mode_panel_ms_per_point\": {modes_ms:.4}, \
+         \"time_speedup_mode_panel_vs_row_support\": {:.3}}},",
+        rows_ms / modes_ms,
+    );
+    let mf = 1e-6;
+    rows.push(Row::new("row-support factor", vec![row_flops as f64 * mf, rows_ms, 1.0]));
+    rows.push(Row::new("mode-thin factor", vec![mode_flops as f64 * mf, modes_ms, flop_speedup]));
 }
 
 fn median_secs(mut f: impl FnMut(), reps: usize) -> f64 {
@@ -300,6 +363,8 @@ fn main() {
 
     let mut interior = Vec::new();
     interior_rows(reps, &mut entries, &mut interior);
+    let mut tonly = Vec::new();
+    tonly_rows(reps, &mut entries, &mut tonly);
 
     let entries = entries.trim_end().trim_end_matches(',').to_string();
     let json = format!(
@@ -307,8 +372,9 @@ fn main() {
          \"cores\": {cores},\n  \"target_cpu\": \"native\",\n  \"quick\": {quick},\n  \
          \"flags_note\": \"footprint speedups are peak matrix-byte ratios (deterministic, \
          allocation-counter based); the interior flop speedup is the dense-Q operation count \
-         over the counted operations of SplitSolve on the coupling supports (deterministic); \
-         latency rows are warm ms/pt on the same systems and are optional for narrow runners\",\n  \"results\": [\n{entries}\n  ]\n}}\n"
+         over the counted operations of SplitSolve on the coupling supports, the tonly one the \
+         Caroli kernel's count with each broadening carried on the rows Σ occupies over its \
+         count on three lead modes a side (both deterministic); latency rows are warm ms/pt on the same systems and are optional for narrow runners\",\n  \"results\": [\n{entries}\n  ]\n}}\n"
     );
     std::fs::write(&out_path, &json).expect("write BENCH_sparse.json");
     print_table(
@@ -320,6 +386,11 @@ fn main() {
         "Interior solve at the long-wire shape (24 x 18 coupling support)",
         &["solver", "MFLOP", "ms/pt", "flops vs dense Q x"],
         &interior,
+    );
+    print_table(
+        "Caroli kernel at the long-wire shape, 3 lead modes a side",
+        &["broadening factor", "MFLOP", "ms/pt", "flops vs row support x"],
+        &tonly,
     );
     println!("\nwrote {out_path}");
 }

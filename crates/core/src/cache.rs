@@ -653,16 +653,23 @@ pub(crate) fn env_handle(dk: &DeviceK) -> Option<CacheHandle> {
 /// [`encode_obc_result_compressed`] would store it (`tol ≤ 0`: the dense
 /// block moves through untouched).
 fn fresh_parts(fresh: ObcResult, tol: f64) -> ObcFrameParts {
-    let sigma = if tol > 0.0 {
-        CompressedSigma::compress(&fresh.sigma, tol)
-    } else {
-        CompressedSigma::Dense(fresh.sigma)
-    };
-    ObcFrameParts {
-        sigma,
+    let parts = ObcFrameParts {
+        sigma: CompressedSigma::Dense(fresh.sigma),
         injection: fresh.injection,
         inc_modes: fresh.inc_modes,
         out_modes: fresh.out_modes,
+    };
+    compressed_at(parts, tol)
+}
+
+/// `parts` with a dense Σ compressed at `tol` (`tol ≤ 0` and a Σ already
+/// in factors: untouched).
+fn compressed_at(parts: ObcFrameParts, tol: f64) -> ObcFrameParts {
+    match parts.sigma {
+        CompressedSigma::Dense(ref dense) if tol > 0.0 => {
+            ObcFrameParts { sigma: CompressedSigma::compress(dense, tol), ..parts }
+        }
+        _ => parts,
     }
 }
 
@@ -677,25 +684,32 @@ fn fresh_parts(fresh: ObcResult, tol: f64) -> ObcFrameParts {
 /// Σ comes back in frame *parts*: a Σ that compressed inside the cache
 /// reaches a boundary-block solver still factored, and dense callers
 /// expand with [`ObcFrameParts::into_result`] (a move when Σ is dense).
-/// An uncached solve is compressed here with `uncached_tol` (0 keeps it
-/// dense and exact; the cache applies its own configured tolerance, which
-/// wins when a handle serves the point).
+/// `tol` is the caller's own Σ-compression tolerance (0 keeps Σ dense and
+/// exact): it is applied to whatever comes back dense, from a fresh solve
+/// or from a cache that stores exact frames alike — a cache configured
+/// with a tolerance of its own has already decided and wins.
 pub(crate) fn self_energy_pair(
     handle: Option<&CacheHandle>,
     dk: &DeviceK,
     e: f64,
     eta: f64,
     method: ObcMethod,
-    uncached_tol: f64,
+    tol: f64,
 ) -> TransportResult<(ObcFrameParts, ObcFrameParts)> {
-    match handle {
-        Some(h) if !qtx_linalg::fault::armed() => {
-            h.cache.self_energy_pair(&dk.lead_l, h.hash_l, &dk.lead_r, h.hash_r, e, eta, method)
-        }
-        _ => qtx_obc::self_energy_pair(&dk.lead_l, &dk.lead_r, e, Eta(eta), method)
-            .map(|(l, r)| (fresh_parts(l, uncached_tol), fresh_parts(r, uncached_tol))),
-    }
-    .map_err(|(side, source)| TransportError::Obc { side, source })
+    let (cache_tol, pair) = match handle {
+        Some(h) if !qtx_linalg::fault::armed() => (
+            h.cache.cfg.sigma_compress_tol,
+            h.cache.self_energy_pair(&dk.lead_l, h.hash_l, &dk.lead_r, h.hash_r, e, eta, method),
+        ),
+        _ => (
+            0.0,
+            qtx_obc::self_energy_pair(&dk.lead_l, &dk.lead_r, e, Eta(eta), method)
+                .map(|(l, r)| (fresh_parts(l, 0.0), fresh_parts(r, 0.0))),
+        ),
+    };
+    let (parts_l, parts_r) = pair.map_err(|(side, source)| TransportError::Obc { side, source })?;
+    let tol = if cache_tol > 0.0 { 0.0 } else { tol };
+    Ok((compressed_at(parts_l, tol), compressed_at(parts_r, tol)))
 }
 
 #[cfg(test)]

@@ -31,7 +31,7 @@ use crate::transport::{
 use qtx_accel::AccelRuntime;
 use qtx_linalg::ZMat;
 use qtx_obc::Side;
-use qtx_sparse::CouplingSupport;
+use qtx_sparse::{CompressedSigma, CouplingSupport};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
@@ -52,13 +52,14 @@ pub struct PointPolicy<'rt> {
     /// sweeps — only explicit point queries opt in.
     pub allow_interp: bool,
     /// Skip the scattering-state solve entirely and compute T(E) through
-    /// the one-sweep Caroli kernel with compressed Σ (the sparsity fast
+    /// the two-front Caroli kernel with compressed Σ (the sparsity fast
     /// path; see `docs/sparsity.md`). The result carries no wave functions.
     pub transmission_only: bool,
     /// Relative tolerance for compressing self-energies on the
-    /// transmission-only path when the engine has no cache (a cache
-    /// applies its own configured tolerance). `0.0` keeps Σ exact and the
-    /// transmission bit-identical to the dense Caroli route.
+    /// transmission-only path: applied to every Σ that reaches the point
+    /// dense, from a fresh solve or from a cache storing exact frames (a
+    /// cache configured with a tolerance of its own wins). `0.0` keeps Σ
+    /// exact and the transmission bit-identical to the dense Caroli route.
     pub sigma_compress_tol: f64,
     /// Accelerator runtime for the Eq. 5 solve (direct path only; the
     /// ladder always runs on the host, matching the pre-engine behavior).
@@ -84,13 +85,18 @@ impl PointPolicy<'static> {
         PointPolicy { robust: true, allow_interp: true, ..PointPolicy::default() }
     }
 
-    /// Transmission-only NEGF: one right-to-left elimination sweep over
-    /// the streamed blocks of `E·S − H` yields the Caroli trace directly.
-    /// No Green's function block and no copy of `A` is materialized, Σ
-    /// stays in its compressed form end to end, and the working set is a
-    /// few `s × s` blocks whatever the device length. The point reports
-    /// [`transport::METHOD_BOUNDARY`] with the recorded Σ-compression
-    /// bound in [`transport::PointOutcome::interp_bound`].
+    /// Transmission-only NEGF: two elimination fronts over the streamed
+    /// blocks of `E·S − H`, one from each contact, meet inside the device
+    /// and yield the Caroli trace directly — each block factored once,
+    /// each broadening carried through the thinner of its exact factors
+    /// (a few lead modes wide when Σ was built from modes), the fronts on
+    /// two threads when each is worth one. No Green's function block and
+    /// no copy of `A` is materialized, Σ stays in its compressed form end
+    /// to end, and the working set is a few `s × s` blocks whatever the
+    /// device length: cheaper than a wave-function point of the same
+    /// device. The point reports [`transport::METHOD_BOUNDARY`] with the
+    /// recorded Σ-compression bound (0 unless a tolerance was asked for)
+    /// in [`transport::PointOutcome::interp_bound`].
     pub fn transmission_only() -> Self {
         PointPolicy { transmission_only: true, ..PointPolicy::default() }
     }
@@ -108,8 +114,8 @@ impl<'rt> PointPolicy<'rt> {
         }
     }
 
-    /// Sets the Σ-compression tolerance used by the cacheless
-    /// transmission-only path.
+    /// Sets the Σ-compression tolerance of the transmission-only path
+    /// ([`PointPolicy::sigma_compress_tol`]).
     pub fn with_sigma_compression(mut self, tol: f64) -> Self {
         self.sigma_compress_tol = tol;
         self
@@ -343,7 +349,7 @@ impl TransportEngine {
     }
 
     /// Transmission-only fast path: Σ flows compressed from the cache (or
-    /// a fresh solve) into the one-sweep Caroli kernel, which streams the
+    /// a fresh solve) into the two-front Caroli kernel, which streams the
     /// device blocks and reuses the folded device's memoized coupling
     /// supports. The recorded Σ-compression bound rides in
     /// [`transport::PointOutcome::interp_bound`].
@@ -390,8 +396,11 @@ impl TransportEngine {
             // full wave-function result instead of the Caroli fallback.
             return None;
         }
-        let (comp_l, comp_r) = (sigma_l.clone().into(), sigma_r.clone().into());
-        let t = transport::caroli_streamed(dk, e, 0.0, &comp_l, &comp_r, folded.support()).ok()?;
+        let (sigma_l, sigma_r): (CompressedSigma, CompressedSigma) =
+            (sigma_l.into(), sigma_r.into());
+        let contacts = [(&sigma_l, &[][..]), (&sigma_r, &[][..])];
+        let t = transport::caroli_streamed(dk, e, 0.0, contacts, folded.support()).ok()?;
+        let (sigma_l, sigma_r) = (sigma_l.into_dense(), sigma_r.into_dense());
         let result = EnergyPointResult::caroli_only(e, dk.kz, t, (0, 0), sigma_l, sigma_r);
         let mut rs = RobustSolve::solved(result, METHOD_CACHE_INTERP, ms_since(start));
         rs.outcome.interp_bound = bound;

@@ -26,19 +26,25 @@
 //!   the same streamed chain. The BTD-LU and BCR baselines are the
 //!   exception: they factor an assembled copy of `A`.
 //! * **NEGF/Caroli** (Eq. 4): `T = Tr[Γ_L·G_{0,n−1}·Γ_R·G_{0,n−1}ᴴ]` via
-//!   the one-sweep kernel [`qtx_solver::caroli_sweep`] — the cross-check
-//!   used throughout the test suite, and the whole of a transmission-only
-//!   point.
+//!   the two-front kernel [`qtx_solver::caroli_sweep_contacts`]: one
+//!   elimination front from each contact, each block factored once, the
+//!   two joined in a small system inside the device. Each `Γ = P·K·Pᴴ`
+//!   enters through the thinner of its two exact factors — `2m` columns
+//!   through the `m` outgoing lead modes Σ was assembled from, or the rows
+//!   Σ occupies ([`CompressedSigma::broadening_factor_ws`]). The
+//!   cross-check used throughout the test suite, and the whole of a
+//!   transmission-only point — which this makes cheaper than a
+//!   wave-function point of the same device.
 
 use crate::cache::{self, CacheHandle};
 use crate::device::{DeviceK, TransportConfig};
 use crate::error::{TransportError, TransportResult};
 use qtx_accel::AccelRuntime;
 use qtx_linalg::{gemm_into, qr_least_squares, Complex64, LinalgError, Op, ZMat};
-use qtx_obc::{self_energy_pair, BeynConfig, Eta, ModeSet, ObcMethod, ObcResult};
+use qtx_obc::{self_energy_pair, BeynConfig, Eta, LeadModes, ModeSet, ObcMethod, ObcResult};
 use qtx_solver::{
-    bcr_solve, btd_lu_solve_ws, caroli_sweep, BoundaryTerms, ObcSystem, SolverKind, SplitSolve,
-    Workspace,
+    bcr_solve, btd_lu_solve_ws, caroli_sweep_contacts, BoundaryTerms, CaroliContact, ObcSystem,
+    SolverKind, SplitSolve, Workspace,
 };
 use qtx_sparse::{BlockChain, CompressedSigma, CouplingSupport};
 use std::time::Instant;
@@ -408,52 +414,73 @@ fn chain_residual<C: BlockChain>(
     worst_sqr.sqrt()
 }
 
-/// NEGF/Caroli transmission through the one-sweep kernel (Eq. 4 route).
+/// NEGF/Caroli transmission through the two-front kernel (Eq. 4 route).
 pub fn caroli_transmission(dk: &DeviceK, e: f64, obc: ObcMethod) -> TransportResult<f64> {
     let (obc_l, obc_r) = self_energy_pair(&dk.lead_l, &dk.lead_r, e, Eta::ZERO, obc)
         .map_err(|(side, source)| TransportError::Obc { side, source })?;
-    caroli_from_sigmas(dk, e, 0.0, &obc_l.sigma, &obc_r.sigma)
+    let (sigma_l, sigma_r) = (obc_l.sigma.into(), obc_r.sigma.into());
+    let contacts = [(&sigma_l, &obc_l.out_modes[..]), (&sigma_r, &obc_r.out_modes[..])];
+    caroli_streamed(dk, e, 0.0, contacts, &dk.coupling_support())
 }
 
-/// Caroli transmission from already-computed self-energies — shared by
-/// [`caroli_transmission`] and the decimation rung of the escalation
-/// ladder (whose Σ comes without modes, so the wave-function route is
-/// unavailable). Derives the coupling supports on the spot; the engine
-/// memoizes them per folded device instead.
+/// Caroli transmission from already-computed self-energies that come
+/// without lead modes (decimation, interpolation, an outside source): each
+/// broadening enters through the rows its Σ occupies. Derives the coupling
+/// supports on the spot; the engine memoizes them per folded device
+/// instead.
 pub fn caroli_from_sigmas(
-    dk: &DeviceK,
-    e: f64,
-    eta: f64,
-    sigma_l: &ZMat,
-    sigma_r: &ZMat,
-) -> TransportResult<f64> {
-    let (sigma_l, sigma_r) = (sigma_l.clone().into(), sigma_r.clone().into());
-    caroli_streamed(dk, e, eta, &sigma_l, &sigma_r, &dk.coupling_support())
-}
-
-/// The one Caroli route: `(E + iη)·S − H` streamed block by block into
-/// the elimination sweep of [`caroli_sweep`] — no `A` is assembled, no
-/// Green's function block is formed, a factored Σ is never expanded, and
-/// every temporary cycles through the per-thread pool. `support` is
-/// [`DeviceK::coupling_support`] of `dk`.
-pub(crate) fn caroli_streamed(
     dk: &DeviceK,
     e: f64,
     eta: f64,
     sigma_l: &CompressedSigma,
     sigma_r: &CompressedSigma,
+) -> TransportResult<f64> {
+    caroli_streamed(dk, e, eta, [(sigma_l, &[]), (sigma_r, &[])], &dk.coupling_support())
+}
+
+/// One contact of the Caroli route: Σ as it travelled, and the outgoing
+/// lead modes it was assembled from (none for a mode-free Σ).
+pub(crate) type CaroliSide<'a> = (&'a CompressedSigma, &'a [ModeSet]);
+
+/// The one Caroli route: `(E + iη)·S − H` streamed block by block into
+/// the two elimination fronts of [`caroli_sweep_contacts`] — no `A` is
+/// assembled, no Green's function block is formed, a factored Σ is never
+/// expanded, and every temporary cycles through the per-thread pool. Each
+/// broadening enters through the thinner of its exact factors
+/// ([`CompressedSigma::broadening_factor_ws`]), a choice the inputs fix:
+/// a cache hit, a miss and an uncached solve hand in the same Σ and modes
+/// and get the same bits. `contacts` is `[left, right]`, `support` is
+/// [`DeviceK::coupling_support`] of `dk`.
+pub(crate) fn caroli_streamed(
+    dk: &DeviceK,
+    e: f64,
+    eta: f64,
+    contacts: [CaroliSide<'_>; 2],
     support: &[CouplingSupport],
 ) -> TransportResult<f64> {
-    let t = SOLVER_WS.with(|ws| caroli_sweep(&dk.pencil(e, eta), sigma_l, sigma_r, support, ws))?;
+    let t = SOLVER_WS.with(|ws| {
+        let [p_l, p_r] = contacts.map(|(sigma, out_modes)| {
+            let modes = LeadModes::mode_matrix_ws(out_modes, sigma.dim(), ws);
+            let panel = sigma.broadening_factor_ws(Some(&modes), ws);
+            ws.recycle(modes);
+            panel
+        });
+        let left = CaroliContact { sigma: contacts[0].0, panel: &p_l };
+        let right = CaroliContact { sigma: contacts[1].0, panel: &p_r };
+        let t = caroli_sweep_contacts(&dk.pencil(e, eta), left, right, support, ws);
+        ws.recycle(p_l);
+        ws.recycle(p_r);
+        t
+    })?;
     if !t.is_finite() {
         return Err(TransportError::Linalg(LinalgError::NonFinite { op: "caroli", count: 1 }));
     }
     Ok(t)
 }
 
-/// Transmission-only solve through the one-sweep Caroli kernel: Σ flows
+/// Transmission-only solve through the two-front Caroli kernel: Σ flows
 /// from the cache (or a fresh OBC solve) in its compressed representation
-/// straight into the sweep, no scattering-state system and no `A` is ever
+/// straight into the kernel, no scattering-state system and no `A` is ever
 /// formed, and the dense working set is a few `s × s` blocks whatever the
 /// device length. Returns the point plus the worse of the two
 /// Σ-compression bounds (0 when compression is off — then the
@@ -473,8 +500,10 @@ pub(crate) fn solve_point_transmission_only(
         parts_l.inc_modes.iter().filter(|m| m.propagating).count(),
         parts_r.inc_modes.iter().filter(|m| m.propagating).count(),
     );
-    let t = caroli_streamed(dk, e, 0.0, &parts_l.sigma, &parts_r.sigma, support)?;
-    let (sigma_l, sigma_r) = (parts_l.sigma.to_dense(), parts_r.sigma.to_dense());
+    let contacts =
+        [(&parts_l.sigma, &parts_l.out_modes[..]), (&parts_r.sigma, &parts_r.out_modes[..])];
+    let t = caroli_streamed(dk, e, 0.0, contacts, support)?;
+    let (sigma_l, sigma_r) = (parts_l.sigma.into_dense(), parts_r.sigma.into_dense());
     Ok((EnergyPointResult::caroli_only(e, dk.kz, t, channels, sigma_l, sigma_r), bound))
 }
 
@@ -511,7 +540,7 @@ pub const METHOD_FAILED: u8 = 6;
 pub const METHOD_CACHE_INTERP: u8 = 7;
 
 /// `method_used` value of a transmission-only point solved through the
-/// one-sweep Caroli kernel with compressed self-energies (engine-only;
+/// two-front Caroli kernel with compressed self-energies (engine-only;
 /// never appears in sweep records).
 pub const METHOD_BOUNDARY: u8 = 8;
 
@@ -674,9 +703,8 @@ fn decimation_caroli_rung(
 ) -> TransportResult<EnergyPointResult> {
     let (obc_l, obc_r) =
         cache::self_energy_pair(cache, dk, e, ETA_BUMP, ObcMethod::Decimation, 0.0)?;
-    let (sigma_l, sigma_r) = (obc_l.into_result().sigma, obc_r.into_result().sigma);
-    let (comp_l, comp_r) = (sigma_l.clone().into(), sigma_r.clone().into());
-    let t = caroli_streamed(dk, e, ETA_BUMP, &comp_l, &comp_r, support)?;
+    let t = caroli_streamed(dk, e, ETA_BUMP, [(&obc_l.sigma, &[]), (&obc_r.sigma, &[])], support)?;
+    let (sigma_l, sigma_r) = (obc_l.sigma.into_dense(), obc_r.sigma.into_dense());
     Ok(EnergyPointResult::caroli_only(e, dk.kz, t, (0, 0), sigma_l, sigma_r))
 }
 

@@ -11,9 +11,11 @@ use qtx_core::{
     SweepPlan, TaskAttempt, TransportConfig, TransportError, METHOD_BOUNDARY,
 };
 use qtx_linalg::{c64, gemm, Complex64, Op, ZMat};
-use qtx_obc::{LeadBlocks, ObcMethod};
-use qtx_solver::{caroli_sweep, Workspace};
-use qtx_sparse::{live_matrix_bytes, peak_matrix_bytes, reset_peak_matrix_bytes, Btd};
+use qtx_obc::{LeadBlocks, LeadModes, ObcMethod};
+use qtx_solver::{caroli_sweep, caroli_sweep_contacts, CaroliContact, Workspace};
+use qtx_sparse::{
+    live_matrix_bytes, peak_matrix_bytes, reset_peak_matrix_bytes, Btd, CompressedSigma,
+};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// The peak-byte counter is process-global; every test that reads it (or
@@ -114,24 +116,46 @@ fn clean_wire_transmits_its_channel_count() {
 fn streamed_point_matches_the_assembled_system_bit_for_bit() {
     let _guard = lock();
     // The engine streams E·S − H block by block; handing the kernel the
-    // assembled A with the same Σ must give the very same bits.
+    // assembled A with the same boundary inputs — Σ and the broadening
+    // factor through the outgoing modes it was built from — must give the
+    // very same bits.
     let mut d = nanowire(8);
     let v: Vec<f64> = (0..d.n_slabs).map(|q| 0.03 * q as f64).collect();
     d.set_potential(&v);
     let dk = d.at_kz(0.0);
     let e = dk.lead_l.dispersive_energy(1.0, 0.2, 0.3).expect("conduction band") + 0.05;
+    let obc = d.config.obc;
     let engine = TransportEngine::builder(d).cache(qtx_core::CachePolicy::Off).build();
     let r = engine.solve_point(e, 0.0, &PointPolicy::transmission_only()).into_result().unwrap();
-    let assembled = caroli_sweep(
+    let ws = Workspace::new();
+    let (obc_l, obc_r) =
+        qtx_obc::self_energy_pair(&dk.lead_l, &dk.lead_r, e, qtx_obc::Eta::ZERO, obc).unwrap();
+    assert_eq!((&obc_l.sigma, &obc_r.sigma), (&r.sigma_l, &r.sigma_r));
+    let s = dk.h.block_size();
+    let [(sigma_l, p_l), (sigma_r, p_r)] = [obc_l, obc_r].map(|obc| {
+        let sigma = CompressedSigma::from(obc.sigma);
+        let modes = LeadModes::mode_matrix(&obc.out_modes, s);
+        let panel = sigma.broadening_factor_ws(Some(&modes), &ws);
+        (sigma, panel)
+    });
+    // The FEAST modes are fewer than the rows Σ occupies: the engine ran on
+    // the mode-thin factor, and so does this.
+    assert!(p_l.cols() < sigma_l.broadening_factor().cols());
+    let assembled = caroli_sweep_contacts(
         &dk.es_minus_h(e),
-        &r.sigma_l.clone().into(),
-        &r.sigma_r.clone().into(),
+        CaroliContact { sigma: &sigma_l, panel: &p_l },
+        CaroliContact { sigma: &sigma_r, panel: &p_r },
         &dk.coupling_support(),
-        &Workspace::new(),
+        &ws,
     )
     .unwrap();
     assert_eq!(r.transmission, assembled);
     assert!(r.transmission > 0.0 && r.transmission < r.channels.0 as f64, "ramp must reflect");
+    // The factor the rows of Σ give is the same Γ, hence the same T to
+    // rounding.
+    let by_rows =
+        caroli_sweep(&dk.es_minus_h(e), &sigma_l, &sigma_r, &dk.coupling_support(), &ws).unwrap();
+    assert!((by_rows - assembled).abs() < 1e-12, "{by_rows} vs {assembled}");
 }
 
 #[test]
@@ -233,7 +257,7 @@ fn compressed_sigma_stays_within_recorded_bound() {
         qtx_obc::self_energy(&dk.lead_r, e, qtx_obc::Eta(0.0), qtx_obc::Side::Right, cfg.obc)
             .unwrap()
             .sigma;
-    let t_dense = exact(&dk, e, 0.0, &sig_l, &sig_r).unwrap();
+    let t_dense = exact(&dk, e, 0.0, &sig_l.into(), &sig_r.into()).unwrap();
     assert_eq!(t_dense, t_exact, "engine exact pass must match the dense Caroli route");
 }
 
@@ -281,4 +305,137 @@ fn peak_matrix_bytes_scale_with_bandwidth_times_n() {
         working_set[1],
         lengths[0]
     );
+}
+
+/// `‖P·K·Pᴴ − i(Σ − Σᴴ)‖_max / ‖Σ‖_max` with `K = [[0, iI], [−iI, 0]]`.
+fn gamma_defect(p: &ZMat, sigma: &ZMat) -> f64 {
+    let (n, k) = (p.rows(), p.cols() / 2);
+    let pk = ZMat::from_fn(n, 2 * k, |i, j| {
+        if j < k {
+            -Complex64::I * p[(i, k + j)]
+        } else {
+            Complex64::I * p[(i, j - k)]
+        }
+    });
+    let mut rebuilt = ZMat::zeros(n, n);
+    gemm(Complex64::ONE, &pk, Op::None, p, Op::Adjoint, Complex64::ZERO, &mut rebuilt);
+    let gamma = &sigma.scaled(Complex64::I) - &sigma.adjoint().scaled(Complex64::I);
+    rebuilt.max_diff(&gamma) / sigma.norm_max()
+}
+
+#[test]
+fn mode_factor_is_exact_on_the_device_leads() {
+    let _guard = lock();
+    // The leads of the benchmark's devices (the DFT-basis one at the
+    // smoke run's diameter): in band, at the band edge, and broadened.
+    use BasisKind::{Dft3sp, TightBinding};
+    let specs = [
+        ("utb", DeviceBuilder::utb(0.8).cells(2).basis(TightBinding).build()),
+        ("0.8 nm wire", DeviceBuilder::nanowire(0.8).cells(2).basis(TightBinding).build()),
+        ("1.5 nm wire", DeviceBuilder::nanowire(1.5).cells(2).basis(TightBinding).build()),
+        ("dft wire", DeviceBuilder::nanowire(0.6).cells(2).basis(Dft3sp).build()),
+    ];
+    let ws = Workspace::new();
+    let mut thinner = 0;
+    for (name, spec) in specs {
+        let d = Device::build(spec).unwrap();
+        let lead = d.at_kz(0.0).lead_l;
+        let edge = lead.dispersive_band_min(0.1, 0.3).expect("conduction band");
+        for (e, eta) in [(edge + 0.05, 0.0), (edge, 0.0), (edge + 0.05, 1e-6)] {
+            let (obc_l, obc_r) =
+                qtx_obc::self_energy_pair(&lead, &lead, e, qtx_obc::Eta(eta), d.config.obc)
+                    .unwrap();
+            for (side, obc) in [("left", obc_l), ("right", obc_r)] {
+                let modes = LeadModes::mode_matrix(&obc.out_modes, lead.nf());
+                let sigma = CompressedSigma::from(obc.sigma);
+                let by_rows = sigma.broadening_factor().cols();
+                let p = sigma.broadening_factor_ws(Some(&modes), &ws);
+                let case = format!("{name} {side} E={e} η={eta}: {} modes", modes.cols());
+                if (1..by_rows / 2).contains(&modes.cols()) {
+                    assert_eq!(p.cols(), 2 * modes.cols(), "{case}");
+                    thinner += 1;
+                } else {
+                    assert_eq!(p.cols(), by_rows, "{case}");
+                }
+                let defect = gamma_defect(&p, &sigma.dense());
+                assert!(defect < 1e-12, "{case}: defect {defect:.1e}");
+                ws.recycle(p);
+            }
+        }
+    }
+    assert!(thinner >= 16, "the mode factor was the thinner one {thinner} times of 24");
+    // A shift-invert mode set is wider than FEAST's annulus: on the long
+    // wire's lead the left contact (18 rows) keeps its row factor, the right
+    // one (24 rows) still gains from the modes. Thinner of two, per side.
+    // Its fast-decaying modes make `U` ill-conditioned, and `Σ = (Σ·Q)·Qᴴ`
+    // then holds to the accuracy `U⁺` — and with it Σ itself — was computed
+    // to (2.4e-11 here) instead of to the last bits.
+    let d = Device::build(DeviceBuilder::nanowire(1.5).cells(2).basis(TightBinding).build());
+    let lead = d.unwrap().at_kz(0.0).lead_l;
+    let e = lead.dispersive_band_min(0.1, 0.3).unwrap() + 0.05;
+    let (obc_l, obc_r) =
+        qtx_obc::self_energy_pair(&lead, &lead, e, qtx_obc::Eta::ZERO, ObcMethod::ShiftInvert)
+            .unwrap();
+    let cols = [obc_l, obc_r].map(|obc| {
+        let modes = LeadModes::mode_matrix(&obc.out_modes, lead.nf());
+        let sigma = CompressedSigma::from(obc.sigma);
+        let p = sigma.broadening_factor_ws(Some(&modes), &ws);
+        assert!(gamma_defect(&p, &sigma.dense()) < 1e-9);
+        (modes.cols(), sigma.broadening_factor().cols(), p.cols())
+    });
+    assert_eq!(cols, [(20, 36, 36), (20, 48, 40)]);
+}
+
+#[test]
+fn hit_miss_and_cache_off_points_are_the_same_bits() {
+    let _guard = lock();
+    let d = nanowire(8);
+    let dk = d.at_kz(0.0);
+    let e = dk.lead_l.dispersive_energy(1.0, 0.2, 0.3).expect("conduction band") + 0.02;
+    let reference = caroli_transmission(&dk, e, d.config.obc).unwrap();
+    let tonly = |engine: &TransportEngine| {
+        let rs = engine.solve_point(e, 0.0, &PointPolicy::transmission_only());
+        assert_eq!(rs.outcome.interp_bound, 0.0);
+        rs.into_result().unwrap().transmission
+    };
+    let off = TransportEngine::builder(nanowire(8)).cache(qtx_core::CachePolicy::Off).build();
+    assert_eq!(tonly(&off), reference, "cache off ≡ caroli_transmission");
+    let cached = TransportEngine::builder(d).cache_config(qtx_core::CacheConfig::default()).build();
+    assert_eq!(tonly(&cached), reference, "miss");
+    assert_eq!(tonly(&cached), reference, "hit");
+    let stats = cached.cache_stats().unwrap();
+    assert_eq!((stats.misses, stats.hits), (2, 2));
+}
+
+#[test]
+fn fanned_out_fronts_do_not_change_a_point() {
+    let _guard = lock();
+    // Sixteen cells of the 1.5 nm wire: each front of a point is worth a
+    // thread. On this thread the fronts fan out; under saturated pool
+    // guards and on the workers of a busy pool they run inline.
+    let spec = DeviceBuilder::nanowire(1.5).cells(16).basis(BasisKind::TightBinding).build();
+    let d = Device::build(spec).unwrap();
+    let e = d.at_kz(0.0).lead_l.dispersive_band_min(0.1, 0.3).expect("conduction band") + 0.05;
+    let engine = Arc::new(TransportEngine::builder(d).cache(qtx_core::CachePolicy::Off).build());
+    let solve = |engine: &TransportEngine, e: f64| -> u64 {
+        let rs = engine.solve_point(e, 0.0, &PointPolicy::transmission_only());
+        rs.into_result().unwrap().transmission.to_bits()
+    };
+    let energies = vec![e, e + 0.01];
+    let fanned: Vec<u64> = energies.iter().map(|&e| solve(&engine, e)).collect();
+    let inline: Vec<u64> = {
+        let _busy = (rayon::enter_pool_worker(), rayon::enter_pool_worker());
+        energies.iter().map(|&e| solve(&engine, e)).collect()
+    };
+    assert_eq!(inline, fanned);
+    let pool = Scheduler::new(SchedulerConfig { workers: 2, ..SchedulerConfig::default() });
+    let worker_engine = engine.clone();
+    let reports = pool.execute(
+        energies,
+        &BatchOptions::default(),
+        move |_, &e, _| TaskAttempt::Done(solve(&worker_engine, e)),
+        |_, _, _, _| 0,
+    );
+    assert_eq!(reports.iter().map(|r| r.value).collect::<Vec<_>>(), fanned);
+    assert!((f64::from_bits(fanned[0]) - 1.0).abs() < 1e-6, "one open channel at the band edge");
 }

@@ -41,6 +41,35 @@ pub fn flops_add(n: u64) {
     GLOBAL_FLOPS.fetch_add(n, Ordering::Relaxed);
 }
 
+/// [`rayon::join`] that keeps the caller's thread-scoped [`FlopScope`]
+/// whole: the operations either closure executed on a borrowed thread
+/// (already in the process-wide total through [`flops_add`]) are credited
+/// to the calling thread's counter once both have returned, so a kernel
+/// that fans two halves of its work out counts the same inline, fanned
+/// out, and whichever half the helper thread took.
+pub fn join_counted<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
+where
+    A: FnOnce() -> RA + Send,
+    B: FnOnce() -> RB + Send,
+    RA: Send,
+    RB: Send,
+{
+    fn counted<R>(f: impl FnOnce() -> R) -> (R, u64, std::thread::ThreadId) {
+        let scope = FlopScope::start();
+        let ran = f();
+        (ran, scope.elapsed(), std::thread::current().id())
+    }
+    let here = std::thread::current().id();
+    let ((ran_a, flops_a, on_a), (ran_b, flops_b, on_b)) =
+        rayon::join(|| counted(a), || counted(b));
+    for (flops, on) in [(flops_a, on_a), (flops_b, on_b)] {
+        if on != here {
+            THREAD_FLOPS.with(|c| c.set(c.get() + flops));
+        }
+    }
+    (ran_a, ran_b)
+}
+
 /// Total double-precision operations counted **process-wide** since
 /// start/reset (every thread's contributions aggregated).
 #[inline]
@@ -176,28 +205,74 @@ pub mod counts {
         (8 * n * k * (2 * m).saturating_sub(k).max(1)).max(1)
     }
 
-    /// The one-sweep Caroli transmission kernel (`qtx_solver::caroli_sweep`)
-    /// on a chain of `s × s` blocks. `couplings` lists, per adjacent block
-    /// pair, `(|R_u|, |C_u|, |C_l|)`: the non-zero rows and columns of the
-    /// coupling above the diagonal and the non-zero columns of the one
-    /// below; `wl`/`wr` are the widths of the left/right broadening
-    /// factors. Every block is factored and solved once, against
-    /// `|C_l| + wr` columns (`wr` for the first block, which has no
-    /// coupling below it); every coupling costs one
-    /// `|R_u| × (|C_l| + wr) × |C_u|` product; the trace needs one
-    /// `wl × wr × s` product. Folding a *factored* Σ of rank `r` into its
-    /// corner block adds [`zgemm`]`(s, s, r)` on top.
+    /// What one coupling pair adds to an elimination front of the Caroli
+    /// kernel that carries `w` panel columns: a pivot factorization, a solve
+    /// against the `|C_l|` non-zero columns of the coupling below plus the
+    /// panel, and the `|R_u| × (|C_l| + w) × |C_u|` product with the
+    /// coupling above.
+    fn caroli_pair(s: usize, (ru, cu, cl): (usize, usize, usize), w: usize) -> u64 {
+        zgetrf(s) + zgetrs(s, cl + w) + zgemm(ru, cl + w, cu)
+    }
+
+    /// Where the Caroli kernel cuts a chain of `couplings.len() + 1 ≥ 2`
+    /// blocks, and what its two fronts cost there: `(c, right, left)`. The
+    /// right front eliminates blocks `n−1 … c+1` carrying `wr` columns, the
+    /// left front the block-reversed adjoint of blocks `0 … c` (every
+    /// coupling seen transposed) carrying `wl`; each ends in a block solved
+    /// against the unit columns of the cut pair's support plus its panel.
+    /// `c` is the first cut that minimizes the larger front — a function of
+    /// the block size, the coupling supports and the panel widths alone.
+    pub fn caroli_cut(
+        s: usize,
+        couplings: &[(usize, usize, usize, usize)],
+        wl: usize,
+        wr: usize,
+    ) -> (usize, u64, u64) {
+        let mut right: u64 =
+            couplings.iter().map(|&(ru, cu, _, cl)| caroli_pair(s, (ru, cu, cl), wr)).sum();
+        let mut left = 0;
+        let mut best = (0, u64::MAX, u64::MAX);
+        for (c, &(ru, cu, rl, cl)) in couplings.iter().enumerate() {
+            right -= caroli_pair(s, (ru, cu, cl), wr);
+            let at_cut =
+                (right + zgetrf(s) + zgetrs(s, rl + wr), left + zgetrf(s) + zgetrs(s, cl + wl));
+            if at_cut.0.max(at_cut.1) < best.1.max(best.2) {
+                best = (c, at_cut.0, at_cut.1);
+            }
+            left += caroli_pair(s, (cu, ru, rl), wl);
+        }
+        best
+    }
+
+    /// The two-front Caroli transmission kernel
+    /// (`qtx_solver::caroli_sweep`) on a chain of `s × s` blocks.
+    /// `couplings` lists, per adjacent block pair,
+    /// `(|R_u|, |C_u|, |R_l|, |C_l|)`: the non-zero rows and columns of the
+    /// coupling above the diagonal and of the one below; `wl`/`wr` are the
+    /// widths of the left/right broadening factors. The chain is cut at
+    /// [`caroli_cut`]. Each front factors every one of its blocks once and
+    /// solves it once, against the non-zero columns of the coupling towards
+    /// the cut plus its panel, and pays one thin product per coupling; the
+    /// fronts meet in one `|C_u| × |C_u|` tip system on the cut pair's
+    /// supports (three products to build it, one factorization, one solve
+    /// against `wr` columns) and two more products give the `wl × wr` trace
+    /// matrix. A single block is one front and one `wl × wr × s` product.
+    /// Folding a *factored* Σ of rank `r` into its corner block adds
+    /// [`zgemm`]`(s, s, r)` on top.
     pub fn caroli_sweep(
         s: usize,
-        couplings: impl IntoIterator<Item = (usize, usize, usize)>,
+        couplings: &[(usize, usize, usize, usize)],
         wl: usize,
         wr: usize,
     ) -> u64 {
-        let per_coupling: u64 = couplings
-            .into_iter()
-            .map(|(ru, cu, cl)| zgetrf(s) + zgetrs(s, cl + wr) + zgemm(ru, cl + wr, cu))
-            .sum();
-        zgetrf(s) + zgetrs(s, wr) + per_coupling + zgemm(wl, wr, s)
+        if couplings.is_empty() {
+            return zgetrf(s) + zgetrs(s, wr) + zgemm(wl, wr, s);
+        }
+        let (c, right, left) = caroli_cut(s, couplings, wl, wr);
+        let (ru, cu, rl, cl) = couplings[c];
+        let tip = zgemm(cu, cl, rl) + zgemm(cl, cu, ru) + zgemm(cu, cu, cl);
+        let join = zgetrf(cu) + zgetrs(cu, wr) + zgemm(wl, cu, ru) + zgemm(wl, wr, cu);
+        right + left + tip + join
     }
 
     /// What SplitSolve cost while it materialized `Q = A⁻¹·B` as `2·n_b`
@@ -322,6 +397,27 @@ mod tests {
             s.spawn(|| flops_add(500));
         });
         assert_eq!(local.elapsed(), 0);
+    }
+
+    #[test]
+    fn join_counted_credits_the_borrowed_thread_to_the_caller() {
+        let before = flops_total();
+        let scope = FlopScope::start();
+        let (a, b) = join_counted(
+            || {
+                flops_add(300);
+                'a'
+            },
+            || {
+                flops_add(45);
+                'b'
+            },
+        );
+        assert_eq!((a, b), ('a', 'b'));
+        // Whichever closure ran elsewhere, this thread's bracket sees both,
+        // and the process-wide total saw each operation once.
+        assert_eq!(scope.elapsed(), 345);
+        assert!(flops_total() - before >= 345);
     }
 
     #[test]

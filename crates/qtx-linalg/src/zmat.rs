@@ -455,6 +455,21 @@ impl ZMat {
         y
     }
 
+    /// `Aᴴ·x` read off the columns of `A` where they lie: the sums
+    /// [`ZMat::matvec`] forms on a materialized adjoint, term for term.
+    pub fn matvec_adjoint(&self, x: &[Complex64]) -> Vec<Complex64> {
+        assert_eq!(x.len(), self.rows);
+        let dot = |col: &[Complex64]| {
+            col.iter()
+                .zip(x)
+                .filter(|(_, &xj)| xj != Complex64::ZERO)
+                .fold(Complex64::ZERO, |acc, (aji, &xj)| acc.mul_add(aji.conj(), xj))
+        };
+        let y = (0..self.cols).map(|i| dot(self.col(i))).collect();
+        crate::flops::flops_add(8 * (self.rows as u64) * (self.cols as u64));
+        y
+    }
+
     /// Swap two rows in place (pivoting support).
     pub fn swap_rows(&mut self, i0: usize, i1: usize) {
         if i0 == i1 {

@@ -231,12 +231,8 @@ impl ObcFrameParts {
     /// the stored Σ moves through untouched — bit-identical; for v2 frames
     /// this is the point where `U·Vᴴ` is materialized.
     pub fn into_result(self) -> ObcResult {
-        let sigma = match self.sigma {
-            CompressedSigma::Dense(m) => m,
-            ref factored => factored.to_dense(),
-        };
         ObcResult {
-            sigma,
+            sigma: self.sigma.into_dense(),
             injection: self.injection,
             inc_modes: self.inc_modes,
             out_modes: self.out_modes,

@@ -81,7 +81,7 @@ impl LeadModes {
 fn bloch_overlap(lead: &LeadBlocks, lambda: Complex64, u: &[Complex64]) -> f64 {
     let s00u = lead.s00.matvec(u);
     let s01u = lead.s01.matvec(u);
-    let s10u = lead.s01.adjoint().matvec(u);
+    let s10u = lead.s01.matvec_adjoint(u);
     let mut acc = Complex64::ZERO;
     let li = lambda.inv();
     for i in 0..u.len() {
@@ -90,19 +90,14 @@ fn bloch_overlap(lead: &LeadBlocks, lambda: Complex64, u: &[Complex64]) -> f64 {
     acc.re.max(1e-12)
 }
 
-/// Group velocity of a candidate propagating mode (2·Im(uᴴT01λu)/‖u‖²_S).
-fn group_velocity(
-    pencil: &CompanionPencil,
-    lead: &LeadBlocks,
-    lambda: Complex64,
-    u: &[Complex64],
-) -> f64 {
+/// Group velocity of a candidate propagating mode
+/// (2·Im(uᴴT01λu)/‖u‖²_S) with `ns` its [`bloch_overlap`] norm `‖u‖²_S`.
+fn group_velocity(pencil: &CompanionPencil, lambda: Complex64, u: &[Complex64], ns: f64) -> f64 {
     let t01u = pencil.t01.matvec(u);
     let mut c = Complex64::ZERO;
     for i in 0..u.len() {
         c += u[i].conj() * t01u[i];
     }
-    let ns = bloch_overlap(lead, lambda, u);
     2.0 * (lambda * c).im / ns
 }
 
@@ -143,15 +138,20 @@ pub fn classify_modes_eta(
             continue;
         }
         let mut u: Vec<Complex64> = u_raw.iter().map(|&z| z / norm).collect();
-        let mut propagating = (mag - 1.0).abs() < PROP_TOL;
-        if !propagating && eta > 0.0 && mag.ln().abs() < 0.05 {
-            let v = group_velocity(pencil, lead, *lambda, &u);
-            propagating = v.abs() > 1e-9 && mag.ln().abs() <= 2.0 * eta / v.abs() + PROP_TOL;
-        }
-        if propagating {
-            let v = group_velocity(pencil, lead, *lambda, &u);
-            // Flux normalization: scale so |v|·‖u‖²_S = 1.
+        // Norm and velocity of a mode on the circle or, broadened, near it —
+        // once: the η test and the flux normalization read the same two.
+        let on_circle = (mag - 1.0).abs() < PROP_TOL;
+        let near = eta > 0.0 && mag.ln().abs() < 0.05;
+        let (v, ns) = if on_circle || near {
             let ns = bloch_overlap(lead, *lambda, &u);
+            (group_velocity(pencil, *lambda, &u, ns), ns)
+        } else {
+            (0.0, 0.0)
+        };
+        let propagating = on_circle
+            || (near && v.abs() > 1e-9 && mag.ln().abs() <= 2.0 * eta / v.abs() + PROP_TOL);
+        if propagating {
+            // Flux normalization: scale so |v|·‖u‖²_S = 1.
             let scale = 1.0 / (v.abs() * ns).sqrt().max(1e-12);
             for z in u.iter_mut() {
                 *z = z.scale(scale);
@@ -281,5 +281,95 @@ mod tests {
         let pairs_gap = dense_modes(&pencil_gap).unwrap();
         let modes_gap = classify_modes(&lead, &pencil_gap, &pairs_gap);
         assert_eq!(modes_gap.propagating_counts(), (0, 0));
+    }
+
+    /// `classify_modes_eta` as it stood before the norm was computed once
+    /// and `S01ᴴ·u` read in place: two `bloch_overlap` calls per
+    /// propagating mode, each materializing `S01ᴴ`.
+    fn classify_reference(
+        lead: &LeadBlocks,
+        pencil: &CompanionPencil,
+        pairs: &[(Complex64, Vec<Complex64>)],
+        eta: f64,
+    ) -> Vec<(Complex64, Vec<Complex64>, f64, bool)> {
+        let overlap = |lambda: Complex64, u: &[Complex64]| -> f64 {
+            let s00u = lead.s00.matvec(u);
+            let s01u = lead.s01.matvec(u);
+            let s10u = lead.s01.adjoint().matvec(u);
+            let mut acc = Complex64::ZERO;
+            let li = lambda.inv();
+            for i in 0..u.len() {
+                acc += u[i].conj() * (s00u[i] + lambda * s01u[i] + li * s10u[i]);
+            }
+            acc.re.max(1e-12)
+        };
+        let velocity = |lambda: Complex64, u: &[Complex64]| -> f64 {
+            let t01u = pencil.t01.matvec(u);
+            let mut c = Complex64::ZERO;
+            for i in 0..u.len() {
+                c += u[i].conj() * t01u[i];
+            }
+            2.0 * (lambda * c).im / overlap(lambda, u)
+        };
+        let mut out = Vec::new();
+        for (lambda, u_raw) in pairs {
+            let mag = lambda.abs();
+            let norm = u_raw.iter().map(|z| z.norm_sqr()).sum::<f64>().sqrt();
+            if !lambda.is_finite() || mag < 1e-12 || norm < 1e-12 {
+                continue;
+            }
+            let mut u: Vec<Complex64> = u_raw.iter().map(|&z| z / norm).collect();
+            let mut propagating = (mag - 1.0).abs() < PROP_TOL;
+            if !propagating && eta > 0.0 && mag.ln().abs() < 0.05 {
+                let v = velocity(*lambda, &u);
+                propagating = v.abs() > 1e-9 && mag.ln().abs() <= 2.0 * eta / v.abs() + PROP_TOL;
+            }
+            let mut v = 0.0;
+            if propagating {
+                v = velocity(*lambda, &u);
+                let scale = 1.0 / (v.abs() * overlap(*lambda, &u)).sqrt().max(1e-12);
+                for z in u.iter_mut() {
+                    *z = z.scale(scale);
+                }
+            }
+            out.push((*lambda, u, v, propagating));
+        }
+        out
+    }
+
+    #[test]
+    fn modes_are_bit_identical_to_the_two_overlap_routine() {
+        // A non-orthogonal three-orbital lead (S01 ≠ 0, complex couplings)
+        // scanned through its bands, exactly and with broadening.
+        let c = qtx_linalg::c64;
+        let mut h00 = ZMat::from_diag(&[c(-1.0, 0.0), c(0.2, 0.0), c(1.3, 0.0)]);
+        h00[(0, 1)] = c(0.1, 0.05);
+        h00[(1, 0)] = c(0.1, -0.05);
+        let mut h01 = ZMat::from_diag(&[c(0.5, 0.0), c(-0.4, 0.1), c(0.3, 0.0)]);
+        h01[(0, 2)] = c(0.07, -0.02);
+        let s01 = ZMat::random(3, 3, 5).scaled(c(0.04, 0.0));
+        let lead = LeadBlocks::new(h00, h01, ZMat::identity(3), s01);
+        let mut propagating = 0;
+        for eta in [0.0, 1e-6, 1e-4] {
+            for step in 0..40 {
+                let e = -2.0 + 0.1 * step as f64;
+                let pencil = CompanionPencil::at_energy(&lead, e, eta);
+                let pairs = dense_modes(&pencil).unwrap();
+                let modes = classify_modes_eta(&lead, &pencil, &pairs, eta);
+                let reference = classify_reference(&lead, &pencil, &pairs, eta);
+                let got = modes.left_going.iter().chain(&modes.right_going);
+                assert_eq!(got.clone().count(), reference.len(), "E={e} η={eta}");
+                for m in got {
+                    let (_, u, v, prop) = reference
+                        .iter()
+                        .find(|r| r.0 == m.lambda && r.3 == m.propagating && r.1 == m.u)
+                        .unwrap_or_else(|| panic!("E={e} η={eta}: mode λ={} moved", m.lambda));
+                    assert_eq!((m.velocity.to_bits(), m.propagating), (v.to_bits(), *prop));
+                    assert_eq!(&m.u, u);
+                    propagating += m.propagating as usize;
+                }
+            }
+        }
+        assert!(propagating > 20, "the scan crossed no band: {propagating} propagating modes");
     }
 }

@@ -19,9 +19,10 @@
 //! * [`rgf`] — the recursive Green's function reference used for NEGF
 //!   cross-checks (diagonal blocks for the spectral function, boundary
 //!   blocks for the contacts).
-//! * [`caroli`] — the NEGF/Caroli transmission from one right-to-left
-//!   elimination sweep: thin broadening factors, support-aware Schur
-//!   updates, an `O(s²)` working set independent of the device length.
+//! * [`caroli`] — the NEGF/Caroli transmission from two elimination
+//!   fronts that meet inside the device: thin broadening factors,
+//!   support-aware Schur updates, an `O(s²)` working set independent of
+//!   the device length.
 //!
 //! ## Scratch reuse
 //!
@@ -43,7 +44,7 @@ pub mod system;
 
 pub use bcr::bcr_solve;
 pub use btd_lu::{btd_lu_factor, btd_lu_solve, btd_lu_solve_ws, BtdLuFactors};
-pub use caroli::caroli_sweep;
+pub use caroli::{caroli_sweep, caroli_sweep_contacts, CaroliContact};
 pub use error::{SolveError, SolveOutcome};
 pub use rgf::{
     rgf_boundary, rgf_boundary_ws, rgf_diagonal_and_corner, rgf_diagonal_and_corner_ws,

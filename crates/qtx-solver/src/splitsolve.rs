@@ -58,10 +58,17 @@ use std::ops::Range;
 /// Name this kernel reports in [`SolveError::NonFinite`].
 const SOLVER: &str = "splitsolve";
 
-/// Estimated work below which the partition sweeps run one after the
-/// other on the calling thread: a thread hand-off costs tens of
-/// microseconds, about what one sweep of this size takes.
+/// Estimated work below which independent sweeps run one after the other
+/// on the calling thread: a thread hand-off costs tens of microseconds,
+/// about what one sweep of this size takes.
 const FAN_OUT_MIN_FLOPS: u64 = 8_000_000;
+
+/// Whether sweeps of `flops_each` estimated operations go to threads — the
+/// one fan-out rule of this crate (SplitSolve's partition sweeps, the
+/// Caroli kernel's two fronts).
+pub(crate) fn fans_out(flops_each: u64) -> bool {
+    flops_each >= FAN_OUT_MIN_FLOPS
+}
 
 /// SplitSolve driver.
 #[derive(Debug, Clone)]
@@ -233,7 +240,7 @@ impl SplitSolve {
             }
         }
         let estimate: u64 = sweeps.iter().map(|sw| sw.estimated_flops(ctx)).sum();
-        let ran: SolveOutcome<Vec<u64>> = if estimate / sweeps.len() as u64 >= FAN_OUT_MIN_FLOPS {
+        let ran: SolveOutcome<Vec<u64>> = if fans_out(estimate / sweeps.len() as u64) {
             sweeps.par_iter_mut().map(|sw| sw.run(ctx)).collect()
         } else {
             sweeps.iter_mut().map(|sw| sw.run(ctx)).collect()
@@ -335,13 +342,13 @@ impl<C> Ctx<'_, C> {
 }
 
 /// Re-dimensions a scratch matrix in place; contents are unspecified.
-fn reshape(m: &mut ZMat, rows: usize, cols: usize) {
+pub(crate) fn reshape(m: &mut ZMat, rows: usize, cols: usize) {
     let buf = std::mem::replace(m, ZMat::empty()).into_vec();
     *m = ZMat::from_recycled_buffer(rows, cols, buf);
 }
 
 /// `out ← src[rows, :]`, re-dimensioning `out`.
-fn gather_rows_into(out: &mut ZMat, src: ZMatRef<'_>, rows: &[usize]) {
+pub(crate) fn gather_rows_into(out: &mut ZMat, src: ZMatRef<'_>, rows: &[usize]) {
     reshape(out, rows.len(), src.cols());
     for j in 0..src.cols() {
         let (dst, from) = (out.col_mut(j), src.col(j));

@@ -1,12 +1,14 @@
 //! Block-by-block access to a block tri-diagonal matrix, for solvers that
 //! stream through the chain instead of holding an assembled copy.
 //!
-//! A right-to-left elimination sweep touches each diagonal block once and
-//! each coupling block only on its structurally non-zero rows and columns
-//! (tight-binding couplings reach a fraction of a slab's orbitals). The
-//! [`BlockChain`] trait is that access pattern: [`Btd`] implements it for
-//! an assembled matrix, [`EsMinusH`] for the pencil `z·S − H` evaluated on
-//! the fly, so a transmission-only point never materializes `A`.
+//! An elimination sweep touches each diagonal block once and each coupling
+//! block only on its structurally non-zero rows and columns (tight-binding
+//! couplings reach a fraction of a slab's orbitals). The [`BlockChain`]
+//! trait is that access pattern: [`Btd`] implements it for an assembled
+//! matrix, [`EsMinusH`] for the pencil `z·S − H` evaluated on the fly, so a
+//! transmission-only point never materializes `A`, and [`Mirrored`] shows
+//! the leading blocks of either as their block-reversed adjoint, so a sweep
+//! written to run towards the first block also runs away from it.
 
 use crate::btd::Btd;
 use qtx_linalg::{Complex64, ZMat};
@@ -59,6 +61,16 @@ pub struct CouplingSupport {
     pub upper: BlockSupport,
     /// Support of the sub-diagonal block `A_{i+1,i}`.
     pub lower: BlockSupport,
+}
+
+impl CouplingSupport {
+    /// `(|R_u|, |C_u|, |R_l|, |C_l|)`: the row and column counts of the
+    /// upper and the lower support — what the operation-count formulas of
+    /// the streaming solvers take.
+    pub fn dims(&self) -> (usize, usize, usize, usize) {
+        let (up, lo) = (&self.upper, &self.lower);
+        (up.rows.len(), up.cols.len(), lo.rows.len(), lo.cols.len())
+    }
 }
 
 /// A square block tri-diagonal matrix read one block at a time.
@@ -205,6 +217,81 @@ impl BlockChain for EsMinusH<'_> {
     }
 }
 
+/// The block-reversed adjoint of the leading `len` blocks of a chain:
+/// block `j` of the view is `A_{len−1−j, len−1−j}ᴴ` and its couplings are
+/// the adjoints of the original ones, so the view of `A[0..len]` is
+/// `rev(A[0..len]ᴴ)`. An elimination written to run from the last block of
+/// a chain to its first runs from the *first* block of `A` towards block
+/// `len − 1` on this view — the second front of a two-ended sweep is the
+/// first front's code. Entries are conjugated as they are read; nothing is
+/// stored.
+#[derive(Debug, Clone, Copy)]
+pub struct Mirrored<'a, C> {
+    chain: &'a C,
+    len: usize,
+}
+
+impl<'a, C: BlockChain> Mirrored<'a, C> {
+    /// The mirrored view of blocks `0..len` of `chain`.
+    pub fn new(chain: &'a C, len: usize) -> Self {
+        assert!((1..=chain.num_blocks()).contains(&len), "mirror of {len} blocks");
+        Mirrored { chain, len }
+    }
+
+    /// The view's coupling supports from those of the pairs it spans
+    /// (`support[..len − 1]` of the original chain): pairs in reverse
+    /// order, rows and columns of each block exchanged.
+    pub fn support_of(support: &[CouplingSupport]) -> Vec<CouplingSupport> {
+        let flip = |b: &BlockSupport| BlockSupport { rows: b.cols.clone(), cols: b.rows.clone() };
+        let flip_pair =
+            |p: &CouplingSupport| CouplingSupport { upper: flip(&p.upper), lower: flip(&p.lower) };
+        support.iter().rev().map(flip_pair).collect()
+    }
+
+    /// The original coupling pair behind pair `j` of the view.
+    fn pair(&self, j: usize) -> usize {
+        self.len - 2 - j
+    }
+}
+
+impl<C: BlockChain> BlockChain for Mirrored<'_, C> {
+    fn num_blocks(&self) -> usize {
+        self.len
+    }
+
+    fn block_size(&self) -> usize {
+        self.chain.block_size()
+    }
+
+    fn diag_into(&self, j: usize, out: &mut ZMat) {
+        self.chain.diag_into(self.len - 1 - j, out);
+        for c in 0..out.cols() {
+            out[(c, c)] = out[(c, c)].conj();
+            for r in c + 1..out.rows() {
+                let (below, above) = (out[(r, c)], out[(c, r)]);
+                out[(r, c)] = above.conj();
+                out[(c, r)] = below.conj();
+            }
+        }
+    }
+
+    fn diag_at(&self, j: usize, r: usize, c: usize) -> Complex64 {
+        self.chain.diag_at(self.len - 1 - j, c, r).conj()
+    }
+
+    fn upper_at(&self, j: usize, r: usize, c: usize) -> Complex64 {
+        self.chain.upper_at(self.pair(j), c, r).conj()
+    }
+
+    fn lower_at(&self, j: usize, r: usize, c: usize) -> Complex64 {
+        self.chain.lower_at(self.pair(j), c, r).conj()
+    }
+
+    fn coupling_support(&self) -> Vec<CouplingSupport> {
+        Self::support_of(&self.chain.coupling_support()[..self.len - 1])
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -282,5 +369,53 @@ mod tests {
             }
         }
         assert_eq!(a.coupling_support()[0].upper, support[0].upper);
+    }
+
+    #[test]
+    fn mirrored_view_is_the_block_reversed_adjoint() {
+        let (nb, s) = (5, 4);
+        let mut a = Btd::zeros(nb, s);
+        for i in 0..nb {
+            a.diag[i] = ZMat::random(s, s, 50 + i as u64);
+        }
+        for i in 0..nb - 1 {
+            a.upper[i] = sparse_block(s, &[0, 2], &[1, 3], 60 + i as u64);
+            a.lower[i] = sparse_block(s, &[1], &[0, 2, 3], 70 + i as u64);
+        }
+        let support = a.coupling_support();
+        for len in 1..=nb {
+            // The reference: reverse the leading blocks and take adjoints.
+            let mut rev = Btd::zeros(len, s);
+            for j in 0..len {
+                rev.diag[j] = a.diag[len - 1 - j].adjoint();
+            }
+            for j in 0..len - 1 {
+                rev.upper[j] = a.upper[len - 2 - j].adjoint();
+                rev.lower[j] = a.lower[len - 2 - j].adjoint();
+            }
+            let view = Mirrored::new(&a, len);
+            assert_eq!((BlockChain::num_blocks(&view), BlockChain::block_size(&view)), (len, s));
+            let mut d = ZMat::random(s, s, 99);
+            for j in 0..len {
+                view.diag_into(j, &mut d);
+                assert_eq!(d, rev.diag[j], "diag {j} of {len}");
+                assert_eq!(view.diag_at(j, 1, 2), rev.diag[j][(1, 2)]);
+            }
+            assert_eq!(view.coupling_support(), rev.coupling_support());
+            assert_eq!(Mirrored::<Btd>::support_of(&support[..len - 1]), rev.coupling_support());
+            for (j, on) in rev.coupling_support().iter().enumerate() {
+                let mut got = ZMat::zeros(on.upper.rows.len(), on.upper.cols.len());
+                let mut want = got.clone();
+                view.upper_on(j, &on.upper, &mut got);
+                rev.upper_on(j, &on.upper, &mut want);
+                assert_eq!(got, want);
+                for r in 0..s {
+                    for c in 0..s {
+                        assert_eq!(view.upper_at(j, r, c), rev.upper[j][(r, c)]);
+                        assert_eq!(view.lower_at(j, r, c), rev.lower[j][(r, c)]);
+                    }
+                }
+            }
+        }
     }
 }

@@ -11,7 +11,7 @@
 //! for exactly how much self-energy it gave up.
 
 use crate::chain::BlockSupport;
-use qtx_linalg::{gemm, Complex64, Op, ZMat};
+use qtx_linalg::{gemm, gemm_into, orthonormalize_ws, Complex64, Op, Workspace, ZMat};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 
@@ -160,6 +160,15 @@ impl CompressedSigma {
         }
     }
 
+    /// The represented block by value: a move for the dense form, the
+    /// expansion of [`CompressedSigma::to_dense`] for the factored one.
+    pub fn into_dense(self) -> ZMat {
+        match self {
+            CompressedSigma::Dense(m) => m,
+            factored => factored.to_dense(),
+        }
+    }
+
     /// `target ← target + α·Σ` without materializing the factor form: the
     /// rank-`r` update runs as a single `(n×r)·(r×n)` gemm.
     pub fn add_scaled_into(&self, alpha: Complex64, target: &mut ZMat) {
@@ -167,6 +176,25 @@ impl CompressedSigma {
             CompressedSigma::Dense(m) => target.axpy(alpha, m),
             CompressedSigma::Factored { u, v, .. } => {
                 gemm(alpha, u, Op::None, v, Op::Adjoint, Complex64::ONE, target);
+            }
+        }
+    }
+
+    /// `target ← target + α·Σᴴ`, like [`CompressedSigma::add_scaled_into`]:
+    /// the factored form is `Σᴴ = V·Uᴴ`, the dense one is read transposed
+    /// where it lies.
+    pub fn add_scaled_adjoint_into(&self, alpha: Complex64, target: &mut ZMat) {
+        match self {
+            CompressedSigma::Dense(m) => {
+                assert_eq!((target.rows(), target.cols()), (m.cols(), m.rows()), "Σᴴ shape");
+                for c in 0..m.cols() {
+                    for (r, &z) in m.col(c).iter().enumerate() {
+                        target[(c, r)] += alpha * z.conj();
+                    }
+                }
+            }
+            CompressedSigma::Factored { u, v, .. } => {
+                gemm(alpha, v, Op::None, u, Op::Adjoint, Complex64::ONE, target);
             }
         }
     }
@@ -182,22 +210,64 @@ impl CompressedSigma {
     /// decision, no tolerance — and `k ≪ n` whenever the lead couples
     /// through a few orbitals only.
     pub fn broadening_factor(&self) -> ZMat {
-        match self {
-            CompressedSigma::Dense(m) => {
-                let n = m.rows();
-                let rows = BlockSupport::of(&[m]).rows;
-                let k = rows.len();
-                let mut p = ZMat::zeros(n, 2 * k);
-                for (j, &r) in rows.iter().enumerate() {
-                    p[(r, j)] = Complex64::ONE;
-                    for c in 0..m.cols() {
-                        p[(c, k + j)] = m[(r, c)].conj();
-                    }
-                }
-                p
+        self.broadening_factor_ws(None, &Workspace::new())
+    }
+
+    /// [`CompressedSigma::broadening_factor`] for a Σ that may have been
+    /// built from lead modes, the factor and every temporary borrowed from
+    /// `ws` (recycle the factor when spent).
+    ///
+    /// A mode-built `Σ = −(T·U·Λ^{±1})·U⁺` is a product through the `m`
+    /// outgoing modes `U = modes`: with `Q = orth(U)` it satisfies
+    /// `Σ = (Σ·Q)·Qᴴ`, so `P = [Σ·Q, Q]` is a second exact factor, `2m`
+    /// columns wide whatever rows Σ occupies. Of the two exact factors of
+    /// a dense block the thinner one is returned: the mode factor when
+    /// `0 < m < |R|`, the row-support factor otherwise (no modes given, a
+    /// full mode set, Σ = 0). A factored Σ keeps `[U, V]`. The choice reads
+    /// nothing but the inputs, so equal inputs give equal bits.
+    ///
+    /// `modes` must span the row space of a dense Σ (the modes it was
+    /// assembled from do); nothing here can check that cheaply.
+    pub fn broadening_factor_ws(&self, modes: Option<&ZMat>, ws: &Workspace) -> ZMat {
+        let m = match self {
+            CompressedSigma::Dense(m) => m,
+            CompressedSigma::Factored { u, v, .. } => {
+                let mut p = ws.take_scratch(u.rows(), u.cols() + v.cols());
+                p.set_block(0, 0, u);
+                p.set_block(0, u.cols(), v);
+                return p;
             }
-            CompressedSigma::Factored { u, v, .. } => u.hcat(v),
+        };
+        let n = m.rows();
+        let rows = BlockSupport::of(&[m]).rows;
+        let k = rows.len();
+        if let Some(u) = modes.filter(|u| u.cols() > 0 && u.cols() < k) {
+            assert_eq!(u.rows(), n, "mode / self-energy size mismatch");
+            let q = orthonormalize_ws(u, ws);
+            let w = q.cols();
+            let mut p = ws.take_scratch(n, 2 * w);
+            let (one, zero) = (Complex64::ONE, Complex64::ZERO);
+            gemm_into(
+                one,
+                m.view(),
+                Op::None,
+                q.view(),
+                Op::None,
+                zero,
+                p.block_view_mut(0, 0, n, w),
+            );
+            p.set_block(0, w, &q);
+            ws.recycle(q);
+            return p;
         }
+        let mut p = ws.take(n, 2 * k);
+        for (j, &r) in rows.iter().enumerate() {
+            p[(r, j)] = Complex64::ONE;
+            for c in 0..m.cols() {
+                p[(c, k + j)] = m[(r, c)].conj();
+            }
+        }
+        p
     }
 
     /// First entry `Σ₀₀` — a cheap deterministic fingerprint used by the
