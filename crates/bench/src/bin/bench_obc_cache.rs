@@ -5,10 +5,8 @@
 //! [`TransportEngine`] replays the whole sweep from stored Σ frames.
 //! This bin measures that: one cold pass populating the cache, one warm
 //! pass through the same engine, with the byte-level store stats and the
-//! process-global OBC solve counter before/after each pass.
-//!
-//! `QTX_OBC_CACHE_BYTES` (when set) is reported but not used: the bench
-//! builds its own shared cache so the numbers are self-contained.
+//! process-global OBC solve counter before/after each pass. The bench
+//! builds its own shared cache, so the numbers are self-contained.
 
 use qtx_atomistic::{BasisKind, DeviceBuilder};
 use qtx_bench::{print_table, Row};
@@ -28,9 +26,6 @@ fn main() {
 
     let plan = SweepPlan::from_device(&dev, 0.03, 0.08);
     println!("plan: {} k-points, {} energy points total", plan.k_points.len(), plan.total_points());
-    if let Ok(v) = std::env::var("QTX_OBC_CACHE_BYTES") {
-        println!("QTX_OBC_CACHE_BYTES = {v} (informational; this bench uses a private cache)");
-    }
 
     let cache = Arc::new(SigmaCache::new(CacheConfig::default()));
     let engine = TransportEngine::builder(dev).cache(CachePolicy::Shared(cache.clone())).build();

@@ -8,7 +8,7 @@
 use qtx_atomistic::{BasisKind, DeviceBuilder};
 use qtx_bench::{print_table, Row};
 use qtx_core::observables::{accumulate, spectral_map};
-use qtx_core::{landauer_current_ua, schrodinger_poisson, Device, EnergyGrid, ScfConfig};
+use qtx_core::{landauer_current_ua, Device, EnergyGrid, ScfConfig};
 use qtx_core::{PointPolicy, TransportEngine};
 
 fn main() {
@@ -26,18 +26,19 @@ fn main() {
         gate_window: (0.3, 0.7),
         ..ScfConfig::default()
     };
-    let scf = schrodinger_poisson(&mut dev, &cfg).expect("SCF");
+    let mut engine = TransportEngine::new(dev);
+    let scf = engine.schrodinger_poisson(&cfg).expect("SCF");
     println!(
         "bias point: Vds = {vds} V, Vg = {} V; SCF {} iterations (residual {:.1e} V)",
         cfg.vg, scf.iterations, scf.residual
     );
 
-    // Energy sweep for the maps.
-    let dk = dev.at_kz(0.0);
+    // Energy sweep for the maps, on the engine's converged device.
+    let dev = engine.device().expect("device-backed engine");
+    let dk = engine.device_k(0.0).expect("device-backed engine");
     let (lo, hi) = dev.fermi_window(8.0);
     let (blo, bhi) = dk.lead_l.band_window(24);
     let grid = EnergyGrid::uniform(lo.max(blo), hi.min(bhi), 24);
-    let engine = TransportEngine::new(dev.clone());
     let points: Vec<_> = grid
         .points
         .iter()

@@ -8,7 +8,7 @@
 
 use qtx_atomistic::{BasisKind, DeviceBuilder};
 use qtx_bench::{print_table, Row};
-use qtx_core::{id_vgs, Device, ScfConfig};
+use qtx_core::{Device, ScfConfig, TransportEngine};
 
 fn main() {
     let spec = DeviceBuilder::utb(0.8).cells(10).basis(BasisKind::TightBinding).build();
@@ -18,7 +18,7 @@ fn main() {
     dev.config.mu_l = edge + 0.05;
     let cfg = ScfConfig { max_iter: 10, n_energy: 24, vd: 0.05, tol: 3e-3, ..ScfConfig::default() };
     let vgs: Vec<f64> = (0..9).map(|i| -0.45 + i as f64 * 0.1).collect();
-    let iv = id_vgs(&mut dev, &cfg, &vgs).expect("Id-Vgs sweep");
+    let iv = TransportEngine::new(dev).id_vgs(&cfg, &vgs).expect("Id-Vgs sweep");
     let rows: Vec<Row> = iv
         .iter()
         .map(|p| {

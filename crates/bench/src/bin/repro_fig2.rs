@@ -3,7 +3,7 @@
 //! driver, which then solves Schrödinger+Poisson self-consistently.
 
 use qtx_atomistic::{BasisKind, DeviceBuilder};
-use qtx_core::{schrodinger_poisson, Device, ScfConfig};
+use qtx_core::{Device, ScfConfig, TransportEngine};
 use qtx_cp2k::{Cp2kRun, Functional, HsFile};
 
 fn main() {
@@ -29,14 +29,11 @@ fn main() {
     let edge = dk.lead_l.dispersive_band_min(0.1, 0.3).expect("edge");
     dev.config.mu_l = edge + 0.05;
     let cfg = ScfConfig { max_iter: 6, n_energy: 16, vg: 0.1, ..ScfConfig::default() };
-    let r = schrodinger_poisson(&mut dev, &cfg).expect("SCF");
+    let (n_ss, n_slabs) = (dev.n_ss(), dev.n_slabs);
+    let r = TransportEngine::new(dev).schrodinger_poisson(&cfg).expect("SCF");
     println!(
         "OMEN       : N_SS = {}, {} slabs; SCF {} iterations, residual {:.2e} V, Id = {:.3} µA",
-        dev.n_ss(),
-        dev.n_slabs,
-        r.iterations,
-        r.residual,
-        r.current_ua
+        n_ss, n_slabs, r.iterations, r.residual, r.current_ua
     );
     println!("\npaper: >99% of the simulation time is spent in the transport stage");
     std::fs::remove_file(&path).ok();

@@ -1,10 +1,12 @@
 //! Content-addressed lead self-energy cache.
 //!
-//! In any bias/gate sweep the leads never change, so `Σ(E)` per lead is
-//! recomputed thousands of times for identical inputs — the SC'15 paper
-//! spends most of its per-point budget on exactly this OBC work. This
-//! module amortizes it: every self-energy build is keyed by the **content
-//! hash of the lead blocks** ([`qtx_obc::LeadBlocks::content_hash`]) ×
+//! Across sweeps at one potential the leads never change, so `Σ(E)` per
+//! lead is recomputed for identical inputs — the SC'15 paper spends most
+//! of its per-point budget on exactly this OBC work. (Not so in the SCF:
+//! every iteration moves both leads — `docs/cache.md`, "What does not
+//! cache".) This module amortizes the repeats: every self-energy build is
+//! keyed by the **content hash of the lead blocks**
+//! ([`qtx_obc::LeadBlocks::content_hash`]) ×
 //! energy × broadening η × contact side × a fingerprint of the OBC method
 //! and its numerical knobs. A hit replays the stored
 //! [`qtx_obc::frame`] byte frame and is therefore *bit-identical* to the
@@ -14,8 +16,8 @@
 //! Three layers:
 //!
 //! * **Exact store** — serialized [`ObcResult`] frames under an LRU
-//!   byte budget (`QTX_OBC_CACHE_BYTES`, `k`/`m`/`g` suffixes). Errors
-//!   and fault-injected solves are never cached.
+//!   byte budget ([`CacheConfig::max_bytes`]). Errors and fault-injected
+//!   solves are never cached.
 //! * **Interpolation** (opt-in, [`CacheConfig::interp_max_de`] > 0) —
 //!   linear interpolation of Σ between two cached *anchor* energies of
 //!   the same (lead, η, side, method) family. An interval becomes usable
@@ -47,7 +49,7 @@ use qtx_obc::{
 use qtx_sparse::CompressedSigma;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// Construction knobs of a [`SigmaCache`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -554,13 +556,13 @@ fn lerp_sigma(s0: &ZMat, s1: &ZMat, t: f64) -> Option<ZMat> {
     Some(ZMat::from_recycled_buffer(s0.rows(), s0.cols(), data))
 }
 
-/// How a sweep / engine resolves its cache.
+/// Which cache an engine or a sweep solves against: one exists only
+/// where a caller passed it.
 #[derive(Debug, Clone, Default)]
 pub enum CachePolicy {
-    /// Use the process-global env-armed cache
-    /// ([`global`], `QTX_OBC_CACHE_BYTES`) when present, else no cache.
+    /// A sweep inherits its engine's cache (on the engine builder: none).
     #[default]
-    Auto,
+    Inherit,
     /// Never cache (forces the exact pre-cache code path).
     Off,
     /// Use this specific cache (share one across engines/sweeps to keep
@@ -569,53 +571,15 @@ pub enum CachePolicy {
 }
 
 impl CachePolicy {
-    /// The cache this policy denotes, if any.
-    pub fn resolve(&self) -> Option<Arc<SigmaCache>> {
+    /// The cache this policy denotes, `inherited` standing in for
+    /// [`CachePolicy::Inherit`].
+    pub(crate) fn resolve(&self, inherited: Option<&Arc<SigmaCache>>) -> Option<Arc<SigmaCache>> {
         match self {
-            CachePolicy::Auto => global().cloned(),
+            CachePolicy::Inherit => inherited.cloned(),
             CachePolicy::Off => None,
             CachePolicy::Shared(c) => Some(c.clone()),
         }
     }
-}
-
-/// Parses `QTX_OBC_CACHE_BYTES` values: a plain byte count or a number
-/// with a `k`/`m`/`g` suffix (case-insensitive, powers of 1024).
-fn parse_bytes(s: &str) -> Option<usize> {
-    let s = s.trim();
-    if s.is_empty() {
-        return None;
-    }
-    let (digits, mult) = match s.as_bytes()[s.len() - 1].to_ascii_lowercase() {
-        b'k' => (&s[..s.len() - 1], 1usize << 10),
-        b'm' => (&s[..s.len() - 1], 1 << 20),
-        b'g' => (&s[..s.len() - 1], 1 << 30),
-        _ => (s, 1),
-    };
-    let n: usize = digits.trim().parse().ok()?;
-    n.checked_mul(mult)
-}
-
-/// The process-global cache, armed iff `QTX_OBC_CACHE_BYTES` parses to a
-/// byte budget (read once, on first use). Interpolation stays off for the
-/// global cache — it is an opt-in per-engine contract.
-pub fn global() -> Option<&'static Arc<SigmaCache>> {
-    static GLOBAL: OnceLock<Option<Arc<SigmaCache>>> = OnceLock::new();
-    GLOBAL
-        .get_or_init(|| {
-            let budget = std::env::var("QTX_OBC_CACHE_BYTES").ok().and_then(|v| {
-                let parsed = parse_bytes(&v);
-                if parsed.is_none() {
-                    eprintln!("QTX_OBC_CACHE_BYTES: unparsable value {v:?}; cache disarmed");
-                }
-                parsed
-            })?;
-            Some(Arc::new(SigmaCache::new(CacheConfig {
-                max_bytes: budget,
-                ..CacheConfig::default()
-            })))
-        })
-        .as_ref()
 }
 
 /// A cache bound to one momentum-resolved device: the two lead hashes are
@@ -642,11 +606,6 @@ impl CacheHandle {
             Side::Right => self.hash_r,
         }
     }
-}
-
-/// [`CacheHandle`] for the env-armed global cache, if armed.
-pub(crate) fn env_handle(dk: &DeviceK) -> Option<CacheHandle> {
-    global().map(|c| CacheHandle::for_dk(c.clone(), dk))
 }
 
 /// A fresh solve as frame parts, Σ compressed at `tol` exactly as
@@ -910,16 +869,5 @@ mod tests {
             cache.try_interpolate(h, 1.95, 0.0, Side::Left, m).is_none(),
             "edge-straddling interval must be unusable"
         );
-    }
-
-    #[test]
-    fn env_budget_format_parses() {
-        assert_eq!(parse_bytes("65536"), Some(65536));
-        assert_eq!(parse_bytes("64k"), Some(64 << 10));
-        assert_eq!(parse_bytes("64K"), Some(64 << 10));
-        assert_eq!(parse_bytes("256m"), Some(256 << 20));
-        assert_eq!(parse_bytes("2g"), Some(2 << 30));
-        assert_eq!(parse_bytes(""), None);
-        assert_eq!(parse_bytes("lots"), None);
     }
 }

@@ -7,9 +7,15 @@
 //! * the momentum-folded `DeviceK` builds, memoized per `kz` and shared
 //!   by point solves and sweeps alike (a sweep folds no device of its
 //!   own);
-//! * the optional scheduler pool its sweeps run on;
-//! * the optional content-addressed self-energy cache
-//!   ([`crate::cache::SigmaCache`]) with the lead hashes computed once.
+//! * the scheduler pool its sweeps run on — the one passed to
+//!   [`TransportEngineBuilder::scheduler`], else its own, created at the
+//!   first sweep (a point-only engine spawns no thread);
+//! * the content-addressed self-energy cache
+//!   ([`crate::cache::SigmaCache`]) with the lead hashes computed once —
+//!   only if the caller passed one to [`TransportEngineBuilder::cache`].
+//!
+//! Nothing is ambient: two engines share a pool or a cache exactly when
+//! the caller handed both the same `Arc`.
 //!
 //! Point solves go through [`TransportEngine::solve_point`] with a
 //! [`PointPolicy`] (direct / robust ladder / interpolation-enabled /
@@ -17,13 +23,15 @@
 //! [`TransportEngine::sweep_resumable`] and
 //! [`TransportEngine::sweep_refined`] — three views of the single loop in
 //! [`crate::sweep`] — and inherit the engine's scheduler and cache unless
-//! the options override them.
+//! the options override them; so does the Schrödinger–Poisson loop
+//! ([`TransportEngine::schrodinger_poisson`]), which moves the potential
+//! between passes with [`TransportEngine::set_potential`].
 
-use crate::cache::{CacheConfig, CacheHandle, CachePolicy, CacheStats, SigmaCache};
+use crate::cache::{CacheHandle, CachePolicy, CacheStats, SigmaCache};
 use crate::device::{Device, DeviceK, TransportConfig};
 use crate::error::{TransportError, TransportResult};
 use crate::refine::{RefineConfig, RefinedSweep};
-use crate::scheduler::{self, Scheduler};
+use crate::scheduler::{Scheduler, SchedulerConfig};
 use crate::sweep::{SweepOptions, SweepPlan, SweepResult};
 use crate::transport::{
     self, ms_since, EnergyPointResult, RobustSolve, METHOD_BOUNDARY, METHOD_CACHE_INTERP,
@@ -140,7 +148,6 @@ pub struct TransportEngineBuilder {
     config: Option<TransportConfig>,
     scheduler: Option<Arc<Scheduler>>,
     cache: CachePolicy,
-    cache_config: Option<CacheConfig>,
 }
 
 impl TransportEngineBuilder {
@@ -150,43 +157,33 @@ impl TransportEngineBuilder {
         self
     }
 
-    /// Scheduler pool the engine's sweeps run on (defaults to the
-    /// process-global pool at sweep time).
+    /// Scheduler pool the engine's sweeps run on (default: its own,
+    /// [`SchedulerConfig::default`], created at its first sweep).
     pub fn scheduler(mut self, sched: Arc<Scheduler>) -> Self {
         self.scheduler = Some(sched);
         self
     }
 
-    /// Cache policy ([`CachePolicy::Auto`] honors `QTX_OBC_CACHE_BYTES`).
+    /// The engine's cache: [`CachePolicy::Shared`] arms one (a private
+    /// `Shared(Arc::new(SigmaCache::new(cfg)))` is the way to enable the
+    /// interpolation layer); the default is none.
     pub fn cache(mut self, policy: CachePolicy) -> Self {
         self.cache = policy;
         self
     }
 
-    /// Creates a private cache with these knobs (the way to enable the
-    /// interpolation layer, which the env-armed global cache keeps off).
-    pub fn cache_config(mut self, cfg: CacheConfig) -> Self {
-        self.cache_config = Some(cfg);
-        self
-    }
-
     /// Finishes the engine. Infallible — every knob combination is
-    /// meaningful ([`Self::cache_config`] takes precedence over
-    /// [`Self::cache`] when both are set).
+    /// meaningful — and thread-free: no pool is spawned here.
     pub fn build(self) -> TransportEngine {
         let mut device = self.device;
         if let Some(cfg) = self.config {
             device.config = cfg;
         }
-        let cache = match self.cache_config {
-            Some(cfg) => Some(Arc::new(SigmaCache::new(cfg))),
-            None => self.cache.resolve(),
-        };
         TransportEngine {
             config: device.config,
             device: Some(device),
-            scheduler: self.scheduler,
-            cache,
+            scheduler: self.scheduler.map(OnceLock::from).unwrap_or_default(),
+            cache: self.cache.resolve(None),
             dks: Mutex::new(HashMap::new()),
         }
     }
@@ -224,7 +221,8 @@ pub struct TransportEngine {
     /// seeded momenta, sweeps (whose plans name arbitrary kz) are unavailable.
     device: Option<Device>,
     config: TransportConfig,
-    scheduler: Option<Arc<Scheduler>>,
+    /// The pool passed at build time, else created by the first sweep.
+    scheduler: OnceLock<Arc<Scheduler>>,
     cache: Option<Arc<SigmaCache>>,
     /// Folded `DeviceK`s, memoized per `kz` bit pattern.
     dks: Mutex<HashMap<u64, FoldedK>>,
@@ -246,12 +244,12 @@ impl TransportEngine {
             device,
             config: None,
             scheduler: None,
-            cache: CachePolicy::Auto,
-            cache_config: None,
+            cache: CachePolicy::Inherit,
         }
     }
 
-    /// An engine with all defaults (env-armed cache, global scheduler).
+    /// An engine with all defaults: no cache, and from its first sweep on
+    /// a pool of its own, one worker per available core.
     pub fn new(device: Device) -> TransportEngine {
         TransportEngine::builder(device).build()
     }
@@ -260,13 +258,12 @@ impl TransportEngine {
     /// for pipelines that assemble lead/device blocks by hand and never
     /// had a [`Device`]. Point solves work at the seeded `kz` (and any
     /// other `kz` the caller seeds through additional `from_device_k`
-    /// engines); [`Self::sweep`] is unavailable and errors. The cache
-    /// resolves through [`CachePolicy::Auto`], like [`Self::new`].
+    /// engines); [`Self::sweep`] is unavailable and errors. No cache and
+    /// no pool, like [`Self::new`] before its first sweep.
     pub fn from_device_k(dk: DeviceK, config: TransportConfig) -> TransportEngine {
-        let cache = CachePolicy::Auto.resolve();
-        let folded = FoldedK::new(Arc::new(dk), cache.as_ref());
+        let folded = FoldedK::new(Arc::new(dk), None);
         let dks = Mutex::new(HashMap::from([(folded.dk.kz.to_bits(), folded)]));
-        TransportEngine { device: None, config, scheduler: None, cache, dks }
+        TransportEngine { device: None, config, scheduler: OnceLock::new(), cache: None, dks }
     }
 
     /// The device this engine solves on — `None` for a fixed-`DeviceK`
@@ -275,9 +272,37 @@ impl TransportEngine {
         self.device.as_ref()
     }
 
+    /// The device, or the error of the entries (`what`) that need one.
+    pub(crate) fn full_device(&self, what: &str) -> TransportResult<&Device> {
+        self.device.as_ref().ok_or_else(|| TransportError::Config {
+            what: format!(
+                "{what} need a full Device; this engine is fixed on a pre-folded DeviceK \
+                 (TransportEngine::from_device_k)"
+            ),
+        })
+    }
+
     /// The active transport configuration.
     pub fn config(&self) -> &TransportConfig {
         &self.config
+    }
+
+    /// Replaces the per-slab potential ([`Device::set_potential`]) and
+    /// drops every memoized folded [`DeviceK`]: the next point or sweep
+    /// folds anew. A no-op on an engine fixed on pre-folded `DeviceK`s.
+    pub fn set_potential(&mut self, v: &[f64]) {
+        if let Some(device) = &mut self.device {
+            device.set_potential(v);
+            self.dks.get_mut().expect("engine dk map").clear();
+        }
+    }
+
+    /// Moves the right contact's chemical potential (occupations only).
+    pub(crate) fn set_mu_r(&mut self, mu_r: f64) {
+        self.config.mu_r = mu_r;
+        if let Some(device) = &mut self.device {
+            device.config.mu_r = mu_r;
+        }
     }
 
     /// Counter snapshot of the engine's cache, `None` when caching is off.
@@ -289,6 +314,11 @@ impl TransportEngine {
     /// [`CachePolicy::Shared`] to keep Σ warm between sessions).
     pub fn cache(&self) -> Option<&Arc<SigmaCache>> {
         self.cache.as_ref()
+    }
+
+    /// The engine's pool — `None` until built with one or a sweep ran.
+    pub fn scheduler(&self) -> Option<&Arc<Scheduler>> {
+        self.scheduler.get()
     }
 
     /// The folded [`DeviceK`] at `kz`: always available on a device-backed
@@ -419,7 +449,7 @@ impl TransportEngine {
 
     /// [`Self::sweep`] with explicit options: checkpoint/resume, the
     /// deterministic kill, batching, and pool or cache overrides
-    /// (`opts.scheduler = None` and `opts.cache = Auto` inherit the
+    /// (`opts.scheduler = None` and `opts.cache = Inherit` inherit the
     /// engine's). The union of a killed run's checkpoint and its resumed
     /// completion is bit-identical (modulo wall time) to an uninterrupted
     /// sweep.
@@ -429,7 +459,7 @@ impl TransportEngine {
         n_ranks: usize,
         opts: &SweepOptions,
     ) -> TransportResult<SweepResult> {
-        Ok(self.run(plan, n_ranks, opts, None)?.result)
+        Ok(self.run(plan, n_ranks, opts, None, None)?.result)
     }
 
     /// [`Self::sweep_resumable`] with adaptive energy-grid refinement:
@@ -448,26 +478,20 @@ impl TransportEngine {
         opts: &SweepOptions,
         cfg: &RefineConfig,
     ) -> TransportResult<RefinedSweep> {
-        self.run(base, n_ranks, opts, Some(cfg))
+        self.run(base, n_ranks, opts, Some(cfg), None)
     }
 
     /// The pool and Σ-cache a sweep under `opts` runs on: an unset
-    /// scheduler falls back to the engine's, then to the process-wide
-    /// pool; `cache = Auto` means the engine's cache (off when it has
-    /// none — the engine resolved its own "Auto" at build time).
+    /// scheduler means the engine's (its own is spawned here, on first
+    /// use); `cache = Inherit` the engine's cache (off when it has none).
     pub(crate) fn sweep_resources(
         &self,
         opts: &SweepOptions,
     ) -> (Arc<Scheduler>, Option<Arc<SigmaCache>>) {
-        let sched = opts
-            .scheduler
-            .clone()
-            .or_else(|| self.scheduler.clone())
-            .unwrap_or_else(|| scheduler::global().clone());
-        let cache = match &opts.cache {
-            CachePolicy::Auto => self.cache.clone(),
-            policy => policy.resolve(),
-        };
-        (sched, cache)
+        let sched = opts.scheduler.clone().unwrap_or_else(|| {
+            let own = || Arc::new(Scheduler::new(SchedulerConfig::default()));
+            self.scheduler.get_or_init(own).clone()
+        });
+        (sched, opts.cache.resolve(self.cache.as_ref()))
     }
 }

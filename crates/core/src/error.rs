@@ -46,6 +46,15 @@ pub enum TransportError {
         /// What was asked for and why this engine cannot serve it.
         what: String,
     },
+    /// Only the mode-free decimation rung answered: a transmission but no
+    /// scattering states. Fatal where the states are the product (the
+    /// Schrödinger–Poisson loop's charge), nowhere else.
+    NoStates {
+        /// Energy of the point (eV).
+        e: f64,
+        /// Transverse momentum of the point.
+        kz: f64,
+    },
     /// Every rung of the escalation ladder was exhausted.
     Exhausted {
         /// Energy of the abandoned point (eV).
@@ -68,7 +77,8 @@ impl TransportError {
             TransportError::Linalg(e) => e.is_injected(),
             TransportError::Payload(_)
             | TransportError::Checkpoint(_)
-            | TransportError::Config { .. } => false,
+            | TransportError::Config { .. }
+            | TransportError::NoStates { .. } => false,
             // A panic may *originate* from the injected `sched_panic`
             // site, but it carries no typed provenance — the sweep health
             // counts panics separately from injected ladder faults.
@@ -100,6 +110,11 @@ impl std::fmt::Display for TransportError {
             TransportError::Checkpoint(e) => write!(f, "sweep checkpoint invalid: {e}"),
             TransportError::Panic { what } => write!(f, "worker caught a panicking solve: {what}"),
             TransportError::Config { what } => write!(f, "request does not fit the engine: {what}"),
+            TransportError::NoStates { e, kz } => write!(
+                f,
+                "no scattering states at E={e} kz={kz}: only the mode-free decimation rung \
+                 produced the point"
+            ),
             TransportError::Exhausted { e, kz, attempts, last } => write!(
                 f,
                 "escalation ladder exhausted at E={e} kz={kz} after {attempts} attempts: {last}"

@@ -19,7 +19,8 @@
 //! * [`observables`] — charge density, current maps and spectral currents
 //!   (Fig. 10);
 //! * [`scf`] — the self-consistent Schrödinger–Poisson loop and Id–Vgs
-//!   sweeps (Fig. 1(d));
+//!   sweeps (Fig. 1(d)), [`TransportEngine::schrodinger_poisson`] /
+//!   [`TransportEngine::id_vgs`]: a client of the sweep loop below;
 //! * [`engine`] — [`TransportEngine`], the one front door: point solves
 //!   under a [`PointPolicy`] and the sweeps below, over state (folded
 //!   devices, scheduler pool, Σ-cache) it owns once;
@@ -29,6 +30,11 @@
 //!   `sweep_refined`, with checkpoint/resume, adaptive refinement
 //!   ([`refine`]) and the paper's dynamic node-per-k allocation
 //!   (ref. \[45\]) priced by a pure gather-cost model instead of run.
+//!
+//! The crate holds no process-wide state and reads no environment
+//! variable: a pool belongs to the engine that created it or to the caller
+//! who passed it in, and a Σ-cache exists only where a caller passed one
+//! ([`TransportEngineBuilder`], [`SweepOptionsBuilder`]).
 
 pub mod cache;
 pub mod checkpoint;
@@ -44,7 +50,7 @@ pub mod scheduler;
 pub mod sweep;
 pub mod transport;
 
-pub use cache::{global as global_sigma_cache, CacheConfig, CachePolicy, CacheStats, SigmaCache};
+pub use cache::{CacheConfig, CachePolicy, CacheStats, SigmaCache};
 pub use checkpoint::CheckpointError;
 pub use device::{Device, DeviceK, TransportConfig};
 pub use energygrid::EnergyGrid;
@@ -70,14 +76,8 @@ pub use transport::{
 };
 
 /// Convenience one-shot ballistic transmission at a single energy with
-/// default configuration (quickstart API).
+/// default configuration (quickstart API), on the calling thread.
 pub fn transmission(device: &Device, energy: f64) -> TransportResult<EnergyPointResult> {
     let dk = device.at_kz(0.0);
-    transport::solve_point_direct(
-        &dk,
-        energy,
-        &device.config,
-        None,
-        cache::env_handle(&dk).as_ref(),
-    )
+    transport::solve_point_direct(&dk, energy, &device.config, None, None)
 }

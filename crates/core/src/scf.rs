@@ -7,16 +7,26 @@
 //! simulation involves roughly 40-50 iterations for 10 bias points"
 //! (§5.B) — the same loop at laptop scale drives the transfer
 //! characteristics of Fig. 1(d).
+//!
+//! Each iteration's energy pass is a single-momentum [`SweepPlan`] through
+//! the loop behind [`TransportEngine::sweep`] on the engine's pool: ladder,
+//! retry/quarantine and worker-count determinism as in every other sweep.
+//! It runs without a Σ-cache — the leads sit at the contact slabs'
+//! potential ([`Device::at_kz`]), which moves every iteration, so no two
+//! iterations ask for the same Σ(E) (`docs/cache.md`, "What does not
+//! cache"). The free functions wrap the engine methods around an engine
+//! scoped to the call.
 
+use crate::cache::CachePolicy;
 use crate::device::Device;
 use crate::energygrid::EnergyGrid;
-use crate::error::TransportResult;
+use crate::engine::TransportEngine;
+use crate::error::{TransportError, TransportResult};
 use crate::landauer::landauer_current_ua;
 use crate::observables::accumulate;
-use crate::scheduler::{self, BatchOptions, TaskAttempt};
-use crate::transport::solve_point_direct_on;
+use crate::sweep::{SweepOptions, SweepPlan};
+use crate::transport::METHOD_DECIMATION;
 use qtx_poisson::{gated_poisson_1d, GateSpec};
-use std::sync::Arc;
 
 /// SCF controls.
 #[derive(Debug, Clone)]
@@ -86,142 +96,166 @@ pub struct IvPoint {
     pub id_ua: f64,
 }
 
-/// Runs the Schrödinger–Poisson loop on a device (modifies its potential).
-pub fn schrodinger_poisson(dev: &mut Device, cfg: &ScfConfig) -> TransportResult<ScfResult> {
-    let nb = dev.n_slabs;
-    let gate = GateSpec {
-        start: ((nb as f64) * cfg.gate_window.0) as usize,
-        end: (((nb as f64) * cfg.gate_window.1) as usize).min(nb),
-        // Electron potential energy: a positive gate voltage *lowers* the
-        // electron barrier, so the electrostatic solve works in volts and
-        // the sign flip happens when applying to H.
-        vg: cfg.vg,
-        lambda: cfg.lambda,
-    };
-    let kt_window = 10.0;
-    let mut residual = f64::INFINITY;
-    let mut iterations = 0;
-    let mut spectrum = Vec::new();
-    let dx = dev.base.unit_cell.cell_len * dev.base.unit_cell.nbw as f64;
-    // Contact electrostatics: source grounded, drain at +Vd.
-    let (v_s, v_d) = (0.0, cfg.vd);
-    // Bias enters the occupations too.
-    dev.config.mu_r = dev.config.mu_l - cfg.vd;
-    for it in 0..cfg.max_iter {
-        iterations = it + 1;
-        // 1. Transport sweep on the current potential.
-        let dk = dev.at_kz(0.0);
-        let (e_lo, e_hi) = {
-            let (lo, hi) = dev.fermi_window(kt_window);
-            // Clip to where the leads actually conduct.
-            let (band_lo, band_hi) = dk.lead_l.band_window(24);
-            (lo.max(band_lo - 0.05), hi.min(band_hi + 0.05))
+impl ScfConfig {
+    /// The gate window in slab indices on an `nb`-slab device — or a
+    /// [`TransportError::Config`] for everything [`gated_poisson_1d`]
+    /// would assert on and every knob the damped iteration cannot run on.
+    fn gate_on(&self, nb: usize) -> TransportResult<GateSpec> {
+        let (w0, w1) = self.gate_window;
+        let gate = GateSpec {
+            start: (nb as f64 * w0) as usize,
+            end: ((nb as f64 * w1) as usize).min(nb),
+            // Electron potential energy: a positive gate voltage *lowers*
+            // the electron barrier, so the electrostatic solve works in
+            // volts and the sign flip happens when applying to H.
+            vg: self.vg,
+            lambda: self.lambda,
         };
-        if e_hi <= e_lo {
-            // Gap fully covers the bias window: no current flows.
-            let pot = dev.potential.clone();
-            return Ok(ScfResult {
-                potential: pot,
-                current_ua: 0.0,
-                spectrum: Vec::new(),
-                iterations,
-                residual: 0.0,
-                converged: true,
-            });
+        let positive = |v: f64| v > 0.0 && v.is_finite();
+        let finite = [self.vg, self.vd, self.charge_coupling].iter().all(|v| v.is_finite());
+        let window = 0.0 <= w0 && w0 < w1 && w1 <= 1.0 && gate.start < gate.end;
+        if positive(self.tol) && positive(self.mixing) && positive(self.lambda) && finite && window
+        {
+            return Ok(gate);
         }
-        let grid = EnergyGrid::uniform(e_lo, e_hi, cfg.n_energy.max(2));
-        let cfg_t = dev.config;
-        // Panic-isolated solves on the supervised pool: typed errors
-        // propagate as before (no retries — the SCF loop owns recovery),
-        // a panicking point surfaces as `TransportError::Panic` instead of
-        // tearing down the whole iteration.
-        let dk_shared = Arc::new(dk);
-        let run_dk = Arc::clone(&dk_shared);
-        // Env-armed self-energy cache: the gate potential folds into the
-        // channel, not the leads, so Σ(E) survives across SCF iterations
-        // and bias points — exactly the reuse the cache is for. (The
-        // handle re-hashes the leads each iteration; if a model ever does
-        // shift them, the content address changes and nothing stale is
-        // served.)
-        let cache = crate::cache::env_handle(&dk_shared);
-        // One structural scan per iteration, not one per energy point.
-        let support = dk_shared.coupling_support();
-        let reports = scheduler::global().execute(
-            grid.points.clone(),
-            &BatchOptions { max_retries: Some(0), ..Default::default() },
-            move |_, &e, _| {
-                TaskAttempt::Done(solve_point_direct_on(
-                    &run_dk,
-                    &support,
-                    e,
-                    &cfg_t,
-                    None,
-                    cache.as_ref(),
-                ))
-            },
-            |_, _, _, err| Err(crate::error::TransportError::Panic { what: err.to_string() }),
-        );
-        let points: Vec<_> =
-            reports.into_iter().map(|r| r.value).collect::<TransportResult<Vec<_>>>()?;
-        let dk = Arc::try_unwrap(dk_shared).unwrap_or_else(|arc| (*arc).clone());
-        spectrum = points.iter().map(|p| (p.e, p.transmission)).collect();
-        // 2. Charge per slab.
-        let de = (e_hi - e_lo) / (cfg.n_energy.max(2) - 1) as f64;
-        let weights = vec![de; points.len()];
-        let cc = accumulate(
-            &dk,
-            &points,
-            &weights,
-            dev.config.mu_l,
-            dev.config.mu_r,
-            dev.config.temperature,
-        );
-        // 3. Electrostatics: electrons screen the gate (negative charge).
-        let rho: Vec<f64> = cc.density.iter().map(|n| -cfg.charge_coupling * n).collect();
-        let v_new = gated_poisson_1d(&rho, dx, &gate, v_s, v_d, 1e-10);
-        // 4. Electron potential energy U = −V, damped update.
-        let mut worst: f64 = 0.0;
-        let mut u = dev.potential.clone();
-        for q in 0..nb {
-            let target = -v_new[q];
-            let delta = target - u[q];
-            worst = worst.max(delta.abs());
-            u[q] += cfg.mixing * delta;
-        }
-        dev.set_potential(&u);
-        residual = worst;
-        if worst < cfg.tol {
-            break;
-        }
+        Err(TransportError::Config {
+            what: format!(
+                "malformed ScfConfig for a {nb}-slab device: tol, mixing and lambda must be \
+                 positive, vg, vd and charge_coupling finite, and gate_window satisfy \
+                 0 ≤ start < end ≤ 1 over at least one slab: {self:?}"
+            ),
+        })
     }
-    let current =
-        landauer_current_ua(&spectrum, dev.config.mu_l, dev.config.mu_r, dev.config.temperature);
-    Ok(ScfResult {
-        potential: dev.potential.clone(),
-        current_ua: current,
-        spectrum,
-        iterations,
-        residual,
-        converged: residual < cfg.tol,
-    })
 }
 
-/// Sweeps the gate voltage and returns the transfer characteristic
-/// Id–Vgs of Fig. 1(d). Each bias point restarts from the previous
-/// converged potential (the production continuation strategy).
+impl TransportEngine {
+    /// Runs the Schrödinger–Poisson loop on the engine's device, moving
+    /// its potential ([`Self::set_potential`]) and its right contact's
+    /// chemical potential (`mu_l − cfg.vd`) as it goes.
+    ///
+    /// Errors: a malformed `cfg` or an engine without a [`Device`] is
+    /// [`TransportError::Config`]; an energy point without scattering
+    /// states — failed (a sweep would interpolate it), or rescued by the
+    /// mode-free decimation rung alone — ends the loop with that point's
+    /// error instead of leaving a hole in the charge.
+    pub fn schrodinger_poisson(&mut self, cfg: &ScfConfig) -> TransportResult<ScfResult> {
+        let nb = self.full_device("Schrödinger–Poisson iterations")?.n_slabs;
+        let gate = cfg.gate_on(nb)?;
+        let kt_window = 10.0;
+        let mut residual = f64::INFINITY;
+        let mut iterations = 0;
+        let mut spectrum = Vec::new();
+        // Contact electrostatics: source grounded, drain at +Vd.
+        let (v_s, v_d) = (0.0, cfg.vd);
+        // Bias enters the occupations too.
+        self.set_mu_r(self.config().mu_l - cfg.vd);
+        let tc = *self.config();
+        let opts = SweepOptions { cache: CachePolicy::Off, ..SweepOptions::default() };
+        for it in 0..cfg.max_iter {
+            iterations = it + 1;
+            // 1. Transport sweep on the current potential.
+            let dev = self.device().expect("checked above");
+            let dx = dev.base.unit_cell.cell_len * dev.base.unit_cell.nbw as f64;
+            let mut u = dev.potential.clone();
+            let dk = self.device_k(0.0).expect("device-backed");
+            let (e_lo, e_hi) = {
+                let (lo, hi) = dev.fermi_window(kt_window);
+                // Clip to where the leads actually conduct.
+                let (band_lo, band_hi) = dk.lead_l.band_window(24);
+                (lo.max(band_lo - 0.05), hi.min(band_hi + 0.05))
+            };
+            if e_hi <= e_lo {
+                // Gap fully covers the bias window: no current flows.
+                (spectrum, residual) = (Vec::new(), 0.0);
+                break;
+            }
+            let n_energy = cfg.n_energy.max(2);
+            let grid = EnergyGrid::uniform(e_lo, e_hi, n_energy);
+            let plan = SweepPlan { k_points: vec![(0.0, 1.0)], energies: vec![grid.points] };
+            let mut solved = Vec::with_capacity(n_energy);
+            self.run(&plan, 1, &opts, None, Some(&mut solved))?;
+            let points = solved
+                .into_iter()
+                .map(|rs| {
+                    let has_states = rs.outcome.method_used != METHOD_DECIMATION;
+                    let point = rs.into_result()?;
+                    if has_states {
+                        Ok(point)
+                    } else {
+                        Err(TransportError::NoStates { e: point.e, kz: point.kz })
+                    }
+                })
+                .collect::<TransportResult<Vec<_>>>()?;
+            spectrum = points.iter().map(|p| (p.e, p.transmission)).collect();
+            // 2. Charge per slab.
+            let de = (e_hi - e_lo) / (n_energy - 1) as f64;
+            let weights = vec![de; points.len()];
+            let cc = accumulate(&dk, &points, &weights, tc.mu_l, tc.mu_r, tc.temperature);
+            // 3. Electrostatics: electrons screen the gate (negative charge).
+            let rho: Vec<f64> = cc.density.iter().map(|n| -cfg.charge_coupling * n).collect();
+            let v_new = gated_poisson_1d(&rho, dx, &gate, v_s, v_d, 1e-10);
+            // 4. Electron potential energy U = −V, damped update.
+            let mut worst: f64 = 0.0;
+            for q in 0..nb {
+                let delta = -v_new[q] - u[q];
+                worst = worst.max(delta.abs());
+                u[q] += cfg.mixing * delta;
+            }
+            self.set_potential(&u);
+            residual = worst;
+            if worst < cfg.tol {
+                break;
+            }
+        }
+        Ok(ScfResult {
+            potential: self.device().expect("checked above").potential.clone(),
+            current_ua: landauer_current_ua(&spectrum, tc.mu_l, tc.mu_r, tc.temperature),
+            spectrum,
+            iterations,
+            residual,
+            converged: residual < cfg.tol,
+        })
+    }
+
+    /// Sweeps the gate voltage and returns the transfer characteristic
+    /// Id–Vgs of Fig. 1(d). Each bias point restarts from the previous
+    /// converged potential (the production continuation strategy).
+    pub fn id_vgs(&mut self, cfg: &ScfConfig, vgs_list: &[f64]) -> TransportResult<Vec<IvPoint>> {
+        vgs_list
+            .iter()
+            .map(|&vg| {
+                let r = self.schrodinger_poisson(&ScfConfig { vg, ..cfg.clone() })?;
+                Ok(IvPoint { vgs: vg, id_ua: r.current_ua })
+            })
+            .collect()
+    }
+}
+
+/// Runs `scf` on an engine scoped to the call and writes the potential and
+/// `mu_r` it ended on back to `dev`, whether the loop succeeded or not.
+fn on_scoped_engine<T>(dev: &mut Device, scf: impl FnOnce(&mut TransportEngine) -> T) -> T {
+    let mut engine = TransportEngine::new(dev.clone());
+    let out = scf(&mut engine);
+    let moved = engine.device().expect("built on a device");
+    dev.set_potential(&moved.potential);
+    dev.config.mu_r = moved.config.mu_r;
+    out
+}
+
+/// [`TransportEngine::schrodinger_poisson`] on an engine scoped to the
+/// call; `dev` ends on the loop's potential and `mu_r`.
+pub fn schrodinger_poisson(dev: &mut Device, cfg: &ScfConfig) -> TransportResult<ScfResult> {
+    on_scoped_engine(dev, |engine| engine.schrodinger_poisson(cfg))
+}
+
+/// [`TransportEngine::id_vgs`] on an engine scoped to the call; `dev` ends
+/// on the last gate point's potential and `mu_r`.
 pub fn id_vgs(
     dev: &mut Device,
     cfg: &ScfConfig,
     vgs_list: &[f64],
 ) -> TransportResult<Vec<IvPoint>> {
-    let mut out = Vec::with_capacity(vgs_list.len());
-    for &vg in vgs_list {
-        let mut c = cfg.clone();
-        c.vg = vg;
-        let r = schrodinger_poisson(dev, &c)?;
-        out.push(IvPoint { vgs: vg, id_ua: r.current_ua });
-    }
-    Ok(out)
+    on_scoped_engine(dev, |engine| engine.id_vgs(cfg, vgs_list))
 }
 
 #[cfg(test)]

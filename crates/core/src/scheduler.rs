@@ -42,7 +42,7 @@ use crate::error::TransportError;
 use std::collections::{HashSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Locks a mutex, recovering the data if a previous holder panicked (the
@@ -83,28 +83,6 @@ impl Default for SchedulerConfig {
             completion_capacity: 128,
             supervisor_poll_ms: 2,
         }
-    }
-}
-
-impl SchedulerConfig {
-    /// Default config with the `QTX_SCHED_WORKERS` override applied.
-    pub fn from_env() -> Self {
-        let mut cfg = SchedulerConfig::default();
-        if let Ok(v) = std::env::var("QTX_SCHED_WORKERS") {
-            match parse_workers(&v) {
-                Some(n) => cfg.workers = n,
-                None => eprintln!("QTX_SCHED_WORKERS: invalid value {v:?}; using default"),
-            }
-        }
-        cfg
-    }
-}
-
-/// Parses a `QTX_SCHED_WORKERS` value: a positive thread count.
-pub fn parse_workers(v: &str) -> Option<usize> {
-    match v.trim().parse::<usize>() {
-        Ok(n) if n >= 1 => Some(n),
-        _ => None,
     }
 }
 
@@ -866,14 +844,6 @@ fn supervisor_loop(shared: &Shared, poll: Duration) {
     }
 }
 
-static GLOBAL: OnceLock<Arc<Scheduler>> = OnceLock::new();
-
-/// The process-wide pool (workers from `QTX_SCHED_WORKERS` or the core
-/// count), created on first use and kept for the process lifetime.
-pub fn global() -> &'static Arc<Scheduler> {
-    GLOBAL.get_or_init(|| Arc::new(Scheduler::new(SchedulerConfig::from_env())))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1119,14 +1089,6 @@ mod tests {
         assert!(reports[0].quarantined);
         assert_eq!(reports[1].value, 11, "dependent still runs after the failure");
         assert!(!reports[1].quarantined);
-    }
-
-    #[test]
-    fn worker_env_parse() {
-        assert_eq!(parse_workers("4"), Some(4));
-        assert_eq!(parse_workers(" 1 "), Some(1));
-        assert_eq!(parse_workers("0"), None);
-        assert_eq!(parse_workers("many"), None);
     }
 
     #[test]

@@ -5,16 +5,17 @@
 //! (§4, Fig. 9). Here the momentum and energy levels are tasks on the
 //! persistent supervised pool of [`crate::scheduler`] (panic isolation,
 //! retry/backoff, deadlines, quarantine — see `docs/scheduler.md`), and
-//! the spatial level is SplitSolve's partitions inside each point.
-//! `QTX_SCHED_WORKERS` (or [`SweepOptions::scheduler`]) sets the compute
-//! threads.
+//! the spatial level is SplitSolve's partitions inside each point. The
+//! compute threads are the workers of the engine's pool (or of
+//! [`SweepOptions::scheduler`]).
 //!
 //! Every sweep — flat, resumed, or adaptively refined
 //! ([`TransportEngine::sweep`], [`TransportEngine::sweep_resumable`],
 //! [`TransportEngine::sweep_refined`]) — is the same private loop: load
 //! the checkpoint, solve what it lacks, save, optionally bisect
 //! ([`crate::refine`]) and go round again, then interpolate and
-//! aggregate. Each momentum's folded device comes from the engine's memo,
+//! aggregate ([`crate::scf`] drives it once per iteration and reads the
+//! solved points back). Each momentum's folded device comes from the memo,
 //! so sweeps and point solves share one copy. Every point walks the
 //! escalation ladder of [`crate::PointPolicy::robust`]; its
 //! [`crate::PointOutcome`] becomes an 80-byte [`PointRecord`], the unit
@@ -43,7 +44,7 @@ use crate::engine::TransportEngine;
 use crate::error::{TransportError, TransportResult};
 use crate::refine::{refined_fingerprint, select_refinements, RefineConfig, RefinedSweep};
 use crate::scheduler::{self, BatchStats, Scheduler};
-use crate::transport::{solve_point_robust_raw, METHOD_FAILED};
+use crate::transport::{solve_point_robust_raw, RobustSolve, METHOD_FAILED};
 use qtx_mpi::CostModel;
 use std::collections::HashSet;
 use std::path::PathBuf;
@@ -457,9 +458,9 @@ pub struct SweepOptions {
     /// Stop after at most this many *new* points, in canonical order —
     /// the deterministic "kill" used by the resume property tests.
     pub max_new_points: Option<usize>,
-    /// Pool to solve on; `None` uses the process-wide
-    /// [`crate::scheduler::global`] pool. Tests pass explicit pools to
-    /// pin worker counts.
+    /// Pool to solve on; `None` uses the engine's (the one it was built
+    /// with, else its own). Tests pass explicit pools to pin worker
+    /// counts.
     pub scheduler: Option<Arc<Scheduler>>,
     /// Self-energy cache policy for the point solves.
     pub cache: CachePolicy,
@@ -510,61 +511,48 @@ impl std::error::Error for SweepOptionsError {}
 
 /// Builder of [`SweepOptions`]; see [`SweepOptions::builder`].
 #[derive(Debug, Clone, Default)]
-pub struct SweepOptionsBuilder {
-    checkpoint: Option<PathBuf>,
-    max_new_points: Option<usize>,
-    scheduler: Option<Arc<Scheduler>>,
-    cache: CachePolicy,
-    batching: Batching,
-}
+pub struct SweepOptionsBuilder(SweepOptions);
 
 impl SweepOptionsBuilder {
     /// Checkpoint file to resume from / persist to.
     pub fn checkpoint(mut self, path: impl Into<PathBuf>) -> Self {
-        self.checkpoint = Some(path.into());
+        self.0.checkpoint = Some(path.into());
         self
     }
 
     /// Deterministic kill: stop after this many new points.
     pub fn max_new_points(mut self, n: usize) -> Self {
-        self.max_new_points = Some(n);
+        self.0.max_new_points = Some(n);
         self
     }
 
     /// Explicit scheduler pool (tests pin worker counts with this).
     pub fn scheduler(mut self, sched: Arc<Scheduler>) -> Self {
-        self.scheduler = Some(sched);
+        self.0.scheduler = Some(sched);
         self
     }
 
     /// Self-energy cache policy.
     pub fn cache(mut self, policy: CachePolicy) -> Self {
-        self.cache = policy;
+        self.0.cache = policy;
         self
     }
 
     /// Energy-point batching mode (see [`Batching`]).
     pub fn batching(mut self, batching: Batching) -> Self {
-        self.batching = batching;
+        self.0.batching = batching;
         self
     }
 
     /// Validates and produces the options.
     pub fn build(self) -> Result<SweepOptions, SweepOptionsError> {
-        match self.max_new_points {
-            Some(0) => return Err(SweepOptionsError::ZeroMaxNewPoints),
-            Some(n) if self.checkpoint.is_none() => {
-                return Err(SweepOptionsError::MaxNewPointsWithoutCheckpoint { max_new_points: n })
+        match self.0.max_new_points {
+            Some(0) => Err(SweepOptionsError::ZeroMaxNewPoints),
+            Some(n) if self.0.checkpoint.is_none() => {
+                Err(SweepOptionsError::MaxNewPointsWithoutCheckpoint { max_new_points: n })
             }
-            _ => {}
+            _ => Ok(self.0),
         }
-        Ok(SweepOptions {
-            checkpoint: self.checkpoint,
-            max_new_points: self.max_new_points,
-            scheduler: self.scheduler,
-            cache: self.cache,
-            batching: self.batching,
-        })
     }
 }
 
@@ -576,20 +564,19 @@ impl TransportEngine {
     /// no refinement step, pinned to the plan's own fingerprint, so a
     /// refined sweep inherits every robustness and determinism property
     /// of the flat one.
+    ///
+    /// `solved`, when given, receives the [`RobustSolve`] behind every
+    /// record this run solved (not those a checkpoint supplied), canonical
+    /// order within each round — what the SCF accumulates its charge from.
     pub(crate) fn run(
         &self,
         base: &SweepPlan,
         n_ranks: usize,
         opts: &SweepOptions,
         refine: Option<&RefineConfig>,
+        mut solved: Option<&mut Vec<RobustSolve>>,
     ) -> TransportResult<RefinedSweep> {
-        if self.device().is_none() {
-            return Err(TransportError::Config {
-                what: "sweeps need a full Device; this engine is fixed on a pre-folded DeviceK \
-                       (TransportEngine::from_device_k)"
-                    .into(),
-            });
-        }
+        self.full_device("sweeps")?;
         base.validate()?;
         let fp = match refine {
             Some(cfg) => refined_fingerprint(base, cfg),
@@ -634,9 +621,13 @@ impl TransportEngine {
                 }
             }
             if !todo.is_empty() {
-                let (records, round_stats) =
-                    compute_records(self, &plan, &todo, &sched, opts.batching, cache.as_ref());
+                let on = (sched.as_ref(), cache.as_ref());
+                let (records, solves, round_stats) =
+                    compute_records(self, &plan, &todo, on, opts.batching, solved.is_some());
                 stats += round_stats;
+                if let Some(out) = solved.as_mut() {
+                    out.extend(solves);
+                }
                 let points: Vec<usize> = plan.energies.iter().map(Vec::len).collect();
                 comm_seconds += CostModel::gemini().fig9_gather_seconds(
                     n_ranks,
@@ -744,11 +735,16 @@ enum SweepTask {
     Solve(Arc<ChunkSpec>),
 }
 
-/// One robust point solve as its record.
-fn solve_record(c: &ChunkSpec, e_idx: u32, e: f64) -> PointRecord {
-    let rs = solve_point_robust_raw(&c.folded.dk, c.folded.support(), e, &c.cfg, c.cache.as_ref());
+/// A point's record and, only when the caller of [`TransportEngine::run`]
+/// asked for the solved points, the solve behind it.
+type Solved = (PointRecord, Option<Box<RobustSolve>>);
+
+/// One robust point solve as its record. A point whose every scheduler
+/// attempt panicked arrives as [`RobustSolve::failed`] (no ladder
+/// diagnostics exist) and the interpolation path takes over.
+fn record_of(c: &ChunkSpec, e_idx: u32, e: f64, rs: RobustSolve, keep: bool) -> Solved {
     let o = rs.outcome;
-    PointRecord {
+    let record = PointRecord {
         k_idx: c.k_idx,
         e_idx,
         kz: c.kz,
@@ -763,29 +759,8 @@ fn solve_record(c: &ChunkSpec, e_idx: u32, e: f64) -> PointRecord {
         eta: o.eta,
         wall_ms: o.wall_ms,
         interp_bound: 0.0,
-    }
-}
-
-/// Record of a point whose every scheduler attempt panicked: the
-/// solve never returned, so no ladder diagnostics exist — the point is
-/// failed and the interpolation path takes over.
-fn panic_record(c: &ChunkSpec, e_idx: u32, e: f64, attempts: u32) -> PointRecord {
-    PointRecord {
-        k_idx: c.k_idx,
-        e_idx,
-        kz: c.kz,
-        w: c.w,
-        e,
-        t: f64::NAN,
-        method: METHOD_FAILED,
-        status: STATUS_FAILED,
-        attempts: attempts.min(u16::MAX as u32) as u16,
-        escalations: 0,
-        residual: f64::INFINITY,
-        eta: 0.0,
-        wall_ms: 0.0,
-        interp_bound: 0.0,
-    }
+    };
+    (record, keep.then(|| Box::new(rs)))
 }
 
 /// Soft per-point deadline from the `qtx-machine` FLOP ledger over this
@@ -797,7 +772,8 @@ fn point_deadline_ms(dk: &crate::device::DeviceK) -> f64 {
 }
 
 /// Solves every point of a non-empty `todo` on `sched`, in canonical
-/// order, returning the records plus the run-scoped scheduler accounting.
+/// order, returning the records, the solves behind them when `keep` asks,
+/// and the run-scoped scheduler accounting.
 ///
 /// Escalation-ladder exhaustion surfaces as a scheduler retry (a fresh
 /// full ladder walk, after backoff); a point that also exhausts the
@@ -807,10 +783,10 @@ fn compute_records(
     engine: &TransportEngine,
     plan: &SweepPlan,
     todo: &[(u32, u32)],
-    sched: &Scheduler,
+    (sched, cache): (&Scheduler, Option<&Arc<SigmaCache>>),
     batching: Batching,
-    cache: Option<&Arc<SigmaCache>>,
-) -> (Vec<PointRecord>, BatchStats) {
+    keep: bool,
+) -> (Vec<PointRecord>, Vec<RobustSolve>, BatchStats) {
     // Consecutive same-k runs of the canonical todo list chunk into
     // scheduler tasks. Each momentum's folded device comes from the
     // engine's memo; the lead hashes bind it to this sweep's own cache.
@@ -886,7 +862,7 @@ fn compute_records(
     let reports = sched.execute(
         items,
         &batch,
-        |_, task, attempt| match task {
+        move |_, task, attempt| match task {
             SweepTask::Sigma(c) => {
                 c.prefetch_sigma();
                 scheduler::TaskAttempt::Done(Vec::new())
@@ -905,9 +881,11 @@ fn compute_records(
                     ) {
                         panic!("injected scheduler panic at E={e} kz={} attempt {attempt}", c.kz);
                     }
-                    let record = solve_record(c, e_idx, e);
-                    any_failed |= record.status == STATUS_FAILED;
-                    records.push(record);
+                    let (dk, support) = (&c.folded.dk, c.folded.support());
+                    let rs = solve_point_robust_raw(dk, support, e, &c.cfg, c.cache.as_ref());
+                    let solved = record_of(c, e_idx, e, rs, keep);
+                    any_failed |= solved.0.status == STATUS_FAILED;
+                    records.push(solved);
                 }
                 if any_failed {
                     scheduler::TaskAttempt::Retry(records)
@@ -916,15 +894,25 @@ fn compute_records(
                 }
             }
         },
-        |_, task, attempts, _err| match task {
+        move |_, task, attempts, err| match task {
             SweepTask::Sigma(_) => Vec::new(),
             SweepTask::Solve(c) => {
-                c.points.iter().map(|&(e_idx, e)| panic_record(c, e_idx, e, attempts)).collect()
+                let attempts = attempts.min(u16::MAX as u32) as u16;
+                let what = match err {
+                    TransportError::Panic { what } => what.clone(),
+                    other => other.to_string(),
+                };
+                let failed = |&(e_idx, e)| {
+                    let panic = TransportError::Panic { what: what.clone() };
+                    record_of(c, e_idx, e, RobustSolve::failed(panic, attempts, 0.0), keep)
+                };
+                c.points.iter().map(failed).collect()
             }
         },
     );
     let stats = scheduler::stats_of(&reports);
-    (reports.into_iter().flat_map(|r| r.value).collect(), stats)
+    let (records, solves): (Vec<_>, Vec<_>) = reports.into_iter().flat_map(|r| r.value).unzip();
+    (records, solves.into_iter().flatten().map(|rs| *rs).collect(), stats)
 }
 
 /// Patches failed points from their healthy neighbors along the energy

@@ -532,6 +532,10 @@ pub const LADDER_METHOD_NAMES: [&str; 9] = [
     "boundary-caroli",
 ];
 
+/// `method_used` value of the mode-free last-resort rung: a transmission,
+/// no scattering states.
+pub(crate) const METHOD_DECIMATION: u8 = 5;
+
 /// `method_used` value marking a point every rung gave up on.
 pub const METHOD_FAILED: u8 = 6;
 
@@ -743,7 +747,7 @@ pub(crate) fn solve_point_robust_raw(
     }
     attempts += 1;
     let mut rs = match decimation_caroli_rung(dk, support, e, cache) {
-        Ok(result) => RobustSolve::solved(result, 5, ms_since(start)),
+        Ok(result) => RobustSolve::solved(result, METHOD_DECIMATION, ms_since(start)),
         Err(err) => RobustSolve::failed(
             TransportError::Exhausted {
                 e,

@@ -147,11 +147,11 @@ fn interpolating_policy_serves_validated_intervals_within_bound() {
     // 0.02 eV on this lead); 5 meV anchors land it near 5e-6.
     let e1 = e0 + 0.005;
     let engine = TransportEngine::builder(dev.clone())
-        .cache_config(CacheConfig {
+        .cache(CachePolicy::Shared(Arc::new(SigmaCache::new(CacheConfig {
             interp_max_de: 0.01,
             interp_tol: 1e-5,
             ..CacheConfig::default()
-        })
+        }))))
         .build();
     // Anchors, then the mid-interval validation solve.
     for e in [e0, e1, 0.5 * (e0 + e1)] {
@@ -196,11 +196,11 @@ fn band_edge_straddling_bracket_falls_back_to_a_real_solve() {
     let edge = dk.lead_l.dispersive_band_min(0.1, 0.3).expect("edge");
     let (e0, e1) = (edge - 0.01, edge + 0.01);
     let engine = TransportEngine::builder(dev)
-        .cache_config(CacheConfig {
+        .cache(CachePolicy::Shared(Arc::new(SigmaCache::new(CacheConfig {
             interp_max_de: 0.05,
             interp_tol: 1e-5,
             ..CacheConfig::default()
-        })
+        }))))
         .build();
     for e in [e0, e1, 0.5 * (e0 + e1)] {
         // Below the edge there may be nothing to solve; errors are fine —

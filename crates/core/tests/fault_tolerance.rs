@@ -13,16 +13,16 @@
 use qtx_atomistic::{BasisKind, DeviceBuilder};
 use qtx_core::transport::{ETA_BUMP, METHOD_FAILED};
 use qtx_core::{
-    landauer_current_counted_ua, Device, PointPolicy, PointRecord, SweepOptions, SweepPlan,
-    SweepResult, TransportEngine, CONDUCTANCE_QUANTUM_US,
+    landauer_current_counted_ua, Device, PointPolicy, PointRecord, ScfConfig, SweepOptions,
+    SweepPlan, SweepResult, TransportEngine, TransportError, CONDUCTANCE_QUANTUM_US,
 };
 use qtx_core::{Scheduler, SchedulerConfig};
 use qtx_linalg::fault::{self, FaultConfig};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-/// A fresh pinned-width pool, isolated from the process-global one so
-/// campaign quarantines cannot leak across tests.
+/// A fresh pinned-width pool (an engine built without one creates its
+/// own, as wide as the machine).
 fn pool(workers: usize) -> Arc<Scheduler> {
     Arc::new(Scheduler::new(SchedulerConfig { workers, ..SchedulerConfig::default() }))
 }
@@ -346,6 +346,64 @@ fn injected_panics_are_isolated_counted_and_quarantined() {
     assert_eq!(clean.health.failed, 0);
     assert_eq!(clean.health.panics, 0);
     assert_eq!(clean.health.quarantined, 0);
+}
+
+#[test]
+fn two_default_engines_do_not_share_a_quarantine_set() {
+    // Each engine built without a pool owns one, so the keys one engine's
+    // all-panic sweep poisons cost the other engine's sweep of the very
+    // same plan nothing — no process-wide pool carries them over.
+    let dev = small_device();
+    let mut plan = small_plan(&dev);
+    plan.energies[0].truncate(3);
+    let (hit, spared) = (engine(&dev), engine(&dev));
+    let result = with_faults(Some(panic_campaign(1.0, 13)), || hit.sweep(&plan, 2).unwrap());
+    assert_eq!(result.health.quarantined, 3);
+    assert_eq!(hit.scheduler().unwrap().poisoned_count(), 3);
+    // Same keys, same campaign, the other engine: the full retry budget
+    // is still there (9 panics, not 3), and it fills its own set.
+    let result = with_faults(Some(panic_campaign(1.0, 13)), || spared.sweep(&plan, 2).unwrap());
+    assert_eq!(result.health.panics, 9, "a foreign quarantine must not cut this engine's retries");
+    assert_eq!(spared.scheduler().unwrap().poisoned_count(), 3);
+    // The poisoned engine, disarmed, spends one attempt a point.
+    let clean = with_faults(None, || hit.sweep(&plan, 2).unwrap());
+    assert_eq!((clean.health.failed, clean.health.sched_retries), (0, 0));
+}
+
+#[test]
+fn scf_surfaces_an_energy_without_states_as_a_typed_error() {
+    // The SCF rides the sweep loop, so it inherits the ladder — and must
+    // not inherit the sweep's tolerance for holes: the charge needs the
+    // scattering states of every energy.
+    let dev = small_device();
+    let cfg = ScfConfig { max_iter: 3, n_energy: 6, ..ScfConfig::default() };
+    let flat = dev.potential.clone();
+    // Every interior solve fails on every mode-producing rung; the
+    // mode-free decimation rung still returns a transmission. A sweep
+    // would call that point healthy — the SCF cannot.
+    let mut interior = FaultConfig::new(1.0, 3);
+    interior.sites.factor_poly = false;
+    interior.sites.self_energy = false;
+    let mut scf = engine(&dev);
+    let err = with_faults(Some(interior), || scf.schrodinger_poisson(&cfg)).unwrap_err();
+    assert!(matches!(err, TransportError::NoStates { kz, .. } if kz == 0.0), "{err:?}");
+    assert_eq!(scf.device().unwrap().potential, flat, "no charge, no potential update");
+    // Every chokepoint fails: the point is failed, the sweep's records
+    // would at best interpolate it, and the SCF reports the ladder's own
+    // exhaustion with the injected root cause.
+    let mut scf = engine(&dev);
+    let err =
+        with_faults(Some(FaultConfig::new(1.0, 5)), || scf.schrodinger_poisson(&cfg)).unwrap_err();
+    assert!(matches!(err, TransportError::Exhausted { .. }) && err.is_injected(), "{err:?}");
+    // Panicking workers: the panic is the error.
+    let mut scf = engine(&dev);
+    let err =
+        with_faults(Some(panic_campaign(1.0, 13)), || scf.schrodinger_poisson(&cfg)).unwrap_err();
+    assert!(matches!(err, TransportError::Panic { .. }), "{err:?}");
+    // Disarmed, the same engine converges as if nothing had happened
+    // (its poisoned keys only cost retries).
+    let healthy = with_faults(None, || scf.schrodinger_poisson(&cfg)).unwrap();
+    assert!(healthy.iterations >= 1 && healthy.current_ua.is_finite());
 }
 
 #[test]

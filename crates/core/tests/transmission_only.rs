@@ -400,7 +400,8 @@ fn hit_miss_and_cache_off_points_are_the_same_bits() {
     };
     let off = TransportEngine::builder(nanowire(8)).cache(qtx_core::CachePolicy::Off).build();
     assert_eq!(tonly(&off), reference, "cache off ≡ caroli_transmission");
-    let cached = TransportEngine::builder(d).cache_config(qtx_core::CacheConfig::default()).build();
+    let cache = Arc::new(qtx_core::SigmaCache::new(qtx_core::CacheConfig::default()));
+    let cached = TransportEngine::builder(d).cache(qtx_core::CachePolicy::Shared(cache)).build();
     assert_eq!(tonly(&cached), reference, "miss");
     assert_eq!(tonly(&cached), reference, "hit");
     let stats = cached.cache_stats().unwrap();
@@ -438,4 +439,79 @@ fn fanned_out_fronts_do_not_change_a_point() {
     );
     assert_eq!(reports.iter().map(|r| r.value).collect::<Vec<_>>(), fanned);
     assert!((f64::from_bits(fanned[0]) - 1.0).abs() < 1e-6, "one open channel at the band edge");
+}
+
+#[test]
+fn the_cases_hold_on_a_thrashing_64k_shared_cache() {
+    let _guard = lock();
+    // The battery above once more on an engine whose explicit cache evicts
+    // constantly — the least favourable budget, which is what caught a
+    // dropped `with_sigma_compression` once: every point mixes misses,
+    // hits and re-solves of evicted frames, and must be the bits of the
+    // uncached engine whatever the mix.
+    let mut d = nanowire(8);
+    let v: Vec<f64> = (0..d.n_slabs).map(|q| 0.03 * q as f64).collect();
+    d.set_potential(&v);
+    let dk = d.at_kz(0.0);
+    let e0 = dk.lead_l.dispersive_energy(1.0, 0.2, 0.3).expect("conduction band") + 0.05;
+    let energies: Vec<f64> = (0..6).map(|i| e0 + 0.01 * i as f64).collect();
+    let cache = Arc::new(qtx_core::SigmaCache::new(qtx_core::CacheConfig {
+        max_bytes: 64 << 10,
+        ..qtx_core::CacheConfig::default()
+    }));
+    let off = TransportEngine::builder(d.clone()).cache(qtx_core::CachePolicy::Off).build();
+    let thrash = Arc::new(
+        TransportEngine::builder(d.clone())
+            .cache(qtx_core::CachePolicy::Shared(cache.clone()))
+            .build(),
+    );
+    let policies = [
+        ("transmission-only", PointPolicy::transmission_only()),
+        ("compressed", PointPolicy::transmission_only().with_sigma_compression(1e-8)),
+        ("direct", PointPolicy::direct()),
+        ("robust", PointPolicy::robust()),
+    ];
+    for pass in 0..2 {
+        for (label, policy) in &policies {
+            for &e in &energies {
+                let (want, got) =
+                    (off.solve_point(e, 0.0, policy), thrash.solve_point(e, 0.0, policy));
+                assert_eq!(got.outcome.method_used, want.outcome.method_used, "{label}, E={e}");
+                assert_eq!(got.outcome.interp_bound, want.outcome.interp_bound, "{label}, E={e}");
+                if *label == "compressed" {
+                    assert!(got.outcome.interp_bound > 0.0, "the policy's tolerance was dropped");
+                }
+                let (want, got) = (want.into_result().unwrap(), got.into_result().unwrap());
+                assert_eq!(
+                    got.transmission.to_bits(),
+                    want.transmission.to_bits(),
+                    "{label}, pass {pass}, E={e}"
+                );
+                assert_eq!(got.psi.max_diff(&want.psi), 0.0, "{label}, pass {pass}, E={e}");
+                assert_eq!((&got.sigma_l, &got.sigma_r), (&want.sigma_l, &want.sigma_r));
+            }
+        }
+    }
+    // Exact-Σ points are the dense Caroli reference, cache or no cache.
+    let reference = caroli_transmission(&dk, e0, d.config.obc).unwrap();
+    let rs = thrash.solve_point(e0, 0.0, &PointPolicy::transmission_only());
+    assert_eq!(rs.into_result().unwrap().transmission, reference);
+    // Any thread, same bits, while the workers race each other's evictions.
+    let solve = |engine: &TransportEngine, e: f64| -> u64 {
+        let rs = engine.solve_point(e, 0.0, &PointPolicy::transmission_only());
+        rs.into_result().unwrap().transmission.to_bits()
+    };
+    let here: Vec<u64> = energies.iter().map(|&e| solve(&off, e)).collect();
+    let pool = Scheduler::new(SchedulerConfig { workers: 4, ..SchedulerConfig::default() });
+    let worker_engine = thrash.clone();
+    let reports = pool.execute(
+        energies.clone(),
+        &BatchOptions::default(),
+        move |_, &e, _| TaskAttempt::Done(solve(&worker_engine, e)),
+        |_, _, _, _| 0,
+    );
+    assert_eq!(reports.iter().map(|r| r.value).collect::<Vec<_>>(), here);
+    // The budget really thrashed, and really served.
+    let stats = cache.stats();
+    assert!(stats.evictions > 0 && stats.hits > 0 && stats.bytes <= 64 << 10, "{stats:?}");
 }

@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --release --example nanowire_iv`
 
-use qtx::core::{id_vgs, ScfConfig};
+use qtx::core::ScfConfig;
 use qtx::prelude::*;
 
 fn main() {
@@ -24,7 +24,7 @@ fn main() {
         ..ScfConfig::default()
     };
     let vgs: Vec<f64> = (0..8).map(|i| -0.40 + i as f64 * 0.08).collect();
-    let iv = id_vgs(&mut dev, &cfg, &vgs).expect("sweep");
+    let iv = TransportEngine::new(dev).id_vgs(&cfg, &vgs).expect("sweep");
 
     println!("\n{:>10} {:>14} {:>10}", "Vgs (V)", "Id (µA)", "log10 Id");
     for p in &iv {
