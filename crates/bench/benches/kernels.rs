@@ -1,8 +1,7 @@
-//! Node-level kernel benchmarks: the `zgemm`/`zgesv`/`zhesv` workloads of
-//! §3.C and the §5.E Hermitian saving.
+//! Node-level kernel benchmarks: the `zgemm`/`zgesv` workloads of §3.C.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use qtx_linalg::{ldl_factor_nopiv, lu_factor, lu_factor_nopiv, matmul, qr_factor, ZMat};
+use qtx_linalg::{lu_factor, matmul, qr_factor, ZMat};
 use std::hint::black_box;
 
 fn hermitian_pd(n: usize, seed: u64) -> ZMat {
@@ -63,13 +62,6 @@ fn bench_factorizations(c: &mut Criterion) {
         });
         g.bench_with_input(BenchmarkId::new("zgetrf unblocked baseline", n), &n, |bench, _| {
             bench.iter(|| black_box(qtx_linalg::lu_factor_unblocked(&a).unwrap()));
-        });
-        g.bench_with_input(BenchmarkId::new("zgesv_nopiv (MAGMA-style)", n), &n, |bench, _| {
-            bench.iter(|| black_box(lu_factor_nopiv(&a).unwrap()));
-        });
-        // The §5.E kernel: Hermitian LDLᴴ at half the LU flops.
-        g.bench_with_input(BenchmarkId::new("zhesv_nopiv (Hermitian)", n), &n, |bench, _| {
-            bench.iter(|| black_box(ldl_factor_nopiv(&a).unwrap()));
         });
     }
     // The blocked solve path: trsm-powered multi-RHS back-substitution.

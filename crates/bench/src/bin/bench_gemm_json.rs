@@ -1,20 +1,21 @@
 //! Emits `BENCH_gemm.json`: tiled zero-copy zgemm vs the seed kernel,
-//! plus a per-variant sweep of the dispatched SIMD microkernels.
+//! plus a per-variant sweep of the register-tile microkernels.
 //!
 //! The seed implementation (cloned operands + column-panel triple loop) is
 //! reproduced here verbatim as the baseline; the measured speedups and the
 //! machine fingerprint land in a JSON report so `CHANGES.md` numbers stay
-//! reproducible. The `kind: "ukr"` entries force each available kernel
-//! variant ([`qtx_linalg::force_kernel`]) on the same inputs and gate the
-//! within-binary `kernel_speedup` (variant vs forced-scalar) through
-//! `check_bench` — hardware-independent properties of the dispatch, unlike
-//! the absolute GF/s. Run with `cargo run --release -p qtx-bench --bin
-//! bench_gemm_json [output-path] [--quick]`.
+//! reproducible. The `kind: "ukr"` entries run each kernel variant the
+//! host has on the same inputs, through `gemm_with` (the library's packed
+//! path with the kernel passed down), and gate the within-binary
+//! `kernel_speedup` (variant vs scalar) through `check_bench` — the row
+//! that keeps the explicit AVX-512 tile; the absolute GF/s are not gated.
+//! Run with `cargo run --release -p qtx-bench --bin bench_gemm_json
+//! [output-path] [--quick]`.
 
 use qtx_bench::{print_table, Row};
-use qtx_linalg::{
-    available_variants, force_kernel, gemm, reset_kernel, Complex64, KernelVariant, Op, ZMat,
-};
+use qtx_linalg::gemm::gemm_with;
+use qtx_linalg::kernel::kernel_of;
+use qtx_linalg::{available_variants, gemm, Complex64, KernelVariant, Op, ZMat};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -108,9 +109,9 @@ fn main() {
             }
         }
     }
-    // Per-variant microkernel sweep: force each available variant on the
-    // same NN product, with the forced-scalar time as the in-binary
-    // baseline. kernel_speedup is dimensionless → gated by check_bench.
+    // Per-variant microkernel sweep: each available variant on the same
+    // NN product, with the scalar tile's time as the in-binary baseline.
+    // kernel_speedup is dimensionless → gated by check_bench.
     for &n in sizes {
         if n < 128 {
             continue; // below the packed-path thresholds the ukr barely runs
@@ -119,17 +120,28 @@ fn main() {
         let b = ZMat::random(n, n, 6);
         let mut c = ZMat::zeros(n, n);
         let reps = (256 / (n / 32)).clamp(3, 31);
-        assert!(force_kernel(KernelVariant::Scalar));
-        let t_scalar = median_secs(
-            || gemm(Complex64::ONE, &a, Op::None, &b, Op::None, Complex64::ZERO, &mut c),
-            reps,
-        );
-        for v in available_variants() {
-            assert!(force_kernel(v));
-            let t = median_secs(
-                || gemm(Complex64::ONE, &a, Op::None, &b, Op::None, Complex64::ZERO, &mut c),
+        let mut time = |v: KernelVariant| {
+            let kernel = kernel_of(v).expect("listed as available");
+            let (one, zero) = (Complex64::ONE, Complex64::ZERO);
+            median_secs(
+                || {
+                    gemm_with(
+                        kernel,
+                        one,
+                        a.view(),
+                        Op::None,
+                        b.view(),
+                        Op::None,
+                        zero,
+                        c.view_mut(),
+                    )
+                },
                 reps,
-            );
+            )
+        };
+        let t_scalar = time(KernelVariant::Scalar);
+        for v in available_variants() {
+            let t = time(v);
             let gflops = 8.0 * (n as f64).powi(3) / t / 1e9;
             let _ = writeln!(
                 entries,
@@ -144,7 +156,6 @@ fn main() {
                 vec![t * 1e3, t_scalar * 1e3, t_scalar / t, gflops],
             ));
         }
-        reset_kernel();
     }
     let entries = entries.trim_end().trim_end_matches(',').to_string();
     let json = format!(

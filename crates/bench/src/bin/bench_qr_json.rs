@@ -5,9 +5,8 @@
 //! The seed's element-indexed `qr_factor` is reproduced verbatim as the
 //! fixed before-this-PR baseline; the in-library `qr_factor_unblocked` is
 //! the same algorithm after the column-slice rewrite (and what the
-//! blocked factorization dispatches to below the crossover /
-//! `force_unblocked_qr`), so the A/B runs in one process on identical
-//! inputs. Run with `cargo run --release -p qtx-bench --bin bench_qr_json
+//! blocked factorization dispatches to below the crossover), so the A/B
+//! runs in one process on identical inputs. Run with `cargo run --release -p qtx-bench --bin bench_qr_json
 //! [output-path] [--quick]`; `--quick` shrinks sizes and repetitions for
 //! the CI smoke/regression-gate profile.
 

@@ -1,22 +1,19 @@
-//! Emits `BENCH_trmm.json`: the BLAS-3 triangle set (`ztrmm`, `zher2k`)
-//! vs the full-gemm emulations they replaced, the RHS-blocked ≤64
+//! Emits `BENCH_trmm.json`: the in-place triangular multiply (`ztrmm`)
+//! vs the full-gemm emulation it replaced, the RHS-blocked ≤64
 //! triangular substitution sweep vs the seed's scalar column-at-a-time
 //! substitution, and the SplitSolve nb=8/s=64 ms-per-point figure that
 //! sweep dominates (PR 1 recorded 17.2, PR 2 15.2).
 //!
 //! All gated ratios are within-binary A/Bs on identical inputs, so they
 //! are hardware-independent properties of the code: `ztrmm` against a
-//! dense gemm of the same (zero-padded) triangle, `zher2k` against its
-//! two-gemm expansion, and the blocked `zgetrs` solve against a verbatim
+//! dense gemm of the same (zero-padded) triangle, and the blocked `zgetrs` solve against a verbatim
 //! reproduction of the seed's scalar substitution. Run with `cargo run
 //! --release -p qtx-bench --bin bench_trmm_json [output-path] [--quick]`;
 //! `--quick` shrinks sizes and repetitions for the CI smoke/regression
 //! profile.
 
 use qtx_bench::{print_table, Row};
-use qtx_linalg::{
-    c64, gemm, lu_factor, zher2k, ztrmm, Complex64, Diag, LuFactors, Op, Side, UpLo, ZMat,
-};
+use qtx_linalg::{c64, gemm, lu_factor, ztrmm, Complex64, Diag, LuFactors, Op, Side, UpLo, ZMat};
 use qtx_solver::{ObcSystem, SplitSolve, Workspace};
 use qtx_sparse::Btd;
 use std::fmt::Write as _;
@@ -69,11 +66,9 @@ fn gemm_emulated_trmm(t: &ZMat, b: &mut ZMat, scratch: &mut ZMat) {
 /// verbatim column-at-a-time — the pre-RHS-blocking small-solve path.
 fn seed_getrs(f: &LuFactors, b: &ZMat) -> ZMat {
     let n = f.lu.rows();
-    let mut x = ZMat::zeros(n, b.cols());
-    for j in 0..b.cols() {
-        for i in 0..n {
-            x[(i, j)] = b[(f.perm[i], j)];
-        }
+    let mut x = b.clone();
+    for (k, &p) in f.ipiv.iter().enumerate() {
+        x.swap_rows(k, p);
     }
     for j in 0..x.cols() {
         for k in 0..n {
@@ -201,43 +196,6 @@ fn main() {
         ));
     }
 
-    // ── zher2k vs its two-gemm expansion ──
-    let her2k_shapes: &[(usize, usize)] =
-        if quick { &[(128, 128)] } else { &[(128, 128), (256, 256)] };
-    for &(n, k) in her2k_shapes {
-        let a = ZMat::random(n, k, 3);
-        let b = ZMat::random(n, k, 4);
-        let alpha = c64(0.5, 0.0);
-        let reps = ((1 << 24) / (n * n * k).max(1)).clamp(3, 51);
-        let mut c1 = ZMat::zeros(n, n);
-        let t_her2k =
-            median_secs(|| zher2k(alpha, a.view(), b.view(), Op::None, 0.0, &mut c1), reps);
-        let mut c2 = ZMat::zeros(n, n);
-        let t_gemm2 = median_secs(
-            || {
-                gemm(alpha, &a, Op::None, &b, Op::Adjoint, Complex64::ZERO, &mut c2);
-                gemm(alpha.conj(), &b, Op::None, &a, Op::Adjoint, Complex64::ONE, &mut c2);
-            },
-            reps,
-        );
-        assert!(c1.max_diff(&c2) < 1e-9 * k as f64, "zher2k drift at n={n}");
-        let gflops = 8.0 * (n * n * k) as f64 / t_her2k / 1e9;
-        let _ = writeln!(
-            entries,
-            "    {{\"kind\": \"her2k\", \"n\": {n}, \"nrhs\": {k}, \
-             \"zher2k_ms\": {:.4}, \"two_gemm_ms\": {:.4}, \"zher2k_speedup\": {:.3}, \
-             \"zher2k_gflops\": {:.2}}},",
-            t_her2k * 1e3,
-            t_gemm2 * 1e3,
-            t_gemm2 / t_her2k,
-            gflops,
-        );
-        rows.push(Row::new(
-            format!("zher2k {n}x{k}"),
-            vec![t_her2k * 1e3, t_gemm2 * 1e3, t_gemm2 / t_her2k, gflops],
-        ));
-    }
-
     // ── RHS-blocked small substitution: the blocked zgetrs solve vs the
     // seed's scalar column sweep, at the SplitSolve block sizes ──
     let subst_sizes: &[usize] = if quick { &[32, 64] } else { &[32, 64, 96] };
@@ -298,11 +256,10 @@ fn main() {
 
     let entries = entries.trim_end().trim_end_matches(',').to_string();
     let json = format!(
-        "{{\n  \"bench\": \"BLAS-3 triangle set (ztrmm/zher2k) + RHS-blocked small substitution\",\n  \
+        "{{\n  \"bench\": \"ztrmm + RHS-blocked small substitution\",\n  \
          \"cores\": {cores},\n  \"target_cpu\": \"native\",\n  \"quick\": {quick},\n  \
          \"flags_note\": \"ztrmm_speedup = dense-gemm-emulation ms / ztrmm ms (within-binary, \
-         identical inputs); zher2k_speedup = two-gemm expansion / zher2k; small_subst_speedup = \
-         seed scalar column substitution / blocked RHS-panel zgetrs; solver row records warm-pool \
+         identical inputs); small_subst_speedup = seed scalar column substitution / blocked RHS-panel zgetrs; solver row records warm-pool \
          ms/pt against the PR 1 (17.2) and PR 2 (15.2) figures on this container\",\n  \
          \"results\": [\n{entries}\n  ]\n}}\n"
     );

@@ -3,12 +3,48 @@
 //! a transverse k-grid. The (k, E) points run as tasks on the scheduler
 //! pool; the rank hierarchy is priced by the pure gather-cost model
 //! (`CostModel::fig9_gather_seconds`), not run.
+//!
+//! `--fault-inject <spec>` (builds with `--features fault-inject` only)
+//! arms a deterministic fault campaign for the sweep, e.g.
+//! `rate=0.2,seed=7,sites=factor_poly|self_energy|splitsolve` — the CI
+//! fault-inject job's smoke; the health lines at the end report what the
+//! escalation ladder and the pool absorbed.
 
 use qtx_atomistic::{BasisKind, DeviceBuilder};
 use qtx_bench::{print_table, Row};
 use qtx_core::{Device, SweepPlan, TransportEngine};
 
+fn usage(problem: &str) -> ! {
+    eprintln!("repro_fig9: {problem}\nusage: repro_fig9 [--fault-inject <spec>]");
+    std::process::exit(2)
+}
+
+/// Installs the campaign `spec` describes (see `qtx_linalg::fault`).
+#[cfg(feature = "fault-inject")]
+fn arm_faults(spec: &str) {
+    use qtx_linalg::fault::{set_config, FaultConfig};
+    match FaultConfig::parse(spec) {
+        Some(cfg) => set_config(Some(cfg)),
+        None => usage(&format!("unparsable fault campaign {spec:?}")),
+    }
+}
+
+#[cfg(not(feature = "fault-inject"))]
+fn arm_faults(_spec: &str) {
+    usage("--fault-inject needs a build with `--features fault-inject`");
+}
+
 fn main() {
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--fault-inject" => match args.next() {
+                Some(spec) => arm_faults(&spec),
+                None => usage("--fault-inject needs a campaign spec"),
+            },
+            other => usage(&format!("unknown argument {other:?}")),
+        }
+    }
     let spec = DeviceBuilder::utb(0.8).cells(8).basis(BasisKind::TightBinding).build();
     let mut dev = Device::build(spec).expect("device");
     dev.config.n_kz = 3;

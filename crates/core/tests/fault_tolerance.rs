@@ -470,9 +470,8 @@ fn sweep_is_bit_identical_across_worker_counts_under_faults() {
 
 #[test]
 fn env_hook_format_matches_acceptance_string() {
-    // The documented QTX_FAULT_INJECT syntax parses to the acceptance
-    // campaign (the env read itself is a process-global Once exercised by
-    // the CI fault-inject job).
+    // The documented campaign syntax (`repro_fig9 --fault-inject <spec>`,
+    // the CI fault-inject job's smoke) parses to the acceptance campaign.
     let cfg = FaultConfig::parse("rate=0.2,seed=7,sites=factor_poly|self_energy|splitsolve")
         .expect("documented format must parse");
     assert_eq!(cfg.rate, 0.2);

@@ -32,7 +32,7 @@ use crate::complex::{c64, Complex64};
 use crate::flops::{counts, flops_add};
 use crate::gemm::{gemm_into_unc, Op};
 use crate::lu::{lu_factor_owned_ws, lu_factor_ws};
-use crate::qr::{apply_panel_wy, qr_unblocked_forced, stage_v, zlarfg};
+use crate::qr::{apply_panel_wy, stage_v, zlarfg};
 use crate::trmm::trmm_unc;
 use crate::trsm::{Diag, Side, UpLo};
 use crate::workspace::Workspace;
@@ -89,7 +89,7 @@ pub fn hessenberg_ws(a: &ZMat, ws: &Workspace) -> (ZMat, ZMat) {
         q[(i, i)] = Complex64::ONE;
     }
     let kmax = n.saturating_sub(2);
-    if n >= BLOCK_MIN && !qr_unblocked_forced() {
+    if n >= BLOCK_MIN {
         let k0 = hess_blocked_panels(&mut h, &mut q, kmax, ws);
         hess_scalar_steps(&mut h, &mut q, k0, kmax);
     } else {
@@ -98,8 +98,9 @@ pub fn hessenberg_ws(a: &ZMat, ws: &Workspace) -> (ZMat, ZMat) {
     (h, q)
 }
 
-/// The scalar one-reflector-at-a-time baseline, kept callable for A/B
-/// measurements (`bench_qr_json`) and blocked-vs-unblocked tests.
+/// The scalar one-reflector-at-a-time loop at any size: what
+/// [`hessenberg`] runs below the crossover, and the reference
+/// `bench_qr_json` and the blocked-vs-unblocked tests compare against.
 pub fn hessenberg_unblocked(a: &ZMat) -> (ZMat, ZMat) {
     let n = a.rows();
     assert!(a.is_square());
@@ -632,7 +633,7 @@ pub fn eig_generalized_ws(a: &ZMat, b: &ZMat, ws: &Workspace) -> Result<EigDecom
             for i in 0..b.rows() {
                 b_reg[(i, i)] += c64(eps, eps);
             }
-            lu_factor_owned_ws(b_reg, true, ws)?
+            lu_factor_owned_ws(b_reg, ws)?
         }
     };
     let mut c = ws.take_scratch(a.rows(), a.cols());

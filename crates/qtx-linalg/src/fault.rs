@@ -25,15 +25,16 @@
 //!
 //! Everything here is compiled only under the `fault-inject` cargo
 //! feature; without it [`should_fail`] is a `const false` the optimizer
-//! deletes. With the feature on, injection still stays dormant until
-//! configured programmatically ([`set_config`]) or through the
-//! `QTX_FAULT_INJECT` environment hook, e.g.
-//! `QTX_FAULT_INJECT=rate=0.2,seed=7,sites=factor_poly|self_energy|splitsolve`.
+//! deletes. With the feature on, injection still stays dormant until a
+//! campaign is installed with [`set_config`] — the only way in: tests call
+//! it directly, and `repro_fig9 --fault-inject <spec>` parses its flag
+//! (`rate=0.2,seed=7,sites=factor_poly|self_energy|splitsolve`) with
+//! `FaultConfig::parse` and calls it. No environment variable is read.
 
 #[cfg(feature = "fault-inject")]
 mod imp {
     use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::{Once, RwLock};
+    use std::sync::RwLock;
 
     /// Which chokepoints a configuration arms.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,7 +93,7 @@ mod imp {
             FaultConfig { rate, seed, sites: FaultSites::all() }
         }
 
-        /// Parses the `QTX_FAULT_INJECT` format:
+        /// Parses a campaign spec (the `repro_fig9 --fault-inject` flag):
         /// `rate=0.2,seed=7,sites=factor_poly|self_energy|splitsolve`
         /// (a bare number is shorthand for `rate=<x>` with all sites).
         pub fn parse(s: &str) -> Option<FaultConfig> {
@@ -140,28 +141,16 @@ mod imp {
     }
 
     static CONFIG: RwLock<Option<FaultConfig>> = RwLock::new(None);
-    static ENV_HOOK: Once = Once::new();
     static INJECTED: AtomicU64 = AtomicU64::new(0);
 
-    /// Installs (or clears) the active campaign programmatically; wins
-    /// over the environment hook. Tests use this to arm and disarm
-    /// injection without process-global env races.
+    /// Installs (or clears) the active campaign — the only way one is
+    /// ever armed.
     pub fn set_config(cfg: Option<FaultConfig>) {
-        ENV_HOOK.call_once(|| {}); // suppress a later env read
         *CONFIG.write().expect("fault config lock") = cfg;
     }
 
-    /// Active campaign, pulling `QTX_FAULT_INJECT` on first use.
+    /// Active campaign (`None` until [`set_config`] installs one).
     pub fn config() -> Option<FaultConfig> {
-        ENV_HOOK.call_once(|| {
-            if let Ok(v) = std::env::var("QTX_FAULT_INJECT") {
-                if let Some(cfg) = FaultConfig::parse(&v) {
-                    *CONFIG.write().expect("fault config lock") = Some(cfg);
-                } else {
-                    eprintln!("QTX_FAULT_INJECT: unparsable value {v:?}; injection disarmed");
-                }
-            }
-        });
         *CONFIG.read().expect("fault config lock")
     }
 

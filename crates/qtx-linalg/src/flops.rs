@@ -173,20 +173,6 @@ pub mod counts {
         4 * (n as u64).pow(2) * k as u64
     }
 
-    /// Hermitian rank-2k update `C ← α·A·Bᴴ + ᾱ·B·Aᴴ + β·C` for an n×n
-    /// output: two rank-k products at half flops each — 8·n²·k, half of
-    /// the 2·[`zgemm`]`(n, n, k)` it replaces.
-    #[inline]
-    pub fn zher2k(n: usize, k: usize) -> u64 {
-        8 * (n as u64).pow(2) * k as u64
-    }
-
-    /// Hermitian LDLᴴ factorization: half the LU cost, (4/3)·n³.
-    #[inline]
-    pub fn zhetrf(n: usize) -> u64 {
-        (4 * (n as u64).pow(3)) / 3
-    }
-
     /// Householder QR of an m×n matrix: 8·(m·n² − n³/3) complex-op-equivalent.
     #[inline]
     pub fn zgeqrf(m: usize, n: usize) -> u64 {
@@ -322,12 +308,9 @@ mod tests {
         assert_eq!(counts::zgemm(2, 3, 4), 8 * 24);
         assert_eq!(counts::zgetrf(3), 72);
         assert_eq!(counts::zgetrs(4, 2), 8 * 16 * 2);
-        // Hermitian factorization is half of LU.
-        assert_eq!(counts::zhetrf(6), counts::zgetrf(6) / 2);
         // Triangle kernels are half their square counterparts.
         assert_eq!(counts::ztrmm(10, 4) * 2, counts::zgemm(10, 4, 10));
-        assert_eq!(counts::zher2k(12, 5) * 2, 2 * counts::zgemm(12, 12, 5));
-        assert_eq!(counts::zherk(12, 5) * 2, counts::zher2k(12, 5));
+        assert_eq!(counts::zherk(12, 5) * 2, counts::zgemm(12, 12, 5));
         // Q-application: 8·n·k·(2m − k).
         assert_eq!(counts::zunmqr(10, 3, 4), 8 * 3 * 4 * 16);
         // Hessenberg: (80/3)·n³; degenerate sizes stay nonzero.

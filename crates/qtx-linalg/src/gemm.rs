@@ -12,12 +12,11 @@
 //!   `A`/`B` panels are packed once into small planar (split re/im)
 //!   buffers laid out in `MR×NR` micro-panel order, which turns the inner
 //!   loop into contiguous SIMD streams;
-//! * the register-tiled microkernel is **dispatched at run time** through
-//!   [`crate::kernel`]: AVX-512 (8×8 tile, 8-double zmm lanes), AVX2+FMA
-//!   (4×6 tile, 4-double ymm lanes) or the portable scalar 8×4 loop,
-//!   selected once by CPU-feature detection (override with
-//!   `QTX_FORCE_KERNEL=scalar|avx2|avx512` or
-//!   [`crate::kernel::force_kernel`]);
+//! * the register-tiled microkernel comes from [`crate::kernel`]: AVX-512
+//!   (8×8 tile, 8-double zmm lanes) or the portable scalar 8×4 loop,
+//!   selected once by CPU-feature detection and by nothing else; the
+//!   tiled path takes it as a parameter, so [`gemm_with`] runs the very
+//!   same code on a variant a test or bench names;
 //! * large products are parallelized over disjoint 2-D output tiles with
 //!   rayon — each task owns a rectangle of `C` and its own packing
 //!   buffers, so no synchronization happens inside the kernel.
@@ -46,12 +45,12 @@
 //! Small products (reduced FEAST systems, SPIKE tips, block sizes of a few
 //! dozen) skip packing entirely and run a direct view-based loop: the
 //! break-even point where packing pays for itself is a few thousand output
-//! elements. The dispatch ladder therefore only governs the packed path;
-//! the direct path is scalar by construction.
+//! elements. The kernel therefore only governs the packed path; the
+//! direct path is scalar by construction.
 
 use crate::complex::{c64, Complex64};
 use crate::flops::{counts, flops_add};
-use crate::kernel::{active_kernel, Acc, MR_MAX, NR_MAX};
+use crate::kernel::{active_kernel, Acc, Kernel, MR_MAX, NR_MAX};
 use crate::zmat::{ZMat, ZMatMut, ZMatRef};
 use rayon::prelude::*;
 
@@ -73,10 +72,6 @@ impl Op {
             Op::None => (rows, cols),
             _ => (cols, rows),
         }
-    }
-
-    fn shape(self, m: &ZMat) -> (usize, usize) {
-        self.shape_of(m.rows(), m.cols())
     }
 
     /// Element `op(M)[i, j]` read through a view (no materialization).
@@ -139,7 +134,7 @@ pub fn gemm_view(
 }
 
 /// `C ← α·op(A)·op(B) + β·C` where `C` is a possibly strided mutable view
-/// — the entry the blocked LU/LDLᴴ trailing updates and [`crate::trsm`]
+/// — the entry the blocked LU trailing updates and [`crate::trsm`]
 /// use to accumulate straight into a panel of a larger matrix.
 pub fn gemm_into(
     alpha: Complex64,
@@ -157,10 +152,31 @@ pub fn gemm_into(
 }
 
 /// [`gemm_into`] without FLOP accounting. The factorization kernels call
-/// this so their own `zgetrf`/`zhetrf` formula counts aren't inflated by
+/// this so their own `zgetrf`/`zgeqrf` formula counts aren't inflated by
 /// the internal gemm traffic (the counters stay deterministic formulas,
 /// matching the paper's §5.B methodology).
 pub(crate) fn gemm_into_unc(
+    alpha: Complex64,
+    a: ZMatRef<'_>,
+    op_a: Op,
+    b: ZMatRef<'_>,
+    op_b: Op,
+    beta: Complex64,
+    c: ZMatMut<'_>,
+) {
+    gemm_with(active_kernel(), alpha, a, op_a, b, op_b, beta, c);
+}
+
+/// The one product routine, uncounted: shape checks, degenerate cases,
+/// then the direct loop below the packing break-even and the tiled path
+/// on `kernel` above it. Every library product passes
+/// [`active_kernel`]; it is public (hidden) so the equivalence battery and
+/// `bench_gemm_json` can run a variant they name through
+/// [`crate::kernel::kernel_of`] on the same code. Stores nothing.
+#[doc(hidden)]
+#[allow(clippy::too_many_arguments)]
+pub fn gemm_with(
+    kernel: &'static Kernel,
     alpha: Complex64,
     a: ZMatRef<'_>,
     op_a: Op,
@@ -182,65 +198,10 @@ pub(crate) fn gemm_into_unc(
         scale_in_place(&mut c, beta);
         return;
     }
-    // A/B harness: the `seed-gemm` feature routes everything through a
-    // reimplementation of the seed kernel (cloned operands + column-panel
-    // loop) so solver-level speedups can be measured end to end.
-    #[cfg(feature = "seed-gemm")]
-    {
-        gemm_seed_reference(alpha, a, op_a, b, op_b, beta, &mut c);
-    }
-    #[cfg(not(feature = "seed-gemm"))]
     if m * n * k < SMALL_MNK && !(k >= TALL_K && m * n >= TALL_MN) {
         gemm_direct(alpha, a, op_a, b, op_b, beta, &mut c);
     } else {
-        gemm_tiled(alpha, a, op_a, b, op_b, beta, &mut c);
-    }
-}
-
-/// The seed implementation, kept behind the `seed-gemm` feature as the
-/// before/after baseline: materializes both transforms, then sweeps
-/// column panels.
-#[cfg(feature = "seed-gemm")]
-fn gemm_seed_reference(
-    alpha: Complex64,
-    a: ZMatRef<'_>,
-    op_a: Op,
-    b: ZMatRef<'_>,
-    op_b: Op,
-    beta: Complex64,
-    c: &mut ZMatMut<'_>,
-) {
-    let materialize = |v: ZMatRef<'_>, op: Op| -> ZMat {
-        let owned = v.to_owned();
-        match op {
-            Op::None => owned,
-            Op::Transpose => owned.transpose(),
-            Op::Adjoint => owned.adjoint(),
-        }
-    };
-    let a_eff = materialize(a, op_a);
-    let b_eff = materialize(b, op_b);
-    let (m, k) = (a_eff.rows(), a_eff.cols());
-    let a_data = a_eff.as_slice();
-    for j in 0..c.cols() {
-        let c_col = c.col_mut(j);
-        if beta == Complex64::ZERO {
-            c_col.fill(Complex64::ZERO);
-        } else if beta != Complex64::ONE {
-            for z in c_col.iter_mut() {
-                *z *= beta;
-            }
-        }
-        for (l, &blj) in b_eff.col(j).iter().enumerate().take(k) {
-            let factor = alpha * blj;
-            if factor == Complex64::ZERO {
-                continue;
-            }
-            let a_col = &a_data[l * m..(l + 1) * m];
-            for (ci, &ail) in c_col.iter_mut().zip(a_col) {
-                *ci = ci.mul_add(ail, factor);
-            }
-        }
+        gemm_tiled(kernel, alpha, a, op_a, b, op_b, beta, &mut c);
     }
 }
 
@@ -358,6 +319,9 @@ fn gemm_direct(
 /// alias.
 #[derive(Clone, Copy)]
 struct SendPtr(*mut Complex64);
+// SAFETY: the pointer is only dereferenced in `write_tile`, on the
+// rectangle of `C` its task owns; the task grid of `gemm_tiled` partitions
+// `[0, m) × [0, n)`, and the `&mut` view it came from outlives every task.
 unsafe impl Send for SendPtr {}
 unsafe impl Sync for SendPtr {}
 
@@ -375,8 +339,10 @@ fn strips(total: usize, parts: usize, quantum: usize) -> Vec<(usize, usize)> {
     out
 }
 
-/// Cache-blocked, register-tiled, tile-parallel path.
+/// Cache-blocked, register-tiled, tile-parallel path on `kern`.
+#[allow(clippy::too_many_arguments)]
 fn gemm_tiled(
+    kern: &'static Kernel,
     alpha: Complex64,
     a: ZMatRef<'_>,
     op_a: Op,
@@ -389,9 +355,6 @@ fn gemm_tiled(
     let n = c.cols();
     let c_ld = c.ld();
     let c_ptr = SendPtr(c.as_mut_ptr());
-    // Resolve the dispatched microkernel once per product; the tile tasks
-    // capture it so rayon workers never re-read the selection mid-flight.
-    let kern = active_kernel();
     let (mr, nr) = (kern.mr, kern.nr);
 
     // 2-D task grid over C: prefer column strips (contiguous in memory),
@@ -449,8 +412,10 @@ fn gemm_tiled(
                             let bp_im = &b_im[qm * kc * nr..(qm + 1) * kc * nr];
                             let nr_eff = nr.min(nc_eff - qm * nr);
                             kern.run(kc, ap_re, ap_im, bp_re, bp_im, &mut acc_re, &mut acc_im);
-                            // Safety: this task owns rows [i0, i1) × cols
-                            // [j0, j1) of C exclusively (disjoint task grid).
+                            // SAFETY: this task owns rows [i0, i1) × cols
+                            // [j0, j1) of C exclusively (disjoint task grid)
+                            // and the tile lies inside both ranges, which
+                            // the shape assert of `gemm_with` put inside `c`.
                             unsafe {
                                 write_tile(
                                     c_ptr,
@@ -651,63 +616,6 @@ pub fn matmul(a: &ZMat, b: &ZMat) -> ZMat {
     c
 }
 
-/// `y ← α·op(A)·x + β·y` (BLAS-2), reading `A` through a borrowed view —
-/// no operand is ever materialized.
-pub fn gemv(
-    alpha: Complex64,
-    a: &ZMat,
-    op_a: Op,
-    x: &[Complex64],
-    beta: Complex64,
-    y: &mut [Complex64],
-) {
-    let (m, k) = op_a.shape(a);
-    assert_eq!(x.len(), k, "gemv x length");
-    assert_eq!(y.len(), m, "gemv y length");
-    let av = a.view();
-    if beta == Complex64::ZERO {
-        y.fill(Complex64::ZERO);
-    } else if beta != Complex64::ONE {
-        for z in y.iter_mut() {
-            *z *= beta;
-        }
-    }
-    match op_a {
-        Op::None => {
-            // Column sweep: contiguous AXPYs over columns of A.
-            for (l, &xl) in x.iter().enumerate() {
-                let f = alpha * xl;
-                if f == Complex64::ZERO {
-                    continue;
-                }
-                for (yi, &ail) in y.iter_mut().zip(av.col(l)) {
-                    *yi = yi.mul_add(ail, f);
-                }
-            }
-        }
-        Op::Transpose => {
-            // y_i = α·Σ_l A[l, i]·x_l: one contiguous dot per output.
-            for (i, yi) in y.iter_mut().enumerate() {
-                let mut s = Complex64::ZERO;
-                for (&ali, &xl) in av.col(i).iter().zip(x) {
-                    s = s.mul_add(ali, xl);
-                }
-                *yi = yi.mul_add(s, alpha);
-            }
-        }
-        Op::Adjoint => {
-            for (i, yi) in y.iter_mut().enumerate() {
-                let mut s = Complex64::ZERO;
-                for (&ali, &xl) in av.col(i).iter().zip(x) {
-                    s = s.mul_add(ali.conj(), xl);
-                }
-                *yi = yi.mul_add(s, alpha);
-            }
-        }
-    }
-    flops_add(8 * (m as u64) * (k as u64));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -831,7 +739,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(not(feature = "seed-gemm"))] // the A/B baseline clones by design
     fn op_none_path_performs_zero_matrix_allocations() {
         // The zero-copy claim: with borrowed views and a preallocated
         // output, an Op::None product must not allocate a single ZMat on
@@ -846,11 +753,6 @@ mod tests {
         // are folded into packing.
         gemm(Complex64::ONE, &a, Op::Adjoint, &b, Op::Transpose, Complex64::ZERO, &mut c);
         assert_eq!(alloc_count(), before, "packed transform path allocated a ZMat");
-        // gemv too.
-        let x = vec![Complex64::ONE; 96];
-        let mut y = vec![Complex64::ZERO; 96];
-        gemv(Complex64::ONE, &a, Op::Adjoint, &x, Complex64::ZERO, &mut y);
-        assert_eq!(alloc_count(), before, "gemv materialized its operand");
     }
 
     #[test]
@@ -895,7 +797,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(not(feature = "seed-gemm"))] // the A/B baseline clones by design
     fn block_views_multiply_without_copying() {
         let big_a = ZMat::random(40, 40, 30);
         let big_b = ZMat::random(40, 40, 31);
@@ -915,38 +816,6 @@ mod tests {
         let id = ZMat::identity(8);
         assert!(matmul(&a, &id).max_diff(&a) < 1e-14);
         assert!(matmul(&id, &a).max_diff(&a) < 1e-14);
-    }
-
-    #[test]
-    fn gemv_matches_matvec() {
-        let a = ZMat::random(6, 4, 11);
-        let x: Vec<Complex64> = (0..4).map(|i| c64(i as f64 + 0.5, -1.0)).collect();
-        let mut y = vec![Complex64::ZERO; 6];
-        gemv(Complex64::ONE, &a, Op::None, &x, Complex64::ZERO, &mut y);
-        let reference = a.matvec(&x);
-        for (u, v) in y.iter().zip(&reference) {
-            assert!((*u - *v).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn gemv_transposed_ops_match_materialized() {
-        let a = ZMat::random(6, 4, 12);
-        let x: Vec<Complex64> = (0..6).map(|i| c64(0.3 * i as f64, 1.0 - i as f64)).collect();
-        for (op, mat) in [(Op::Transpose, a.transpose()), (Op::Adjoint, a.adjoint())] {
-            let mut y = vec![c64(1.0, -2.0); 4];
-            let y0 = y.clone();
-            let alpha = c64(0.7, 0.1);
-            let beta = c64(-0.3, 0.6);
-            gemv(alpha, &a, op, &x, beta, &mut y);
-            let mut reference = mat.matvec(&x);
-            for (r, y0i) in reference.iter_mut().zip(&y0) {
-                *r = *r * alpha + *y0i * beta;
-            }
-            for (u, v) in y.iter().zip(&reference) {
-                assert!((*u - *v).abs() < 1e-12, "op {op:?}");
-            }
-        }
     }
 
     #[test]

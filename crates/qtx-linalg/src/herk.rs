@@ -121,9 +121,6 @@ mod tests {
         assert!(c.max_diff(&expected) < 1e-10);
     }
 
-    // The seed-gemm A/B kernel clones its operands by design, so the
-    // zero-allocation property only holds for the production gemm.
-    #[cfg(not(feature = "seed-gemm"))]
     #[test]
     fn allocation_free() {
         // With borrowed operands and a preallocated output, zherk must not

@@ -3,8 +3,11 @@
 //! The paper's node-level kernels are BLAS/LAPACK (`zgemm`, `zggev`,
 //! `zgesv`) on the CPUs and cuBLAS/MAGMA (`d/zgemm`, `zgesv_nopiv_gpu`,
 //! `zhesv_nopiv_gpu`) on the GPUs (§3.C, §5.E). No BLAS/LAPACK binding is
-//! available in this environment, so this crate implements the required
-//! kernels from scratch:
+//! available in this environment, so this crate implements the kernels the
+//! transport stack calls from scratch — one path per kernel, selected by
+//! what the code can observe (CPU features, operand shape) and by nothing
+//! anyone can set; `docs/linalg.md` is the ledger of which measurement
+//! keeps each one:
 //!
 //! * [`Complex64`] — a minimal, `#[repr(C)]` double-precision complex type.
 //! * [`ZMat`] — column-major dense complex matrices with views and
@@ -13,10 +16,10 @@
 //!   multiplication with `N`/`T`/`H` operand transforms (the `zgemm`
 //!   workhorse of both FEAST and SplitSolve), including the strided
 //!   [`gemm::gemm_into`] entry the factorizations accumulate through.
-//! * [`kernel`] — the runtime-dispatched register-tile microkernel under
-//!   the packed gemm path: explicit AVX-512 (8×8) and AVX2+FMA (4×6)
-//!   `std::arch` variants with the portable scalar 8×4 loop as fallback
-//!   and A/B baseline (`QTX_FORCE_KERNEL` / [`force_kernel`] pin one).
+//! * [`kernel`] — the register-tile microkernel under the packed gemm
+//!   path: an explicit AVX-512 (8×8) `std::arch` variant where the CPU has
+//!   it, the portable scalar 8×4 loop elsewhere; detected once, a value
+//!   passed down, never a switch.
 //! * [`trsm`] — triangular solves over borrowed views (left/right,
 //!   lower/upper, `N`/`T`/`H`, unit/non-unit), cache-blocked on the gemm
 //!   microkernel; the substrate of every factor/solve below.
@@ -25,27 +28,26 @@
 //!   flops of the square gemm they replaced.
 //! * [`herk`] — Hermitian rank-k update (`zherk`): the FEAST/Beyn Gram
 //!   matrices at half the flops of a general product.
-//! * [`her2k`] — Hermitian rank-2k update (`zher2k`): the sandwich
-//!   products of the transport observables (`G·Γ·Gᴴ`) at half the flops
-//!   of the two gemms they replaced.
-//! * [`lu`] — partial-pivoting LU (`zgesv`), pivot-free LU
-//!   (`zgesv_nopiv`, the MAGMA kernel used in Algorithm 1) and inverses.
-//!   Blocked right-looking (panel + `laswp` + trsm + gemm trailing
-//!   update) above a size crossover, with workspace-borrowing
-//!   [`lu::LuFactors::solve_into`] / [`lu::zgesv_into`] solves.
-//! * [`ldl`] — pivot-free LDLᴴ for Hermitian systems (`zhesv_nopiv`, the
-//!   §5.E optimization that lifted Titan from 12.8 to 15 PFlop/s), same
-//!   blocked structure at half the flops.
+//! * [`lu`] — partial-pivoting LU (`zgesv`) and inverses: blocked
+//!   right-looking (panel + `zlaswp` + trsm + gemm trailing update) above a
+//!   size crossover, with workspace-borrowing
+//!   [`lu::LuFactors::solve_into`] / [`lu::zgesv_into`] solves. Every
+//!   factorization pivots; the paper's pivot-free `zgesv_nopiv` /
+//!   `zhesv_nopiv` are modelled (labels and rates in `qtx-machine`,
+//!   `qtx-accel`), not implemented.
 //! * [`qr`] — blocked compact-WY Householder QR (panel + `T`-via-trsm +
-//!   gemm trailing updates above a measured ~192 crossover, scalar baseline
-//!   behind [`qr::force_unblocked_qr`]), orthonormalization and least
-//!   squares, with workspace-borrowing factor/apply entry points.
+//!   gemm trailing updates above a measured ~160 crossover, the scalar
+//!   reflector loop below it), orthonormalization and least squares, with
+//!   workspace-borrowing factor/apply entry points.
 //! * [`eig`] — blocked (`zlahr2`-style) Hessenberg reduction + implicitly
 //!   shifted complex QR (Schur form), eigenvectors, and the generalized
 //!   solver used by the FEAST Rayleigh–Ritz step (`zggev`-lite), all with
 //!   pooled `_ws` forms.
 //! * [`flops`] — deterministic FLOP accounting mirroring the paper's
 //!   PAPI/CUPTI measurement methodology (§5.B).
+//! * [`fault`] — the deterministic fault-injection chokepoints of the
+//!   robustness battery (compiled only under the crate's one cargo
+//!   feature, `fault-inject`).
 //!
 //! All kernels count their floating-point operations; the counters are
 //! what the machine model in `qtx-machine` consumes.
@@ -55,10 +57,8 @@ pub mod eig;
 pub mod fault;
 pub mod flops;
 pub mod gemm;
-pub mod her2k;
 pub mod herk;
 pub mod kernel;
-pub mod ldl;
 pub mod lu;
 pub mod qr;
 pub mod rng;
@@ -73,24 +73,16 @@ pub use eig::{
     hessenberg_unblocked, hessenberg_ws, schur, schur_ws, EigDecomposition, SchurDecomposition,
 };
 pub use flops::{flops_reset, flops_thread, flops_total, FlopScope};
-pub use gemm::{gemm, gemm_into, gemm_view, gemv, matmul, Op};
-pub use her2k::zher2k;
+pub use gemm::{gemm, gemm_into, gemm_view, matmul, Op};
 pub use herk::zherk;
-pub use kernel::{
-    active_variant, available_variants, best_variant, force_kernel, reset_kernel, KernelVariant,
-};
-pub use ldl::{
-    ldl_factor_nopiv, ldl_factor_nopiv_unblocked, ldl_factor_nopiv_ws, ldl_solve, zhesv_nopiv,
-    zhesv_nopiv_into, LdlFactors,
-};
+pub use kernel::{active_variant, available_variants, KernelVariant};
 pub use lu::{
-    force_unblocked_factor, laswp, lu_factor, lu_factor_nopiv, lu_factor_nopiv_unblocked,
-    lu_factor_nopiv_ws, lu_factor_owned, lu_factor_owned_ws, lu_factor_unblocked, lu_factor_ws,
-    lu_inverse, lu_solve, zgesv, zgesv_into, zgesv_nopiv, zgesv_nopiv_into, LuFactors,
+    lu_factor, lu_factor_owned_ws, lu_factor_unblocked, lu_factor_ws, lu_inverse, zgesv,
+    zgesv_into, LuFactors,
 };
 pub use qr::{
-    force_unblocked_qr, orthonormality_defect, orthonormalize, orthonormalize_ws, pinv_apply, qr,
-    qr_factor, qr_factor_unblocked, qr_factor_ws, qr_least_squares, QrFactors,
+    orthonormality_defect, orthonormalize_ws, qr, qr_factor, qr_factor_unblocked, qr_factor_ws,
+    qr_least_squares, QrFactors,
 };
 pub use rng::Pcg64;
 pub use trmm::ztrmm;

@@ -1,25 +1,24 @@
-//! LU factorization and linear solves (`zgesv`, `zgesv_nopiv`).
+//! LU factorization with partial pivoting and linear solves (`zgesv`).
 //!
-//! Two variants are provided, matching the paper's kernel choices:
+//! The one general dense solver of the workspace: the FEAST/Beyn node
+//! systems, every SplitSolve/BTD-LU/RGF/Caroli pivot block and the small
+//! reduced systems all factor through here. (The paper's GPU runs use the
+//! pivot-free MAGMA kernels `zgesv_nopiv`/`zhesv_nopiv`, §5.E; this code's
+//! own measurements never showed them ahead of pivoted LU — see
+//! `docs/linalg.md` — so their cost lives on only as labels and rates in
+//! `qtx-machine::perfmodel` and `qtx-accel`.)
 //!
-//! * **Partial pivoting** (`zgesv`): the robust general solver used on the
-//!   CPU side (FEAST linear systems at the contour integration points).
-//! * **No pivoting** (`zgesv_nopiv`): the MAGMA GPU kernel used inside
-//!   SplitSolve's Algorithm 1, valid because the shifted diagonal blocks
-//!   `A_ii − A_{i,i+1}X_{i+1}` of transport matrices are strongly
-//!   diagonally dominant at complex energies. The pivot-free path is what
-//!   makes the hybrid CPU+GPU factorization stream-friendly (§5.A).
-//!
-//! Both run **blocked right-looking** above a size crossover: column
-//! ranges split recursively (flat `NB`-panel peeling below a strip
-//! width, halving above it), each merge being a scalar-panel factor with
-//! full-row pivot interchanges ([`laswp`]-style), a [`crate::trsm`]
-//! solve of the `U₁₂` panel and one gemm trailing update on the tiled
-//! [`crate::gemm`] microkernel — the same decomposition MAGMA's `zgetrf`
-//! uses on the paper's GPUs, with the recursion pushing the large-`n`
-//! flops into large-`k` gemms. Below the crossover (and behind
-//! [`force_unblocked_factor`], the A/B baseline switch used by
-//! `bench_lu_json`) the unblocked rank-1 loop runs unchanged.
+//! Above a size crossover (`BLOCK_MIN` = 96) the factorization runs
+//! **blocked right-looking**: column ranges split recursively (flat
+//! `NB`-panel peeling below a strip width, halving above it), each merge
+//! being a scalar-panel factor with full-row pivot interchanges
+//! (`zlaswp`-style), a [`crate::trsm`] solve of the `U₁₂` panel and one
+//! gemm trailing update on the tiled [`crate::gemm`] microkernel — the
+//! same decomposition MAGMA's `zgetrf` uses on the paper's GPUs, with the
+//! recursion pushing the large-`n` flops into large-`k` gemms. Below the
+//! crossover the unblocked rank-1 loop runs; [`lu_factor_unblocked`] is
+//! that loop at any size, the reference the tests and `bench_lu_json`
+//! compare the blocked path against.
 //!
 //! Solves follow the same split: [`LuFactors::solve_in_place`] applies the
 //! pivot sequence and two blocked triangular solves directly in the
@@ -36,7 +35,6 @@ use crate::trsm::{trsm_unc, Diag, Side, UpLo};
 use crate::workspace::Workspace;
 use crate::zmat::{ZMat, ZMatMut, ZMatRef};
 use crate::{LinalgError, Result};
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Breakdown threshold relative to the matrix scale.
 const PIVOT_TOL: f64 = 1e-300;
@@ -58,45 +56,19 @@ const STRIP: usize = 128;
 /// container's 1-core AVX-512 CPU via `bench_lu_json`, crossover ≈ 96).
 const BLOCK_MIN: usize = 96;
 
-/// A/B baseline switch: `true` forces every factorization (LU and LDLᴴ)
-/// through the unblocked rank-1 path regardless of size.
-static FORCE_UNBLOCKED: AtomicBool = AtomicBool::new(false);
-
-/// Routes all factorizations through the unblocked baseline (or back).
-/// Benchmark-only: `bench_lu_json` uses it to measure blocked-vs-unblocked
-/// speedups end to end at the solver level in one process.
-pub fn force_unblocked_factor(on: bool) {
-    FORCE_UNBLOCKED.store(on, Ordering::Relaxed);
-}
-
-/// Whether the unblocked baseline is currently forced.
-pub(crate) fn unblocked_forced() -> bool {
-    FORCE_UNBLOCKED.load(Ordering::Relaxed)
-}
-
 /// An LU factorization `P·A = L·U` stored packed in a single matrix.
 #[derive(Debug, Clone)]
 pub struct LuFactors {
     /// Packed L (unit lower, implicit diagonal) and U factors.
     pub lu: ZMat,
-    /// Row permutation as a gather map: row `i` of the factored matrix is
-    /// row `perm[i]` of the input.
-    pub perm: Vec<usize>,
     /// LAPACK-style pivot sequence: at step `k`, rows `k` and `ipiv[k]`
-    /// were interchanged ([`laswp`] consumes this ordering).
+    /// were interchanged.
     pub ipiv: Vec<usize>,
-    /// Whether pivoting was used (false for the `nopiv` variant).
-    pub pivoted: bool,
 }
 
 /// Applies a pivot interchange sequence to a right-hand side in place
 /// (LAPACK `zlaswp`): for `k` ascending, swaps rows `k` and `ipiv[k]`.
-pub fn laswp(x: &mut ZMat, ipiv: &[usize]) {
-    laswp_view(&mut x.view_mut(), ipiv);
-}
-
-/// [`laswp`] on a mutable view.
-fn laswp_view(x: &mut ZMatMut<'_>, ipiv: &[usize]) {
+fn laswp(x: &mut ZMatMut<'_>, ipiv: &[usize]) {
     for (k, &p) in ipiv.iter().enumerate() {
         if p != k {
             for j in 0..x.cols() {
@@ -108,109 +80,76 @@ fn laswp_view(x: &mut ZMatMut<'_>, ipiv: &[usize]) {
 
 /// Factors `A` with partial pivoting.
 pub fn lu_factor(a: &ZMat) -> Result<LuFactors> {
-    lu_factor_owned(a.clone(), true)
+    factor_entry(a.clone(), None)
 }
 
-/// [`lu_factor`] with the working copy **and** the pivot index buffers
+/// [`lu_factor`] with the working copy **and** the pivot index buffer
 /// borrowed from `ws` — the zero-churn form for factor loops; hand
 /// everything back with [`LuFactors::recycle_into`] when the factors are
 /// spent.
 pub fn lu_factor_ws(a: &ZMat, ws: &Workspace) -> Result<LuFactors> {
-    factor_entry(ws.copy_of(a), true, Some(ws))
+    factor_entry(ws.copy_of(a), Some(ws))
 }
 
-/// Factors a matrix the caller already owns, in place (no copy at all).
-pub fn lu_factor_owned(a: ZMat, pivot: bool) -> Result<LuFactors> {
-    factor_entry(a, pivot, None)
+/// Factors a matrix the caller already owns, in place (no copy at all),
+/// with the pivot index buffer borrowed from the `ws` index pool — the
+/// form callers that already pooled the matrix itself (e.g.
+/// `factor_poly_ws`) use so a warm factor loop allocates nothing at all;
+/// return everything with [`LuFactors::recycle_into`].
+pub fn lu_factor_owned_ws(a: ZMat, ws: &Workspace) -> Result<LuFactors> {
+    factor_entry(a, Some(ws))
 }
 
-/// [`lu_factor_owned`] with the pivot index buffers (`perm` + `ipiv`)
-/// borrowed from the `ws` index pool — the form callers that already
-/// pooled the matrix itself (e.g. `factor_poly_ws`) use so a warm factor
-/// loop allocates nothing at all; return everything with
-/// [`LuFactors::recycle_into`].
-pub fn lu_factor_owned_ws(a: ZMat, pivot: bool, ws: &Workspace) -> Result<LuFactors> {
-    factor_entry(a, pivot, Some(ws))
-}
-
-/// Factors `A` without pivoting (the `zgesv_nopiv_gpu` analogue).
-///
-/// Fails with [`LinalgError::SingularPivot`] if a diagonal entry collapses;
-/// callers that cannot guarantee diagonal dominance should use
-/// [`lu_factor`] instead.
-pub fn lu_factor_nopiv(a: &ZMat) -> Result<LuFactors> {
-    lu_factor_owned(a.clone(), false)
-}
-
-/// [`lu_factor_nopiv`] with the working copy borrowed from `ws`.
-pub fn lu_factor_nopiv_ws(a: &ZMat, ws: &Workspace) -> Result<LuFactors> {
-    factor_entry(ws.copy_of(a), false, Some(ws))
-}
-
-/// The unblocked rank-1-update baseline, kept callable for A/B
-/// measurements and the blocked-vs-unblocked property tests.
+/// The unblocked rank-1-update loop at any size: what [`lu_factor`] runs
+/// below the crossover, and the reference the blocked-vs-unblocked tests
+/// and `bench_lu_json`'s kernel rows compare against.
 pub fn lu_factor_unblocked(a: &ZMat) -> Result<LuFactors> {
     let n = a.rows();
     let mut lu = a.clone();
     flops_add(counts::zgetrf(n));
-    let (mut perm, mut ipiv): (Vec<usize>, Vec<usize>) = ((0..n).collect(), (0..n).collect());
-    factor_unblocked(&mut lu, true, &mut perm, &mut ipiv)?;
-    Ok(LuFactors { lu, perm, ipiv, pivoted: true })
-}
-
-/// Unblocked pivot-free baseline (see [`lu_factor_unblocked`]).
-pub fn lu_factor_nopiv_unblocked(a: &ZMat) -> Result<LuFactors> {
-    let n = a.rows();
-    let mut lu = a.clone();
-    flops_add(counts::zgetrf(n));
-    let (mut perm, mut ipiv): (Vec<usize>, Vec<usize>) = ((0..n).collect(), (0..n).collect());
-    factor_unblocked(&mut lu, false, &mut perm, &mut ipiv)?;
-    Ok(LuFactors { lu, perm, ipiv, pivoted: false })
+    let mut ipiv: Vec<usize> = (0..n).collect();
+    factor_unblocked(&mut lu, &mut ipiv)?;
+    Ok(LuFactors { lu, ipiv })
 }
 
 /// Shared entry: counts, dispatches on size, pools the pivot index
-/// buffers when a workspace is supplied, recycles everything on error.
-fn factor_entry(mut lu: ZMat, pivot: bool, ws: Option<&Workspace>) -> Result<LuFactors> {
+/// buffer when a workspace is supplied, recycles everything on error.
+fn factor_entry(mut lu: ZMat, ws: Option<&Workspace>) -> Result<LuFactors> {
     let n = lu.rows();
     assert!(lu.is_square(), "LU requires a square matrix");
     flops_add(counts::zgetrf(n));
-    let (mut perm, mut ipiv) = match ws {
-        Some(ws) => (ws.take_index(n), ws.take_index(n)),
-        None => ((0..n).collect(), (0..n).collect()),
+    let mut ipiv = match ws {
+        Some(ws) => ws.take_index(n),
+        None => (0..n).collect(),
     };
-    let factored = if n < BLOCK_MIN || unblocked_forced() {
-        factor_unblocked(&mut lu, pivot, &mut perm, &mut ipiv)
+    let factored = if n < BLOCK_MIN {
+        factor_unblocked(&mut lu, &mut ipiv)
     } else {
-        factor_blocked(&mut lu, pivot, &mut perm, &mut ipiv)
+        // Staging buffer for U₁₂ (raw scratch, not a ZMat): the merge gemm
+        // reads it while writing other rows of the same columns.
+        factor_cols(&mut lu, 0, n, &mut ipiv, &mut Vec::new())
     };
     match factored {
-        Ok(()) => Ok(LuFactors { lu, perm, ipiv, pivoted: pivot }),
+        Ok(()) => Ok(LuFactors { lu, ipiv }),
         Err(e) => {
             if let Some(ws) = ws {
                 ws.recycle(lu);
-                ws.recycle_index(perm);
                 ws.recycle_index(ipiv);
             }
             // Annotate with the op and operand shape so the failure
             // taxonomy upstairs (ObcError/SolveError) reports *which*
             // factorization of *what size* broke, not just "singular".
-            Err(e.with_context(if pivot { "zgetrf" } else { "zgetrf_nopiv" }, (n, n)))
+            Err(e.with_context("zgetrf", (n, n)))
         }
     }
 }
 
-/// The seed's unblocked rank-1-update loop, pivoted or not, filling the
-/// caller-provided (identity-initialized) pivot buffers.
-fn factor_unblocked(
-    lu: &mut ZMat,
-    pivot: bool,
-    perm: &mut [usize],
-    ipiv: &mut [usize],
-) -> Result<()> {
+/// The unblocked rank-1-update loop, filling the caller-provided pivot
+/// buffer.
+fn factor_unblocked(lu: &mut ZMat, ipiv: &mut [usize]) -> Result<()> {
     let n = lu.rows();
-    let scale = if pivot { 0.0 } else { lu.norm_max().max(1.0) };
     for k in 0..n {
-        pivot_step(lu, perm, ipiv, pivot, scale, k, n)?;
+        pivot_step(lu, ipiv, k)?;
         // Rank-1 trailing update, column by column for cache friendliness.
         rank1_update(lu, k, k + 1, n);
     }
@@ -240,47 +179,34 @@ fn rank1_update(lu: &mut ZMat, k: usize, col_lo: usize, col_hi: usize) {
 /// panel: pivot search/interchange (full rows), breakdown check,
 /// multiplier scaling of column `k` below the diagonal.
 #[inline]
-fn pivot_step(
-    lu: &mut ZMat,
-    perm: &mut [usize],
-    ipiv: &mut [usize],
-    pivot: bool,
-    scale: f64,
-    k: usize,
-    row_end: usize,
-) -> Result<()> {
-    if pivot {
-        let mut p = k;
-        let mut best = lu[(k, k)].norm_sqr();
-        for i in k + 1..row_end {
-            let mag = lu[(i, k)].norm_sqr();
-            if mag > best {
-                best = mag;
-                p = i;
-            }
-        }
-        if best.sqrt() < PIVOT_TOL {
-            return Err(LinalgError::SingularPivot { index: k, magnitude: best.sqrt() });
-        }
-        if p != k {
-            lu.swap_rows(k, p);
-            perm.swap(k, p);
-        }
-        ipiv[k] = p;
-    } else {
-        let piv = lu[(k, k)];
-        if piv.abs() < 1e-14 * scale {
-            return Err(LinalgError::SingularPivot { index: k, magnitude: piv.abs() });
+fn pivot_step(lu: &mut ZMat, ipiv: &mut [usize], k: usize) -> Result<()> {
+    let n = lu.rows();
+    let mut p = k;
+    let mut best = lu[(k, k)].norm_sqr();
+    for i in k + 1..n {
+        let mag = lu[(i, k)].norm_sqr();
+        if mag > best {
+            best = mag;
+            p = i;
         }
     }
+    if best.sqrt() < PIVOT_TOL {
+        return Err(LinalgError::SingularPivot { index: k, magnitude: best.sqrt() });
+    }
+    if p != k {
+        lu.swap_rows(k, p);
+    }
+    ipiv[k] = p;
     let pivot_inv = lu[(k, k)].inv();
-    for lik in lu.col_mut(k)[k + 1..row_end].iter_mut() {
+    for lik in lu.col_mut(k)[k + 1..n].iter_mut() {
         *lik *= pivot_inv;
     }
     Ok(())
 }
 
-/// Recursive blocked right-looking factorization.
+/// Recursive blocked right-looking factorization of columns `c0..c1`
+/// (rows `c0..n`), assuming all columns left of `c0` are factored and
+/// their updates applied to this range.
 ///
 /// The column range splits in half until it reaches the `NB`-wide scalar
 /// base case; each merge is one `trsm` on `U₁₂` plus one gemm trailing
@@ -289,30 +215,10 @@ fn pivot_step(
 /// panel-width `k` of flat blocking. Pivot interchanges are applied
 /// across all `n` columns immediately, so the matrix state at every
 /// recursion level matches the unblocked algorithm's.
-fn factor_blocked(
-    lu: &mut ZMat,
-    pivot: bool,
-    perm: &mut [usize],
-    ipiv: &mut [usize],
-) -> Result<()> {
-    let n = lu.rows();
-    let scale = if pivot { 0.0 } else { lu.norm_max().max(1.0) };
-    // Staging buffer for U₁₂ (raw scratch, not a ZMat): the merge gemm
-    // reads it while writing other rows of the same columns.
-    let mut u12buf: Vec<Complex64> = Vec::new();
-    factor_cols(lu, 0, n, pivot, scale, perm, ipiv, &mut u12buf)
-}
-
-/// Factors columns `c0..c1` (rows `c0..n`), assuming all columns left of
-/// `c0` are factored and their updates applied to this range.
-#[allow(clippy::too_many_arguments)]
 fn factor_cols(
     lu: &mut ZMat,
     c0: usize,
     c1: usize,
-    pivot: bool,
-    scale: f64,
-    perm: &mut [usize],
     ipiv: &mut [usize],
     u12buf: &mut Vec<Complex64>,
 ) -> Result<()> {
@@ -321,7 +227,7 @@ fn factor_cols(
     if w <= NB {
         // Scalar strip: rank-1 updates restricted to the strip's columns.
         for k in c0..c1 {
-            pivot_step(lu, perm, ipiv, pivot, scale, k, n)?;
+            pivot_step(lu, ipiv, k)?;
             rank1_update(lu, k, k + 1, c1);
         }
         return Ok(());
@@ -329,7 +235,7 @@ fn factor_cols(
     // Narrow ranges peel one panel (flat blocking); wide ranges split in
     // half (rounded to a panel multiple) so the merge gemm gets large `k`.
     let h = if w <= STRIP { NB } else { (w / 2).div_ceil(NB) * NB };
-    factor_cols(lu, c0, c0 + h, pivot, scale, perm, ipiv, u12buf)?;
+    factor_cols(lu, c0, c0 + h, ipiv, u12buf)?;
     let mid = c0 + h;
     let nr = c1 - mid;
     let rows = n - mid;
@@ -354,7 +260,7 @@ fn factor_cols(
         let a22 = ZMatMut::from_slice(&mut right[mid..], rows, nr, ld);
         gemm_into_unc(-Complex64::ONE, l21, Op::None, u12v, Op::None, Complex64::ONE, a22);
     }
-    factor_cols(lu, mid, c1, pivot, scale, perm, ipiv, u12buf)
+    factor_cols(lu, mid, c1, ipiv, u12buf)
 }
 
 impl LuFactors {
@@ -375,7 +281,7 @@ impl LuFactors {
     }
 
     /// Solves `A·X = B` in place: `x` holds `B` on entry and `X` on exit.
-    /// Pivot interchanges ([`laswp`]) followed by two blocked triangular
+    /// Pivot interchanges (`zlaswp`) followed by two blocked triangular
     /// solves — the off-diagonal sweeps run on the gemm microkernel and
     /// the ≤64-block diagonal substitution is RHS-register-blocked
     /// (4-column panels in [`crate::trsm`]), the sweep that dominates
@@ -391,9 +297,7 @@ impl LuFactors {
         let n = self.lu.rows();
         assert_eq!(x.rows(), n, "rhs row count mismatch");
         flops_add(counts::zgetrs(n, x.cols()));
-        if self.pivoted {
-            laswp_view(&mut x, &self.ipiv);
-        }
+        laswp(&mut x, &self.ipiv);
         trsm_unc(Side::Left, UpLo::Lower, Op::None, Diag::Unit, self.lu.view(), x.rb());
         trsm_unc(Side::Left, UpLo::Upper, Op::None, Diag::NonUnit, self.lu.view(), x);
     }
@@ -408,11 +312,9 @@ impl LuFactors {
         flops_add(counts::zgetrs(n, x.cols()));
         trsm_unc(Side::Left, UpLo::Upper, Op::Adjoint, Diag::NonUnit, self.lu.view(), x.view_mut());
         trsm_unc(Side::Left, UpLo::Lower, Op::Adjoint, Diag::Unit, self.lu.view(), x.view_mut());
-        if self.pivoted {
-            for (k, &p) in self.ipiv.iter().enumerate().rev() {
-                if p != k {
-                    x.swap_rows(k, p);
-                }
+        for (k, &p) in self.ipiv.iter().enumerate().rev() {
+            if p != k {
+                x.swap_rows(k, p);
             }
         }
     }
@@ -427,9 +329,7 @@ impl LuFactors {
     }
 
     /// Determinant from the factorization; the sign comes from the parity
-    /// of the pivot interchange sequence (`ipiv[k] ≠ k` counts one swap),
-    /// which stays correct on the blocked path where `perm` is assembled
-    /// from [`laswp`]-ordered panel swaps.
+    /// of the pivot interchange sequence (`ipiv[k] ≠ k` counts one swap).
     pub fn determinant(&self) -> Complex64 {
         let n = self.lu.rows();
         let mut det = Complex64::ONE;
@@ -443,12 +343,11 @@ impl LuFactors {
         det
     }
 
-    /// Consumes the factors, returning every backing buffer — the packed
-    /// matrix and both pivot index vectors — to the pool, so warm factor
+    /// Consumes the factors, returning both backing buffers — the packed
+    /// matrix and the pivot index vector — to the pool, so warm factor
     /// loops recycle the `O(n)` pivot churn along with the `O(n²)` matrix.
     pub fn recycle_into(self, ws: &Workspace) {
         ws.recycle(self.lu);
-        ws.recycle_index(self.perm);
         ws.recycle_index(self.ipiv);
     }
 }
@@ -456,11 +355,6 @@ impl LuFactors {
 /// One-shot solve `A·X = B` with partial pivoting (LAPACK `zgesv`).
 pub fn zgesv(a: &ZMat, b: &ZMat) -> Result<ZMat> {
     Ok(lu_factor(a)?.solve(b))
-}
-
-/// One-shot solve without pivoting (MAGMA `zgesv_nopiv_gpu` analogue).
-pub fn zgesv_nopiv(a: &ZMat, b: &ZMat) -> Result<ZMat> {
-    Ok(lu_factor_nopiv(a)?.solve(b))
 }
 
 /// One-shot pivoted solve with **every** temporary — the factorization's
@@ -472,19 +366,6 @@ pub fn zgesv_into(a: &ZMat, b: &ZMat, x: &mut ZMat, ws: &Workspace) -> Result<()
     f.solve_into(b.view(), x);
     f.recycle_into(ws);
     Ok(())
-}
-
-/// [`zgesv_into`] without pivoting.
-pub fn zgesv_nopiv_into(a: &ZMat, b: &ZMat, x: &mut ZMat, ws: &Workspace) -> Result<()> {
-    let f = lu_factor_nopiv_ws(a, ws)?;
-    f.solve_into(b.view(), x);
-    f.recycle_into(ws);
-    Ok(())
-}
-
-/// Alias used by callers that want the factor-then-solve split explicit.
-pub fn lu_solve(f: &LuFactors, b: &ZMat) -> ZMat {
-    f.solve(b)
 }
 
 /// Matrix inverse through LU (used for small reduced systems only; the
@@ -509,6 +390,16 @@ mod tests {
         a
     }
 
+    /// The row gather map of `P` (row `i` of `P·A` is row `perm[i]` of
+    /// `A`), replayed from the interchange sequence.
+    fn gather_of(ipiv: &[usize]) -> Vec<usize> {
+        let mut perm: Vec<usize> = (0..ipiv.len()).collect();
+        for (k, &p) in ipiv.iter().enumerate() {
+            perm.swap(k, p);
+        }
+        perm
+    }
+
     #[test]
     fn pivoted_solve_reconstructs_rhs() {
         let a = ZMat::random(12, 12, 21);
@@ -516,30 +407,6 @@ mod tests {
         let b = &a * &x_true;
         let x = zgesv(&a, &b).unwrap();
         assert!(x.max_diff(&x_true) < 1e-9);
-    }
-
-    #[test]
-    fn nopiv_solve_on_dominant_matrix() {
-        let a = diag_dominant(15, 31);
-        let x_true = ZMat::random(15, 2, 32);
-        let b = &a * &x_true;
-        let x = zgesv_nopiv(&a, &b).unwrap();
-        assert!(x.max_diff(&x_true) < 1e-9);
-    }
-
-    #[test]
-    fn nopiv_detects_zero_pivot() {
-        // First diagonal entry exactly zero and no dominance: must error.
-        let mut a = ZMat::identity(3);
-        a[(0, 0)] = Complex64::ZERO;
-        a[(0, 1)] = Complex64::ONE;
-        a[(1, 0)] = Complex64::ONE;
-        assert!(matches!(
-            lu_factor_nopiv(&a),
-            Err(ref e) if matches!(e.root(), LinalgError::SingularPivot { .. })
-        ));
-        // Pivoted factorization handles the same matrix fine.
-        assert!(lu_factor(&a).is_ok());
     }
 
     #[test]
@@ -607,11 +474,12 @@ mod tests {
                 }
             }
         }
+        let perm = gather_of(&f.ipiv);
         let pa = {
             let mut pa = ZMat::zeros(n, n);
             for j in 0..n {
                 for i in 0..n {
-                    pa[(i, j)] = a[(f.perm[i], j)];
+                    pa[(i, j)] = a[(perm[i], j)];
                 }
             }
             pa
@@ -635,29 +503,15 @@ mod tests {
                 }
             }
         }
+        let perm = gather_of(&f.ipiv);
         let mut pa = ZMat::zeros(n, n);
         for j in 0..n {
             for i in 0..n {
-                pa[(i, j)] = a[(f.perm[i], j)];
+                pa[(i, j)] = a[(perm[i], j)];
             }
         }
         let diff = (&l * &u).max_diff(&pa);
         assert!(diff < 1e-8 * n as f64, "{diff:.2e}");
-    }
-
-    #[test]
-    fn ipiv_and_perm_agree() {
-        // Applying the ipiv swap sequence to the identity gather must
-        // reproduce the perm gather map, on both paths.
-        for n in [17usize, BLOCK_MIN + 5] {
-            let a = ZMat::random(n, n, 60 + n as u64);
-            let f = lu_factor(&a).unwrap();
-            let mut gather: Vec<usize> = (0..n).collect();
-            for (k, &p) in f.ipiv.iter().enumerate() {
-                gather.swap(k, p);
-            }
-            assert_eq!(gather, f.perm, "n = {n}");
-        }
     }
 
     #[test]
@@ -678,23 +532,21 @@ mod tests {
 
     #[test]
     fn adjoint_solve_matches_factoring_the_adjoint() {
-        // Both sides of the blocking crossover, pivoted and pivot-free.
+        // Both sides of the blocking crossover, with and without row
+        // interchanges to undo (a dominant matrix pivots on its diagonal).
         for n in [1usize, 7, 64, 97, 200] {
             let b = ZMat::random(n, 5, 300 + n as u64);
             let general = ZMat::random(n, n, 200 + n as u64);
             let dominant = diag_dominant(n, 250 + n as u64);
-            for (a, f) in [
-                (&general, lu_factor(&general).unwrap()),
-                (&dominant, lu_factor_nopiv(&dominant).unwrap()),
-            ] {
+            for a in [&general, &dominant] {
+                let f = lu_factor(a).unwrap();
                 let reference = lu_factor(&a.adjoint()).unwrap().solve(&b);
                 let mut x = b.clone();
                 f.solve_adjoint_in_place(&mut x);
                 let scale = reference.norm_max().max(1.0);
                 assert!(
                     x.max_diff(&reference) < 1e-9 * scale,
-                    "n = {n}, pivoted = {}: {:.2e}",
-                    f.pivoted,
+                    "n = {n}: {:.2e}",
                     x.max_diff(&reference)
                 );
                 // And it is a solve of Aᴴ, not merely close to one.

@@ -35,14 +35,15 @@
 //! W = Vᴴ·B,    W ← Tᴴ·W (ztrmm),    B ← B − V·W
 //! ```
 //!
-//! so the bulk of the `8·(m·n² − n³/3)` flops runs on the dispatched
-//! packed microkernel. The per-panel `T` factors are retained in the returned
+//! so the bulk of the `8·(m·n² − n³/3)` flops runs on the packed
+//! microkernel. The per-panel `T` factors are retained in the returned
 //! [`QrFactors`], so `Q`-applications (`apply_qh`, `q_thin`, least
 //! squares) replay the same blocked WY updates instead of one reflector
 //! at a time, and the `R` back-substitution is a blocked [`crate::trsm`]
-//! sweep. The unblocked path is kept as a runtime A/B baseline behind
-//! [`force_unblocked_qr`] (used by `bench_qr_json`), and every entry
-//! point has a workspace-borrowing form ([`qr_factor_ws`],
+//! sweep. Below the crossover the unblocked reflector loop runs;
+//! [`qr_factor_unblocked`] is that loop at any size, the reference the
+//! tests and `bench_qr_json` compare the blocked path against. Every
+//! entry point has a workspace-borrowing form ([`qr_factor_ws`],
 //! [`QrFactors::apply_qh_into`], [`QrFactors::least_squares_into`],
 //! [`QrFactors::q_thin_into`]) so warm factor/apply loops perform zero
 //! fresh matrix allocations.
@@ -54,9 +55,8 @@ use crate::trmm::trmm_unc;
 use crate::trsm::{trsm_unc, Diag, Side, UpLo};
 use crate::workspace::Workspace;
 use crate::zmat::{ZMat, ZMatMut, ZMatRef};
-use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Panel width of the blocked factorization (wider than the LU/LDL
+/// Panel width of the blocked factorization (wider than the LU
 /// 32-panels: the QR panel amortizes its scalar dot products over two
 /// trailing gemms, and 48 measured fastest on this container at 256–512).
 const NB: usize = 48;
@@ -83,23 +83,6 @@ const BLOCK_MIN: usize = 160;
 /// 1.3–1.7× over unblocked at 528×128/1040×128, parity at 784×96.
 const BLOCK_MIN_TALL: usize = 128;
 
-/// A/B baseline switch: `true` forces every QR factorization (and the
-/// blocked Hessenberg reduction in [`crate::eig`]) through the unblocked
-/// scalar path regardless of size.
-static FORCE_UNBLOCKED: AtomicBool = AtomicBool::new(false);
-
-/// Routes QR factorizations (and the Hessenberg reduction) through the
-/// unblocked baseline (or back). Benchmark-only: `bench_qr_json` uses it
-/// to measure blocked-vs-unblocked speedups end to end in one process.
-pub fn force_unblocked_qr(on: bool) {
-    FORCE_UNBLOCKED.store(on, Ordering::Relaxed);
-}
-
-/// Whether the unblocked baseline is currently forced.
-pub(crate) fn qr_unblocked_forced() -> bool {
-    FORCE_UNBLOCKED.load(Ordering::Relaxed)
-}
-
 /// Packed Householder QR factors of an m×n matrix (m ≥ n).
 #[derive(Debug, Clone)]
 pub struct QrFactors {
@@ -124,8 +107,9 @@ pub fn qr_factor_ws(a: &ZMat, ws: &Workspace) -> QrFactors {
     factor_entry(ws.copy_of(a), Some(ws))
 }
 
-/// The unblocked one-reflector-at-a-time baseline, kept callable for A/B
-/// measurements and the blocked-vs-unblocked property tests.
+/// The unblocked one-reflector-at-a-time loop at any size: what
+/// [`qr_factor`] runs below the crossover, and the reference the
+/// blocked-vs-unblocked tests and `bench_qr_json` compare against.
 pub fn qr_factor_unblocked(a: &ZMat) -> QrFactors {
     let (m, n) = (a.rows(), a.cols());
     assert!(m >= n, "qr_factor requires rows ≥ cols");
@@ -145,7 +129,7 @@ fn factor_entry(mut p: ZMat, ws: Option<&Workspace>) -> QrFactors {
         Some(ws) => ws.take_scratch(n, 1),
         None => ZMat::zeros(n, 1),
     };
-    let blocked = !qr_unblocked_forced() && (n >= BLOCK_MIN || (n >= BLOCK_MIN_TALL && m >= 4 * n));
+    let blocked = n >= BLOCK_MIN || (n >= BLOCK_MIN_TALL && m >= 4 * n);
     let ts = if !blocked {
         factor_panel(&mut p, &mut tau, 0, n, n);
         ZMat::empty()
@@ -634,13 +618,9 @@ pub fn qr(a: &ZMat) -> (ZMat, ZMat) {
     (f.q_thin(), f.r())
 }
 
-/// Orthonormalizes the columns of `a` (thin Q of its QR factorization).
-pub fn orthonormalize(a: &ZMat) -> ZMat {
-    qr_factor(a).q_thin()
-}
-
-/// [`orthonormalize`] over pooled scratch: the returned `Q` and every
-/// internal temporary are borrowed from `ws` (recycle `Q` when spent).
+/// Orthonormalizes the columns of `a` (thin Q of its QR factorization)
+/// over pooled scratch: the returned `Q` and every internal temporary
+/// are borrowed from `ws` (recycle `Q` when spent).
 pub fn orthonormalize_ws(a: &ZMat, ws: &Workspace) -> ZMat {
     let f = qr_factor_ws(a, ws);
     let mut q = ws.take_scratch(a.rows(), a.cols());
@@ -652,13 +632,6 @@ pub fn orthonormalize_ws(a: &ZMat, ws: &Workspace) -> ZMat {
 /// Least-squares solve `min ‖A·x − b‖₂` (A must be m×n with m ≥ n).
 pub fn qr_least_squares(a: &ZMat, b: &ZMat) -> ZMat {
     qr_factor(a).least_squares(b)
-}
-
-/// Moore–Penrose pseudo-inverse action `A⁺·b` for full-column-rank `A`,
-/// used to build `U⁺` when self-energies are assembled from a reduced mode
-/// set (§3.A).
-pub fn pinv_apply(a: &ZMat, b: &ZMat) -> ZMat {
-    qr_least_squares(a, b)
 }
 
 /// Verifies column orthonormality: returns `‖QᴴQ − I‖_max`.
@@ -683,7 +656,7 @@ mod tests {
     #[test]
     fn q_is_orthonormal() {
         let a = ZMat::random(12, 7, 5);
-        let q = orthonormalize(&a);
+        let q = qr_factor(&a).q_thin();
         assert!(orthonormality_defect(&q) < 1e-11);
     }
 
@@ -743,23 +716,13 @@ mod tests {
         let mut a = ZMat::random(8, 2, 15);
         let col0: Vec<Complex64> = a.col(0).to_vec();
         a.col_mut(1).copy_from_slice(&col0);
-        let q = orthonormalize(&a);
+        let q = qr_factor(&a).q_thin();
         // First column must be normalized.
         let n0: f64 = q.col(0).iter().map(|z| z.norm_sqr()).sum();
         assert!((n0 - 1.0).abs() < 1e-12);
     }
 
     // ── blocked-path tests ───────────────────────────────────────────
-
-    /// [`force_unblocked_qr`] is process-wide and the tests of this
-    /// module share a process: the tests that assert which path
-    /// `qr_factor` took hold this for reading, the one that flips the
-    /// switch for writing.
-    static DISPATCH: std::sync::RwLock<()> = std::sync::RwLock::new(());
-
-    fn dispatch_unforced() -> std::sync::RwLockReadGuard<'static, ()> {
-        DISPATCH.read().unwrap_or_else(|e| e.into_inner())
-    }
 
     /// Reference reconstruction error ‖QR − A‖ and defect ‖QᴴQ − I‖.
     fn check_factorization(a: &ZMat, f: &QrFactors, tol: f64) {
@@ -771,7 +734,6 @@ mod tests {
 
     #[test]
     fn blocked_matches_unblocked_across_crossover() {
-        let _unforced = dispatch_unforced();
         // Square shapes straddle BLOCK_MIN; (560, 130) takes the
         // tall-skinny dispatch (m ≥ 4n with n ≥ BLOCK_MIN_TALL).
         for (m, n, seed) in
@@ -799,7 +761,6 @@ mod tests {
 
     #[test]
     fn blocked_tall_skinny() {
-        let _unforced = dispatch_unforced();
         // m ≫ n with n above the crossover: multiple panels, long tails.
         let a = ZMat::random(700, 224, 31);
         let f = qr_factor(&a);
@@ -816,7 +777,6 @@ mod tests {
 
     #[test]
     fn blocked_rank_deficient() {
-        let _unforced = dispatch_unforced();
         // Duplicate a column band across a panel boundary and zero a few
         // columns outright: the exactly-zero columns produce τ = 0
         // reflectors, exercising the recurrence fallback for T (the
@@ -838,21 +798,7 @@ mod tests {
     }
 
     #[test]
-    fn force_unblocked_switch_controls_dispatch() {
-        let _forcing = DISPATCH.write().unwrap_or_else(|e| e.into_inner());
-        let a = ZMat::random(224, 224, 51);
-        let fb = qr_factor(&a);
-        assert!(fb.ts.cols() > 0);
-        force_unblocked_qr(true);
-        let fu = qr_factor(&a);
-        force_unblocked_qr(false);
-        assert_eq!(fu.ts.cols(), 0, "forced factorization must be unblocked");
-        assert!(fb.packed.max_diff(&fu.packed) < 1e-8);
-    }
-
-    #[test]
     fn ws_factor_is_bit_identical_to_fresh() {
-        let _unforced = dispatch_unforced();
         let a = ZMat::random(240, 200, 61);
         let b = ZMat::random(240, 4, 62);
         let fresh = qr_factor(&a);
@@ -872,7 +818,6 @@ mod tests {
 
     #[test]
     fn q_thin_into_matches_q_thin() {
-        let _unforced = dispatch_unforced();
         let a = ZMat::random(270, 220, 71);
         let f = qr_factor(&a);
         assert!(f.ts.cols() > 0);
@@ -888,7 +833,7 @@ mod tests {
         let ws = Workspace::new();
         for trial in 0..2 {
             let a = ZMat::random(40, 9, 81 + trial);
-            let q_ref = orthonormalize(&a);
+            let q_ref = qr_factor(&a).q_thin();
             let q = orthonormalize_ws(&a, &ws);
             assert!(q.max_diff(&q_ref) == 0.0, "trial {trial}");
             ws.recycle(q);

@@ -1,5 +1,5 @@
 //! Triangular matrix multiply (`ztrmm`), completing the BLAS-3 triangle
-//! set next to [`crate::trsm`] and [`crate::herk`]/[`crate::her2k`].
+//! set next to [`crate::trsm`] and [`crate::herk`].
 //!
 //! The compact-WY machinery multiplies by small upper-triangular `T`
 //! factors constantly — the blocked QR's `W ← op(T)·W` transform, the
@@ -619,9 +619,6 @@ mod tests {
         assert!(b.as_slice().iter().all(|z| *z == Complex64::ZERO));
     }
 
-    // The seed-gemm A/B kernel clones its operands by design, so the
-    // zero-allocation property only holds for the production gemm.
-    #[cfg(not(feature = "seed-gemm"))]
     #[test]
     fn allocation_free() {
         use crate::zmat::alloc_count;

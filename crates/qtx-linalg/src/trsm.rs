@@ -1,6 +1,6 @@
 //! Triangular solves with multiple right-hand sides (`ztrsm`).
 //!
-//! The blocked LU/LDLᴴ factorizations and their solves decompose into two
+//! The blocked LU factorization and its solves decompose into two
 //! kernels: gemm trailing updates and triangular solves against the
 //! factor panels. This module provides the latter in full BLAS generality
 //! — left/right application, lower/upper storage, `N`/`T`/`H` operand
@@ -139,7 +139,7 @@ fn trsm_left(uplo: UpLo, op: Op, diag: Diag, a: ZMatRef<'_>, mut b: ZMatMut<'_>)
 /// loading every `A` column once per panel instead of once per column and
 /// keeping four independent `mul_add` chains in flight (the ≤64-block
 /// sweep is latency-bound on a single chain otherwise — this is the
-/// SplitSolve s = 64 hot loop through the LU/LDLᴴ solves).
+/// SplitSolve s = 64 hot loop through the LU solves).
 const RHS_BLK: usize = 4;
 
 /// Scalar sweep on one diagonal block for the left-side solve: rows
@@ -173,7 +173,7 @@ fn solve_diag_left(
 /// inner loops run over contiguous slices: `Op::None` scatters the solved
 /// entries down/up their own column (classic substitution), while the
 /// transposed ops gather dot products against column `gt` of the storage
-/// — the `Lᴴ` backward sweep of the LDLᴴ solve stays contiguous this way.
+/// — the `Uᴴ`/`Lᴴ` sweeps of the adjoint LU solve stay contiguous this way.
 /// Every `A` element is loaded once and fed to all `K` columns' FMA
 /// chains.
 fn solve_diag_left_panel<const K: usize>(

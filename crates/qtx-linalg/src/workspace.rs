@@ -58,7 +58,7 @@ pub(crate) fn with_tri_scratch<R>(need: usize, f: impl FnOnce(&mut [Complex64]) 
 ///
 /// Besides the complex matrix pool, the workspace also pools the
 /// `Vec<usize>` index buffers the pivoted factorizations consume (one
-/// `perm` gather map and one `ipiv` interchange sequence per LU call):
+/// `ipiv` interchange sequence per LU call):
 /// [`Workspace::take_index`] hands out an identity-initialized index
 /// vector from the spare pile and [`Workspace::recycle_index`] returns a
 /// spent one, so the zero-allocation property of a warm factor+solve loop
@@ -169,8 +169,8 @@ impl Workspace {
     /// Hands out an index buffer holding the identity permutation
     /// `0, 1, …, n−1`, reusing a pooled buffer's capacity when one is
     /// available — the pivot-vector counterpart of [`Workspace::take`],
-    /// consumed by `lu_factor_ws`-style factorizations for their `perm`
-    /// and `ipiv` vectors.
+    /// consumed by `lu_factor_ws`-style factorizations for their `ipiv`
+    /// vector.
     pub fn take_index(&self, n: usize) -> Vec<usize> {
         let recycled = {
             let mut pool = self.idx_pool.lock().unwrap_or_else(std::sync::PoisonError::into_inner);

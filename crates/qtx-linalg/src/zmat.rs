@@ -607,7 +607,7 @@ impl<'a> ZMatRef<'a> {
 
 /// Borrowed, possibly strided, **mutable** column-major matrix view.
 ///
-/// The writable counterpart of [`ZMatRef`]: the blocked LU/LDLᴴ kernels and
+/// The writable counterpart of [`ZMatRef`]: the blocked LU kernel and
 /// [`crate::trsm`] solve panels of a larger matrix in place through this
 /// type, and [`crate::gemm::gemm_into`] accumulates trailing updates into
 /// it without the output ever being a full owned matrix.

@@ -206,7 +206,7 @@ impl CompanionPencil {
         p.scale_assign(z * z);
         p.axpy(z, &self.t00);
         p.axpy(Complex64::ONE, &self.t10);
-        lu_factor_owned_ws(p, true, ws)
+        lu_factor_owned_ws(p, ws)
     }
 
     /// Solves `(z·B − A)·x = y` through the `nf`-sized polynomial solve:

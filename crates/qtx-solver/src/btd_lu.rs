@@ -59,7 +59,7 @@ pub fn btd_lu_factor_ws(
         // The eliminated block is factored in place: the factors adopt the
         // buffer, so no second copy is made (the factors outlive the call
         // and own their storage, as before).
-        let f = lu_factor_owned_ws(d, true, ws)?;
+        let f = lu_factor_owned_ws(d, ws)?;
         if i + 1 < nb {
             let mut du = ws.take_scratch(a.upper[i].rows(), a.upper[i].cols());
             f.solve_into(a.upper[i].view(), &mut du);

@@ -262,11 +262,10 @@ impl<'a, C: BlockChain, F: Fn(&mut ZMat)> Front<'a, C, F> {
             if bad > 0 {
                 return Err(SolveError::NonFinite { solver: SOLVER, count: bad });
             }
-            let f = lu_factor_owned_ws(std::mem::replace(d, ZMat::empty()), true, ws)?;
+            let f = lu_factor_owned_ws(std::mem::replace(d, ZMat::empty()), ws)?;
             f.solve_in_place(rhs);
             // The pivot block's buffer serves the next block.
-            let LuFactors { lu, perm, ipiv, .. } = f;
-            ws.recycle_index(perm);
+            let LuFactors { lu, ipiv } = f;
             ws.recycle_index(ipiv);
             *d = lu;
             if let Some(b) = below {
@@ -330,7 +329,7 @@ fn join_fronts<C: BlockChain>(
         ws.recycle(tip);
         Err(SolveError::NonFinite { solver: SOLVER, count: bad })
     } else {
-        lu_factor_owned_ws(tip, true, ws).map_err(SolveError::from).map(|f| {
+        lu_factor_owned_ws(tip, ws).map_err(SolveError::from).map(|f| {
             f.solve_in_place_view(zr.block_view_mut(0, rl, cu, wr));
             f.recycle_into(ws);
             let x = zr.block_view(0, rl, cu, wr);

@@ -53,7 +53,7 @@ fn rgf_forward_pass(sys: &ObcSystem, ws: &Workspace) -> SolveOutcome<Vec<ZMat>> 
         }
         // Factor the shifted block in place (it is spent either way) and
         // solve the identity RHS straight into a pooled buffer.
-        let f = lu_factor_owned_ws(m, true, ws)?;
+        let f = lu_factor_owned_ws(m, ws)?;
         let mut g = ws.take_scratch(s, s);
         f.solve_into(id.view(), &mut g);
         f.recycle_into(ws);

@@ -513,7 +513,7 @@ impl Sweep {
                     counts::zgemm(inner.rows.len(), outer.cols.len(), inner.cols.len()),
                 );
             }
-            let f = lu_factor_owned_ws(std::mem::replace(d, ZMat::empty()), true, ctx.ws)?;
+            let f = lu_factor_owned_ws(std::mem::replace(d, ZMat::empty()), ctx.ws)?;
             let width = if k + 1 < n {
                 let pair = span.pair(k);
                 let outer = column.sides(&ctx.support[pair]).1;
@@ -537,8 +537,7 @@ impl Sweep {
             };
             ctx.account(dev, KernelClass::Solve, counts::zgetrf(s) + counts::zgetrs(s, width));
             // The pivot block's buffer serves the next block.
-            let LuFactors { lu, perm, ipiv, .. } = f;
-            ctx.ws.recycle_index(perm);
+            let LuFactors { lu, ipiv } = f;
             ctx.ws.recycle_index(ipiv);
             *d = lu;
         }
@@ -724,7 +723,7 @@ impl Node {
                 + counts::zgemm(kl, kl, ku),
         );
         ctx.account(dev, KernelClass::Solve, counts::zgetrf(kl));
-        let lu = match lu_factor_owned_ws(t, true, ws) {
+        let lu = match lu_factor_owned_ws(t, ws) {
             Ok(lu) => lu,
             Err(e) => {
                 for m in [u, l, p, q, a_n0_rows, c_0n_rows] {
@@ -927,7 +926,7 @@ fn woodbury_panels<C>(
     if let Some(rt) = ctx.rt {
         rt.account_overlapped(0, KernelClass::D2D, ((k_l + k_r) * m * 16) as u64);
     }
-    let lu = match lu_factor_owned_ws(r, true, ws) {
+    let lu = match lu_factor_owned_ws(r, ws) {
         Ok(lu) => lu,
         Err(e) => {
             ws.recycle(z);

@@ -2,10 +2,9 @@
 
 use proptest::prelude::*;
 use qtx::linalg::{
-    c64, gemm, hessenberg, hessenberg_unblocked, ldl_factor_nopiv, ldl_factor_nopiv_unblocked,
-    lu_factor, lu_factor_unblocked, lu_inverse, orthonormality_defect, qr_factor,
-    qr_factor_unblocked, zgesv, zgesv_into, zher2k, zherk, ztrmm, Complex64, Diag, Op, Side, UpLo,
-    Workspace, ZMat,
+    c64, gemm, hessenberg, hessenberg_unblocked, lu_factor, lu_factor_unblocked, lu_inverse,
+    orthonormality_defect, qr_factor, qr_factor_unblocked, zgesv, zgesv_into, ztrmm, Complex64,
+    Diag, Op, Side, UpLo, Workspace, ZMat,
 };
 use qtx::solver::{bcr::bcr_solve_raw, rgf_diagonal_and_corner_ws, ObcSystem, SplitSolve};
 use qtx::sparse::Btd;
@@ -183,37 +182,6 @@ proptest! {
         );
     }
 
-    /// The Hermitian rank-2k update agrees with its two-gemm expansion on
-    /// arbitrary shapes for both transpose modes, and the result is
-    /// exactly Hermitian.
-    #[test]
-    fn zher2k_matches_two_gemms(
-        n in 1usize..80,
-        k in 1usize..40,
-        adjoint_sel in 0u32..2,
-        seed in 0u64..1_000_000,
-    ) {
-        let op = if adjoint_sel == 1 { Op::Adjoint } else { Op::None };
-        let (a, b) = match op {
-            Op::None => (ZMat::random(n, k, seed), ZMat::random(n, k, seed + 1)),
-            _ => (ZMat::random(k, n, seed), ZMat::random(k, n, seed + 1)),
-        };
-        let alpha = c64(0.4, 0.7);
-        let mut c = ZMat::random(n, n, seed + 2);
-        c.hermitianize();
-        let mut expected = c.clone();
-        let flip = if op == Op::None { Op::Adjoint } else { Op::None };
-        gemm(alpha, &a, op, &b, flip, c64(0.25, 0.0), &mut expected);
-        gemm(alpha.conj(), &b, op, &a, flip, Complex64::ONE, &mut expected);
-        zher2k(alpha, a.view(), b.view(), op, 0.25, &mut c);
-        prop_assert!(
-            c.max_diff(&expected) < 1e-9 * (k as f64).max(1.0),
-            "op={op:?} n={n} k={k}: {:.2e}",
-            c.max_diff(&expected)
-        );
-        prop_assert!(c.hermitian_defect() < 1e-12);
-    }
-
     /// Solver results are bit-for-bit independent of workspace history: a
     /// freshly created pool and a pool recycled through a previous solve
     /// of a *different* system produce identical outputs.
@@ -278,26 +246,6 @@ proptest! {
         let (db, du) = (fb.determinant(), fu.determinant());
         let rel = (db - du).abs() / du.abs().max(1e-300);
         prop_assert!(rel < 1e-6, "determinant drift {rel:.2e} (sign bug?)");
-    }
-
-    /// Same for the Hermitian LDLᴴ stack: without pivoting the factors are
-    /// unique, so blocked and unblocked packed factors must agree entrywise.
-    #[test]
-    fn blocked_ldl_matches_unblocked(n in 60usize..160, seed in 0u64..1_000_000) {
-        let g = ZMat::random(n, n, seed);
-        let mut a = ZMat::zeros(n, n);
-        zherk(1.0, g.view(), Op::None, 0.0, &mut a);
-        for i in 0..n {
-            a[(i, i)] += c64(n as f64, 0.0);
-        }
-        let fb = ldl_factor_nopiv(&a).unwrap();
-        let fu = ldl_factor_nopiv_unblocked(&a).unwrap();
-        let b = ZMat::random(n, 2, seed + 1);
-        let diff = fb.solve(&b).max_diff(&fu.solve(&b));
-        prop_assert!(diff < 1e-6 * n as f64, "n={n}: {diff:.2e}");
-        for (db, du) in fb.diagonal().iter().zip(fu.diagonal()) {
-            prop_assert!((db - du).abs() < 1e-6 * db.abs().max(1.0));
-        }
     }
 
     /// `solve_into` through a recycled pool is bit-identical to a fresh
@@ -529,6 +477,17 @@ mod obc_zero_alloc {
         CompanionPencil::at_energy(&lead, 0.15, 0.0)
     }
 
+    /// Leaves one spare pivot buffer per quadrature worker in the pool.
+    /// The nodes of `sample_pencil` factor in microseconds, so whether two
+    /// workers ever hold a factorization at the same instant during the
+    /// warm-up passes is up to the OS scheduler; the warm pool's worst
+    /// case (every worker mid-factorization) is set up here instead.
+    fn prime_index_pool(ws: &Workspace) {
+        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let held: Vec<Vec<usize>> = (0..workers).map(|_| ws.take_index(8)).collect();
+        held.into_iter().for_each(|v| ws.recycle_index(v));
+    }
+
     /// The ISSUE-3 tentpole property: once the pool is warm, one full OBC
     /// iteration — FEAST quadrature factorizations, subspace products,
     /// QR orthonormalization, Rayleigh–Ritz eigensolver, pivot vectors —
@@ -544,6 +503,7 @@ mod obc_zero_alloc {
         // Two warm-up passes let the pool reach its steady-state capacity.
         let _ = feast_annulus_ws(&pencil, cfg, &ws).unwrap();
         let _ = feast_annulus_ws(&pencil, cfg, &ws).unwrap();
+        prime_index_pool(&ws);
         let mat_allocs = alloc_count();
         let pool_fresh = ws.fresh_allocations();
         let idx_fresh = ws.fresh_index_allocations();
@@ -576,6 +536,7 @@ mod obc_zero_alloc {
         let ws = Workspace::new();
         let _ = beyn_annulus_ws(&pencil, cfg, &ws).unwrap();
         let _ = beyn_annulus_ws(&pencil, cfg, &ws).unwrap();
+        prime_index_pool(&ws);
         let mat_allocs = alloc_count();
         let pool_fresh = ws.fresh_allocations();
         let idx_fresh = ws.fresh_index_allocations();
@@ -614,7 +575,7 @@ mod obc_zero_alloc {
         zgesv_into(&a, &b, &mut x, &ws).unwrap();
         ws.recycle(x);
         let idx_fresh = ws.fresh_index_allocations();
-        assert!(idx_fresh >= 2, "pivoted factorization must pool perm + ipiv");
+        assert!(idx_fresh >= 1, "pivoted factorization must pool its ipiv");
         for _ in 0..3 {
             let mut x = ws.take_scratch(n, 8);
             zgesv_into(&a, &b, &mut x, &ws).unwrap();
