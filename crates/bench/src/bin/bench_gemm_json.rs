@@ -9,11 +9,15 @@
 //! path with the kernel passed down), and gate the within-binary
 //! `kernel_speedup` (variant vs scalar) through `check_bench` — the row
 //! that keeps the explicit AVX-512 tile; the absolute GF/s are not gated.
+//! The `kind: "small"` entries are a ledger, not a gate: the shapes the
+//! interior solvers' small products have, dense and 10 %-filled, through
+//! the direct loop and through the packed path (`gemm_on_path`) — what
+//! `docs/linalg.md` cites for leaving `SMALL_MNK` where it is.
 //! Run with `cargo run --release -p qtx-bench --bin bench_gemm_json
 //! [output-path] [--quick]`.
 
 use qtx_bench::{print_table, Row};
-use qtx_linalg::gemm::gemm_with;
+use qtx_linalg::gemm::{gemm_on_path, gemm_with};
 use qtx_linalg::kernel::kernel_of;
 use qtx_linalg::{available_variants, gemm, Complex64, KernelVariant, Op, ZMat};
 use std::fmt::Write as _;
@@ -154,6 +158,58 @@ fn main() {
             rows.push(Row::new(
                 format!("ukr {} {n}x{n}", v.name()),
                 vec![t * 1e3, t_scalar * 1e3, t_scalar / t, gflops],
+            ));
+        }
+    }
+    // Small products as the interior solvers issue them (m × n × k): the
+    // direct loop against the packed path, on dense operands and on ones
+    // with one entry in ten kept — the direct loop skips exact zeros of B.
+    for (m, n, k) in
+        [(16, 16, 16), (20, 20, 20), (24, 30, 18), (58, 58, 32), (90, 27, 90), (252, 16, 252)]
+    {
+        for (fill, tag) in [(1.0, "dense"), (0.1, "fill10")] {
+            let thin = |rows: usize, cols: usize, seed: u64| {
+                let (dense, keep) =
+                    (ZMat::random(rows, cols, seed), ZMat::random(rows, cols, seed + 50));
+                // `random` draws from [−1, 1): keep an entry with probability `fill`.
+                ZMat::from_fn(rows, cols, |r, c| {
+                    if (keep[(r, c)].re + 1.0) / 2.0 < fill {
+                        dense[(r, c)]
+                    } else {
+                        Complex64::ZERO
+                    }
+                })
+            };
+            let (a, b) = (thin(m, k, 11), thin(k, n, 12));
+            let mut c = ZMat::zeros(m, n);
+            // Enough repetitions of a µs-scale product for the clock.
+            let inner = (4_000_000 / (m * n * k)).max(1);
+            let mut time = |packed: bool| {
+                let (one, zero) = (Complex64::ONE, Complex64::ZERO);
+                let (a, b) = (a.view(), b.view());
+                median_secs(
+                    || {
+                        for _ in 0..inner {
+                            gemm_on_path(packed, one, a, Op::None, b, Op::None, zero, c.view_mut());
+                        }
+                    },
+                    15,
+                ) / inner as f64
+            };
+            let (t_direct, t_packed) = (time(false), time(true));
+            let gflops = |t: f64| 8.0 * (m * n * k) as f64 / t / 1e9;
+            let _ = writeln!(
+                entries,
+                "    {{\"kind\": \"small\", \"name\": \"{m}x{n}x{k}-{tag}\", \"optional\": true, \"direct_us\": {:.3}, \"packed_us\": {:.3}, \"direct_gflops\": {:.2}, \"packed_gflops\": {:.2}, \"direct_over_packed\": {:.3}}},",
+                t_direct * 1e6,
+                t_packed * 1e6,
+                gflops(t_direct),
+                gflops(t_packed),
+                t_direct / t_packed
+            );
+            rows.push(Row::new(
+                format!("small {m}x{n}x{k} {tag}"),
+                vec![t_packed * 1e3, t_direct * 1e3, t_direct / t_packed, gflops(t_packed)],
             ));
         }
     }

@@ -58,13 +58,13 @@ fn random_system(nb: usize, s: usize, m: usize, seed: u64) -> ObcSystem {
 
 /// The `nw_long_interior` shape: `s` = 90, each coupling on a 24 × 18
 /// support (the last 24 orbitals of a slab reach the first 18 of the
-/// next), each Σ on the rows its lead's coupling touches, six injected
-/// modes.
+/// next), each Σ and its three injection columns on the rows its lead's
+/// coupling touches.
 fn long_wire_system(nb: usize) -> ObcSystem {
     let s = 90;
     let mut sys = random_system(nb, s, 3, 7);
     let keep = |m: &ZMat, rows: std::ops::Range<usize>, cols: std::ops::Range<usize>| {
-        ZMat::from_fn(s, s, |r, c| {
+        ZMat::from_fn(s, m.cols(), |r, c| {
             if rows.contains(&r) && cols.contains(&c) {
                 m[(r, c)]
             } else {
@@ -78,6 +78,8 @@ fn long_wire_system(nb: usize) -> ObcSystem {
     }
     sys.sigma_l = keep(&sys.sigma_l.dense(), 0..18, 0..s).into();
     sys.sigma_r = keep(&sys.sigma_r.dense(), s - 24..s, 0..s).into();
+    sys.rhs_top = keep(&sys.rhs_top, 0..18, 0..s);
+    sys.rhs_bottom = keep(&sys.rhs_bottom, s - 24..s, 0..s);
     sys
 }
 

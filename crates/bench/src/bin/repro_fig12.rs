@@ -25,8 +25,9 @@ fn main() {
         &rows,
     );
 
-    // (b) real kernel activity of one energy point on 4 virtual GPUs.
-    let spec = DeviceBuilder::nanowire(1.0).cells(16).basis(BasisKind::TightBinding).build();
+    // (b) real kernel activity of one energy point on 4 virtual GPUs: a
+    // 48-cell wire, which the partition plan leaves at two partitions.
+    let spec = DeviceBuilder::nanowire(1.0).cells(48).basis(BasisKind::TightBinding).build();
     let mut dev = Device::build(spec).expect("device");
     dev.config.solver = SolverKind::SplitSolve { partitions: 2 };
     let dk = dev.at_kz(0.0);

@@ -10,7 +10,10 @@ use qtx_core::{Device, PointPolicy, TransportEngine};
 use qtx_solver::SolverKind;
 
 fn main() {
-    let spec = DeviceBuilder::nanowire(1.0).cells(16).basis(BasisKind::TightBinding).build();
+    // 48 cells: long enough that the partition plan
+    // (`SplitSolve::for_chain`) leaves the chain at the two partitions the
+    // figure shows — at 16 it would run one and print no merge phase.
+    let spec = DeviceBuilder::nanowire(1.0).cells(48).basis(BasisKind::TightBinding).build();
     let mut dev = Device::build(spec).expect("device");
     dev.config.solver = SolverKind::SplitSolve { partitions: 2 };
     let dk = dev.at_kz(0.0);

@@ -6,14 +6,15 @@ use qtx_cp2k::{Cp2kRun, Functional, HsFile};
 use qtx_linalg::{c64, Complex64, Result, ZMat};
 use qtx_obc::{LeadBlocks, ObcMethod};
 use qtx_solver::SolverKind;
-use qtx_sparse::{BlockChain, Btd, CouplingSupport, EsMinusH};
+use qtx_sparse::{BlockChain, BlockSupport, Btd, ChainSupport, CouplingSupport, EsMinusH};
 
 /// Runtime configuration of the transport engine.
 #[derive(Debug, Clone, Copy)]
 pub struct TransportConfig {
     /// OBC algorithm (FEAST by default — the production path).
     pub obc: ObcMethod,
-    /// Eq. 5 solver (SplitSolve by default).
+    /// Eq. 5 solver (SplitSolve on at most two partitions by default; the
+    /// chain's shape decides whether it is cut at all).
     pub solver: SolverKind,
     /// Electron temperature (K).
     pub temperature: f64,
@@ -223,6 +224,22 @@ impl DeviceK {
     /// caller solving many points computes them once.
     pub fn coupling_support(&self) -> Vec<CouplingSupport> {
         self.pencil(0.0, 0.0).coupling_support()
+    }
+
+    /// Everything structural an interior solve reads, for every energy and
+    /// broadening: [`Self::coupling_support`] plus the rows of the first
+    /// and last slab the contacts can touch. `Σ_L = T10·X` and
+    /// `Inj_L = −T10·λ⁻¹u − Σ_L·u` live on the rows of
+    /// `T10 = z·S01ᴴ − H01ᴴ` of the left lead, i.e. the columns `S01` and
+    /// `H01` occupy; `Σ_R` and `Inj_R` on the rows of the right lead's
+    /// `T01`.
+    pub fn chain_support(&self) -> ChainSupport {
+        let lead_coupling = |lead: &LeadBlocks| BlockSupport::of(&[&lead.s01, &lead.h01]);
+        ChainSupport {
+            coupling: self.coupling_support(),
+            contact_l: lead_coupling(&self.lead_l).cols,
+            contact_r: lead_coupling(&self.lead_r).rows,
+        }
     }
 }
 

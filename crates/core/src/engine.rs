@@ -39,7 +39,7 @@ use crate::transport::{
 use qtx_accel::AccelRuntime;
 use qtx_linalg::ZMat;
 use qtx_obc::Side;
-use qtx_sparse::{CompressedSigma, CouplingSupport};
+use qtx_sparse::{ChainSupport, CompressedSigma};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
@@ -190,15 +190,15 @@ impl TransportEngineBuilder {
 }
 
 /// A folded device at one `kz` with what the engine derives from it once:
-/// its per-lead cache handle and, on first use by a point, the coupling
-/// supports of its block chain (energy-independent) — the one memo every
-/// interior solve on this device reads, wave-function and Caroli route,
-/// point solve and sweep alike.
+/// its per-lead cache handle and, on first use by a point, the structure
+/// of its block chain — coupling supports and contact rows, both
+/// energy-independent — the one memo every interior solve on this device
+/// reads, wave-function and Caroli route, point solve and sweep alike.
 #[derive(Clone)]
 pub(crate) struct FoldedK {
     pub(crate) dk: Arc<DeviceK>,
     handle: Option<CacheHandle>,
-    support: Arc<OnceLock<Vec<CouplingSupport>>>,
+    support: Arc<OnceLock<ChainSupport>>,
 }
 
 impl FoldedK {
@@ -207,8 +207,8 @@ impl FoldedK {
         FoldedK { dk, handle, support: Arc::default() }
     }
 
-    pub(crate) fn support(&self) -> &[CouplingSupport] {
-        self.support.get_or_init(|| self.dk.coupling_support())
+    pub(crate) fn support(&self) -> &ChainSupport {
+        self.support.get_or_init(|| self.dk.chain_support())
     }
 }
 
@@ -429,7 +429,8 @@ impl TransportEngine {
         let (sigma_l, sigma_r): (CompressedSigma, CompressedSigma) =
             (sigma_l.into(), sigma_r.into());
         let contacts = [(&sigma_l, &[][..]), (&sigma_r, &[][..])];
-        let t = transport::caroli_streamed(dk, e, 0.0, contacts, folded.support()).ok()?;
+        let t =
+            transport::caroli_streamed(dk, e, 0.0, contacts, &folded.support().coupling).ok()?;
         let (sigma_l, sigma_r) = (sigma_l.into_dense(), sigma_r.into_dense());
         let result = EnergyPointResult::caroli_only(e, dk.kz, t, (0, 0), sigma_l, sigma_r);
         let mut rs = RobustSolve::solved(result, METHOD_CACHE_INTERP, ms_since(start));

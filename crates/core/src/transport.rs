@@ -6,20 +6,30 @@
 //! then the interior solve consumes them. The paper overlaps the two —
 //! Step 1 of SplitSolve only needs `A = E·S − H`, so it runs on the GPUs
 //! while FEAST produces the boundary conditions on the CPUs (Fig. 6's
-//! timeline) — this code does not. The only overlap is between points: a
-//! batched sweep with a Σ-cache splits each chunk into a Σ-prefetch task
-//! and a dependent interior task, so one chunk's OBC work runs beside
-//! another's interior solves on the pool (`sweep.rs`).
+//! timeline) — this code does not, although Step 1 here is just as free
+//! of Σ and Inj (it reads the contact *rows*, which are structural): on
+//! the two cores this code is measured on FEAST already spreads its
+//! quadrature nodes over both and a sweep already runs two points
+//! abreast, so there is no idle core for a second stage to fill. The only
+//! overlap is between points: a batched sweep with a Σ-cache splits each
+//! chunk into a Σ-prefetch task and a dependent interior task, so one
+//! chunk's OBC work runs beside another's interior solves on the pool
+//! (`sweep.rs`).
 //!
 //! Neither route to the transmission assembles `A`: the pencil
 //! `(E + iη)·S − H` is streamed block by block ([`DeviceK::pencil`]) into
 //! an elimination that touches each coupling block on its structural
-//! support only ([`DeviceK::coupling_support`], energy-independent — the
-//! engine computes it once per folded device and hands it down):
+//! support only and each contact on the rows its lead coupling reaches
+//! ([`DeviceK::chain_support`], energy-independent — the engine computes
+//! it once per folded device and hands it down):
 //!
 //! * **Wave function** (Eq. 5): SplitSolve's two elimination sweeps per
 //!   partition keep `Q = A⁻¹B` as thin multipliers and apply it to the
-//!   injection columns ([`qtx_solver::SplitSolve::solve_chain_ws`]); the
+//!   injection columns ([`qtx_solver::SplitSolve::solve_chain_ws`]).
+//!   `SolverKind::SplitSolve { partitions }` is an upper bound: how many
+//!   partitions the chain is cut into is
+//!   [`qtx_solver::SplitSolve::for_chain`]'s plan, a function of the
+//!   chain's shape alone, so a record stays a function of its point. The
 //!   outgoing block is projected on the lead modes and `|t|²` summed over
 //!   propagating channels (flux-normalized modes make the amplitudes
 //!   probabilities directly). The residual `‖T·ψ − Inj‖_max` is read off
@@ -46,7 +56,7 @@ use qtx_solver::{
     bcr_solve, btd_lu_solve_ws, caroli_sweep_contacts, BoundaryTerms, CaroliContact, ObcSystem,
     SolverKind, SplitSolve, Workspace,
 };
-use qtx_sparse::{BlockChain, CompressedSigma, CouplingSupport};
+use qtx_sparse::{BlockChain, ChainSupport, CompressedSigma, CouplingSupport};
 use std::time::Instant;
 
 thread_local! {
@@ -129,10 +139,10 @@ fn project_onto_modes(modes: &[ModeSet], block: &[Complex64]) -> Vec<Complex64> 
 /// The raw single-attempt entry: builds both lead self-energies (through
 /// the cache when a handle is given) and runs the Eq. 5 solve with the
 /// configured method at exact energy. `support` is
-/// [`DeviceK::coupling_support`] of `dk`.
+/// [`DeviceK::chain_support`] of `dk`.
 pub(crate) fn solve_point_direct_on(
     dk: &DeviceK,
-    support: &[CouplingSupport],
+    support: &ChainSupport,
     e: f64,
     cfg: &TransportConfig,
     rt: Option<&AccelRuntime>,
@@ -144,7 +154,7 @@ pub(crate) fn solve_point_direct_on(
     Ok(states.into_point(obc_l.sigma, obc_r.sigma).0)
 }
 
-/// [`solve_point_direct_on`] deriving the coupling supports on the spot —
+/// [`solve_point_direct_on`] deriving the chain's structure on the spot —
 /// for one-shot callers; anything solving many points on one folded
 /// device computes them once.
 pub(crate) fn solve_point_direct(
@@ -154,7 +164,7 @@ pub(crate) fn solve_point_direct(
     rt: Option<&AccelRuntime>,
     cache: Option<&CacheHandle>,
 ) -> TransportResult<EnergyPointResult> {
-    solve_point_direct_on(dk, &dk.coupling_support(), e, cfg, rt, cache)
+    solve_point_direct_on(dk, &dk.chain_support(), e, cfg, rt, cache)
 }
 
 /// Inner solve with precomputed OBCs (lets the sweep reuse them and lets
@@ -173,8 +183,8 @@ pub fn solve_with_obc(
 /// [`solve_with_obc`] at finite broadening `η` (the system becomes
 /// `(E + iη)S − H − Σ`), additionally returning the max-norm residual of
 /// the scattering states — the quality figure the escalation ladder and
-/// the sweep health report record. Derives the coupling supports on the
-/// spot; the engine memoizes them per folded device instead.
+/// the sweep health report record. Derives the chain's structure on the
+/// spot; the engine memoizes it per folded device instead.
 pub fn solve_with_obc_eta(
     dk: &DeviceK,
     e: f64,
@@ -184,7 +194,7 @@ pub fn solve_with_obc_eta(
     obc_r: &ObcResult,
     rt: Option<&AccelRuntime>,
 ) -> TransportResult<(EnergyPointResult, f64)> {
-    let states = scattering_states(dk, &dk.coupling_support(), e, eta, cfg, obc_l, obc_r, rt)?;
+    let states = scattering_states(dk, &dk.chain_support(), e, eta, cfg, obc_l, obc_r, rt)?;
     Ok(states.into_point(obc_l.sigma.clone(), obc_r.sigma.clone()))
 }
 
@@ -227,7 +237,7 @@ impl ScatteringStates {
 #[allow(clippy::too_many_arguments)]
 fn scattering_states(
     dk: &DeviceK,
-    support: &[CouplingSupport],
+    support: &ChainSupport,
     e: f64,
     eta: f64,
     cfg: &TransportConfig,
@@ -253,14 +263,14 @@ fn scattering_states(
     let (psi, residual) = SOLVER_WS.with(|ws| -> TransportResult<(ZMat, f64)> {
         let psi = match cfg.solver {
             SolverKind::SplitSolve { partitions } => {
-                SplitSolve::for_chain(partitions, pencil.num_blocks())
+                SplitSolve::for_chain(partitions, pencil.block_size(), support)
                     .solve_chain_ws(&pencil, support, &boundary, rt, ws)?
                     .0
             }
             SolverKind::BtdLu => btd_lu_solve_ws(&assembled(), ws)?,
             SolverKind::Bcr => bcr_solve(&assembled())?,
         };
-        let residual = chain_residual(&pencil, support, &boundary, &psi, ws);
+        let residual = chain_residual(&pencil, &support.coupling, &boundary, &psi, ws);
         Ok((psi, residual))
     })?;
     let s = pencil.block_size();
@@ -492,7 +502,7 @@ pub(crate) fn solve_point_transmission_only(
     cfg: &TransportConfig,
     cache: Option<&CacheHandle>,
     compress_tol: f64,
-    support: &[CouplingSupport],
+    support: &ChainSupport,
 ) -> TransportResult<(EnergyPointResult, f64)> {
     let (parts_l, parts_r) = cache::self_energy_pair(cache, dk, e, 0.0, cfg.obc, compress_tol)?;
     let bound = parts_l.sigma.bound().max(parts_r.sigma.bound());
@@ -502,7 +512,7 @@ pub(crate) fn solve_point_transmission_only(
     );
     let contacts =
         [(&parts_l.sigma, &parts_l.out_modes[..]), (&parts_r.sigma, &parts_r.out_modes[..])];
-    let t = caroli_streamed(dk, e, 0.0, contacts, support)?;
+    let t = caroli_streamed(dk, e, 0.0, contacts, &support.coupling)?;
     let (sigma_l, sigma_r) = (parts_l.sigma.into_dense(), parts_r.sigma.into_dense());
     Ok((EnergyPointResult::caroli_only(e, dk.kz, t, channels, sigma_l, sigma_r), bound))
 }
@@ -683,7 +693,7 @@ fn ladder_rungs(cfg: &TransportConfig) -> Vec<(u8, f64, ObcMethod)> {
 /// escalated re-solve never aliases the exact-energy entry.
 fn try_rung(
     dk: &DeviceK,
-    support: &[CouplingSupport],
+    support: &ChainSupport,
     e: f64,
     eta: f64,
     method: ObcMethod,
@@ -701,13 +711,14 @@ fn try_rung(
 /// an empty `psi`; observables needing wave functions see zero columns.
 fn decimation_caroli_rung(
     dk: &DeviceK,
-    support: &[CouplingSupport],
+    support: &ChainSupport,
     e: f64,
     cache: Option<&CacheHandle>,
 ) -> TransportResult<EnergyPointResult> {
     let (obc_l, obc_r) =
         cache::self_energy_pair(cache, dk, e, ETA_BUMP, ObcMethod::Decimation, 0.0)?;
-    let t = caroli_streamed(dk, e, ETA_BUMP, [(&obc_l.sigma, &[]), (&obc_r.sigma, &[])], support)?;
+    let contacts = [(&obc_l.sigma, &[][..]), (&obc_r.sigma, &[][..])];
+    let t = caroli_streamed(dk, e, ETA_BUMP, contacts, &support.coupling)?;
     let (sigma_l, sigma_r) = (obc_l.sigma.into_dense(), obc_r.sigma.into_dense());
     Ok(EnergyPointResult::caroli_only(e, dk.kz, t, (0, 0), sigma_l, sigma_r))
 }
@@ -720,7 +731,7 @@ fn decimation_caroli_rung(
 /// only accepted solves are.
 pub(crate) fn solve_point_robust_raw(
     dk: &DeviceK,
-    support: &[CouplingSupport],
+    support: &ChainSupport,
     e: f64,
     cfg: &TransportConfig,
     cache: Option<&CacheHandle>,
@@ -857,7 +868,7 @@ mod tests {
         // dense and for a factored Σ.
         let d = chain_device();
         let dk = d.at_kz(0.0);
-        let support = dk.coupling_support();
+        let support = dk.chain_support();
         let e0 = probe_energies(&dk.lead_l, 1)[0];
         for tol in [0.0, 1e-8] {
             let point = |i: usize| {
@@ -885,7 +896,7 @@ mod tests {
         // grow nor drain it.
         let d = chain_device();
         let dk = d.at_kz(0.0);
-        let support = dk.coupling_support();
+        let support = dk.chain_support();
         let e0 = probe_energies(&dk.lead_l, 1)[0];
         let point = |i: usize| {
             let e = e0 + 1e-3 * (i % 5) as f64;

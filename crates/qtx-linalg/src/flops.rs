@@ -261,9 +261,111 @@ pub mod counts {
         right + left + tip + join
     }
 
+    /// One elimination sweep of `qtx_solver::SplitSolve` over a partition
+    /// whose interior coupling pairs are `couplings` (chain order,
+    /// `(|R_u|, |C_u|, |R_l|, |C_l|)` each), for the partition's first
+    /// block column (`first`: right-connected, eliminating towards the
+    /// first block) or its last. Every block is factored once; every block
+    /// but the head is solved against the non-zero columns of the coupling
+    /// towards the head and pays one Schur product on the supports; the
+    /// head is solved against the `w` unit columns its corner blocks are
+    /// read on; the far corner is carried to the other end on those `w`
+    /// columns, keeping at each block the rows the next one reads.
+    pub fn splitsolve_sweep(
+        s: usize,
+        couplings: &[(usize, usize, usize, usize)],
+        first: bool,
+        w: usize,
+    ) -> u64 {
+        let pairs = couplings.len();
+        // Pair `k` in elimination order: rows and columns of the coupling
+        // entering the Schur update, columns of the one being solved for.
+        let at = |k: usize| {
+            let (ru, cu, rl, cl) = couplings[if first { pairs - 1 - k } else { k }];
+            if first {
+                (ru, cu, cl)
+            } else {
+                (rl, cl, cu)
+            }
+        };
+        let mut total = (pairs as u64 + 1) * zgetrf(s) + zgetrs(s, w);
+        for k in 0..pairs {
+            let (r_in, c_in, c_out) = at(k);
+            total += zgetrs(s, c_out) + zgemm(r_in, c_out, c_in);
+            total += match k {
+                0 => zgemm(s, w, c_out),
+                _ => zgemm(at(k - 1).2, w, c_out),
+            };
+        }
+        total
+    }
+
+    /// The factored-`Q` SplitSolve kernel (`qtx_solver::SplitSolve`) on a
+    /// chain of `couplings.len() + 1` blocks of size `s` cut into
+    /// `partitions` partitions, up to the terms that grow with the number
+    /// of injected columns (Step 4 and the right-hand side of `R`, a few
+    /// percent): per partition the two [`splitsolve_sweep`]s — the
+    /// outermost ones carrying the `contacts = (|κ_l|, |κ_r|)` columns the
+    /// self-energies occupy, the ones facing a neighbour the row support
+    /// of the coupling between them — then per SPIKE merge the tip system
+    /// on the cut pair's supports and the corner products on the merged
+    /// node's `w` outer columns, and `R` on the contact rows. What the
+    /// partition plan compares, and what `SplitSolveReport::flops` is held
+    /// against.
+    pub fn splitsolve_factored(
+        s: usize,
+        couplings: &[(usize, usize, usize, usize)],
+        contacts: (usize, usize),
+        partitions: usize,
+    ) -> u64 {
+        let nb = couplings.len() + 1;
+        let p = partitions.clamp(1, nb);
+        // One node per partition: widths of its first and last corner
+        // column sets and the block it ends before.
+        let mut layer: Vec<(usize, usize, usize)> = Vec::with_capacity(p);
+        let mut total = 0;
+        for k in 0..p {
+            let (start, end) = (k * nb / p, (k + 1) * nb / p);
+            let w_first = if k == 0 { contacts.0 } else { couplings[start - 1].2 };
+            let w_last = if k + 1 == p { contacts.1 } else { couplings[end - 1].0 };
+            let inner = &couplings[start..end - 1];
+            total += splitsolve_sweep(s, inner, true, w_first)
+                + splitsolve_sweep(s, inner, false, w_last);
+            layer.push((w_first, w_last, end));
+        }
+        while layer.len() > 1 {
+            let mut merged = Vec::with_capacity(layer.len().div_ceil(2));
+            for pair in layer.chunks(2) {
+                merged.push(match *pair {
+                    [(w_first, _, cut), (_, w_last, end)] => {
+                        let (ru, cu, rl, cl) = couplings[cut - 1];
+                        let w = w_first + w_last;
+                        total += zgemm(cl, cu, ru)
+                            + zgemm(cu, cl, rl)
+                            + zgemm(cl, cl, cu)
+                            + zgetrf(cl)
+                            + 2 * zgemm(cl, w, cu)
+                            + zgetrs(cl, w)
+                            + zgemm(ru, w, cu)
+                            + zgemm(rl, w, cl)
+                            + zgemm(s, w, ru)
+                            + zgemm(s, w, rl);
+                        (w_first, w_last, end)
+                    }
+                    // An odd node out moves up a level unmerged.
+                    _ => pair[0],
+                });
+            }
+            layer = merged;
+        }
+        let k = contacts.0 + contacts.1;
+        total + zgemm(k, k, s) + zgetrf(k)
+    }
+
     /// What SplitSolve cost while it materialized `Q = A⁻¹·B` as `2·n_b`
-    /// dense `s × s` blocks — the reference the factored-`Q` kernel
-    /// (`qtx_solver::SplitSolve`) is gated against. Per block row: two
+    /// dense `s × s` blocks — kept as the historical baseline of
+    /// `bench_sparse_json`'s `interior` row, which the factored-`Q` kernel
+    /// ([`splitsolve_factored`]) is gated against. Per block row: two
     /// pivot factorizations, two `s`-wide solves and four `s³` products
     /// (Algorithm 1 for the first and the last block column), two more
     /// products per SPIKE merge level, and the `s × 2s × m` expansion of

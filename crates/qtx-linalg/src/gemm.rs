@@ -205,6 +205,34 @@ pub fn gemm_with(
     }
 }
 
+/// One side of [`gemm_with`]'s size dispatch at any (non-empty) shape: the
+/// packed tile loop on the active kernel, or the direct loop. Public
+/// (hidden) for `bench_gemm_json`'s `small` rows, which time the two
+/// against each other on both sides of `SMALL_MNK`; no library code calls
+/// it.
+#[doc(hidden)]
+#[allow(clippy::too_many_arguments)]
+pub fn gemm_on_path(
+    packed: bool,
+    alpha: Complex64,
+    a: ZMatRef<'_>,
+    op_a: Op,
+    b: ZMatRef<'_>,
+    op_b: Op,
+    beta: Complex64,
+    mut c: ZMatMut<'_>,
+) {
+    let (m, ka) = op_a.shape_of(a.rows(), a.cols());
+    let (kb, n) = op_b.shape_of(b.rows(), b.cols());
+    assert!(m * n * ka > 0 && ka == kb, "gemm_on_path wants a non-empty, conforming product");
+    assert_eq!((c.rows(), c.cols()), (m, n), "gemm output shape mismatch");
+    if packed {
+        gemm_tiled(active_kernel(), alpha, a, op_a, b, op_b, beta, &mut c);
+    } else {
+        gemm_direct(alpha, a, op_a, b, op_b, beta, &mut c);
+    }
+}
+
 /// `C ← β·C` (handles the `β = 0`/`β = 1` fast cases). Large dense views
 /// scale in parallel over mutable chunks — no intermediate collection;
 /// strided views fall back to a per-column sweep.

@@ -20,6 +20,10 @@ pub enum SolveError {
     NonFinite { solver: &'static str, count: usize },
     /// A deterministic injected fault at a solver chokepoint.
     Injected { site: &'static str },
+    /// `what` (a self-energy or an injection) has a non-zero entry in
+    /// `row`, which the contact rows handed to the solver exclude — the
+    /// structure and the boundary terms belong to different leads.
+    OutsideContact { what: &'static str, row: usize },
 }
 
 impl SolveError {
@@ -28,7 +32,7 @@ impl SolveError {
         match self {
             SolveError::Linalg(e) => e.is_injected(),
             SolveError::Injected { .. } => true,
-            SolveError::NonFinite { .. } => false,
+            SolveError::NonFinite { .. } | SolveError::OutsideContact { .. } => false,
         }
     }
 }
@@ -47,6 +51,9 @@ impl std::fmt::Display for SolveError {
                 write!(f, "{solver} solution has {count} non-finite entries")
             }
             SolveError::Injected { site } => write!(f, "fault injected at site {site:?}"),
+            SolveError::OutsideContact { what, row } => {
+                write!(f, "{what} occupies row {row}, outside the contact rows of the chain")
+            }
         }
     }
 }

@@ -10,8 +10,10 @@
 //!   decoupling of the OBCs from the big solve (Steps 1–4), Algorithm 1's
 //!   two elimination sweeps per partition — `Q = A⁻¹B` kept as thin
 //!   multipliers on the coupling supports, never formed — and the
-//!   SPIKE-style recursive partition merge of Fig. 6 on corner blocks,
-//!   all accounted on the virtual accelerators of `qtx-accel`.
+//!   SPIKE-style recursive partition merge of Fig. 6 on corner blocks
+//!   carried on the columns their reader uses, the partition count
+//!   planned from the chain's shape, all accounted on the virtual
+//!   accelerators of `qtx-accel`.
 //! * [`btd_lu`] — a MUMPS-like block tri-diagonal direct factorization,
 //!   the sparse-direct baseline of Fig. 8.
 //! * [`bcr`] — block cyclic reduction, OMEN's legacy tight-binding solver
@@ -59,9 +61,11 @@ pub use qtx_linalg::Workspace;
 /// Which solver handles Eq. 5.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SolverKind {
-    /// SplitSolve on `p` accelerator partitions (power of two).
+    /// SplitSolve on at most `partitions` accelerator partitions: the
+    /// engine cuts the chain into as many as [`SplitSolve::for_chain`]
+    /// finds it worth, never more.
     SplitSolve {
-        /// Number of horizontal partitions (Fig. 6's `p/2`).
+        /// Upper bound on the horizontal partitions (Fig. 6's `p/2`).
         partitions: usize,
     },
     /// MUMPS-like block tri-diagonal LU.

@@ -10,38 +10,51 @@
 //! x = Q·(b′ + z),   (1 − C·Q)·z = C·Q·b′,   Q = A⁻¹·B
 //! ```
 //!
-//! where `Q` is made of the first and last block columns of `G = A⁻¹`.
-//! Those columns are `2·n_b` dense `s × s` blocks, but the scheme only
-//! ever *reads* the four corner blocks `G_00, G_0N, G_N0, G_NN` (to build
-//! `R = 1 − C·Q` and `C·Q·b′`) and only ever *applies* the columns to the
-//! `m` injection vectors. So `Q` stays factored:
+//! where `Q` is made of the first and last block columns of `G = A⁻¹` —
+//! and of those only the columns `κ_l`, `κ_r` the contacts occupy
+//! ([`ChainSupport::contact_l`], [`ChainSupport::contact_r`]: the row
+//! support of the lead coupling, which `Σ` and `Inj` cannot leave). The
+//! scheme only ever *reads* the four corner blocks `G_00[:, κ_l]`,
+//! `G_0N[:, κ_r]`, `G_N0[:, κ_l]`, `G_NN[:, κ_r]` (to build `R = 1 − C·Q`
+//! and `C·Q·b′`) and only ever *applies* the columns to the `m` injection
+//! vectors. So `Q` stays factored, and nothing is carried on a column no
+//! one reads:
 //!
-//! 1. **Step 1** (preprocessing, independent of `Σ^RB` and `Inj`): per
-//!    partition, two mirrored elimination sweeps — Fig. 6's "two
-//!    independent sweeps per partition". The right-connected sweep
+//! 1. **Step 1** (preprocessing, independent of `Σ^RB` and `Inj`: the
+//!    contact sets are structural): per partition, two mirrored
+//!    elimination sweeps — Fig. 6's "two independent sweeps per
+//!    partition". The right-connected sweep
 //!    (`D̃_i = D_i − U_i·D̃_{i+1}⁻¹·L_i`, for the first block column) and
 //!    the left-connected one (`D̃_i = D_i − L_{i−1}·D̃_{i−1}⁻¹·U_{i−1}`,
 //!    for the last) factor every pivot block once with pivoted LU and
 //!    keep only the thin multipliers `X̂_i = D̃_i⁻¹·L_{i−1}[:, C_l]` /
 //!    `Ŷ_i = D̃_i⁻¹·U_i[:, C_u]` on the structural column support of the
 //!    coupling ([`CouplingSupport`]); the Schur update touches
-//!    `U_i[R_u, C_u]·X̂_{i+1}[C_u, :]` only. `G_{i,0} = −X̂_i·G_{i−1,0}[C_l, :]`
-//!    then gives the far corner from the head inverse through a
-//!    `|C| × |C| × s` row-restricted chain. Partitions are merged
-//!    SPIKE-style on their corner blocks alone: one `|C_l| × |C_l|` tip
-//!    system and a few `s × |C| × s` products per level, whatever the
-//!    partition length.
-//! 2. **Steps 2–3**: `R` and `C·Q·b′` from the root's corner blocks,
-//!    restricted to the rows `Σ^RB` really occupies; one small solve.
+//!    `U_i[R_u, C_u]·X̂_{i+1}[C_u, :]` only. Each sweep knows the one column
+//!    set `cols` its corner blocks are ever read on — `κ` for the two
+//!    outermost sweeps, the row support `R_l` / `R_u` of the coupling to
+//!    the neighbour partition for the others — so its head inverse is
+//!    `D̃_head⁻¹·E_cols` (`s × |cols|`, not a solve against the identity)
+//!    and `G_{i,0}[:, cols] = −X̂_i·G_{i−1,0}[C_l, cols]` gives the far
+//!    corner through a `|C| × |C| × |cols|` row-restricted chain.
+//!    Partitions are merged SPIKE-style on these corner blocks alone: one
+//!    `|C_l| × |C_l|` tip system and a few `s × |support| × |cols|`
+//!    products per level, whatever the partition length. A one-partition
+//!    run has no merge at all.
+//! 2. **Steps 2–3**: `R` and `C·Q·b′` from the root's corner blocks, on
+//!    the contact rows; one small solve.
 //! 3. **Step 4**: `Q·(b′ + z)` walks the merge tree top-down — each node
-//!    turns the panels entering its first and last rows into the panels
-//!    entering its children's — and every leaf finishes with one `m`-wide
-//!    panel sweep per column, `x_i = −X̂_i·x_{i−1}[C_l, :]`.
+//!    turns the panels entering its first and last rows (held on their
+//!    column sets) into the panels entering its children's — and every
+//!    leaf finishes with one `m`-wide panel sweep per column,
+//!    `x_i = −X̂_i·x_{i−1}[C_l, :]`.
 //!
-//! A dense coupling is the same code at full width. The chain is read
-//! through [`BlockChain`], so the pencil `(E + iη)·S − H` streams in block
-//! by block and `A` is never assembled. See `docs/solver.md` for the
-//! ledger.
+//! How many partitions a chain is worth is a function of its shape:
+//! [`SplitSolve::for_chain`] compares [`counts::splitsolve_factored`] at
+//! the candidate counts. A dense coupling is the same code at full width.
+//! The chain is read through [`BlockChain`], so the pencil
+//! `(E + iη)·S − H` streams in block by block and `A` is never assembled.
+//! See `docs/solver.md` for the ledger.
 
 use crate::error::{SolveError, SolveOutcome};
 use crate::system::ObcSystem;
@@ -51,7 +64,7 @@ use qtx_linalg::{
     fault, gemm_into, lu_factor_owned_ws, Complex64, FlopScope, LuFactors, Op, Workspace, ZMat,
     ZMatRef,
 };
-use qtx_sparse::{BlockChain, BlockSupport, CouplingSupport};
+use qtx_sparse::{BlockChain, BlockSupport, ChainSupport, CouplingSupport};
 use rayon::prelude::*;
 use std::ops::Range;
 
@@ -70,6 +83,16 @@ pub(crate) fn fans_out(flops_each: u64) -> bool {
     flops_each >= FAN_OUT_MIN_FLOPS
 }
 
+/// What partitioning may add to the modelled one-partition solve — the
+/// merges, the extra head solves and corner chains — before
+/// [`SplitSolve::for_chain`] halves the partition count: 1/64. Cutting a
+/// chain buys no arithmetic (the sweeps factor the same blocks either
+/// way), only more independent sweeps, so it is taken where it is all but
+/// free. The benchmark's devices sit well away from the line on either
+/// side: 0.3 % on the 128-block wire, 3–5 % on the 8-block small-block
+/// devices, 22 % on the 6-block DFT wire.
+const MERGE_BUDGET_DIV: u64 = 64;
+
 /// SplitSolve driver.
 #[derive(Debug, Clone)]
 pub struct SplitSolve {
@@ -85,7 +108,10 @@ pub struct SplitSolveReport {
     /// Real double-precision operations this solve executed, on whichever
     /// threads its sweeps ran — and no one else's.
     pub flops: u64,
-    /// Number of SPIKE merge levels (log₂ partitions).
+    /// Partitions the chain was cut into: the solver's count, or the
+    /// chain's block count when that is smaller.
+    pub partitions: usize,
+    /// SPIKE merge levels performed (⌈log₂ `partitions`⌉).
     pub spike_levels: usize,
 }
 
@@ -104,20 +130,35 @@ pub struct BoundaryTerms<'a> {
 }
 
 impl SplitSolve {
-    /// Creates a solver over `partitions` partitions (power of two).
+    /// Creates a solver over exactly `partitions` partitions (power of
+    /// two; a chain with fewer blocks is cut into one partition a block).
     pub fn new(partitions: usize) -> Self {
         assert!(partitions >= 1 && partitions.is_power_of_two(), "partitions must be 2^k");
         SplitSolve { partitions }
     }
 
-    /// The solver a request for `requested` partitions runs as on a chain
-    /// of `nb` blocks: the largest power of two that is at most
-    /// `requested` and leaves room for the merge (half the chain length,
-    /// rounded up to a power of two), and at least one.
-    pub fn for_chain(requested: usize, nb: usize) -> Self {
-        let p = requested.min(nb.next_power_of_two() / 2).max(1);
-        let p = if p.is_power_of_two() { p } else { 1 };
-        SplitSolve::new(p.min(nb.max(1)))
+    /// The partition plan: the solver a chain of `s × s` blocks with the
+    /// structure `support` is worth, given that the caller allows
+    /// `at_most` partitions. It is the largest power of two that is at
+    /// most `at_most`, leaves room for the merge (half the chain length,
+    /// rounded up to a power of two) and whose modelled cost
+    /// ([`counts::splitsolve_factored`]) exceeds the one-partition solve's
+    /// by no more than 1/64 — merging two halves of a short chain of wide
+    /// blocks is a visible share of the solve, of a long thin one next to
+    /// nothing. A function of the chain's shape alone: no thread count, no
+    /// energy, no right-hand side enters.
+    pub fn for_chain(at_most: usize, s: usize, support: &ChainSupport) -> Self {
+        let nb = support.num_blocks();
+        let clamp = at_most.min(nb.next_power_of_two() / 2).max(1);
+        let mut p = 1 << clamp.ilog2();
+        let dims = support.dims();
+        let contacts = (support.contact_l.len(), support.contact_r.len());
+        let cost = |p: usize| counts::splitsolve_factored(s, &dims, contacts, p);
+        let whole = cost(1);
+        while p > 1 && cost(p).saturating_sub(whole) * MERGE_BUDGET_DIV > whole {
+            p /= 2;
+        }
+        SplitSolve::new(p)
     }
 
     /// Solves Eq. 5 and returns the dense solution (`N_SS × m`) plus the
@@ -133,9 +174,11 @@ impl SplitSolve {
 
     /// [`SplitSolve::solve`] borrowing every temporary from `ws`: callers
     /// looping over energy points hand in one workspace and warm solves
-    /// allocate nothing. The coupling supports are derived from `sys.a`;
-    /// a caller that sweeps energies over one device computes them once
-    /// and calls [`SplitSolve::solve_chain_ws`].
+    /// allocate nothing. The structure is derived from the system itself
+    /// ([`ObcSystem::chain_support`]: the coupling supports of `sys.a`,
+    /// the rows its own Σ and Inj occupy); a caller that sweeps energies
+    /// over one device computes it once and calls
+    /// [`SplitSolve::solve_chain_ws`].
     pub fn solve_ws(
         &self,
         sys: &ObcSystem,
@@ -151,27 +194,32 @@ impl SplitSolve {
             rhs_top: &sys.rhs_top,
             rhs_bottom: &sys.rhs_bottom,
         };
-        self.solve_chain_ws(&sys.a, &sys.a.coupling_support(), &boundary, rt, ws)
+        self.solve_chain_ws(&sys.a, &sys.chain_support(), &boundary, rt, ws)
     }
 
     /// Eq. 5 on a streamed chain: `chain` is `A` read block by block (an
     /// assembled [`qtx_sparse::Btd`] or the pencil `z·S − H`, bit for bit
-    /// the same result), `support` its coupling supports
-    /// ([`BlockChain::coupling_support`], energy-independent for a
-    /// pencil).
+    /// the same result), `support` its structure — the coupling supports
+    /// and the contact rows, energy-independent for a pencil. A
+    /// self-energy or injection entry outside its contact rows is
+    /// [`SolveError::OutsideContact`].
     pub fn solve_chain_ws<C: BlockChain + Sync>(
         &self,
         chain: &C,
-        support: &[CouplingSupport],
+        support: &ChainSupport,
         boundary: &BoundaryTerms<'_>,
         rt: Option<&AccelRuntime>,
         ws: &Workspace,
     ) -> SolveOutcome<(ZMat, SplitSolveReport)> {
         let (nb, s) = (chain.num_blocks(), chain.block_size());
         assert!(nb >= 1, "a chain has at least one block");
-        assert_eq!(support.len() + 1, nb, "one coupling support per adjacent block pair");
+        assert_eq!(support.num_blocks(), nb, "one coupling support per adjacent block pair");
         for sigma in [boundary.sigma_l, boundary.sigma_r] {
             assert_eq!((sigma.rows(), sigma.cols()), (s, s), "self-energy / block size mismatch");
+        }
+        for contact in [&support.contact_l, &support.contact_r] {
+            let sorted = contact.windows(2).all(|w| w[0] < w[1]);
+            assert!(sorted && contact.last().is_none_or(|&r| r < s), "contact rows: {contact:?}");
         }
         // Fault-injection chokepoint: keyed on the system content (the
         // diagonal carries E·S − H, the corners carry Σ(E + iη)), so a
@@ -183,7 +231,8 @@ impl SplitSolve {
             return Err(SolveError::Injected { site: "splitsolve" });
         }
         let ctx = Ctx { chain, support, rt, ws, s };
-        let (mut root, step1_flops) = self.factor(&ctx)?;
+        let partitions = self.partitions.min(nb);
+        let (root, step1_flops) = factor(&ctx, partitions)?;
         // Steps 2–4 start once Σ/Inj are available.
         let scope = FlopScope::start();
         let x = woodbury_panels(&ctx, root.corners(), boundary).map(|(w_top, w_bot)| {
@@ -196,7 +245,8 @@ impl SplitSolve {
         let report = SplitSolveReport {
             virtual_seconds: rt.map_or(0.0, AccelRuntime::sync),
             flops: step1_flops + scope.elapsed(),
-            spike_levels: self.partitions.trailing_zeros() as usize,
+            partitions,
+            spike_levels: partitions.next_power_of_two().trailing_zeros() as usize,
         };
         // A singular-looking A can survive the pivoted factorizations and
         // still emit garbage; catch it before it reaches the transmission
@@ -207,91 +257,91 @@ impl SplitSolve {
         }
         Ok((x, report))
     }
+}
 
-    /// Step 1 — preprocessing, independent of Σ and Inj: the partition
-    /// sweeps (phases P1–P4 of Fig. 6: the first-column sweep of partition
-    /// `k` on device `2k`, the last-column sweep on `2k + 1`) and the
-    /// recursive SPIKE merge. Returns the merge tree and the operations
-    /// spent, summed over the threads the sweeps ran on.
-    fn factor<C: BlockChain + Sync>(&self, ctx: &Ctx<'_, C>) -> SolveOutcome<(Node, u64)> {
-        let (nb, s, rt, ws) = (ctx.chain.num_blocks(), ctx.s, ctx.rt, ctx.ws);
-        let p = self.partitions.min(nb);
-        // Every matrix buffer is taken here, on the calling thread, so the
-        // pool sees the same request sequence whichever thread runs which
-        // sweep.
-        let n_dev = rt.map_or(1, AccelRuntime::len);
-        let mut sweeps: Vec<Sweep> = (0..p)
-            .flat_map(|k| {
-                let blocks = k * nb / p..(k + 1) * nb / p;
-                [
-                    Sweep::new(ctx, Column::First, blocks.clone(), (2 * k) % n_dev),
-                    Sweep::new(ctx, Column::Last, blocks, (2 * k + 1) % n_dev),
-                ]
-            })
-            .collect();
-        if let Some(rt) = rt {
-            // Memory model: each partition's share of A plus its
-            // multipliers live on its pair of devices ("A is distributed
-            // over all the available GPUs and stored in their memory").
-            for sw in &sweeps {
-                let a_bytes = 3 * sw.span.len() as u64 * (s * s * 16) as u64 / 2;
-                rt.alloc(sw.dev, a_bytes + (sw.mult.rows() * sw.mult.cols() * 16) as u64);
-                rt.account_overlapped(sw.dev, KernelClass::H2D, a_bytes);
-            }
+/// Step 1 — preprocessing, independent of Σ and Inj — over `p` partitions:
+/// the partition sweeps (phases P1–P4 of Fig. 6: the first-column sweep of
+/// partition `k` on device `2k`, the last-column sweep on `2k + 1`) and the
+/// recursive SPIKE merge. Returns the merge tree and the operations spent,
+/// summed over the threads the sweeps ran on.
+fn factor<C: BlockChain + Sync>(ctx: &Ctx<'_, C>, p: usize) -> SolveOutcome<(Node, u64)> {
+    let (nb, s, rt, ws) = (ctx.chain.num_blocks(), ctx.s, ctx.rt, ctx.ws);
+    // Every matrix buffer is taken here, on the calling thread, so the
+    // pool sees the same request sequence whichever thread runs which
+    // sweep.
+    let n_dev = rt.map_or(1, AccelRuntime::len);
+    let mut sweeps: Vec<Sweep> = (0..p)
+        .flat_map(|k| {
+            let blocks = k * nb / p..(k + 1) * nb / p;
+            [
+                Sweep::new(ctx, Column::First, blocks.clone(), (2 * k) % n_dev),
+                Sweep::new(ctx, Column::Last, blocks, (2 * k + 1) % n_dev),
+            ]
+        })
+        .collect();
+    if let Some(rt) = rt {
+        // Memory model: each partition's share of A plus its
+        // multipliers live on its pair of devices ("A is distributed
+        // over all the available GPUs and stored in their memory").
+        for sw in &sweeps {
+            let a_bytes = 3 * sw.span.len() as u64 * (s * s * 16) as u64 / 2;
+            rt.alloc(sw.dev, a_bytes + (sw.mult.rows() * sw.mult.cols() * 16) as u64);
+            rt.account_overlapped(sw.dev, KernelClass::H2D, a_bytes);
         }
-        let estimate: u64 = sweeps.iter().map(|sw| sw.estimated_flops(ctx)).sum();
-        let ran: SolveOutcome<Vec<u64>> = if fans_out(estimate / sweeps.len() as u64) {
-            sweeps.par_iter_mut().map(|sw| sw.run(ctx)).collect()
-        } else {
-            sweeps.iter_mut().map(|sw| sw.run(ctx)).collect()
-        };
-        let sweep_flops: u64 = match ran {
-            Ok(counts) => counts.iter().sum(),
-            Err(e) => {
-                sweeps.into_iter().for_each(|sw| sw.recycle(ws));
-                return Err(e);
-            }
-        };
+    }
+    let dims = ctx.support.dims();
+    let estimate: u64 = sweeps.iter().map(|sw| sw.estimated_flops(s, &dims)).sum();
+    let ran: SolveOutcome<Vec<u64>> = if fans_out(estimate / sweeps.len() as u64) {
+        sweeps.par_iter_mut().map(|sw| sw.run(ctx)).collect()
+    } else {
+        sweeps.iter_mut().map(|sw| sw.run(ctx)).collect()
+    };
+    let sweep_flops: u64 = match ran {
+        Ok(counts) => counts.iter().sum(),
+        Err(e) => {
+            sweeps.into_iter().for_each(|sw| sw.recycle(ws));
+            return Err(e);
+        }
+    };
+    if let Some(rt) = rt {
+        rt.sync();
+    }
+    // Recursive SPIKE merge: ⌈log₂ p⌉ levels of constant work each, on
+    // this thread.
+    let scope = FlopScope::start();
+    let mut layer: Vec<Node> = Vec::with_capacity(p);
+    let mut it = sweeps.into_iter();
+    while let (Some(first), Some(last)) = (it.next(), it.next()) {
+        layer.push(Node::Leaf { first, last });
+    }
+    while layer.len() > 1 {
+        let mut merged = Vec::with_capacity(layer.len().div_ceil(2));
+        let mut it = layer.into_iter();
+        while let Some(left) = it.next() {
+            merged.push(match it.next() {
+                Some(right) => match Node::merge(ctx, left, right) {
+                    Ok(node) => node,
+                    Err(e) => {
+                        merged.into_iter().chain(it).for_each(|n| n.recycle(ws));
+                        return Err(e);
+                    }
+                },
+                None => left,
+            });
+        }
+        layer = merged;
         if let Some(rt) = rt {
             rt.sync();
         }
-        // Recursive SPIKE merge: log₂ p levels of constant work each, on
-        // this thread.
-        let scope = FlopScope::start();
-        let mut layer: Vec<Node> = Vec::with_capacity(p);
-        let mut it = sweeps.into_iter();
-        while let (Some(first), Some(last)) = (it.next(), it.next()) {
-            layer.push(Node::Leaf { first, last });
-        }
-        while layer.len() > 1 {
-            let mut merged = Vec::with_capacity(layer.len().div_ceil(2));
-            let mut it = layer.into_iter();
-            while let Some(left) = it.next() {
-                merged.push(match it.next() {
-                    Some(right) => match Node::merge(ctx, left, right) {
-                        Ok(node) => node,
-                        Err(e) => {
-                            merged.into_iter().chain(it).for_each(|n| n.recycle(ws));
-                            return Err(e);
-                        }
-                    },
-                    None => left,
-                });
-            }
-            layer = merged;
-            if let Some(rt) = rt {
-                rt.sync();
-            }
-        }
-        let root = layer.pop().expect("at least one partition");
-        Ok((root, sweep_flops + scope.elapsed()))
     }
+    let root = layer.pop().expect("at least one partition");
+    Ok((root, sweep_flops + scope.elapsed()))
 }
 
 /// What every phase of one solve shares.
 struct Ctx<'a, C> {
     chain: &'a C,
-    support: &'a [CouplingSupport],
+    support: &'a ChainSupport,
     rt: Option<&'a AccelRuntime>,
     ws: &'a Workspace,
     /// Block size.
@@ -313,30 +363,10 @@ impl<C> Ctx<'_, C> {
         c
     }
 
-    /// Pooled copy of `src[rows, cols]`.
-    fn gather(&self, src: &ZMat, rows: &[usize], cols: &[usize]) -> ZMat {
-        let mut out = self.ws.take_scratch(rows.len(), cols.len());
-        for (j, &c) in cols.iter().enumerate() {
-            for (d, &r) in out.col_mut(j).iter_mut().zip(rows) {
-                *d = src.col(c)[r];
-            }
-        }
-        out
-    }
-
     /// Pooled copy of `src[rows, :]`.
     fn rows_of(&self, src: &ZMat, rows: &[usize]) -> ZMat {
         let mut out = self.ws.take_scratch(rows.len(), src.cols());
         gather_rows_into(&mut out, src.view(), rows);
-        out
-    }
-
-    /// Pooled copy of `src[:, cols]`.
-    fn cols_of(&self, src: &ZMat, cols: &[usize]) -> ZMat {
-        let mut out = self.ws.take_scratch(src.rows(), cols.len());
-        for (j, &c) in cols.iter().enumerate() {
-            out.col_mut(j).copy_from_slice(src.col(c));
-        }
         out
     }
 }
@@ -426,14 +456,33 @@ impl Span {
 
     /// `C_k`: the rows of position `k + 1` that position `k` reads.
     fn cols<'a, C>(&self, ctx: &Ctx<'a, C>, k: usize) -> &'a [usize] {
-        &self.column.sides(&ctx.support[self.pair(k)]).1.cols
+        &self.column.sides(&ctx.support.coupling[self.pair(k)]).1.cols
+    }
+
+    /// The columns the corner blocks of this block column are read on:
+    /// the contact rows when the head is an end of the chain, else the row
+    /// support of the coupling that reaches the head from the neighbour
+    /// partition (`L` for a first column, `U` for a last one).
+    fn corner_cols<'a, C>(&self, ctx: &Ctx<'a, C>) -> &'a [usize] {
+        let support = ctx.support;
+        match self.column {
+            Column::First => match self.blocks.start.checked_sub(1) {
+                None => &support.contact_l,
+                Some(pair) => &support.coupling[pair].lower.rows,
+            },
+            Column::Last => match support.coupling.get(self.blocks.end - 1) {
+                None => &support.contact_r,
+                Some(pair) => &pair.upper.rows,
+            },
+        }
     }
 }
 
 /// One elimination sweep over a partition and what it leaves behind: the
-/// factored form of one block column of the partition's inverse. With
-/// `M_k = D̃_k⁻¹·Outer_k[:, C_k]` the column's block at position `k` is
-/// `−M_k` times rows `C_k` of its block at position `k + 1`.
+/// factored form of the columns `cols` ([`Span::corner_cols`]) of one
+/// block column of the partition's inverse. With `M_k = D̃_k⁻¹·Outer_k[:, C_k]` the column's
+/// block at position `k` is `−M_k` times rows `C_k` of its block at
+/// position `k + 1`.
 struct Sweep {
     span: Span,
     /// Virtual accelerator charged with this sweep.
@@ -442,12 +491,15 @@ struct Sweep {
     /// columns `offs[k]..offs[k + 1]`.
     mult: ZMat,
     offs: Vec<usize>,
-    /// `D̃_head⁻¹`: the column's corner block on the head's side.
+    /// `D̃_head⁻¹[:, cols]`: the column's corner block on the head's side.
     near: ZMat,
-    /// The column's corner block at the other end of the partition.
+    /// The column's corner block at the other end of the partition, on
+    /// `cols`.
     far: ZMat,
-    /// Pivot block and three gather/product buffers, `s²` entries each.
+    /// Pivot block, `s²` entries.
     d: ZMat,
+    /// Three gather/product buffers, each as large as the widest coupling
+    /// support of the span times the wider of it and `cols`.
     tmp: [ZMat; 3],
 }
 
@@ -460,27 +512,32 @@ impl Sweep {
     fn new<C>(ctx: &Ctx<'_, C>, column: Column, blocks: Range<usize>, dev: usize) -> Self {
         let s = ctx.s;
         let span = Span { column, blocks };
+        let cols = span.corner_cols(ctx);
         let mut offs = vec![0];
+        let mut side = 0;
         for k in 0..span.len() - 1 {
             offs.push(offs[k] + span.cols(ctx, k).len());
+            let (ru, cu, rl, cl) = ctx.support.coupling[span.pair(k)].dims();
+            side = side.max(ru).max(cu).max(rl).max(cl);
         }
         Sweep {
             mult: ctx.ws.take_scratch(s, offs[span.len() - 1]),
             span,
             dev,
             offs,
-            near: ctx.ws.take_scratch(s, s),
-            far: ctx.ws.take_scratch(s, s),
+            near: ctx.ws.take_scratch(s, cols.len()),
+            far: ctx.ws.take_scratch(s, cols.len()),
             d: ctx.ws.take_scratch(s, s),
-            tmp: std::array::from_fn(|_| ctx.ws.take_scratch(s, s)),
+            tmp: std::array::from_fn(|_| ctx.ws.take_scratch(side, side.max(cols.len()))),
         }
     }
 
-    /// Factorization and multiplier work of the sweep, for the fan-out
-    /// decision.
-    fn estimated_flops<C>(&self, ctx: &Ctx<'_, C>) -> u64 {
-        let n = self.span.len();
-        n as u64 * counts::zgetrf(ctx.s) + counts::zgetrs(ctx.s, self.offs[n - 1] + ctx.s)
+    /// The sweep's operation count, for the fan-out decision; `dims` is
+    /// [`ChainSupport::dims`] of the whole chain.
+    fn estimated_flops(&self, s: usize, dims: &[(usize, usize, usize, usize)]) -> u64 {
+        let Range { start, end } = self.span.blocks;
+        let first = self.span.column == Column::First;
+        counts::splitsolve_sweep(s, &dims[start..end - 1], first, self.near.cols())
     }
 
     /// Runs the sweep and returns the operations it executed (counted on
@@ -488,15 +545,17 @@ impl Sweep {
     fn run<C: BlockChain>(&mut self, ctx: &Ctx<'_, C>) -> SolveOutcome<u64> {
         let scope = FlopScope::start();
         let Sweep { span, dev, mult, offs, near, far, d, tmp: [u, z, y] } = self;
-        let (s, n, dev, column) = (ctx.s, span.len(), *dev, span.column);
+        let cols = span.corner_cols(ctx);
+        let (s, n, w, dev, column) = (ctx.s, span.len(), cols.len(), *dev, span.column);
         let (one, zero) = (Complex64::ONE, Complex64::ZERO);
+        let coupling = &ctx.support.coupling;
         for k in 0..n {
             reshape(d, s, s);
             ctx.chain.diag_into(span.block(k), d);
             if k > 0 {
                 // D̃_k = D_k − Inner[R, C]·M_{k−1}[C, :], on the supports.
                 let pair = span.pair(k - 1);
-                let (inner, outer) = column.sides(&ctx.support[pair]);
+                let (inner, outer) = column.sides(&coupling[pair]);
                 reshape(u, inner.rows.len(), inner.cols.len());
                 column.inner_on(ctx.chain, pair, inner, u);
                 gather_rows_into(z, multiplier(mult, offs, k - 1), &inner.cols);
@@ -516,7 +575,7 @@ impl Sweep {
             let f = lu_factor_owned_ws(std::mem::replace(d, ZMat::empty()), ctx.ws)?;
             let width = if k + 1 < n {
                 let pair = span.pair(k);
-                let outer = column.sides(&ctx.support[pair]).1;
+                let outer = column.sides(&coupling[pair]).1;
                 let mut m = mult.block_view_mut(0, offs[k], s, outer.cols.len());
                 for (j, &c) in outer.cols.iter().enumerate() {
                     let col = m.col_mut(j);
@@ -528,12 +587,13 @@ impl Sweep {
                 f.solve_in_place_view(m);
                 outer.cols.len()
             } else {
+                // The head inverse on the columns someone reads.
                 near.as_mut_slice().fill(zero);
-                for i in 0..s {
-                    near[(i, i)] = one;
+                for (j, &c) in cols.iter().enumerate() {
+                    near[(c, j)] = one;
                 }
                 f.solve_in_place(near);
-                s
+                w
             };
             ctx.account(dev, KernelClass::Solve, counts::zgetrf(s) + counts::zgetrs(s, width));
             // The pivot block's buffer serves the next block.
@@ -550,30 +610,32 @@ impl Sweep {
             for k in (1..n - 1).rev() {
                 let rows = span.cols(ctx, k - 1);
                 gather_rows_into(u, multiplier(mult, offs, k), rows);
-                reshape(y, rows.len(), s);
+                reshape(y, rows.len(), w);
                 gemm_into(-one, u.view(), Op::None, z.view(), Op::None, zero, y.view_mut());
-                ctx.account(dev, KernelClass::Gemm, counts::zgemm(rows.len(), s, z.rows()));
+                ctx.account(dev, KernelClass::Gemm, counts::zgemm(rows.len(), w, z.rows()));
                 std::mem::swap(z, y);
             }
             let m0 = multiplier(mult, offs, 0);
             gemm_into(-one, m0, Op::None, z.view(), Op::None, zero, far.view_mut());
-            ctx.account(dev, KernelClass::Gemm, counts::zgemm(s, s, z.rows()));
+            ctx.account(dev, KernelClass::Gemm, counts::zgemm(s, w, z.rows()));
         }
         Ok(scope.elapsed())
     }
 
     /// Adds this column applied to the panel `w` (entering the head block
-    /// row) to the partition's rows of `x`.
-    fn apply<C>(&mut self, ctx: &Ctx<'_, C>, w: &ZMat, x: &mut ZMat) {
-        let Sweep { span, dev, mult, offs, near, tmp: [z, ..], .. } = self;
+    /// row, held on `cols`) to the partition's rows of `x`.
+    fn apply<C>(&self, ctx: &Ctx<'_, C>, w: &ZMat, x: &mut ZMat) {
+        let Sweep { span, dev, mult, offs, near, .. } = self;
         let (s, n, m) = (ctx.s, span.len(), w.cols());
         let mut v = ctx.product(Complex64::ONE, near.view(), w.view());
         let mut next = ctx.ws.take_scratch(s, m);
-        ctx.account(*dev, KernelClass::Gemm, counts::zgemm(s, m, s));
+        let widest = (0..n - 1).map(|k| span.cols(ctx, k).len()).max().unwrap_or(0);
+        let mut z = ctx.ws.take_scratch(widest, m);
+        ctx.account(*dev, KernelClass::Gemm, counts::zgemm(s, m, near.cols()));
         for k in (0..n).rev() {
             if k + 1 < n {
                 let cols = span.cols(ctx, k);
-                gather_rows_into(z, v.view(), cols);
+                gather_rows_into(&mut z, v.view(), cols);
                 gemm_into(
                     -Complex64::ONE,
                     multiplier(mult, offs, k),
@@ -593,8 +655,9 @@ impl Sweep {
                 }
             }
         }
-        ctx.ws.recycle(v);
-        ctx.ws.recycle(next);
+        for m in [v, next, z] {
+            ctx.ws.recycle(m);
+        }
     }
 
     fn recycle(self, ws: &Workspace) {
@@ -605,7 +668,9 @@ impl Sweep {
     }
 }
 
-/// Corner blocks `[G_00, G_0N, G_N0, G_NN]` of a (sub-)chain inverse.
+/// Corner blocks `[G_00, G_0N, G_N0, G_NN]` of a (sub-)chain inverse: the
+/// first-column ones on the first sweep's column set, the last-column ones
+/// on the last sweep's.
 type Corners<'a> = [&'a ZMat; 4];
 
 /// The SPIKE merge tree over the partitions.
@@ -616,10 +681,12 @@ enum Node {
 
 /// The interface between two merged sub-chains `a` (left) and `c`
 /// (right), coupled by `U = A_{e,e+1}` (support `R_u × C_u`) and
-/// `L = A_{e+1,e}` (support `R_l × C_l`). With `ξ` rows `C_l` of the
-/// solution's last block in `a` and `η` rows `C_u` of its first block in
-/// `c`, a right-hand side `w_t` / `w_b` entering the merged chain's first
-/// / last block row gives
+/// `L = A_{e+1,e}` (support `R_l × C_l`). `a`'s last block column is held
+/// on the columns `R_u`, `c`'s first on `R_l` — the only ones a neighbour
+/// can excite. With `ξ` rows `C_l` of the solution's last block in `a` and
+/// `η` rows `C_u` of its first block in `c`, a right-hand side `w_t` /
+/// `w_b` entering the merged chain's first / last block row (on the outer
+/// column sets) gives
 ///
 /// ```text
 /// (1 − P·Q)·ξ = a_N0[C_l, :]·w_t − P·c_0N[C_u, :]·w_b
@@ -627,11 +694,10 @@ enum Node {
 /// P = a_NN[C_l, R_u]·U[R_u, C_u],   Q = c_00[C_u, R_l]·L[R_l, C_l]
 /// ```
 ///
-/// and the children see `−U·η` entering `a`'s last block row and `−L·ξ`
-/// entering `c`'s first.
+/// and the children see `−U·η` entering `a`'s last block row on `R_u` and
+/// `−L·ξ` entering `c`'s first on `R_l`.
 struct Tip {
-    /// Coupling pair `e` and the device charged with the merge.
-    pair: usize,
+    /// The device charged with the merge.
     dev: usize,
     p: ZMat,
     q: ZMat,
@@ -686,26 +752,29 @@ impl Node {
 
     /// SPIKE merge of two adjacent sub-chains (Fig. 6's recursive step)
     /// from their corner blocks: one tip system of the size of the
-    /// coupling's support and four `s × |support| × s` products,
-    /// whatever the sub-chains' lengths.
-    fn merge<C: BlockChain>(ctx: &Ctx<'_, C>, left: Node, right: Node) -> SolveOutcome<Node> {
-        let (s, ws) = (ctx.s, ctx.ws);
+    /// coupling's support and four `s × |support| × |cols|` products on
+    /// the merged node's outer column sets, whatever the sub-chains'
+    /// lengths.
+    fn merge<C: BlockChain>(ctx: &Ctx<'_, C>, left: Node, right: Node) -> SolveOutcome<Self> {
+        let ws = ctx.ws;
         let pair = left.blocks().end - 1;
         let dev = (2 * left.blocks().start) % ctx.rt.map_or(1, AccelRuntime::len);
-        let CouplingSupport { upper: up, lower: lo } = &ctx.support[pair];
+        let CouplingSupport { upper: up, lower: lo } = &ctx.support.coupling[pair];
+        // `a`'s last column lives on the columns R_u, `c`'s first on R_l.
         let [a_00, a_0n, a_n0, a_nn] = left.corners();
         let [c_00, c_0n, c_n0, c_nn] = right.corners();
         let (kl, ku) = (lo.cols.len(), up.cols.len());
+        let (w_top, w_bot) = (a_00.cols(), c_nn.cols());
         let one = Complex64::ONE;
 
         let mut u = ws.take_scratch(up.rows.len(), ku);
         ctx.chain.upper_on(pair, up, &mut u);
         let mut l = ws.take_scratch(lo.rows.len(), kl);
         ctx.chain.lower_on(pair, lo, &mut l);
-        let a_tip = ctx.gather(a_nn, &lo.cols, &up.rows);
+        let a_tip = ctx.rows_of(a_nn, &lo.cols);
         let p = ctx.product(one, a_tip.view(), u.view());
         ws.recycle(a_tip);
-        let c_tip = ctx.gather(c_00, &up.cols, &lo.rows);
+        let c_tip = ctx.rows_of(c_00, &up.cols);
         let q = ctx.product(one, c_tip.view(), l.view());
         ws.recycle(c_tip);
         // 1 − P·Q, factored once for the merge and for Step 4.
@@ -734,66 +803,57 @@ impl Node {
                 return Err(e.into());
             }
         };
-        let tip = Tip { pair, dev, p, q, lu, a_n0: a_n0_rows, c_0n: c_0n_rows, u, l };
+        let tip = Tip { dev, p, q, lu, a_n0: a_n0_rows, c_0n: c_0n_rows, u, l };
 
-        // Both block columns at once: the panel [1 | 0] enters the first
-        // block row, [0 | 1] the last, so `a_N0[C_l, :]·w_t = [a_N0 | 0]`
-        // and `c_0N[C_u, :]·w_b = [0 | c_0N]`.
-        let mut from_top = ws.take(kl, 2 * s);
+        // Both block columns at once: the unit panel of the first column
+        // set enters the first block row, that of the last the last, so
+        // `a_N0[C_l, :]·w_t = [a_N0 | 0]` and `c_0N[C_u, :]·w_b = [0 | c_0N]`.
+        let mut from_top = ws.take(kl, w_top + w_bot);
         from_top.set_block(0, 0, &tip.a_n0);
-        let mut from_bot = ws.take(ku, 2 * s);
-        from_bot.set_block(0, s, &tip.c_0n);
+        let mut from_bot = ws.take(ku, w_top + w_bot);
+        from_bot.set_block(0, w_top, &tip.c_0n);
         let (xi, eta) = tip.solve(ctx, from_top, from_bot);
         let u_eta = ctx.product(one, tip.u.view(), eta.view());
         let l_xi = ctx.product(one, tip.l.view(), xi.view());
         ws.recycle(xi);
         ws.recycle(eta);
-        // [G_00 | G_0N] = [a_00 | 0] − a_0N[:, R_u]·U·η and
-        // [G_N0 | G_NN] = [0 | c_NN] − c_N0[:, R_l]·L·ξ.
-        let a_cols = ctx.cols_of(a_0n, &up.rows);
-        let c_cols = ctx.cols_of(c_n0, &lo.rows);
-        let corner = |cols: &ZMat, prod: &ZMat, j0: usize, base: Option<&ZMat>| -> ZMat {
+        // [G_00 | G_0N] = [a_00 | 0] − a_0N·U·η and
+        // [G_N0 | G_NN] = [0 | c_NN] − c_N0·L·ξ.
+        let corner = |cols: &ZMat, prod: &ZMat, j0: usize, w: usize, base: Option<&ZMat>| {
             let mut g = match base {
                 Some(b) => ws.copy_of(b),
-                None => ws.take(s, s),
+                None => ws.take(ctx.s, w),
             };
-            gemm_into(
-                -one,
-                cols.view(),
-                Op::None,
-                prod.block_view(0, j0, prod.rows(), s),
-                Op::None,
-                one,
-                g.view_mut(),
-            );
+            let part = prod.block_view(0, j0, prod.rows(), w);
+            gemm_into(-one, cols.view(), Op::None, part, Op::None, one, g.view_mut());
             g
         };
         let corners = [
-            corner(&a_cols, &u_eta, 0, Some(a_00)),
-            corner(&a_cols, &u_eta, s, None),
-            corner(&c_cols, &l_xi, 0, None),
-            corner(&c_cols, &l_xi, s, Some(c_nn)),
+            corner(a_0n, &u_eta, 0, w_top, Some(a_00)),
+            corner(a_0n, &u_eta, w_top, w_bot, None),
+            corner(c_n0, &l_xi, 0, w_top, None),
+            corner(c_n0, &l_xi, w_top, w_bot, Some(c_nn)),
         ];
         ctx.account(
             dev,
             KernelClass::Gemm,
-            counts::zgemm(up.rows.len(), 2 * s, ku)
-                + counts::zgemm(lo.rows.len(), 2 * s, kl)
-                + 2 * counts::zgemm(s, s, up.rows.len())
-                + 2 * counts::zgemm(s, s, lo.rows.len()),
+            counts::zgemm(up.rows.len(), w_top + w_bot, ku)
+                + counts::zgemm(lo.rows.len(), w_top + w_bot, kl)
+                + counts::zgemm(ctx.s, w_top + w_bot, up.rows.len())
+                + counts::zgemm(ctx.s, w_top + w_bot, lo.rows.len()),
         );
         if let Some(rt) = ctx.rt {
-            rt.account_overlapped(dev, KernelClass::D2D, (4 * s * s * 16) as u64);
+            rt.account_overlapped(dev, KernelClass::D2D, (2 * ctx.s * (w_top + w_bot) * 16) as u64);
         }
-        for m in [u_eta, l_xi, a_cols, c_cols] {
-            ws.recycle(m);
-        }
+        ws.recycle(u_eta);
+        ws.recycle(l_xi);
         Ok(Node::Merged { left: Box::new(left), right: Box::new(right), tip, corners })
     }
 
     /// Step 4: adds the solution of `A_node·x = e_first·w_top + e_last·w_bot`
-    /// to the node's rows of `x` (panels consumed).
-    fn apply<C: BlockChain>(&mut self, ctx: &Ctx<'_, C>, w_top: ZMat, w_bot: ZMat, x: &mut ZMat) {
+    /// to the node's rows of `x` (panels held on the node's outer column
+    /// sets; consumed).
+    fn apply<C: BlockChain>(&self, ctx: &Ctx<'_, C>, w_top: ZMat, w_bot: ZMat, x: &mut ZMat) {
         let ws = ctx.ws;
         match self {
             Node::Leaf { first, last } => {
@@ -809,33 +869,21 @@ impl Node {
             }
             Node::Merged { left, right, tip, .. } => {
                 let one = Complex64::ONE;
-                let CouplingSupport { upper: up, lower: lo } = &ctx.support[tip.pair];
                 let from_top = ctx.product(one, tip.a_n0.view(), w_top.view());
                 let from_bot = ctx.product(one, tip.c_0n.view(), w_bot.view());
                 let (xi, eta) = tip.solve(ctx, from_top, from_bot);
-                // −U·η enters the left child's last block row, −L·ξ the
-                // right child's first.
-                let scatter = |block: &ZMat, inner: &ZMat, rows: &[usize]| -> ZMat {
-                    let prod = ctx.product(-one, block.view(), inner.view());
-                    let mut w = ws.take(ctx.s, prod.cols());
-                    for j in 0..prod.cols() {
-                        for (p, &r) in rows.iter().enumerate() {
-                            w[(r, j)] = prod[(p, j)];
-                        }
-                    }
-                    ws.recycle(prod);
-                    w
-                };
-                let left_bot = scatter(&tip.u, &eta, &up.rows);
-                let right_top = scatter(&tip.l, &xi, &lo.rows);
+                // −U·η enters the left child's last block row on R_u,
+                // −L·ξ the right child's first on R_l.
+                let left_bot = ctx.product(-one, tip.u.view(), eta.view());
+                let right_top = ctx.product(-one, tip.l.view(), xi.view());
                 let m = w_top.cols();
                 ctx.account(
                     tip.dev,
                     KernelClass::Gemm,
-                    counts::zgemm(lo.cols.len(), m, ctx.s)
-                        + counts::zgemm(up.cols.len(), m, ctx.s)
-                        + counts::zgemm(up.rows.len(), m, up.cols.len())
-                        + counts::zgemm(lo.rows.len(), m, lo.cols.len()),
+                    counts::zgemm(xi.rows(), m, w_top.rows())
+                        + counts::zgemm(eta.rows(), m, w_bot.rows())
+                        + counts::zgemm(tip.u.rows(), m, eta.rows())
+                        + counts::zgemm(tip.l.rows(), m, xi.rows()),
                 );
                 ws.recycle(xi);
                 ws.recycle(eta);
@@ -861,13 +909,30 @@ impl Node {
     }
 }
 
+/// `Err` unless every entry of `block` outside `rows` (sorted) is an exact
+/// zero: the contact rows bound what `what` may occupy, and an entry
+/// beyond them would otherwise be dropped without a trace.
+fn within_contact(what: &'static str, block: &ZMat, rows: &[usize]) -> SolveOutcome<()> {
+    if rows.len() == block.rows() {
+        return Ok(());
+    }
+    for j in 0..block.cols() {
+        let mut inside = rows.iter().peekable();
+        for (row, z) in block.col(j).iter().enumerate() {
+            if inside.next_if_eq(&&row).is_none() && (z.re != 0.0 || z.im != 0.0) {
+                return Err(SolveError::OutsideContact { what, row });
+            }
+        }
+    }
+    Ok(())
+}
+
 /// Steps 2–3: the panels `b′ + z` entering the first and last block rows,
-/// from the root's corner blocks.
+/// on the contact rows `κ_l` / `κ_r`, from the root's corner blocks.
 ///
-/// `Σ^RB = B·C` with `B` the unit columns of the rows `ρ` the
-/// self-energies occupy and `C = Σ[ρ, :]`, so `R = 1 − C·G·B` has one row
-/// per occupied row of `Σ_L` and `Σ_R` — `2s` at most, fewer when the
-/// leads couple through part of a slab only.
+/// `Σ^RB = B·C` with `B` the unit columns of the contact rows and
+/// `C = Σ[κ, :]`, so `R = 1 − C·G·B` has one row per contact row —
+/// `2s` at most, fewer when the leads couple through part of a slab only.
 fn woodbury_panels<C>(
     ctx: &Ctx<'_, C>,
     [g_00, g_0n, g_n0, g_nn]: Corners<'_>,
@@ -875,22 +940,38 @@ fn woodbury_panels<C>(
 ) -> SolveOutcome<(ZMat, ZMat)> {
     let (s, ws) = (ctx.s, ctx.ws);
     let one = Complex64::ONE;
+    let (kappa_l, kappa_r) = (&ctx.support.contact_l[..], &ctx.support.contact_r[..]);
+    within_contact("left self-energy", boundary.sigma_l, kappa_l)?;
+    within_contact("left injection", boundary.rhs_top, kappa_l)?;
+    within_contact("right self-energy", boundary.sigma_r, kappa_r)?;
+    within_contact("right injection", boundary.rhs_bottom, kappa_r)?;
     let (m_l, m_r) = (boundary.rhs_top.cols(), boundary.rhs_bottom.cols());
     let m = m_l + m_r;
-    let rho_l = BlockSupport::of(&[boundary.sigma_l]).rows;
-    let rho_r = BlockSupport::of(&[boundary.sigma_r]).rows;
-    let (k_l, k_r) = (rho_l.len(), rho_r.len());
-    let c_l = ctx.rows_of(boundary.sigma_l, &rho_l);
-    let c_r = ctx.rows_of(boundary.sigma_r, &rho_r);
+    let (k_l, k_r) = (kappa_l.len(), kappa_r.len());
+    let c_l = ctx.rows_of(boundary.sigma_l, kappa_l);
+    let c_r = ctx.rows_of(boundary.sigma_r, kappa_r);
+    // b′ on the contact rows: left-injected columns first.
+    let mut w_top = ws.take(k_l, m);
+    let mut w_bot = ws.take(k_r, m);
+    for (w, rhs, rows, j0) in [
+        (&mut w_top, boundary.rhs_top, kappa_l, 0),
+        (&mut w_bot, boundary.rhs_bottom, kappa_r, m_l),
+    ] {
+        for j in 0..rhs.cols() {
+            for (d, &r) in w.col_mut(j0 + j).iter_mut().zip(rows) {
+                *d = rhs.col(j)[r];
+            }
+        }
+    }
 
-    // y = G·b at the boundary blocks: left-injected columns first.
+    // y = G·b at the boundary blocks.
     let mut y_0 = ws.take_scratch(s, m);
     let mut y_n = ws.take_scratch(s, m);
     for (y, from_top, from_bot) in [(&mut y_0, g_00, g_0n), (&mut y_n, g_n0, g_nn)] {
-        for (g, rhs, j0) in [(from_top, boundary.rhs_top, 0), (from_bot, boundary.rhs_bottom, m_l)]
-        {
-            let out = y.block_view_mut(0, j0, s, rhs.cols());
-            gemm_into(one, g.view(), Op::None, rhs.view(), Op::None, Complex64::ZERO, out);
+        for (g, w, j0, width) in [(from_top, &w_top, 0, m_l), (from_bot, &w_bot, m_l, m_r)] {
+            let (b, out) =
+                (w.block_view(0, j0, w.rows(), width), y.block_view_mut(0, j0, s, width));
+            gemm_into(one, g.view(), Op::None, b, Op::None, Complex64::ZERO, out);
         }
     }
     // C·y and R = 1 − C·G·B, block by block.
@@ -904,23 +985,21 @@ fn woodbury_panels<C>(
     {
         let out = z.block_view_mut(r0, 0, k, m);
         gemm_into(one, c.view(), Op::None, y.view(), Op::None, Complex64::ZERO, out);
-        for (g, rho, c0) in [(g_left, &rho_l, 0), (g_right, &rho_r, k_l)] {
-            let g_cols = ctx.cols_of(g, rho);
-            let out = r.block_view_mut(r0, c0, k, rho.len());
-            gemm_into(-one, c.view(), Op::None, g_cols.view(), Op::None, one, out);
-            ws.recycle(g_cols);
+        for (g, c0) in [(g_left, 0), (g_right, k_l)] {
+            let out = r.block_view_mut(r0, c0, k, g.cols());
+            gemm_into(-one, c.view(), Op::None, g.view(), Op::None, one, out);
         }
     }
-    ws.recycle(y_0);
-    ws.recycle(y_n);
-    ws.recycle(c_l);
-    ws.recycle(c_r);
+    for m in [y_0, y_n, c_l, c_r] {
+        ws.recycle(m);
+    }
     // R·z = C·y — "a system of comparably small size", on the two
     // boundary devices.
     ctx.account(
         0,
         KernelClass::Gemm,
-        2 * counts::zgemm(s, m, s) + counts::zgemm(k_l + k_r, m + k_l + k_r, s),
+        2 * (counts::zgemm(s, m_l, k_l) + counts::zgemm(s, m_r, k_r))
+            + counts::zgemm(k_l + k_r, m + k_l + k_r, s),
     );
     ctx.account(0, KernelClass::Solve, counts::zgetrf(k_l + k_r) + counts::zgetrs(k_l + k_r, m));
     if let Some(rt) = ctx.rt {
@@ -929,23 +1008,21 @@ fn woodbury_panels<C>(
     let lu = match lu_factor_owned_ws(r, ws) {
         Ok(lu) => lu,
         Err(e) => {
-            ws.recycle(z);
+            for m in [z, w_top, w_bot] {
+                ws.recycle(m);
+            }
             return Err(e.into());
         }
     };
     lu.solve_in_place(&mut z);
     lu.recycle_into(ws);
-    // b′ + z, with z scattered back to the rows it lives on.
-    let mut w_top = ws.take(s, m);
-    let mut w_bot = ws.take(s, m);
-    w_top.set_block(0, 0, boundary.rhs_top);
-    w_bot.set_block(0, m_l, boundary.rhs_bottom);
+    // b′ + z.
     for j in 0..m {
-        for (i, &r) in rho_l.iter().enumerate() {
-            w_top[(r, j)] += z[(i, j)];
+        for (w, zi) in w_top.col_mut(j).iter_mut().zip(&z.col(j)[..k_l]) {
+            *w += *zi;
         }
-        for (i, &r) in rho_r.iter().enumerate() {
-            w_bot[(r, j)] += z[(k_l + i, j)];
+        for (w, zi) in w_bot.col_mut(j).iter_mut().zip(&z.col(j)[k_l..]) {
+            *w += *zi;
         }
     }
     ws.recycle(z);
@@ -980,55 +1057,99 @@ mod tests {
         }
     }
 
-    /// First and last block columns of `A⁻¹` through Step 1 and the Step 4
-    /// walk: the unit panel enters the first (last) block row.
-    fn inverse_block_columns(a: &Btd, partitions: usize) -> (ZMat, ZMat) {
+    /// The structure of `a` with the given contact rows.
+    fn support_of(a: &Btd, contact_l: &[usize], contact_r: &[usize]) -> ChainSupport {
+        ChainSupport {
+            coupling: a.coupling_support(),
+            contact_l: contact_l.to_vec(),
+            contact_r: contact_r.to_vec(),
+        }
+    }
+
+    /// Columns `contact_l` of the first and `contact_r` of the last block
+    /// column of `A⁻¹` through Step 1 and the Step 4 walk: the unit panel
+    /// of the column set enters the first (last) block row.
+    fn inverse_block_columns(a: &Btd, support: &ChainSupport, partitions: usize) -> (ZMat, ZMat) {
         let (ws, s) = (Workspace::new(), a.block_size());
-        let support = a.coupling_support();
-        let ctx = Ctx { chain: a, support: &support, rt: None, ws: &ws, s };
-        let (mut root, _) = SplitSolve::new(partitions).factor(&ctx).unwrap();
-        let mut column = |first: bool| {
-            let (unit, zero) = (ZMat::identity(s), ZMat::zeros(s, s));
-            let mut x = ZMat::zeros(a.dim(), s);
-            let (top, bot) = if first { (unit, zero) } else { (zero, unit) };
-            root.apply(&ctx, top, bot, &mut x);
-            x
-        };
-        (column(true), column(false))
+        let ctx = Ctx { chain: a, support, rt: None, ws: &ws, s };
+        let (root, _) = factor(&ctx, partitions).unwrap();
+        let (k_l, k_r) = (support.contact_l.len(), support.contact_r.len());
+        let mut first = ZMat::zeros(a.dim(), k_l);
+        root.apply(&ctx, ZMat::identity(k_l), ZMat::zeros(k_r, k_l), &mut first);
+        let mut last = ZMat::zeros(a.dim(), k_r);
+        root.apply(&ctx, ZMat::zeros(k_l, k_r), ZMat::identity(k_r), &mut last);
+        (first, last)
+    }
+
+    /// `m[:, cols]`.
+    fn columns(m: &ZMat, cols: &[usize]) -> ZMat {
+        ZMat::from_fn(m.rows(), cols.len(), |r, j| m[(r, cols[j])])
     }
 
     #[test]
     fn single_partition_matches_dense_inverse_columns() {
         let sys = random_system(5, 3, 1, 1);
-        let (first, last) = inverse_block_columns(&sys.a, 1);
         let inv = lu_inverse(&sys.a.to_dense()).unwrap();
-        assert!(first.max_diff(&inv.block(0, 0, 15, 3)) < 1e-9, "first block column");
-        assert!(last.max_diff(&inv.block(0, 12, 15, 3)) < 1e-9, "last block column");
+        for (kappa_l, kappa_r) in [(vec![0, 1, 2], vec![0, 1, 2]), (vec![1], vec![0, 2])] {
+            let support = support_of(&sys.a, &kappa_l, &kappa_r);
+            let (first, last) = inverse_block_columns(&sys.a, &support, 1);
+            let want_first = columns(&inv.block(0, 0, 15, 3), &kappa_l);
+            let want_last = columns(&inv.block(0, 12, 15, 3), &kappa_r);
+            assert!(first.max_diff(&want_first) < 1e-9, "first block column on {kappa_l:?}");
+            assert!(last.max_diff(&want_last) < 1e-9, "last block column on {kappa_r:?}");
+        }
     }
 
     #[test]
     fn spike_merge_matches_single_partition() {
         let sys = random_system(8, 2, 1, 3);
-        let (first_1, last_1) = inverse_block_columns(&sys.a, 1);
-        for p in [2usize, 4, 8] {
-            let (first, last) = inverse_block_columns(&sys.a, p);
-            assert!(first.max_diff(&first_1) < 1e-8, "p={p}: {:.2e}", first.max_diff(&first_1));
-            assert!(last.max_diff(&last_1) < 1e-8, "p={p}: {:.2e}", last.max_diff(&last_1));
+        for (kappa_l, kappa_r) in [(vec![0, 1], vec![0, 1]), (vec![1], vec![0])] {
+            let support = support_of(&sys.a, &kappa_l, &kappa_r);
+            let (first_1, last_1) = inverse_block_columns(&sys.a, &support, 1);
+            for p in [2usize, 4, 8] {
+                let (first, last) = inverse_block_columns(&sys.a, &support, p);
+                assert!(first.max_diff(&first_1) < 1e-8, "p={p}: {:.2e}", first.max_diff(&first_1));
+                assert!(last.max_diff(&last_1) < 1e-8, "p={p}: {:.2e}", last.max_diff(&last_1));
+            }
         }
     }
 
     #[test]
     fn merged_corners_are_the_corners_of_the_dense_inverse() {
-        let sys = random_system(7, 3, 1, 5);
-        let (ws, support) = (Workspace::new(), sys.a.coupling_support());
-        let ctx = Ctx { chain: &sys.a, support: &support, rt: None, ws: &ws, s: 3 };
+        let mut sys = random_system(7, 3, 1, 5);
+        // A coupling on part of the block, so the corners facing a
+        // neighbour partition are narrower than the block too.
+        for i in 0..6 {
+            sys.a.upper[i] =
+                ZMat::from_fn(
+                    3,
+                    3,
+                    |r, c| {
+                        if r == 2 {
+                            sys.a.upper[i][(r, c)]
+                        } else {
+                            Complex64::ZERO
+                        }
+                    },
+                );
+        }
         let inv = lu_inverse(&sys.a.to_dense()).unwrap();
-        for p in [1usize, 2, 4] {
-            let (root, _) = SplitSolve::new(p).factor(&ctx).unwrap();
-            for (g, (r0, c0)) in
-                root.corners().into_iter().zip([(0, 0), (0, 18), (18, 0), (18, 18)])
-            {
-                assert!(g.max_diff(&inv.block(r0, c0, 3, 3)) < 1e-10, "p={p} corner ({r0},{c0})");
+        for (kappa_l, kappa_r) in [(vec![0, 1, 2], vec![0, 1, 2]), (vec![0, 2], vec![1])] {
+            let (ws, support) = (Workspace::new(), support_of(&sys.a, &kappa_l, &kappa_r));
+            let ctx = Ctx { chain: &sys.a, support: &support, rt: None, ws: &ws, s: 3 };
+            for p in [1usize, 2, 4] {
+                let (root, _) = factor(&ctx, p).unwrap();
+                for (g, (r0, c0, kappa)) in root.corners().into_iter().zip([
+                    (0, 0, &kappa_l),
+                    (0, 18, &kappa_r),
+                    (18, 0, &kappa_l),
+                    (18, 18, &kappa_r),
+                ]) {
+                    // The corner is carried on its reader's columns only.
+                    assert_eq!((g.rows(), g.cols()), (3, kappa.len()), "p={p} ({r0},{c0})");
+                    let want = columns(&inv.block(r0, c0, 3, 3), kappa);
+                    assert!(g.max_diff(&want) < 1e-10, "p={p} corner ({r0},{c0}) on {kappa:?}");
+                }
             }
         }
     }
@@ -1040,8 +1161,20 @@ mod tests {
         for p in [1usize, 2, 4] {
             let (x, report) = SplitSolve::new(p).solve(&sys, None).unwrap();
             assert!(x.max_diff(&x_ref) < 1e-8, "p={p}: {:.2e}", x.max_diff(&x_ref));
-            assert_eq!(report.spike_levels, p.trailing_zeros() as usize);
+            assert_eq!((report.partitions, report.spike_levels), (p, p.trailing_zeros() as usize));
             assert!(report.flops > 0);
+        }
+    }
+
+    #[test]
+    fn the_report_says_what_ran_not_what_was_asked_for() {
+        // Four partitions requested of a two-block chain: two ran, merged
+        // in one level; of a three-block chain: three ran, in two levels.
+        for (nb, ran, levels) in [(2, 2, 1), (3, 3, 2), (1, 1, 0)] {
+            let sys = random_system(nb, 3, 1, 41);
+            let (x, report) = SplitSolve::new(4).solve(&sys, None).unwrap();
+            assert!(sys.residual(&x) < 1e-9);
+            assert_eq!((report.partitions, report.spike_levels), (ran, levels), "nb={nb}");
         }
     }
 
@@ -1062,19 +1195,141 @@ mod tests {
     }
 
     #[test]
+    fn boundary_terms_outside_the_contact_rows_are_refused() {
+        // One entry of Σ, then of Inj, on a row the contact set excludes:
+        // a typed error naming the term and the row — never a silently
+        // dropped entry.
+        let sys = random_system(4, 3, 2, 19);
+        let on_row_0 = |m: &ZMat| {
+            ZMat::from_fn(
+                m.rows(),
+                m.cols(),
+                |r, c| if r == 0 { m[(r, c)] } else { Complex64::ZERO },
+            )
+        };
+        let (sigma_l, sigma_r) = (on_row_0(&sys.sigma_l.dense()), on_row_0(&sys.sigma_r.dense()));
+        let (rhs_top, rhs_bottom) = (on_row_0(&sys.rhs_top), on_row_0(&sys.rhs_bottom));
+        let support = support_of(&sys.a, &[0], &[0]);
+        let ws = Workspace::new();
+        let solve = |sigma_l: &ZMat, sigma_r: &ZMat, rhs_top: &ZMat, rhs_bottom: &ZMat| {
+            let boundary = BoundaryTerms { sigma_l, sigma_r, rhs_top, rhs_bottom };
+            SplitSolve::new(2).solve_chain_ws(&sys.a, &support, &boundary, None, &ws).map(|r| r.0)
+        };
+        let inside = solve(&sigma_l, &sigma_r, &rhs_top, &rhs_bottom).unwrap();
+        let full = ObcSystem {
+            sigma_l: sigma_l.clone().into(),
+            sigma_r: sigma_r.clone().into(),
+            rhs_top: rhs_top.clone(),
+            rhs_bottom: rhs_bottom.clone(),
+            ..sys.clone()
+        };
+        assert!(full.residual(&inside) < 1e-9);
+        let stray = |m: &ZMat, r: usize, c: usize| {
+            let mut m = m.clone();
+            m[(r, c)] = c64(1e-300, 0.0);
+            m
+        };
+        for (what, row, got) in [
+            ("left self-energy", 2, solve(&stray(&sigma_l, 2, 1), &sigma_r, &rhs_top, &rhs_bottom)),
+            (
+                "right self-energy",
+                1,
+                solve(&sigma_l, &stray(&sigma_r, 1, 0), &rhs_top, &rhs_bottom),
+            ),
+            ("left injection", 1, solve(&sigma_l, &sigma_r, &stray(&rhs_top, 1, 1), &rhs_bottom)),
+            ("right injection", 2, solve(&sigma_l, &sigma_r, &rhs_top, &stray(&rhs_bottom, 2, 0))),
+        ] {
+            assert_eq!(got.unwrap_err(), SolveError::OutsideContact { what, row });
+        }
+    }
+
+    /// A chain of `nb` blocks whose couplings all have the support
+    /// dimensions `(|R_u|, |C_u|, |R_l|, |C_l|)`, with contacts `k_l`,
+    /// `k_r` rows wide — a shape, as the plan sees it.
+    fn shape(
+        nb: usize,
+        dims: (usize, usize, usize, usize),
+        k_l: usize,
+        k_r: usize,
+    ) -> ChainSupport {
+        let on = |rows: usize, cols: usize| BlockSupport {
+            rows: (0..rows).collect(),
+            cols: (0..cols).collect(),
+        };
+        let pair = CouplingSupport { upper: on(dims.0, dims.1), lower: on(dims.2, dims.3) };
+        ChainSupport {
+            coupling: vec![pair; nb - 1],
+            contact_l: (0..k_l).collect(),
+            contact_r: (0..k_r).collect(),
+        }
+    }
+
+    #[test]
+    fn the_plan_follows_the_chain_on_the_benchmark_shapes() {
+        // (s, n_b, coupling support, contact rows) of the DFT wire, the
+        // UTB film, the 0.8 nm wire and the 128-cell wire: merging two
+        // halves of a 6- or 8-block chain costs 3–22 % of the whole solve,
+        // of a 128-block chain 0.3 %.
+        for (name, s, nb, dims, (k_l, k_r), planned) in [
+            ("dft wire", 252, 6, (162, 156, 156, 162), (156, 162), 1),
+            ("utb", 20, 8, (4, 6, 6, 4), (6, 4), 1),
+            ("0.8 nm wire", 26, 8, (4, 6, 6, 4), (6, 4), 1),
+            ("long wire", 90, 128, (24, 18, 18, 24), (18, 24), 2),
+        ] {
+            let support = shape(nb, dims, k_l, k_r);
+            assert_eq!(SplitSolve::for_chain(2, s, &support).partitions, planned, "{name}");
+            assert_eq!(SplitSolve::for_chain(1, s, &support).partitions, 1, "{name}");
+        }
+    }
+
+    #[test]
     fn for_chain_clamps_the_request_to_the_chain() {
-        for (requested, nb, expect) in [
+        // With no coupling at all a merge is free: the plan is the clamp —
+        // the request rounded *down* to a power of two, half the chain
+        // length at most, one at least.
+        for (at_most, nb, expect) in [
             (2, 128, 2),
             (2, 6, 2),
             (2, 3, 2),
             (2, 2, 1),
             (2, 1, 1),
             (8, 5, 4),
-            (3, 16, 1),
+            (3, 16, 2),
+            (7, 64, 4),
             (0, 4, 1),
         ] {
-            assert_eq!(SplitSolve::for_chain(requested, nb).partitions, expect, "{requested}/{nb}");
+            let free = shape(nb, (0, 0, 0, 0), 4, 4);
+            assert_eq!(
+                SplitSolve::for_chain(at_most, 16, &free).partitions,
+                expect,
+                "{at_most}/{nb}"
+            );
         }
+    }
+
+    #[test]
+    fn the_plan_is_a_power_of_two_that_shrinks_as_the_support_widens() {
+        for (s, nb) in [(12, 4), (12, 16), (40, 64), (90, 128)] {
+            for at_most in [1usize, 2, 4, 8, 64] {
+                let mut last = usize::MAX;
+                for width in (0..=s).step_by(s / 4) {
+                    let support = shape(nb, (width, width, width, width), width, width);
+                    let p = SplitSolve::for_chain(at_most, s, &support).partitions;
+                    let clamp = SplitSolve::for_chain(at_most, s, &shape(nb, (0, 0, 0, 0), 0, 0));
+                    assert!(p.is_power_of_two() && p <= at_most && p <= clamp.partitions);
+                    assert!(
+                        p <= last,
+                        "s={s} nb={nb} at_most={at_most} width={width}: {p} > {last}"
+                    );
+                    last = p;
+                }
+            }
+        }
+        // The same answer from inside a saturated pool: no thread count
+        // enters.
+        let support = shape(128, (24, 18, 18, 24), 18, 24);
+        let _busy = (rayon::enter_pool_worker(), rayon::enter_pool_worker());
+        assert_eq!(SplitSolve::for_chain(2, 90, &support).partitions, 2);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The open-boundary linear system `T·x = b` of Eq. 5 and Fig. 4.
 
 use qtx_linalg::ZMat;
-use qtx_sparse::{Btd, CompressedSigma};
+use qtx_sparse::{BlockChain, Btd, ChainSupport, CompressedSigma};
 
 /// `T·x = Inj` with `T = A − B·C`:
 ///
@@ -47,6 +47,28 @@ impl ObcSystem {
     /// Total right-hand-side columns.
     pub fn num_rhs(&self) -> usize {
         self.rhs_top.cols() + self.rhs_bottom.cols()
+    }
+
+    /// The structure a streaming solver reads, derived from the system
+    /// itself: the coupling supports of `a` and, per contact, the rows its
+    /// own self-energy and injection occupy.
+    pub fn chain_support(&self) -> ChainSupport {
+        let occupied = |sigma: &CompressedSigma, rhs: &ZMat| -> Vec<usize> {
+            let mut hit = vec![false; sigma.dim()];
+            for m in [&*sigma.dense(), rhs] {
+                for j in 0..m.cols() {
+                    for (h, z) in hit.iter_mut().zip(m.col(j)) {
+                        *h |= z.re != 0.0 || z.im != 0.0;
+                    }
+                }
+            }
+            hit.iter().enumerate().filter_map(|(row, &h)| h.then_some(row)).collect()
+        };
+        ChainSupport {
+            coupling: self.a.coupling_support(),
+            contact_l: occupied(&self.sigma_l, &self.rhs_top),
+            contact_r: occupied(&self.sigma_r, &self.rhs_bottom),
+        }
     }
 
     /// The full matrix `T = A − BC` densified (small tests only).

@@ -1,20 +1,26 @@
-//! Operation-count ledger of the interior solve at the long-wire shape:
-//! 1.5 nm tight-binding wire, `s` = 90, couplings on a 24 × 18 support.
-//! SplitSolve keeps `Q = A⁻¹·B` as elimination factors on that support;
-//! the count must stay at a quarter of what materializing `Q` cost, and
-//! must not depend on which thread ran which sweep.
+//! Operation-count ledger of the interior solve at the benchmark's device
+//! shapes. SplitSolve keeps `Q = A⁻¹·B` as elimination factors on the
+//! coupling support and its corner blocks on the contact rows; the count
+//! must stay at a quarter of what materializing `Q` cost on the long wire,
+//! under the parent's on the long wire and the DFT wire, within a tenth of
+//! the model the partition plan compares, and must not depend on which
+//! thread ran which sweep.
 
 use qtx_linalg::flops::counts;
 use qtx_linalg::{c64, Complex64, ZMat};
 use qtx_solver::{btd_lu_solve_ws, ObcSystem, SplitSolve, Workspace};
-use qtx_sparse::{BlockChain, Btd};
+use qtx_sparse::Btd;
 
-const S: usize = 90;
-
-/// A coupling block with entries on `rows × cols` only.
-fn on_support(rows: std::ops::Range<usize>, cols: std::ops::Range<usize>, seed: u64) -> ZMat {
-    let dense = ZMat::random(S, S, seed).scaled(c64(0.4, 0.0));
-    ZMat::from_fn(S, S, |r, c| {
+/// A random `s × cols` block with entries on `rows × cols` only.
+fn on_support(
+    s: usize,
+    width: usize,
+    rows: std::ops::Range<usize>,
+    cols: std::ops::Range<usize>,
+    seed: u64,
+) -> ZMat {
+    let dense = ZMat::random(s, width, seed).scaled(c64(0.4, 0.1));
+    ZMat::from_fn(s, width, |r, c| {
         if rows.contains(&r) && cols.contains(&c) {
             dense[(r, c)]
         } else {
@@ -23,40 +29,40 @@ fn on_support(rows: std::ops::Range<usize>, cols: std::ops::Range<usize>, seed: 
     })
 }
 
-/// The long wire's shape: the upper coupling reaches from the last 24
-/// orbitals of a slab to the first 18 of the next, the lower one is its
-/// mirror, and each lead touches the rows its coupling does.
-fn long_wire_shape(nb: usize, m: usize) -> ObcSystem {
-    let mut a = Btd::zeros(nb, S);
+/// A wire of `nb` slabs of `s` orbitals as the tight-binding and DFT
+/// devices shape it: the upper coupling reaches from the last `ru`
+/// orbitals of a slab to the first `cu` of the next, the lower one is its
+/// mirror, and each lead touches the rows its coupling does — Σ and the
+/// `m` injection columns alike.
+fn wire_shape(nb: usize, s: usize, (ru, cu): (usize, usize), m: usize) -> ObcSystem {
+    let mut a = Btd::zeros(nb, s);
     for i in 0..nb {
-        a.diag[i] = ZMat::random(S, S, 7 + i as u64);
-        for d in 0..S {
-            a.diag[i][(d, d)] += c64(4.0 + S as f64, 1.0);
+        a.diag[i] = ZMat::random(s, s, 7 + i as u64);
+        for d in 0..s {
+            a.diag[i][(d, d)] += c64(4.0 + s as f64, 1.0);
         }
     }
     for i in 0..nb - 1 {
-        a.upper[i] = on_support(S - 24..S, 0..18, 300 + i as u64);
-        a.lower[i] = on_support(0..18, S - 24..S, 600 + i as u64);
+        a.upper[i] = on_support(s, s, s - ru..s, 0..cu, 300 + i as u64);
+        a.lower[i] = on_support(s, s, 0..cu, s - ru..s, 600 + i as u64);
     }
-    let sigma = |rows: std::ops::Range<usize>, seed: u64| {
-        let dense = ZMat::random(S, S, seed).scaled(c64(0.3, 0.1));
-        ZMat::from_fn(S, S, |r, c| if rows.contains(&r) { dense[(r, c)] } else { Complex64::ZERO })
-    };
     ObcSystem {
         a,
-        sigma_l: sigma(0..18, 901).into(),
-        sigma_r: sigma(S - 24..S, 902).into(),
-        rhs_top: ZMat::random(S, m / 2, 903),
-        rhs_bottom: ZMat::random(S, m - m / 2, 904),
+        sigma_l: on_support(s, s, 0..cu, 0..s, 901).into(),
+        sigma_r: on_support(s, s, s - ru..s, 0..s, 902).into(),
+        rhs_top: on_support(s, m / 2, 0..cu, 0..m, 903),
+        rhs_bottom: on_support(s, m - m / 2, s - ru..s, 0..m, 904),
     }
 }
 
 #[test]
 fn long_wire_interior_costs_under_a_quarter_of_the_dense_q_solve() {
+    const S: usize = 90;
     let (nb, m) = (32, 6);
-    let sys = long_wire_shape(nb, m);
-    let support = sys.a.coupling_support();
-    assert_eq!((support[0].upper.rows.len(), support[0].upper.cols.len()), (24, 18));
+    let sys = wire_shape(nb, S, (24, 18), m);
+    let support = sys.chain_support();
+    assert_eq!(support.dims()[0], (24, 18, 18, 24));
+    assert_eq!((support.contact_l.len(), support.contact_r.len()), (18, 24));
     let ws = Workspace::new();
     let reference = btd_lu_solve_ws(&sys, &ws).unwrap();
     for partitions in [1usize, 2] {
@@ -72,5 +78,36 @@ fn long_wire_interior_costs_under_a_quarter_of_the_dense_q_solve() {
         // second run — its sweeps on whichever threads — counts the same.
         let again = SplitSolve::new(partitions).solve_ws(&sys, None, &ws).unwrap().1.flops;
         assert_eq!(again, report.flops);
+    }
+}
+
+#[test]
+fn the_four_device_shapes_cost_what_the_plan_models_and_less_than_before() {
+    // (device, s, n_b, |R_u| × |C_u|, injected modes, partitions planned
+    // out of two, the parent's count in operations — SplitSolve{2} with
+    // s-wide corners, `docs/solver.md` — and the share of it allowed now).
+    let ws = Workspace::new();
+    for (name, s, nb, coupling, m, planned, before, share) in [
+        ("utb", 20, 8, (4, 6), 4, 1, 1.15e6, 1.0),
+        ("0.8 nm wire", 26, 8, (4, 6), 2, 1, 2.08e6, 1.0),
+        ("long wire", 90, 128, (24, 18), 10, 2, 1021e6, 0.95),
+        ("dft wire", 252, 6, (162, 156), 6, 1, 3741e6, 0.70),
+    ] {
+        let sys = wire_shape(nb, s, coupling, m);
+        let support = sys.chain_support();
+        let solver = SplitSolve::for_chain(2, s, &support);
+        assert_eq!(solver.partitions, planned, "{name}");
+        let (_, report) = solver.solve_ws(&sys, None, &ws).unwrap();
+        assert_eq!(report.partitions, planned, "{name}");
+        let contacts = (support.contact_l.len(), support.contact_r.len());
+        let model = counts::splitsolve_factored(s, &support.dims(), contacts, planned);
+        // The model leaves out what grows with m — Step 4 and R's
+        // right-hand side.
+        assert!(model <= report.flops && 10 * (report.flops - model) <= report.flops, "{name}");
+        assert!(
+            report.flops as f64 <= share * before,
+            "{name}: {} operations against {before} before",
+            report.flops
+        );
     }
 }

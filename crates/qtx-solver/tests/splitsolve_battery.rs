@@ -1,12 +1,15 @@
 //! Property battery for the factored-`Q` SplitSolve kernel: every
 //! combination of chain length, partition count (uneven splits included),
-//! coupling-support pattern, right-hand-side width and broadening is
-//! checked against a dense `zgesv` of the assembled system, and the
-//! streamed pencil against the assembled matrix bit for bit.
+//! coupling-support pattern, contact rows, right-hand-side width and
+//! broadening is checked against a dense `zgesv` of the assembled system
+//! — with the corner blocks carried on the rows the contacts occupy and
+//! at full width — and the streamed pencil against the assembled matrix
+//! bit for bit.
 
+use qtx_linalg::flops::counts;
 use qtx_linalg::{c64, zgesv, Complex64, ZMat};
 use qtx_solver::{BoundaryTerms, ObcSystem, SplitSolve, Workspace};
-use qtx_sparse::{BlockChain, Btd, EsMinusH};
+use qtx_sparse::{BlockChain, Btd, ChainSupport, EsMinusH};
 
 /// Row/column ranges the couplings of pair `i` live on, per pattern.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -67,15 +70,24 @@ fn device(nb: usize, s: usize, pattern: Pattern, seed: u64) -> (Btd, Btd) {
     (h, ov)
 }
 
-/// A self-energy on `rows` (all of them when `None`; the zero matrix for
-/// an empty list).
-fn sigma(s: usize, seed: u64, rows: Option<&[usize]>) -> ZMat {
-    let dense = ZMat::random(s, s, seed).scaled(c64(0.3, -0.2));
-    ZMat::from_fn(s, s, |r, c| match rows {
+/// A random `s × cols` block scaled by `scale`, on `rows` only (all of
+/// them when `None`; the zero matrix for an empty list).
+fn on_rows(s: usize, cols: usize, seed: u64, scale: Complex64, rows: Option<&[usize]>) -> ZMat {
+    let dense = ZMat::random(s, cols, seed).scaled(scale);
+    ZMat::from_fn(s, cols, |r, c| match rows {
         Some(rows) if !rows.contains(&r) => Complex64::ZERO,
         _ => dense[(r, c)],
     })
 }
+
+/// A self-energy on `rows`.
+fn sigma(s: usize, seed: u64, rows: Option<&[usize]>) -> ZMat {
+    on_rows(s, s, seed, c64(0.3, -0.2), rows)
+}
+
+/// The worst `max |x − x_dense|` the battery accepts, relative to
+/// `max(1, ‖x_dense‖_max)` — the parent's bound.
+const TOLERANCE: f64 = 1e-10;
 
 #[test]
 fn streamed_kernel_matches_dense_solve_over_the_whole_grid() {
@@ -89,23 +101,38 @@ fn streamed_kernel_matches_dense_solve_over_the_whole_grid() {
             for s in [1usize, 4] {
                 let seed = (1000 * nb + 100 * pi + s) as u64;
                 let (h, ov) = device(nb, s, pattern, seed);
-                for (eta, m, sigma_rows) in [
-                    (0.0, s, None),
-                    (1e-6, 1, Some(vec![0])),
-                    (0.0, 0, Some(vec![s - 1])),
-                    (1e-6, s, Some(vec![])),
+                // (η, m, rows of the left contact, rows of the right one):
+                // Σ on every row; both contacts on one row each, Σ and Inj
+                // alike; no injection at all; a zero Σ_L whose contact rows
+                // come from the injection alone.
+                for (eta, m, rows_l, inj_l, rows_r) in [
+                    (0.0, s, None, None, None),
+                    (1e-6, 1, Some(vec![0]), Some(vec![0]), Some(vec![s - 1])),
+                    (0.0, 0, Some(vec![s - 1]), None, None),
+                    (1e-6, s, Some(vec![]), None, Some(vec![0, s / 2])),
                 ] {
                     let z = c64(0.37, eta);
+                    let one = Complex64::ONE;
                     let sys = ObcSystem {
                         a: Btd::es_minus_h(z, &ov, &h),
-                        sigma_l: sigma(s, seed + 11, sigma_rows.as_deref()).into(),
-                        sigma_r: sigma(s, seed + 12, None).into(),
-                        rhs_top: ZMat::random(s, m, seed + 13),
-                        rhs_bottom: ZMat::random(s, m.min(1), seed + 14),
+                        sigma_l: sigma(s, seed + 11, rows_l.as_deref()).into(),
+                        sigma_r: sigma(s, seed + 12, rows_r.as_deref()).into(),
+                        rhs_top: on_rows(s, m, seed + 13, one, inj_l.as_deref()),
+                        rhs_bottom: on_rows(s, m.min(1), seed + 14, one, rows_r.as_deref()),
                     };
                     let reference = zgesv(&sys.t_dense(), &sys.b_dense()).unwrap();
                     let pencil = EsMinusH { z, s: &ov, h: &h };
-                    let support = pencil.coupling_support();
+                    // The contact rows the system occupies, and all of them.
+                    let occupied =
+                        ChainSupport { coupling: pencil.coupling_support(), ..sys.chain_support() };
+                    if let (Some(rows), Some(_)) = (&rows_l, &inj_l) {
+                        assert_eq!(&occupied.contact_l, rows);
+                    }
+                    let full_width = ChainSupport {
+                        contact_l: (0..s).collect(),
+                        contact_r: (0..s).collect(),
+                        ..occupied.clone()
+                    };
                     let (sigma_l, sigma_r) = (sys.sigma_l.dense(), sys.sigma_r.dense());
                     let boundary = BoundaryTerms {
                         sigma_l: &sigma_l,
@@ -115,18 +142,41 @@ fn streamed_kernel_matches_dense_solve_over_the_whole_grid() {
                     };
                     for partitions in [1usize, 2, 4] {
                         let solver = SplitSolve::new(partitions);
-                        let (x, _) =
-                            solver.solve_chain_ws(&pencil, &support, &boundary, None, &ws).unwrap();
-                        let err = x.max_diff(&reference);
-                        assert!(
-                            err < 1e-10 * reference.norm_max().max(1.0),
-                            "nb={nb} s={s} {pattern:?} p={partitions} m={m} η={eta}: {err:.2e}"
+                        let case = format!(
+                            "nb={nb} s={s} {pattern:?} p={partitions} m={m} η={eta} \
+                             contacts={:?}/{:?}",
+                            occupied.contact_l, occupied.contact_r
                         );
+                        let (x, report) = solver
+                            .solve_chain_ws(&pencil, &occupied, &boundary, None, &ws)
+                            .unwrap();
+                        assert_eq!(report.partitions, partitions.min(nb), "{case}");
+                        let scale = reference.norm_max().max(1.0);
+                        let err = x.max_diff(&reference);
+                        assert!(err < TOLERANCE * scale, "{case}: {err:.2e}");
+                        // Corners at full width: the same solution from
+                        // more columns than anyone reads.
+                        let (wide, wide_report) = solver
+                            .solve_chain_ws(&pencil, &full_width, &boundary, None, &ws)
+                            .unwrap();
+                        let err = wide.max_diff(&reference);
+                        assert!(err < TOLERANCE * scale, "{case}, full width: {err:.2e}");
+                        assert!(report.flops <= wide_report.flops, "{case}");
+                        // Without injection columns the model counts every
+                        // operation of the kernel: no solve against an
+                        // identity wider than its reader's columns, no
+                        // product nobody asked for.
+                        if m == 0 {
+                            let contacts = (occupied.contact_l.len(), occupied.contact_r.len());
+                            let dims = occupied.dims();
+                            let model = counts::splitsolve_factored(s, &dims, contacts, partitions);
+                            assert_eq!(report.flops, model, "{case}");
+                        }
                         // Same entries whether A is streamed or assembled,
                         // and whether the supports come from the pencil or
                         // from the assembled blocks.
                         let (assembled, _) = solver.solve_ws(&sys, None, &ws).unwrap();
-                        assert_eq!(x, assembled, "nb={nb} s={s} {pattern:?} p={partitions}");
+                        assert_eq!(x, assembled, "{case}");
                         cases += 1;
                     }
                 }
@@ -159,8 +209,8 @@ fn pencil_supports_wider_than_the_assembled_ones_change_no_entry() {
         rhs_bottom: ZMat::random(s, 1, 8),
     };
     let pencil = EsMinusH { z, s: &ov, h: &h };
-    let support = pencil.coupling_support();
-    assert!(support[0].lower.cols.len() > sys.a.coupling_support()[0].lower.cols.len());
+    let support = ChainSupport { coupling: pencil.coupling_support(), ..sys.chain_support() };
+    assert!(support.coupling[0].lower.cols.len() > sys.a.coupling_support()[0].lower.cols.len());
     let (sigma_l, sigma_r) = (sys.sigma_l.dense(), sys.sigma_r.dense());
     let boundary = BoundaryTerms {
         sigma_l: &sigma_l,

@@ -73,6 +73,35 @@ impl CouplingSupport {
     }
 }
 
+/// Everything structural a streaming solver of the open system reads: the
+/// coupling supports of the chain and, per contact, the rows of the first
+/// (last) diagonal block its self-energy and injection can occupy — the
+/// row support of the lead coupling, since `Σ = T·X` and
+/// `Inj = −T·λu − Σ·u` cannot leave it. Independent of the energy: compute
+/// once per device.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ChainSupport {
+    /// Supports of the `n_b − 1` coupling pairs
+    /// ([`BlockChain::coupling_support`]).
+    pub coupling: Vec<CouplingSupport>,
+    /// Rows of the first block the left contact touches, sorted ascending.
+    pub contact_l: Vec<usize>,
+    /// Rows of the last block the right contact touches, sorted ascending.
+    pub contact_r: Vec<usize>,
+}
+
+impl ChainSupport {
+    /// Number of blocks of the chain this describes.
+    pub fn num_blocks(&self) -> usize {
+        self.coupling.len() + 1
+    }
+
+    /// [`CouplingSupport::dims`] of every pair, in chain order.
+    pub fn dims(&self) -> Vec<(usize, usize, usize, usize)> {
+        self.coupling.iter().map(CouplingSupport::dims).collect()
+    }
+}
+
 /// A square block tri-diagonal matrix read one block at a time.
 pub trait BlockChain {
     /// Number of diagonal blocks.
