@@ -136,10 +136,16 @@ pub fn parse_with_fingerprint(buf: &[u8], fingerprint: u64) -> TransportResult<V
     if got_fp != fingerprint {
         return Err(CheckpointError::PlanMismatch { expected: fingerprint, got: got_fp }.into());
     }
-    let count = u64::from_le_bytes(buf[16..24].try_into().expect("8 bytes")) as usize;
-    let expected_len = HEADER_BYTES + count * POINT_RECORD_BYTES;
-    if buf.len() != expected_len {
-        return Err(CheckpointError::Truncated { expected: expected_len, got: buf.len() }.into());
+    // A crafted count must not overflow (or, in release, wrap to the file's
+    // true length): a length no buffer can have is a truncated file.
+    let count = u64::from_le_bytes(buf[16..24].try_into().expect("8 bytes"));
+    let expected_len = usize::try_from(count)
+        .ok()
+        .and_then(|c| c.checked_mul(POINT_RECORD_BYTES))
+        .and_then(|body| body.checked_add(HEADER_BYTES));
+    if expected_len != Some(buf.len()) {
+        let expected = expected_len.unwrap_or(usize::MAX);
+        return Err(CheckpointError::Truncated { expected, got: buf.len() }.into());
     }
     let frames = qtx_mpi::exact_frames(&buf[HEADER_BYTES..], POINT_RECORD_BYTES)
         .map_err(TransportError::Payload)?;
@@ -241,6 +247,19 @@ mod tests {
             parse(&buf[..10], &p).unwrap_err(),
             TransportError::Checkpoint(CheckpointError::Truncated { .. })
         ));
+        // Record counts whose byte length overflows: u64::MAX, and 2^60 + 1,
+        // whose 80-byte frames wrap to exactly this one-record file's length.
+        for count in [u64::MAX, (1u64 << 60) + 1] {
+            let mut huge = buf.clone();
+            huge[16..24].copy_from_slice(&count.to_le_bytes());
+            assert!(
+                matches!(
+                    parse(&huge, &p).unwrap_err(),
+                    TransportError::Checkpoint(CheckpointError::Truncated { .. })
+                ),
+                "record count {count:#x}"
+            );
+        }
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //!   under a [`PointPolicy`] and the sweeps below, over state (folded
 //!   devices, scheduler pool, Σ-cache) it owns once;
 //! * [`sweep`] — the momentum/energy levels of Fig. 9 as tasks on the
-//!   supervised pool of [`scheduler`] (the spatial level is SplitSolve):
+//!   work-stealing pool of [`scheduler`] (the spatial level is SplitSolve):
 //!   one loop behind [`TransportEngine::sweep`], `sweep_resumable` and
 //!   `sweep_refined`, with checkpoint/resume, adaptive refinement
 //!   ([`refine`]) and the paper's dynamic node-per-k allocation

@@ -1,39 +1,37 @@
-//! Supervised work-stealing scheduler for energy-point workloads.
+//! Work-stealing scheduler for energy-point workloads.
 //!
 //! The paper's scaling story layers momentum/energy parallelism above the
-//! per-point solvers (§4, Fig. 9). PR 6 made each *point* fault-tolerant
-//! (escalation ladder, checkpoint/resume); this module makes the
-//! *execution layer* match: a persistent, supervised worker pool replaces
-//! the rayon shim's spawn-per-call scoped threads under every sweep of
-//! [`crate::TransportEngine`], and is reusable for any batch of
-//! independent tasks.
+//! per-point solvers (§4, Fig. 9). This module is that level: a
+//! persistent worker pool that every sweep of [`crate::TransportEngine`]
+//! runs on, reusable for any batch of independent tasks.
 //!
-//! Robustness machinery, per task:
+//! Every attempt takes one path, whether a pool worker or a nested
+//! `execute` runs it:
 //!
-//! * every attempt runs under `catch_unwind` — a panicking solve becomes a
-//!   typed [`TransportError::Panic`] and a fallback value, never a torn
-//!   sweep;
-//! * failed attempts are re-enqueued with capped exponential backoff, up
-//!   to a per-batch retry budget;
-//! * tasks that exhaust the budget are **quarantined**: the batch still
+//! * it runs under `catch_unwind` — a panicking solve becomes a typed
+//!   [`TransportError::Panic`] and a fallback value, never a torn sweep;
+//! * a failed attempt is re-enqueued after a capped exponential backoff
+//!   (2 ms doubling to at most 50 ms), up to a budget of 2 retries;
+//! * a task that exhausts the budget is **quarantined**: the batch still
 //!   completes with the fallback value (the sweep hands those points to
 //!   its interpolation path), and the task's stable key is remembered so a
-//!   later batch skips straight to a single attempt;
-//! * a supervisor thread promotes delayed retries and enforces per-point
-//!   soft deadlines (derived from `qtx-machine`'s [`qtx_machine::DeadlineModel`]
-//!   by the sweep), marking overdue tasks as **stragglers**;
-//! * the completion queue is bounded, so a fast pool cannot buffer
-//!   unbounded results ahead of a slow consumer (backpressure), and
-//!   shutdown is cooperative.
+//!   later batch gives it a single attempt;
+//! * an attempt that ends past the batch's soft deadline (derived from
+//!   `qtx-machine`'s [`qtx_machine::DeadlineModel`] by the sweep) marks
+//!   its task a **straggler**.
+//!
+//! The pool runs no thread besides its workers. A worker that finds
+//! nothing runnable takes a retry whose backoff is over, or parks until the
+//! next one falls due or an enqueue wakes it. Each report goes straight
+//! into its item's slot.
 //!
 //! # Determinism contract
 //!
 //! Results are **bit-identical for any worker count**. Tasks are pure
 //! functions of their item (and attempt number); the pool only decides
 //! *where* and *when* an attempt runs, never *what* it computes. Reports
-//! are re-assembled in item order, the steal order is a seeded
-//! permutation, and every retry/quarantine decision depends only on the
-//! attempt outcomes — which are deterministic even under the
+//! come back in item order, and every retry/quarantine decision depends
+//! only on the attempt outcomes — which are deterministic even under the
 //! `fault-inject` harness, whose draws are keyed on mathematical identity
 //! rather than call order. Only wall-time-derived fields (`straggler`)
 //! may differ between schedules.
@@ -41,9 +39,17 @@
 use crate::error::TransportError;
 use std::collections::{HashSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
+
+/// Retries per task after its first attempt, before quarantine. Each sweep
+/// attempt is a *full* escalation-ladder walk, so this multiplies the
+/// ladder.
+const MAX_RETRIES: u32 = 2;
+/// Backoff before the first retry (ms); doubles per retry.
+const BACKOFF_BASE_MS: u64 = 2;
+/// Backoff ceiling (ms).
+const BACKOFF_CAP_MS: u64 = 50;
 
 /// Locks a mutex, recovering the data if a previous holder panicked (the
 /// pool must keep serving batches after a caught task panic).
@@ -51,38 +57,17 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Pool construction knobs.
+/// Pool construction: its width. The retry budget and backoff are fixed
+/// (see the module docs).
 #[derive(Debug, Clone)]
 pub struct SchedulerConfig {
     /// Worker threads (≥ 1).
     pub workers: usize,
-    /// Seed of the per-worker steal-order permutations.
-    pub seed: u64,
-    /// Scheduler-level retries per task after a failed or panicking
-    /// attempt, before quarantine. Each sweep attempt is a *full*
-    /// escalation-ladder walk, so this multiplies the ladder.
-    pub max_retries: u32,
-    /// First-retry backoff (ms); doubles per retry.
-    pub backoff_base_ms: f64,
-    /// Backoff ceiling (ms).
-    pub backoff_cap_ms: f64,
-    /// Bounded completion-queue capacity (backpressure on the pool).
-    pub completion_capacity: usize,
-    /// Supervisor wake period (ms): retry promotion + deadline scans.
-    pub supervisor_poll_ms: u64,
 }
 
 impl Default for SchedulerConfig {
     fn default() -> Self {
-        SchedulerConfig {
-            workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
-            seed: 0x51ED_0BAD_C0FF_EE07,
-            max_retries: 2,
-            backoff_base_ms: 2.0,
-            backoff_cap_ms: 50.0,
-            completion_capacity: 128,
-            supervisor_poll_ms: 2,
-        }
+        SchedulerConfig { workers: std::thread::available_parallelism().map_or(1, |n| n.get()) }
     }
 }
 
@@ -108,8 +93,8 @@ pub struct TaskReport<R> {
     pub panics: u32,
     /// The retry budget ran out; `value` is a best-effort fallback.
     pub quarantined: bool,
-    /// The supervisor saw an attempt exceed the soft deadline
-    /// (wall-time-derived — excluded from determinism comparisons).
+    /// An attempt ended past the batch's soft deadline (wall-time-derived
+    /// — excluded from determinism comparisons).
     pub straggler: bool,
 }
 
@@ -122,7 +107,7 @@ pub struct BatchStats {
     pub retries: u64,
     /// Tasks that exhausted their retry budget.
     pub quarantined: usize,
-    /// Tasks flagged by the deadline supervisor.
+    /// Tasks with an attempt that ended past the soft deadline.
     pub stragglers: usize,
 }
 
@@ -147,27 +132,24 @@ pub fn stats_of<R>(reports: &[TaskReport<R>]) -> BatchStats {
     s
 }
 
-/// Per-batch execution knobs.
+/// Per-batch execution options.
 #[derive(Debug, Clone, Default)]
 pub struct BatchOptions {
-    /// Soft per-task deadline (ms) enforced by the supervisor; `None`
-    /// disables straggler detection.
+    /// Soft per-task deadline (ms): an attempt that ends later marks its
+    /// task a straggler. `None` disables straggler detection.
     pub deadline_ms: Option<f64>,
     /// Stable per-item identities for cross-batch quarantine (parallel to
     /// the item vector). Items whose key was quarantined by an earlier
     /// batch get a zero retry budget — one attempt, then fallback.
     pub keys: Option<Vec<u64>>,
-    /// Overrides [`SchedulerConfig::max_retries`] for this batch.
-    pub max_retries: Option<u32>,
     /// Intra-batch dependencies (parallel to the item vector):
     /// `deps[i] = Some(j)` holds task `i` back until task `j` has
     /// *finished* — whatever its outcome; retries, quarantine and panic
     /// fallbacks all count as finished, so a dependent is never stranded.
     /// Every dependency must point backwards (`j < i`), which makes cycles
-    /// unrepresentable and lets the inline (nested-batch) path satisfy
-    /// dependencies by plain index order. The sweep's OBC/interior overlap
-    /// split rides on this: the Σ-prefetch task precedes its interior
-    /// solve in the item vector.
+    /// unrepresentable. The sweep's OBC/interior overlap split rides on
+    /// this: the Σ-prefetch task precedes its interior solve in the item
+    /// vector.
     pub deps: Option<Vec<Option<u32>>>,
 }
 
@@ -213,71 +195,29 @@ struct Task {
     attempt: u32,
     /// Caught panics so far.
     panics: u32,
+    /// An attempt so far ended past the deadline.
+    late: bool,
 }
 
-enum Step {
-    Ran,
-    Idle,
-    Drained,
-}
-
-/// Worker-facing view of a batch (type-erased so the pool threads need
-/// not know `T`/`R`).
-trait BatchRun: Send + Sync {
-    fn run_next(&self, worker: usize) -> Step;
-    /// Promotes due retries and scans deadlines; true if work was made
-    /// runnable.
-    fn supervise(&self) -> bool;
-}
-
-/// Bounded MPSC channel: workers push completions, `execute` pops.
-struct CompletionQueue<I> {
-    q: Mutex<VecDeque<I>>,
-    cap: usize,
-    space: Condvar,
-    ready: Condvar,
-}
-
-impl<I> CompletionQueue<I> {
-    fn new(cap: usize) -> Self {
-        CompletionQueue {
-            q: Mutex::new(VecDeque::new()),
-            cap: cap.max(1),
-            space: Condvar::new(),
-            ready: Condvar::new(),
-        }
-    }
-
-    /// Blocks while the queue is full (backpressure) unless the batch was
-    /// abandoned by its consumer.
-    fn push(&self, item: I, abandoned: &AtomicBool) {
-        let mut q = lock(&self.q);
-        while q.len() >= self.cap && !abandoned.load(Ordering::SeqCst) {
-            let (g, _) = self
-                .space
-                .wait_timeout(q, Duration::from_millis(10))
-                .unwrap_or_else(|e| e.into_inner());
-            q = g;
-        }
-        q.push_back(item);
-        self.ready.notify_one();
-    }
-
-    fn pop_timeout(&self, d: Duration) -> Option<I> {
-        let mut q = lock(&self.q);
-        if q.is_empty() {
-            let (g, _) = self.ready.wait_timeout(q, d).unwrap_or_else(|e| e.into_inner());
-            q = g;
-        }
-        let item = q.pop_front();
-        if item.is_some() {
-            self.space.notify_one();
-        }
-        item
+impl Task {
+    fn first(idx: u32) -> Task {
+        Task { idx, attempt: 0, panics: 0, late: false }
     }
 }
 
-/// The typed state of one `execute` call, shared with the pool.
+/// The reports of a batch as its tasks finish.
+struct Progress<R> {
+    /// One slot per item, filled when its task finishes.
+    reports: Vec<Option<TaskReport<R>>>,
+    /// Tasks not finished yet.
+    left: usize,
+    /// Keys quarantined by this batch.
+    poison: Vec<u64>,
+    /// A fallback closure panicked — the batch cannot complete.
+    failed: Option<String>,
+}
+
+/// The typed state of one `execute` call.
 struct Batch<T, R> {
     items: Vec<T>,
     #[allow(clippy::type_complexity)]
@@ -286,226 +226,268 @@ struct Batch<T, R> {
     on_panic: Box<dyn Fn(usize, &T, u32, &TransportError) -> R + Send + Sync>,
     /// Per-item retry budgets (0 for items with quarantined keys).
     budgets: Vec<u32>,
-    backoff_base_ms: f64,
-    backoff_cap_ms: f64,
     deadline: Option<Duration>,
     keys: Option<Vec<u64>>,
     /// Reverse dependency map: `dependents[j]` holds the tasks to enqueue
     /// once task `j` finishes (empty for dependency-free batches).
     dependents: Vec<Vec<u32>>,
-    /// Per-worker deques: owner pops the front, thieves pop the back.
+    /// One deque per worker: the owner pops the front, thieves the back.
     deques: Vec<Mutex<VecDeque<Task>>>,
-    /// Seeded victim permutation per worker.
-    steal_order: Vec<Vec<usize>>,
-    /// Backoff parking lot, promoted by the supervisor.
+    /// Retries waiting out their backoff, each with the instant it falls
+    /// due.
     delayed: Mutex<Vec<(Instant, Task)>>,
-    /// What each worker is running, for deadline scans.
-    #[allow(clippy::type_complexity)]
-    inflight: Vec<Mutex<Option<(usize, Instant)>>>,
-    straggler: Vec<AtomicBool>,
-    completed: AtomicUsize,
-    out: CompletionQueue<(usize, TaskReport<R>)>,
-    /// Keys newly quarantined by this batch.
-    new_poison: Mutex<Vec<u64>>,
-    /// Set when the consumer gave up (or finished): pushers stop blocking.
-    abandoned: AtomicBool,
-    /// A fallback closure panicked — the batch cannot complete.
-    poisoned_fallback: Mutex<Option<String>>,
+    progress: Mutex<Progress<R>>,
+    /// Signalled when a task finishes or a fallback panics.
+    done: Condvar,
 }
 
 impl<T: Send + Sync, R: Send> Batch<T, R> {
-    fn pop_task(&self, worker: usize) -> Option<Task> {
-        if let Some(t) = lock(&self.deques[worker]).pop_front() {
-            return Some(t);
-        }
-        for &victim in &self.steal_order[worker] {
-            if let Some(t) = lock(&self.deques[victim]).pop_back() {
-                return Some(t);
+    /// Validates `opts` against the items and deals the dependency-free
+    /// tasks round-robin over `queues` deques in item order (the owner
+    /// pops the front, so worker `w` walks items `w, w + W, …` — stealing
+    /// rebalances from the back). A task with a dependency is held back
+    /// until its dependency finishes.
+    #[allow(clippy::type_complexity)]
+    fn new(
+        items: Vec<T>,
+        opts: &BatchOptions,
+        poisoned: &HashSet<u64>,
+        run: Box<dyn Fn(usize, &T, u32) -> TaskAttempt<R> + Send + Sync>,
+        on_panic: Box<dyn Fn(usize, &T, u32, &TransportError) -> R + Send + Sync>,
+        queues: usize,
+    ) -> Self {
+        let n = items.len();
+        let budgets = match &opts.keys {
+            Some(keys) => {
+                assert_eq!(keys.len(), n, "BatchOptions::keys must parallel the item vector");
+                keys.iter().map(|k| if poisoned.contains(k) { 0 } else { MAX_RETRIES }).collect()
             }
-        }
-        None
-    }
-
-    fn backoff_ms(&self, retries_done: u32) -> f64 {
-        let exp = retries_done.saturating_sub(1).min(20) as i32;
-        (self.backoff_base_ms * 2f64.powi(exp)).min(self.backoff_cap_ms)
-    }
-
-    fn requeue(&self, task: Task) {
-        let backoff = self.backoff_ms(task.attempt);
-        if backoff <= 0.0 {
-            lock(&self.deques[task.idx as usize % self.deques.len()]).push_back(task);
-        } else {
-            lock(&self.delayed)
-                .push((Instant::now() + Duration::from_secs_f64(backoff / 1000.0), task));
-        }
-    }
-
-    fn quarantine_key(&self, idx: usize) {
-        if let Some(keys) = &self.keys {
-            lock(&self.new_poison).push(keys[idx]);
-        }
-    }
-
-    fn finish(&self, idx: usize, value: R, attempts: u32, panics: u32, quarantined: bool) {
-        // Release dependents before reporting: any outcome (success,
-        // quarantine, panic fallback) satisfies the dependency.
-        if let Some(waiters) = self.dependents.get(idx) {
-            for &d in waiters {
-                lock(&self.deques[d as usize % self.deques.len()]).push_back(Task {
-                    idx: d,
-                    attempt: 0,
-                    panics: 0,
-                });
-            }
-        }
-        let report = TaskReport {
-            value,
-            attempts,
-            panics,
-            quarantined,
-            straggler: self.straggler[idx].load(Ordering::Relaxed),
+            None => vec![MAX_RETRIES; n],
         };
-        self.out.push((idx, report), &self.abandoned);
-        self.completed.fetch_add(1, Ordering::SeqCst);
-    }
-
-    fn execute_task(&self, worker: usize, task: Task) {
-        let idx = task.idx as usize;
-        *lock(&self.inflight[worker]) = Some((idx, Instant::now()));
-        // Charge the shim's nesting cap while the task runs, so point
-        // solves on pool workers never multiply threads through nested
-        // scoped spawns.
-        let outcome = {
-            let _pool = rayon::enter_pool_worker();
-            catch_unwind(AssertUnwindSafe(|| (self.run)(idx, &self.items[idx], task.attempt)))
-        };
-        *lock(&self.inflight[worker]) = None;
-        let attempts = task.attempt + 1;
-        let budget = self.budgets[idx];
-        match outcome {
-            Ok(TaskAttempt::Done(value)) => self.finish(idx, value, attempts, task.panics, false),
-            Ok(TaskAttempt::Retry(value)) => {
-                if task.attempt < budget {
-                    self.requeue(Task { idx: task.idx, attempt: attempts, panics: task.panics });
-                } else {
-                    self.quarantine_key(idx);
-                    self.finish(idx, value, attempts, task.panics, true);
+        let mut dependents: Vec<Vec<u32>> = Vec::new();
+        if let Some(deps) = &opts.deps {
+            assert_eq!(deps.len(), n, "BatchOptions::deps must parallel the item vector");
+            dependents = vec![Vec::new(); n];
+        }
+        let mut deques: Vec<VecDeque<Task>> = (0..queues).map(|_| VecDeque::new()).collect();
+        for i in 0..n {
+            match opts.deps.as_ref().and_then(|d| d[i]) {
+                Some(j) => {
+                    assert!(
+                        (j as usize) < i,
+                        "BatchOptions::deps must point backwards (task {i} depends on {j})"
+                    );
+                    dependents[j as usize].push(i as u32);
                 }
+                None => deques[i % queues].push_back(Task::first(i as u32)),
             }
+        }
+        Batch {
+            items,
+            run,
+            on_panic,
+            budgets,
+            deadline: opts
+                .deadline_ms
+                .and_then(|ms| Duration::try_from_secs_f64(ms.max(0.0) / 1000.0).ok()),
+            keys: opts.keys.clone(),
+            dependents,
+            deques: deques.into_iter().map(Mutex::new).collect(),
+            delayed: Mutex::new(Vec::new()),
+            progress: Mutex::new(Progress {
+                reports: (0..n).map(|_| None).collect(),
+                left: n,
+                poison: Vec::new(),
+                failed: None,
+            }),
+            done: Condvar::new(),
+        }
+    }
+
+    /// The next task for `worker`: the front of its own deque, else the
+    /// back of the others' in ring order, else the delayed retry that falls
+    /// due first — once its backoff is over, or at once when
+    /// `!wait_backoff` (a nested batch must not stall the worker running
+    /// it). `Err` carries when that retry falls due, if there is one.
+    fn pop(&self, worker: usize, wait_backoff: bool) -> Result<Task, Option<Instant>> {
+        let w = self.deques.len();
+        for k in 0..w {
+            let mut q = lock(&self.deques[(worker + k) % w]);
+            if let Some(task) = if k == 0 { q.pop_front() } else { q.pop_back() } {
+                return Ok(task);
+            }
+        }
+        let mut delayed = lock(&self.delayed);
+        match (0..delayed.len()).min_by_key(|&i| delayed[i].0) {
+            Some(i) if !wait_backoff || delayed[i].0 <= Instant::now() => {
+                Ok(delayed.swap_remove(i).1)
+            }
+            first => Err(first.map(|i| delayed[i].0)),
+        }
+    }
+
+    /// Runs one attempt of `task` and settles it: done, re-enqueued after
+    /// backoff, or quarantined with its last value (or `on_panic`'s
+    /// fallback after a panic). `lease` charges the rayon shim's nesting
+    /// cap while the attempt runs, so point solves on pool workers never
+    /// multiply threads through nested scoped spawns (a nested batch's
+    /// thread already holds one). Returns whether idle workers have new
+    /// work to look at: a retry or released dependents.
+    fn attempt(&self, mut task: Task, lease: bool) -> bool {
+        let idx = task.idx as usize;
+        let item = &self.items[idx];
+        let started = Instant::now();
+        let outcome = {
+            let _lease = lease.then(rayon::enter_pool_worker);
+            catch_unwind(AssertUnwindSafe(|| (self.run)(idx, item, task.attempt)))
+        };
+        task.attempt += 1;
+        task.panics += u32::from(outcome.is_err());
+        task.late |= self.deadline.is_some_and(|d| started.elapsed() > d);
+        let value = match outcome {
+            Ok(TaskAttempt::Done(value)) => return self.finish(task, value, false),
+            // A failed or panicking attempt with budget left: retry later.
+            _ if task.attempt <= self.budgets[idx] => {
+                let exp = (task.attempt - 1).min(16);
+                let backoff = (BACKOFF_BASE_MS << exp).min(BACKOFF_CAP_MS);
+                lock(&self.delayed).push((Instant::now() + Duration::from_millis(backoff), task));
+                return true;
+            }
+            Ok(TaskAttempt::Retry(value)) => value,
             Err(payload) => {
-                let panics = task.panics + 1;
-                if task.attempt < budget {
-                    self.requeue(Task { idx: task.idx, attempt: attempts, panics });
-                } else {
-                    let err = TransportError::Panic { what: panic_text(payload.as_ref()) };
-                    let fallback = catch_unwind(AssertUnwindSafe(|| {
-                        (self.on_panic)(idx, &self.items[idx], attempts, &err)
-                    }));
-                    match fallback {
-                        Ok(value) => {
-                            self.quarantine_key(idx);
-                            self.finish(idx, value, attempts, panics, true);
-                        }
-                        Err(p2) => {
-                            // The fallback is contractually infallible; if
-                            // it panics anyway, poison the batch loudly
-                            // instead of hanging the consumer.
-                            *lock(&self.poisoned_fallback) = Some(panic_text(p2.as_ref()));
-                            self.abandoned.store(true, Ordering::SeqCst);
-                        }
+                let err = TransportError::Panic { what: panic_text(payload.as_ref()) };
+                let fallback = catch_unwind(AssertUnwindSafe(|| {
+                    (self.on_panic)(idx, item, task.attempt, &err)
+                }));
+                match fallback {
+                    Ok(value) => value,
+                    Err(p) => {
+                        // The fallback is contractually infallible; if it
+                        // panics anyway, fail the batch loudly instead of
+                        // hanging its caller.
+                        lock(&self.progress).failed = Some(panic_text(p.as_ref()));
+                        self.done.notify_all();
+                        return false;
                     }
                 }
             }
-        }
+        };
+        self.finish(task, value, true)
     }
+
+    /// Reports `task` and releases its dependents first: any outcome —
+    /// success, quarantine, panic fallback — satisfies a dependency.
+    /// Returns whether it released any.
+    fn finish(&self, task: Task, value: R, quarantined: bool) -> bool {
+        let idx = task.idx as usize;
+        let released = self.dependents.get(idx).map_or(&[][..], Vec::as_slice);
+        for &d in released {
+            lock(&self.deques[d as usize % self.deques.len()]).push_back(Task::first(d));
+        }
+        let mut p = lock(&self.progress);
+        if quarantined {
+            if let Some(keys) = &self.keys {
+                p.poison.push(keys[idx]);
+            }
+        }
+        p.reports[idx] = Some(TaskReport {
+            value,
+            attempts: task.attempt,
+            panics: task.panics,
+            quarantined,
+            straggler: task.late,
+        });
+        p.left -= 1;
+        drop(p);
+        // Every report wakes the caller, not only the last: a caller that
+        // slept through the whole batch made 40-point sweeps 10–20 % slower
+        // in interleaved runs on a 2-core VM.
+        self.done.notify_all();
+        !released.is_empty()
+    }
+
+    /// Blocks until every task finished, then hands back the reports in
+    /// item order and the keys this batch quarantined. Panics in the
+    /// caller if a fallback closure panicked.
+    fn wait(&self) -> (Vec<TaskReport<R>>, Vec<u64>) {
+        let mut p = lock(&self.progress);
+        while p.left > 0 && p.failed.is_none() {
+            p = self.done.wait(p).unwrap_or_else(|e| e.into_inner());
+        }
+        if let Some(what) = p.failed.take() {
+            panic!("scheduler fallback closure panicked: {what}");
+        }
+        let reports = std::mem::take(&mut p.reports);
+        let reports = reports.into_iter().map(|r| r.expect("report for every task")).collect();
+        (reports, std::mem::take(&mut p.poison))
+    }
+}
+
+/// What one worker turn on a batch did.
+enum Turn {
+    /// An attempt ran; `true` if it gave idle workers new work to look at.
+    Ran(bool),
+    /// Nothing is runnable; the first delayed retry falls due then.
+    Idle(Option<Instant>),
+}
+
+/// Worker-facing view of a batch (type-erased so the pool threads need
+/// not know `T`/`R`).
+trait BatchRun: Send + Sync {
+    fn turn(&self, worker: usize) -> Turn;
 }
 
 impl<T: Send + Sync, R: Send> BatchRun for Batch<T, R> {
-    fn run_next(&self, worker: usize) -> Step {
-        if self.completed.load(Ordering::SeqCst) >= self.items.len() {
-            return Step::Drained;
+    fn turn(&self, worker: usize) -> Turn {
+        match self.pop(worker, true) {
+            Ok(task) => Turn::Ran(self.attempt(task, true)),
+            Err(due) => Turn::Idle(due),
         }
-        match self.pop_task(worker) {
-            Some(task) => {
-                self.execute_task(worker, task);
-                Step::Ran
-            }
-            None => {
-                if self.completed.load(Ordering::SeqCst) >= self.items.len() {
-                    Step::Drained
-                } else {
-                    Step::Idle
-                }
-            }
-        }
-    }
-
-    fn supervise(&self) -> bool {
-        let now = Instant::now();
-        let mut moved = false;
-        {
-            let mut delayed = lock(&self.delayed);
-            let mut i = 0;
-            while i < delayed.len() {
-                if delayed[i].0 <= now {
-                    let (_, task) = delayed.swap_remove(i);
-                    lock(&self.deques[task.idx as usize % self.deques.len()]).push_back(task);
-                    moved = true;
-                } else {
-                    i += 1;
-                }
-            }
-        }
-        if let Some(deadline) = self.deadline {
-            for slot in &self.inflight {
-                if let Some((idx, started)) = *lock(slot) {
-                    if now.duration_since(started) > deadline {
-                        self.straggler[idx].store(true, Ordering::Relaxed);
-                    }
-                }
-            }
-        }
-        moved
     }
 }
 
-/// State shared between the pool threads and `execute`.
+/// What the pool threads watch.
+struct PoolState {
+    /// The installed batch (one at a time; `execute` calls serialize).
+    batch: Option<Arc<dyn BatchRun>>,
+    /// Bumped by every change and enqueue: a worker that found nothing to
+    /// run parks only if the epoch has not moved since it looked.
+    epoch: u64,
+    shutdown: bool,
+}
+
 struct Shared {
-    /// The active batch (one at a time; `execute` calls serialize).
-    slot: Mutex<Option<Arc<dyn BatchRun>>>,
+    state: Mutex<PoolState>,
     wake: Condvar,
-    shutdown: AtomicBool,
 }
 
 impl Shared {
-    /// Parks the calling pool thread until woken or `d` elapses.
-    fn park(&self, d: Duration) {
-        let guard = lock(&self.slot);
-        let _ = self.wake.wait_timeout(guard, d).unwrap_or_else(|e| e.into_inner());
+    /// Applies `f` to the pool state, bumps the epoch and wakes every
+    /// parked worker.
+    fn update(&self, f: impl FnOnce(&mut PoolState)) {
+        let mut state = lock(&self.state);
+        f(&mut state);
+        state.epoch += 1;
+        drop(state);
+        self.wake.notify_all();
     }
 }
 
-/// Clears the batch slot when `execute` leaves (even by unwind), so pool
-/// threads never keep a stale batch alive.
-struct SlotGuard<'a> {
-    shared: &'a Shared,
-    abandoned: &'a AtomicBool,
-}
+/// Removes the batch from the pool when `execute` leaves (even by
+/// unwind), so workers never keep a stale batch alive.
+struct Installed<'a>(&'a Shared);
 
-impl Drop for SlotGuard<'_> {
+impl Drop for Installed<'_> {
     fn drop(&mut self) {
-        self.abandoned.store(true, Ordering::SeqCst);
-        *lock(&self.shared.slot) = None;
-        self.shared.wake.notify_all();
+        self.0.update(|state| state.batch = None);
     }
 }
 
-/// The persistent, supervised work-stealing pool.
+/// The persistent work-stealing pool.
 pub struct Scheduler {
-    cfg: SchedulerConfig,
+    workers: usize,
     shared: Arc<Shared>,
-    threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    threads: Vec<std::thread::JoinHandle<()>>,
     /// Serializes concurrent `execute` calls onto the one batch slot.
     batch_serial: Mutex<()>,
     /// Stable keys of tasks that exhausted a retry budget (poison points).
@@ -514,45 +496,31 @@ pub struct Scheduler {
 
 impl std::fmt::Debug for Scheduler {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Scheduler")
-            .field("workers", &self.cfg.workers)
-            .field("seed", &self.cfg.seed)
-            .finish_non_exhaustive()
+        f.debug_struct("Scheduler").field("workers", &self.workers).finish_non_exhaustive()
     }
 }
 
 impl Scheduler {
-    /// Spawns the worker pool and its supervisor.
+    /// Spawns the worker threads (`qtx-sched-{i}`).
     pub fn new(cfg: SchedulerConfig) -> Scheduler {
-        let mut cfg = cfg;
-        cfg.workers = cfg.workers.max(1);
+        let workers = cfg.workers.max(1);
         let shared = Arc::new(Shared {
-            slot: Mutex::new(None),
+            state: Mutex::new(PoolState { batch: None, epoch: 0, shutdown: false }),
             wake: Condvar::new(),
-            shutdown: AtomicBool::new(false),
         });
-        let mut threads = Vec::with_capacity(cfg.workers + 1);
-        for w in 0..cfg.workers {
-            let sh = shared.clone();
-            threads.push(
+        let threads = (0..workers)
+            .map(|w| {
+                let sh = shared.clone();
                 std::thread::Builder::new()
                     .name(format!("qtx-sched-{w}"))
                     .spawn(move || worker_loop(&sh, w))
-                    .expect("spawn scheduler worker"),
-            );
-        }
-        let sh = shared.clone();
-        let poll = Duration::from_millis(cfg.supervisor_poll_ms.max(1));
-        threads.push(
-            std::thread::Builder::new()
-                .name("qtx-sched-supervisor".into())
-                .spawn(move || supervisor_loop(&sh, poll))
-                .expect("spawn scheduler supervisor"),
-        );
+                    .expect("spawn scheduler worker")
+            })
+            .collect();
         Scheduler {
-            cfg,
+            workers,
             shared,
-            threads: Mutex::new(threads),
+            threads,
             batch_serial: Mutex::new(()),
             poisoned: Mutex::new(HashSet::new()),
         }
@@ -560,7 +528,7 @@ impl Scheduler {
 
     /// Worker-thread count.
     pub fn workers(&self) -> usize {
-        self.cfg.workers
+        self.workers
     }
 
     /// Keys quarantined so far (poison points remembered across batches).
@@ -569,10 +537,11 @@ impl Scheduler {
     }
 
     /// Runs one batch: `run(idx, &item, attempt)` per task (with retries
-    /// and panic isolation as configured), `on_panic(idx, &item,
-    /// attempts, &err)` building the fallback value when a task's budget
-    /// ends on a panic. Returns reports in item order. Results are
-    /// bit-identical for any worker count (see the module docs).
+    /// and panic isolation), `on_panic(idx, &item, attempts, &err)`
+    /// building the fallback value when a task's budget ends on a panic.
+    /// Returns reports in item order. Results are bit-identical for any
+    /// worker count (see the module docs). Called from inside a task, it
+    /// runs the batch on the calling thread.
     pub fn execute<T, R>(
         &self,
         items: Vec<T>,
@@ -584,263 +553,77 @@ impl Scheduler {
         T: Send + Sync + 'static,
         R: Send + 'static,
     {
-        let n = items.len();
-        if n == 0 {
+        if items.is_empty() {
             return Vec::new();
         }
-        if let Some(keys) = &opts.keys {
-            assert_eq!(keys.len(), n, "BatchOptions::keys must parallel the item vector");
-        }
-        let mut dependents: Vec<Vec<u32>> = Vec::new();
-        if let Some(deps) = &opts.deps {
-            assert_eq!(deps.len(), n, "BatchOptions::deps must parallel the item vector");
-            dependents = vec![Vec::new(); n];
-            for (i, dep) in deps.iter().enumerate() {
-                if let Some(j) = dep {
-                    assert!(
-                        (*j as usize) < i,
-                        "BatchOptions::deps must point backwards (task {i} depends on {j})"
-                    );
-                    dependents[*j as usize].push(i as u32);
-                }
-            }
-        }
-        let budgets = self.budgets(n, opts);
-        if IN_POOL.with(|c| c.get()) {
-            // A task is executing a nested batch on a pool thread:
-            // blocking on our own workers would deadlock, so run inline.
-            return self.execute_inline(&items, opts, &budgets, &run, &on_panic);
-        }
-        let _serial = lock(&self.batch_serial);
-
-        let batch = Arc::new(Batch {
-            budgets,
-            run: Box::new(run),
-            on_panic: Box::new(on_panic),
-            backoff_base_ms: self.cfg.backoff_base_ms,
-            backoff_cap_ms: self.cfg.backoff_cap_ms,
-            deadline: opts.deadline_ms.map(|ms| Duration::from_secs_f64(ms.max(0.0) / 1000.0)),
-            keys: opts.keys.clone(),
-            dependents,
-            deques: seed_deques(n, self.cfg.workers, opts.deps.as_deref()),
-            steal_order: steal_orders(self.cfg.workers, self.cfg.seed),
-            delayed: Mutex::new(Vec::new()),
-            inflight: (0..self.cfg.workers).map(|_| Mutex::new(None)).collect(),
-            straggler: (0..n).map(|_| AtomicBool::new(false)).collect(),
-            completed: AtomicUsize::new(0),
-            out: CompletionQueue::new(self.cfg.completion_capacity),
-            new_poison: Mutex::new(Vec::new()),
-            abandoned: AtomicBool::new(false),
-            poisoned_fallback: Mutex::new(None),
+        // A task running a nested batch drives it on its own thread:
+        // blocking on the pool it occupies would deadlock.
+        let nested = IN_POOL.with(|c| c.get());
+        let batch = Arc::new(Batch::new(
             items,
-        });
-        *lock(&self.shared.slot) = Some(batch.clone() as Arc<dyn BatchRun>);
-        self.shared.wake.notify_all();
-        let _slot = SlotGuard { shared: self.shared.as_ref(), abandoned: &batch.abandoned };
-
-        let mut reports: Vec<Option<TaskReport<R>>> = (0..n).map(|_| None).collect();
-        let mut got = 0usize;
-        while got < n {
-            match batch.out.pop_timeout(Duration::from_millis(50)) {
-                Some((idx, report)) => {
-                    reports[idx] = Some(report);
-                    got += 1;
-                }
-                None => {
-                    if let Some(what) = lock(&batch.poisoned_fallback).take() {
-                        panic!("scheduler fallback closure panicked: {what}");
-                    }
-                }
+            opts,
+            &lock(&self.poisoned),
+            Box::new(run),
+            Box::new(on_panic),
+            if nested { 1 } else { self.workers },
+        ));
+        let (reports, poison) = if nested {
+            while let Ok(task) = batch.pop(0, false) {
+                batch.attempt(task, false);
             }
-        }
-        self.absorb_poison(&batch.new_poison);
-        reports.into_iter().map(|r| r.expect("report for every task")).collect()
-    }
-
-    /// Per-item retry budgets: the batch default, zeroed for items whose
-    /// key is already quarantined.
-    fn budgets(&self, n: usize, opts: &BatchOptions) -> Vec<u32> {
-        let default = opts.max_retries.unwrap_or(self.cfg.max_retries);
-        match &opts.keys {
-            Some(keys) => {
-                let poisoned = lock(&self.poisoned);
-                keys.iter()
-                    .take(n)
-                    .map(|k| if poisoned.contains(k) { 0 } else { default })
-                    .collect()
-            }
-            None => vec![default; n],
-        }
-    }
-
-    fn absorb_poison(&self, new_poison: &Mutex<Vec<u64>>) {
-        let fresh = std::mem::take(&mut *lock(new_poison));
-        if !fresh.is_empty() {
-            lock(&self.poisoned).extend(fresh);
-        }
-    }
-
-    /// Sequential twin of the pool path, used for nested batches. Same
-    /// retry/quarantine/panic semantics; no backoff sleeps (a nested
-    /// batch must not stall the worker running it) and deadlines are
-    /// checked after the fact.
-    fn execute_inline<T, R>(
-        &self,
-        items: &[T],
-        opts: &BatchOptions,
-        budgets: &[u32],
-        run: &(impl Fn(usize, &T, u32) -> TaskAttempt<R> + Send + Sync),
-        on_panic: &(impl Fn(usize, &T, u32, &TransportError) -> R + Send + Sync),
-    ) -> Vec<TaskReport<R>> {
-        let deadline = opts.deadline_ms.map(|ms| Duration::from_secs_f64(ms.max(0.0) / 1000.0));
-        let mut new_poison: Vec<u64> = Vec::new();
-        let reports = items
-            .iter()
-            .enumerate()
-            .map(|(idx, item)| {
-                let mut attempt = 0u32;
-                let mut panics = 0u32;
-                let mut straggler = false;
-                loop {
-                    let started = Instant::now();
-                    let outcome = catch_unwind(AssertUnwindSafe(|| run(idx, item, attempt)));
-                    if let Some(d) = deadline {
-                        straggler |= started.elapsed() > d;
-                    }
-                    let attempts = attempt + 1;
-                    match outcome {
-                        Ok(TaskAttempt::Done(value)) => {
-                            return TaskReport {
-                                value,
-                                attempts,
-                                panics,
-                                quarantined: false,
-                                straggler,
-                            };
-                        }
-                        Ok(TaskAttempt::Retry(value)) => {
-                            if attempt < budgets[idx] {
-                                attempt = attempts;
-                            } else {
-                                if let Some(keys) = &opts.keys {
-                                    new_poison.push(keys[idx]);
-                                }
-                                return TaskReport {
-                                    value,
-                                    attempts,
-                                    panics,
-                                    quarantined: true,
-                                    straggler,
-                                };
-                            }
-                        }
-                        Err(payload) => {
-                            panics += 1;
-                            if attempt < budgets[idx] {
-                                attempt = attempts;
-                            } else {
-                                let err =
-                                    TransportError::Panic { what: panic_text(payload.as_ref()) };
-                                let value = on_panic(idx, item, attempts, &err);
-                                if let Some(keys) = &opts.keys {
-                                    new_poison.push(keys[idx]);
-                                }
-                                return TaskReport {
-                                    value,
-                                    attempts,
-                                    panics,
-                                    quarantined: true,
-                                    straggler,
-                                };
-                            }
-                        }
-                    }
-                }
-            })
-            .collect();
-        if !new_poison.is_empty() {
-            lock(&self.poisoned).extend(new_poison);
-        }
+            batch.wait()
+        } else {
+            let _serial = lock(&self.batch_serial);
+            self.shared.update(|state| state.batch = Some(batch.clone()));
+            let _installed = Installed(&self.shared);
+            batch.wait()
+        };
+        lock(&self.poisoned).extend(poison);
         reports
     }
 }
 
 impl Drop for Scheduler {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.wake.notify_all();
-        for handle in lock(&self.threads).drain(..) {
+        self.shared.update(|state| state.shutdown = true);
+        for handle in self.threads.drain(..) {
             let _ = handle.join();
         }
     }
 }
 
-/// Initial task distribution: round-robin over the worker deques, in
-/// canonical item order (owner pops the front, so worker `w` walks items
-/// `w, w + W, w + 2W, …` — stealing rebalances from the back). Tasks with
-/// a dependency are held back; [`Batch::finish`] enqueues them when their
-/// dependency completes.
-fn seed_deques(
-    n: usize,
-    workers: usize,
-    deps: Option<&[Option<u32>]>,
-) -> Vec<Mutex<VecDeque<Task>>> {
-    let mut deques: Vec<VecDeque<Task>> = (0..workers).map(|_| VecDeque::new()).collect();
-    for idx in 0..n {
-        if deps.is_some_and(|d| d[idx].is_some()) {
-            continue;
-        }
-        deques[idx % workers].push_back(Task { idx: idx as u32, attempt: 0, panics: 0 });
-    }
-    deques.into_iter().map(Mutex::new).collect()
-}
-
-/// Seeded Fisher–Yates victim permutation per worker (deterministic steal
-/// order, part of the reproducibility story).
-fn steal_orders(workers: usize, seed: u64) -> Vec<Vec<usize>> {
-    (0..workers)
-        .map(|w| {
-            let mut order: Vec<usize> = (0..workers).filter(|&v| v != w).collect();
-            let mut state = splitmix(seed ^ (w as u64).wrapping_mul(0xA076_1D64_78BD_642F));
-            for i in (1..order.len()).rev() {
-                state = splitmix(state);
-                order.swap(i, (state % (i as u64 + 1)) as usize);
-            }
-            order
-        })
-        .collect()
-}
-
 fn worker_loop(shared: &Shared, worker: usize) {
     IN_POOL.with(|c| c.set(true));
     loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        let batch = lock(&shared.slot).clone();
-        match batch {
-            Some(b) => match b.run_next(worker) {
-                Step::Ran => {}
-                Step::Idle => shared.park(Duration::from_millis(1)),
-                Step::Drained => shared.park(Duration::from_millis(1)),
-            },
-            None => shared.park(Duration::from_millis(5)),
-        }
-    }
-}
-
-fn supervisor_loop(shared: &Shared, poll: Duration) {
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        let batch = lock(&shared.slot).clone();
-        if let Some(b) = batch {
-            if b.supervise() {
-                shared.wake.notify_all();
+        let (batch, epoch) = {
+            let state = lock(&shared.state);
+            if state.shutdown {
+                return;
+            }
+            (state.batch.clone(), state.epoch)
+        };
+        let due = match batch.map(|b| b.turn(worker)) {
+            Some(Turn::Ran(enqueued)) => {
+                if enqueued {
+                    shared.update(|_| {});
+                }
+                continue;
+            }
+            Some(Turn::Idle(due)) => due,
+            None => None,
+        };
+        // Park unless something moved since the state was read; the
+        // timeout only times the first delayed retry.
+        let state = lock(&shared.state);
+        if state.epoch == epoch {
+            match due {
+                Some(at) => {
+                    let wait = at.saturating_duration_since(Instant::now());
+                    drop(shared.wake.wait_timeout(state, wait));
+                }
+                None => drop(shared.wake.wait(state)),
             }
         }
-        std::thread::sleep(poll);
     }
 }
 
@@ -849,12 +632,7 @@ mod tests {
     use super::*;
 
     fn sched(workers: usize) -> Scheduler {
-        Scheduler::new(SchedulerConfig {
-            workers,
-            backoff_base_ms: 0.5,
-            backoff_cap_ms: 2.0,
-            ..SchedulerConfig::default()
-        })
+        Scheduler::new(SchedulerConfig { workers })
     }
 
     fn values<R: Copy>(reports: &[TaskReport<R>]) -> Vec<R> {
@@ -931,7 +709,7 @@ mod tests {
         let s = sched(2);
         let reports = s.execute(
             (0..8u32).collect(),
-            &BatchOptions { max_retries: Some(1), ..Default::default() },
+            &BatchOptions::default(),
             |_, &x, _| {
                 if x == 3 {
                     panic!("task {x} exploded");
@@ -940,12 +718,13 @@ mod tests {
             },
             |_, &x, attempts, err| {
                 assert!(matches!(err, TransportError::Panic { what } if what.contains("exploded")));
-                assert_eq!(attempts, 2);
+                assert_eq!(attempts, 3);
                 x + 1000
             },
         );
         assert_eq!(reports[3].value, 1003);
-        assert_eq!(reports[3].panics, 2, "both attempts panicked");
+        assert_eq!(reports[3].attempts, 3);
+        assert_eq!(reports[3].panics, 3, "every attempt panicked");
         assert!(reports[3].quarantined);
         assert!(reports.iter().enumerate().all(|(i, r)| i == 3 || r.panics == 0));
         // The pool must keep serving batches after a caught panic.
@@ -1002,12 +781,8 @@ mod tests {
     }
 
     #[test]
-    fn supervisor_marks_deadline_stragglers() {
-        let s = Scheduler::new(SchedulerConfig {
-            workers: 2,
-            supervisor_poll_ms: 1,
-            ..SchedulerConfig::default()
-        });
+    fn attempts_ending_past_the_deadline_are_stragglers() {
+        let s = sched(2);
         let opts = BatchOptions { deadline_ms: Some(5.0), ..Default::default() };
         let reports = s.execute(
             vec![1u64, 80],
@@ -1020,22 +795,6 @@ mod tests {
         );
         assert!(reports[1].straggler, "an 80 ms task must trip a 5 ms deadline");
         assert_eq!(values(&reports), vec![1, 80], "stragglers still complete normally");
-    }
-
-    #[test]
-    fn bounded_completion_queue_applies_backpressure() {
-        let s = Scheduler::new(SchedulerConfig {
-            workers: 4,
-            completion_capacity: 1,
-            ..SchedulerConfig::default()
-        });
-        let reports = s.execute(
-            (0..200u64).collect(),
-            &BatchOptions::default(),
-            |_, &x, _| TaskAttempt::Done(x),
-            |_, _, _, _| 0,
-        );
-        assert_eq!(values(&reports), (0..200).collect::<Vec<u64>>());
     }
 
     #[test]
@@ -1069,11 +828,7 @@ mod tests {
     #[test]
     fn dependents_are_released_by_failed_dependencies() {
         let s = sched(2);
-        let opts = BatchOptions {
-            deps: Some(vec![None, Some(0)]),
-            max_retries: Some(0),
-            ..Default::default()
-        };
+        let opts = BatchOptions { deps: Some(vec![None, Some(0)]), ..Default::default() };
         let reports = s.execute(
             vec![10u32, 11],
             &opts,
@@ -1086,9 +841,50 @@ mod tests {
             |_, _, _, _| 100,
         );
         assert_eq!(reports[0].value, 100, "failed dependency falls back");
+        assert_eq!(reports[0].attempts, 3);
         assert!(reports[0].quarantined);
         assert_eq!(reports[1].value, 11, "dependent still runs after the failure");
         assert!(!reports[1].quarantined);
+    }
+
+    #[test]
+    fn a_panicking_fallback_panics_the_caller_instead_of_hanging() {
+        let s = Arc::new(sched(2));
+        let failing = |s: &Scheduler| {
+            s.execute(
+                (0..6u32).collect(),
+                &BatchOptions::default(),
+                |_, &x, _| {
+                    if x == 2 {
+                        panic!("task {x} exploded");
+                    }
+                    TaskAttempt::Done(x)
+                },
+                |_, _, _, _| -> u32 { panic!("fallback exploded") },
+            )
+        };
+        let outer = catch_unwind(AssertUnwindSafe(|| failing(&s))).unwrap_err();
+        assert!(panic_text(outer.as_ref()).contains("fallback exploded"));
+        // Nested: the task driving the inner batch sees the same panic.
+        let inner = s.clone();
+        let reports = s.execute(
+            vec![()],
+            &BatchOptions::default(),
+            move |_, _, _| {
+                let caught = catch_unwind(AssertUnwindSafe(|| failing(&inner)));
+                TaskAttempt::Done(caught.is_err())
+            },
+            |_, _, _, _| false,
+        );
+        assert!(reports[0].value, "the nested caller panicked too");
+        // The pool keeps serving batches.
+        let again = s.execute(
+            vec![7u32],
+            &BatchOptions::default(),
+            |_, &x, _| TaskAttempt::Done(x),
+            |_, _, _, _| 0,
+        );
+        assert_eq!(again[0].value, 7);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! "The momentum k and energy E points are almost embarrassingly parallel,
 //! while FEAST+SplitSolve provides a 1-D spatial domain decomposition"
 //! (§4, Fig. 9). Here the momentum and energy levels are tasks on the
-//! persistent supervised pool of [`crate::scheduler`] (panic isolation,
+//! persistent work-stealing pool of [`crate::scheduler`] (panic isolation,
 //! retry/backoff, deadlines, quarantine — see `docs/scheduler.md`), and
 //! the spatial level is SplitSolve's partitions inside each point. The
 //! compute threads are the workers of the engine's pool (or of
@@ -317,8 +317,9 @@ pub struct SweepHealth {
     /// Points whose scheduler retry budget ran out this run — handed to
     /// the interpolation path as poison points.
     pub quarantined: usize,
-    /// Points the deadline supervisor flagged as overdue this run
-    /// (wall-time-derived — excluded from [`PartialEq`]).
+    /// Scheduler tasks (points, or chunks under batching) with an attempt
+    /// that ended past the soft deadline this run (wall-time-derived —
+    /// excluded from [`PartialEq`]).
     pub stragglers: usize,
     /// Self-energy cache hits this run (0 when no cache is armed).
     /// Hit/miss splits are scheduling-dependent — two workers racing the
@@ -856,7 +857,6 @@ fn compute_records(
     let batch = scheduler::BatchOptions {
         deadline_ms: Some(point_deadline_ms(&chunks[0].folded.dk) * max_len as f64),
         keys: Some(keys),
-        max_retries: None,
         deps: if overlap { Some(deps) } else { None },
     };
     let reports = sched.execute(

@@ -31,7 +31,7 @@ fn lock() -> std::sync::MutexGuard<'static, ()> {
 }
 
 fn pool(workers: usize) -> Arc<Scheduler> {
-    Arc::new(Scheduler::new(SchedulerConfig { workers, ..SchedulerConfig::default() }))
+    Arc::new(Scheduler::new(SchedulerConfig { workers }))
 }
 
 fn small_device() -> Device {

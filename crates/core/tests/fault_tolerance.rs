@@ -24,7 +24,7 @@ use std::sync::{Arc, Mutex};
 /// A fresh pinned-width pool (an engine built without one creates its
 /// own, as wide as the machine).
 fn pool(workers: usize) -> Arc<Scheduler> {
-    Arc::new(Scheduler::new(SchedulerConfig { workers, ..SchedulerConfig::default() }))
+    Arc::new(Scheduler::new(SchedulerConfig { workers }))
 }
 
 static FAULT_LOCK: Mutex<()> = Mutex::new(());

@@ -32,7 +32,7 @@ fn fast_cfg() -> ScfConfig {
 }
 
 fn pool(workers: usize) -> Arc<Scheduler> {
-    Arc::new(Scheduler::new(SchedulerConfig { workers, ..SchedulerConfig::default() }))
+    Arc::new(Scheduler::new(SchedulerConfig { workers }))
 }
 
 fn bits(v: &[f64]) -> Vec<u64> {

@@ -35,10 +35,7 @@ fn engine(dev: &Device) -> TransportEngine {
 
 fn sweep_on_fresh_pool(dev: &Device, plan: &SweepPlan, workers: usize) -> SweepResult {
     let opts = SweepOptions::builder()
-        .scheduler(Arc::new(Scheduler::new(SchedulerConfig {
-            workers,
-            ..SchedulerConfig::default()
-        })))
+        .scheduler(Arc::new(Scheduler::new(SchedulerConfig { workers })))
         .build()
         .unwrap();
     engine(dev).sweep_resumable(plan, 3, &opts).unwrap()
@@ -98,10 +95,7 @@ fn default_plan_is_invariant_under_worker_count() {
 /// the records.
 fn options_on_fresh_pool(workers: usize, batching: Batching) -> SweepOptions {
     SweepOptions::builder()
-        .scheduler(Arc::new(Scheduler::new(SchedulerConfig {
-            workers,
-            ..SchedulerConfig::default()
-        })))
+        .scheduler(Arc::new(Scheduler::new(SchedulerConfig { workers })))
         .cache(CachePolicy::Shared(Arc::new(SigmaCache::new(CacheConfig::default()))))
         .batching(batching)
         .build()
@@ -197,10 +191,7 @@ fn refined_sweep_kill_resume_is_bit_identical() {
         "kill must land mid-refinement"
     );
     let kill_opts = SweepOptions::builder()
-        .scheduler(Arc::new(Scheduler::new(SchedulerConfig {
-            workers: 2,
-            ..SchedulerConfig::default()
-        })))
+        .scheduler(Arc::new(Scheduler::new(SchedulerConfig { workers: 2 })))
         .cache(CachePolicy::Shared(Arc::new(SigmaCache::new(CacheConfig::default()))))
         .batching(Batching::Auto)
         .checkpoint(&ckpt)
@@ -213,10 +204,7 @@ fn refined_sweep_kill_resume_is_bit_identical() {
 
     // Resume on a different worker count, no kill budget.
     let resume_opts = SweepOptions::builder()
-        .scheduler(Arc::new(Scheduler::new(SchedulerConfig {
-            workers: 4,
-            ..SchedulerConfig::default()
-        })))
+        .scheduler(Arc::new(Scheduler::new(SchedulerConfig { workers: 4 })))
         .cache(CachePolicy::Shared(Arc::new(SigmaCache::new(CacheConfig::default()))))
         .batching(Batching::Auto)
         .checkpoint(&ckpt)

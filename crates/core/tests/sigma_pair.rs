@@ -124,7 +124,7 @@ fn cache_pair_books_and_stores_what_two_single_lookups_do() {
 #[test]
 fn sweep_records_equal_the_two_call_sequence_with_and_without_bias() {
     let _g = lock();
-    let pool = Arc::new(Scheduler::new(SchedulerConfig { workers: 2, ..Default::default() }));
+    let pool = Arc::new(Scheduler::new(SchedulerConfig { workers: 2 }));
     for drain in [0.0, -0.08] {
         let dev = ramped_device(drain);
         let plan = SweepPlan::from_device(&dev, 0.05, 0.15);

@@ -172,7 +172,7 @@ fn point_is_bit_identical_on_any_thread() {
     };
     let here: Vec<u64> = energies.iter().map(|&e| solve(&engine, e)).collect();
     for workers in [1, 2, 4] {
-        let pool = Scheduler::new(SchedulerConfig { workers, ..SchedulerConfig::default() });
+        let pool = Scheduler::new(SchedulerConfig { workers });
         let engine = engine.clone();
         let reports = pool.execute(
             energies.clone(),
@@ -429,7 +429,7 @@ fn fanned_out_fronts_do_not_change_a_point() {
         energies.iter().map(|&e| solve(&engine, e)).collect()
     };
     assert_eq!(inline, fanned);
-    let pool = Scheduler::new(SchedulerConfig { workers: 2, ..SchedulerConfig::default() });
+    let pool = Scheduler::new(SchedulerConfig { workers: 2 });
     let worker_engine = engine.clone();
     let reports = pool.execute(
         energies,
@@ -502,7 +502,7 @@ fn the_cases_hold_on_a_thrashing_64k_shared_cache() {
         rs.into_result().unwrap().transmission.to_bits()
     };
     let here: Vec<u64> = energies.iter().map(|&e| solve(&off, e)).collect();
-    let pool = Scheduler::new(SchedulerConfig { workers: 4, ..SchedulerConfig::default() });
+    let pool = Scheduler::new(SchedulerConfig { workers: 4 });
     let worker_engine = thrash.clone();
     let reports = pool.execute(
         energies.clone(),
