@@ -13,13 +13,16 @@
 //! interior solvers' small products have, dense and 10 %-filled, through
 //! the direct loop and through the packed path (`gemm_on_path`) — what
 //! `docs/linalg.md` cites for leaving `SMALL_MNK` where it is.
-//! Run with `cargo run --release -p qtx-bench --bin bench_gemm_json
+//! The `kind: "herk"` entries time `zherk` against the full gemm it
+//! replaces (`AᴴA`, `A` m × n) at the Gram shapes FEAST and Beyn pass:
+//! `herk_speedup` is that within-binary ratio, the row `docs/linalg.md`
+//! keeps `zherk` on. Run with `cargo run --release -p qtx-bench --bin bench_gemm_json
 //! [output-path] [--quick]`.
 
 use qtx_bench::{print_table, Row};
 use qtx_linalg::gemm::{gemm_on_path, gemm_with};
 use qtx_linalg::kernel::kernel_of;
-use qtx_linalg::{available_variants, gemm, Complex64, KernelVariant, Op, ZMat};
+use qtx_linalg::{available_variants, gemm, zherk, Complex64, KernelVariant, Op, ZMat};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -212,6 +215,44 @@ fn main() {
                 vec![t_packed * 1e3, t_direct * 1e3, t_direct / t_packed, gflops(t_packed)],
             ));
         }
+    }
+    // Gram matrices AᴴA (A m × n): FEAST's projector block P (2·nf × the
+    // 8–32-column subspace) and Beyn's moment A₀ (2·nf × nf + 8), at the
+    // UTB film (nf = 20), the 1.5 nm wire (90) and the DFT wire (252).
+    for (m, n) in [(40, 8), (40, 28), (180, 32), (180, 98), (504, 32), (504, 260)] {
+        let a = ZMat::random(m, n, 13);
+        let mut c = ZMat::zeros(n, n);
+        let inner = (8_000_000 / (m * n * n)).max(1);
+        let mut time = |f: &mut dyn FnMut(&mut ZMat)| {
+            median_secs(
+                || {
+                    for _ in 0..inner {
+                        f(&mut c);
+                    }
+                },
+                15,
+            ) / inner as f64
+        };
+        let t_herk = time(&mut |c| zherk(1.0, a.view(), Op::Adjoint, 0.0, c));
+        let (one, zero) = (Complex64::ONE, Complex64::ZERO);
+        let t_gemm = time(&mut |c| gemm(one, &a, Op::Adjoint, &a, Op::None, zero, c));
+        let mut c_gemm = ZMat::zeros(n, n);
+        gemm(one, &a, Op::Adjoint, &a, Op::None, zero, &mut c_gemm);
+        zherk(1.0, a.view(), Op::Adjoint, 0.0, &mut c);
+        assert!(c.max_diff(&c_gemm) < 1e-10 * m as f64, "zherk drift at {m}x{n}");
+        let gflops = 4.0 * (n * n * m) as f64 / t_herk / 1e9;
+        let _ = writeln!(
+            entries,
+            "    {{\"kind\": \"herk\", \"m\": {m}, \"n\": {n}, \"herk_us\": {:.3}, \"gemm_us\": {:.3}, \"herk_speedup\": {:.3}, \"herk_gflops\": {:.2}}},",
+            t_herk * 1e6,
+            t_gemm * 1e6,
+            t_gemm / t_herk,
+            gflops
+        );
+        rows.push(Row::new(
+            format!("zherk {m}x{n}"),
+            vec![t_herk * 1e3, t_gemm * 1e3, t_gemm / t_herk, gflops],
+        ));
     }
     let entries = entries.trim_end().trim_end_matches(',').to_string();
     let json = format!(

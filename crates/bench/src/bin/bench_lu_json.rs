@@ -1,5 +1,7 @@
 //! Emits `BENCH_lu.json`: blocked gemm-powered LU vs the unblocked rank-1
-//! baseline at the kernel level (zgetrf/zgetrs, 64–512), and the
+//! baseline at the kernel level (zgetrf/zgetrs, 32–512; below the n = 96
+//! crossover both run the rank-1 loop, and the `zgetrs` rows time the
+//! RHS-blocked substitution the small SplitSolve blocks use), and the
 //! solver-level figure (SplitSolve / block-Thomas ms per energy point, the
 //! nb=8/s=64 configuration the PR 1 numbers were recorded at).
 //!
@@ -157,7 +159,8 @@ fn main() {
         }
     }
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let sizes: &[usize] = if quick { &[64, 128, 256] } else { &[64, 128, 256, 384, 512] };
+    let sizes: &[usize] =
+        if quick { &[32, 64, 128, 256] } else { &[32, 64, 96, 128, 256, 384, 512] };
     let points = if quick { 4 } else { 16 };
 
     let mut entries = String::new();

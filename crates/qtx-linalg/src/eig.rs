@@ -12,9 +12,9 @@
 //!    columns see their two-sided updates immediately while everything
 //!    else is deferred), then the trailing matrix takes one `Y·Vᴴ`
 //!    right-update gemm and one `I − V·Tᴴ·Vᴴ` left-update WY sweep on the
-//!    same gemm/trsm kernels as the blocked QR — every `·T` product runs
-//!    as an in-place [`crate::trmm`] on the upper triangle — and `Q`
-//!    accumulates one panel at a time through two more gemms,
+//!    same gemm/trsm kernels as the blocked QR — every `·T` product is a
+//!    gemm on the zero-filled upper triangle — and `Q` accumulates one
+//!    panel at a time through three more gemms,
 //! 2. explicitly shifted QR iteration with Givens rotations and Wilkinson
 //!    shifts to the (complex) Schur form `A = Z·T·Zᴴ`,
 //! 3. eigenvector recovery by triangular back-substitution,
@@ -32,9 +32,8 @@ use crate::complex::{c64, Complex64};
 use crate::flops::{counts, flops_add};
 use crate::gemm::{gemm_into_unc, Op};
 use crate::lu::{lu_factor_owned_ws, lu_factor_ws};
-use crate::qr::{apply_panel_wy, stage_v, zlarfg};
-use crate::trmm::trmm_unc;
-use crate::trsm::{Diag, Side, UpLo};
+use crate::qr::{apply_panel_wy, mul_upper_t, stage_v, zlarfg};
+use crate::trsm::Side;
 use crate::workspace::Workspace;
 use crate::zmat::ZMat;
 use crate::{LinalgError, Result};
@@ -189,10 +188,7 @@ fn hess_blocked_panels(h: &mut ZMat, q: &mut ZMat, kmax: usize, ws: &Workspace) 
         stage_v(&h.block_view(rb, k0, nv, ib), &mut vbuf);
         let v = vbuf.block_view(0, 0, nv, ib);
         let t = tbuf.block_view(0, 0, ib, ib);
-        // Top rows of Y (untouched so far): Y[0..rb] = (A[0..rb, rb..n]·V)·T
-        // — the gemm lands in place, then the upper-triangular `T` factor
-        // applies as one right-side ztrmm (half the flops of the square
-        // gemm this used to be, and no second staging buffer).
+        // Top rows of Y (untouched so far): Y[0..rb] = (A[0..rb, rb..n]·V)·T.
         {
             let mut yt = ybuf.block_view_mut(0, 0, rb, ib);
             gemm_into_unc(
@@ -204,7 +200,7 @@ fn hess_blocked_panels(h: &mut ZMat, q: &mut ZMat, kmax: usize, ws: &Workspace) 
                 Complex64::ZERO,
                 yt.rb(),
             );
-            trmm_unc(Side::Right, UpLo::Upper, Op::None, Diag::NonUnit, Complex64::ONE, t, yt.rb());
+            mul_upper_t(Side::Right, Op::None, t, yt.rb());
         }
         // Right update of the trailing columns (all rows): A −= Y·Vᴴ,
         // restricted to the V rows owning columns pe..n.
@@ -238,8 +234,7 @@ fn hess_blocked_panels(h: &mut ZMat, q: &mut ZMat, kmax: usize, ws: &Workspace) 
         }
         // Left update of the trailing block: A ← (I − V·Tᴴ·Vᴴ)·A.
         apply_panel_wy(v, t, true, h.block_view_mut(rb, pe, nv, n - pe), &mut wbuf);
-        // Accumulate Q ← Q·(I − V·T·Vᴴ): one gemm, the in-place `·T`
-        // ztrmm (which replaced the square gemm and its buffer), one gemm.
+        // Accumulate Q ← Q·(I − V·T·Vᴴ): W = Q·V, W ← W·T, Q −= W·Vᴴ.
         {
             let mut wq = ytbuf.block_view_mut(0, 0, n, ib);
             gemm_into_unc(
@@ -251,7 +246,7 @@ fn hess_blocked_panels(h: &mut ZMat, q: &mut ZMat, kmax: usize, ws: &Workspace) 
                 Complex64::ZERO,
                 wq.rb(),
             );
-            trmm_unc(Side::Right, UpLo::Upper, Op::None, Diag::NonUnit, Complex64::ONE, t, wq.rb());
+            mul_upper_t(Side::Right, Op::None, t, wq.rb());
             gemm_into_unc(
                 -Complex64::ONE,
                 wq.as_ref(),

@@ -26,7 +26,7 @@
 //! Everything here is compiled only under the `fault-inject` cargo
 //! feature; without it [`should_fail`] is a `const false` the optimizer
 //! deletes. With the feature on, injection still stays dormant until a
-//! campaign is installed with [`set_config`] — the only way in: tests call
+//! campaign is installed with `set_config` — the only way in: tests call
 //! it directly, and `repro_fig9 --fault-inject <spec>` parses its flag
 //! (`rate=0.2,seed=7,sites=factor_poly|self_energy|splitsolve`) with
 //! `FaultConfig::parse` and calls it. No environment variable is read.

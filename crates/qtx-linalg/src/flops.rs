@@ -158,14 +158,6 @@ pub mod counts {
         4 * (n as u64).pow(2) * nrhs as u64
     }
 
-    /// Triangular matrix multiply (`ztrmm`) of an n×n triangle against
-    /// `nrhs` vectors: same profile as [`ztrsm`] — the triangle holds half
-    /// the entries of a square factor, so 4·n²·nrhs.
-    #[inline]
-    pub fn ztrmm(n: usize, nrhs: usize) -> u64 {
-        4 * (n as u64).pow(2) * nrhs as u64
-    }
-
     /// Hermitian rank-k update `C ← α·A·Aᴴ + β·C` for an n×n output:
     /// half of [`zgemm`]`(n, n, k)` — only one triangle is computed.
     #[inline]
@@ -411,7 +403,7 @@ mod tests {
         assert_eq!(counts::zgetrf(3), 72);
         assert_eq!(counts::zgetrs(4, 2), 8 * 16 * 2);
         // Triangle kernels are half their square counterparts.
-        assert_eq!(counts::ztrmm(10, 4) * 2, counts::zgemm(10, 4, 10));
+        assert_eq!(counts::ztrsm(10, 4) * 2, counts::zgemm(10, 4, 10));
         assert_eq!(counts::zherk(12, 5) * 2, counts::zgemm(12, 12, 5));
         // Q-application: 8·n·k·(2m − k).
         assert_eq!(counts::zunmqr(10, 3, 4), 8 * 3 * 4 * 16);

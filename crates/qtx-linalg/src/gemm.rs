@@ -34,7 +34,7 @@
 //! * re/im planes are separate buffers, `Op::Transpose`/`Op::Adjoint` are
 //!   folded in during packing (conjugation flips the im plane's sign), so
 //!   the microkernel only ever multiplies two untransposed panels;
-//! * α/β are applied at the output-tile write ([`write_tile`]), never
+//! * α/β are applied at the output-tile write (`write_tile`), never
 //!   inside the microkernel, and β is applied on the first k-panel only.
 //!
 //! Every variant also performs the per-lane reduction in the same fused
@@ -134,7 +134,7 @@ pub fn gemm_view(
 }
 
 /// `C ← α·op(A)·op(B) + β·C` where `C` is a possibly strided mutable view
-/// — the entry the blocked LU trailing updates and [`crate::trsm`]
+/// — the entry the blocked LU trailing updates and [`mod@crate::trsm`]
 /// use to accumulate straight into a panel of a larger matrix.
 pub fn gemm_into(
     alpha: Complex64,

@@ -1,6 +1,6 @@
 //! The register-tile complex microkernel (`std::arch` SIMD + scalar).
 //!
-//! The packed gemm path in [`crate::gemm`] bottoms out in one inner
+//! The packed gemm path in [`mod@crate::gemm`] bottoms out in one inner
 //! routine: an `MR×NR` register tile accumulating `Σ_l a(i,l)·b(l,j)`
 //! over a pair of planar (split re/im) micro-panels. This module owns
 //! that routine and picks the widest implementation the host supports
@@ -16,7 +16,7 @@
 //! equivalence battery compares the SIMD variant against. Because the
 //! register-tile shape is part of the packing contract (panels are laid
 //! out in `MR`-row / `NR`-column micro-panel order), [`Kernel`] carries
-//! its `mr`/`nr` and the packing routines in [`crate::gemm`] read them at
+//! its `mr`/`nr` and the packing routines in [`mod@crate::gemm`] read them at
 //! run time.
 //!
 //! # Numerical contract
@@ -47,13 +47,13 @@
 use std::sync::OnceLock;
 
 /// Tallest register tile any variant uses (rows of C).
-pub const MR_MAX: usize = 8;
+pub(crate) const MR_MAX: usize = 8;
 /// Widest register tile any variant uses (columns of C).
-pub const NR_MAX: usize = 8;
+pub(crate) const NR_MAX: usize = 8;
 
 /// Accumulator block handed to a microkernel: `acc[j][i]` receives
 /// element `(i, j)` of the register tile (column-major like the output).
-pub type Acc = [[f64; MR_MAX]; NR_MAX];
+pub(crate) type Acc = [[f64; MR_MAX]; NR_MAX];
 
 /// One selectable microkernel implementation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,7 +103,7 @@ impl Kernel {
     /// variants read the panels through raw pointers.
     #[inline]
     #[allow(clippy::too_many_arguments)] // mirrors the BLIS ukr signature
-    pub fn run(
+    pub(crate) fn run(
         &self,
         kc: usize,
         ap_re: &[f64],
@@ -308,8 +308,8 @@ mod tests {
         }
     }
 
-    /// `run` is safe and public: panels shorter than `kc` steps must
-    /// panic before any raw load, in release builds too.
+    /// `run` is safe: panels shorter than `kc` steps must panic before any
+    /// raw load, in release builds too.
     fn run_on_empty_panels(v: KernelVariant) {
         // A host without the ISA has only the scalar tile to protect.
         let kern = kernel_of(v).unwrap_or(&SCALAR);

@@ -12,20 +12,18 @@
 //! * [`Complex64`] — a minimal, `#[repr(C)]` double-precision complex type.
 //! * [`ZMat`] — column-major dense complex matrices with views and
 //!   Hermitian helpers.
-//! * [`gemm`] — blocked, optionally rayon-parallel complex matrix-matrix
-//!   multiplication with `N`/`T`/`H` operand transforms (the `zgemm`
-//!   workhorse of both FEAST and SplitSolve), including the strided
-//!   [`gemm::gemm_into`] entry the factorizations accumulate through.
+//! * [`mod@gemm`] — blocked, optionally rayon-parallel complex
+//!   matrix-matrix multiplication with `N`/`T`/`H` operand transforms (the
+//!   `zgemm` workhorse of both FEAST and SplitSolve), including the
+//!   strided [`gemm::gemm_into`] entry the factorizations accumulate
+//!   through. Every dense product in the crate runs through it.
 //! * [`kernel`] — the register-tile microkernel under the packed gemm
 //!   path: an explicit AVX-512 (8×8) `std::arch` variant where the CPU has
 //!   it, the portable scalar 8×4 loop elsewhere; detected once, a value
-//!   passed down, never a switch.
-//! * [`trsm`] — triangular solves over borrowed views (left/right,
+//!   passed down, never a switch. Only `gemm` drives it.
+//! * [`mod@trsm`] — triangular solves over borrowed views (left/right,
 //!   lower/upper, `N`/`T`/`H`, unit/non-unit), cache-blocked on the gemm
 //!   microkernel; the substrate of every factor/solve below.
-//! * [`trmm`] — in-place triangular multiply (`ztrmm`): the compact-WY
-//!   `T`-factor products of the blocked QR/Hessenberg kernels at half the
-//!   flops of the square gemm they replaced.
 //! * [`herk`] — Hermitian rank-k update (`zherk`): the FEAST/Beyn Gram
 //!   matrices at half the flops of a general product.
 //! * [`lu`] — partial-pivoting LU (`zgesv`) and inverses: blocked
@@ -35,11 +33,11 @@
 //!   factorization pivots; the paper's pivot-free `zgesv_nopiv` /
 //!   `zhesv_nopiv` are modelled (labels and rates in `qtx-machine`,
 //!   `qtx-accel`), not implemented.
-//! * [`qr`] — blocked compact-WY Householder QR (panel + `T`-via-trsm +
+//! * [`mod@qr`] — blocked compact-WY Householder QR (panel + `T`-via-trsm +
 //!   gemm trailing updates above a measured ~160 crossover, the scalar
 //!   reflector loop below it), orthonormalization and least squares, with
 //!   workspace-borrowing factor/apply entry points.
-//! * [`eig`] — blocked (`zlahr2`-style) Hessenberg reduction + implicitly
+//! * [`mod@eig`] — blocked (`zlahr2`-style) Hessenberg reduction + implicitly
 //!   shifted complex QR (Schur form), eigenvectors, and the generalized
 //!   solver used by the FEAST Rayleigh–Ritz step (`zggev`-lite), all with
 //!   pooled `_ws` forms.
@@ -62,7 +60,6 @@ pub mod kernel;
 pub mod lu;
 pub mod qr;
 pub mod rng;
-pub mod trmm;
 pub mod trsm;
 pub mod workspace;
 pub mod zmat;
@@ -85,7 +82,6 @@ pub use qr::{
     qr_least_squares, QrFactors,
 };
 pub use rng::Pcg64;
-pub use trmm::ztrmm;
 pub use trsm::{trsm, Diag, Side, UpLo};
 pub use workspace::Workspace;
 pub use zmat::{alloc_count, live_bytes, peak_bytes, reset_peak_bytes, ZMat, ZMatMut, ZMatRef};

@@ -12,8 +12,8 @@
 //! **blocked right-looking**: column ranges split recursively (flat
 //! `NB`-panel peeling below a strip width, halving above it), each merge
 //! being a scalar-panel factor with full-row pivot interchanges
-//! (`zlaswp`-style), a [`crate::trsm`] solve of the `U₁₂` panel and one
-//! gemm trailing update on the tiled [`crate::gemm`] microkernel — the
+//! (`zlaswp`-style), a [`mod@crate::trsm`] solve of the `U₁₂` panel and one
+//! gemm trailing update on the tiled [`mod@crate::gemm`] microkernel — the
 //! same decomposition MAGMA's `zgetrf` uses on the paper's GPUs, with the
 //! recursion pushing the large-`n` flops into large-`k` gemms. Below the
 //! crossover the unblocked rank-1 loop runs; [`lu_factor_unblocked`] is
@@ -284,7 +284,7 @@ impl LuFactors {
     /// Pivot interchanges (`zlaswp`) followed by two blocked triangular
     /// solves — the off-diagonal sweeps run on the gemm microkernel and
     /// the ≤64-block diagonal substitution is RHS-register-blocked
-    /// (4-column panels in [`crate::trsm`]), the sweep that dominates
+    /// (4-column panels in [`mod@crate::trsm`]), the sweep that dominates
     /// SplitSolve's per-block solves at s = 64.
     pub fn solve_in_place(&self, x: &mut ZMat) {
         self.solve_in_place_view(x.view_mut());

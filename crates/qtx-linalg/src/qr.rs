@@ -12,7 +12,7 @@
 //! serial reflector dots amortize more slowly than LU's rank-1 axpys),
 //! the factorization runs **blocked right-looking** on the gemm/trsm
 //! substrate: 48-wide panels are factored **recursively**
-//! (RGEQR3-style — [`factor_panel_recursive`] halves each panel, applies
+//! (RGEQR3-style — the panel factorization halves each panel, applies
 //! the left half's aggregated reflector to the right half through WY
 //! gemms, and assembles the panel `T` from the halves' `T`s, so only the
 //! 24-column leaves run the serial reflector loop), and the panel's
@@ -25,22 +25,23 @@
 //! with `V` the unit-lower-trapezoidal reflector matrix and `T` a small
 //! upper-triangular factor. `T` is recovered from the Gram matrix
 //! `S = VᴴV` through the identity `T⁻¹ = diag(1/τ) + strict_upper(S)` —
-//! one [`crate::trsm`] solve of the identity against that triangle (with a
-//! scalar recurrence fallback when a τ vanishes, where the inverse
-//! formulation breaks down). The trailing update is then two gemms around
-//! an in-place [`crate::trmm`] (`T` is upper triangular — the square gemm
-//! the `T`-transform used to pay is halved and its staging buffer gone):
+//! one [`mod@crate::trsm`] solve of the identity against that triangle
+//! (with a scalar recurrence fallback when a τ vanishes, where the inverse
+//! formulation breaks down). The trailing update is then three gemms:
 //!
 //! ```text
-//! W = Vᴴ·B,    W ← Tᴴ·W (ztrmm),    B ← B − V·W
+//! W = Vᴴ·B,    W ← Tᴴ·W,    B ← B − V·W
 //! ```
 //!
-//! so the bulk of the `8·(m·n² − n³/3)` flops runs on the packed
-//! microkernel. The per-panel `T` factors are retained in the returned
-//! [`QrFactors`], so `Q`-applications (`apply_qh`, `q_thin`, least
-//! squares) replay the same blocked WY updates instead of one reflector
-//! at a time, and the `R` back-substitution is a blocked [`crate::trsm`]
-//! sweep. Below the crossover the unblocked reflector loop runs;
+//! The middle one multiplies by the ≤ 48 × 48 triangle `T` as a dense
+//! block with its lower half zeroed: at that size a triangle-aware kernel
+//! saved nothing over the packed gemm (`docs/linalg.md`). So the bulk of
+//! the `8·(m·n² − n³/3)` flops runs on the packed microkernel. The
+//! per-panel `T` factors are retained in the returned [`QrFactors`], so
+//! `Q`-applications (`apply_qh`, `q_thin`, least squares) replay the same
+//! blocked WY updates instead of one reflector at a time, and the `R`
+//! back-substitution is a blocked [`mod@crate::trsm`] sweep. Below the
+//! crossover the unblocked reflector loop runs;
 //! [`qr_factor_unblocked`] is that loop at any size, the reference the
 //! tests and `bench_qr_json` compare the blocked path against. Every
 //! entry point has a workspace-borrowing form ([`qr_factor_ws`],
@@ -51,9 +52,8 @@
 use crate::complex::{c64, Complex64};
 use crate::flops::{counts, flops_add};
 use crate::gemm::{gemm, gemm_into_unc, Op};
-use crate::trmm::trmm_unc;
 use crate::trsm::{trsm_unc, Diag, Side, UpLo};
-use crate::workspace::Workspace;
+use crate::workspace::{with_tri_scratch, Workspace};
 use crate::zmat::{ZMat, ZMatMut, ZMatRef};
 
 /// Panel width of the blocked factorization (wider than the LU
@@ -154,7 +154,7 @@ fn factor_entry(mut p: ZMat, ws: Option<&Workspace>) -> QrFactors {
 /// tail `v` on exit (implicit unit head). Returns τ — zero (leaving the
 /// slice untouched) when the input is already reduced. **The single home
 /// of the reflector sign/τ convention**, shared by the QR panels and
-/// both Hessenberg reduction paths in [`crate::eig`].
+/// both Hessenberg reduction paths in [`mod@crate::eig`].
 pub(crate) fn zlarfg(col: &mut [Complex64]) -> Complex64 {
     let alpha = col[0];
     let mut xnorm_sq = 0.0;
@@ -242,9 +242,9 @@ fn factor_blocked(p: &mut ZMat, tau: &mut ZMat, ts: &mut ZMat, ws: &Workspace) {
 /// Recursive sub-panel factorization of columns `k0..k1` (the ROADMAP's
 /// "recursive/sub-panel factor" micro-optimization, RGEQR3-style):
 /// halves the range, factors the left half, applies its aggregated
-/// compact-WY reflector to the right half as two gemms around a
-/// [`crate::trmm`] — instead of one serial reflector-dot sweep per
-/// column — recurses right, then **assembles the whole range's `T` from
+/// compact-WY reflector to the right half through [`apply_panel_wy`] —
+/// instead of one serial reflector-dot sweep per column — recurses
+/// right, then **assembles the whole range's `T` from
 /// the halves'** through the block identity
 ///
 /// ```text
@@ -306,24 +306,8 @@ fn factor_panel_recursive(
         Complex64::ZERO,
         g.rb(),
     );
-    trmm_unc(
-        Side::Left,
-        UpLo::Upper,
-        Op::None,
-        Diag::NonUnit,
-        Complex64::ONE,
-        ts.block_view(r0, k0, h, h),
-        g.rb(),
-    );
-    trmm_unc(
-        Side::Right,
-        UpLo::Upper,
-        Op::None,
-        Diag::NonUnit,
-        Complex64::ONE,
-        ts.block_view(r0 + h, k0 + h, kb - h, kb - h),
-        g.rb(),
-    );
+    mul_upper_t(Side::Left, Op::None, ts.block_view(r0, k0, h, h), g.rb());
+    mul_upper_t(Side::Right, Op::None, ts.block_view(r0 + h, k0 + h, kb - h, kb - h), g.rb());
     for j in 0..kb - h {
         for (dst, &gij) in ts.col_mut(k0 + h + j)[r0..r0 + h].iter_mut().zip(g.rb().col(j).iter()) {
             *dst = -gij;
@@ -334,7 +318,7 @@ fn factor_panel_recursive(
 /// Materializes the unit-lower-trapezoidal `V` of one panel (packed
 /// reflectors `src`, R entries on/above the diagonal) into the staging
 /// buffer: zeros above, explicit unit diagonal, reflector tails below.
-/// Shared with the blocked Hessenberg reduction in [`crate::eig`], whose
+/// Shared with the blocked Hessenberg reduction in [`mod@crate::eig`], whose
 /// packed panels have the same unit-lower-trapezoid shape one row below
 /// the diagonal.
 pub(crate) fn stage_v(src: &ZMatRef<'_>, vbuf: &mut ZMat) {
@@ -402,10 +386,8 @@ fn build_t(
 /// Applies one panel's compact-WY block reflector in place:
 /// `B ← (I − V·Tᴴ·Vᴴ)·B` when `adjoint` (the `Qᴴ` direction used by the
 /// factorization and `apply_qh`), `B ← (I − V·T·Vᴴ)·B` otherwise (the `Q`
-/// direction used by `q_thin`). Two gemms around an in-place triangular
-/// multiply: `W = Vᴴ·B`, `W ← op(T)·W` ([`crate::trmm`] — `T` is upper
-/// triangular, so the square gemm and its second staging buffer are
-/// gone), `B −= V·W`.
+/// direction used by `q_thin`). Three gemms: `W = Vᴴ·B`,
+/// `W ← op(T)·W` ([`mul_upper_t`]), `B −= V·W`.
 pub(crate) fn apply_panel_wy(
     v: ZMatRef<'_>,
     t: ZMatRef<'_>,
@@ -421,8 +403,41 @@ pub(crate) fn apply_panel_wy(
     let mut w = wbuf.block_view_mut(0, 0, kb, nc);
     gemm_into_unc(Complex64::ONE, v, Op::Adjoint, b.as_ref(), Op::None, Complex64::ZERO, w.rb());
     let t_op = if adjoint { Op::Adjoint } else { Op::None };
-    trmm_unc(Side::Left, UpLo::Upper, t_op, Diag::NonUnit, Complex64::ONE, t, w.rb());
+    mul_upper_t(Side::Left, t_op, t, w.rb());
     gemm_into_unc(-Complex64::ONE, v, Op::None, w.as_ref(), Op::None, Complex64::ONE, b.rb());
+}
+
+/// `B ← op(T)·B` (`Side::Left`) or `B ← B·op(T)` (`Side::Right`) in place
+/// for a compact-WY factor `T` (upper, non-unit, ≤ 48 wide; `op` `None` or
+/// `Adjoint`): one gemm on a copy of `T` in warm scratch with its lower
+/// half zeroed — `T`'s own storage there is unspecified (`take_scratch`) —
+/// into a second scratch block, copied back over `B`. Uncounted: the
+/// `zgeqrf`/`zgehrd` formulas cover it.
+pub(crate) fn mul_upper_t(side: Side, op: Op, t: ZMatRef<'_>, mut b: ZMatMut<'_>) {
+    let k = t.rows();
+    let (m, n) = (b.rows(), b.cols());
+    assert_eq!(t.cols(), k, "T must be square");
+    assert_eq!(if side == Side::Left { m } else { n }, k, "B does not conform to T");
+    if m == 0 || n == 0 {
+        return;
+    }
+    with_tri_scratch(k * k + m * n, |scratch| {
+        let (tbuf, wbuf) = scratch.split_at_mut(k * k);
+        for (j, dst) in tbuf.chunks_exact_mut(k).enumerate() {
+            dst[..=j].copy_from_slice(&t.col(j)[..=j]);
+            dst[j + 1..].fill(Complex64::ZERO);
+        }
+        let t = ZMatRef::from_slice(tbuf, k, k, k);
+        let w = ZMatMut::from_slice(wbuf, m, n, m);
+        let (one, zero) = (Complex64::ONE, Complex64::ZERO);
+        match side {
+            Side::Left => gemm_into_unc(one, t, op, b.as_ref(), Op::None, zero, w),
+            Side::Right => gemm_into_unc(one, b.as_ref(), Op::None, t, op, zero, w),
+        }
+        for (j, wcol) in wbuf.chunks_exact(m).enumerate() {
+            b.col_mut(j).copy_from_slice(wcol);
+        }
+    });
 }
 
 impl QrFactors {
@@ -846,5 +861,92 @@ mod tests {
         let scope = crate::flops::FlopScope::start();
         let _ = qr_factor(&a);
         assert!(scope.elapsed() >= counts::zgeqrf(224, 224));
+    }
+
+    // ── the compact-WY `T` products ──────────────────────────────────
+
+    /// `op(T)·B` (left) or `B·op(T)` (right) by the triple loop over the
+    /// upper triangle of `T`.
+    fn naive_upper_product(side: Side, op: Op, t: &ZMat, b: &ZMat) -> ZMat {
+        let k = t.rows();
+        let upper = ZMat::from_fn(k, k, |i, j| if i <= j { t[(i, j)] } else { Complex64::ZERO });
+        let t = if op == Op::Adjoint { upper.adjoint() } else { upper };
+        let (l, r) = if side == Side::Left { (&t, b) } else { (b, &t) };
+        ZMat::from_fn(l.rows(), r.cols(), |i, j| {
+            (0..l.cols()).fold(Complex64::ZERO, |s, q| s + l[(i, q)] * r[(q, j)])
+        })
+    }
+
+    const SIDE_OPS: [(Side, Op); 4] = [
+        (Side::Left, Op::None),
+        (Side::Left, Op::Adjoint),
+        (Side::Right, Op::None),
+        (Side::Right, Op::Adjoint),
+    ];
+
+    /// A random `k × k` `T` with poison below the diagonal, which the
+    /// product must never read.
+    fn poisoned_upper(k: usize) -> ZMat {
+        let mut t = ZMat::random(k, k, k as u64);
+        (0..k).for_each(|j| t.col_mut(j)[j + 1..].fill(c64(1e30, -1e30)));
+        t
+    }
+
+    #[test]
+    fn upper_t_product_matches_the_naive_triangle() {
+        // Every triangle a caller passes (1…48) against the widths the
+        // deleted scalar sweep served (1…9) and panel widths.
+        for k in 1..=48 {
+            let t = poisoned_upper(k);
+            for w in (1..=9).chain([48, 57]) {
+                for (side, op) in SIDE_OPS {
+                    let (rows, cols) = if side == Side::Left { (k, w) } else { (w, k) };
+                    let mut b = ZMat::random(rows, cols, (100 * k + w) as u64);
+                    let want = naive_upper_product(side, op, &t, &b);
+                    mul_upper_t(side, op, t.view(), b.view_mut());
+                    let diff = b.max_diff(&want);
+                    assert!(diff < 1e-13 * k as f64, "{side:?} {op:?} k {k} width {w}: {diff:.1e}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn upper_t_product_multiplies_in_place_on_a_sub_block() {
+        // A view inside a larger buffer, as the callers pass it: the view
+        // gets the product and nothing outside it is written.
+        for k in [1, 7, 24, 48] {
+            let t = poisoned_upper(k);
+            for w in [1, 5, 9, 48] {
+                for (side, op) in SIDE_OPS {
+                    let (rows, cols) = if side == Side::Left { (k, w) } else { (w, k) };
+                    let mut big = ZMat::random(rows + 3, cols + 2, (100 * k + w) as u64);
+                    let before = big.clone();
+                    let want = naive_upper_product(side, op, &t, &big.block(2, 1, rows, cols));
+                    mul_upper_t(side, op, t.view(), big.block_view_mut(2, 1, rows, cols));
+                    let diff = big.block(2, 1, rows, cols).max_diff(&want);
+                    assert!(diff < 1e-13 * k as f64, "{side:?} {op:?} k {k} width {w}: {diff:.1e}");
+                    let view = before.block_view(2, 1, rows, cols);
+                    big.block_view_mut(2, 1, rows, cols).copy_from_view(view);
+                    assert!(big == before, "{side:?} wrote outside its view");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn upper_t_product_allocation_free() {
+        for k in [1, 9, 32, 48] {
+            let t = poisoned_upper(k);
+            for w in [1, 8, 57] {
+                for (side, op) in SIDE_OPS {
+                    let (rows, cols) = if side == Side::Left { (k, w) } else { (w, k) };
+                    let mut b = ZMat::random(rows, cols, (100 * k + w) as u64);
+                    let allocs = crate::zmat::alloc_count();
+                    mul_upper_t(side, op, t.view(), b.view_mut());
+                    assert_eq!(crate::zmat::alloc_count(), allocs, "{side:?} allocated a ZMat");
+                }
+            }
+        }
     }
 }

@@ -11,7 +11,7 @@
 //! Cache blocking follows the same recipe as the factorizations: the
 //! triangle is cut into `NB × NB` diagonal blocks solved with a scalar
 //! forward/backward sweep, and everything off-diagonal becomes a rank-`NB`
-//! [`crate::gemm`] update that runs on the dispatched packed microkernel. For a
+//! [`mod@crate::gemm`] update that runs on the dispatched packed microkernel. For a
 //! left-side solve the freshly solved block rows are staged through a
 //! small scratch buffer (raw `Vec`, no [`crate::zmat::ZMat`] allocation)
 //! because the trailing gemm writes other rows of the same columns; the
@@ -81,10 +81,9 @@ pub(crate) fn trsm_unc(side: Side, uplo: UpLo, op: Op, diag: Diag, a: ZMatRef<'_
     }
 }
 
-/// Element `op(A)[i, j]` read through the view (shared with
-/// [`crate::trmm`], which addresses the stored triangle the same way).
+/// Element `op(A)[i, j]` read through the view.
 #[inline(always)]
-pub(crate) fn aeff(a: ZMatRef<'_>, op: Op, i: usize, j: usize) -> Complex64 {
+fn aeff(a: ZMatRef<'_>, op: Op, i: usize, j: usize) -> Complex64 {
     match op {
         Op::None => a.at(i, j),
         Op::Transpose => a.at(j, i),
@@ -94,7 +93,7 @@ pub(crate) fn aeff(a: ZMatRef<'_>, op: Op, i: usize, j: usize) -> Complex64 {
 
 /// Whether `op(A)` is effectively lower triangular (forward sweep).
 #[inline]
-pub(crate) fn effectively_lower(uplo: UpLo, op: Op) -> bool {
+fn effectively_lower(uplo: UpLo, op: Op) -> bool {
     (uplo == UpLo::Lower) == (op == Op::None)
 }
 

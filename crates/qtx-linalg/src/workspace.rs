@@ -29,9 +29,9 @@ use std::cell::RefCell;
 use std::sync::Mutex;
 
 thread_local! {
-    /// Per-thread raw staging scratch for the triangular kernels
-    /// ([`crate::trsm`]/[`crate::trmm`]): their per-call staging buffers
-    /// (a block row of `B`, a cleaned diagonal block) are small but were
+    /// Per-thread raw staging scratch for the triangle kernels — `trsm`'s
+    /// solved block rows and the compact-WY `T` products of `qr` (a dense
+    /// copy of `T` plus the product): small per-call buffers that were
     /// freshly allocated and zero-filled on every call — measurable
     /// against a ≤64-sized solve. The high-water buffer is kept per
     /// thread, so repeat calls at steady-state sizes reuse warm memory
@@ -42,8 +42,8 @@ thread_local! {
 /// Runs `f` over a `need`-element slice of the calling thread's triangular
 /// staging scratch. Contents are **unspecified** (whatever the previous
 /// call left); callers must write before reading. Not reentrant: `f` must
-/// not call back into a kernel that takes the scratch itself (the
-/// trsm/trmm staging never does — their inner calls are gemms).
+/// not call back into a kernel that takes the scratch itself (its two
+/// users never do — their inner calls are gemms).
 pub(crate) fn with_tri_scratch<R>(need: usize, f: impl FnOnce(&mut [Complex64]) -> R) -> R {
     TRI_SCRATCH.with(|cell| {
         let mut buf = cell.borrow_mut();

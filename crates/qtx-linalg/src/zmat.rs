@@ -530,7 +530,7 @@ impl ZMat {
 
 /// Borrowed, possibly strided, column-major matrix view.
 ///
-/// `ZMatRef` is the zero-copy operand type of the tiled [`crate::gemm`]
+/// `ZMatRef` is the zero-copy operand type of the tiled [`mod@crate::gemm`]
 /// kernels: `ld` (leading dimension, LAPACK's `lda`) is the distance
 /// between column starts in `data`, so a view can alias a whole [`ZMat`]
 /// (`ld == rows`) or any rectangular sub-block of one (`ld > rows`)
@@ -608,7 +608,7 @@ impl<'a> ZMatRef<'a> {
 /// Borrowed, possibly strided, **mutable** column-major matrix view.
 ///
 /// The writable counterpart of [`ZMatRef`]: the blocked LU kernel and
-/// [`crate::trsm`] solve panels of a larger matrix in place through this
+/// [`mod@crate::trsm`] solve panels of a larger matrix in place through this
 /// type, and [`crate::gemm::gemm_into`] accumulates trailing updates into
 /// it without the output ever being a full owned matrix.
 #[derive(Debug)]
@@ -694,9 +694,8 @@ impl<'a> ZMatMut<'a> {
     }
 
     /// `K` consecutive disjoint mutable columns starting at `j0` — the
-    /// register-blocked substitution sweeps in [`crate::trsm`] and
-    /// [`crate::trmm`] update a panel of right-hand-side columns per pass
-    /// over the triangle, sharing each loaded `A` column across the panel.
+    /// register-blocked substitution sweeps in [`mod@crate::trsm`] update
+    /// a panel of right-hand-side columns per pass over the triangle, sharing each loaded `A` column across the panel.
     /// Columns of a column-major view occupy disjoint slice ranges, so the
     /// split is safe and allocation-free.
     pub fn cols_mut_array<const K: usize>(&mut self, j0: usize) -> [&mut [Complex64]; K] {
@@ -724,7 +723,7 @@ impl<'a> ZMatMut<'a> {
     }
 
     /// Splits at column `j` into the views of columns `0..j` and `j..cols`
-    /// — the aliasing-free split the right-side [`crate::trsm`] and the
+    /// — the aliasing-free split the right-side [`mod@crate::trsm`] and the
     /// blocked factorizations build on (columns of a column-major matrix
     /// occupy disjoint slice ranges).
     pub fn split_at_col(self, j: usize) -> (ZMatMut<'a>, ZMatMut<'a>) {

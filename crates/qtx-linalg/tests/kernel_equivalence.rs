@@ -6,8 +6,8 @@
 //! all 9 `Op` combinations, ragged shapes (m, n, k not multiples of any
 //! variant's MR/NR or of the 2× k-unroll), 0/1/odd dimensions, strided
 //! sub-view operands and outputs inside poisoned storage, the α/β edge
-//! cases (0, 1, complex) and the product shapes `ztrmm`, `zherk` and
-//! `trsm` issue. Each variant runs through [`gemm_with`] — the library's
+//! cases (0, 1, complex) and the product shapes the compact-WY `T`
+//! products, `zherk` and `trsm` issue. Each variant runs through [`gemm_with`] — the library's
 //! own packed path with the kernel passed down as a value — so nothing
 //! here is process-wide and the tests run in parallel.
 //!
@@ -307,12 +307,13 @@ fn beta_zero_ignores_poisoned_output() {
 
 /// The products the BLAS-3 layer issues, with its operand layouts:
 /// `trsm`'s rank-32 trailing updates (α = −1, β = 1, a strided triangle
-/// block against a dense staged panel, into a strided row range),
-/// `ztrmm`'s staged dense diagonal block (k = 64, every `Op` on the
-/// triangle side, β ∈ {0, 1}) and off-diagonal product (β = 0 into
-/// scratch), and `zherk`'s 64-tiles (`A_i·A_jᴴ` / `A_iᴴ·A_j` on strided
-/// row/column ranges, β = 0 over garbage). Embedded, so every operand is
-/// a strided view with poison around it.
+/// block against a dense staged panel, into a strided row range), the
+/// compact-WY `T` products of QR and Hessenberg (a dense k ≤ 48 triangle
+/// block, `op` ∈ {`None`, `Adjoint`}, β = 0 into scratch: from the left
+/// against a WY panel, from the right under the `Y`/`Q` rows), and
+/// `zherk`'s 64-tiles (`A_i·A_jᴴ` / `A_iᴴ·A_j` on strided row/column
+/// ranges, β = 0 over garbage). Embedded, so every operand is a strided
+/// view with poison around it.
 #[test]
 fn blas3_caller_shapes_match_scalar() {
     let (one, zero) = (Complex64::ONE, Complex64::ZERO);
@@ -321,14 +322,17 @@ fn blas3_caller_shapes_match_scalar() {
         // trsm, left (A block · staged X) and right (X · A block).
         cases.push(Case::new(118, 70, 32).ops(op, Op::None).scalars(-one, one));
         cases.push(Case::new(70, 118, 32).ops(Op::None, op).scalars(-one, one));
-        // ztrmm, staged diagonal block from the left and from the right.
-        for beta in [zero, one] {
-            cases.push(Case::new(64, 70, 64).ops(op, Op::None).scalars(one, beta));
+    }
+    for op in [Op::None, Op::Adjoint] {
+        // T products: QR's and Hessenberg's left k × k · k × w, and the
+        // Hessenberg's right m × 32 · 32 × 32 (the 24-wide recursive-panel
+        // products fall under the packing cutoff).
+        for (k, w) in [(48, 203), (32, 129)] {
+            cases.push(Case::new(k, w, k).ops(op, Op::None).scalars(one, zero));
         }
-        cases.push(Case::new(70, 64, 64).ops(Op::None, op).scalars(one, zero));
-        // ztrmm, off-diagonal block into scratch / onto the other columns.
-        cases.push(Case::new(64, 70, 86).ops(op, Op::None).scalars(one, zero));
-        cases.push(Case::new(70, 64, 86).ops(Op::None, op).scalars(one, one));
+        for m in [161, 504] {
+            cases.push(Case::new(m, 32, 32).ops(Op::None, op).scalars(one, zero));
+        }
     }
     // zherk tiles of a 97 × 33 operand (full and remainder tile).
     for (ib, jb) in [(64, 64), (33, 64)] {

@@ -37,6 +37,9 @@ pub enum FrameDecodeError {
     Truncated { at: usize, needed: usize, have: usize },
     /// Bytes remained after a complete decode.
     TrailingBytes { extra: usize },
+    /// A `QTXOBC02` frame's factors cannot form a square `Σ = U·Vᴴ`: their
+    /// shapes (rows, cols) differ.
+    NonConformingFactors { u: (usize, usize), v: (usize, usize) },
 }
 
 impl std::fmt::Display for FrameDecodeError {
@@ -48,6 +51,9 @@ impl std::fmt::Display for FrameDecodeError {
             }
             FrameDecodeError::TrailingBytes { extra } => {
                 write!(f, "ObcResult frame: {extra} trailing bytes")
+            }
+            FrameDecodeError::NonConformingFactors { u, v } => {
+                write!(f, "ObcResult frame: Σ factors U {u:?} and V {v:?} do not conform")
             }
         }
     }
@@ -255,6 +261,10 @@ pub fn decode_obc_result_parts(buf: &[u8]) -> Result<ObcFrameParts, FrameDecodeE
     let sigma = if compressed {
         let u = c.mat()?;
         let v = c.mat()?;
+        let (u_dims, v_dims) = ((u.rows(), u.cols()), (v.rows(), v.cols()));
+        if u_dims != v_dims {
+            return Err(FrameDecodeError::NonConformingFactors { u: u_dims, v: v_dims });
+        }
         let bound = c.f64()?;
         CompressedSigma::Factored { u, v, bound }
     } else {
@@ -376,6 +386,46 @@ mod tests {
             decode_obc_result(&extra).unwrap_err(),
             FrameDecodeError::TrailingBytes { extra: 1 }
         );
+    }
+
+    #[test]
+    fn non_conforming_v2_factors_are_typed_errors() {
+        // Well-formed bytes whose factors cannot multiply out to a square
+        // Σ = U·Vᴴ: inner dimensions differ, then outer ones.
+        for (u, v) in [((3, 2), (3, 1)), ((3, 2), (4, 2))] {
+            let mut buf = OBC_FRAME_MAGIC_V2.to_vec();
+            put_mat(&mut buf, &ZMat::random(u.0, u.1, 1));
+            put_mat(&mut buf, &ZMat::random(v.0, v.1, 2));
+            put_f64(&mut buf, 1e-9);
+            put_mat(&mut buf, &ZMat::random(3, 1, 5));
+            put_modes(&mut buf, &[]);
+            put_modes(&mut buf, &[]);
+            let want = FrameDecodeError::NonConformingFactors { u, v };
+            assert_eq!(decode_obc_result_parts(&buf).unwrap_err(), want);
+            assert_eq!(decode_obc_result(&buf).unwrap_err(), want);
+        }
+    }
+
+    /// Every prefix and every single-bit flip of a v1 and a v2 frame
+    /// decodes to an error or to a result expanded without a panic.
+    #[test]
+    fn truncations_and_bit_flips_never_panic() {
+        let v1 = encode_obc_result(&sample());
+        let v2 = encode_obc_result_compressed(&block_sample(), 1e-8);
+        assert_eq!(v2[..8], *OBC_FRAME_MAGIC_V2);
+        for frame in [v1, v2] {
+            let survives =
+                |bytes: &[u8]| std::panic::catch_unwind(|| drop(decode_obc_result(bytes))).is_ok();
+            for cut in 0..frame.len() {
+                assert!(survives(&frame[..cut]), "prefix of {cut} bytes panicked");
+            }
+            let mut flipped = frame.clone();
+            for bit in 0..8 * frame.len() {
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                assert!(survives(&flipped), "flipping bit {bit} panicked");
+                flipped[bit / 8] ^= 1 << (bit % 8);
+            }
+        }
     }
 
     #[test]

@@ -215,18 +215,6 @@ impl Csr {
         Ok(builder.build())
     }
 
-    /// Plain transpose in CSR form (`Aᵀ`), used by the SpMM dispatcher to
-    /// realize `Op::Transpose`/`Op::Adjoint` on the sparse operand.
-    pub fn transpose(&self) -> Csr {
-        let mut b = CsrBuilder::new(self.cols, self.rows);
-        for r in 0..self.rows {
-            for (c, v) in self.row(r) {
-                b.push(c, r, v);
-            }
-        }
-        b.build()
-    }
-
     /// Maximum column distance from the diagonal (matrix bandwidth).
     pub fn bandwidth(&self) -> usize {
         let mut bw = 0usize;
@@ -330,13 +318,6 @@ mod tests {
             b.try_build(),
             Err(SparseShapeError::IndexOutOfBounds { row: 5, col: 0, dims: (2, 2) })
         ));
-    }
-
-    #[test]
-    fn transpose_matches_dense() {
-        let d = ZMat::random(5, 3, 11);
-        let s = Csr::from_dense(&d, 0.0);
-        assert!(s.transpose().to_dense().max_diff(&d.transpose()) < 1e-15);
     }
 
     #[test]

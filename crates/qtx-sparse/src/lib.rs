@@ -15,13 +15,15 @@
 //!   from an assembled [`Btd`] or from the pencil [`EsMinusH`] evaluated
 //!   on the fly, with the structural [`CouplingSupport`] of its coupling
 //!   blocks: what a streaming elimination sweep consumes.
+//!
+//! The crate has no matrix-product kernel: products over these blocks go
+//! through `qtx_linalg::gemm`.
 
 pub mod btd;
 pub mod chain;
 pub mod csr;
 pub mod error;
 pub mod lowrank;
-pub mod spmm;
 pub mod spy;
 pub mod stats;
 
@@ -30,7 +32,6 @@ pub use chain::{BlockChain, BlockSupport, ChainSupport, CouplingSupport, EsMinus
 pub use csr::{Csr, CsrBuilder};
 pub use error::SparseShapeError;
 pub use lowrank::CompressedSigma;
-pub use spmm::spmm;
 pub use spy::spy_string;
 pub use stats::{
     btd_stats, dense_matrix_bytes, live_matrix_bytes, peak_matrix_bytes, reset_peak_matrix_bytes,

@@ -1,11 +1,8 @@
-//! Property battery for the sparse substrate: CSR round-trips, the SpMM
-//! microkernel against dense gemm over every `Op` pairing, spy/stats
+//! Property battery for the sparse substrate: CSR round-trips, spy/stats
 //! goldens, and honesty of the Σ-compression error bound.
 
 use proptest::prelude::*;
-use qtx_sparse::{
-    btd_stats, sparsity_stats, spmm, spy_string, Btd, CompressedSigma, Csr, CsrBuilder,
-};
+use qtx_sparse::{btd_stats, sparsity_stats, spy_string, Btd, CompressedSigma, Csr, CsrBuilder};
 
 use qtx_linalg::{c64, gemm, Complex64, Op, ZMat};
 
@@ -23,15 +20,6 @@ fn sparse_random(rows: usize, cols: usize, keep: f64, seed: u64) -> Csr {
         }
     }
     b.build()
-}
-
-const OPS: [Op; 3] = [Op::None, Op::Transpose, Op::Adjoint];
-
-fn op_dims(op: Op, rows: usize, cols: usize) -> (usize, usize) {
-    match op {
-        Op::None => (rows, cols),
-        _ => (cols, rows),
-    }
 }
 
 proptest! {
@@ -52,40 +40,6 @@ proptest! {
         let back = Csr::from_dense(&d, 0.0);
         prop_assert!(back.nnz() == s.nnz());
         prop_assert!(back.to_dense().max_diff(&d) == 0.0);
-        // Transpose round-trip too: (Aᵀ)ᵀ = A exactly.
-        prop_assert!(s.transpose().transpose().to_dense().max_diff(&d) == 0.0);
-    }
-
-    /// The packed SpMM microkernel agrees with dense gemm on the full
-    /// `C ← α·op(A)·op(B) + β·C` surface for all 9 op pairings.
-    #[test]
-    fn spmm_matches_gemm_all_ops(
-        rows in 1usize..20,
-        cols in 1usize..20,
-        n in 1usize..16,
-        keep in 0.1f64..0.9,
-        opsel in 0u32..9,
-        seed in 0u64..1_000_000,
-    ) {
-        let (op_a, op_b) = (OPS[(opsel / 3) as usize], OPS[(opsel % 3) as usize]);
-        let a = sparse_random(rows, cols, keep, seed);
-        let ad = a.to_dense();
-        let (m, k) = op_dims(op_a, rows, cols);
-        let b = match op_b {
-            Op::None => ZMat::random(k, n, seed + 1),
-            _ => ZMat::random(n, k, seed + 1),
-        };
-        let alpha = c64(0.7, -0.3);
-        let beta = c64(-0.4, 0.2);
-        let c0 = ZMat::random(m, n, seed + 2);
-        let mut c_sp = c0.clone();
-        let mut c_ref = c0;
-        spmm(alpha, &a, op_a, &b, op_b, beta, &mut c_sp);
-        gemm(alpha, &ad, op_a, &b, op_b, beta, &mut c_ref);
-        prop_assert!(
-            c_sp.max_diff(&c_ref) < 1e-11,
-            "spmm vs gemm drift {} for {:?}/{:?}", c_sp.max_diff(&c_ref), op_a, op_b
-        );
     }
 
     /// Σ-compression bound honesty: whatever representation `compress`
