@@ -3,10 +3,10 @@
 
 use qtx_accel::{power_profile, AccelRuntime, GpuSpec, TraceSummary};
 use qtx_atomistic::{BasisKind, DeviceBuilder};
-use qtx_bench::{print_table, Row};
-use qtx_core::{Device, PointPolicy, TransportEngine};
+use qtx_bench::{point_system, print_table, Row};
+use qtx_core::Device;
 use qtx_machine::fig12_power;
-use qtx_solver::SolverKind;
+use qtx_solver::SplitSolve;
 
 fn main() {
     // (a) power report of the full-machine run (model).
@@ -26,17 +26,13 @@ fn main() {
     );
 
     // (b) real kernel activity of one energy point on 4 virtual GPUs: a
-    // 48-cell wire, which the partition plan leaves at two partitions.
+    // 48-cell wire, its system solved by SplitSolve on two partitions.
     let spec = DeviceBuilder::nanowire(1.0).cells(48).basis(BasisKind::TightBinding).build();
-    let mut dev = Device::build(spec).expect("device");
-    dev.config.solver = SolverKind::SplitSolve { partitions: 2 };
+    let dev = Device::build(spec).expect("device");
     let dk = dev.at_kz(0.0);
     let e = dk.lead_l.dispersive_energy(1.0, 0.2, 0.3).expect("band");
     let rt = AccelRuntime::new(4, GpuSpec::k20x_titan());
-    let _ = TransportEngine::new(dev)
-        .solve_point(e, 0.0, &PointPolicy::direct().with_runtime(&rt))
-        .into_result()
-        .expect("solve");
+    SplitSolve::new(2).solve(&point_system(&dk, e, dev.config.obc), Some(&rt)).expect("solve");
     let records = rt.traces();
     println!("\nFig. 12(b) — GPU activity during one energy point (4 GPUs):");
     println!("{}", TraceSummary::activity_chart(&records, 4, 64));

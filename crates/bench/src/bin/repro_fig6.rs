@@ -5,22 +5,21 @@
 
 use qtx_accel::{AccelRuntime, GpuSpec, TraceSummary};
 use qtx_atomistic::{BasisKind, DeviceBuilder};
-use qtx_bench::{print_table, Row};
+use qtx_bench::{point_system, print_table, Row};
 use qtx_core::{Device, PointPolicy, TransportEngine};
-use qtx_solver::SolverKind;
+use qtx_solver::SplitSolve;
 
 fn main() {
-    // 48 cells: long enough that the partition plan
-    // (`SplitSolve::for_chain`) leaves the chain at the two partitions the
-    // figure shows — at 16 it would run one and print no merge phase.
+    // A 48-cell wire, the energy point's system solved by SplitSolve on
+    // two partitions — the figure's two sweeps per partition and merge.
     let spec = DeviceBuilder::nanowire(1.0).cells(48).basis(BasisKind::TightBinding).build();
-    let mut dev = Device::build(spec).expect("device");
-    dev.config.solver = SolverKind::SplitSolve { partitions: 2 };
+    let dev = Device::build(spec).expect("device");
     let dk = dev.at_kz(0.0);
     let e = dk.lead_l.dispersive_energy(1.0, 0.2, 0.3).expect("band");
     let rt = AccelRuntime::new(4, GpuSpec::k20x());
+    SplitSolve::new(2).solve(&point_system(&dk, e, dev.config.obc), Some(&rt)).expect("solve");
     let r = TransportEngine::new(dev)
-        .solve_point(e, 0.0, &PointPolicy::direct().with_runtime(&rt))
+        .solve_point(e, 0.0, &PointPolicy::direct())
         .into_result()
         .expect("solve");
     println!(

@@ -22,7 +22,10 @@
 //! crash mid-write never leaves a torn checkpoint behind.
 
 use crate::error::{TransportError, TransportResult};
-use crate::sweep::{PointRecord, SweepPlan, POINT_RECORD_BYTES};
+use crate::sweep::{
+    PointRecord, SweepPlan, POINT_RECORD_BYTES, STATUS_FAILED, STATUS_INTERPOLATED, STATUS_OK,
+};
+use std::collections::HashSet;
 use std::path::Path;
 
 /// File magic; the version lives in the last two bytes.
@@ -51,6 +54,29 @@ pub enum CheckpointError {
         /// Fingerprint stored in the file.
         got: u64,
     },
+    /// A record's status byte is none of the sweep's statuses.
+    BadStatus {
+        /// Position of the record in the file.
+        record: usize,
+        /// The status byte found.
+        status: u8,
+    },
+    /// A record names a momentum the plan does not have.
+    MomentumOutOfRange {
+        /// Position of the record in the file.
+        record: usize,
+        /// The momentum index found.
+        k_idx: u32,
+        /// Momenta in the plan.
+        momenta: usize,
+    },
+    /// Two records claim the same point.
+    DuplicatePoint {
+        /// Momentum index of the point.
+        k_idx: u32,
+        /// Energy index of the point.
+        e_idx: u32,
+    },
 }
 
 impl std::fmt::Display for CheckpointError {
@@ -66,6 +92,16 @@ impl std::fmt::Display for CheckpointError {
                 "checkpoint belongs to a different sweep plan \
                  (fingerprint {got:#018x}, plan is {expected:#018x})"
             ),
+            CheckpointError::BadStatus { record, status } => {
+                write!(f, "checkpoint record {record} has unknown status {status}")
+            }
+            CheckpointError::MomentumOutOfRange { record, k_idx, momenta } => write!(
+                f,
+                "checkpoint record {record} names momentum {k_idx}, the plan has {momenta}"
+            ),
+            CheckpointError::DuplicatePoint { k_idx, e_idx } => {
+                write!(f, "checkpoint holds point (k {k_idx}, E {e_idx}) twice")
+            }
         }
     }
 }
@@ -152,6 +188,28 @@ pub fn parse_with_fingerprint(buf: &[u8], fingerprint: u64) -> TransportResult<V
     frames.map(|f| PointRecord::decode(f).map_err(TransportError::Payload)).collect()
 }
 
+/// What the sweep takes as done from a parsed checkpoint must be records it
+/// could have written: a status it knows, a momentum of the plan's
+/// `momenta`, and each point once — a bad status would count as solved, a
+/// stray momentum index the plan out of range, a repeated point twice into
+/// the spectrum. An energy index past the base grid stays legal: a refined
+/// sweep's later rounds append points there.
+pub fn validate_records(records: &[PointRecord], momenta: usize) -> Result<(), CheckpointError> {
+    let mut seen = HashSet::with_capacity(records.len());
+    for (record, r) in records.iter().enumerate() {
+        if ![STATUS_OK, STATUS_FAILED, STATUS_INTERPOLATED].contains(&r.status) {
+            return Err(CheckpointError::BadStatus { record, status: r.status });
+        }
+        if r.k_idx as usize >= momenta {
+            return Err(CheckpointError::MomentumOutOfRange { record, k_idx: r.k_idx, momenta });
+        }
+        if !seen.insert((r.k_idx, r.e_idx)) {
+            return Err(CheckpointError::DuplicatePoint { k_idx: r.k_idx, e_idx: r.e_idx });
+        }
+    }
+    Ok(())
+}
+
 /// Loads a checkpoint and validates it against `fingerprint` — the sweep
 /// loop's identity for the run ([`plan_fingerprint`] for a flat sweep,
 /// [`crate::refined_fingerprint`] for a refined one).
@@ -177,7 +235,6 @@ pub fn save_with_fingerprint(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::STATUS_OK;
 
     fn plan() -> SweepPlan {
         SweepPlan {

@@ -36,11 +36,11 @@ use crate::sweep::{SweepOptions, SweepPlan, SweepResult};
 use crate::transport::{
     self, ms_since, EnergyPointResult, RobustSolve, METHOD_BOUNDARY, METHOD_CACHE_INTERP,
 };
-use qtx_accel::AccelRuntime;
 use qtx_linalg::ZMat;
 use qtx_obc::Side;
 use qtx_sparse::{ChainSupport, CompressedSigma};
 use std::collections::HashMap;
+use std::marker::PhantomData;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -48,7 +48,9 @@ use std::time::Instant;
 ///
 /// `#[non_exhaustive]`: build through the constructors
 /// ([`PointPolicy::direct`], [`PointPolicy::robust`],
-/// [`PointPolicy::interpolating`]) plus [`PointPolicy::with_runtime`].
+/// [`PointPolicy::interpolating`], [`PointPolicy::transmission_only`]).
+/// The lifetime borrows nothing; it stays because callers name
+/// `PointPolicy<'static>`.
 #[derive(Clone, Copy, Default)]
 #[non_exhaustive]
 pub struct PointPolicy<'rt> {
@@ -69,9 +71,7 @@ pub struct PointPolicy<'rt> {
     /// cache configured with a tolerance of its own wins). `0.0` keeps Σ
     /// exact and the transmission bit-identical to the dense Caroli route.
     pub sigma_compress_tol: f64,
-    /// Accelerator runtime for the Eq. 5 solve (direct path only; the
-    /// ladder always runs on the host, matching the pre-engine behavior).
-    pub runtime: Option<&'rt AccelRuntime>,
+    lifetime: PhantomData<&'rt ()>,
 }
 
 impl PointPolicy<'static> {
@@ -110,18 +110,7 @@ impl PointPolicy<'static> {
     }
 }
 
-impl<'rt> PointPolicy<'rt> {
-    /// Attaches an accelerator runtime (used by the direct path).
-    pub fn with_runtime<'a>(self, rt: &'a AccelRuntime) -> PointPolicy<'a> {
-        PointPolicy {
-            robust: self.robust,
-            allow_interp: self.allow_interp,
-            transmission_only: self.transmission_only,
-            sigma_compress_tol: self.sigma_compress_tol,
-            runtime: Some(rt),
-        }
-    }
-
+impl PointPolicy<'_> {
     /// Sets the Σ-compression tolerance of the transmission-only path
     /// ([`PointPolicy::sigma_compress_tol`]).
     pub fn with_sigma_compression(mut self, tol: f64) -> Self {
@@ -137,7 +126,6 @@ impl std::fmt::Debug for PointPolicy<'_> {
             .field("allow_interp", &self.allow_interp)
             .field("transmission_only", &self.transmission_only)
             .field("sigma_compress_tol", &self.sigma_compress_tol)
-            .field("runtime", &self.runtime.is_some())
             .finish()
     }
 }
@@ -371,8 +359,7 @@ impl TransportEngine {
             return transport::solve_point_robust_raw(dk, folded.support(), e, cfg, handle);
         }
         let start = Instant::now();
-        match transport::solve_point_direct_on(dk, folded.support(), e, cfg, policy.runtime, handle)
-        {
+        match transport::solve_point_direct_on(dk, folded.support(), e, cfg, handle) {
             Ok(result) => RobustSolve::solved(result, 0, ms_since(start)),
             Err(error) => RobustSolve::failed(error, 1, ms_since(start)),
         }

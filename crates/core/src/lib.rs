@@ -79,5 +79,5 @@ pub use transport::{
 /// default configuration (quickstart API), on the calling thread.
 pub fn transmission(device: &Device, energy: f64) -> TransportResult<EnergyPointResult> {
     let dk = device.at_kz(0.0);
-    transport::solve_point_direct(&dk, energy, &device.config, None, None)
+    transport::solve_point_direct(&dk, energy, &device.config, None)
 }

@@ -166,7 +166,7 @@ mod tests {
     fn bond_current_is_conserved_and_equals_transmission() {
         let (d, e) = device_with_barrier();
         let dk = d.at_kz(0.0);
-        let r = solve_point_direct(&dk, e, &d.config, None, None).unwrap();
+        let r = solve_point_direct(&dk, e, &d.config, None).unwrap();
         assert!(r.m_left >= 1);
         // Sum over left-injected columns.
         let nb = dk.h.num_blocks();
@@ -185,7 +185,7 @@ mod tests {
     fn right_injection_carries_negative_current() {
         let (d, e) = device_with_barrier();
         let dk = d.at_kz(0.0);
-        let r = solve_point_direct(&dk, e, &d.config, None, None).unwrap();
+        let r = solve_point_direct(&dk, e, &d.config, None).unwrap();
         let m_r = r.psi.cols() - r.m_left;
         assert!(m_r >= 1);
         let j: f64 =
@@ -198,7 +198,7 @@ mod tests {
     fn equilibrium_net_current_vanishes() {
         let (d, e) = device_with_barrier();
         let dk = d.at_kz(0.0);
-        let r = solve_point_direct(&dk, e, &d.config, None, None).unwrap();
+        let r = solve_point_direct(&dk, e, &d.config, None).unwrap();
         let cc = accumulate(&dk, &[r], &[1.0], 0.0, 0.0, 300.0);
         for j in &cc.bond_current {
             assert!(j.abs() < 1e-9, "equilibrium current {j}");
@@ -209,7 +209,7 @@ mod tests {
     fn bias_drives_positive_current_and_charge_piles_at_source() {
         let (d, e) = device_with_barrier();
         let dk = d.at_kz(0.0);
-        let r = solve_point_direct(&dk, e, &d.config, None, None).unwrap();
+        let r = solve_point_direct(&dk, e, &d.config, None).unwrap();
         // μ_L above the probe energy, μ_R far below: only left injection.
         let cc = accumulate(&dk, std::slice::from_ref(&r), &[1.0], e + 0.3, e - 1.0, 300.0);
         for j in &cc.bond_current {
@@ -223,8 +223,8 @@ mod tests {
     fn spectral_map_shapes() {
         let (d, e) = device_with_barrier();
         let dk = d.at_kz(0.0);
-        let r1 = solve_point_direct(&dk, e, &d.config, None, None).unwrap();
-        let r2 = solve_point_direct(&dk, e + 0.05, &d.config, None, None).unwrap();
+        let r1 = solve_point_direct(&dk, e, &d.config, None).unwrap();
+        let r2 = solve_point_direct(&dk, e + 0.05, &d.config, None).unwrap();
         let sm = spectral_map(&dk, &[r1, r2], 5.0, 5.0, 300.0);
         assert_eq!(sm.energies.len(), 2);
         assert_eq!(sm.current[0].len(), dk.h.num_blocks() - 1);

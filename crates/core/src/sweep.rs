@@ -583,11 +583,13 @@ impl TransportEngine {
             Some(cfg) => refined_fingerprint(base, cfg),
             None => plan_fingerprint(base),
         };
-        // Resume: load completed records, skip their (k, E) pairs.
+        // Resume: load completed records, skip their (k, E) pairs — once
+        // each is a record this plan's sweep could have written.
         let mut done: Vec<PointRecord> = match &opts.checkpoint {
             Some(path) if path.exists() => checkpoint::load_with_fingerprint(path, fp)?,
             _ => Vec::new(),
         };
+        checkpoint::validate_records(&done, base.k_points.len())?;
         let mut plan = base.clone();
         let (sched, cache) = self.sweep_resources(opts);
 
@@ -1075,7 +1077,7 @@ mod tests {
         let dk = d.at_kz(0.0);
         for &(kz, _w, e, t) in result.samples.iter().take(4) {
             assert_eq!(kz, 0.0);
-            let reference = solve_point_direct(&dk, e, &d.config, None, None).unwrap().transmission;
+            let reference = solve_point_direct(&dk, e, &d.config, None).unwrap().transmission;
             assert!((t - reference).abs() < 1e-9, "E={e}: {t} vs {reference}");
         }
         assert!(result.comm_seconds > 0.0);

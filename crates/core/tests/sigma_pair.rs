@@ -138,7 +138,7 @@ fn sweep_records_equal_the_two_call_sequence_with_and_without_bias() {
                 let obc_l = self_energy(&dk.lead_l, e, Eta::ZERO, Side::Left, cfg.obc).unwrap();
                 let obc_r = self_energy(&dk.lead_r, e, Eta::ZERO, Side::Right, cfg.obc).unwrap();
                 let (point, residual) =
-                    solve_with_obc_eta(&dk, e, 0.0, &cfg, &obc_l, &obc_r, None).unwrap();
+                    solve_with_obc_eta(&dk, e, 0.0, &cfg, &obc_l, &obc_r).unwrap();
                 (point.transmission.to_bits(), residual.to_bits())
             })
             .collect();

@@ -192,6 +192,29 @@ pub mod counts {
         zgetrf(s) + zgetrs(s, cl + w) + zgemm(ru, cl + w, cu)
     }
 
+    /// The first cut `c` of a chain of `couplings.len() + 1 ≥ 2` blocks that
+    /// minimizes the larger of two fronts, and what they cost there:
+    /// `(c, right, left)`. `pair` prices a coupling pair inside each front
+    /// (right, left) and `head` the pair the two heads meet on.
+    fn balanced_cut(
+        couplings: &[(usize, usize, usize, usize)],
+        pair: impl Fn((usize, usize, usize, usize)) -> (u64, u64),
+        head: impl Fn((usize, usize, usize, usize)) -> (u64, u64),
+    ) -> (usize, u64, u64) {
+        let mut right: u64 = couplings.iter().map(|&p| pair(p).0).sum();
+        let mut left = 0;
+        let mut best = (0, u64::MAX, u64::MAX);
+        for (c, &p) in couplings.iter().enumerate() {
+            right -= pair(p).0;
+            let at_cut = (right + head(p).0, left + head(p).1);
+            if at_cut.0.max(at_cut.1) < best.1.max(best.2) {
+                best = (c, at_cut.0, at_cut.1);
+            }
+            left += pair(p).1;
+        }
+        best
+    }
+
     /// Where the Caroli kernel cuts a chain of `couplings.len() + 1 ≥ 2`
     /// blocks, and what its two fronts cost there: `(c, right, left)`. The
     /// right front eliminates blocks `n−1 … c+1` carrying `wr` columns, the
@@ -206,20 +229,61 @@ pub mod counts {
         wl: usize,
         wr: usize,
     ) -> (usize, u64, u64) {
-        let mut right: u64 =
-            couplings.iter().map(|&(ru, cu, _, cl)| caroli_pair(s, (ru, cu, cl), wr)).sum();
-        let mut left = 0;
-        let mut best = (0, u64::MAX, u64::MAX);
-        for (c, &(ru, cu, rl, cl)) in couplings.iter().enumerate() {
-            right -= caroli_pair(s, (ru, cu, cl), wr);
-            let at_cut =
-                (right + zgetrf(s) + zgetrs(s, rl + wr), left + zgetrf(s) + zgetrs(s, cl + wl));
-            if at_cut.0.max(at_cut.1) < best.1.max(best.2) {
-                best = (c, at_cut.0, at_cut.1);
-            }
-            left += caroli_pair(s, (cu, ru, rl), wl);
+        balanced_cut(
+            couplings,
+            |(ru, cu, rl, cl)| (caroli_pair(s, (ru, cu, cl), wr), caroli_pair(s, (cu, ru, rl), wl)),
+            |(_, _, rl, cl)| (zgetrf(s) + zgetrs(s, rl + wr), zgetrf(s) + zgetrs(s, cl + wl)),
+        )
+    }
+
+    /// Where the two-front wave-function solve cuts a chain of
+    /// `couplings.len() + 1 ≥ 2` blocks, and what its fronts cost there:
+    /// `(c, right, left)`. The right front eliminates blocks `n−1 … c+1`
+    /// carrying the `mr` right-injected columns, the left front the
+    /// block-reversed (not adjoint) blocks `c … 0` carrying the `ml`
+    /// left-injected ones, so a pair's upper coupling is the left front's
+    /// lower one. Each head is solved against the coupling across the cut
+    /// like any other block (`L_c[:, C_l]`, `U_c[:, C_u]`). Like
+    /// [`caroli_cut`], a function of shapes and widths alone.
+    pub fn two_front_cut(
+        s: usize,
+        couplings: &[(usize, usize, usize, usize)],
+        ml: usize,
+        mr: usize,
+    ) -> (usize, u64, u64) {
+        balanced_cut(
+            couplings,
+            |(ru, cu, rl, cl)| (caroli_pair(s, (ru, cu, cl), mr), caroli_pair(s, (rl, cl, cu), ml)),
+            |(_, cu, _, cl)| (zgetrf(s) + zgetrs(s, cl + mr), zgetrf(s) + zgetrs(s, cu + ml)),
+        )
+    }
+
+    /// The two-front wave-function solve (`qtx_solver::two_front_solve`) of
+    /// `(A − Σ)·ψ = Inj` on a chain of `s × s` blocks with `ml` left- and
+    /// `mr` right-injected columns: both fronts of [`two_front_cut`] (each
+    /// block factored once, Σ folded into the end blocks); at the cut pair
+    /// the `|C_l| × |C_l|` tip system `1 − X̂′_c[C_l, :]·X̂_{c+1}[C_u, :]`
+    /// (one product to build, one factorization, one product for the
+    /// right-injected part of its right-hand side, one solve against all
+    /// `m = ml + mr` columns); then one `s × m` product a block for the
+    /// back-substitution `ψ_i = y_i − X̂_i·ψ_{i∓1}[C, :]` outward from the
+    /// cut. A single block is one factorization and one `m`-wide solve.
+    pub fn two_front_solve(
+        s: usize,
+        couplings: &[(usize, usize, usize, usize)],
+        ml: usize,
+        mr: usize,
+    ) -> u64 {
+        let m = ml + mr;
+        if couplings.is_empty() {
+            return zgetrf(s) + zgetrs(s, m);
         }
-        best
+        let (c, right, left) = two_front_cut(s, couplings, ml, mr);
+        let (_, cu, _, cl) = couplings[c];
+        let tip = zgemm(cl, cl, cu) + zgemm(cl, mr, cu) + zgetrf(cl) + zgetrs(cl, m);
+        let back: u64 = couplings[c..].iter().map(|&(_, _, _, cl)| zgemm(s, m, cl)).sum::<u64>()
+            + couplings[..=c].iter().map(|&(_, cu, _, _)| zgemm(s, m, cu)).sum::<u64>();
+        right + left + tip + back
     }
 
     /// The two-front Caroli transmission kernel
@@ -301,9 +365,8 @@ pub mod counts {
     /// self-energies occupy, the ones facing a neighbour the row support
     /// of the coupling between them — then per SPIKE merge the tip system
     /// on the cut pair's supports and the corner products on the merged
-    /// node's `w` outer columns, and `R` on the contact rows. What the
-    /// partition plan compares, and what `SplitSolveReport::flops` is held
-    /// against.
+    /// node's `w` outer columns, and `R` on the contact rows. What
+    /// `SplitSolveReport::flops` is held against.
     pub fn splitsolve_factored(
         s: usize,
         couplings: &[(usize, usize, usize, usize)],

@@ -92,6 +92,11 @@ impl Workspace {
     /// zero-fill halves the memory traffic of the pool's hottest users.
     pub fn take_scratch(&self, rows: usize, cols: usize) -> ZMat {
         let need = rows * cols;
+        if need == 0 {
+            // An empty matrix owns no buffer: nothing to reuse, nothing
+            // allocated, and nothing for `recycle` to keep.
+            return ZMat::zeros(rows, cols);
+        }
         let recycled = {
             let mut pool = self.pool.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
             // Best fit: the smallest pooled buffer with enough capacity,

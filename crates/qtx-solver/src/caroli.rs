@@ -8,8 +8,8 @@
 //! ([`CompressedSigma::broadening_factor_ws`], exact),
 //! `T = tr[K·M·K·Mᴴ]` for `M = P_Lᴴ·G_{0,n−1}·P_R` (`2k_L × 2k_R`).
 //!
-//! A *front* eliminates a chain from its last block towards its first,
-//! carrying the Schur complement and a thin panel:
+//! A *front* (`front.rs`) eliminates a chain from its last block
+//! towards its first, carrying the Schur complement and a thin panel:
 //!
 //! ```text
 //! D̃_{n−1} = D_{n−1} − Σ              C_{n−1} = D̃_{n−1}⁻¹·P
@@ -19,8 +19,9 @@
 //! Each block is LU-factored once and solved once, against
 //! `[L_{i−1}[:, C_l] | −U_i·C_{i+1}]` — the structurally non-zero columns
 //! `C_l` of the coupling below plus the panel; the coupling above acts on
-//! its non-zero rows and columns only. No inverse, no stored chain, no
-//! backward pass.
+//! its non-zero rows and columns only. Here a front keeps only its last
+//! block's solve (`Keep::Last`): no inverse, no stored chain, no backward
+//! pass.
 //!
 //! The chain is cut after the block `c` that [`counts::caroli_cut`] derives
 //! from the block size, the supports and the panel widths. The right front
@@ -42,9 +43,10 @@
 //! length; a dense coupling or a dense Σ is the same code at full width.
 
 use crate::error::{SolveError, SolveOutcome};
-use crate::splitsolve::{fans_out, gather_rows_into, reshape};
+use crate::front::{Front, Keep};
+use crate::splitsolve::{fans_out, gather_rows_into};
 use qtx_linalg::flops::{counts, join_counted};
-use qtx_linalg::{gemm_into, lu_factor_owned_ws, Complex64, LuFactors, Op, Workspace, ZMat};
+use qtx_linalg::{gemm_into, lu_factor_owned_ws, Complex64, Op, Workspace, ZMat};
 use qtx_sparse::{BlockChain, CompressedSigma, CouplingSupport, Mirrored};
 
 /// Name this kernel reports in [`SolveError::NonFinite`].
@@ -114,7 +116,8 @@ pub fn caroli_sweep_contacts<C: BlockChain + Sync>(
             right.sigma.add_scaled_into(minus, d);
             left.sigma.add_scaled_into(minus, d);
         };
-        let mut only = Front::new(chain, support, 0, both, right.panel, &[], ws);
+        let mut only =
+            Front::new(chain, support, 0, both, right.panel, Keep::Last(&[]), SOLVER, ws);
         let ran = only.run(ws);
         let c0 = only.into_last_block(ws);
         let m = ran.map(|_| ws.matmul_op(left.panel, Op::Adjoint, &c0, Op::None));
@@ -129,10 +132,10 @@ pub fn caroli_sweep_contacts<C: BlockChain + Sync>(
         let mirrored = Mirrored::<C>::support_of(&support[..c]);
         let fold_r = |d: &mut ZMat| right.sigma.add_scaled_into(minus, d);
         let fold_l = |d: &mut ZMat| left.sigma.add_scaled_adjoint_into(minus, d);
-        let mut front_r =
-            Front::new(chain, support, c + 1, fold_r, right.panel, &pair.lower.rows, ws);
-        let mut front_l =
-            Front::new(&mirror, &mirrored, 0, fold_l, left.panel, &pair.lower.cols, ws);
+        let tip_r = Keep::Last(&pair.lower.rows);
+        let mut front_r = Front::new(chain, support, c + 1, fold_r, right.panel, tip_r, SOLVER, ws);
+        let tip_l = Keep::Last(&pair.lower.cols);
+        let mut front_l = Front::new(&mirror, &mirrored, 0, fold_l, left.panel, tip_l, SOLVER, ws);
         let (ran_r, ran_l) = if fans_out((flops_r + flops_l) / 2) {
             join_counted(|| front_r.run(ws), || front_l.run(ws))
         } else {
@@ -151,142 +154,6 @@ pub fn caroli_sweep_contacts<C: BlockChain + Sync>(
         return Err(SolveError::NonFinite { solver: SOLVER, count: bad });
     }
     Ok(t)
-}
-
-/// One elimination front: blocks `num_blocks − 1 … first` of `chain`, last
-/// to first, with its buffers. After [`Front::run`], `rhs` holds
-/// `D̃_first⁻¹·[E_tip | −U_first·C_{first+1}]` — the columns `tip` of the
-/// eliminated sub-chain's near corner block next to its panel.
-struct Front<'a, C, F> {
-    chain: &'a C,
-    /// Coupling supports of `chain`, one per adjacent pair.
-    support: &'a [CouplingSupport],
-    first: usize,
-    /// Subtracts the contact's Σ from the last block of `chain`.
-    fold: F,
-    panel: &'a ZMat,
-    /// Rows of block `first` that get a unit column ahead of the panel.
-    tip: &'a [usize],
-    /// Pivot block.
-    d: ZMat,
-    rhs: ZMat,
-    /// Gathered coupling, gathered solution rows, and their product.
-    u: ZMat,
-    z: ZMat,
-    y: ZMat,
-}
-
-impl<'a, C: BlockChain, F: Fn(&mut ZMat)> Front<'a, C, F> {
-    /// Takes the front's buffers, sized for the widest pair it crosses.
-    fn new(
-        chain: &'a C,
-        support: &'a [CouplingSupport],
-        first: usize,
-        fold: F,
-        panel: &'a ZMat,
-        tip: &'a [usize],
-        ws: &Workspace,
-    ) -> Self {
-        let s = chain.block_size();
-        let widest = |len: fn(&CouplingSupport) -> usize| {
-            support[first..].iter().map(len).max().unwrap_or(0)
-        };
-        let width = widest(|p| p.lower.cols.len()).max(tip.len()) + panel.cols();
-        let (ru, cu) = (widest(|p| p.upper.rows.len()), widest(|p| p.upper.cols.len()));
-        Front {
-            chain,
-            support,
-            first,
-            fold,
-            panel,
-            tip,
-            d: ws.take_scratch(s, s),
-            rhs: ws.take_scratch(s, width),
-            u: ws.take_scratch(ru, cu),
-            z: ws.take_scratch(cu, width),
-            y: ws.take_scratch(ru, width),
-        }
-    }
-
-    fn run(&mut self, ws: &Workspace) -> SolveOutcome<()> {
-        let Front { chain, support, first, fold, panel, tip, d, rhs, u, z, y } = self;
-        let (s, nb, w) = (chain.block_size(), chain.num_blocks(), panel.cols());
-        let (one, zero) = (Complex64::ONE, Complex64::ZERO);
-        for i in (*first..nb).rev() {
-            reshape(d, s, s);
-            chain.diag_into(i, d);
-            if i == nb - 1 {
-                fold(d);
-            }
-            let below = (i > *first).then(|| &support[i - 1]);
-            let kc = below.map_or(tip.len(), |b| b.lower.cols.len());
-            reshape(rhs, s, kc + w);
-            rhs.as_mut_slice().fill(zero);
-            if i == nb - 1 {
-                for j in 0..w {
-                    rhs.col_mut(kc + j).copy_from_slice(panel.col(j));
-                }
-            } else {
-                // `y = U_i[R_u, C_u]·Z[C_u, :]` for the solved right-hand
-                // side `Z` of block `i + 1`: its leading columns are the
-                // Schur correction of `D_i`, its trailing `w` columns the
-                // next panel (up to sign).
-                let above = &support[i];
-                let kc_above = above.lower.cols.len();
-                for (a, &r) in above.upper.rows.iter().enumerate() {
-                    for (b, &c) in above.lower.cols.iter().enumerate() {
-                        d[(r, c)] -= y[(a, b)];
-                    }
-                    for j in 0..w {
-                        rhs[(r, kc + j)] = -y[(a, kc_above + j)];
-                    }
-                }
-            }
-            match below {
-                Some(b) => {
-                    for (j, &c) in b.lower.cols.iter().enumerate() {
-                        for &r in &b.lower.rows {
-                            rhs[(r, j)] = chain.lower_at(i - 1, r, c);
-                        }
-                    }
-                }
-                None => {
-                    for (j, &r) in tip.iter().enumerate() {
-                        rhs[(r, j)] = one;
-                    }
-                }
-            }
-            // A NaN pivot block factors without an error and would only
-            // show up in the final trace; name it here, where it enters.
-            let bad = d.non_finite_count();
-            if bad > 0 {
-                return Err(SolveError::NonFinite { solver: SOLVER, count: bad });
-            }
-            let f = lu_factor_owned_ws(std::mem::replace(d, ZMat::empty()), ws)?;
-            f.solve_in_place(rhs);
-            // The pivot block's buffer serves the next block.
-            let LuFactors { lu, ipiv } = f;
-            ws.recycle_index(ipiv);
-            *d = lu;
-            if let Some(b) = below {
-                reshape(u, b.upper.rows.len(), b.upper.cols.len());
-                chain.upper_on(i - 1, &b.upper, u);
-                gather_rows_into(z, rhs.view(), &b.upper.cols);
-                reshape(y, b.upper.rows.len(), kc + w);
-                gemm_into(one, u.view(), Op::None, z.view(), Op::None, zero, y.view_mut());
-            }
-        }
-        Ok(())
-    }
-
-    /// Hands the scratch buffers back and keeps the solved right-hand side
-    /// of block `first`.
-    fn into_last_block(self, ws: &Workspace) -> ZMat {
-        for m in [self.d, self.u, self.z, self.y] {
-            ws.recycle(m);
-        }
-        self.rhs
-    }
 }
 
 /// `M = P_Lᴴ·G_{0,n−1}·P_R` from the two fronts' last blocks `z_l`, `z_r`

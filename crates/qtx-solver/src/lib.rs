@@ -6,14 +6,17 @@
 //! `Σ^RB = B·C`, and a right-hand side with non-zeros only in the top and
 //! bottom block rows (Fig. 4).
 //!
+//! * [`two_front`] — the wave-function solve the engine runs: Σ folded
+//!   into the end blocks, one elimination front from each contact, each
+//!   pivot block factored once, a small tip system at the cut and a thin
+//!   back-substitution outward from it.
 //! * [`splitsolve`] — the paper's contribution: Sherman–Morrison–Woodbury
 //!   decoupling of the OBCs from the big solve (Steps 1–4), Algorithm 1's
 //!   two elimination sweeps per partition — `Q = A⁻¹B` kept as thin
 //!   multipliers on the coupling supports, never formed — and the
 //!   SPIKE-style recursive partition merge of Fig. 6 on corner blocks
-//!   carried on the columns their reader uses, the partition count
-//!   planned from the chain's shape, all accounted on the virtual
-//!   accelerators of `qtx-accel`.
+//!   carried on the columns their reader uses, all accounted on the
+//!   virtual accelerators of `qtx-accel`.
 //! * [`btd_lu`] — a MUMPS-like block tri-diagonal direct factorization,
 //!   the sparse-direct baseline of Fig. 8.
 //! * [`bcr`] — block cyclic reduction, OMEN's legacy tight-binding solver
@@ -40,9 +43,11 @@ pub mod bcr;
 pub mod btd_lu;
 pub mod caroli;
 pub mod error;
+mod front;
 pub mod rgf;
 pub mod splitsolve;
 pub mod system;
+pub mod two_front;
 
 pub use bcr::bcr_solve;
 pub use btd_lu::{btd_lu_factor, btd_lu_solve, btd_lu_solve_ws, BtdLuFactors};
@@ -54,6 +59,7 @@ pub use rgf::{
 };
 pub use splitsolve::{BoundaryTerms, SplitSolve, SplitSolveReport};
 pub use system::ObcSystem;
+pub use two_front::two_front_solve;
 // The buffer pool itself lives in `qtx-linalg` (so the OBC layer can use
 // it too); re-exported here because the solver hot paths are its home.
 pub use qtx_linalg::Workspace;
@@ -61,11 +67,15 @@ pub use qtx_linalg::Workspace;
 /// Which solver handles Eq. 5.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SolverKind {
-    /// SplitSolve on at most `partitions` accelerator partitions: the
-    /// engine cuts the chain into as many as [`SplitSolve::for_chain`]
-    /// finds it worth, never more.
+    /// The two-ended elimination of Fig. 6 with Σ known up front: the
+    /// engine runs [`two_front_solve`] — one front from each contact, each
+    /// pivot block factored once — rather than [`SplitSolve`]'s Σ-free
+    /// sweeps, which factor every block twice to keep Step 1 independent
+    /// of the OBC. `partitions` is how many fronts may run at once: `1`
+    /// keeps both on the calling thread, `≥ 2` lets them go to two threads
+    /// when each is worth one. The bits are the same either way.
     SplitSolve {
-        /// Upper bound on the horizontal partitions (Fig. 6's `p/2`).
+        /// Upper bound on the fronts running side by side.
         partitions: usize,
     },
     /// MUMPS-like block tri-diagonal LU.

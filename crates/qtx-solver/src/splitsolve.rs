@@ -49,12 +49,13 @@
 //!    leaf finishes with one `m`-wide panel sweep per column,
 //!    `x_i = −X̂_i·x_{i−1}[C_l, :]`.
 //!
-//! How many partitions a chain is worth is a function of its shape:
-//! [`SplitSolve::for_chain`] compares [`counts::splitsolve_factored`] at
-//! the candidate counts. A dense coupling is the same code at full width.
+//! [`counts::splitsolve_factored`] is the kernel's count at a given
+//! partition count. A dense coupling is the same code at full width.
 //! The chain is read through [`BlockChain`], so the pencil
 //! `(E + iη)·S − H` streams in block by block and `A` is never assembled.
-//! See `docs/solver.md` for the ledger.
+//! See `docs/solver.md` for the ledger. The engine's wave-function path
+//! does not run this kernel: its Σ is known before the solve, so it folds
+//! Σ in and factors each block once ([`crate::two_front`]).
 
 use crate::error::{SolveError, SolveOutcome};
 use crate::system::ObcSystem;
@@ -77,21 +78,11 @@ const SOLVER: &str = "splitsolve";
 const FAN_OUT_MIN_FLOPS: u64 = 8_000_000;
 
 /// Whether sweeps of `flops_each` estimated operations go to threads — the
-/// one fan-out rule of this crate (SplitSolve's partition sweeps, the
-/// Caroli kernel's two fronts).
+/// one fan-out rule of this crate (SplitSolve's partition sweeps, the two
+/// fronts of the Caroli kernel and of the wave-function solve).
 pub(crate) fn fans_out(flops_each: u64) -> bool {
     flops_each >= FAN_OUT_MIN_FLOPS
 }
-
-/// What partitioning may add to the modelled one-partition solve — the
-/// merges, the extra head solves and corner chains — before
-/// [`SplitSolve::for_chain`] halves the partition count: 1/64. Cutting a
-/// chain buys no arithmetic (the sweeps factor the same blocks either
-/// way), only more independent sweeps, so it is taken where it is all but
-/// free. The benchmark's devices sit well away from the line on either
-/// side: 0.3 % on the 128-block wire, 3–5 % on the 8-block small-block
-/// devices, 22 % on the 6-block DFT wire.
-const MERGE_BUDGET_DIV: u64 = 64;
 
 /// SplitSolve driver.
 #[derive(Debug, Clone)]
@@ -135,30 +126,6 @@ impl SplitSolve {
     pub fn new(partitions: usize) -> Self {
         assert!(partitions >= 1 && partitions.is_power_of_two(), "partitions must be 2^k");
         SplitSolve { partitions }
-    }
-
-    /// The partition plan: the solver a chain of `s × s` blocks with the
-    /// structure `support` is worth, given that the caller allows
-    /// `at_most` partitions. It is the largest power of two that is at
-    /// most `at_most`, leaves room for the merge (half the chain length,
-    /// rounded up to a power of two) and whose modelled cost
-    /// ([`counts::splitsolve_factored`]) exceeds the one-partition solve's
-    /// by no more than 1/64 — merging two halves of a short chain of wide
-    /// blocks is a visible share of the solve, of a long thin one next to
-    /// nothing. A function of the chain's shape alone: no thread count, no
-    /// energy, no right-hand side enters.
-    pub fn for_chain(at_most: usize, s: usize, support: &ChainSupport) -> Self {
-        let nb = support.num_blocks();
-        let clamp = at_most.min(nb.next_power_of_two() / 2).max(1);
-        let mut p = 1 << clamp.ilog2();
-        let dims = support.dims();
-        let contacts = (support.contact_l.len(), support.contact_r.len());
-        let cost = |p: usize| counts::splitsolve_factored(s, &dims, contacts, p);
-        let whole = cost(1);
-        while p > 1 && cost(p).saturating_sub(whole) * MERGE_BUDGET_DIV > whole {
-            p /= 2;
-        }
-        SplitSolve::new(p)
     }
 
     /// Solves Eq. 5 and returns the dense solution (`N_SS × m`) plus the
@@ -1241,95 +1208,6 @@ mod tests {
         ] {
             assert_eq!(got.unwrap_err(), SolveError::OutsideContact { what, row });
         }
-    }
-
-    /// A chain of `nb` blocks whose couplings all have the support
-    /// dimensions `(|R_u|, |C_u|, |R_l|, |C_l|)`, with contacts `k_l`,
-    /// `k_r` rows wide — a shape, as the plan sees it.
-    fn shape(
-        nb: usize,
-        dims: (usize, usize, usize, usize),
-        k_l: usize,
-        k_r: usize,
-    ) -> ChainSupport {
-        let on = |rows: usize, cols: usize| BlockSupport {
-            rows: (0..rows).collect(),
-            cols: (0..cols).collect(),
-        };
-        let pair = CouplingSupport { upper: on(dims.0, dims.1), lower: on(dims.2, dims.3) };
-        ChainSupport {
-            coupling: vec![pair; nb - 1],
-            contact_l: (0..k_l).collect(),
-            contact_r: (0..k_r).collect(),
-        }
-    }
-
-    #[test]
-    fn the_plan_follows_the_chain_on_the_benchmark_shapes() {
-        // (s, n_b, coupling support, contact rows) of the DFT wire, the
-        // UTB film, the 0.8 nm wire and the 128-cell wire: merging two
-        // halves of a 6- or 8-block chain costs 3–22 % of the whole solve,
-        // of a 128-block chain 0.3 %.
-        for (name, s, nb, dims, (k_l, k_r), planned) in [
-            ("dft wire", 252, 6, (162, 156, 156, 162), (156, 162), 1),
-            ("utb", 20, 8, (4, 6, 6, 4), (6, 4), 1),
-            ("0.8 nm wire", 26, 8, (4, 6, 6, 4), (6, 4), 1),
-            ("long wire", 90, 128, (24, 18, 18, 24), (18, 24), 2),
-        ] {
-            let support = shape(nb, dims, k_l, k_r);
-            assert_eq!(SplitSolve::for_chain(2, s, &support).partitions, planned, "{name}");
-            assert_eq!(SplitSolve::for_chain(1, s, &support).partitions, 1, "{name}");
-        }
-    }
-
-    #[test]
-    fn for_chain_clamps_the_request_to_the_chain() {
-        // With no coupling at all a merge is free: the plan is the clamp —
-        // the request rounded *down* to a power of two, half the chain
-        // length at most, one at least.
-        for (at_most, nb, expect) in [
-            (2, 128, 2),
-            (2, 6, 2),
-            (2, 3, 2),
-            (2, 2, 1),
-            (2, 1, 1),
-            (8, 5, 4),
-            (3, 16, 2),
-            (7, 64, 4),
-            (0, 4, 1),
-        ] {
-            let free = shape(nb, (0, 0, 0, 0), 4, 4);
-            assert_eq!(
-                SplitSolve::for_chain(at_most, 16, &free).partitions,
-                expect,
-                "{at_most}/{nb}"
-            );
-        }
-    }
-
-    #[test]
-    fn the_plan_is_a_power_of_two_that_shrinks_as_the_support_widens() {
-        for (s, nb) in [(12, 4), (12, 16), (40, 64), (90, 128)] {
-            for at_most in [1usize, 2, 4, 8, 64] {
-                let mut last = usize::MAX;
-                for width in (0..=s).step_by(s / 4) {
-                    let support = shape(nb, (width, width, width, width), width, width);
-                    let p = SplitSolve::for_chain(at_most, s, &support).partitions;
-                    let clamp = SplitSolve::for_chain(at_most, s, &shape(nb, (0, 0, 0, 0), 0, 0));
-                    assert!(p.is_power_of_two() && p <= at_most && p <= clamp.partitions);
-                    assert!(
-                        p <= last,
-                        "s={s} nb={nb} at_most={at_most} width={width}: {p} > {last}"
-                    );
-                    last = p;
-                }
-            }
-        }
-        // The same answer from inside a saturated pool: no thread count
-        // enters.
-        let support = shape(128, (24, 18, 18, 24), 18, 24);
-        let _busy = (rayon::enter_pool_worker(), rayon::enter_pool_worker());
-        assert_eq!(SplitSolve::for_chain(2, 90, &support).partitions, 2);
     }
 
     #[test]

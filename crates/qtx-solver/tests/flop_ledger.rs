@@ -1,15 +1,20 @@
 //! Operation-count ledger of the interior solve at the benchmark's device
-//! shapes. SplitSolve keeps `Q = A⁻¹·B` as elimination factors on the
-//! coupling support and its corner blocks on the contact rows; the count
-//! must stay at a quarter of what materializing `Q` cost on the long wire,
-//! under the parent's on the long wire and the DFT wire, within a tenth of
-//! the model the partition plan compares, and must not depend on which
-//! thread ran which sweep.
+//! shapes. The engine's two-front solve factors each pivot block once: its
+//! count is exactly `counts::two_front_solve`, at most 0.6 × SplitSolve's
+//! on the long wire and the DFT wire, the same from one thread or two, and
+//! warm calls allocate nothing. SplitSolve keeps `Q = A⁻¹·B` as
+//! elimination factors on the coupling support and its corner blocks on
+//! the contact rows; its count must stay at a quarter of what
+//! materializing `Q` cost on the long wire, under the parent's on the long
+//! wire and the DFT wire, within a tenth of its model, and must not depend
+//! on which thread ran which sweep.
 
 use qtx_linalg::flops::counts;
-use qtx_linalg::{c64, Complex64, ZMat};
-use qtx_solver::{btd_lu_solve_ws, ObcSystem, SplitSolve, Workspace};
-use qtx_sparse::Btd;
+use qtx_linalg::{c64, Complex64, FlopScope, ZMat};
+use qtx_solver::{
+    btd_lu_solve_ws, two_front_solve, BoundaryTerms, ObcSystem, SplitSolve, Workspace,
+};
+use qtx_sparse::{BlockChain, Btd, CouplingSupport};
 
 /// A random `s × cols` block with entries on `rows × cols` only.
 fn on_support(
@@ -82,12 +87,12 @@ fn long_wire_interior_costs_under_a_quarter_of_the_dense_q_solve() {
 }
 
 #[test]
-fn the_four_device_shapes_cost_what_the_plan_models_and_less_than_before() {
-    // (device, s, n_b, |R_u| × |C_u|, injected modes, partitions planned
-    // out of two, the parent's count in operations — SplitSolve{2} with
+fn the_four_device_shapes_cost_what_the_model_says_and_less_than_before() {
+    // (device, s, n_b, |R_u| × |C_u|, injected modes, SplitSolve's
+    // partitions on it, the count in operations of SplitSolve{2} with
     // s-wide corners, `docs/solver.md` — and the share of it allowed now).
     let ws = Workspace::new();
-    for (name, s, nb, coupling, m, planned, before, share) in [
+    for (name, s, nb, coupling, m, partitions, before, share) in [
         ("utb", 20, 8, (4, 6), 4, 1, 1.15e6, 1.0),
         ("0.8 nm wire", 26, 8, (4, 6), 2, 1, 2.08e6, 1.0),
         ("long wire", 90, 128, (24, 18), 10, 2, 1021e6, 0.95),
@@ -95,12 +100,10 @@ fn the_four_device_shapes_cost_what_the_plan_models_and_less_than_before() {
     ] {
         let sys = wire_shape(nb, s, coupling, m);
         let support = sys.chain_support();
-        let solver = SplitSolve::for_chain(2, s, &support);
-        assert_eq!(solver.partitions, planned, "{name}");
-        let (_, report) = solver.solve_ws(&sys, None, &ws).unwrap();
-        assert_eq!(report.partitions, planned, "{name}");
+        let (_, report) = SplitSolve::new(partitions).solve_ws(&sys, None, &ws).unwrap();
+        assert_eq!(report.partitions, partitions, "{name}");
         let contacts = (support.contact_l.len(), support.contact_r.len());
-        let model = counts::splitsolve_factored(s, &support.dims(), contacts, planned);
+        let model = counts::splitsolve_factored(s, &support.dims(), contacts, partitions);
         // The model leaves out what grows with m — Step 4 and R's
         // right-hand side.
         assert!(model <= report.flops && 10 * (report.flops - model) <= report.flops, "{name}");
@@ -109,5 +112,43 @@ fn the_four_device_shapes_cost_what_the_plan_models_and_less_than_before() {
             "{name}: {} operations against {before} before",
             report.flops
         );
+    }
+}
+
+#[test]
+fn the_two_front_solve_factors_each_block_once() {
+    // (device, s, n_b, |R_u| × |C_u|, injected modes, SplitSolve's count on
+    // the shape as the engine ran it before, in operations: two partitions
+    // on the long wire, one on the DFT wire, `docs/solver.md`).
+    for (name, s, nb, coupling, m, splitsolve) in
+        [("long wire", 90, 128, (24, 18), 10, 935e6), ("dft wire", 252, 6, (162, 156), 6, 2487e6)]
+    {
+        let sys = wire_shape(nb, s, coupling, m);
+        let support = sys.a.coupling_support();
+        let (sigma_l, sigma_r) = (sys.sigma_l.dense(), sys.sigma_r.dense());
+        let boundary = BoundaryTerms {
+            sigma_l: &sigma_l,
+            sigma_r: &sigma_r,
+            rhs_top: &sys.rhs_top,
+            rhs_bottom: &sys.rhs_bottom,
+        };
+        let ws = Workspace::new();
+        let counted = |partitions: usize| {
+            let scope = FlopScope::start();
+            let psi = two_front_solve(&sys.a, &support, &boundary, partitions, &ws).unwrap();
+            (psi, scope.elapsed())
+        };
+        let (psi, flops) = counted(2);
+        let reference = btd_lu_solve_ws(&sys, &Workspace::new()).unwrap();
+        assert!(psi.max_diff(&reference) < 1e-10, "{name}: {:.2e}", psi.max_diff(&reference));
+        let dims: Vec<_> = support.iter().map(CouplingSupport::dims).collect();
+        let (ml, mr) = (sys.rhs_top.cols(), sys.rhs_bottom.cols());
+        assert_eq!(flops, counts::two_front_solve(s, &dims, ml, mr), "{name}");
+        assert!(flops as f64 <= 0.6 * splitsolve, "{name}: {flops} operations");
+        // One thread or two: the same bits and the same count; and once
+        // warm, the pool serves every buffer.
+        let fresh = ws.fresh_allocations();
+        assert_eq!(counted(1), (psi, flops), "{name}");
+        assert_eq!(ws.fresh_allocations(), fresh, "{name}");
     }
 }

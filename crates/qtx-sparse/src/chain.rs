@@ -6,9 +6,10 @@
 //! couplings reach a fraction of a slab's orbitals). The [`BlockChain`]
 //! trait is that access pattern: [`Btd`] implements it for an assembled
 //! matrix, [`EsMinusH`] for the pencil `z·S − H` evaluated on the fly, so a
-//! transmission-only point never materializes `A`, and [`Mirrored`] shows
-//! the leading blocks of either as their block-reversed adjoint, so a sweep
-//! written to run towards the first block also runs away from it.
+//! point never materializes `A`, and [`Mirrored`] / [`Reversed`] show the
+//! leading blocks of either as their block-reversed adjoint / in reverse
+//! block order, so a sweep written to run towards the first block also runs
+//! away from it — on `Aᴴ` or on `A` itself.
 
 use crate::btd::Btd;
 use qtx_linalg::{Complex64, ZMat};
@@ -321,6 +322,81 @@ impl<C: BlockChain> BlockChain for Mirrored<'_, C> {
     }
 }
 
+/// The leading `len` blocks of a chain in reverse block order: block `j`
+/// of the view is `A_{len−1−j, len−1−j}`, and a coupling pair's upper and
+/// lower blocks trade places, so the view of `A[0..len]` is the same matrix
+/// with its block rows and columns renumbered. Unlike [`Mirrored`] nothing
+/// is conjugated or transposed: an elimination written to run from the
+/// last block of a chain to its first solves `A` itself from the first
+/// block of `A` towards block `len − 1` on this view.
+#[derive(Debug, Clone, Copy)]
+pub struct Reversed<'a, C> {
+    chain: &'a C,
+    len: usize,
+}
+
+impl<'a, C: BlockChain> Reversed<'a, C> {
+    /// The reversed view of blocks `0..len` of `chain`.
+    pub fn new(chain: &'a C, len: usize) -> Self {
+        assert!((1..=chain.num_blocks()).contains(&len), "reversal of {len} blocks");
+        Reversed { chain, len }
+    }
+
+    /// The view's coupling supports from those of the pairs it spans
+    /// (`support[..len − 1]` of the original chain): pairs in reverse
+    /// order, the upper and the lower support of each exchanged.
+    pub fn support_of(support: &[CouplingSupport]) -> Vec<CouplingSupport> {
+        let swap = |p: &CouplingSupport| CouplingSupport {
+            upper: p.lower.clone(),
+            lower: p.upper.clone(),
+        };
+        support.iter().rev().map(swap).collect()
+    }
+
+    /// The original coupling pair behind pair `j` of the view.
+    fn pair(&self, j: usize) -> usize {
+        self.len - 2 - j
+    }
+}
+
+impl<C: BlockChain> BlockChain for Reversed<'_, C> {
+    fn num_blocks(&self) -> usize {
+        self.len
+    }
+
+    fn block_size(&self) -> usize {
+        self.chain.block_size()
+    }
+
+    fn diag_into(&self, j: usize, out: &mut ZMat) {
+        self.chain.diag_into(self.len - 1 - j, out);
+    }
+
+    fn diag_at(&self, j: usize, r: usize, c: usize) -> Complex64 {
+        self.chain.diag_at(self.len - 1 - j, r, c)
+    }
+
+    fn upper_at(&self, j: usize, r: usize, c: usize) -> Complex64 {
+        self.chain.lower_at(self.pair(j), r, c)
+    }
+
+    fn lower_at(&self, j: usize, r: usize, c: usize) -> Complex64 {
+        self.chain.upper_at(self.pair(j), r, c)
+    }
+
+    fn upper_on(&self, j: usize, on: &BlockSupport, out: &mut ZMat) {
+        self.chain.lower_on(self.pair(j), on, out);
+    }
+
+    fn lower_on(&self, j: usize, on: &BlockSupport, out: &mut ZMat) {
+        self.chain.upper_on(self.pair(j), on, out);
+    }
+
+    fn coupling_support(&self) -> Vec<CouplingSupport> {
+        Self::support_of(&self.chain.coupling_support()[..self.len - 1])
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -438,6 +514,62 @@ mod tests {
                 view.upper_on(j, &on.upper, &mut got);
                 rev.upper_on(j, &on.upper, &mut want);
                 assert_eq!(got, want);
+                for r in 0..s {
+                    for c in 0..s {
+                        assert_eq!(view.upper_at(j, r, c), rev.upper[j][(r, c)]);
+                        assert_eq!(view.lower_at(j, r, c), rev.lower[j][(r, c)]);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn reversed_view_renumbers_the_blocks_and_conjugates_nothing() {
+        let (nb, s) = (5, 4);
+        let mut a = Btd::zeros(nb, s);
+        for i in 0..nb {
+            a.diag[i] = ZMat::random(s, s, 150 + i as u64);
+        }
+        for i in 0..nb - 1 {
+            a.upper[i] = sparse_block(s, &[0, 2], &[1, 3], 160 + i as u64);
+            a.lower[i] = sparse_block(s, &[1], &[0, 2, 3], 170 + i as u64);
+        }
+        let support = a.coupling_support();
+        for len in 1..=nb {
+            // The reference: blocks in reverse order, each pair's upper and
+            // lower block exchanged, no entry touched.
+            let mut rev = Btd::zeros(len, s);
+            for j in 0..len {
+                rev.diag[j] = a.diag[len - 1 - j].clone();
+            }
+            for j in 0..len - 1 {
+                rev.upper[j] = a.lower[len - 2 - j].clone();
+                rev.lower[j] = a.upper[len - 2 - j].clone();
+            }
+            let view = Reversed::new(&a, len);
+            assert_eq!((BlockChain::num_blocks(&view), BlockChain::block_size(&view)), (len, s));
+            let mut d = ZMat::random(s, s, 99);
+            for j in 0..len {
+                view.diag_into(j, &mut d);
+                assert_eq!(d, rev.diag[j], "diag {j} of {len}");
+                assert_eq!(view.diag_at(j, 1, 2), rev.diag[j][(1, 2)]);
+            }
+            assert_eq!(view.coupling_support(), rev.coupling_support());
+            assert_eq!(Reversed::<Btd>::support_of(&support[..len - 1]), rev.coupling_support());
+            for (j, on) in rev.coupling_support().iter().enumerate() {
+                for (upper, block) in [(true, &on.upper), (false, &on.lower)] {
+                    let mut got = ZMat::zeros(block.rows.len(), block.cols.len());
+                    let mut want = got.clone();
+                    if upper {
+                        view.upper_on(j, block, &mut got);
+                        rev.upper_on(j, block, &mut want);
+                    } else {
+                        view.lower_on(j, block, &mut got);
+                        rev.lower_on(j, block, &mut want);
+                    }
+                    assert_eq!(got, want, "pair {j} of {len}, upper = {upper}");
+                }
                 for r in 0..s {
                     for c in 0..s {
                         assert_eq!(view.upper_at(j, r, c), rev.upper[j][(r, c)]);

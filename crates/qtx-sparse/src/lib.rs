@@ -28,7 +28,9 @@ pub mod spy;
 pub mod stats;
 
 pub use btd::Btd;
-pub use chain::{BlockChain, BlockSupport, ChainSupport, CouplingSupport, EsMinusH, Mirrored};
+pub use chain::{
+    BlockChain, BlockSupport, ChainSupport, CouplingSupport, EsMinusH, Mirrored, Reversed,
+};
 pub use csr::{Csr, CsrBuilder};
 pub use error::SparseShapeError;
 pub use lowrank::CompressedSigma;
