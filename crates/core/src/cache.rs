@@ -13,23 +13,12 @@
 //! solve it replaced; downstream transmission, residuals and records do
 //! not move by a single bit.
 //!
-//! Three layers:
+//! Two layers:
 //!
 //! * **Exact store** — serialized [`ObcResult`] frames under an LRU
 //!   byte budget ([`CacheConfig::max_bytes`]). Errors and fault-injected
-//!   solves are never cached.
-//! * **Interpolation** (opt-in, [`CacheConfig::interp_max_de`] > 0) —
-//!   linear interpolation of Σ between two cached *anchor* energies of
-//!   the same (lead, η, side, method) family. An interval becomes usable
-//!   only after a **validation solve**: the first fresh solve landing
-//!   strictly inside it doubles as ground truth, the observed error is
-//!   inflated to a whole-interval bound (parabolic error model of linear
-//!   interpolation, clamped to [1, 64]×) and recorded; intervals whose
-//!   bound exceeds [`CacheConfig::interp_tol`] stay unusable — e.g. a
-//!   grid straddling a resonance or band edge. Interpolation is never
-//!   used on the sweep path (records must stay bit-identical); the
-//!   [`crate::engine::TransportEngine`] exposes it behind
-//!   [`crate::engine::PointPolicy`].
+//!   solves are never cached. Σ is only ever replayed, never
+//!   interpolated: every point gets the exact OBC of its own energy.
 //! * **Fault-campaign bypass** — while a `fault-inject` campaign is
 //!   armed, the cache stands down entirely (no lookups, no inserts):
 //!   cached hits would skip the chokepoint draws inside the solves and
@@ -41,7 +30,6 @@
 
 use crate::device::DeviceK;
 use crate::error::{TransportError, TransportResult};
-use qtx_linalg::ZMat;
 use qtx_obc::{
     decode_obc_result_parts, encode_obc_result_compressed, Eta, LeadBlocks, ObcError,
     ObcFrameParts, ObcMethod, ObcOutcome, ObcResult, Side,
@@ -57,12 +45,6 @@ pub struct CacheConfig {
     /// Byte budget of the stored frames; the least-recently-used entry is
     /// evicted when an insert would exceed it.
     pub max_bytes: usize,
-    /// Maximum anchor spacing (eV) an interpolation interval may span;
-    /// `0.0` (the default) disables the interpolation layer entirely.
-    pub interp_max_de: f64,
-    /// Largest recorded error bound an interval may carry and still be
-    /// served by [`SigmaCache::try_interpolate`].
-    pub interp_tol: f64,
     /// Relative tolerance for storing Σ as truncated `U·Vᴴ` factors
     /// (`QTXOBC02` frames). `0.0` (the default) keeps every frame exact
     /// and bit-identical; a positive value shrinks entries with the
@@ -72,12 +54,7 @@ pub struct CacheConfig {
 
 impl Default for CacheConfig {
     fn default() -> Self {
-        CacheConfig {
-            max_bytes: 256 << 20,
-            interp_max_de: 0.0,
-            interp_tol: 1e-6,
-            sigma_compress_tol: 0.0,
-        }
+        CacheConfig { max_bytes: 256 << 20, sigma_compress_tol: 0.0 }
     }
 }
 
@@ -89,10 +66,6 @@ pub struct CacheStats {
     pub hits: u64,
     /// Lookups that fell through to a real solve.
     pub misses: u64,
-    /// Queries served by the interpolation layer.
-    pub interp_hits: u64,
-    /// Interval validation solves performed.
-    pub validations: u64,
     /// Entries evicted under the byte budget.
     pub evictions: u64,
     /// Entries currently stored.
@@ -152,32 +125,24 @@ fn side_tag(side: Side) -> u8 {
     }
 }
 
-/// Interpolation family: everything of the key except the energy.
+/// Full content address of one stored self-energy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct FamKey {
+struct Key {
     lead: u64,
+    e: u64,
     eta: u64,
     side: u8,
     fp: u64,
 }
 
-/// Full content address of one stored self-energy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct Key {
-    fam: FamKey,
-    e: u64,
-}
-
 impl Key {
     fn new(lead_hash: u64, e: f64, eta: f64, side: Side, method: ObcMethod) -> Key {
         Key {
-            fam: FamKey {
-                lead: lead_hash,
-                eta: eta.to_bits(),
-                side: side_tag(side),
-                fp: method_fingerprint(method),
-            },
+            lead: lead_hash,
             e: e.to_bits(),
+            eta: eta.to_bits(),
+            side: side_tag(side),
+            fp: method_fingerprint(method),
         }
     }
 }
@@ -185,27 +150,11 @@ impl Key {
 struct Entry {
     frame: Vec<u8>,
     stamp: u64,
-    /// Anchors define interpolation intervals; validation solves are
-    /// stored non-anchor so existing brackets stay stable.
-    anchor: bool,
-}
-
-/// Validation state of one anchor interval `(e0, e1)`.
-#[derive(Debug, Clone, Copy)]
-struct Interval {
-    bound: f64,
-    usable: bool,
 }
 
 #[derive(Default)]
 struct Inner {
     map: HashMap<Key, Entry>,
-    /// Sorted anchor energies per family.
-    families: HashMap<FamKey, Vec<f64>>,
-    /// `(family, e0 bits, e1 bits)` → validation state. Entries are pure
-    /// functions of content-addressed inputs, so a state recorded once
-    /// stays valid even if its anchors are later evicted and re-solved.
-    intervals: HashMap<(FamKey, u64, u64), Interval>,
     bytes: usize,
     tick: u64,
 }
@@ -219,8 +168,6 @@ pub struct SigmaCache {
     inner: Mutex<Inner>,
     hits: AtomicU64,
     misses: AtomicU64,
-    interp_hits: AtomicU64,
-    validations: AtomicU64,
     evictions: AtomicU64,
 }
 
@@ -238,8 +185,6 @@ impl SigmaCache {
             inner: Mutex::new(Inner::default()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            interp_hits: AtomicU64::new(0),
-            validations: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
         }
     }
@@ -255,8 +200,6 @@ impl SigmaCache {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            interp_hits: self.interp_hits.load(Ordering::Relaxed),
-            validations: self.validations.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             entries: inner.map.len(),
             bytes: inner.bytes,
@@ -284,7 +227,7 @@ impl SigmaCache {
             return Ok(found.into_result());
         }
         let fresh = qtx_obc::self_energy(lead, e, Eta(eta), side, method)?;
-        self.insert(key, e, &fresh);
+        self.insert(key, &fresh);
         Ok(fresh)
     }
 
@@ -305,7 +248,7 @@ impl SigmaCache {
         let key = Key::new(lead_hash, e, eta, side, method);
         match self.lookup_counted(&key) {
             Some(found) => Ok(found),
-            None => Ok(self.store(key, e, qtx_obc::self_energy(lead, e, Eta(eta), side, method)?)),
+            None => Ok(self.store(key, qtx_obc::self_energy(lead, e, Eta(eta), side, method)?)),
         }
     }
 
@@ -335,31 +278,15 @@ impl SigmaCache {
         let (found_l, found_r) = (self.lookup_counted(&key_l), self.lookup_counted(&key_r));
         if found_l.is_none() && found_r.is_none() && hash_l == hash_r {
             let (obc_l, obc_r) = qtx_obc::self_energy_pair(lead_l, lead_r, e, Eta(eta), method)?;
-            return Ok((self.store(key_l, e, obc_l), self.store(key_r, e, obc_r)));
+            return Ok((self.store(key_l, obc_l), self.store(key_r, obc_r)));
         }
         let one = |found, key, lead, side| match found {
             Some(parts) => Ok(parts),
             None => qtx_obc::self_energy(lead, e, Eta(eta), side, method)
-                .map(|fresh| self.store(key, e, fresh))
+                .map(|fresh| self.store(key, fresh))
                 .map_err(|source| (side, source)),
         };
         Ok((one(found_l, key_l, lead_l, Side::Left)?, one(found_r, key_r, lead_r, Side::Right)?))
-    }
-
-    /// Exact lookup without a solve fallback (the engine's interpolating
-    /// pre-pass uses this to prefer stored frames over interpolants).
-    pub fn lookup_exact(
-        &self,
-        lead_hash: u64,
-        e: f64,
-        eta: f64,
-        side: Side,
-        method: ObcMethod,
-    ) -> Option<ObcResult> {
-        let key = Key::new(lead_hash, e, eta, side, method);
-        let found = self.lookup(&key)?;
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        Some(found.into_result())
     }
 
     /// [`SigmaCache::lookup`] that books the outcome as a hit or a miss.
@@ -374,8 +301,8 @@ impl SigmaCache {
     /// `key` would serve: the same deterministic compression the frame
     /// encoder applied (none — Σ moves through untouched — at the default
     /// tolerance 0).
-    fn store(&self, key: Key, e: f64, fresh: ObcResult) -> ObcFrameParts {
-        self.insert(key, e, &fresh);
+    fn store(&self, key: Key, fresh: ObcResult) -> ObcFrameParts {
+        self.insert(key, &fresh);
         fresh_parts(fresh, self.cfg.sigma_compress_tol)
     }
 
@@ -394,166 +321,31 @@ impl SigmaCache {
                 debug_assert!(false, "sigma cache frame failed to decode");
                 let entry = inner.map.remove(key).expect("entry present");
                 inner.bytes -= entry.frame.len();
-                if entry.anchor {
-                    Self::drop_anchor(&mut inner, key);
-                }
                 None
             }
         }
     }
 
-    fn drop_anchor(inner: &mut Inner, key: &Key) {
-        if let Some(fam) = inner.families.get_mut(&key.fam) {
-            let e = f64::from_bits(key.e);
-            if let Some(pos) = fam.iter().position(|a| a.to_bits() == e.to_bits()) {
-                fam.remove(pos);
-            }
-            if fam.is_empty() {
-                inner.families.remove(&key.fam);
-            }
-        }
-    }
-
-    /// Stores a fresh solve. When the new energy lands strictly inside an
-    /// existing unvalidated anchor interval of its family, the solve
-    /// doubles as that interval's validation (and is stored *non-anchor*
-    /// so the bracket stays in place); otherwise it becomes a new anchor.
-    fn insert(&self, key: Key, e: f64, fresh: &ObcResult) {
+    /// Stores a fresh solve, then evicts least-recently-used entries down
+    /// to the byte budget.
+    fn insert(&self, key: Key, fresh: &ObcResult) {
         let frame = encode_obc_result_compressed(fresh, self.cfg.sigma_compress_tol);
         let mut inner = self.inner.lock().expect("sigma cache lock");
         if inner.map.contains_key(&key) {
             return; // concurrent identical solve already landed
         }
-        let mut anchor = true;
-        if self.cfg.interp_max_de > 0.0 {
-            if let Some((e0, e1)) = bracket(inner.families.get(&key.fam), e) {
-                if e1 - e0 <= self.cfg.interp_max_de {
-                    let ikey = (key.fam, e0.to_bits(), e1.to_bits());
-                    anchor = false; // inside a bracket: never re-anchor
-                    if !inner.intervals.contains_key(&ikey) {
-                        if let Some(iv) = self.validate(&inner, key.fam, e0, e1, e, fresh) {
-                            inner.intervals.insert(ikey, iv);
-                            self.validations.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                }
-            }
-        }
-        if anchor {
-            let fam = inner.families.entry(key.fam).or_default();
-            let pos = fam.partition_point(|&a| a < e);
-            if fam.get(pos).is_none_or(|&a| a.to_bits() != e.to_bits()) {
-                fam.insert(pos, e);
-            }
-        }
         inner.tick += 1;
         let stamp = inner.tick;
         inner.bytes += frame.len();
-        inner.map.insert(key, Entry { frame, stamp, anchor });
-        // LRU eviction down to the byte budget. Evicting an anchor removes
-        // it from its family bracket list; recorded interval states stay
-        // (they remain valid — the inputs are content-addressed).
+        inner.map.insert(key, Entry { frame, stamp });
         while inner.bytes > self.cfg.max_bytes && !inner.map.is_empty() {
             let victim =
                 *inner.map.iter().min_by_key(|(_, v)| v.stamp).map(|(k, _)| k).expect("non-empty");
             let entry = inner.map.remove(&victim).expect("victim present");
             inner.bytes -= entry.frame.len();
-            if entry.anchor {
-                Self::drop_anchor(&mut inner, &victim);
-            }
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
     }
-
-    /// First-use validation of interval `(e0, e1)`: compares the linear
-    /// interpolant at `e` against the fresh ground-truth Σ and inflates
-    /// the observed error to a whole-interval bound with the parabolic
-    /// error profile of linear interpolation —
-    /// `err(x) ≈ c·(x−e0)·(e1−x)` peaks at mid-interval, so
-    /// `bound = err(e) · h²/(4·(e−e0)·(e1−e))`, clamped to `[1, 64]×`
-    /// (the cap guards against a validation point so close to an anchor
-    /// that the inflation explodes on noise).
-    fn validate(
-        &self,
-        inner: &Inner,
-        fam: FamKey,
-        e0: f64,
-        e1: f64,
-        e: f64,
-        fresh: &ObcResult,
-    ) -> Option<Interval> {
-        let s0 = self.peek_sigma(inner, fam, e0)?;
-        let s1 = self.peek_sigma(inner, fam, e1)?;
-        let interp = lerp_sigma(&s0, &s1, (e - e0) / (e1 - e0))?;
-        let observed = interp.max_diff(&fresh.sigma);
-        let h = e1 - e0;
-        let inflate = (h * h / (4.0 * (e - e0) * (e1 - e))).clamp(1.0, 64.0);
-        let bound = observed * inflate;
-        Some(Interval { bound, usable: bound.is_finite() && bound <= self.cfg.interp_tol })
-    }
-
-    fn peek_sigma(&self, inner: &Inner, fam: FamKey, e: f64) -> Option<ZMat> {
-        let entry = inner.map.get(&Key { fam, e: e.to_bits() })?;
-        decode_obc_result_parts(&entry.frame).ok().map(|p| p.into_result().sigma)
-    }
-
-    /// Pure interpolation lookup: serves Σ only from a **validated,
-    /// usable** interval whose both anchors are still stored, together
-    /// with the interval's recorded error bound. Never solves, never
-    /// validates — a query that cannot be served returns `None` and the
-    /// caller falls back to [`SigmaCache::self_energy`].
-    pub fn try_interpolate(
-        &self,
-        lead_hash: u64,
-        e: f64,
-        eta: f64,
-        side: Side,
-        method: ObcMethod,
-    ) -> Option<(ZMat, f64)> {
-        let fam = Key::new(lead_hash, e, eta, side, method).fam;
-        let inner = self.inner.lock().expect("sigma cache lock");
-        let (e0, e1) = bracket(inner.families.get(&fam), e)?;
-        if e1 - e0 > self.cfg.interp_max_de {
-            return None;
-        }
-        let iv = *inner.intervals.get(&(fam, e0.to_bits(), e1.to_bits()))?;
-        if !iv.usable {
-            return None;
-        }
-        let s0 = self.peek_sigma(&inner, fam, e0)?;
-        let s1 = self.peek_sigma(&inner, fam, e1)?;
-        let sigma = lerp_sigma(&s0, &s1, (e - e0) / (e1 - e0))?;
-        self.interp_hits.fetch_add(1, Ordering::Relaxed);
-        Some((sigma, iv.bound))
-    }
-}
-
-/// Anchors strictly bracketing `e` (`e0 < e < e1`), if any.
-fn bracket(anchors: Option<&Vec<f64>>, e: f64) -> Option<(f64, f64)> {
-    let anchors = anchors?;
-    let pos = anchors.partition_point(|&a| a < e);
-    if pos == 0 || pos >= anchors.len() {
-        return None;
-    }
-    let (e0, e1) = (anchors[pos - 1], anchors[pos]);
-    if e0 < e && e < e1 {
-        Some((e0, e1))
-    } else {
-        None // exact anchor energy: not an interpolation query
-    }
-}
-
-fn lerp_sigma(s0: &ZMat, s1: &ZMat, t: f64) -> Option<ZMat> {
-    if s0.rows() != s1.rows() || s0.cols() != s1.cols() {
-        return None;
-    }
-    let data = s0
-        .as_slice()
-        .iter()
-        .zip(s1.as_slice())
-        .map(|(a, b)| *a * (1.0 - t) + *b * t)
-        .collect::<Vec<_>>();
-    Some(ZMat::from_recycled_buffer(s0.rows(), s0.cols(), data))
 }
 
 /// Which cache an engine or a sweep solves against: one exists only
@@ -594,17 +386,6 @@ pub(crate) struct CacheHandle {
 impl CacheHandle {
     pub(crate) fn for_dk(cache: Arc<SigmaCache>, dk: &DeviceK) -> CacheHandle {
         CacheHandle { hash_l: dk.lead_l.content_hash(), hash_r: dk.lead_r.content_hash(), cache }
-    }
-
-    pub(crate) fn cache(&self) -> &Arc<SigmaCache> {
-        &self.cache
-    }
-
-    pub(crate) fn hash_of(&self, side: Side) -> u64 {
-        match side {
-            Side::Left => self.hash_l,
-            Side::Right => self.hash_r,
-        }
     }
 }
 
@@ -674,6 +455,7 @@ pub(crate) fn self_energy_pair(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qtx_linalg::ZMat;
     use qtx_obc::FeastConfig;
 
     fn chain() -> LeadBlocks {
@@ -812,62 +594,5 @@ mod tests {
                     .unwrap();
             assert_eq!(got.sigma.max_diff(&fresh.sigma), 0.0, "E = {e}");
         }
-    }
-
-    #[test]
-    fn interpolation_validates_then_serves_within_bound() {
-        let cache = SigmaCache::new(CacheConfig {
-            interp_max_de: 0.05,
-            interp_tol: 1e-3,
-            ..CacheConfig::default()
-        });
-        let lead = chain();
-        let h = lead.content_hash();
-        let m = ObcMethod::ShiftInvert;
-        let (e0, e1) = (0.50, 0.52);
-        // Two anchors; nothing to interpolate from yet.
-        cache.self_energy(&lead, h, e0, 0.0, Side::Left, m).unwrap();
-        cache.self_energy(&lead, h, e1, 0.0, Side::Left, m).unwrap();
-        assert!(cache.try_interpolate(h, 0.51, 0.0, Side::Left, m).is_none(), "unvalidated");
-        // Mid-interval solve doubles as the validation.
-        cache.self_energy(&lead, h, 0.51, 0.0, Side::Left, m).unwrap();
-        assert_eq!(cache.stats().validations, 1);
-        // Off-center query: served, and the recorded bound covers the
-        // true error against a fresh solve.
-        let eq = e0 + 0.25 * (e1 - e0);
-        let (sigma, bound) = cache.try_interpolate(h, eq, 0.0, Side::Left, m).expect("usable");
-        assert!(bound <= 1e-3, "smooth mid-band interval must validate usable");
-        let fresh = qtx_obc::self_energy(&lead, eq, Eta::ZERO, Side::Left, m).unwrap();
-        let err = sigma.max_diff(&fresh.sigma);
-        assert!(err <= bound, "interpolant strayed outside its recorded bound: {err} > {bound}");
-        assert_eq!(cache.stats().interp_hits, 1);
-        // The validation solve was stored non-anchor: the bracket still
-        // spans (e0, e1), not (e0, 0.51).
-        let (sigma2, _) =
-            cache.try_interpolate(h, 0.515, 0.0, Side::Left, m).expect("same interval");
-        assert!(sigma2.max_diff(&fresh.sigma) < 1.0, "sane values");
-    }
-
-    #[test]
-    fn band_edge_straddling_interval_is_rejected() {
-        // The 1-D chain band edge sits at |E| = 2: Σ switches character
-        // (propagating ↔ evanescent) across it, so a linear interpolant
-        // across the edge is garbage and the validation must say so.
-        let cache = SigmaCache::new(CacheConfig {
-            interp_max_de: 0.5,
-            interp_tol: 1e-3,
-            ..CacheConfig::default()
-        });
-        let lead = chain();
-        let h = lead.content_hash();
-        let m = ObcMethod::ShiftInvert;
-        cache.self_energy(&lead, h, 1.9, 0.0, Side::Left, m).unwrap();
-        cache.self_energy(&lead, h, 2.1, 0.0, Side::Left, m).unwrap();
-        cache.self_energy(&lead, h, 2.0, 0.0, Side::Left, m).unwrap(); // validation
-        assert_eq!(cache.stats().validations, 1);
-        assert!(
-            cache.try_interpolate(h, 1.95, 0.0, Side::Left, m).is_none(),
-            "edge-straddling interval must be unusable"
-        );
     }
 }

@@ -18,8 +18,8 @@
 //! the caller handed both the same `Arc`.
 //!
 //! Point solves go through [`TransportEngine::solve_point`] with a
-//! [`PointPolicy`] (direct / robust ladder / interpolation-enabled /
-//! transmission-only). Sweeps go through [`TransportEngine::sweep`],
+//! [`PointPolicy`] (direct / robust ladder / transmission-only). Sweeps
+//! go through [`TransportEngine::sweep`],
 //! [`TransportEngine::sweep_resumable`] and
 //! [`TransportEngine::sweep_refined`] — three views of the single loop in
 //! [`crate::sweep`] — and inherit the engine's scheduler and cache unless
@@ -33,12 +33,8 @@ use crate::error::{TransportError, TransportResult};
 use crate::refine::{RefineConfig, RefinedSweep};
 use crate::scheduler::{Scheduler, SchedulerConfig};
 use crate::sweep::{SweepOptions, SweepPlan, SweepResult};
-use crate::transport::{
-    self, ms_since, EnergyPointResult, RobustSolve, METHOD_BOUNDARY, METHOD_CACHE_INTERP,
-};
-use qtx_linalg::ZMat;
-use qtx_obc::Side;
-use qtx_sparse::{ChainSupport, CompressedSigma};
+use crate::transport::{self, ms_since, RobustSolve, METHOD_BOUNDARY};
+use qtx_sparse::ChainSupport;
 use std::collections::HashMap;
 use std::marker::PhantomData;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -48,7 +44,7 @@ use std::time::Instant;
 ///
 /// `#[non_exhaustive]`: build through the constructors
 /// ([`PointPolicy::direct`], [`PointPolicy::robust`],
-/// [`PointPolicy::interpolating`], [`PointPolicy::transmission_only`]).
+/// [`PointPolicy::transmission_only`]).
 /// The lifetime borrows nothing; it stays because callers name
 /// `PointPolicy<'static>`.
 #[derive(Clone, Copy, Default)]
@@ -57,10 +53,6 @@ pub struct PointPolicy<'rt> {
     /// Walk the escalation ladder on failure instead of returning the
     /// first error.
     pub robust: bool,
-    /// Allow serving Σ from validated cache interpolation intervals
-    /// (see `docs/cache.md` for the error contract). Never affects
-    /// sweeps — only explicit point queries opt in.
-    pub allow_interp: bool,
     /// Skip the scattering-state solve entirely and compute T(E) through
     /// the two-front Caroli kernel with compressed Σ (the sparsity fast
     /// path; see `docs/sparsity.md`). The result carries no wave functions.
@@ -83,14 +75,6 @@ impl PointPolicy<'static> {
     /// Full escalation ladder (the sweep's per-point behavior).
     pub fn robust() -> Self {
         PointPolicy { robust: true, ..PointPolicy::default() }
-    }
-
-    /// Ladder + cache interpolation: a point bracketed by a validated
-    /// interval skips the OBC solves entirely and reports
-    /// [`METHOD_CACHE_INTERP`] with its error bound in
-    /// [`transport::PointOutcome::interp_bound`].
-    pub fn interpolating() -> Self {
-        PointPolicy { robust: true, allow_interp: true, ..PointPolicy::default() }
     }
 
     /// Transmission-only NEGF: two elimination fronts over the streamed
@@ -123,7 +107,6 @@ impl std::fmt::Debug for PointPolicy<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PointPolicy")
             .field("robust", &self.robust)
-            .field("allow_interp", &self.allow_interp)
             .field("transmission_only", &self.transmission_only)
             .field("sigma_compress_tol", &self.sigma_compress_tol)
             .finish()
@@ -152,9 +135,8 @@ impl TransportEngineBuilder {
         self
     }
 
-    /// The engine's cache: [`CachePolicy::Shared`] arms one (a private
-    /// `Shared(Arc::new(SigmaCache::new(cfg)))` is the way to enable the
-    /// interpolation layer); the default is none.
+    /// The engine's cache: [`CachePolicy::Shared`] arms one; the default
+    /// is none.
     pub fn cache(mut self, policy: CachePolicy) -> Self {
         self.cache = policy;
         self
@@ -350,11 +332,6 @@ impl TransportEngine {
         if policy.transmission_only {
             return self.boundary_point(&folded, e, policy.sigma_compress_tol);
         }
-        if policy.allow_interp {
-            if let Some(rs) = self.try_interp_point(&folded, e) {
-                return rs;
-            }
-        }
         if policy.robust {
             return transport::solve_point_robust_raw(dk, folded.support(), e, cfg, handle);
         }
@@ -387,42 +364,6 @@ impl TransportEngine {
             }
             Err(error) => RobustSolve::failed(error, 1, ms_since(start)),
         }
-    }
-
-    /// Interpolation fast path: both sides must be servable from the
-    /// cache (an exact stored frame counts; at least one side must come
-    /// from a validated interval for this to beat the plain hit path).
-    /// The transmission then comes from the mode-free Caroli route, like
-    /// the decimation rung — interpolated Σ carries no mode sets.
-    fn try_interp_point(&self, folded: &FoldedK, e: f64) -> Option<RobustSolve> {
-        let start = Instant::now();
-        let (dk, h) = (&folded.dk, folded.handle.as_ref()?);
-        let cfg = &self.config;
-        let side_sigma = |side: Side| -> Option<(ZMat, f64)> {
-            let hash = h.hash_of(side);
-            if let Some(exact) = h.cache().lookup_exact(hash, e, 0.0, side, cfg.obc) {
-                return Some((exact.sigma, 0.0));
-            }
-            h.cache().try_interpolate(hash, e, 0.0, side, cfg.obc)
-        };
-        let (sigma_l, bound_l) = side_sigma(Side::Left)?;
-        let (sigma_r, bound_r) = side_sigma(Side::Right)?;
-        let bound = bound_l.max(bound_r);
-        if bound == 0.0 {
-            // Both sides were exact hits: let the normal path produce the
-            // full wave-function result instead of the Caroli fallback.
-            return None;
-        }
-        let (sigma_l, sigma_r): (CompressedSigma, CompressedSigma) =
-            (sigma_l.into(), sigma_r.into());
-        let contacts = [(&sigma_l, &[][..]), (&sigma_r, &[][..])];
-        let t =
-            transport::caroli_streamed(dk, e, 0.0, contacts, &folded.support().coupling).ok()?;
-        let (sigma_l, sigma_r) = (sigma_l.into_dense(), sigma_r.into_dense());
-        let result = EnergyPointResult::caroli_only(e, dk.kz, t, (0, 0), sigma_l, sigma_r);
-        let mut rs = RobustSolve::solved(result, METHOD_CACHE_INTERP, ms_since(start));
-        rs.outcome.interp_bound = bound;
-        Some(rs)
     }
 
     /// Sweeps `plan` with default options (the engine's pool and cache).

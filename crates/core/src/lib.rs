@@ -72,7 +72,7 @@ pub use sweep::{
 };
 pub use transport::{
     caroli_transmission, EnergyPointResult, PointOutcome, RobustSolve, LADDER_METHOD_NAMES,
-    METHOD_BOUNDARY, METHOD_CACHE_INTERP, METHOD_FAILED,
+    METHOD_BOUNDARY, METHOD_FAILED,
 };
 
 /// Convenience one-shot ballistic transmission at a single energy with

@@ -323,15 +323,11 @@ pub struct SweepHealth {
     pub stragglers: usize,
     /// Self-energy cache hits this run (0 when no cache is armed).
     /// Hit/miss splits are scheduling-dependent — two workers racing the
-    /// same key may both miss — so all three cache counters are excluded
-    /// from [`PartialEq`], like `stragglers`.
+    /// same key may both miss — so both cache counters are excluded from
+    /// [`PartialEq`], like `stragglers`.
     pub cache_hits: u64,
     /// Self-energy cache misses (real OBC solves) this run.
     pub cache_misses: u64,
-    /// Interpolated self-energies served this run (always 0 on the sweep
-    /// path, which never interpolates Σ; present for engine-level sweeps
-    /// sharing a cache with interpolating point queries).
-    pub cache_interp: u64,
     /// Worst accepted residual across solved points.
     pub worst_residual: f64,
     /// Largest interpolation error bound.
@@ -362,7 +358,7 @@ impl SweepHealth {
         records: &[PointRecord],
         faults_injected: u64,
         stats: scheduler::BatchStats,
-        cache: (u64, u64, u64),
+        cache: (u64, u64),
     ) -> SweepHealth {
         let mut h = SweepHealth {
             total_points: records.len(),
@@ -373,7 +369,6 @@ impl SweepHealth {
             stragglers: stats.stragglers,
             cache_hits: cache.0,
             cache_misses: cache.1,
-            cache_interp: cache.2,
             ..Default::default()
         };
         for r in records {
@@ -596,9 +591,9 @@ impl TransportEngine {
         // Run-scoped accounting: fault draws and cache counters are deltas
         // around the whole run, so a resumed run reports only its share.
         let cache_counts = || {
-            cache.as_ref().map_or((0, 0, 0), |c| {
+            cache.as_ref().map_or((0, 0), |c| {
                 let s = c.stats();
-                (s.hits, s.misses, s.interp_hits)
+                (s.hits, s.misses)
             })
         };
         let cache_before = cache_counts();
@@ -674,11 +669,7 @@ impl TransportEngine {
         }
         interpolate_failures(&mut done);
         let cache_after = cache_counts();
-        let cache_delta = (
-            cache_after.0 - cache_before.0,
-            cache_after.1 - cache_before.1,
-            cache_after.2 - cache_before.2,
-        );
+        let cache_delta = (cache_after.0 - cache_before.0, cache_after.1 - cache_before.1);
         let faults_injected = qtx_linalg::fault::injected_total() - injected_before;
         let health = SweepHealth::from_records(&done, faults_injected, stats, cache_delta);
         let result = finalize(done, health, comm_seconds);
@@ -1165,7 +1156,7 @@ mod tests {
         assert_eq!(records[4].t, 2.0);
         assert!((records[0].interp_bound - 1.0).abs() < 1e-12);
         let health =
-            SweepHealth::from_records(&records, 0, scheduler::BatchStats::default(), (0, 0, 0));
+            SweepHealth::from_records(&records, 0, scheduler::BatchStats::default(), (0, 0));
         assert_eq!(health.interpolated, 3);
         assert_eq!(health.failed, 0);
         assert!((health.max_interp_bound - 1.0).abs() < 1e-12);
@@ -1193,7 +1184,7 @@ mod tests {
         interpolate_failures(&mut records);
         assert!(records.iter().all(|r| r.status == STATUS_FAILED));
         let health =
-            SweepHealth::from_records(&records, 0, scheduler::BatchStats::default(), (0, 0, 0));
+            SweepHealth::from_records(&records, 0, scheduler::BatchStats::default(), (0, 0));
         assert_eq!(health.failed, 2);
         let result = finalize(records, health, 0.0);
         assert!(result.spectrum.is_empty(), "failed points never enter the spectrum");

@@ -36,8 +36,8 @@
 //!   The outgoing block is projected on the lead modes and `|t|²` summed
 //!   over propagating channels (flux-normalized modes make the amplitudes
 //!   probabilities directly). The residual `‖T·ψ − Inj‖_max` is read off
-//!   the same streamed chain. The BTD-LU and BCR baselines are the
-//!   exception: they factor an assembled copy of `A`.
+//!   the same streamed chain. The BTD-LU baseline is the exception: it
+//!   factors an assembled copy of `A`.
 //! * **NEGF/Caroli** (Eq. 4): `T = Tr[Γ_L·G_{0,n−1}·Γ_R·G_{0,n−1}ᴴ]` via
 //!   the two-front kernel [`qtx_solver::caroli_sweep_contacts`]: one
 //!   elimination front from each contact, each block factored once, the
@@ -56,8 +56,8 @@ use qtx_accel::AccelRuntime;
 use qtx_linalg::{gemm_into, qr_least_squares, Complex64, LinalgError, Op, ZMat};
 use qtx_obc::{self_energy_pair, BeynConfig, Eta, LeadModes, ModeSet, ObcMethod, ObcResult};
 use qtx_solver::{
-    bcr_solve, btd_lu_solve_ws, caroli_sweep_contacts, two_front_solve, BoundaryTerms,
-    CaroliContact, ObcSystem, SolverKind, Workspace,
+    btd_lu_solve_ws, caroli_sweep_contacts, two_front_solve, BoundaryTerms, CaroliContact,
+    ObcSystem, SolverKind, Workspace,
 };
 use qtx_sparse::{BlockChain, ChainSupport, CompressedSigma, CouplingSupport};
 use std::time::Instant;
@@ -238,8 +238,8 @@ impl ScatteringStates {
 
 /// The Eq. 5 solve at `(E + iη)` and what is read off its solution: the
 /// mode-projected transmissions and reflection, and the residual. The
-/// two-front solve streams the pencil; the BTD-LU and BCR baselines factor
-/// an assembled copy.
+/// two-front solve streams the pencil; the BTD-LU baseline factors an
+/// assembled copy.
 fn scattering_states(
     dk: &DeviceK,
     support: &ChainSupport,
@@ -256,7 +256,7 @@ fn scattering_states(
         rhs_top: &obc_l.injection,
         rhs_bottom: &obc_r.injection,
     };
-    // The baselines factor an assembled copy of `A`.
+    // The baseline factors an assembled copy of `A`.
     let assembled = || ObcSystem {
         a: dk.es_minus_h_eta(e, eta),
         sigma_l: obc_l.sigma.clone().into(),
@@ -270,7 +270,6 @@ fn scattering_states(
                 two_front_solve(&pencil, &support.coupling, &boundary, partitions, ws)?
             }
             SolverKind::BtdLu => btd_lu_solve_ws(&assembled(), ws)?,
-            SolverKind::Bcr => bcr_solve(&assembled())?,
         };
         let residual = chain_residual(&pencil, &support.coupling, &boundary, &psi, ws);
         Ok((psi, residual))
@@ -529,10 +528,10 @@ pub(crate) fn solve_point_transmission_only(
 pub const ETA_BUMP: f64 = 1e-6;
 
 /// Human-readable names of the ladder rungs, indexed by
-/// [`PointOutcome::method_used`]. `cache-interp` sits *after* `failed` so
-/// the rung codes of existing checkpoints stay valid — it is not a ladder
-/// rung but the engine's interpolated-Σ fast path.
-pub const LADDER_METHOD_NAMES: [&str; 9] = [
+/// [`PointOutcome::method_used`]. `boundary-caroli` sits *after* `failed`
+/// so the rung codes of existing checkpoints stay valid — it is not a
+/// ladder rung but the engine's transmission-only path.
+pub const LADDER_METHOD_NAMES: [&str; 8] = [
     "configured",
     "configured+eta",
     "feast-wide",
@@ -540,7 +539,6 @@ pub const LADDER_METHOD_NAMES: [&str; 9] = [
     "shift-invert",
     "decimation-caroli",
     "failed",
-    "cache-interp",
     "boundary-caroli",
 ];
 
@@ -551,14 +549,10 @@ pub(crate) const METHOD_DECIMATION: u8 = 5;
 /// `method_used` value marking a point every rung gave up on.
 pub const METHOD_FAILED: u8 = 6;
 
-/// `method_used` value of a point served from interpolated cached
-/// self-energies (engine-only; never appears in sweep records).
-pub const METHOD_CACHE_INTERP: u8 = 7;
-
 /// `method_used` value of a transmission-only point solved through the
 /// two-front Caroli kernel with compressed self-energies (engine-only;
 /// never appears in sweep records).
-pub const METHOD_BOUNDARY: u8 = 8;
+pub const METHOD_BOUNDARY: u8 = 7;
 
 /// Robustness record of one (E, k) point: which rung produced the
 /// result, how hard the ladder had to work, and how good the answer is.
@@ -576,9 +570,9 @@ pub struct PointOutcome {
     pub residual: f64,
     /// Broadening η the accepted attempt ran with.
     pub eta: f64,
-    /// Recorded error bound of the interpolated self-energies when
-    /// `method_used == METHOD_CACHE_INTERP` (the worse of the two sides);
-    /// `0` for every real solve.
+    /// Recorded Σ-compression error bound of a transmission-only point
+    /// (`method_used == METHOD_BOUNDARY`, the worse of the two sides; `0`
+    /// unless a tolerance was asked for); `0` for every other solve.
     pub interp_bound: f64,
     /// Wall time spent on the point, all attempts included (ms). Excluded
     /// from checkpoint identity — timing is not physics.
@@ -931,14 +925,12 @@ mod tests {
         let dk = d.at_kz(0.0);
         let e = probe_energies(&dk.lead_l, 1)[0] + 0.11;
         let mut results = Vec::new();
-        for solver in [SolverKind::SplitSolve { partitions: 2 }, SolverKind::BtdLu, SolverKind::Bcr]
-        {
+        for solver in [SolverKind::SplitSolve { partitions: 2 }, SolverKind::BtdLu] {
             let mut cfg = d.config;
             cfg.solver = solver;
             results.push(solve_point_direct(&dk, e, &cfg, None).unwrap().transmission);
         }
         assert!((results[0] - results[1]).abs() < 1e-8, "{results:?}");
-        assert!((results[0] - results[2]).abs() < 1e-8, "{results:?}");
     }
 
     #[test]

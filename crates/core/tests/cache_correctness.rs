@@ -7,8 +7,6 @@
 //!   (`qtx_obc::obc_solves_total` delta) and bit-identical records;
 //! * cache-on and cache-off runs are bit-identical at any worker count —
 //!   the cache is invisible in the results, only in the wall clock;
-//! * interpolation serves only validated intervals, reports its error
-//!   bound, and refuses grids that straddle a band edge;
 //! * a byte budget small enough to thrash still never corrupts a value;
 //! * fault-injected solves are never cached (`fault-inject` builds).
 //!
@@ -16,7 +14,6 @@
 //! one file-local lock.
 
 use qtx_atomistic::{BasisKind, DeviceBuilder};
-use qtx_core::transport::METHOD_CACHE_INTERP;
 use qtx_core::{
     CacheConfig, CachePolicy, Device, PointPolicy, Scheduler, SchedulerConfig, SigmaCache,
     SweepOptions, SweepOptionsError, SweepPlan, SweepResult, TransportEngine,
@@ -131,88 +128,6 @@ fn point_hits_replay_bit_identically() {
     assert_eq!(hit.sigma_r.max_diff(&miss.sigma_r), 0.0);
     let stats = engine.cache_stats().expect("cache on");
     assert!(stats.hits >= 2, "second solve must hit both sides: {stats:?}");
-}
-
-/// The interpolation layer under the engine: anchors + a validation solve
-/// make an interval servable; the served point reports
-/// [`METHOD_CACHE_INTERP`], a bound within the configured tolerance, and
-/// a transmission close to the real solve.
-#[test]
-fn interpolating_policy_serves_validated_intervals_within_bound() {
-    let _g = lock();
-    let dev = small_device();
-    let dk = dev.at_kz(0.0);
-    let e0 = dk.lead_l.dispersive_energy(1.0, 0.2, 0.3).expect("band");
-    // Σ interpolation error grows as the spacing squared (~8e-5 at
-    // 0.02 eV on this lead); 5 meV anchors land it near 5e-6.
-    let e1 = e0 + 0.005;
-    let engine = TransportEngine::builder(dev.clone())
-        .cache(CachePolicy::Shared(Arc::new(SigmaCache::new(CacheConfig {
-            interp_max_de: 0.01,
-            interp_tol: 1e-5,
-            ..CacheConfig::default()
-        }))))
-        .build();
-    // Anchors, then the mid-interval validation solve.
-    for e in [e0, e1, 0.5 * (e0 + e1)] {
-        engine.solve_point(e, 0.0, &PointPolicy::direct()).into_result().unwrap();
-    }
-    assert_eq!(engine.cache_stats().unwrap().validations, 2, "one validation per side");
-
-    let eq = e0 + 0.25 * (e1 - e0);
-    let interp = engine.solve_point(eq, 0.0, &PointPolicy::interpolating());
-    assert_eq!(
-        interp.outcome.method_used, METHOD_CACHE_INTERP,
-        "validated bracket must serve the interpolant: {:?}",
-        interp.outcome
-    );
-    assert!(interp.outcome.interp_bound > 0.0);
-    assert!(interp.outcome.interp_bound <= 1e-5, "bound {}", interp.outcome.interp_bound);
-    let t_interp = interp.result.as_ref().unwrap().transmission;
-
-    // Ground truth from an uncached engine: the interpolated transmission
-    // must sit on top of the real one (Σ is bounded by interp_tol and the
-    // transmission is smooth inside the bracket).
-    let reference = TransportEngine::builder(dev).cache(CachePolicy::Off).build();
-    let t_ref =
-        reference.solve_point(eq, 0.0, &PointPolicy::direct()).into_result().unwrap().transmission;
-    assert!(
-        (t_interp - t_ref).abs() < 1e-3,
-        "interpolated T = {t_interp} strayed from the real T = {t_ref}"
-    );
-
-    // A non-interpolating policy at the same energy must still solve.
-    let real = engine.solve_point(eq, 0.0, &PointPolicy::robust());
-    assert_ne!(real.outcome.method_used, METHOD_CACHE_INTERP);
-}
-
-/// A bracket straddling the lead band edge fails its validation and is
-/// never served: the policy silently falls back to a real solve.
-#[test]
-fn band_edge_straddling_bracket_falls_back_to_a_real_solve() {
-    let _g = lock();
-    let dev = small_device();
-    let dk = dev.at_kz(0.0);
-    let edge = dk.lead_l.dispersive_band_min(0.1, 0.3).expect("edge");
-    let (e0, e1) = (edge - 0.01, edge + 0.01);
-    let engine = TransportEngine::builder(dev)
-        .cache(CachePolicy::Shared(Arc::new(SigmaCache::new(CacheConfig {
-            interp_max_de: 0.05,
-            interp_tol: 1e-5,
-            ..CacheConfig::default()
-        }))))
-        .build();
-    for e in [e0, e1, 0.5 * (e0 + e1)] {
-        // Below the edge there may be nothing to solve; errors are fine —
-        // error outcomes must simply never become cache entries.
-        let _ = engine.solve_point(e, 0.0, &PointPolicy::robust());
-    }
-    let probe = engine.solve_point(e0 + 0.25 * (e1 - e0), 0.0, &PointPolicy::interpolating());
-    assert_ne!(
-        probe.outcome.method_used, METHOD_CACHE_INTERP,
-        "edge-straddling interval must not serve interpolants"
-    );
-    assert_eq!(probe.outcome.interp_bound, 0.0);
 }
 
 /// A budget so small the sweep constantly evicts: slower, never wrong.

@@ -1,9 +1,10 @@
 //! Hostile checkpoints: a file that passes the header checks (magic, plan
 //! fingerprint, length) may still hold records no sweep of the plan could
 //! have written. Each such kind is refused with a typed error when the
-//! sweep loads it; and no prefix or single-bit flip of a real checkpoint
-//! makes the decoders panic.
+//! sweep loads it; and no prefix or single-bit flip of a real checkpoint,
+//! and no seeded run of arbitrary bytes, makes the decoders panic.
 
+use proptest::prelude::*;
 use qtx_atomistic::{BasisKind, DeviceBuilder};
 use qtx_core::checkpoint::{self, validate_records};
 use qtx_core::sweep::POINT_RECORD_BYTES;
@@ -159,5 +160,44 @@ fn no_prefix_or_bit_flip_of_a_real_checkpoint_panics() {
         flipped[bit / 8] ^= 1 << (bit % 8);
         let _ = PointRecord::decode(&flipped).map(|r| validate_records(&[r], momenta));
         flipped[bit / 8] ^= 1 << (bit % 8);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Seeded random bytes from empty to four frames long, raw and behind
+    /// the real checkpoint's header with the count of whole frames they
+    /// hold: every decoder answers `Ok` or a typed error, and the framed
+    /// file parses exactly when its length is whole frames.
+    #[test]
+    fn arbitrary_bytes_get_an_answer_from_every_decoder(
+        seed in 0u64..u64::MAX,
+        len in 0usize..4 * POINT_RECORD_BYTES + 1,
+    ) {
+        let (_, plan, bytes) = real_checkpoint();
+        let momenta = plan.k_points.len();
+        let mut rng = TestRng::new(seed);
+        let noise: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+        prop_assert!(checkpoint::parse(&noise, plan).is_err(), "raw noise parsed");
+        prop_assert!(PointRecord::decode(&noise).is_ok() == (len == POINT_RECORD_BYTES));
+        for frame in noise.chunks_exact(POINT_RECORD_BYTES) {
+            let record = PointRecord::decode(frame).map_err(|e| e.to_string())?;
+            let _ = validate_records(&[record], momenta);
+        }
+        let mut framed = bytes[..16].to_vec();
+        framed.extend_from_slice(&((len / POINT_RECORD_BYTES) as u64).to_le_bytes());
+        framed.extend_from_slice(&noise);
+        match checkpoint::parse(&framed, plan) {
+            Ok(records) => {
+                prop_assert!(len % POINT_RECORD_BYTES == 0, "{len} bytes parsed");
+                let _ = validate_records(&records, momenta);
+            }
+            Err(err) => prop_assert!(
+                len % POINT_RECORD_BYTES != 0
+                    && matches!(err, TransportError::Checkpoint(CheckpointError::Truncated { .. })),
+                "{len} bytes: {err:?}"
+            ),
+        }
     }
 }

@@ -177,10 +177,13 @@ fn faulty_sweep_matches_clean_within_bounds() {
     let plan = small_plan(&dev);
     let clean = with_faults(None, || engine(&dev).sweep(&plan, 3).unwrap());
     assert_eq!(clean.health.escalated + clean.health.failed + clean.health.interpolated, 0);
-    let before = fault::injected_total();
-    let faulty =
-        with_faults(Some(FaultConfig::new(0.2, 7)), || engine(&dev).sweep(&plan, 3).unwrap());
-    let observed = fault::injected_total() - before;
+    // The process-global injection counter is read under the campaign
+    // lock: another test's campaign must not land in the delta.
+    let (faulty, observed) = with_faults(Some(FaultConfig::new(0.2, 7)), || {
+        let before = fault::injected_total();
+        let faulty = engine(&dev).sweep(&plan, 3).unwrap();
+        (faulty, fault::injected_total() - before)
+    });
     assert!(observed > 0, "a 20% campaign over a full sweep must fire");
     assert_eq!(faulty.health.faults_injected, observed, "health must count every injected fault");
     assert!(
@@ -297,13 +300,14 @@ fn checkpoint_resume_is_bit_identical_under_faults() {
 
     // Resuming a *complete* checkpoint is a no-op: no new faults drawn,
     // same records again.
-    let before = fault::injected_total();
-    let replay = with_faults(Some(campaign), || {
+    let (replay, drawn) = with_faults(Some(campaign), || {
+        let before = fault::injected_total();
         let opts =
             SweepOptions::builder().checkpoint(path.clone()).scheduler(pool(2)).build().unwrap();
-        engine(&dev).sweep_resumable(&plan, 3, &opts).unwrap()
+        let replay = engine(&dev).sweep_resumable(&plan, 3, &opts).unwrap();
+        (replay, fault::injected_total() - before)
     });
-    assert_eq!(fault::injected_total(), before, "a cached resume must not recompute");
+    assert_eq!(drawn, 0, "a cached resume must not recompute");
     assert!(replay.records.iter().zip(&resumed.records).all(|(a, b)| a.identity_eq(b)));
     std::fs::remove_file(&path).ok();
 }

@@ -7,14 +7,20 @@
 //! plays OMEN's role and reads these files back ("not all the nodes
 //! running OMEN load the Hamiltonian ... the resulting data are then
 //! distributed to all the available MPI ranks with MPI_Bcast").
+//!
+//! The reader trusts nothing it is given: every length is checked against
+//! the bytes left before anything is allocated, tags outside the known set
+//! and trailing bytes are refused, and a malformed file comes back as
+//! [`std::io::ErrorKind::InvalidData`], never as a panic.
 
 use crate::functional::Functional;
 use crate::scf::ScfReport;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, BytesMut};
 use qtx_atomistic::assemble::UnitCellMatrices;
 use qtx_atomistic::devices::DeviceGeometry;
 use qtx_atomistic::BasisKind;
 use qtx_linalg::{c64, ZMat};
+use std::io;
 
 /// Magic prefix of the transfer format.
 const MAGIC: &[u8; 8] = b"QTXHS\x01\0\0";
@@ -42,12 +48,6 @@ fn put_string(buf: &mut BytesMut, s: &str) {
     buf.put_slice(s.as_bytes());
 }
 
-fn get_string(buf: &mut Bytes) -> String {
-    let len = buf.get_u64_le() as usize;
-    let raw = buf.split_to(len);
-    String::from_utf8(raw.to_vec()).expect("utf8 label")
-}
-
 fn put_zmat(buf: &mut BytesMut, m: &ZMat) {
     buf.put_u64_le(m.rows() as u64);
     buf.put_u64_le(m.cols() as u64);
@@ -57,18 +57,76 @@ fn put_zmat(buf: &mut BytesMut, m: &ZMat) {
     }
 }
 
-fn get_zmat(buf: &mut Bytes) -> ZMat {
-    let rows = buf.get_u64_le() as usize;
-    let cols = buf.get_u64_le() as usize;
-    let mut m = ZMat::zeros(rows, cols);
-    for j in 0..cols {
-        for i in 0..rows {
-            let re = buf.get_f64_le();
-            let im = buf.get_f64_le();
-            m[(i, j)] = c64(re, im);
+fn invalid(what: impl Into<String>) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, what.into())
+}
+
+/// Bounds-checked little-endian cursor over the file's bytes.
+struct Reader<'a>(&'a [u8]);
+
+impl<'a> Reader<'a> {
+    fn take(&mut self, n: usize, what: &str) -> io::Result<&'a [u8]> {
+        if n > self.0.len() {
+            return Err(invalid(format!("truncated {what}")));
+        }
+        let (head, rest) = self.0.split_at(n);
+        self.0 = rest;
+        Ok(head)
+    }
+
+    fn u8(&mut self, what: &str) -> io::Result<u8> {
+        Ok(self.take(1, what)?[0])
+    }
+
+    fn u64(&mut self, what: &str) -> io::Result<u64> {
+        let mut le = [0u8; 8];
+        le.copy_from_slice(self.take(8, what)?);
+        Ok(u64::from_le_bytes(le))
+    }
+
+    fn f64(&mut self, what: &str) -> io::Result<f64> {
+        self.u64(what).map(f64::from_bits)
+    }
+
+    fn usize(&mut self, what: &str) -> io::Result<usize> {
+        usize::try_from(self.u64(what)?).map_err(|_| invalid(format!("{what} out of range")))
+    }
+
+    fn bool(&mut self, what: &str) -> io::Result<bool> {
+        match self.u8(what)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            tag => Err(invalid(format!("{what}: bad flag {tag}"))),
         }
     }
-    m
+
+    /// A count of `items` of `item_bytes` each, refused unless that many
+    /// bytes are left.
+    fn fits(&self, items: usize, item_bytes: usize, what: &str) -> io::Result<usize> {
+        match items.checked_mul(item_bytes) {
+            Some(bytes) if bytes <= self.0.len() => Ok(items),
+            _ => Err(invalid(format!("{what}: {items} items overrun the file"))),
+        }
+    }
+
+    fn string(&mut self, what: &str) -> io::Result<String> {
+        let len = self.usize(what)?;
+        let raw = self.take(len, what)?;
+        String::from_utf8(raw.to_vec()).map_err(|_| invalid(format!("{what} is not UTF-8")))
+    }
+
+    fn zmat(&mut self, what: &str) -> io::Result<ZMat> {
+        let (rows, cols) = (self.usize(what)?, self.usize(what)?);
+        let entries = rows.checked_mul(cols).ok_or_else(|| invalid(format!("{what} too large")))?;
+        self.fits(entries, 16, what)?;
+        let mut m = ZMat::zeros(rows, cols);
+        for j in 0..cols {
+            for i in 0..rows {
+                m[(i, j)] = c64(self.f64(what)?, self.f64(what)?);
+            }
+        }
+        Ok(m)
+    }
 }
 
 impl HsFile {
@@ -112,42 +170,60 @@ impl HsFile {
         buf.to_vec()
     }
 
-    /// Deserializes from the binary transfer format.
-    pub fn from_bytes(data: &[u8]) -> std::io::Result<HsFile> {
-        let mut buf = Bytes::copy_from_slice(data);
-        if buf.len() < 8 || &buf.split_to(8)[..] != MAGIC {
-            return Err(std::io::Error::new(std::io::ErrorKind::InvalidData, "bad magic"));
+    /// Deserializes from the binary transfer format. A truncated or
+    /// corrupted file, an unknown tag, a block that is not
+    /// `n_orb × n_orb` or bytes past the end are
+    /// [`io::ErrorKind::InvalidData`].
+    pub fn from_bytes(data: &[u8]) -> io::Result<HsFile> {
+        let mut r = Reader(data);
+        if r.take(8, "magic").ok() != Some(&MAGIC[..]) {
+            return Err(invalid("bad magic"));
         }
-        let label = get_string(&mut buf);
-        let functional = match buf.get_u8() {
+        let label = r.string("label")?;
+        let functional = match r.u8("functional")? {
             0 => Functional::Lda,
             1 => Functional::Pbe,
-            _ => Functional::Hse06,
+            2 => Functional::Hse06,
+            tag => return Err(invalid(format!("unknown functional tag {tag}"))),
         };
-        let basis = match buf.get_u8() {
+        let basis = match r.u8("basis")? {
             0 => BasisKind::TightBinding,
-            _ => BasisKind::Dft3sp,
+            1 => BasisKind::Dft3sp,
+            tag => return Err(invalid(format!("unknown basis tag {tag}"))),
         };
-        let kind = get_string(&mut buf);
-        let cross_section = buf.get_f64_le();
-        let n_cells = buf.get_u64_le() as usize;
-        let cell_len = buf.get_f64_le();
-        let z_periodic = buf.get_u8() != 0;
-        let nbw = buf.get_u64_le() as usize;
-        let n_orb = buf.get_u64_le() as usize;
-        let atoms_per_cell = buf.get_u64_le() as usize;
-        let uc_cell_len = buf.get_f64_le();
-        let mut h = Vec::with_capacity(nbw + 1);
-        let mut s = Vec::with_capacity(nbw + 1);
-        for _ in 0..=nbw {
-            h.push(get_zmat(&mut buf));
-            s.push(get_zmat(&mut buf));
+        let kind = r.string("geometry kind")?;
+        let cross_section = r.f64("cross section")?;
+        let n_cells = r.usize("cell count")?;
+        let cell_len = r.f64("cell length")?;
+        let z_periodic = r.bool("z periodicity")?;
+        // Each of the `nbw + 1` levels holds two blocks of two u64 dims at
+        // least.
+        let nbw = r.usize("nbw")?;
+        let levels = nbw.checked_add(1).ok_or_else(|| invalid("nbw out of range"))?;
+        r.fits(levels, 2 * 16, "unit-cell blocks")?;
+        let n_orb = r.usize("orbital count")?;
+        let atoms_per_cell = r.usize("atoms per cell")?;
+        let uc_cell_len = r.f64("unit-cell length")?;
+        let mut h = Vec::with_capacity(levels);
+        let mut s = Vec::with_capacity(levels);
+        for _ in 0..levels {
+            for (blocks, what) in [(&mut h, "H block"), (&mut s, "S block")] {
+                let m = r.zmat(what)?;
+                if (m.rows(), m.cols()) != (n_orb, n_orb) {
+                    return Err(invalid(format!("{what} is not {n_orb} × {n_orb}")));
+                }
+                blocks.push(m);
+            }
         }
-        let iterations = buf.get_u64_le() as usize;
-        let charge_residual = buf.get_f64_le();
-        let converged = buf.get_u8() != 0;
-        let nq = buf.get_u64_le() as usize;
-        let mulliken = (0..nq).map(|_| buf.get_f64_le()).collect();
+        let iterations = r.usize("SCF iterations")?;
+        let charge_residual = r.f64("charge residual")?;
+        let converged = r.bool("SCF convergence")?;
+        let nq = r.usize("Mulliken count")?;
+        let nq = r.fits(nq, 8, "Mulliken charges")?;
+        let mulliken = (0..nq).map(|_| r.f64("Mulliken charge")).collect::<io::Result<_>>()?;
+        if !r.0.is_empty() {
+            return Err(invalid(format!("{} trailing bytes", r.0.len())));
+        }
         Ok(HsFile {
             label,
             functional,

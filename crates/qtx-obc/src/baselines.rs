@@ -2,7 +2,7 @@
 //!
 //! These are the methods the paper's Fig. 8 compares FEAST against:
 //!
-//! * [`shift_invert_modes`] — ref. [38]'s spectral transformation
+//! * [`shift_invert_modes`] — ref. \[38\]'s spectral transformation
 //!   `M = (A − σB)⁻¹·B`: every finite eigenvalue `λ` of the pencil maps to
 //!   `μ = 1/(λ − σ)` of `M`, so a single dense eigensolve of `M` recovers
 //!   the whole finite spectrum (infinite λ land harmlessly at μ = 0). The
@@ -11,7 +11,7 @@
 //!   motivated FEAST.
 //! * [`dense_modes`] — direct `zggev` on the companion (used in tests as
 //!   ground truth for small pencils).
-//! * [`sancho_rubio`] — the decimation scheme of ref. [40]: an iterative
+//! * [`sancho_rubio`] — the decimation scheme of ref. \[40\]: an iterative
 //!   surface Green's function independent of any eigensolver, used to
 //!   cross-validate the mode-based self-energies.
 
@@ -28,7 +28,7 @@ pub fn dense_modes(pencil: &CompanionPencil) -> ObcOutcome<Vec<(Complex64, Vec<C
     shift_invert_modes(pencil, c64(0.83, 0.41))
 }
 
-/// Shift-and-invert spectral transformation at shift `σ` (ref. [38]).
+/// Shift-and-invert spectral transformation at shift `σ` (ref. \[38\]).
 ///
 /// Computes `M = (A − σB)⁻¹·B`, takes its dense eigendecomposition and
 /// maps `μ → λ = σ + 1/μ`. All finite pencil eigenvalues are recovered;

@@ -1,6 +1,6 @@
-//! Beyn's integral method for the lead eigenproblem (ref. [43]).
+//! Beyn's integral method for the lead eigenproblem (ref. \[43\]).
 //!
-//! §3.A closes with: "FEAST can be modified according to Ref. [43] to
+//! §3.A closes with: "FEAST can be modified according to Ref. \[43\] to
 //! further reduce the calculation time". Beyn's method is that
 //! modification — instead of FEAST's Rayleigh–Ritz + subspace iteration it
 //! extracts the eigenpairs *directly* from two contour moments of the

@@ -16,9 +16,9 @@
 //!   the unit circle (Fig. 5), catching the propagating and slow-decaying
 //!   modes while ignoring the numerically irrelevant fast-decaying ones;
 //! * [`baselines::shift_invert_modes`] — the tight-binding-era baseline
-//!   (ref. [38]): dense `(A − σB)⁻¹B` spectral transformation;
+//!   (ref. \[38\]): dense `(A − σB)⁻¹B` spectral transformation;
 //! * [`baselines::sancho_rubio`] — the iterative decimation scheme of
-//!   ref. [40], used here as an independent ground truth for `Σ^RB`.
+//!   ref. \[40\], used here as an independent ground truth for `Σ^RB`.
 //!
 //! Conventions (fixed by the 1-D analytic chain and enforced by tests):
 //! `T = E·S − H`; device cells are `q = 0..nb−1`; the left lead occupies
@@ -56,12 +56,12 @@ pub use selfenergy::{
 pub enum ObcMethod {
     /// FEAST annulus contour integration (the paper's method).
     Feast(FeastConfig),
-    /// Beyn's single-shot contour moments (the ref. [43] modification the
+    /// Beyn's single-shot contour moments (the ref. \[43\] modification the
     /// paper suggests for further speedups).
     Beyn(BeynConfig),
-    /// Dense shift-and-invert spectral transformation (baseline, ref. [38]).
+    /// Dense shift-and-invert spectral transformation (baseline, ref. \[38\]).
     ShiftInvert,
-    /// Sancho–Rubio decimation (NEGF-era baseline, ref. [40]); produces
+    /// Sancho–Rubio decimation (NEGF-era baseline, ref. \[40\]); produces
     /// `Σ` directly, no modes — injection then falls back to shift-invert.
     Decimation,
 }

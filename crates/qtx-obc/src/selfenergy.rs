@@ -320,7 +320,7 @@ pub fn self_energy_pair(
     Ok((obc_l, obc_r))
 }
 
-/// Self-energy through Sancho–Rubio decimation (ref. [40]) — the
+/// Self-energy through Sancho–Rubio decimation (ref. \[40\]) — the
 /// independent NEGF-era route: `Σ_L = T10·g_L·T01`, `Σ_R = T01·g_R·T10`.
 pub fn self_energy_decimation(lead: &LeadBlocks, e: f64, eta: f64, side: Side) -> ObcOutcome<ZMat> {
     let (t00, t01, t10) = lead.t_blocks(e, eta);

@@ -1,4 +1,4 @@
-//! Block cyclic reduction — OMEN's legacy tight-binding solver (ref. [33]).
+//! Block cyclic reduction — OMEN's legacy tight-binding solver (ref. \[33\]).
 //!
 //! "A parallel direct sparse linear solver such as MUMPS or a custom-made
 //! block cyclic reduction (BCR) are typically needed to solve the

@@ -20,7 +20,7 @@
 //! * [`btd_lu`] — a MUMPS-like block tri-diagonal direct factorization,
 //!   the sparse-direct baseline of Fig. 8.
 //! * [`bcr`] — block cyclic reduction, OMEN's legacy tight-binding solver
-//!   (ref. [33]).
+//!   (ref. \[33\]).
 //! * [`rgf`] — the recursive Green's function reference used for NEGF
 //!   cross-checks (diagonal blocks for the spectral function, boundary
 //!   blocks for the contacts).
@@ -80,6 +80,4 @@ pub enum SolverKind {
     },
     /// MUMPS-like block tri-diagonal LU.
     BtdLu,
-    /// Block cyclic reduction.
-    Bcr,
 }

@@ -1,4 +1,4 @@
-//! Recursive Green's function reference (ref. [47]).
+//! Recursive Green's function reference (ref. \[47\]).
 //!
 //! The NEGF route to Eq. 4 computes retarded Green's function blocks of
 //! `T = E·S − H − Σ^RB` rather than wave functions. `qtx-core` uses the

@@ -2,16 +2,17 @@
 //!
 //! This is the repository's strongest correctness statement: the FEAST
 //! and shift-and-invert OBCs, combined with SplitSolve (1, 2, 4
-//! partitions), the MUMPS-like BTD-LU and BCR, all produce the same
+//! partitions) and the MUMPS-like BTD-LU, all produce the same
 //! transmission, which itself matches the independent NEGF/Caroli (RGF)
 //! route — in the DFT-like basis with NBW = 2, the regime the paper
-//! targets.
+//! targets. Block cyclic reduction, which no engine path runs, checks the
+//! engine's wave function on the same assembled system.
 
 use qtx::core::transport::caroli_transmission;
 use qtx::core::{Device, PointPolicy, TransportEngine};
-use qtx::obc::{FeastConfig, ObcMethod};
+use qtx::obc::{self_energy_pair, Eta, FeastConfig, ObcMethod};
 use qtx::prelude::*;
-use qtx::solver::SolverKind;
+use qtx::solver::{bcr_solve, ObcSystem, SolverKind};
 
 fn dft_device() -> Device {
     let spec = DeviceBuilder::nanowire(1.0).cells(12).basis(BasisKind::Dft3sp).build();
@@ -33,6 +34,7 @@ fn every_pipeline_agrees_in_the_dft_basis() {
     let e = dk.lead_l.dispersive_energy(1.1, 0.3, 0.3).expect("band");
 
     let mut results: Vec<(String, f64)> = Vec::new();
+    let mut psi_btd_lu = None;
     for (obc_name, obc) in [
         ("feast", ObcMethod::Feast(FeastConfig::default())),
         ("shift-invert", ObcMethod::ShiftInvert),
@@ -41,7 +43,6 @@ fn every_pipeline_agrees_in_the_dft_basis() {
             ("splitsolve-1", SolverKind::SplitSolve { partitions: 1 }),
             ("splitsolve-2", SolverKind::SplitSolve { partitions: 2 }),
             ("btd-lu", SolverKind::BtdLu),
-            ("bcr", SolverKind::Bcr),
         ] {
             let mut d = dev.clone();
             d.config.obc = obc;
@@ -51,6 +52,9 @@ fn every_pipeline_agrees_in_the_dft_basis() {
                 .into_result()
                 .expect("solve");
             results.push((format!("{obc_name}+{solver_name}"), r.transmission));
+            if obc_name == "shift-invert" && solver == SolverKind::BtdLu {
+                psi_btd_lu = Some(r.psi);
+            }
         }
     }
     let reference = results[0].1;
@@ -70,6 +74,26 @@ fn every_pipeline_agrees_in_the_dft_basis() {
             exact[0].1
         );
     }
+    // BCR on the system the BTD-LU engine path assembled.
+    let (obc_l, obc_r) =
+        self_energy_pair(&dk.lead_l, &dk.lead_r, e, Eta::ZERO, ObcMethod::ShiftInvert)
+            .map_err(|(_, source)| source)
+            .expect("obc");
+    let sys = ObcSystem {
+        a: dk.es_minus_h(e),
+        sigma_l: obc_l.sigma.into(),
+        sigma_r: obc_r.sigma.into(),
+        rhs_top: obc_l.injection,
+        rhs_bottom: obc_r.injection,
+    };
+    let psi_bcr = bcr_solve(&sys).expect("bcr");
+    let psi_btd_lu = psi_btd_lu.expect("shift-invert+btd-lu ran");
+    let scale = psi_btd_lu.norm_max();
+    assert!(
+        psi_bcr.max_diff(&psi_btd_lu) < 1e-8 * scale,
+        "BCR ψ deviates from the engine's BTD-LU ψ by {:.2e} (|ψ|max {scale:.2e})",
+        psi_bcr.max_diff(&psi_btd_lu)
+    );
     // Independent NEGF route.
     let caroli = caroli_transmission(&dk, e, ObcMethod::ShiftInvert).expect("caroli");
     assert!((caroli - exact[0].1).abs() < 1e-6, "Caroli {caroli} vs wave-function {}", exact[0].1);
