@@ -22,8 +22,8 @@ fn system(nb: usize, s: usize, m: usize) -> ObcSystem {
     }
     ObcSystem {
         a,
-        sigma_l: ZMat::random(s, s, 300).scaled(c64(0.25, 0.1)).into(),
-        sigma_r: ZMat::random(s, s, 301).scaled(c64(0.25, -0.1)).into(),
+        sigma_l: ZMat::random(s, s, 300).scaled(c64(0.25, 0.1)),
+        sigma_r: ZMat::random(s, s, 301).scaled(c64(0.25, -0.1)),
         rhs_top: ZMat::random(s, m, 302),
         rhs_bottom: ZMat::random(s, m, 303),
     }

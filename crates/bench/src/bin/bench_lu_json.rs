@@ -129,8 +129,8 @@ fn random_system(nb: usize, s: usize, m: usize, seed: u64) -> ObcSystem {
     }
     ObcSystem {
         a,
-        sigma_l: ZMat::random(s, s, seed + 300).scaled(c64(0.3, 0.1)).into(),
-        sigma_r: ZMat::random(s, s, seed + 301).scaled(c64(0.3, -0.1)).into(),
+        sigma_l: ZMat::random(s, s, seed + 300).scaled(c64(0.3, 0.1)),
+        sigma_r: ZMat::random(s, s, seed + 301).scaled(c64(0.3, -0.1)),
         rhs_top: ZMat::random(s, m, seed + 400),
         rhs_bottom: ZMat::random(s, m, seed + 401),
     }

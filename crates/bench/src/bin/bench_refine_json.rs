@@ -59,7 +59,7 @@ fn plan_of(dev: &Device, energies_per_k: Vec<f64>) -> SweepPlan {
 
 /// Fresh shared Σ-cache + chunked tasks: the production configuration
 /// both contenders run under (a fresh cache per sweep keeps the timing
-/// rows honest — neither side inherits the other's warm anchors).
+/// rows honest — neither side inherits the other's warm Σ entries).
 fn sweep_opts() -> SweepOptions {
     SweepOptions::builder()
         .cache(CachePolicy::Shared(Arc::new(SigmaCache::new(CacheConfig::default()))))

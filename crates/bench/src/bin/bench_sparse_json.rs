@@ -27,8 +27,8 @@ use qtx_solver::{
     CaroliContact, ObcSystem, SplitSolve, Workspace,
 };
 use qtx_sparse::{
-    btd_stats, dense_matrix_bytes, peak_matrix_bytes, reset_peak_matrix_bytes, BlockChain, Btd,
-    CouplingSupport,
+    broadening_factor_ws, btd_stats, dense_matrix_bytes, peak_matrix_bytes,
+    reset_peak_matrix_bytes, BlockChain, Btd, CouplingSupport,
 };
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -49,8 +49,8 @@ fn random_system(nb: usize, s: usize, m: usize, seed: u64) -> ObcSystem {
     }
     ObcSystem {
         a,
-        sigma_l: ZMat::random(s, s, seed + 300).scaled(c64(0.3, 0.1)).into(),
-        sigma_r: ZMat::random(s, s, seed + 301).scaled(c64(0.3, -0.1)).into(),
+        sigma_l: ZMat::random(s, s, seed + 300).scaled(c64(0.3, 0.1)),
+        sigma_r: ZMat::random(s, s, seed + 301).scaled(c64(0.3, -0.1)),
         rhs_top: ZMat::random(s, m, seed + 400),
         rhs_bottom: ZMat::random(s, m, seed + 401),
     }
@@ -76,8 +76,8 @@ fn long_wire_system(nb: usize) -> ObcSystem {
         sys.a.upper[i] = keep(&sys.a.upper[i], s - 24..s, 0..18);
         sys.a.lower[i] = keep(&sys.a.lower[i], 0..18, s - 24..s);
     }
-    sys.sigma_l = keep(&sys.sigma_l.dense(), 0..18, 0..s).into();
-    sys.sigma_r = keep(&sys.sigma_r.dense(), s - 24..s, 0..s).into();
+    sys.sigma_l = keep(&sys.sigma_l, 0..18, 0..s);
+    sys.sigma_r = keep(&sys.sigma_r, s - 24..s, 0..s);
     sys.rhs_top = keep(&sys.rhs_top, 0..18, 0..s);
     sys.rhs_bottom = keep(&sys.rhs_bottom, s - 24..s, 0..s);
     sys
@@ -131,15 +131,15 @@ fn tonly_rows(reps: usize, entries: &mut String, rows: &mut Vec<Row>) {
         let x = sigma * &u;
         (&x * &qr_least_squares(&u, &ZMat::identity(s)), u)
     };
-    let (sigma_l, u_l) = through_modes(&sys.sigma_l.dense(), 501);
-    let (sigma_r, u_r) = through_modes(&sys.sigma_r.dense(), 502);
-    (sys.sigma_l, sys.sigma_r) = (sigma_l.into(), sigma_r.into());
+    let (sigma_l, u_l) = through_modes(&sys.sigma_l, 501);
+    let (sigma_r, u_r) = through_modes(&sys.sigma_r, 502);
+    (sys.sigma_l, sys.sigma_r) = (sigma_l, sigma_r);
     let support = sys.a.coupling_support();
     let ws = Workspace::new();
     let by_rows = || boundary_route(&sys, &support, &ws);
     let by_modes = || {
-        let p_l = sys.sigma_l.broadening_factor_ws(Some(&u_l), &ws);
-        let p_r = sys.sigma_r.broadening_factor_ws(Some(&u_r), &ws);
+        let p_l = broadening_factor_ws(&sys.sigma_l, Some(&u_l), &ws);
+        let p_r = broadening_factor_ws(&sys.sigma_r, Some(&u_r), &ws);
         assert_eq!((p_l.cols(), p_r.cols()), (2 * modes, 2 * modes));
         let left = CaroliContact { sigma: &sys.sigma_l, panel: &p_l };
         let right = CaroliContact { sigma: &sys.sigma_r, panel: &p_r };
@@ -269,8 +269,8 @@ fn main() {
 
     for &(nb, s) in configs {
         let sys = random_system(nb, s, 1, 40 + nb as u64);
-        let gamma_l = gamma_of(&sys.sigma_l.dense());
-        let gamma_r = gamma_of(&sys.sigma_r.dense());
+        let gamma_l = gamma_of(&sys.sigma_l);
+        let gamma_r = gamma_of(&sys.sigma_r);
 
         // The coupling supports are a property of the device, computed
         // once per sweep — outside the per-point routes, like Γ.

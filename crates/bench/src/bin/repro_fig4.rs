@@ -19,8 +19,8 @@ fn main() {
         self_energy(&dk.lead_r, e, Eta::ZERO, Side::Right, ObcMethod::ShiftInvert).expect("R");
     let sys = ObcSystem {
         a: dk.es_minus_h(e),
-        sigma_l: obc_l.sigma.clone().into(),
-        sigma_r: obc_r.sigma.clone().into(),
+        sigma_l: obc_l.sigma.clone(),
+        sigma_r: obc_r.sigma.clone(),
         rhs_top: obc_l.injection.clone(),
         rhs_bottom: obc_r.injection.clone(),
     };

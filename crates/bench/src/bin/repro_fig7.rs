@@ -57,8 +57,8 @@ fn real_downscaled() {
         }
         let sys = ObcSystem {
             a,
-            sigma_l: ZMat::random(s, s, 400).scaled(c64(0.2, 0.1)).into(),
-            sigma_r: ZMat::random(s, s, 401).scaled(c64(0.2, -0.1)).into(),
+            sigma_l: ZMat::random(s, s, 400).scaled(c64(0.2, 0.1)),
+            sigma_r: ZMat::random(s, s, 401).scaled(c64(0.2, -0.1)),
             rhs_top: ZMat::random(s, 4, 402),
             rhs_bottom: ZMat::random(s, 4, 403),
         };

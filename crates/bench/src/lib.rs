@@ -20,8 +20,8 @@ pub fn point_system(dk: &DeviceK, e: f64, obc: ObcMethod) -> ObcSystem {
         .unwrap_or_else(|(side, err)| panic!("{side:?} self-energy at E = {e}: {err:?}"));
     ObcSystem {
         a: dk.es_minus_h(e),
-        sigma_l: left.sigma.into(),
-        sigma_r: right.sigma.into(),
+        sigma_l: left.sigma,
+        sigma_r: right.sigma,
         rhs_top: left.injection,
         rhs_bottom: right.injection,
     }

@@ -31,10 +31,9 @@
 use crate::device::DeviceK;
 use crate::error::{TransportError, TransportResult};
 use qtx_obc::{
-    decode_obc_result_parts, encode_obc_result_compressed, Eta, LeadBlocks, ObcError,
-    ObcFrameParts, ObcMethod, ObcOutcome, ObcResult, Side,
+    decode_obc_result, encode_obc_result, Eta, LeadBlocks, ObcError, ObcMethod, ObcOutcome,
+    ObcResult, Side,
 };
-use qtx_sparse::CompressedSigma;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -45,16 +44,11 @@ pub struct CacheConfig {
     /// Byte budget of the stored frames; the least-recently-used entry is
     /// evicted when an insert would exceed it.
     pub max_bytes: usize,
-    /// Relative tolerance for storing Σ as truncated `U·Vᴴ` factors
-    /// (`QTXOBC02` frames). `0.0` (the default) keeps every frame exact
-    /// and bit-identical; a positive value shrinks entries with the
-    /// numerical rank of the lead at the recorded error bound.
-    pub sigma_compress_tol: f64,
 }
 
 impl Default for CacheConfig {
     fn default() -> Self {
-        CacheConfig { max_bytes: 256 << 20, sigma_compress_tol: 0.0 }
+        CacheConfig { max_bytes: 256 << 20 }
     }
 }
 
@@ -224,38 +218,17 @@ impl SigmaCache {
     ) -> ObcOutcome<ObcResult> {
         let key = Key::new(lead_hash, e, eta, side, method);
         if let Some(found) = self.lookup_counted(&key) {
-            return Ok(found.into_result());
+            return Ok(found);
         }
         let fresh = qtx_obc::self_energy(lead, e, Eta(eta), side, method)?;
         self.insert(key, &fresh);
         Ok(fresh)
     }
 
-    /// Like [`SigmaCache::self_energy`] but keeps Σ in its stored
-    /// representation: a compressed (`QTXOBC02`) hit returns the factors
-    /// without expanding them, so a boundary-block solver that consumes
-    /// `U·Vᴴ` directly never pays for the dense block. The returned
-    /// parts always match what a subsequent exact hit would serve.
-    pub fn self_energy_parts(
-        &self,
-        lead: &LeadBlocks,
-        lead_hash: u64,
-        e: f64,
-        eta: f64,
-        side: Side,
-        method: ObcMethod,
-    ) -> ObcOutcome<ObcFrameParts> {
-        let key = Key::new(lead_hash, e, eta, side, method);
-        match self.lookup_counted(&key) {
-            Some(found) => Ok(found),
-            None => Ok(self.store(key, qtx_obc::self_energy(lead, e, Eta(eta), side, method)?)),
-        }
-    }
-
     /// Both contacts of one energy point, `(left, right)`: each key is
     /// looked up, what is missing is solved and stored, and every hit,
-    /// miss, key and stored frame is what two
-    /// [`SigmaCache::self_energy_parts`] calls (left, then right) produce.
+    /// miss, key and stored frame is what two [`SigmaCache::self_energy`]
+    /// calls (left, then right) produce.
     /// When both sides miss on leads with one content hash the two fresh
     /// solves are one [`qtx_obc::self_energy_pair`], which shares the mode
     /// solve between the contacts. A failure names its contact (both
@@ -272,7 +245,7 @@ impl SigmaCache {
         e: f64,
         eta: f64,
         method: ObcMethod,
-    ) -> Result<(ObcFrameParts, ObcFrameParts), (Side, ObcError)> {
+    ) -> Result<(ObcResult, ObcResult), (Side, ObcError)> {
         let key_l = Key::new(hash_l, e, eta, Side::Left, method);
         let key_r = Key::new(hash_r, e, eta, Side::Right, method);
         let (found_l, found_r) = (self.lookup_counted(&key_l), self.lookup_counted(&key_r));
@@ -281,7 +254,7 @@ impl SigmaCache {
             return Ok((self.store(key_l, obc_l), self.store(key_r, obc_r)));
         }
         let one = |found, key, lead, side| match found {
-            Some(parts) => Ok(parts),
+            Some(found) => Ok(found),
             None => qtx_obc::self_energy(lead, e, Eta(eta), side, method)
                 .map(|fresh| self.store(key, fresh))
                 .map_err(|source| (side, source)),
@@ -290,29 +263,27 @@ impl SigmaCache {
     }
 
     /// [`SigmaCache::lookup`] that books the outcome as a hit or a miss.
-    fn lookup_counted(&self, key: &Key) -> Option<ObcFrameParts> {
+    fn lookup_counted(&self, key: &Key) -> Option<ObcResult> {
         let found = self.lookup(key);
         let counter = if found.is_some() { &self.hits } else { &self.misses };
         counter.fetch_add(1, Ordering::Relaxed);
         found
     }
 
-    /// Stores a fresh solve and hands it back as the parts a later hit on
-    /// `key` would serve: the same deterministic compression the frame
-    /// encoder applied (none — Σ moves through untouched — at the default
-    /// tolerance 0).
-    fn store(&self, key: Key, fresh: ObcResult) -> ObcFrameParts {
+    /// Stores a fresh solve and hands it back: a later hit on `key`
+    /// replays these very bits.
+    fn store(&self, key: Key, fresh: ObcResult) -> ObcResult {
         self.insert(key, &fresh);
-        fresh_parts(fresh, self.cfg.sigma_compress_tol)
+        fresh
     }
 
-    fn lookup(&self, key: &Key) -> Option<ObcFrameParts> {
+    fn lookup(&self, key: &Key) -> Option<ObcResult> {
         let mut inner = self.inner.lock().expect("sigma cache lock");
         inner.tick += 1;
         let tick = inner.tick;
         let entry = inner.map.get_mut(key)?;
         entry.stamp = tick;
-        match decode_obc_result_parts(&entry.frame) {
+        match decode_obc_result(&entry.frame) {
             Ok(r) => Some(r),
             Err(_) => {
                 // A frame we encoded ourselves cannot fail to decode; if
@@ -329,7 +300,7 @@ impl SigmaCache {
     /// Stores a fresh solve, then evicts least-recently-used entries down
     /// to the byte budget.
     fn insert(&self, key: Key, fresh: &ObcResult) {
-        let frame = encode_obc_result_compressed(fresh, self.cfg.sigma_compress_tol);
+        let frame = encode_obc_result(fresh);
         let mut inner = self.inner.lock().expect("sigma cache lock");
         if inner.map.contains_key(&key) {
             return; // concurrent identical solve already landed
@@ -389,30 +360,6 @@ impl CacheHandle {
     }
 }
 
-/// A fresh solve as frame parts, Σ compressed at `tol` exactly as
-/// [`encode_obc_result_compressed`] would store it (`tol ≤ 0`: the dense
-/// block moves through untouched).
-fn fresh_parts(fresh: ObcResult, tol: f64) -> ObcFrameParts {
-    let parts = ObcFrameParts {
-        sigma: CompressedSigma::Dense(fresh.sigma),
-        injection: fresh.injection,
-        inc_modes: fresh.inc_modes,
-        out_modes: fresh.out_modes,
-    };
-    compressed_at(parts, tol)
-}
-
-/// `parts` with a dense Σ compressed at `tol` (`tol ≤ 0` and a Σ already
-/// in factors: untouched).
-fn compressed_at(parts: ObcFrameParts, tol: f64) -> ObcFrameParts {
-    match parts.sigma {
-        CompressedSigma::Dense(ref dense) if tol > 0.0 => {
-            ObcFrameParts { sigma: CompressedSigma::compress(dense, tol), ..parts }
-        }
-        _ => parts,
-    }
-}
-
 /// The one chokepoint every transport path funnels its self-energy builds
 /// through — both contacts of a point at once, so leads that are the same
 /// bytes pay for one mode solve ([`qtx_obc::self_energy_pair`]). Consults
@@ -421,104 +368,30 @@ fn compressed_at(parts: ObcFrameParts, tol: f64) -> ObcFrameParts {
 /// campaign is armed, so fault batteries observe exactly the uncached
 /// sequence of chokepoint draws.
 ///
-/// Σ comes back in frame *parts*: a Σ that compressed inside the cache
-/// reaches a boundary-block solver still factored, and dense callers
-/// expand with [`ObcFrameParts::into_result`] (a move when Σ is dense).
-/// `tol` is the caller's own Σ-compression tolerance (0 keeps Σ dense and
-/// exact): it is applied to whatever comes back dense, from a fresh solve
-/// or from a cache that stores exact frames alike — a cache configured
-/// with a tolerance of its own has already decided and wins.
+/// A hit, a miss and an uncached solve hand back the same exact Σ.
 pub(crate) fn self_energy_pair(
     handle: Option<&CacheHandle>,
     dk: &DeviceK,
     e: f64,
     eta: f64,
     method: ObcMethod,
-    tol: f64,
-) -> TransportResult<(ObcFrameParts, ObcFrameParts)> {
-    let (cache_tol, pair) = match handle {
-        Some(h) if !qtx_linalg::fault::armed() => (
-            h.cache.cfg.sigma_compress_tol,
-            h.cache.self_energy_pair(&dk.lead_l, h.hash_l, &dk.lead_r, h.hash_r, e, eta, method),
-        ),
-        _ => (
-            0.0,
-            qtx_obc::self_energy_pair(&dk.lead_l, &dk.lead_r, e, Eta(eta), method)
-                .map(|(l, r)| (fresh_parts(l, 0.0), fresh_parts(r, 0.0))),
-        ),
-    };
-    let (parts_l, parts_r) = pair.map_err(|(side, source)| TransportError::Obc { side, source })?;
-    let tol = if cache_tol > 0.0 { 0.0 } else { tol };
-    Ok((compressed_at(parts_l, tol), compressed_at(parts_r, tol)))
+) -> TransportResult<(ObcResult, ObcResult)> {
+    match handle {
+        Some(h) if !qtx_linalg::fault::armed() => {
+            h.cache.self_energy_pair(&dk.lead_l, h.hash_l, &dk.lead_r, h.hash_r, e, eta, method)
+        }
+        _ => qtx_obc::self_energy_pair(&dk.lead_l, &dk.lead_r, e, Eta(eta), method),
+    }
+    .map_err(|(side, source)| TransportError::Obc { side, source })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qtx_linalg::ZMat;
     use qtx_obc::FeastConfig;
 
     fn chain() -> LeadBlocks {
         LeadBlocks::chain_1d(0.0, -1.0)
-    }
-
-    /// An 8-orbital lead with a rank-2 inter-cell coupling, so
-    /// `Σ = τ·g·τᴴ` is genuinely low-rank and the compressed frame path
-    /// has something to shed (a 1×1 chain Σ can never compress).
-    fn block_lead() -> LeadBlocks {
-        use qtx_linalg::{c64, gemm, Op};
-        let nf = 8;
-        let mut h00 = ZMat::zeros(nf, nf);
-        let r = ZMat::random(nf, nf, 11);
-        for i in 0..nf {
-            for j in 0..nf {
-                h00[(i, j)] = 0.1 * (r[(i, j)] + r[(j, i)].conj());
-            }
-            h00[(i, i)] += c64(2.0 + i as f64 * 0.1, 0.0);
-        }
-        let a = ZMat::random(nf, 2, 13);
-        let b = ZMat::random(nf, 2, 17);
-        let mut h01 = ZMat::zeros(nf, nf);
-        gemm(c64(0.2, 0.0), &a, Op::None, &b, Op::Adjoint, qtx_linalg::Complex64::ZERO, &mut h01);
-        LeadBlocks::new(h00, h01, ZMat::identity(nf), ZMat::zeros(nf, nf))
-    }
-
-    #[test]
-    fn compressed_entries_shrink_and_parts_stay_lazy() {
-        let lead = block_lead();
-        let h = lead.content_hash();
-        let tol = 1e-8;
-        let exact = SigmaCache::new(CacheConfig::default());
-        let packed =
-            SigmaCache::new(CacheConfig { sigma_compress_tol: tol, ..CacheConfig::default() });
-        let args = (0.3, 1e-6, Side::Left, ObcMethod::Decimation);
-        let truth =
-            exact.self_energy(&lead, h, args.0, args.1, args.2, args.3).expect("exact solve");
-        let miss =
-            packed.self_energy_parts(&lead, h, args.0, args.1, args.2, args.3).expect("miss");
-        let hit = packed.self_energy_parts(&lead, h, args.0, args.1, args.2, args.3).expect("hit");
-        for (label, parts) in [("miss", &miss), ("hit", &hit)] {
-            assert!(parts.sigma.is_compressed(), "{label} must carry factors");
-            let err = (&parts.sigma.to_dense() - &truth.sigma).norm_fro();
-            assert!(err <= parts.sigma.bound() + 1e-14, "{label}: err {err} beyond bound");
-        }
-        assert!(
-            packed.stats().bytes < exact.stats().bytes,
-            "compressed frames must occupy fewer bytes ({} vs {})",
-            packed.stats().bytes,
-            exact.stats().bytes
-        );
-        // The dense-facing API still works off the same compressed entry,
-        // expanding within the recorded bound.
-        let dense_hit =
-            packed.self_energy(&lead, h, args.0, args.1, args.2, args.3).expect("dense hit");
-        let err = (&dense_hit.sigma - &truth.sigma).norm_fro();
-        assert!(err <= hit.sigma.bound() + 1e-14);
-        // Default tolerance stays bit-identical through the parts API too.
-        let exact_hit =
-            exact.self_energy_parts(&lead, h, args.0, args.1, args.2, args.3).expect("hit");
-        assert!(!exact_hit.sigma.is_compressed());
-        assert_eq!(exact_hit.sigma.to_dense().max_diff(&truth.sigma), 0.0);
     }
 
     #[test]
@@ -571,10 +444,7 @@ mod tests {
             qtx_obc::encode_obc_result(&r).len()
         };
         // Room for roughly two frames: the third insert must evict.
-        let cache = SigmaCache::new(CacheConfig {
-            max_bytes: 2 * one_frame + one_frame / 2,
-            ..CacheConfig::default()
-        });
+        let cache = SigmaCache::new(CacheConfig { max_bytes: 2 * one_frame + one_frame / 2 });
         let lead = chain();
         let h = lead.content_hash();
         let energies = [0.4, 0.5, 0.6, 0.7];

@@ -54,15 +54,9 @@ pub struct PointPolicy<'rt> {
     /// first error.
     pub robust: bool,
     /// Skip the scattering-state solve entirely and compute T(E) through
-    /// the two-front Caroli kernel with compressed Σ (the sparsity fast
-    /// path; see `docs/sparsity.md`). The result carries no wave functions.
+    /// the two-front Caroli kernel (see `docs/sparsity.md`). The result
+    /// carries no wave functions.
     pub transmission_only: bool,
-    /// Relative tolerance for compressing self-energies on the
-    /// transmission-only path: applied to every Σ that reaches the point
-    /// dense, from a fresh solve or from a cache storing exact frames (a
-    /// cache configured with a tolerance of its own wins). `0.0` keeps Σ
-    /// exact and the transmission bit-identical to the dense Caroli route.
-    pub sigma_compress_tol: f64,
     lifetime: PhantomData<&'rt ()>,
 }
 
@@ -83,23 +77,12 @@ impl PointPolicy<'static> {
     /// each broadening carried through the thinner of its exact factors
     /// (a few lead modes wide when Σ was built from modes), the fronts on
     /// two threads when each is worth one. No Green's function block and
-    /// no copy of `A` is materialized, Σ stays in its compressed form end
-    /// to end, and the working set is a few `s × s` blocks whatever the
-    /// device length: cheaper than a wave-function point of the same
-    /// device. The point reports [`transport::METHOD_BOUNDARY`] with the
-    /// recorded Σ-compression bound (0 unless a tolerance was asked for)
-    /// in [`transport::PointOutcome::interp_bound`].
+    /// no copy of `A` is materialized, Σ is the exact block the OBC layer
+    /// (or the cache) produced, and the working set is a few `s × s`
+    /// blocks whatever the device length. The point reports
+    /// [`transport::METHOD_BOUNDARY`].
     pub fn transmission_only() -> Self {
         PointPolicy { transmission_only: true, ..PointPolicy::default() }
-    }
-}
-
-impl PointPolicy<'_> {
-    /// Sets the Σ-compression tolerance of the transmission-only path
-    /// ([`PointPolicy::sigma_compress_tol`]).
-    pub fn with_sigma_compression(mut self, tol: f64) -> Self {
-        self.sigma_compress_tol = tol;
-        self
     }
 }
 
@@ -108,7 +91,6 @@ impl std::fmt::Debug for PointPolicy<'_> {
         f.debug_struct("PointPolicy")
             .field("robust", &self.robust)
             .field("transmission_only", &self.transmission_only)
-            .field("sigma_compress_tol", &self.sigma_compress_tol)
             .finish()
     }
 }
@@ -330,7 +312,7 @@ impl TransportEngine {
         let (dk, handle) = (&folded.dk, folded.handle.as_ref());
         let cfg = &self.config;
         if policy.transmission_only {
-            return self.boundary_point(&folded, e, policy.sigma_compress_tol);
+            return self.boundary_point(&folded, e);
         }
         if policy.robust {
             return transport::solve_point_robust_raw(dk, folded.support(), e, cfg, handle);
@@ -342,26 +324,20 @@ impl TransportEngine {
         }
     }
 
-    /// Transmission-only fast path: Σ flows compressed from the cache (or
-    /// a fresh solve) into the two-front Caroli kernel, which streams the
-    /// device blocks and reuses the folded device's memoized coupling
-    /// supports. The recorded Σ-compression bound rides in
-    /// [`transport::PointOutcome::interp_bound`].
-    fn boundary_point(&self, folded: &FoldedK, e: f64, compress_tol: f64) -> RobustSolve {
+    /// Transmission-only path: Σ flows from the cache (or a fresh solve)
+    /// into the two-front Caroli kernel, which streams the device blocks
+    /// and reuses the folded device's memoized coupling supports.
+    fn boundary_point(&self, folded: &FoldedK, e: f64) -> RobustSolve {
         let start = Instant::now();
+        let (dk, handle) = (&folded.dk, folded.handle.as_ref());
         match transport::solve_point_transmission_only(
-            &folded.dk,
+            dk,
             e,
             &self.config,
-            folded.handle.as_ref(),
-            compress_tol,
+            handle,
             folded.support(),
         ) {
-            Ok((result, bound)) => {
-                let mut rs = RobustSolve::solved(result, METHOD_BOUNDARY, ms_since(start));
-                rs.outcome.interp_bound = bound;
-                rs
-            }
+            Ok(result) => RobustSolve::solved(result, METHOD_BOUNDARY, ms_since(start)),
             Err(error) => RobustSolve::failed(error, 1, ms_since(start)),
         }
     }

@@ -5,9 +5,10 @@
 //! (§4, Fig. 9). Here the momentum and energy levels are tasks on the
 //! persistent work-stealing pool of [`crate::scheduler`] (panic isolation,
 //! retry/backoff, deadlines, quarantine — see `docs/scheduler.md`), and
-//! the spatial level is SplitSolve's partitions inside each point. The
-//! compute threads are the workers of the engine's pool (or of
-//! [`SweepOptions::scheduler`]).
+//! the spatial level is the two elimination fronts inside each point
+//! ([`qtx_solver::two_front_solve`], side by side when each is worth a
+//! thread). The compute threads are the workers of the engine's pool (or
+//! of [`SweepOptions::scheduler`]).
 //!
 //! Every sweep — flat, resumed, or adaptively refined
 //! ([`TransportEngine::sweep`], [`TransportEngine::sweep_resumable`],
@@ -416,11 +417,11 @@ pub struct SweepResult {
 /// How the sweep groups energy points into scheduler tasks.
 ///
 /// Batching amortizes the per-task fixed costs (deque traffic, inflight
-/// bookkeeping, one warm Σ-cache anchor and workspace pool per chunk) over
-/// neighboring energy points of the same momentum — the
-/// factorization-structure reuse of §5.B: consecutive points share the
-/// same block structure, so their solves profit from staying on one
-/// worker. Batching never changes *what* is computed: every point still
+/// bookkeeping, one warm workspace pool and, with a Σ-cache, one
+/// Σ-prefetch task per chunk) over neighboring energy points of the same
+/// momentum — the factorization-structure reuse of §5.B: consecutive
+/// points share the same block structure, so their solves profit from
+/// staying on one worker. Batching never changes *what* is computed: every point still
 /// solves independently, in canonical order within its chunk, and results
 /// are bit-identical to [`Batching::PerPoint`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -708,22 +709,17 @@ impl ChunkSpec {
     /// not produce.
     fn prefetch_sigma(&self) {
         for &(_, e) in &self.points {
-            let _ = crate::cache::self_energy_pair(
-                self.cache.as_ref(),
-                &self.folded.dk,
-                e,
-                0.0,
-                self.cfg.obc,
-                0.0,
-            );
+            let (cache, dk) = (self.cache.as_ref(), &self.folded.dk);
+            let _ = crate::cache::self_energy_pair(cache, dk, e, 0.0, self.cfg.obc);
         }
     }
 }
 
 /// The two task flavors of the compute phase. A `Sigma` task prefetches a
 /// chunk's boundary self-energies into the shared cache; its dependent
-/// `Solve` task then runs the interior solves with warm Σ anchors —
-/// overlapping one chunk's OBC work with another's interior work.
+/// `Solve` task then runs the interior solves on a warm cache, which
+/// replays the prefetched exact frames bit for bit — overlapping one
+/// chunk's OBC work with another's interior work.
 enum SweepTask {
     Sigma(Arc<ChunkSpec>),
     Solve(Arc<ChunkSpec>),

@@ -44,7 +44,7 @@
 //!   two joined in a small system inside the device. Each `Γ = P·K·Pᴴ`
 //!   enters through the thinner of its two exact factors — `2m` columns
 //!   through the `m` outgoing lead modes Σ was assembled from, or the rows
-//!   Σ occupies ([`CompressedSigma::broadening_factor_ws`]). The
+//!   Σ occupies ([`qtx_sparse::broadening_factor_ws`]). The
 //!   cross-check used throughout the test suite, and the whole of a
 //!   transmission-only point — which this makes cheaper than a
 //!   wave-function point of the same device.
@@ -59,7 +59,7 @@ use qtx_solver::{
     btd_lu_solve_ws, caroli_sweep_contacts, two_front_solve, BoundaryTerms, CaroliContact,
     ObcSystem, SolverKind, Workspace,
 };
-use qtx_sparse::{BlockChain, ChainSupport, CompressedSigma, CouplingSupport};
+use qtx_sparse::{broadening_factor_ws, BlockChain, ChainSupport, CouplingSupport};
 use std::time::Instant;
 
 thread_local! {
@@ -150,8 +150,7 @@ pub(crate) fn solve_point_direct_on(
     cfg: &TransportConfig,
     cache: Option<&CacheHandle>,
 ) -> TransportResult<EnergyPointResult> {
-    let (obc_l, obc_r) = cache::self_energy_pair(cache, dk, e, 0.0, cfg.obc, 0.0)?;
-    let (obc_l, obc_r) = (obc_l.into_result(), obc_r.into_result());
+    let (obc_l, obc_r) = cache::self_energy_pair(cache, dk, e, 0.0, cfg.obc)?;
     let states = scattering_states(dk, support, e, 0.0, cfg, &obc_l, &obc_r)?;
     Ok(states.into_point(obc_l.sigma, obc_r.sigma).0)
 }
@@ -259,8 +258,8 @@ fn scattering_states(
     // The baseline factors an assembled copy of `A`.
     let assembled = || ObcSystem {
         a: dk.es_minus_h_eta(e, eta),
-        sigma_l: obc_l.sigma.clone().into(),
-        sigma_r: obc_r.sigma.clone().into(),
+        sigma_l: obc_l.sigma.clone(),
+        sigma_r: obc_r.sigma.clone(),
         rhs_top: obc_l.injection.clone(),
         rhs_bottom: obc_r.injection.clone(),
     };
@@ -429,38 +428,36 @@ fn chain_residual<C: BlockChain>(
 pub fn caroli_transmission(dk: &DeviceK, e: f64, obc: ObcMethod) -> TransportResult<f64> {
     let (obc_l, obc_r) = self_energy_pair(&dk.lead_l, &dk.lead_r, e, Eta::ZERO, obc)
         .map_err(|(side, source)| TransportError::Obc { side, source })?;
-    let (sigma_l, sigma_r) = (obc_l.sigma.into(), obc_r.sigma.into());
-    let contacts = [(&sigma_l, &obc_l.out_modes[..]), (&sigma_r, &obc_r.out_modes[..])];
+    let contacts = [(&obc_l.sigma, &obc_l.out_modes[..]), (&obc_r.sigma, &obc_r.out_modes[..])];
     caroli_streamed(dk, e, 0.0, contacts, &dk.coupling_support())
 }
 
 /// Caroli transmission from already-computed self-energies that come
-/// without lead modes (decimation, interpolation, an outside source): each
-/// broadening enters through the rows its Σ occupies. Derives the coupling
+/// without lead modes (decimation, an outside source): each broadening
+/// enters through the rows its Σ occupies. Derives the coupling
 /// supports on the spot; the engine memoizes them per folded device
 /// instead.
 pub fn caroli_from_sigmas(
     dk: &DeviceK,
     e: f64,
     eta: f64,
-    sigma_l: &CompressedSigma,
-    sigma_r: &CompressedSigma,
+    sigma_l: &ZMat,
+    sigma_r: &ZMat,
 ) -> TransportResult<f64> {
     caroli_streamed(dk, e, eta, [(sigma_l, &[]), (sigma_r, &[])], &dk.coupling_support())
 }
 
-/// One contact of the Caroli route: Σ as it travelled, and the outgoing
-/// lead modes it was assembled from (none for a mode-free Σ).
-pub(crate) type CaroliSide<'a> = (&'a CompressedSigma, &'a [ModeSet]);
+/// One contact of the Caroli route: Σ, and the outgoing lead modes it was
+/// assembled from (none for a mode-free Σ).
+pub(crate) type CaroliSide<'a> = (&'a ZMat, &'a [ModeSet]);
 
 /// The one Caroli route: `(E + iη)·S − H` streamed block by block into
 /// the two elimination fronts of [`caroli_sweep_contacts`] — no `A` is
-/// assembled, no Green's function block is formed, a factored Σ is never
-/// expanded, and every temporary cycles through the per-thread pool. Each
-/// broadening enters through the thinner of its exact factors
-/// ([`CompressedSigma::broadening_factor_ws`]), a choice the inputs fix:
-/// a cache hit, a miss and an uncached solve hand in the same Σ and modes
-/// and get the same bits. `contacts` is `[left, right]`, `support` is
+/// assembled, no Green's function block is formed, and every temporary
+/// cycles through the per-thread pool. Each broadening enters through the
+/// thinner of its exact factors ([`broadening_factor_ws`]), a choice the
+/// inputs fix: a cache hit, a miss and an uncached solve hand in the same
+/// Σ and modes and get the same bits. `contacts` is `[left, right]`, `support` is
 /// [`DeviceK::coupling_support`] of `dk`.
 pub(crate) fn caroli_streamed(
     dk: &DeviceK,
@@ -471,8 +468,8 @@ pub(crate) fn caroli_streamed(
 ) -> TransportResult<f64> {
     let t = SOLVER_WS.with(|ws| {
         let [p_l, p_r] = contacts.map(|(sigma, out_modes)| {
-            let modes = LeadModes::mode_matrix_ws(out_modes, sigma.dim(), ws);
-            let panel = sigma.broadening_factor_ws(Some(&modes), ws);
+            let modes = LeadModes::mode_matrix_ws(out_modes, sigma.rows(), ws);
+            let panel = broadening_factor_ws(sigma, Some(&modes), ws);
             ws.recycle(modes);
             panel
         });
@@ -490,32 +487,26 @@ pub(crate) fn caroli_streamed(
 }
 
 /// Transmission-only solve through the two-front Caroli kernel: Σ flows
-/// from the cache (or a fresh OBC solve) in its compressed representation
-/// straight into the kernel, no scattering-state system and no `A` is ever
-/// formed, and the dense working set is a few `s × s` blocks whatever the
-/// device length. Returns the point plus the worse of the two
-/// Σ-compression bounds (0 when compression is off — then the
+/// from the cache (or a fresh OBC solve) straight into the kernel, no
+/// scattering-state system and no `A` is ever formed, and the dense
+/// working set is a few `s × s` blocks whatever the device length. The
 /// transmission is bit-identical to [`caroli_transmission`] over the same
-/// self-energies).
+/// self-energies.
 pub(crate) fn solve_point_transmission_only(
     dk: &DeviceK,
     e: f64,
     cfg: &TransportConfig,
     cache: Option<&CacheHandle>,
-    compress_tol: f64,
     support: &ChainSupport,
-) -> TransportResult<(EnergyPointResult, f64)> {
-    let (parts_l, parts_r) = cache::self_energy_pair(cache, dk, e, 0.0, cfg.obc, compress_tol)?;
-    let bound = parts_l.sigma.bound().max(parts_r.sigma.bound());
+) -> TransportResult<EnergyPointResult> {
+    let (obc_l, obc_r) = cache::self_energy_pair(cache, dk, e, 0.0, cfg.obc)?;
     let channels = (
-        parts_l.inc_modes.iter().filter(|m| m.propagating).count(),
-        parts_r.inc_modes.iter().filter(|m| m.propagating).count(),
+        obc_l.inc_modes.iter().filter(|m| m.propagating).count(),
+        obc_r.inc_modes.iter().filter(|m| m.propagating).count(),
     );
-    let contacts =
-        [(&parts_l.sigma, &parts_l.out_modes[..]), (&parts_r.sigma, &parts_r.out_modes[..])];
+    let contacts = [(&obc_l.sigma, &obc_l.out_modes[..]), (&obc_r.sigma, &obc_r.out_modes[..])];
     let t = caroli_streamed(dk, e, 0.0, contacts, &support.coupling)?;
-    let (sigma_l, sigma_r) = (parts_l.sigma.into_dense(), parts_r.sigma.into_dense());
-    Ok((EnergyPointResult::caroli_only(e, dk.kz, t, channels, sigma_l, sigma_r), bound))
+    Ok(EnergyPointResult::caroli_only(e, dk.kz, t, channels, obc_l.sigma, obc_r.sigma))
 }
 
 // ---------------------------------------------------------------------------
@@ -550,8 +541,7 @@ pub(crate) const METHOD_DECIMATION: u8 = 5;
 pub const METHOD_FAILED: u8 = 6;
 
 /// `method_used` value of a transmission-only point solved through the
-/// two-front Caroli kernel with compressed self-energies (engine-only;
-/// never appears in sweep records).
+/// two-front Caroli kernel (engine-only; never appears in sweep records).
 pub const METHOD_BOUNDARY: u8 = 7;
 
 /// Robustness record of one (E, k) point: which rung produced the
@@ -570,10 +560,6 @@ pub struct PointOutcome {
     pub residual: f64,
     /// Broadening η the accepted attempt ran with.
     pub eta: f64,
-    /// Recorded Σ-compression error bound of a transmission-only point
-    /// (`method_used == METHOD_BOUNDARY`, the worse of the two sides; `0`
-    /// unless a tolerance was asked for); `0` for every other solve.
-    pub interp_bound: f64,
     /// Wall time spent on the point, all attempts included (ms). Excluded
     /// from checkpoint identity — timing is not physics.
     pub wall_ms: f64,
@@ -615,8 +601,7 @@ pub(crate) fn ms_since(start: Instant) -> f64 {
 
 impl RobustSolve {
     /// A point `method_used` produced in one attempt at exact energy
-    /// (`η = 0`, no residual or interpolation bound on record), over
-    /// `wall_ms` of wall time.
+    /// (`η = 0`, no residual on record), over `wall_ms` of wall time.
     pub fn solved(result: EnergyPointResult, method_used: u8, wall_ms: f64) -> RobustSolve {
         RobustSolve {
             result: Some(result),
@@ -626,7 +611,6 @@ impl RobustSolve {
                 escalations: 0,
                 residual: 0.0,
                 eta: 0.0,
-                interp_bound: 0.0,
                 wall_ms,
             },
             error: None,
@@ -644,7 +628,6 @@ impl RobustSolve {
                 escalations: 0,
                 residual: f64::INFINITY,
                 eta: 0.0,
-                interp_bound: 0.0,
                 wall_ms,
             },
             error: Some(error),
@@ -696,8 +679,7 @@ fn try_rung(
     cfg: &TransportConfig,
     cache: Option<&CacheHandle>,
 ) -> TransportResult<(EnergyPointResult, f64)> {
-    let (obc_l, obc_r) = cache::self_energy_pair(cache, dk, e, eta, method, 0.0)?;
-    let (obc_l, obc_r) = (obc_l.into_result(), obc_r.into_result());
+    let (obc_l, obc_r) = cache::self_energy_pair(cache, dk, e, eta, method)?;
     let states = scattering_states(dk, support, e, eta, cfg, &obc_l, &obc_r)?;
     Ok(states.into_point(obc_l.sigma, obc_r.sigma))
 }
@@ -711,12 +693,10 @@ fn decimation_caroli_rung(
     e: f64,
     cache: Option<&CacheHandle>,
 ) -> TransportResult<EnergyPointResult> {
-    let (obc_l, obc_r) =
-        cache::self_energy_pair(cache, dk, e, ETA_BUMP, ObcMethod::Decimation, 0.0)?;
+    let (obc_l, obc_r) = cache::self_energy_pair(cache, dk, e, ETA_BUMP, ObcMethod::Decimation)?;
     let contacts = [(&obc_l.sigma, &[][..]), (&obc_r.sigma, &[][..])];
     let t = caroli_streamed(dk, e, ETA_BUMP, contacts, &support.coupling)?;
-    let (sigma_l, sigma_r) = (obc_l.sigma.into_dense(), obc_r.sigma.into_dense());
-    Ok(EnergyPointResult::caroli_only(e, dk.kz, t, (0, 0), sigma_l, sigma_r))
+    Ok(EnergyPointResult::caroli_only(e, dk.kz, t, (0, 0), obc_l.sigma, obc_r.sigma))
 }
 
 /// The escalation ladder behind [`crate::PointPolicy::robust`] and every
@@ -860,29 +840,26 @@ mod tests {
     fn transmission_only_points_keep_the_thread_pool_flat() {
         // Regression for the ≈ nb·s² bytes a transmission-only point used
         // to leave in this thread's pool: the pool's population and its
-        // fresh-allocation count must not move over 50 warm points, for a
-        // dense and for a factored Σ.
+        // fresh-allocation count must not move over 50 warm points.
         let d = chain_device();
         let dk = d.at_kz(0.0);
         let support = dk.chain_support();
         let e0 = probe_energies(&dk.lead_l, 1)[0];
-        for tol in [0.0, 1e-8] {
-            let point = |i: usize| {
-                let e = e0 + 1e-3 * (i % 7) as f64;
-                solve_point_transmission_only(&dk, e, &d.config, None, tol, &support).unwrap().0
-            };
-            let first = point(0);
-            point(1);
-            let before = SOLVER_WS.with(|ws| (ws.pooled(), ws.fresh_allocations()));
-            for i in 0..50 {
-                let r = point(i);
-                if i % 7 == 0 {
-                    assert_eq!(r.transmission, first.transmission, "point {i}");
-                }
+        let point = |i: usize| {
+            let e = e0 + 1e-3 * (i % 7) as f64;
+            solve_point_transmission_only(&dk, e, &d.config, None, &support).unwrap()
+        };
+        let first = point(0);
+        point(1);
+        let before = SOLVER_WS.with(|ws| (ws.pooled(), ws.fresh_allocations()));
+        for i in 0..50 {
+            let r = point(i);
+            if i % 7 == 0 {
+                assert_eq!(r.transmission, first.transmission, "point {i}");
             }
-            let after = SOLVER_WS.with(|ws| (ws.pooled(), ws.fresh_allocations()));
-            assert_eq!(after, before, "tol={tol}");
         }
+        let after = SOLVER_WS.with(|ws| (ws.pooled(), ws.fresh_allocations()));
+        assert_eq!(after, before);
     }
 
     #[test]

@@ -144,10 +144,8 @@ fn thrashing_byte_budget_never_corrupts_a_sweep() {
             SweepOptions::builder().scheduler(pool(1)).cache(CachePolicy::Off).build().unwrap();
         engine.sweep_resumable(&plan, 3, &opts).expect("uncached")
     };
-    let cache = Arc::new(SigmaCache::new(CacheConfig {
-        max_bytes: 4 << 10, // a handful of frames at most
-        ..CacheConfig::default()
-    }));
+    // A handful of frames at most.
+    let cache = Arc::new(SigmaCache::new(CacheConfig { max_bytes: 4 << 10 }));
     let opts = SweepOptions::builder()
         .scheduler(pool(2))
         .cache(CachePolicy::Shared(cache.clone()))

@@ -18,7 +18,7 @@ use qtx_core::{
     SweepPlan, TransportEngine,
 };
 use qtx_obc::{
-    obc_solves_total, self_energy, BeynConfig, Eta, FeastConfig, ObcFrameParts, ObcMethod, Side,
+    obc_solves_total, self_energy, BeynConfig, Eta, FeastConfig, ObcMethod, ObcResult, Side,
 };
 use std::sync::{Arc, Mutex};
 
@@ -43,11 +43,11 @@ fn ramped_device(drain: f64) -> Device {
     d
 }
 
-fn assert_same_parts(a: &ObcFrameParts, b: &ObcFrameParts, what: &str) {
+fn assert_same_result(a: &ObcResult, b: &ObcResult, what: &str) {
     let bits = |m: &qtx_linalg::ZMat| -> Vec<(u64, u64)> {
         m.as_slice().iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
     };
-    assert_eq!(bits(&a.sigma.to_dense()), bits(&b.sigma.to_dense()), "{what}: Σ");
+    assert_eq!(bits(&a.sigma), bits(&b.sigma), "{what}: Σ");
     assert_eq!(bits(&a.injection), bits(&b.injection), "{what}: injection");
     for (x, y, set) in
         [(&a.inc_modes, &b.inc_modes, "inc_modes"), (&a.out_modes, &b.out_modes, "out_modes")]
@@ -87,7 +87,7 @@ fn cache_pair_books_and_stores_what_two_single_lookups_do() {
                         Side::Left => (&dk.lead_l, hash_l),
                         Side::Right => (&dk.lead_r, hash_r),
                     };
-                    cache.self_energy_parts(lead, hash, e, 0.0, side, method).expect(&what)
+                    cache.self_energy(lead, hash, e, 0.0, side, method).expect(&what)
                 };
                 if let Some(side) = warm {
                     one(&paired, side);
@@ -103,8 +103,8 @@ fn cache_pair_books_and_stores_what_two_single_lookups_do() {
                 let pair_solves = obc_solves_total() - before;
                 let (single_l, single_r) = (one(&single, Side::Left), one(&single, Side::Right));
                 let single_solves = obc_solves_total() - before - pair_solves;
-                assert_same_parts(&pair_l, &single_l, &format!("{what} left"));
-                assert_same_parts(&pair_r, &single_r, &format!("{what} right"));
+                assert_same_result(&pair_l, &single_l, &format!("{what} left"));
+                assert_same_result(&pair_r, &single_r, &format!("{what} right"));
                 assert_eq!(pair_solves, single_solves, "{what}: Σ builds");
                 assert_eq!(pair_solves, if warm.is_some() { 1 } else { 2 }, "{what}");
                 assert_eq!(paired.stats(), single.stats(), "{what}: hits, misses, frames");
@@ -112,8 +112,8 @@ fn cache_pair_books_and_stores_what_two_single_lookups_do() {
                 let before = obc_solves_total();
                 let (hit_l, hit_r) = pair(&paired);
                 assert_eq!(obc_solves_total(), before, "{what}: a warm pair builds nothing");
-                assert_same_parts(&hit_l, &single_l, &format!("{what} left hit"));
-                assert_same_parts(&hit_r, &single_r, &format!("{what} right hit"));
+                assert_same_result(&hit_l, &single_l, &format!("{what} left hit"));
+                assert_same_result(&hit_r, &single_r, &format!("{what} right hit"));
                 let s = paired.stats();
                 assert_eq!((s.hits, s.entries), (2 + warm.is_some() as u64, 2), "{what}");
             }

@@ -1,6 +1,5 @@
-//! Acceptance battery for the transmission-only path: T(E) parity with the
-//! Caroli reference (bit-identical with compression off, within the
-//! recorded Σ bound with it on), a working set independent of the device
+//! Acceptance battery for the transmission-only path: T(E) bit-identical
+//! to the Caroli reference, a working set independent of the device
 //! length, a pool that stays flat over many points, and bit-identical
 //! results on any thread.
 
@@ -14,7 +13,7 @@ use qtx_linalg::{c64, gemm, Complex64, Op, ZMat};
 use qtx_obc::{LeadBlocks, LeadModes, ObcMethod};
 use qtx_solver::{caroli_sweep, caroli_sweep_contacts, CaroliContact, Workspace};
 use qtx_sparse::{
-    live_matrix_bytes, peak_matrix_bytes, reset_peak_matrix_bytes, Btd, CompressedSigma,
+    broadening_factor_ws, live_matrix_bytes, peak_matrix_bytes, reset_peak_matrix_bytes, Btd,
 };
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -81,9 +80,8 @@ fn uncompressed_boundary_path_is_bit_identical_to_caroli() {
     let rs = engine.solve_point(e, 0.0, &PointPolicy::transmission_only());
     assert_eq!(rs.outcome.method_used, METHOD_BOUNDARY);
     assert_eq!(rs.outcome.method_name(), "boundary-caroli");
-    assert_eq!(rs.outcome.interp_bound, 0.0, "tol 0 must record a zero bound");
     let r = rs.into_result().unwrap();
-    assert_eq!(r.transmission, reference, "compression off must be bit-identical");
+    assert_eq!(r.transmission, reference, "the boundary path must be bit-identical");
     assert!(r.transmission > 0.5, "conduction band must transmit");
     // The transmission-only point carries no scattering states.
     assert_eq!(r.psi.rows(), 0);
@@ -133,14 +131,13 @@ fn streamed_point_matches_the_assembled_system_bit_for_bit() {
     assert_eq!((&obc_l.sigma, &obc_r.sigma), (&r.sigma_l, &r.sigma_r));
     let s = dk.h.block_size();
     let [(sigma_l, p_l), (sigma_r, p_r)] = [obc_l, obc_r].map(|obc| {
-        let sigma = CompressedSigma::from(obc.sigma);
         let modes = LeadModes::mode_matrix(&obc.out_modes, s);
-        let panel = sigma.broadening_factor_ws(Some(&modes), &ws);
-        (sigma, panel)
+        let panel = broadening_factor_ws(&obc.sigma, Some(&modes), &ws);
+        (obc.sigma, panel)
     });
     // The FEAST modes are fewer than the rows Σ occupies: the engine ran on
     // the mode-thin factor, and so does this.
-    assert!(p_l.cols() < sigma_l.broadening_factor().cols());
+    assert!(p_l.cols() < broadening_factor_ws(&sigma_l, None, &ws).cols());
     let assembled = caroli_sweep_contacts(
         &dk.es_minus_h(e),
         CaroliContact { sigma: &sigma_l, panel: &p_l },
@@ -223,42 +220,24 @@ fn boundary_path_agrees_with_wave_function_route() {
 }
 
 #[test]
-fn compressed_sigma_stays_within_recorded_bound() {
+fn decimation_point_is_the_caroli_route_over_its_sigmas() {
     let _guard = lock();
+    // A mode-free Σ (decimation) enters through the rows it occupies: the
+    // engine's transmission-only point is the public Caroli entry over the
+    // same two self-energies, bit for bit.
     let dk = block_device_k(12);
     let cfg = TransportConfig { obc: ObcMethod::Decimation, ..TransportConfig::default() };
     let e = 0.3;
-    let exact = transport::caroli_from_sigmas;
-    // Reference: exact Σ through the same boundary kernel.
     let engine = TransportEngine::from_device_k(block_device_k(12), cfg);
-    let rs_exact = engine.solve_point(e, 0.0, &PointPolicy::transmission_only());
-    assert_eq!(rs_exact.outcome.interp_bound, 0.0);
-    let t_exact = rs_exact.into_result().unwrap().transmission;
-    // Compressed: the rank-2 coupling caps rank(Σ) at 2 of 8, so the
-    // factor form genuinely engages and records a non-zero bound.
-    let policy = PointPolicy::transmission_only().with_sigma_compression(1e-8);
-    let rs = engine.solve_point(e, 0.0, &policy);
-    let bound = rs.outcome.interp_bound;
-    assert!(bound > 0.0, "rank-2 Σ at tol 1e-8 must compress");
-    assert!(bound < 1e-6, "bound {bound} out of scale for tol 1e-8");
-    let t_comp = rs.into_result().unwrap().transmission;
-    assert!(
-        (t_comp - t_exact).abs() <= 1e4 * bound + 1e-12,
-        "ΔT {} exceeds condition-scaled Σ bound {bound}",
-        (t_comp - t_exact).abs()
-    );
-    // Silence the unused-import-style warning for the exact fn reference:
-    // the dense Caroli route must agree with the engine's exact pass too.
-    let sig_l =
-        qtx_obc::self_energy(&dk.lead_l, e, qtx_obc::Eta(0.0), qtx_obc::Side::Left, cfg.obc)
-            .unwrap()
-            .sigma;
-    let sig_r =
-        qtx_obc::self_energy(&dk.lead_r, e, qtx_obc::Eta(0.0), qtx_obc::Side::Right, cfg.obc)
-            .unwrap()
-            .sigma;
-    let t_dense = exact(&dk, e, 0.0, &sig_l.into(), &sig_r.into()).unwrap();
-    assert_eq!(t_dense, t_exact, "engine exact pass must match the dense Caroli route");
+    let t = engine.solve_point(e, 0.0, &PointPolicy::transmission_only());
+    let t = t.into_result().unwrap().transmission;
+    let sigma = |lead: &LeadBlocks, side| {
+        qtx_obc::self_energy(lead, e, qtx_obc::Eta(0.0), side, cfg.obc).unwrap().sigma
+    };
+    let (sig_l, sig_r) =
+        (sigma(&dk.lead_l, qtx_obc::Side::Left), sigma(&dk.lead_r, qtx_obc::Side::Right));
+    let t_dense = transport::caroli_from_sigmas(&dk, e, 0.0, &sig_l, &sig_r).unwrap();
+    assert_eq!(t_dense, t, "engine pass must match the dense Caroli route");
 }
 
 #[test]
@@ -347,9 +326,9 @@ fn mode_factor_is_exact_on_the_device_leads() {
                     .unwrap();
             for (side, obc) in [("left", obc_l), ("right", obc_r)] {
                 let modes = LeadModes::mode_matrix(&obc.out_modes, lead.nf());
-                let sigma = CompressedSigma::from(obc.sigma);
-                let by_rows = sigma.broadening_factor().cols();
-                let p = sigma.broadening_factor_ws(Some(&modes), &ws);
+                let sigma = obc.sigma;
+                let by_rows = broadening_factor_ws(&sigma, None, &ws).cols();
+                let p = broadening_factor_ws(&sigma, Some(&modes), &ws);
                 let case = format!("{name} {side} E={e} η={eta}: {} modes", modes.cols());
                 if (1..by_rows / 2).contains(&modes.cols()) {
                     assert_eq!(p.cols(), 2 * modes.cols(), "{case}");
@@ -357,7 +336,7 @@ fn mode_factor_is_exact_on_the_device_leads() {
                 } else {
                     assert_eq!(p.cols(), by_rows, "{case}");
                 }
-                let defect = gamma_defect(&p, &sigma.dense());
+                let defect = gamma_defect(&p, &sigma);
                 assert!(defect < 1e-12, "{case}: defect {defect:.1e}");
                 ws.recycle(p);
             }
@@ -378,10 +357,9 @@ fn mode_factor_is_exact_on_the_device_leads() {
             .unwrap();
     let cols = [obc_l, obc_r].map(|obc| {
         let modes = LeadModes::mode_matrix(&obc.out_modes, lead.nf());
-        let sigma = CompressedSigma::from(obc.sigma);
-        let p = sigma.broadening_factor_ws(Some(&modes), &ws);
-        assert!(gamma_defect(&p, &sigma.dense()) < 1e-9);
-        (modes.cols(), sigma.broadening_factor().cols(), p.cols())
+        let p = broadening_factor_ws(&obc.sigma, Some(&modes), &ws);
+        assert!(gamma_defect(&p, &obc.sigma) < 1e-9);
+        (modes.cols(), broadening_factor_ws(&obc.sigma, None, &ws).cols(), p.cols())
     });
     assert_eq!(cols, [(20, 36, 36), (20, 48, 40)]);
 }
@@ -395,7 +373,6 @@ fn hit_miss_and_cache_off_points_are_the_same_bits() {
     let reference = caroli_transmission(&dk, e, d.config.obc).unwrap();
     let tonly = |engine: &TransportEngine| {
         let rs = engine.solve_point(e, 0.0, &PointPolicy::transmission_only());
-        assert_eq!(rs.outcome.interp_bound, 0.0);
         rs.into_result().unwrap().transmission
     };
     let off = TransportEngine::builder(nanowire(8)).cache(qtx_core::CachePolicy::Off).build();
@@ -445,8 +422,7 @@ fn fanned_out_fronts_do_not_change_a_point() {
 fn the_cases_hold_on_a_thrashing_64k_shared_cache() {
     let _guard = lock();
     // The battery above once more on an engine whose explicit cache evicts
-    // constantly — the least favourable budget, which is what caught a
-    // dropped `with_sigma_compression` once: every point mixes misses,
+    // constantly — the least favourable budget: every point mixes misses,
     // hits and re-solves of evicted frames, and must be the bits of the
     // uncached engine whatever the mix.
     let mut d = nanowire(8);
@@ -455,10 +431,7 @@ fn the_cases_hold_on_a_thrashing_64k_shared_cache() {
     let dk = d.at_kz(0.0);
     let e0 = dk.lead_l.dispersive_energy(1.0, 0.2, 0.3).expect("conduction band") + 0.05;
     let energies: Vec<f64> = (0..6).map(|i| e0 + 0.01 * i as f64).collect();
-    let cache = Arc::new(qtx_core::SigmaCache::new(qtx_core::CacheConfig {
-        max_bytes: 64 << 10,
-        ..qtx_core::CacheConfig::default()
-    }));
+    let cache = Arc::new(qtx_core::SigmaCache::new(qtx_core::CacheConfig { max_bytes: 64 << 10 }));
     let off = TransportEngine::builder(d.clone()).cache(qtx_core::CachePolicy::Off).build();
     let thrash = Arc::new(
         TransportEngine::builder(d.clone())
@@ -467,7 +440,6 @@ fn the_cases_hold_on_a_thrashing_64k_shared_cache() {
     );
     let policies = [
         ("transmission-only", PointPolicy::transmission_only()),
-        ("compressed", PointPolicy::transmission_only().with_sigma_compression(1e-8)),
         ("direct", PointPolicy::direct()),
         ("robust", PointPolicy::robust()),
     ];
@@ -477,10 +449,6 @@ fn the_cases_hold_on_a_thrashing_64k_shared_cache() {
                 let (want, got) =
                     (off.solve_point(e, 0.0, policy), thrash.solve_point(e, 0.0, policy));
                 assert_eq!(got.outcome.method_used, want.outcome.method_used, "{label}, E={e}");
-                assert_eq!(got.outcome.interp_bound, want.outcome.interp_bound, "{label}, E={e}");
-                if *label == "compressed" {
-                    assert!(got.outcome.interp_bound > 0.0, "the policy's tolerance was dropped");
-                }
                 let (want, got) = (want.into_result().unwrap(), got.into_result().unwrap());
                 assert_eq!(
                     got.transmission.to_bits(),
@@ -492,7 +460,7 @@ fn the_cases_hold_on_a_thrashing_64k_shared_cache() {
             }
         }
     }
-    // Exact-Σ points are the dense Caroli reference, cache or no cache.
+    // Points are the dense Caroli reference, cache or no cache.
     let reference = caroli_transmission(&dk, e0, d.config.obc).unwrap();
     let rs = thrash.solve_point(e0, 0.0, &PointPolicy::transmission_only());
     assert_eq!(rs.into_result().unwrap().transmission, reference);

@@ -2,9 +2,10 @@
 //!
 //! `HsFile::from_bytes` reads files from outside the process, so no input
 //! may make it panic: every strict prefix of a valid file must be an
-//! `InvalidData` error, and every single-bit flip of one must decode or be
-//! refused the same way. The file is built by hand with 3 × 3 blocks so
-//! the quadratic prefix sweep stays small.
+//! `InvalidData` error, and every single-bit flip of one, like every seeded
+//! run of arbitrary bytes behind its magic, must decode or be refused the
+//! same way. The file is built by hand with 3 × 3 blocks so the quadratic
+//! prefix sweep stays small.
 
 use qtx_atomistic::assemble::UnitCellMatrices;
 use qtx_atomistic::devices::DeviceGeometry;
@@ -71,6 +72,25 @@ fn every_single_bit_flip_decodes_or_is_invalid_data() {
             assert_eq!(e.kind(), ErrorKind::InvalidData, "bit {bit}: {e}");
         }
         flipped[bit / 8] ^= 1 << (bit % 8);
+    }
+    // Seeded arbitrary bytes behind the magic, alone or after a valid
+    // prefix. SplitMix64: a fixed stream, so a failing case replays.
+    let mut state = 0x4853_4649_4c45_3031u64;
+    let mut next = move || {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    };
+    for case in 0..2000 {
+        let keep = if case % 2 == 0 { 8 } else { 8 + next() as usize % (bytes.len() - 8) };
+        let tail = next() as usize % 128;
+        let mut hostile = bytes[..keep].to_vec();
+        hostile.extend((0..tail).map(|_| next() as u8));
+        if let Err(e) = HsFile::from_bytes(&hostile) {
+            assert_eq!(e.kind(), ErrorKind::InvalidData, "case {case} ({keep} kept, {tail}): {e}");
+        }
     }
 }
 

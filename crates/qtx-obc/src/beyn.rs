@@ -403,25 +403,4 @@ mod tests {
             beyn_annulus(&pencil, BeynConfig { r_outer: 8.0, ..Default::default() }).unwrap();
         assert!(modes.is_empty());
     }
-
-    #[test]
-    fn beyn_is_single_pass() {
-        // The ref. [43] claim: no refinement iterations. This is
-        // structural (the function has no loop), so assert the cost side:
-        // one factorization per node only.
-        let lead = LeadBlocks::chain_1d(0.0, -1.0);
-        let pencil = CompanionPencil::at_energy(&lead, 0.9, 0.0);
-        // Both methods fan their quadrature out over rayon workers, so the
-        // comparison needs the process-wide totals.
-        let scope = qtx_linalg::FlopScope::start_process();
-        let _ = beyn_annulus(&pencil, BeynConfig { np: 8, ..Default::default() }).unwrap();
-        let beyn_flops = scope.elapsed();
-        let scope = qtx_linalg::FlopScope::start_process();
-        let _ = feast_annulus(&pencil, FeastConfig { np: 8, ..FeastConfig::default() }).unwrap();
-        let feast_flops = scope.elapsed();
-        assert!(
-            beyn_flops <= feast_flops * 2,
-            "beyn {beyn_flops} should not exceed feast {feast_flops} by much"
-        );
-    }
 }

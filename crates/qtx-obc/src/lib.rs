@@ -40,10 +40,7 @@ pub use beyn::{beyn_annulus, beyn_annulus_ws, BeynConfig};
 pub use companion::CompanionPencil;
 pub use error::{ObcError, ObcOutcome};
 pub use feast::{feast_annulus, feast_annulus_ws, FeastConfig, FeastStats};
-pub use frame::{
-    decode_obc_result, decode_obc_result_parts, encode_obc_result, encode_obc_result_compressed,
-    FrameDecodeError, ObcFrameParts,
-};
+pub use frame::{decode_obc_result, encode_obc_result, FrameDecodeError};
 pub use lead::LeadBlocks;
 pub use modes::{classify_modes, classify_modes_eta, LeadModes, ModeSet};
 pub use selfenergy::{

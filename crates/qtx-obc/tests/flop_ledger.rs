@@ -1,4 +1,5 @@
-//! The flop ledger of one boundary self-energy.
+//! The flop ledger of one boundary self-energy, and Beyn's against
+//! FEAST's on one pencil.
 //!
 //! A test binary of its own, its tests serialized: [`FlopScope::start_process`]
 //! counts every thread (the quadrature solves fan out), so nothing else may
@@ -7,7 +8,10 @@
 use qtx_atomistic::{BasisKind, DeviceBuilder};
 use qtx_core::Device;
 use qtx_linalg::FlopScope;
-use qtx_obc::{self_energy, self_energy_pair, Eta, FeastConfig, LeadBlocks, ObcMethod, Side};
+use qtx_obc::{
+    beyn_annulus, feast_annulus, self_energy, self_energy_pair, BeynConfig, CompanionPencil, Eta,
+    FeastConfig, LeadBlocks, ObcMethod, Side,
+};
 use std::sync::Mutex;
 
 /// What the same Σ cost with the `nf + 8`-column subspace and the per-node
@@ -56,5 +60,27 @@ fn long_wire_pair_costs_about_half_of_two_single_contacts() {
     assert!(
         flops <= 0.55 * 2.0 * ONE_SOLVE_PER_CONTACT_FLOPS,
         "the pair took {flops:.3e} flops ({stats:?})"
+    );
+}
+
+#[test]
+fn beyn_is_single_pass() {
+    let _alone = ONE_MEASUREMENT_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    // The ref. [43] claim: no refinement iterations. This is structural
+    // (the function has no loop), so assert the cost side: one
+    // factorization per node only.
+    let lead = LeadBlocks::chain_1d(0.0, -1.0);
+    let pencil = CompanionPencil::at_energy(&lead, 0.9, 0.0);
+    // Both methods fan their quadrature out over rayon workers, so the
+    // comparison needs the process-wide totals.
+    let scope = FlopScope::start_process();
+    let _ = beyn_annulus(&pencil, BeynConfig { np: 8, ..Default::default() }).unwrap();
+    let beyn_flops = scope.elapsed();
+    let scope = FlopScope::start_process();
+    let _ = feast_annulus(&pencil, FeastConfig { np: 8, ..FeastConfig::default() }).unwrap();
+    let feast_flops = scope.elapsed();
+    assert!(
+        beyn_flops <= feast_flops * 2,
+        "beyn {beyn_flops} should not exceed feast {feast_flops} by much"
     );
 }

@@ -22,8 +22,8 @@ pub fn bcr_solve(sys: &ObcSystem) -> SolveOutcome<ZMat> {
     let m = sys.num_rhs();
     // Assemble working block arrays.
     let mut diag: Vec<ZMat> = sys.a.diag.clone();
-    sys.sigma_l.add_scaled_into(-Complex64::ONE, &mut diag[0]);
-    sys.sigma_r.add_scaled_into(-Complex64::ONE, &mut diag[nb - 1]);
+    diag[0].axpy(-Complex64::ONE, &sys.sigma_l);
+    diag[nb - 1].axpy(-Complex64::ONE, &sys.sigma_r);
     let upper = sys.a.upper.clone();
     let lower = sys.a.lower.clone();
     let b = sys.b_dense();
@@ -198,8 +198,8 @@ pub fn bcr_solve_raw(a: &Btd, b: &ZMat) -> SolveOutcome<ZMat> {
     let s = a.block_size();
     let sys = ObcSystem {
         a: a.clone(),
-        sigma_l: ZMat::zeros(s, s).into(),
-        sigma_r: ZMat::zeros(s, s).into(),
+        sigma_l: ZMat::zeros(s, s),
+        sigma_r: ZMat::zeros(s, s),
         rhs_top: b.block(0, 0, s, b.cols()),
         rhs_bottom: ZMat::zeros(s, 0),
     };
@@ -258,8 +258,8 @@ mod tests {
         let s = 3;
         let sys = ObcSystem {
             a,
-            sigma_l: ZMat::random(s, s, 72).scaled(c64(0.2, 0.1)).into(),
-            sigma_r: ZMat::random(s, s, 73).scaled(c64(0.2, -0.1)).into(),
+            sigma_l: ZMat::random(s, s, 72).scaled(c64(0.2, 0.1)),
+            sigma_r: ZMat::random(s, s, 73).scaled(c64(0.2, -0.1)),
             rhs_top: ZMat::random(s, 2, 74),
             rhs_bottom: ZMat::random(s, 1, 75),
         };

@@ -140,7 +140,7 @@ pub fn btd_lu_solve(sys: &ObcSystem) -> SolveOutcome<ZMat> {
 
 /// One-shot baseline solve of Eq. 5 over a shared workspace.
 pub fn btd_lu_solve_ws(sys: &ObcSystem, ws: &Workspace) -> SolveOutcome<ZMat> {
-    let f = btd_lu_factor_ws(&sys.a, &sys.sigma_l.dense(), &sys.sigma_r.dense(), ws)?;
+    let f = btd_lu_factor_ws(&sys.a, &sys.sigma_l, &sys.sigma_r, ws)?;
     let x = f.solve_ws(&sys.b_dense(), ws);
     f.recycle_into(ws);
     let bad = x.non_finite_count();
@@ -169,8 +169,8 @@ mod tests {
         }
         ObcSystem {
             a,
-            sigma_l: ZMat::random(s, s, seed + 130).scaled(c64(0.2, 0.1)).into(),
-            sigma_r: ZMat::random(s, s, seed + 131).scaled(c64(0.2, -0.2)).into(),
+            sigma_l: ZMat::random(s, s, seed + 130).scaled(c64(0.2, 0.1)),
+            sigma_r: ZMat::random(s, s, seed + 131).scaled(c64(0.2, -0.2)),
             rhs_top: ZMat::random(s, m, seed + 150),
             rhs_bottom: ZMat::random(s, m, seed + 151),
         }
@@ -187,7 +187,7 @@ mod tests {
     #[test]
     fn factors_are_reusable_across_rhs() {
         let sys = random_system(5, 2, 1, 43);
-        let f = btd_lu_factor(&sys.a, &sys.sigma_l.dense(), &sys.sigma_r.dense()).unwrap();
+        let f = btd_lu_factor(&sys.a, &sys.sigma_l, &sys.sigma_r).unwrap();
         let b1 = sys.b_dense();
         let b2 = ZMat::random(sys.dim(), 3, 99);
         let x1 = f.solve(&b1);

@@ -5,7 +5,7 @@
 //! `Σ^RB` touches only the corner blocks, so the transmission needs one
 //! block of `G = (A − Σ^RB)⁻¹`, and of that block only its action on thin
 //! factors of the broadening matrices: with `Γ = P·K·Pᴴ`
-//! ([`CompressedSigma::broadening_factor_ws`], exact),
+//! ([`qtx_sparse::broadening_factor_ws`], exact),
 //! `T = tr[K·M·K·Mᴴ]` for `M = P_Lᴴ·G_{0,n−1}·P_R` (`2k_L × 2k_R`).
 //!
 //! A *front* (`front.rs`) eliminates a chain from its last block
@@ -43,11 +43,10 @@
 //! length; a dense coupling or a dense Σ is the same code at full width.
 
 use crate::error::{SolveError, SolveOutcome};
-use crate::front::{Front, Keep};
-use crate::splitsolve::{fans_out, gather_rows_into};
+use crate::front::{fans_out, gather_rows_into, Front, Keep};
 use qtx_linalg::flops::{counts, join_counted};
 use qtx_linalg::{gemm_into, lu_factor_owned_ws, Complex64, Op, Workspace, ZMat};
-use qtx_sparse::{BlockChain, CompressedSigma, CouplingSupport, Mirrored};
+use qtx_sparse::{broadening_factor_ws, BlockChain, CouplingSupport, Mirrored};
 
 /// Name this kernel reports in [`SolveError::NonFinite`].
 const SOLVER: &str = "caroli-sweep";
@@ -56,15 +55,15 @@ const SOLVER: &str = "caroli-sweep";
 #[derive(Debug, Clone, Copy)]
 pub struct CaroliContact<'a> {
     /// The self-energy, subtracted from the contact's corner block.
-    pub sigma: &'a CompressedSigma,
+    pub sigma: &'a ZMat,
     /// An exact thin factor `P` of its broadening, `i(Σ − Σᴴ) = P·K·Pᴴ`
-    /// ([`CompressedSigma::broadening_factor_ws`]).
+    /// ([`broadening_factor_ws`]).
     pub panel: &'a ZMat,
 }
 
 /// Caroli transmission of the open system `chain − Σ_L ⊕ Σ_R`, each
-/// broadening through the factor [`CompressedSigma::broadening_factor`]
-/// derives from Σ alone.
+/// broadening through the factor [`broadening_factor_ws`] derives from Σ
+/// alone (its rows).
 ///
 /// `support` holds the coupling supports of `chain`
 /// ([`BlockChain::coupling_support`]; energy-independent for a pencil, so
@@ -76,13 +75,13 @@ pub struct CaroliContact<'a> {
 /// [`SolveError::Linalg`].
 pub fn caroli_sweep<C: BlockChain + Sync>(
     chain: &C,
-    sigma_l: &CompressedSigma,
-    sigma_r: &CompressedSigma,
+    sigma_l: &ZMat,
+    sigma_r: &ZMat,
     support: &[CouplingSupport],
     ws: &Workspace,
 ) -> SolveOutcome<f64> {
-    let p_l = sigma_l.broadening_factor_ws(None, ws);
-    let p_r = sigma_r.broadening_factor_ws(None, ws);
+    let p_l = broadening_factor_ws(sigma_l, None, ws);
+    let p_r = broadening_factor_ws(sigma_r, None, ws);
     let left = CaroliContact { sigma: sigma_l, panel: &p_l };
     let right = CaroliContact { sigma: sigma_r, panel: &p_r };
     let t = caroli_sweep_contacts(chain, left, right, support, ws);
@@ -107,14 +106,15 @@ pub fn caroli_sweep_contacts<C: BlockChain + Sync>(
     assert!(nb >= 1, "a chain has at least one block");
     assert_eq!(support.len() + 1, nb, "one coupling support per adjacent block pair");
     for contact in [left, right] {
-        assert_eq!(contact.sigma.dim(), s, "self-energy / block size mismatch");
+        let shape = (contact.sigma.rows(), contact.sigma.cols());
+        assert_eq!(shape, (s, s), "self-energy / block size mismatch");
         assert_eq!(contact.panel.rows(), s, "broadening factor / block size mismatch");
     }
     let minus = -Complex64::ONE;
     let m = if nb == 1 {
         let both = |d: &mut ZMat| {
-            right.sigma.add_scaled_into(minus, d);
-            left.sigma.add_scaled_into(minus, d);
+            d.axpy(minus, right.sigma);
+            d.axpy(minus, left.sigma);
         };
         let mut only =
             Front::new(chain, support, 0, both, right.panel, Keep::Last(&[]), SOLVER, ws);
@@ -130,8 +130,8 @@ pub fn caroli_sweep_contacts<C: BlockChain + Sync>(
         let pair = &support[c];
         let mirror = Mirrored::new(chain, c + 1);
         let mirrored = Mirrored::<C>::support_of(&support[..c]);
-        let fold_r = |d: &mut ZMat| right.sigma.add_scaled_into(minus, d);
-        let fold_l = |d: &mut ZMat| left.sigma.add_scaled_adjoint_into(minus, d);
+        let fold_r = |d: &mut ZMat| d.axpy(minus, right.sigma);
+        let fold_l = |d: &mut ZMat| fold_adjoint(left.sigma, d);
         let tip_r = Keep::Last(&pair.lower.rows);
         let mut front_r = Front::new(chain, support, c + 1, fold_r, right.panel, tip_r, SOLVER, ws);
         let tip_l = Keep::Last(&pair.lower.cols);
@@ -154,6 +154,18 @@ pub fn caroli_sweep_contacts<C: BlockChain + Sync>(
         return Err(SolveError::NonFinite { solver: SOLVER, count: bad });
     }
     Ok(t)
+}
+
+/// `d ← d − Σᴴ`: the mirrored left front's last block is `D_0ᴴ`, so Σ
+/// enters it adjoint, read transposed where it lies.
+fn fold_adjoint(sigma: &ZMat, d: &mut ZMat) {
+    assert_eq!((d.rows(), d.cols()), (sigma.cols(), sigma.rows()), "Σᴴ shape");
+    let minus = -Complex64::ONE;
+    for c in 0..sigma.cols() {
+        for (r, &z) in sigma.col(c).iter().enumerate() {
+            d[(c, r)] += minus * z.conj();
+        }
+    }
 }
 
 /// `M = P_Lᴴ·G_{0,n−1}·P_R` from the two fronts' last blocks `z_l`, `z_r`
@@ -230,7 +242,7 @@ mod tests {
     use super::*;
     use crate::system::ObcSystem;
     use qtx_linalg::flops::counts;
-    use qtx_linalg::{c64, gemm, lu_inverse, FlopScope};
+    use qtx_linalg::{c64, lu_inverse, FlopScope};
     use qtx_sparse::Btd;
 
     fn sweep(sys: &ObcSystem, ws: &Workspace) -> SolveOutcome<f64> {
@@ -241,10 +253,7 @@ mod tests {
     fn dense_caroli(sys: &ObcSystem) -> f64 {
         let (n, s) = (sys.dim(), sys.block_size());
         let g = lu_inverse(&sys.t_dense()).unwrap().block(0, n - s, s, s);
-        let gamma = |sig: &CompressedSigma| {
-            let sig = sig.dense();
-            &sig.scaled(Complex64::I) - &sig.adjoint().scaled(Complex64::I)
-        };
+        let gamma = |sig: &ZMat| &sig.scaled(Complex64::I) - &sig.adjoint().scaled(Complex64::I);
         let t = &(&gamma(&sys.sigma_l) * &g) * &(&gamma(&sys.sigma_r) * &g.adjoint());
         t.trace().re
     }
@@ -263,8 +272,8 @@ mod tests {
         }
         ObcSystem {
             a,
-            sigma_l: ZMat::random(s, s, seed + 200).scaled(c64(0.3, 0.1)).into(),
-            sigma_r: ZMat::random(s, s, seed + 201).scaled(c64(0.3, -0.1)).into(),
+            sigma_l: ZMat::random(s, s, seed + 200).scaled(c64(0.3, 0.1)),
+            sigma_r: ZMat::random(s, s, seed + 201).scaled(c64(0.3, -0.1)),
             rhs_top: ZMat::zeros(s, 0),
             rhs_bottom: ZMat::zeros(s, 0),
         }
@@ -308,8 +317,8 @@ mod tests {
             let sigma = ZMat::from_diag(&[surface(e), surface(e - 3.0)]);
             let sys = ObcSystem {
                 a,
-                sigma_l: sigma.clone().into(),
-                sigma_r: sigma.into(),
+                sigma_l: sigma.clone(),
+                sigma_r: sigma,
                 rhs_top: ZMat::zeros(2, 0),
                 rhs_bottom: ZMat::zeros(2, 0),
             };
@@ -337,19 +346,17 @@ mod tests {
         sys.a.upper[1][(0, 2)] = c64(f64::NAN, 0.0);
         assert!(matches!(sweep(&sys, &ws), Err(SolveError::NonFinite { solver: SOLVER, .. })));
         let mut sys = random_system(4, 3, 31);
-        let mut sig = sys.sigma_l.to_dense();
-        sig[(2, 0)] = c64(f64::NAN, 0.0);
-        sys.sigma_l = sig.into();
+        sys.sigma_l[(2, 0)] = c64(f64::NAN, 0.0);
         assert!(matches!(sweep(&sys, &ws), Err(SolveError::NonFinite { solver: SOLVER, .. })));
         // An exactly singular pivot block is a typed factorization error.
         let mut sys = random_system(3, 2, 9);
-        sys.a.diag[2] = sys.sigma_r.to_dense();
+        sys.a.diag[2] = sys.sigma_r.clone();
         assert!(matches!(sweep(&sys, &ws), Err(SolveError::Linalg(_))));
     }
 
     #[test]
     fn flop_count_is_the_closed_formula() {
-        // Sparse couplings and a low-rank Σ on one side, dense on the
+        // Sparse couplings and a Σ on two rows on one side, on four on the
         // other: the ledger must equal the formula term by term.
         let (nb, s) = (5, 6);
         let mut sys = random_system(nb, s, 17);
@@ -370,14 +377,13 @@ mod tests {
                 }
             });
         }
-        let (u, v) = (ZMat::random(s, 2, 41), ZMat::random(s, 2, 43));
-        sys.sigma_l = CompressedSigma::Factored { u, v, bound: 0.0 };
-        let mut sig_r = sys.sigma_r.to_dense();
         for c in 0..s {
-            sig_r[(0, c)] = Complex64::ZERO;
-            sig_r[(4, c)] = Complex64::ZERO;
+            for r in [0, 2, 3, 5] {
+                sys.sigma_l[(r, c)] = Complex64::ZERO;
+            }
+            sys.sigma_r[(0, c)] = Complex64::ZERO;
+            sys.sigma_r[(4, c)] = Complex64::ZERO;
         }
-        sys.sigma_r = sig_r.into();
         let support = sys.a.coupling_support();
         let ws = Workspace::new();
         let scope = FlopScope::start();
@@ -386,9 +392,7 @@ mod tests {
         assert!((t - dense_caroli(&sys)).abs() < 1e-10);
         let couplings: Vec<_> = support.iter().map(CouplingSupport::dims).collect();
         let (wl, wr) = (4, 2 * (s - 2));
-        // The factored Σ_L is folded into D̃_0 by one rank-2 gemm.
-        let expected = counts::caroli_sweep(s, &couplings, wl, wr) + counts::zgemm(s, s, 2);
-        assert_eq!(counted, expected);
+        assert_eq!(counted, counts::caroli_sweep(s, &couplings, wl, wr));
     }
 
     #[test]
@@ -406,20 +410,5 @@ mod tests {
         // of five buffers, two panels and the tip's handful — not one per
         // block.
         assert!(pooled <= 16, "{pooled} buffers pooled for a 12-block chain");
-    }
-
-    #[test]
-    fn factored_sigma_needs_no_dense_expansion() {
-        let mut sys = random_system(6, 4, 17);
-        let (u, v) = (ZMat::random(4, 1, 31), ZMat::random(4, 1, 37));
-        let mut dense = ZMat::zeros(4, 4);
-        gemm(Complex64::ONE, &u, Op::None, &v, Op::Adjoint, Complex64::ZERO, &mut dense);
-        let ws = Workspace::new();
-        sys.sigma_l = CompressedSigma::Factored { u, v, bound: 0.0 };
-        let factored = sweep(&sys, &ws).unwrap();
-        sys.sigma_l = dense.into();
-        let expanded = sweep(&sys, &ws).unwrap();
-        assert!((factored - expanded).abs() < 1e-12);
-        assert!((factored - dense_caroli(&sys)).abs() < 1e-10);
     }
 }

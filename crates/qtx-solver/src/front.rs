@@ -21,11 +21,39 @@
 //! back-substitution `ψ_i = y_i − X̂_i·ψ_{i−1}[C_l, :]`.
 
 use crate::error::{SolveError, SolveOutcome};
-use crate::splitsolve::{gather_rows_into, reshape};
 use qtx_linalg::{
     gemm_into, lu_factor_owned_ws, Complex64, LuFactors, Op, Workspace, ZMat, ZMatRef,
 };
 use qtx_sparse::{BlockChain, CouplingSupport};
+
+/// Estimated work below which independent sweeps run one after the other
+/// on the calling thread: a thread hand-off costs tens of microseconds,
+/// about what one sweep of this size takes.
+const FAN_OUT_MIN_FLOPS: u64 = 8_000_000;
+
+/// Whether sweeps of `flops_each` estimated operations go to threads — the
+/// one fan-out rule of this crate (SplitSolve's partition sweeps, the two
+/// fronts of the Caroli kernel and of the wave-function solve).
+pub(crate) fn fans_out(flops_each: u64) -> bool {
+    flops_each >= FAN_OUT_MIN_FLOPS
+}
+
+/// Re-dimensions a scratch matrix in place; contents are unspecified.
+pub(crate) fn reshape(m: &mut ZMat, rows: usize, cols: usize) {
+    let buf = std::mem::replace(m, ZMat::empty()).into_vec();
+    *m = ZMat::from_recycled_buffer(rows, cols, buf);
+}
+
+/// `out ← src[rows, :]`, re-dimensioning `out`.
+pub(crate) fn gather_rows_into(out: &mut ZMat, src: ZMatRef<'_>, rows: &[usize]) {
+    reshape(out, rows.len(), src.cols());
+    for j in 0..src.cols() {
+        let (dst, from) = (out.col_mut(j), src.col(j));
+        for (d, &r) in dst.iter_mut().zip(rows) {
+            *d = from[r];
+        }
+    }
+}
 
 /// What a front leaves behind of its block solves.
 #[derive(Debug, Clone, Copy)]

@@ -4,7 +4,11 @@
 //! `T·x = (E·S − H − Σ^RB)·x = Inj` (Eq. 5), exploiting its structure:
 //! block tri-diagonal `A = E·S − H`, low-rank boundary corners
 //! `Σ^RB = B·C`, and a right-hand side with non-zeros only in the top and
-//! bottom block rows (Fig. 4).
+//! bottom block rows (Fig. 4). Every kernel takes each self-energy as the
+//! exact dense `s × s` block the OBC layer produced ([`ObcSystem`],
+//! [`BoundaryTerms`]): what it exploits is the rows Σ occupies and, for the
+//! transmission, an exact thin factor of its broadening — never a
+//! truncation of Σ.
 //!
 //! * [`two_front`] — the wave-function solve the engine runs: Σ folded
 //!   into the end blocks, one elimination front from each contact, each
@@ -25,9 +29,9 @@
 //!   cross-checks (diagonal blocks for the spectral function, boundary
 //!   blocks for the contacts).
 //! * [`caroli`] — the NEGF/Caroli transmission from two elimination
-//!   fronts that meet inside the device: thin broadening factors,
-//!   support-aware Schur updates, an `O(s²)` working set independent of
-//!   the device length.
+//!   fronts that meet inside the device: thin exact broadening factors
+//!   ([`qtx_sparse::broadening_factor_ws`]), support-aware Schur updates,
+//!   an `O(s²)` working set independent of the device length.
 //!
 //! ## Scratch reuse
 //!
@@ -57,9 +61,9 @@ pub use rgf::{
     rgf_boundary, rgf_boundary_ws, rgf_diagonal_and_corner, rgf_diagonal_and_corner_ws,
     RgfBoundary, RgfResult,
 };
-pub use splitsolve::{BoundaryTerms, SplitSolve, SplitSolveReport};
+pub use splitsolve::{SplitSolve, SplitSolveReport};
 pub use system::ObcSystem;
-pub use two_front::two_front_solve;
+pub use two_front::{two_front_solve, BoundaryTerms};
 // The buffer pool itself lives in `qtx-linalg` (so the OBC layer can use
 // it too); re-exported here because the solver hot paths are its home.
 pub use qtx_linalg::Workspace;

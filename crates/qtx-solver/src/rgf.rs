@@ -27,8 +27,7 @@ pub fn rgf_diagonal_and_corner(sys: &ObcSystem) -> SolveOutcome<RgfResult> {
 
 /// Forward (left-connected) pass shared by both RGF variants:
 /// `gL_i = (D_i − L_{i−1}·gL_{i−1}·U_{i−1})⁻¹`, with the boundary
-/// self-energies folded into the corner blocks. A factored Σ is applied
-/// through its `U·Vᴴ` form directly — no dense expansion. The retained
+/// self-energies folded into the corner blocks. The retained
 /// `gL` chain is the variants' whole working set: `n_B` blocks of
 /// `s × s`, i.e. bandwidth·n storage.
 fn rgf_forward_pass(sys: &ObcSystem, ws: &Workspace) -> SolveOutcome<Vec<ZMat>> {
@@ -39,10 +38,10 @@ fn rgf_forward_pass(sys: &ObcSystem, ws: &Workspace) -> SolveOutcome<Vec<ZMat>> 
     for i in 0..nb {
         let mut m = ws.copy_of(&sys.a.diag[i]);
         if i == 0 {
-            sys.sigma_l.add_scaled_into(-Complex64::ONE, &mut m);
+            m.axpy(-Complex64::ONE, &sys.sigma_l);
         }
         if i == nb - 1 {
-            sys.sigma_r.add_scaled_into(-Complex64::ONE, &mut m);
+            m.axpy(-Complex64::ONE, &sys.sigma_r);
         }
         if i > 0 {
             let lg = ws.matmul(&sys.a.lower[i - 1], &g_left[i - 1]);
@@ -198,8 +197,8 @@ mod tests {
         }
         ObcSystem {
             a,
-            sigma_l: ZMat::random(s, s, seed + 200).scaled(c64(0.3, 0.1)).into(),
-            sigma_r: ZMat::random(s, s, seed + 201).scaled(c64(0.3, -0.1)).into(),
+            sigma_l: ZMat::random(s, s, seed + 200).scaled(c64(0.3, 0.1)),
+            sigma_r: ZMat::random(s, s, seed + 201).scaled(c64(0.3, -0.1)),
             rhs_top: ZMat::zeros(s, 0),
             rhs_bottom: ZMat::zeros(s, 0),
         }
@@ -266,23 +265,5 @@ mod tests {
             rgf_boundary_ws(&sys, &ws).unwrap();
         }
         assert_eq!((ws.pooled(), ws.fresh_allocations()), (pooled, fresh));
-    }
-
-    #[test]
-    fn boundary_variant_accepts_factored_sigma() {
-        use qtx_sparse::CompressedSigma;
-        let mut sys = random_system(6, 4, 17);
-        // Replace Σ_L with a genuinely low-rank factored form.
-        let u = ZMat::random(4, 1, 31);
-        let v = ZMat::random(4, 1, 37);
-        let mut dense = ZMat::zeros(4, 4);
-        CompressedSigma::Factored { u: u.clone(), v: v.clone(), bound: 0.0 }
-            .add_scaled_into(Complex64::ONE, &mut dense);
-        sys.sigma_l = CompressedSigma::Factored { u, v, bound: 0.0 };
-        let factored = rgf_boundary(&sys).unwrap();
-        sys.sigma_l = dense.into();
-        let expanded = rgf_boundary(&sys).unwrap();
-        assert!(factored.corner.max_diff(&expanded.corner) < 1e-12);
-        assert!(factored.first.max_diff(&expanded.first) < 1e-12);
     }
 }

@@ -58,7 +58,9 @@
 //! Σ in and factors each block once ([`crate::two_front`]).
 
 use crate::error::{SolveError, SolveOutcome};
+use crate::front::{fans_out, gather_rows_into, reshape};
 use crate::system::ObcSystem;
+use crate::two_front::BoundaryTerms;
 use qtx_accel::{AccelRuntime, KernelClass};
 use qtx_linalg::flops::counts;
 use qtx_linalg::{
@@ -71,18 +73,6 @@ use std::ops::Range;
 
 /// Name this kernel reports in [`SolveError::NonFinite`].
 const SOLVER: &str = "splitsolve";
-
-/// Estimated work below which independent sweeps run one after the other
-/// on the calling thread: a thread hand-off costs tens of microseconds,
-/// about what one sweep of this size takes.
-const FAN_OUT_MIN_FLOPS: u64 = 8_000_000;
-
-/// Whether sweeps of `flops_each` estimated operations go to threads — the
-/// one fan-out rule of this crate (SplitSolve's partition sweeps, the two
-/// fronts of the Caroli kernel and of the wave-function solve).
-pub(crate) fn fans_out(flops_each: u64) -> bool {
-    flops_each >= FAN_OUT_MIN_FLOPS
-}
 
 /// SplitSolve driver.
 #[derive(Debug, Clone)]
@@ -104,20 +94,6 @@ pub struct SplitSolveReport {
     pub partitions: usize,
     /// SPIKE merge levels performed (⌈log₂ `partitions`⌉).
     pub spike_levels: usize,
-}
-
-/// What the boundary adds to the chain: the self-energies on the corner
-/// blocks and the injection columns in the first and last block rows.
-#[derive(Debug, Clone, Copy)]
-pub struct BoundaryTerms<'a> {
-    /// Left self-energy, subtracted from the first diagonal block.
-    pub sigma_l: &'a ZMat,
-    /// Right self-energy, subtracted from the last diagonal block.
-    pub sigma_r: &'a ZMat,
-    /// Left-injected right-hand-side columns (`s × m_L`).
-    pub rhs_top: &'a ZMat,
-    /// Right-injected right-hand-side columns (`s × m_R`).
-    pub rhs_bottom: &'a ZMat,
 }
 
 impl SplitSolve {
@@ -152,12 +128,9 @@ impl SplitSolve {
         rt: Option<&AccelRuntime>,
         ws: &Workspace,
     ) -> SolveOutcome<(ZMat, SplitSolveReport)> {
-        // A factored Σ is expanded here: the wave-function path applies it
-        // to dense blocks (the Caroli sweep is the one that keeps factors).
-        let (sigma_l, sigma_r) = (sys.sigma_l.dense(), sys.sigma_r.dense());
         let boundary = BoundaryTerms {
-            sigma_l: &sigma_l,
-            sigma_r: &sigma_r,
+            sigma_l: &sys.sigma_l,
+            sigma_r: &sys.sigma_r,
             rhs_top: &sys.rhs_top,
             rhs_bottom: &sys.rhs_bottom,
         };
@@ -335,23 +308,6 @@ impl<C> Ctx<'_, C> {
         let mut out = self.ws.take_scratch(rows.len(), src.cols());
         gather_rows_into(&mut out, src.view(), rows);
         out
-    }
-}
-
-/// Re-dimensions a scratch matrix in place; contents are unspecified.
-pub(crate) fn reshape(m: &mut ZMat, rows: usize, cols: usize) {
-    let buf = std::mem::replace(m, ZMat::empty()).into_vec();
-    *m = ZMat::from_recycled_buffer(rows, cols, buf);
-}
-
-/// `out ← src[rows, :]`, re-dimensioning `out`.
-pub(crate) fn gather_rows_into(out: &mut ZMat, src: ZMatRef<'_>, rows: &[usize]) {
-    reshape(out, rows.len(), src.cols());
-    for j in 0..src.cols() {
-        let (dst, from) = (out.col_mut(j), src.col(j));
-        for (d, &r) in dst.iter_mut().zip(rows) {
-            *d = from[r];
-        }
     }
 }
 
@@ -1017,8 +973,8 @@ mod tests {
         }
         ObcSystem {
             a,
-            sigma_l: ZMat::random(s, s, seed + 300).scaled(c64(0.3, 0.1)).into(),
-            sigma_r: ZMat::random(s, s, seed + 301).scaled(c64(0.3, -0.1)).into(),
+            sigma_l: ZMat::random(s, s, seed + 300).scaled(c64(0.3, 0.1)),
+            sigma_r: ZMat::random(s, s, seed + 301).scaled(c64(0.3, -0.1)),
             rhs_top: ZMat::random(s, m, seed + 400),
             rhs_bottom: ZMat::random(s, m, seed + 401),
         }
@@ -1174,7 +1130,7 @@ mod tests {
                 |r, c| if r == 0 { m[(r, c)] } else { Complex64::ZERO },
             )
         };
-        let (sigma_l, sigma_r) = (on_row_0(&sys.sigma_l.dense()), on_row_0(&sys.sigma_r.dense()));
+        let (sigma_l, sigma_r) = (on_row_0(&sys.sigma_l), on_row_0(&sys.sigma_r));
         let (rhs_top, rhs_bottom) = (on_row_0(&sys.rhs_top), on_row_0(&sys.rhs_bottom));
         let support = support_of(&sys.a, &[0], &[0]);
         let ws = Workspace::new();
@@ -1184,8 +1140,8 @@ mod tests {
         };
         let inside = solve(&sigma_l, &sigma_r, &rhs_top, &rhs_bottom).unwrap();
         let full = ObcSystem {
-            sigma_l: sigma_l.clone().into(),
-            sigma_r: sigma_r.clone().into(),
+            sigma_l: sigma_l.clone(),
+            sigma_r: sigma_r.clone(),
             rhs_top: rhs_top.clone(),
             rhs_bottom: rhs_bottom.clone(),
             ..sys.clone()

@@ -1,17 +1,15 @@
 //! The open-boundary linear system `T·x = b` of Eq. 5 and Fig. 4.
 
 use qtx_linalg::ZMat;
-use qtx_sparse::{BlockChain, Btd, ChainSupport, CompressedSigma};
+use qtx_sparse::{BlockChain, Btd, ChainSupport};
 
 /// `T·x = Inj` with `T = A − B·C`:
 ///
 /// * `a` — the block tri-diagonal `E·S − H` *before* boundary terms;
 /// * `sigma_l`/`sigma_r` — the boundary self-energies subtracted from the
 ///   first/last diagonal blocks (the low-rank `B·C` product of §3.B with
-///   `B` holding identity sub-blocks and `C` the self-energies). They
-///   travel as [`CompressedSigma`] so a cache-served truncated `U·Vᴴ`
-///   factorization flows into the solvers without a dense round-trip;
-///   dense callers convert with `.into()`.
+///   `B` holding identity sub-blocks and `C` the self-energies), each the
+///   exact dense `s × s` block the OBC layer produced;
 /// * `rhs_top`/`rhs_bottom` — injection columns living in the first/last
 ///   block rows only.
 #[derive(Debug, Clone)]
@@ -19,9 +17,9 @@ pub struct ObcSystem {
     /// Block tri-diagonal bulk matrix `A = E·S − H`.
     pub a: Btd,
     /// Left boundary self-energy (`s × s`, `s` = block size).
-    pub sigma_l: CompressedSigma,
+    pub sigma_l: ZMat,
     /// Right boundary self-energy.
-    pub sigma_r: CompressedSigma,
+    pub sigma_r: ZMat,
     /// Left-injected right-hand-side columns (`s × m_L`).
     pub rhs_top: ZMat,
     /// Right-injected right-hand-side columns (`s × m_R`).
@@ -53,9 +51,9 @@ impl ObcSystem {
     /// itself: the coupling supports of `a` and, per contact, the rows its
     /// own self-energy and injection occupy.
     pub fn chain_support(&self) -> ChainSupport {
-        let occupied = |sigma: &CompressedSigma, rhs: &ZMat| -> Vec<usize> {
-            let mut hit = vec![false; sigma.dim()];
-            for m in [&*sigma.dense(), rhs] {
+        let occupied = |sigma: &ZMat, rhs: &ZMat| -> Vec<usize> {
+            let mut hit = vec![false; sigma.rows()];
+            for m in [sigma, rhs] {
                 for j in 0..m.cols() {
                     for (h, z) in hit.iter_mut().zip(m.col(j)) {
                         *h |= z.re != 0.0 || z.im != 0.0;
@@ -76,8 +74,7 @@ impl ObcSystem {
         let mut t = self.a.to_dense();
         let s = self.block_size();
         let n = self.dim();
-        let sl = self.sigma_l.dense();
-        let sr = self.sigma_r.dense();
+        let (sl, sr) = (&self.sigma_l, &self.sigma_r);
         for i in 0..s {
             for j in 0..s {
                 let tl = t[(i, j)];
@@ -146,8 +143,8 @@ mod tests {
         }
         ObcSystem {
             a,
-            sigma_l: ZMat::random(s, s, seed + 300).scaled(c64(0.3, 0.1)).into(),
-            sigma_r: ZMat::random(s, s, seed + 301).scaled(c64(0.3, -0.1)).into(),
+            sigma_l: ZMat::random(s, s, seed + 300).scaled(c64(0.3, 0.1)),
+            sigma_r: ZMat::random(s, s, seed + 301).scaled(c64(0.3, -0.1)),
             rhs_top: ZMat::random(s, m, seed + 400),
             rhs_bottom: ZMat::random(s, m, seed + 401),
         }
@@ -159,7 +156,7 @@ mod tests {
         let t = sys.t_dense();
         // Corners carry −Σ.
         let d0 = sys.a.diag[0].clone();
-        assert!((t[(0, 0)] - (d0[(0, 0)] - sys.sigma_l.probe())).abs() < 1e-14);
+        assert!((t[(0, 0)] - (d0[(0, 0)] - sys.sigma_l[(0, 0)])).abs() < 1e-14);
         let b = sys.b_dense();
         assert_eq!(b.cols(), 4);
         // Middle block rows of b are zero (Fig. 4).

@@ -27,14 +27,27 @@
 //! one `s × m` product a block. The count is [`counts::two_front_solve`].
 
 use crate::error::{SolveError, SolveOutcome};
-use crate::front::{Front, Keep};
-use crate::splitsolve::{fans_out, gather_rows_into, reshape, BoundaryTerms};
+use crate::front::{fans_out, gather_rows_into, reshape, Front, Keep};
 use qtx_linalg::flops::{counts, join_counted};
 use qtx_linalg::{fault, gemm_into, lu_factor_owned_ws, Complex64, Op, Workspace, ZMat};
 use qtx_sparse::{BlockChain, CouplingSupport, Reversed};
 
 /// Name this kernel reports in [`SolveError::NonFinite`].
 const SOLVER: &str = "two-front";
+
+/// What the boundary adds to the chain: the self-energies on the corner
+/// blocks and the injection columns in the first and last block rows.
+#[derive(Debug, Clone, Copy)]
+pub struct BoundaryTerms<'a> {
+    /// Left self-energy, subtracted from the first diagonal block.
+    pub sigma_l: &'a ZMat,
+    /// Right self-energy, subtracted from the last diagonal block.
+    pub sigma_r: &'a ZMat,
+    /// Left-injected right-hand-side columns (`s × m_L`).
+    pub rhs_top: &'a ZMat,
+    /// Right-injected right-hand-side columns (`s × m_R`).
+    pub rhs_bottom: &'a ZMat,
+}
 
 /// `d ← d − Σ`.
 fn fold(sigma: &ZMat) -> impl Fn(&mut ZMat) + '_ {

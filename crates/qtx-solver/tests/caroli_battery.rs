@@ -10,7 +10,7 @@ use qtx_linalg::{c64, gemm, lu_inverse, qr_least_squares, Complex64, FlopScope, 
 use qtx_solver::{
     caroli_sweep, caroli_sweep_contacts, CaroliContact, ObcSystem, SolveError, Workspace,
 };
-use qtx_sparse::{BlockChain, Btd, CompressedSigma, CouplingSupport, EsMinusH};
+use qtx_sparse::{broadening_factor_ws, BlockChain, Btd, CouplingSupport, EsMinusH};
 
 /// Row/column ranges the couplings of pair `i` live on, per pattern.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -76,17 +76,18 @@ enum Form {
     RowSupport,
     /// Dense `Σ = X·U⁺` through one mode: the mode-thin factor `[Σ·Q | Q]`.
     ModeThin,
-    /// `Σ = U·Vᴴ` kept factored: `[U | V]`.
-    Factored,
+    /// Dense `Σ = U·Vᴴ` of rank 2 on every row, no modes: the row factor
+    /// at full width.
+    LowRank,
     /// Σ = 0: an empty factor.
     Zero,
 }
 
-const FORMS: [Form; 4] = [Form::RowSupport, Form::ModeThin, Form::Factored, Form::Zero];
+const FORMS: [Form; 4] = [Form::RowSupport, Form::ModeThin, Form::LowRank, Form::Zero];
 
 /// A contact in `form`: Σ and the outgoing modes it was assembled from
 /// (only the mode-thin form has any).
-fn contact(s: usize, seed: u64, form: Form) -> (CompressedSigma, Option<ZMat>) {
+fn contact(s: usize, seed: u64, form: Form) -> (ZMat, Option<ZMat>) {
     let scale = c64(0.3, -0.2);
     match form {
         Form::RowSupport => {
@@ -103,7 +104,7 @@ fn contact(s: usize, seed: u64, form: Form) -> (CompressedSigma, Option<ZMat>) {
                         }
                     },
                 );
-            (sigma.into(), None)
+            (sigma, None)
         }
         Form::ModeThin => {
             // Σ = X·U⁺ on every row but the last, through one mode.
@@ -111,23 +112,22 @@ fn contact(s: usize, seed: u64, form: Form) -> (CompressedSigma, Option<ZMat>) {
             let u_pinv = qr_least_squares(&u, &ZMat::identity(s));
             let mut x = ZMat::random(s, 1, seed + 1).scaled(scale);
             x[(s - 1, 0)] = Complex64::ZERO;
-            (CompressedSigma::Dense(&x * &u_pinv), Some(u))
+            (&x * &u_pinv, Some(u))
         }
-        Form::Factored => {
+        Form::LowRank => {
             let u = ZMat::random(s, 2, seed).scaled(scale);
-            (CompressedSigma::Factored { u, v: ZMat::random(s, 2, seed + 1), bound: 0.0 }, None)
+            (&u * &ZMat::random(s, 2, seed + 1).adjoint(), None)
         }
-        Form::Zero => (ZMat::zeros(s, s).into(), None),
+        Form::Zero => (ZMat::zeros(s, s), None),
     }
 }
 
-fn gamma(sigma: &CompressedSigma) -> ZMat {
-    let sigma = sigma.dense();
+fn gamma(sigma: &ZMat) -> ZMat {
     &sigma.scaled(Complex64::I) - &sigma.adjoint().scaled(Complex64::I)
 }
 
 /// `tr[Γ_L·G_{0,n−1}·Γ_R·G_{0,n−1}ᴴ]` from the dense inverse of `A − Σ`.
-fn dense_trace(a: &Btd, sigma_l: &CompressedSigma, sigma_r: &CompressedSigma) -> f64 {
+fn dense_trace(a: &Btd, sigma_l: &ZMat, sigma_r: &ZMat) -> f64 {
     let s = a.block_size();
     let sys = ObcSystem {
         a: a.clone(),
@@ -144,12 +144,12 @@ fn dense_trace(a: &Btd, sigma_l: &CompressedSigma, sigma_r: &CompressedSigma) ->
 fn sweep<C: BlockChain + Sync>(
     chain: &C,
     support: &[CouplingSupport],
-    left: &(CompressedSigma, Option<ZMat>),
-    right: &(CompressedSigma, Option<ZMat>),
+    left: &(ZMat, Option<ZMat>),
+    right: &(ZMat, Option<ZMat>),
     ws: &Workspace,
 ) -> Result<f64, SolveError> {
-    let p_l = left.0.broadening_factor_ws(left.1.as_ref(), ws);
-    let p_r = right.0.broadening_factor_ws(right.1.as_ref(), ws);
+    let p_l = broadening_factor_ws(&left.0, left.1.as_ref(), ws);
+    let p_r = broadening_factor_ws(&right.0, right.1.as_ref(), ws);
     let t = caroli_sweep_contacts(
         chain,
         CaroliContact { sigma: &left.0, panel: &p_l },
@@ -210,8 +210,8 @@ fn two_front_kernel_matches_the_dense_trace_over_the_whole_grid() {
 fn the_mode_factor_is_the_thinner_exact_one() {
     let (s, ws) = (6, Workspace::new());
     let (sigma, modes) = contact(s, 9, Form::ModeThin);
-    let by_rows = sigma.broadening_factor();
-    let by_modes = sigma.broadening_factor_ws(modes.as_ref(), &ws);
+    let by_rows = broadening_factor_ws(&sigma, None, &ws);
+    let by_modes = broadening_factor_ws(&sigma, modes.as_ref(), &ws);
     assert_eq!((by_rows.cols(), by_modes.cols()), (2 * (s - 1), 2));
     // Both are exact factors of the same Γ = P·K·Pᴴ, K = [[0, iI], [−iI, 0]].
     let rebuilt = |p: &ZMat| {
@@ -229,18 +229,16 @@ fn the_mode_factor_is_the_thinner_exact_one() {
     };
     assert!(rebuilt(&by_rows).max_diff(&gamma(&sigma)) < 1e-14);
     assert!(rebuilt(&by_modes).max_diff(&gamma(&sigma)) < 1e-14);
-    // A mode set as wide as the rows (or wider) keeps the row factor, as do
-    // an empty one and a factored Σ.
+    // A mode set as wide as the rows (or wider) keeps the row factor, as
+    // does an empty one.
     let wide = ZMat::random(s, s - 1, 3);
-    assert_eq!(sigma.broadening_factor_ws(Some(&wide), &ws), by_rows);
-    assert_eq!(sigma.broadening_factor_ws(Some(&ZMat::zeros(s, 0)), &ws), by_rows);
-    let (factored, _) = contact(s, 9, Form::Factored);
-    assert_eq!(factored.broadening_factor_ws(modes.as_ref(), &ws).cols(), 4);
+    assert_eq!(broadening_factor_ws(&sigma, Some(&wide), &ws), by_rows);
+    assert_eq!(broadening_factor_ws(&sigma, Some(&ZMat::zeros(s, 0)), &ws), by_rows);
 }
 
 /// A chain of 48 × 48 blocks: from a dozen blocks on, each front is worth
 /// a thread.
-fn wide_chain(nb: usize) -> (Btd, [(CompressedSigma, Option<ZMat>); 2]) {
+fn wide_chain(nb: usize) -> (Btd, [(ZMat, Option<ZMat>); 2]) {
     let s = 48;
     let (h, ov) = device(nb, s, Pattern::Full, 5);
     let a = Btd::es_minus_h(c64(0.2, 1e-6), &ov, &h);
@@ -340,9 +338,8 @@ fn poisoned_and_singular_chains_are_typed_errors() {
             }
         }
     }
-    let mut poisoned = left.0.to_dense();
-    poisoned[(2, 0)] = c64(f64::NAN, 0.0);
-    let poisoned_left = (poisoned.into(), left.1.clone());
+    let mut poisoned_left = left.clone();
+    poisoned_left.0[(2, 0)] = c64(f64::NAN, 0.0);
     let got = run(&healthy, &poisoned_left, &right);
     assert!(matches!(got, Err(SolveError::NonFinite { solver: "caroli-sweep", .. })), "{got:?}");
     // An exactly singular pivot block is a typed factorization error, at
@@ -350,8 +347,8 @@ fn poisoned_and_singular_chains_are_typed_errors() {
     for block in 0..nb {
         let mut a = healthy.clone();
         a.diag[block] = match block {
-            0 => left.0.to_dense(),
-            b if b == nb - 1 => right.0.to_dense(),
+            0 => left.0.clone(),
+            b if b == nb - 1 => right.0.clone(),
             _ => ZMat::zeros(s, s),
         };
         for pair in [block.checked_sub(1), (block + 1 < nb).then_some(block)].into_iter().flatten()

@@ -53,8 +53,8 @@ fn wire_shape(nb: usize, s: usize, (ru, cu): (usize, usize), m: usize) -> ObcSys
     }
     ObcSystem {
         a,
-        sigma_l: on_support(s, s, 0..cu, 0..s, 901).into(),
-        sigma_r: on_support(s, s, s - ru..s, 0..s, 902).into(),
+        sigma_l: on_support(s, s, 0..cu, 0..s, 901),
+        sigma_r: on_support(s, s, s - ru..s, 0..s, 902),
         rhs_top: on_support(s, m / 2, 0..cu, 0..m, 903),
         rhs_bottom: on_support(s, m - m / 2, s - ru..s, 0..m, 904),
     }
@@ -125,10 +125,9 @@ fn the_two_front_solve_factors_each_block_once() {
     {
         let sys = wire_shape(nb, s, coupling, m);
         let support = sys.a.coupling_support();
-        let (sigma_l, sigma_r) = (sys.sigma_l.dense(), sys.sigma_r.dense());
         let boundary = BoundaryTerms {
-            sigma_l: &sigma_l,
-            sigma_r: &sigma_r,
+            sigma_l: &sys.sigma_l,
+            sigma_r: &sys.sigma_r,
             rhs_top: &sys.rhs_top,
             rhs_bottom: &sys.rhs_bottom,
         };

@@ -115,8 +115,8 @@ fn streamed_kernel_matches_dense_solve_over_the_whole_grid() {
                     let one = Complex64::ONE;
                     let sys = ObcSystem {
                         a: Btd::es_minus_h(z, &ov, &h),
-                        sigma_l: sigma(s, seed + 11, rows_l.as_deref()).into(),
-                        sigma_r: sigma(s, seed + 12, rows_r.as_deref()).into(),
+                        sigma_l: sigma(s, seed + 11, rows_l.as_deref()),
+                        sigma_r: sigma(s, seed + 12, rows_r.as_deref()),
                         rhs_top: on_rows(s, m, seed + 13, one, inj_l.as_deref()),
                         rhs_bottom: on_rows(s, m.min(1), seed + 14, one, rows_r.as_deref()),
                     };
@@ -133,10 +133,9 @@ fn streamed_kernel_matches_dense_solve_over_the_whole_grid() {
                         contact_r: (0..s).collect(),
                         ..occupied.clone()
                     };
-                    let (sigma_l, sigma_r) = (sys.sigma_l.dense(), sys.sigma_r.dense());
                     let boundary = BoundaryTerms {
-                        sigma_l: &sigma_l,
-                        sigma_r: &sigma_r,
+                        sigma_l: &sys.sigma_l,
+                        sigma_r: &sys.sigma_r,
                         rhs_top: &sys.rhs_top,
                         rhs_bottom: &sys.rhs_bottom,
                     };
@@ -203,18 +202,17 @@ fn pencil_supports_wider_than_the_assembled_ones_change_no_entry() {
     let z = c64(1.0, 0.0);
     let sys = ObcSystem {
         a: Btd::es_minus_h(z, &ov, &h),
-        sigma_l: sigma(s, 5, None).into(),
-        sigma_r: sigma(s, 6, None).into(),
+        sigma_l: sigma(s, 5, None),
+        sigma_r: sigma(s, 6, None),
         rhs_top: ZMat::random(s, 2, 7),
         rhs_bottom: ZMat::random(s, 1, 8),
     };
     let pencil = EsMinusH { z, s: &ov, h: &h };
     let support = ChainSupport { coupling: pencil.coupling_support(), ..sys.chain_support() };
     assert!(support.coupling[0].lower.cols.len() > sys.a.coupling_support()[0].lower.cols.len());
-    let (sigma_l, sigma_r) = (sys.sigma_l.dense(), sys.sigma_r.dense());
     let boundary = BoundaryTerms {
-        sigma_l: &sigma_l,
-        sigma_r: &sigma_r,
+        sigma_l: &sys.sigma_l,
+        sigma_r: &sys.sigma_r,
         rhs_top: &sys.rhs_top,
         rhs_bottom: &sys.rhs_bottom,
     };
@@ -233,8 +231,8 @@ fn warm_calls_leave_the_pool_flat() {
         let (h, ov) = device(nb, s, pattern, 3);
         let sys = ObcSystem {
             a: Btd::es_minus_h(c64(0.2, 0.0), &ov, &h),
-            sigma_l: sigma(s, 21, Some(&[0, 1])).into(),
-            sigma_r: sigma(s, 22, None).into(),
+            sigma_l: sigma(s, 21, Some(&[0, 1])),
+            sigma_r: sigma(s, 22, None),
             rhs_top: ZMat::random(s, 2, 23),
             rhs_bottom: ZMat::random(s, 3, 24),
         };
@@ -257,8 +255,8 @@ fn results_do_not_depend_on_which_thread_ran_which_sweep() {
     let (h, ov) = device(16, 48, Pattern::Full, 5);
     let sys = ObcSystem {
         a: Btd::es_minus_h(c64(0.2, 1e-6), &ov, &h),
-        sigma_l: sigma(48, 31, None).into(),
-        sigma_r: sigma(48, 32, Some(&[3, 40])).into(),
+        sigma_l: sigma(48, 31, None),
+        sigma_r: sigma(48, 32, Some(&[3, 40])),
         rhs_top: ZMat::random(48, 3, 33),
         rhs_bottom: ZMat::random(48, 2, 34),
     };
@@ -281,8 +279,8 @@ fn singular_and_poisoned_chains_are_typed_errors() {
     let (h, ov) = device(4, 3, Pattern::Full, 9);
     let mut sys = ObcSystem {
         a: Btd::es_minus_h(c64(0.2, 0.0), &ov, &h),
-        sigma_l: sigma(3, 1, None).into(),
-        sigma_r: sigma(3, 2, None).into(),
+        sigma_l: sigma(3, 1, None),
+        sigma_r: sigma(3, 2, None),
         rhs_top: ZMat::random(3, 1, 3),
         rhs_bottom: ZMat::random(3, 1, 4),
     };

@@ -93,10 +93,9 @@ fn solve<C: BlockChain + Sync>(
     partitions: usize,
     ws: &Workspace,
 ) -> Result<(ZMat, u64), SolveError> {
-    let (sigma_l, sigma_r) = (sys.sigma_l.dense(), sys.sigma_r.dense());
     let boundary = BoundaryTerms {
-        sigma_l: &sigma_l,
-        sigma_r: &sigma_r,
+        sigma_l: &sys.sigma_l,
+        sigma_r: &sys.sigma_r,
         rhs_top: &sys.rhs_top,
         rhs_bottom: &sys.rhs_bottom,
     };
@@ -122,8 +121,8 @@ fn two_front_solve_matches_dense_solve_over_the_whole_grid() {
                         let one = Complex64::ONE;
                         let sys = ObcSystem {
                             a: Btd::es_minus_h(z, &ov, &h),
-                            sigma_l: on_rows(s, s, seed + 11, c64(0.3, -0.2), rows_l).into(),
-                            sigma_r: on_rows(s, s, seed + 12, c64(0.3, -0.2), rows_r).into(),
+                            sigma_l: on_rows(s, s, seed + 11, c64(0.3, -0.2), rows_l),
+                            sigma_r: on_rows(s, s, seed + 12, c64(0.3, -0.2), rows_r),
                             rhs_top: on_rows(s, ml, seed + 13, one, rows_l),
                             rhs_bottom: on_rows(s, mr, seed + 14, one, rows_r),
                         };
@@ -168,8 +167,8 @@ fn wide_system(nb: usize) -> ObcSystem {
     let (h, ov) = device(nb, s, Pattern::Full, 5);
     ObcSystem {
         a: Btd::es_minus_h(c64(0.2, 1e-6), &ov, &h),
-        sigma_l: on_rows(s, s, 31, c64(0.3, -0.2), None).into(),
-        sigma_r: on_rows(s, s, 32, c64(0.3, -0.2), Some(40)).into(),
+        sigma_l: on_rows(s, s, 31, c64(0.3, -0.2), None),
+        sigma_r: on_rows(s, s, 32, c64(0.3, -0.2), Some(40)),
         rhs_top: on_rows(s, 3, 33, Complex64::ONE, None),
         rhs_bottom: on_rows(s, 2, 34, Complex64::ONE, Some(40)),
     }
@@ -226,8 +225,8 @@ fn poisoned_and_singular_chains_are_typed_errors() {
     let (h, ov) = device(nb, s, Pattern::Full, 9);
     let healthy = ObcSystem {
         a: Btd::es_minus_h(c64(0.2, 0.0), &ov, &h),
-        sigma_l: on_rows(s, s, 1, c64(0.3, -0.2), None).into(),
-        sigma_r: on_rows(s, s, 2, c64(0.3, -0.2), Some(1)).into(),
+        sigma_l: on_rows(s, s, 1, c64(0.3, -0.2), None),
+        sigma_r: on_rows(s, s, 2, c64(0.3, -0.2), Some(1)),
         rhs_top: on_rows(s, 2, 3, Complex64::ONE, None),
         rhs_bottom: on_rows(s, 1, 4, Complex64::ONE, Some(1)),
     };
@@ -258,9 +257,7 @@ fn poisoned_and_singular_chains_are_typed_errors() {
         for side in [0, 1] {
             let mut sys = healthy.clone();
             let sigma = if side == 0 { &mut sys.sigma_l } else { &mut sys.sigma_r };
-            let mut dense = sigma.to_dense();
-            dense[(1, 0)] = c64(poison, 0.0);
-            *sigma = dense.into();
+            sigma[(1, 0)] = c64(poison, 0.0);
             let got = run(&sys);
             assert!(non_finite(&got), "Σ of side {side} with {poison}: {got:?}");
         }
@@ -270,8 +267,8 @@ fn poisoned_and_singular_chains_are_typed_errors() {
     for block in 0..nb {
         let mut sys = healthy.clone();
         sys.a.diag[block] = match block {
-            0 => sys.sigma_l.to_dense(),
-            b if b == nb - 1 => sys.sigma_r.to_dense(),
+            0 => sys.sigma_l.clone(),
+            b if b == nb - 1 => sys.sigma_r.clone(),
             _ => ZMat::zeros(s, s),
         };
         for pair in [block.checked_sub(1), (block + 1 < nb).then_some(block)].into_iter().flatten()

@@ -33,7 +33,7 @@ pub use chain::{
 };
 pub use csr::{Csr, CsrBuilder};
 pub use error::SparseShapeError;
-pub use lowrank::CompressedSigma;
+pub use lowrank::{broadening_factor_ws, CompressedSigma};
 pub use spy::spy_string;
 pub use stats::{
     btd_stats, dense_matrix_bytes, live_matrix_bytes, peak_matrix_bytes, reset_peak_matrix_bytes,

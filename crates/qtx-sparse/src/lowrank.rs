@@ -4,16 +4,22 @@
 //! semi-infinite lead is numerically low-rank: only the handful of
 //! propagating and slowly-decaying modes contribute, while the fast
 //! evanescent ones fall below any sensible tolerance. [`CompressedSigma`]
-//! stores the truncated factor form `Σ ≈ U·Vᴴ` together with an *honest*
-//! spectral-norm error bound (the Frobenius norm of the discarded
-//! residual, which dominates its 2-norm), so every downstream consumer —
-//! solver corrections, cache frames, transmission bounds — can account
-//! for exactly how much self-energy it gave up.
+//! measures that: it stores the truncated factor form `Σ ≈ U·Vᴴ` together
+//! with an *honest* spectral-norm error bound (the Frobenius norm of the
+//! discarded residual, which dominates its 2-norm).
+//!
+//! Nothing on the solve path consumes it. Σ travels from the OBC layer
+//! through the cache into the interior kernels as the exact dense block;
+//! this type reports the rank a lead would compress to
+//! (`docs/sparsity.md`).
+//!
+//! What the transmission does take thin is the broadening
+//! `Γ = i(Σ − Σᴴ)`: [`broadening_factor_ws`] splits it exactly through the
+//! rows Σ occupies or the lead modes Σ was built from — no tolerance.
 
 use crate::chain::BlockSupport;
 use qtx_linalg::{gemm, gemm_into, orthonormalize_ws, Complex64, Op, Workspace, ZMat};
 use serde::{Deserialize, Serialize};
-use std::borrow::Cow;
 
 /// A lead self-energy block, either dense (exact) or in truncated factor
 /// form `Σ ≈ U·Vᴴ` with a recorded error bound `‖Σ − U·Vᴴ‖₂ ≤ bound`.
@@ -115,14 +121,6 @@ impl CompressedSigma {
         }
     }
 
-    /// Row count of the (square, for self-energies) represented block.
-    pub fn dim(&self) -> usize {
-        match self {
-            CompressedSigma::Dense(m) => m.rows(),
-            CompressedSigma::Factored { u, .. } => u.rows(),
-        }
-    }
-
     /// Bytes of complex storage held by this representation.
     pub fn bytes(&self) -> usize {
         let entries = match self {
@@ -137,17 +135,6 @@ impl CompressedSigma {
         matches!(self, CompressedSigma::Factored { .. })
     }
 
-    /// The dense block, borrowing when it is already materialized. This is
-    /// the *lazy expansion* point: solvers that genuinely need the dense
-    /// block (wave-function back-substitution, residual checks) pay for it
-    /// here; the boundary-only transmission path never calls it.
-    pub fn dense(&self) -> Cow<'_, ZMat> {
-        match self {
-            CompressedSigma::Dense(m) => Cow::Borrowed(m),
-            CompressedSigma::Factored { .. } => Cow::Owned(self.to_dense()),
-        }
-    }
-
     /// Materializes the represented block.
     pub fn to_dense(&self) -> ZMat {
         match self {
@@ -159,144 +146,64 @@ impl CompressedSigma {
             }
         }
     }
-
-    /// The represented block by value: a move for the dense form, the
-    /// expansion of [`CompressedSigma::to_dense`] for the factored one.
-    pub fn into_dense(self) -> ZMat {
-        match self {
-            CompressedSigma::Dense(m) => m,
-            factored => factored.to_dense(),
-        }
-    }
-
-    /// `target ← target + α·Σ` without materializing the factor form: the
-    /// rank-`r` update runs as a single `(n×r)·(r×n)` gemm.
-    pub fn add_scaled_into(&self, alpha: Complex64, target: &mut ZMat) {
-        match self {
-            CompressedSigma::Dense(m) => target.axpy(alpha, m),
-            CompressedSigma::Factored { u, v, .. } => {
-                gemm(alpha, u, Op::None, v, Op::Adjoint, Complex64::ONE, target);
-            }
-        }
-    }
-
-    /// `target ← target + α·Σᴴ`, like [`CompressedSigma::add_scaled_into`]:
-    /// the factored form is `Σᴴ = V·Uᴴ`, the dense one is read transposed
-    /// where it lies.
-    pub fn add_scaled_adjoint_into(&self, alpha: Complex64, target: &mut ZMat) {
-        match self {
-            CompressedSigma::Dense(m) => {
-                assert_eq!((target.rows(), target.cols()), (m.cols(), m.rows()), "Σᴴ shape");
-                for c in 0..m.cols() {
-                    for (r, &z) in m.col(c).iter().enumerate() {
-                        target[(c, r)] += alpha * z.conj();
-                    }
-                }
-            }
-            CompressedSigma::Factored { u, v, .. } => {
-                gemm(alpha, v, Op::None, u, Op::Adjoint, Complex64::ONE, target);
-            }
-        }
-    }
-
-    /// Thin factor `P` (`n × 2k`) of the broadening matrix,
-    /// `Γ = i(Σ − Σᴴ) = P·K·Pᴴ` with `K = [[0, iI], [−iI, 0]]`.
-    ///
-    /// Any `Σ = X·Yᴴ` gives `Γ = i(X·Yᴴ − Y·Xᴴ)`, which is the stated
-    /// product for `P = [X, Y]`. The factored form supplies `X = U`,
-    /// `Y = V` directly; a dense block is split as `X = E_R` (the unit
-    /// columns of its structurally non-zero rows `R`) and `Y = Σ[R,:]ᴴ`,
-    /// so `k = |R|`. Both are identities on the stored numbers — no rank
-    /// decision, no tolerance — and `k ≪ n` whenever the lead couples
-    /// through a few orbitals only.
-    pub fn broadening_factor(&self) -> ZMat {
-        self.broadening_factor_ws(None, &Workspace::new())
-    }
-
-    /// [`CompressedSigma::broadening_factor`] for a Σ that may have been
-    /// built from lead modes, the factor and every temporary borrowed from
-    /// `ws` (recycle the factor when spent).
-    ///
-    /// A mode-built `Σ = −(T·U·Λ^{±1})·U⁺` is a product through the `m`
-    /// outgoing modes `U = modes`: with `Q = orth(U)` it satisfies
-    /// `Σ = (Σ·Q)·Qᴴ`, so `P = [Σ·Q, Q]` is a second exact factor, `2m`
-    /// columns wide whatever rows Σ occupies. Of the two exact factors of
-    /// a dense block the thinner one is returned: the mode factor when
-    /// `0 < m < |R|`, the row-support factor otherwise (no modes given, a
-    /// full mode set, Σ = 0). A factored Σ keeps `[U, V]`. The choice reads
-    /// nothing but the inputs, so equal inputs give equal bits.
-    ///
-    /// `modes` must span the row space of a dense Σ (the modes it was
-    /// assembled from do); nothing here can check that cheaply.
-    pub fn broadening_factor_ws(&self, modes: Option<&ZMat>, ws: &Workspace) -> ZMat {
-        let m = match self {
-            CompressedSigma::Dense(m) => m,
-            CompressedSigma::Factored { u, v, .. } => {
-                let mut p = ws.take_scratch(u.rows(), u.cols() + v.cols());
-                p.set_block(0, 0, u);
-                p.set_block(0, u.cols(), v);
-                return p;
-            }
-        };
-        let n = m.rows();
-        let rows = BlockSupport::of(&[m]).rows;
-        let k = rows.len();
-        if let Some(u) = modes.filter(|u| u.cols() > 0 && u.cols() < k) {
-            assert_eq!(u.rows(), n, "mode / self-energy size mismatch");
-            let q = orthonormalize_ws(u, ws);
-            let w = q.cols();
-            let mut p = ws.take_scratch(n, 2 * w);
-            let (one, zero) = (Complex64::ONE, Complex64::ZERO);
-            gemm_into(
-                one,
-                m.view(),
-                Op::None,
-                q.view(),
-                Op::None,
-                zero,
-                p.block_view_mut(0, 0, n, w),
-            );
-            p.set_block(0, w, &q);
-            ws.recycle(q);
-            return p;
-        }
-        let mut p = ws.take(n, 2 * k);
-        for (j, &r) in rows.iter().enumerate() {
-            p[(r, j)] = Complex64::ONE;
-            for c in 0..m.cols() {
-                p[(c, k + j)] = m[(r, c)].conj();
-            }
-        }
-        p
-    }
-
-    /// First entry `Σ₀₀` — a cheap deterministic fingerprint used by the
-    /// fault-injection chokepoints. Identical to indexing for the dense
-    /// form.
-    pub fn probe(&self) -> Complex64 {
-        match self {
-            CompressedSigma::Dense(m) => {
-                if m.rows() == 0 || m.cols() == 0 {
-                    Complex64::ZERO
-                } else {
-                    m[(0, 0)]
-                }
-            }
-            CompressedSigma::Factored { u, v, .. } => {
-                let mut acc = Complex64::ZERO;
-                for k in 0..u.cols() {
-                    acc += u[(0, k)] * v[(0, k)].conj();
-                }
-                acc
-            }
-        }
-    }
 }
 
 impl From<ZMat> for CompressedSigma {
     fn from(m: ZMat) -> Self {
         CompressedSigma::Dense(m)
     }
+}
+
+/// Thin factor `P` (`n × 2k`) of the broadening matrix of `sigma`,
+/// `Γ = i(Σ − Σᴴ) = P·K·Pᴴ` with `K = [[0, iI], [−iI, 0]]`, the factor and
+/// every temporary borrowed from `ws` (recycle the factor when spent).
+///
+/// Any `Σ = X·Yᴴ` gives `Γ = i(X·Yᴴ − Y·Xᴴ)`, which is the stated product
+/// for `P = [X, Y]`. Σ has two such exact splits, and the thinner one is
+/// returned:
+///
+/// * by rows: `X = E_R` (the unit columns of Σ's structurally non-zero
+///   rows `R`) and `Y = Σ[R,:]ᴴ`, so `k = |R|`;
+/// * by modes: a mode-built `Σ = −(T·U·Λ^{±1})·U⁺` is a product through
+///   the `m` outgoing modes `U = modes`; with `Q = orth(U)` it satisfies
+///   `Σ = (Σ·Q)·Qᴴ`, so `P = [Σ·Q, Q]`, `2m` columns wide whatever rows Σ
+///   occupies. It is taken when `0 < m < |R|`.
+///
+/// Both are identities on the stored numbers — no rank decision, no
+/// tolerance — and the choice reads nothing but the inputs, so equal
+/// inputs give equal bits. `modes` must span the row space of Σ (the
+/// modes it was assembled from do); nothing here can check that cheaply.
+pub fn broadening_factor_ws(sigma: &ZMat, modes: Option<&ZMat>, ws: &Workspace) -> ZMat {
+    let n = sigma.rows();
+    let rows = BlockSupport::of(&[sigma]).rows;
+    let k = rows.len();
+    if let Some(u) = modes.filter(|u| u.cols() > 0 && u.cols() < k) {
+        assert_eq!(u.rows(), n, "mode / self-energy size mismatch");
+        let q = orthonormalize_ws(u, ws);
+        let w = q.cols();
+        let mut p = ws.take_scratch(n, 2 * w);
+        let (one, zero) = (Complex64::ONE, Complex64::ZERO);
+        gemm_into(
+            one,
+            sigma.view(),
+            Op::None,
+            q.view(),
+            Op::None,
+            zero,
+            p.block_view_mut(0, 0, n, w),
+        );
+        p.set_block(0, w, &q);
+        ws.recycle(q);
+        return p;
+    }
+    let mut p = ws.take(n, 2 * k);
+    for (j, &r) in rows.iter().enumerate() {
+        p[(r, j)] = Complex64::ONE;
+        for c in 0..sigma.cols() {
+            p[(c, k + j)] = sigma[(r, c)].conj();
+        }
+    }
+    p
 }
 
 #[cfg(test)]
@@ -340,7 +247,6 @@ mod tests {
             _ => panic!("tol = 0 must store dense"),
         }
         assert_eq!(comp.bound(), 0.0);
-        assert_eq!(comp.probe(), sigma[(0, 0)]);
     }
 
     #[test]
@@ -351,19 +257,6 @@ mod tests {
         let comp = CompressedSigma::compress(&sigma, 1e-12);
         assert!(!comp.is_compressed());
         assert_eq!(comp.bound(), 0.0);
-    }
-
-    #[test]
-    fn add_scaled_matches_dense_axpy() {
-        let sigma = low_rank_sigma(12, 1e-10);
-        let comp = CompressedSigma::compress(&sigma, 1e-7);
-        let base = ZMat::random(12, 12, 41);
-        let alpha = c64(-1.0, 0.25);
-        let mut via_factor = base.clone();
-        comp.add_scaled_into(alpha, &mut via_factor);
-        let mut via_dense = base;
-        via_dense.axpy(alpha, &comp.to_dense());
-        assert!(via_factor.max_diff(&via_dense) < 1e-10);
     }
 
     /// `P·K·Pᴴ` with `K = [[0, iI], [−iI, 0]]`, evaluated densely.
@@ -384,38 +277,23 @@ mod tests {
     #[test]
     fn broadening_factor_reconstructs_gamma_without_a_tolerance() {
         let gamma = |sig: &ZMat| &sig.scaled(Complex64::I) - &sig.adjoint().scaled(Complex64::I);
-        // Dense Σ with structurally empty rows: k is the non-zero row count.
+        // Σ with structurally empty rows: k is the non-zero row count.
         let mut sigma = ZMat::random(7, 7, 5);
         for r in [0, 3, 4, 6] {
             for c in 0..7 {
                 sigma[(r, c)] = Complex64::ZERO;
             }
         }
-        let p = CompressedSigma::Dense(sigma.clone()).broadening_factor();
+        let ws = Workspace::new();
+        let p = broadening_factor_ws(&sigma, None, &ws);
         assert_eq!((p.rows(), p.cols()), (7, 6));
         assert!(p_k_ph(&p).max_diff(&gamma(&sigma)) < 1e-14);
         // Fully dense Σ: full support, same code.
         let full = ZMat::random(5, 5, 8);
-        let p = CompressedSigma::Dense(full.clone()).broadening_factor();
+        let p = broadening_factor_ws(&full, None, &ws);
         assert_eq!(p.cols(), 10);
         assert!(p_k_ph(&p).max_diff(&gamma(&full)) < 1e-14);
-        // Factored Σ: P = [U, V] verbatim.
-        let comp = CompressedSigma::Factored {
-            u: ZMat::random(6, 2, 11),
-            v: ZMat::random(6, 2, 13),
-            bound: 0.0,
-        };
-        let p = comp.broadening_factor();
-        assert_eq!(p.cols(), 4);
-        assert!(p_k_ph(&p).max_diff(&gamma(&comp.to_dense())) < 1e-14);
         // Σ = 0 has an empty factor.
-        assert_eq!(CompressedSigma::Dense(ZMat::zeros(4, 4)).broadening_factor().cols(), 0);
-    }
-
-    #[test]
-    fn probe_matches_expanded_entry() {
-        let sigma = low_rank_sigma(9, 1e-10);
-        let comp = CompressedSigma::compress(&sigma, 1e-7);
-        assert!((comp.probe() - comp.to_dense()[(0, 0)]).abs() < 1e-12);
+        assert_eq!(broadening_factor_ws(&ZMat::zeros(4, 4), None, &ws).cols(), 0);
     }
 }

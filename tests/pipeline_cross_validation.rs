@@ -81,8 +81,8 @@ fn every_pipeline_agrees_in_the_dft_basis() {
             .expect("obc");
     let sys = ObcSystem {
         a: dk.es_minus_h(e),
-        sigma_l: obc_l.sigma.into(),
-        sigma_r: obc_r.sigma.into(),
+        sigma_l: obc_l.sigma,
+        sigma_r: obc_r.sigma,
         rhs_top: obc_l.injection,
         rhs_bottom: obc_r.injection,
     };

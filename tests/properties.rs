@@ -73,8 +73,8 @@ proptest! {
         let partitions = if partitions.is_power_of_two() { partitions } else { 1 };
         let sys = ObcSystem {
             a: random_btd(nb, s, seed, 4.0 + s as f64),
-            sigma_l: ZMat::random(s, s, seed + 31).scaled(c64(0.25, 0.1)).into(),
-            sigma_r: ZMat::random(s, s, seed + 32).scaled(c64(0.25, -0.1)).into(),
+            sigma_l: ZMat::random(s, s, seed + 31).scaled(c64(0.25, 0.1)),
+            sigma_r: ZMat::random(s, s, seed + 32).scaled(c64(0.25, -0.1)),
             rhs_top: ZMat::random(s, m, seed + 33),
             rhs_bottom: ZMat::random(s, m, seed + 34),
         };
@@ -140,15 +140,15 @@ proptest! {
     ) {
         let sys = ObcSystem {
             a: random_btd(nb, s, seed, 4.0 + s as f64),
-            sigma_l: ZMat::random(s, s, seed + 41).scaled(c64(0.25, 0.1)).into(),
-            sigma_r: ZMat::random(s, s, seed + 42).scaled(c64(0.25, -0.1)).into(),
+            sigma_l: ZMat::random(s, s, seed + 41).scaled(c64(0.25, 0.1)),
+            sigma_r: ZMat::random(s, s, seed + 42).scaled(c64(0.25, -0.1)),
             rhs_top: ZMat::random(s, m, seed + 43),
             rhs_bottom: ZMat::random(s, m, seed + 44),
         };
         let decoy = ObcSystem {
             a: random_btd(nb + 1, s, seed + 99, 5.0 + s as f64),
-            sigma_l: ZMat::random(s, s, seed + 51).scaled(c64(0.2, 0.1)).into(),
-            sigma_r: ZMat::random(s, s, seed + 52).scaled(c64(0.2, -0.1)).into(),
+            sigma_l: ZMat::random(s, s, seed + 51).scaled(c64(0.2, 0.1)),
+            sigma_r: ZMat::random(s, s, seed + 52).scaled(c64(0.2, -0.1)),
             rhs_top: ZMat::random(s, m, seed + 53),
             rhs_bottom: ZMat::random(s, m, seed + 54),
         };
@@ -537,12 +537,12 @@ mod obc_zero_alloc {
 
 mod caroli_kernel {
     //! The one-sweep Caroli kernel against the dense trace, over random
-    //! coupling supports and both self-energy representations.
+    //! coupling supports and self-energies on a row subset or of low rank.
 
     use proptest::prelude::*;
     use qtx::linalg::{c64, gemm, lu_inverse, Complex64, Op, Workspace, ZMat};
     use qtx::solver::{caroli_sweep, ObcSystem};
-    use qtx::sparse::{BlockChain, Btd, CompressedSigma};
+    use qtx::sparse::{broadening_factor_ws, BlockChain, Btd};
 
     /// Deterministic coin for "is row/column `i` of coupling `block`
     /// structurally empty" under a support `pattern`:
@@ -604,14 +604,12 @@ mod caroli_kernel {
         a
     }
 
-    fn sigma(s: usize, seed: u64, factored: bool) -> CompressedSigma {
-        if factored {
+    fn sigma(s: usize, seed: u64, low_rank: bool) -> ZMat {
+        if low_rank {
+            // `Σ = U·Vᴴ` of rank ≤ ⌈s/2⌉ on every row.
             let r = 1 + (seed as usize) % s.div_ceil(2);
-            CompressedSigma::Factored {
-                u: ZMat::random(s, r, seed).scaled(c64(0.5, 0.0)),
-                v: ZMat::random(s, r, seed + 1).scaled(c64(0.3, 0.4)),
-                bound: 0.0,
-            }
+            let u = ZMat::random(s, r, seed).scaled(c64(0.5, 0.0));
+            &u * &ZMat::random(s, r, seed + 1).scaled(c64(0.3, 0.4)).adjoint()
         } else {
             // A dense Σ whose first row is empty when there is room: the
             // structural row support is then a strict subset.
@@ -621,16 +619,15 @@ mod caroli_kernel {
                     m[(0, c)] = Complex64::ZERO;
                 }
             }
-            m.into()
+            m
         }
     }
 
-    fn gamma(sig: &CompressedSigma) -> ZMat {
-        let sig = sig.dense();
+    fn gamma(sig: &ZMat) -> ZMat {
         &sig.scaled(Complex64::I) - &sig.adjoint().scaled(Complex64::I)
     }
 
-    fn system(a: Btd, sigma_l: CompressedSigma, sigma_r: CompressedSigma) -> ObcSystem {
+    fn system(a: Btd, sigma_l: ZMat, sigma_r: ZMat) -> ObcSystem {
         let s = a.block_size();
         ObcSystem { a, sigma_l, sigma_r, rhs_top: ZMat::zeros(s, 0), rhs_bottom: ZMat::zeros(s, 0) }
     }
@@ -645,7 +642,8 @@ mod caroli_kernel {
 
         /// `T` agrees with `tr[Γ_L·G·Γ_R·Gᴴ]` from the dense inverse for
         /// every chain length from a single block up, every coupling
-        /// support pattern and dense or factored Σ on either side; on a
+        /// support pattern and a Σ on a strict row subset or of low rank on
+        /// either side; on a
         /// Hermitian chain, swapping the contacts and reversing the chain
         /// gives the same `T` (reciprocity).
         #[test]
@@ -685,15 +683,15 @@ mod caroli_kernel {
             }
         }
 
-        /// `Γ = P·K·Pᴴ` holds to rounding for both Σ representations.
+        /// `Γ = P·K·Pᴴ` holds to rounding for both kinds of Σ.
         #[test]
         fn broadening_factor_reconstructs_gamma(
             s in 1usize..9,
-            factored in 0u32..2,
+            low_rank in 0u32..2,
             seed in 0u64..1_000_000,
         ) {
-            let sig = sigma(s, seed, factored == 1);
-            let p = sig.broadening_factor();
+            let sig = sigma(s, seed, low_rank == 1);
+            let p = broadening_factor_ws(&sig, None, &Workspace::new());
             let k = p.cols() / 2;
             prop_assert!(p.cols() == 2 * k && k <= s);
             // P·K = [−i·Y, i·X] for P = [X, Y].
