@@ -3,7 +3,9 @@
 //! crossover both run the rank-1 loop, and the `zgetrs` rows time the
 //! RHS-blocked substitution the small SplitSolve blocks use), and the
 //! solver-level figure (SplitSolve / block-Thomas ms per energy point, the
-//! nb=8/s=64 configuration the PR 1 numbers were recorded at).
+//! nb=8/s=64 configuration the PR 1 numbers were recorded at). The
+//! `thin_solve` rows time `solve_in_place` / `solve_adjoint_in_place` at
+//! 8 and 16 right-hand sides beside a gemm of the same flops.
 //!
 //! The unblocked baseline is the same code path the blocked factorization
 //! dispatches to below the crossover (`lu_factor_unblocked`), so the A/B
@@ -12,7 +14,7 @@
 //! shrinks sizes and repetitions for the CI smoke profile.
 
 use qtx_bench::{print_table, Row};
-use qtx_linalg::{c64, lu_factor, lu_factor_unblocked, Complex64, LuFactors, ZMat};
+use qtx_linalg::{c64, gemm, lu_factor, lu_factor_unblocked, Complex64, LuFactors, Op, ZMat};
 use qtx_solver::{btd_lu_solve_ws, ObcSystem, SplitSolve, Workspace};
 use qtx_sparse::Btd;
 use std::fmt::Write as _;
@@ -207,6 +209,54 @@ fn main() {
             format!("zgetrs {n}x{}", b.cols()),
             vec![t_s_new * 1e3, t_s_seed * 1e3, t_s_seed / t_s_new, f64::NAN],
         ));
+    }
+
+    // ── Thin solves on dense factors: FEAST's quadrature solves on the DFT
+    // wire's lead are `nf` = 252 against 8–16 columns. Each row sets the
+    // solve beside a gemm of the same 8·n²·m flops (n × m × n); the ratio
+    // is ungated (no `*speedup*` key): the two are different kernels.
+    let thin: &[usize] = if quick { &[256] } else { &[128, 256, 384] };
+    for &n in thin {
+        let f = lu_factor(&diag_dominant(n, 5)).unwrap();
+        let a = ZMat::random(n, n, 6);
+        for nrhs in [8usize, 16] {
+            let b = ZMat::random(n, nrhs, 7);
+            let reps = (4096 / n).clamp(9, 31);
+            let mut c = ZMat::zeros(n, nrhs);
+            let t_gemm = median_secs(
+                || gemm(Complex64::ONE, &a, Op::None, &b, Op::None, Complex64::ZERO, &mut c),
+                reps,
+            );
+            let mut x = b.clone();
+            for adjoint in [false, true] {
+                let name = if adjoint { "solve_adjoint_in_place" } else { "solve_in_place" };
+                let t = median_secs(
+                    || {
+                        x.view_mut().copy_from_view(b.view());
+                        if adjoint {
+                            f.solve_adjoint_in_place(&mut x);
+                        } else {
+                            f.solve_in_place(&mut x);
+                        }
+                    },
+                    reps,
+                );
+                let gflops = 8.0 * (n * n * nrhs) as f64 / t / 1e9;
+                let _ = writeln!(
+                    entries,
+                    "    {{\"kind\": \"thin_solve\", \"name\": \"{name}\", \"n\": {n}, \
+                     \"nrhs\": {nrhs}, \"ms\": {:.4}, \"gflops\": {gflops:.2}, \
+                     \"gemm_ms\": {:.4}, \"ms_over_gemm\": {:.3}}},",
+                    t * 1e3,
+                    t_gemm * 1e3,
+                    t / t_gemm,
+                );
+                rows.push(Row::new(
+                    format!("{name} {n}x{nrhs}"),
+                    vec![t * 1e3, t_gemm * 1e3, t_gemm / t, gflops],
+                ));
+            }
+        }
     }
 
     // ── Solver level: ms per energy point. (8, 64) is the PR 1 reference

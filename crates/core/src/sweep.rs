@@ -242,29 +242,30 @@ impl PointRecord {
     /// [`qtx_mpi::exact_frames`]) instead of a panic — a crafted or torn
     /// record stream must never unwind a sweep or a checkpoint load.
     pub fn decode(frame: &[u8]) -> Result<PointRecord, qtx_mpi::FrameError> {
-        if frame.len() != POINT_RECORD_BYTES {
-            return Err(qtx_mpi::FrameError {
-                frame_size: POINT_RECORD_BYTES,
-                payload_len: frame.len(),
-            });
-        }
         use qtx_mpi::frame::{read_f64, read_u16, read_u32};
-        Ok(PointRecord {
-            k_idx: read_u32(frame, 0),
-            e_idx: read_u32(frame, 4),
-            kz: read_f64(frame, 8),
-            w: read_f64(frame, 16),
-            e: read_f64(frame, 24),
-            t: read_f64(frame, 32),
-            method: frame[40],
-            status: frame[41],
-            attempts: read_u16(frame, 42),
-            escalations: read_u32(frame, 44),
-            residual: read_f64(frame, 48),
-            eta: read_f64(frame, 56),
-            wall_ms: read_f64(frame, 64),
-            interp_bound: read_f64(frame, 72),
-        })
+        let torn = qtx_mpi::FrameError { frame_size: POINT_RECORD_BYTES, payload_len: frame.len() };
+        if frame.len() != POINT_RECORD_BYTES {
+            return Err(torn);
+        }
+        let decode = || {
+            Some(PointRecord {
+                k_idx: read_u32(frame, 0)?,
+                e_idx: read_u32(frame, 4)?,
+                kz: read_f64(frame, 8)?,
+                w: read_f64(frame, 16)?,
+                e: read_f64(frame, 24)?,
+                t: read_f64(frame, 32)?,
+                method: *frame.get(40)?,
+                status: *frame.get(41)?,
+                attempts: read_u16(frame, 42)?,
+                escalations: read_u32(frame, 44)?,
+                residual: read_f64(frame, 48)?,
+                eta: read_f64(frame, 56)?,
+                wall_ms: read_f64(frame, 64)?,
+                interp_bound: read_f64(frame, 72)?,
+            })
+        };
+        decode().ok_or(torn)
     }
 
     /// Bit-level identity of everything except wall time (timing differs

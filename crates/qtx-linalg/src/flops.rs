@@ -17,7 +17,10 @@
 //! the scope's own thread — exactly like PAPI, whose hardware counters
 //! are per-core. Concurrent FEAST/Beyn quadrature workers therefore no
 //! longer leak their operations into whichever scope happens to be open
-//! on another thread. Phases that *fan out* over worker threads (the
+//! on another thread, and work a kernel hands to borrowed threads through
+//! [`join_counted`] or [`map_counted`] is credited back to the caller's
+//! counter, so its scope reads the same inline and fanned out. Phases
+//! that *fan out* over worker threads (the
 //! SplitSolve partition sweeps, a whole-device makespan) opt into the
 //! process-wide total with [`FlopScope::start_process`], mirroring how
 //! the paper aggregates per-node counters into machine totals.
@@ -41,12 +44,58 @@ pub fn flops_add(n: u64) {
     GLOBAL_FLOPS.fetch_add(n, Ordering::Relaxed);
 }
 
+/// Estimated work per side below which independent pieces of work run one
+/// after the other on the calling thread.
+///
+/// A fan-out hands work to freshly spawned scoped threads (the `rayon`
+/// shim has no standing pool). Measured on the 2-core benchmark VM
+/// (Xeon, AVX-512), medians of 2001 calls in five runs: an empty `join`
+/// costs 44–72 µs and an ordered map of 24 empty items 65–102 µs, against
+/// under 0.1 µs inline. Timing FEAST's two loops both ways (12 node LUs;
+/// 24 solves against 8 columns; five runs each), fanning out lost 18 of
+/// 20 runs at 0.13–0.52 MF per side (`nf` = 20, 26: 47–250 µs inline,
+/// 100–334 µs fanned out), split 5 of 10 at 1.77 MF (`nf` = 48), won 8 of
+/// 10 at 3.2–4.2 MF (`nf` = 64) and all 10 at 6.2–11.7 MF (`nf` = 90).
+/// The cutoff sits at the tie. The benchmark's loops keep clear of it:
+/// FEAST's are 0.13–0.52 MF per side on the `nf` ≤ 26 leads and 6.2–256 MF
+/// on the `nf` ≥ 90 ones, and every front and SplitSolve decision the
+/// seven workloads made (seed 1, traced and untraced) was 0.15–0.52 MF or
+/// 219–1019 MF per side, so none changed when this rule replaced the 8 MF
+/// one they ran at before.
+pub const FAN_OUT_MIN_FLOPS: u64 = 2_000_000;
+
+/// Whether work of `flops_each` estimated operations per side goes to
+/// threads — the one fan-out rule of the library: SplitSolve's partition
+/// sweeps, the two fronts of the Caroli kernel and of the wave-function
+/// solve, and (through [`map_counted`]) FEAST's and Beyn's quadrature
+/// loops. It reads an operation count only, and fanning out never
+/// changes a bit of the result, only where it is computed.
+pub fn fans_out(flops_each: u64) -> bool {
+    flops_each >= FAN_OUT_MIN_FLOPS
+}
+
+/// Runs `f`, returning what it counted on this thread and where it ran.
+fn counted<R>(f: impl FnOnce() -> R) -> (R, u64, std::thread::ThreadId) {
+    let scope = FlopScope::start();
+    let ran = f();
+    (ran, scope.elapsed(), std::thread::current().id())
+}
+
+/// Credits to the calling thread the operations a closure executed on a
+/// borrowed thread `on` (already in the process-wide total through
+/// [`flops_add`]).
+fn credit_borrowed(flops: u64, on: std::thread::ThreadId) {
+    if on != std::thread::current().id() {
+        THREAD_FLOPS.with(|c| c.set(c.get() + flops));
+    }
+}
+
 /// [`rayon::join`] that keeps the caller's thread-scoped [`FlopScope`]
-/// whole: the operations either closure executed on a borrowed thread
-/// (already in the process-wide total through [`flops_add`]) are credited
-/// to the calling thread's counter once both have returned, so a kernel
-/// that fans two halves of its work out counts the same inline, fanned
-/// out, and whichever half the helper thread took.
+/// whole: the operations either closure executed on a borrowed thread are
+/// credited to the calling thread's counter once both have returned, so a
+/// kernel that fans two halves of its work out counts the same inline,
+/// fanned out, and whichever half the helper thread took. Callers decide
+/// with [`fans_out`] whether to join at all.
 pub fn join_counted<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
 where
     A: FnOnce() -> RA + Send,
@@ -54,20 +103,38 @@ where
     RA: Send,
     RB: Send,
 {
-    fn counted<R>(f: impl FnOnce() -> R) -> (R, u64, std::thread::ThreadId) {
-        let scope = FlopScope::start();
-        let ran = f();
-        (ran, scope.elapsed(), std::thread::current().id())
-    }
-    let here = std::thread::current().id();
     let ((ran_a, flops_a, on_a), (ran_b, flops_b, on_b)) =
         rayon::join(|| counted(a), || counted(b));
-    for (flops, on) in [(flops_a, on_a), (flops_b, on_b)] {
-        if on != here {
-            THREAD_FLOPS.with(|c| c.set(c.get() + flops));
-        }
-    }
+    credit_borrowed(flops_a, on_a);
+    credit_borrowed(flops_b, on_b);
     (ran_a, ran_b)
+}
+
+/// `f(i, &items[i])` for every item, in order, on borrowed threads when
+/// half of `flops` — the estimated work of all items together, split two
+/// ways like a [`join_counted`] — [`fans_out`], on the calling thread
+/// otherwise. Like [`join_counted`] it credits what ran elsewhere to the
+/// caller's thread counter, so a thread-scoped [`FlopScope`] reads the
+/// same either way; the results come back in item order, so a caller
+/// that reduces them in that order gets the same bits either way too.
+pub fn map_counted<T, U, F>(items: &[T], flops: u64, f: F) -> Vec<U>
+where
+    T: Sync,
+    U: Send,
+    F: Fn(usize, &T) -> U + Sync,
+{
+    use rayon::prelude::*;
+    if !fans_out(flops / 2) {
+        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
+    }
+    let ran: Vec<(U, u64, std::thread::ThreadId)> =
+        items.par_iter().enumerate().map(|(i, t)| counted(|| f(i, t))).collect();
+    ran.into_iter()
+        .map(|(u, flops, on)| {
+            credit_borrowed(flops, on);
+            u
+        })
+        .collect()
 }
 
 /// Total double-precision operations counted **process-wide** since
@@ -558,6 +625,31 @@ mod tests {
         // and the process-wide total saw each operation once.
         assert_eq!(scope.elapsed(), 345);
         assert!(flops_total() - before >= 345);
+    }
+
+    #[test]
+    fn map_counted_keeps_order_and_credits_the_caller_either_way() {
+        let items: Vec<u64> = (1..=6).collect();
+        for flops in [0, 2 * FAN_OUT_MIN_FLOPS] {
+            let scope = FlopScope::start();
+            let out = map_counted(&items, flops, |i, &v| {
+                flops_add(v * 100);
+                (i, v)
+            });
+            assert_eq!(out, items.iter().copied().enumerate().collect::<Vec<_>>());
+            assert_eq!(scope.elapsed(), 2100, "estimate {flops}");
+        }
+    }
+
+    #[test]
+    fn map_counted_stays_on_the_calling_thread_under_the_cutoff() {
+        // Whether a fan-out finds a free worker depends on what else runs
+        // in this binary; staying inline under the cutoff does not.
+        let here = std::thread::current().id();
+        let on =
+            map_counted(&[(); 4], 2 * FAN_OUT_MIN_FLOPS - 2, |_, _| std::thread::current().id());
+        assert!(on.iter().all(|&id| id == here), "half the estimate is under the cutoff");
+        assert!(!fans_out(FAN_OUT_MIN_FLOPS - 1) && fans_out(FAN_OUT_MIN_FLOPS));
     }
 
     #[test]

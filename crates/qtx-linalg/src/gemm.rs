@@ -227,10 +227,28 @@ pub fn gemm_on_path(
     assert!(m * n * ka > 0 && ka == kb, "gemm_on_path wants a non-empty, conforming product");
     assert_eq!((c.rows(), c.cols()), (m, n), "gemm output shape mismatch");
     if packed {
-        gemm_tiled(active_kernel(), alpha, a, op_a, b, op_b, beta, &mut c);
+        gemm_packed_unc(alpha, a, op_a, b, op_b, beta, c);
     } else {
         gemm_direct(alpha, a, op_a, b, op_b, beta, &mut c);
     }
+}
+
+/// The packed tile loop on the active kernel at any non-empty, conforming
+/// shape, uncounted — below `SMALL_MNK` too. [`mod@crate::trsm`]'s
+/// off-diagonal updates against a triangle of order ≥ `lu::BLOCK_MIN`
+/// take it from four right-hand sides on: a thin update there is a tall
+/// panel of the triangle times a few columns, which the direct loop
+/// streams at scalar speed (`docs/linalg.md`).
+pub(crate) fn gemm_packed_unc(
+    alpha: Complex64,
+    a: ZMatRef<'_>,
+    op_a: Op,
+    b: ZMatRef<'_>,
+    op_b: Op,
+    beta: Complex64,
+    mut c: ZMatMut<'_>,
+) {
+    gemm_tiled(active_kernel(), alpha, a, op_a, b, op_b, beta, &mut c);
 }
 
 /// `C ← β·C` (handles the `β = 0`/`β = 1` fast cases). Large dense views

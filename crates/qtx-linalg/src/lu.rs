@@ -54,7 +54,7 @@ const STRIP: usize = 128;
 /// Smallest order that takes the blocked path; below it the panel/trsm
 /// bookkeeping costs more than the gemm saves (measured on this
 /// container's 1-core AVX-512 CPU via `bench_lu_json`, crossover ≈ 96).
-const BLOCK_MIN: usize = 96;
+pub(crate) const BLOCK_MIN: usize = 96;
 
 /// An LU factorization `P·A = L·U` stored packed in a single matrix.
 #[derive(Debug, Clone)]
@@ -533,9 +533,11 @@ mod tests {
     #[test]
     fn adjoint_solve_matches_factoring_the_adjoint() {
         // Both sides of the blocking crossover, with and without row
-        // interchanges to undo (a dominant matrix pivots on its diagonal).
-        for n in [1usize, 7, 64, 97, 200] {
-            let b = ZMat::random(n, 5, 300 + n as u64);
+        // interchanges to undo (a dominant matrix pivots on its diagonal);
+        // the DFT lead's order at FEAST's 8 columns runs the packed
+        // off-diagonal updates.
+        for (n, nrhs) in [(1usize, 5usize), (7, 5), (64, 5), (97, 5), (200, 5), (252, 8)] {
+            let b = ZMat::random(n, nrhs, 300 + n as u64);
             let general = ZMat::random(n, n, 200 + n as u64);
             let dominant = diag_dominant(n, 250 + n as u64);
             for a in [&general, &dominant] {

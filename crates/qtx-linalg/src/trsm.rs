@@ -11,7 +11,9 @@
 //! Cache blocking follows the same recipe as the factorizations: the
 //! triangle is cut into `NB × NB` diagonal blocks solved with a scalar
 //! forward/backward sweep, and everything off-diagonal becomes a rank-`NB`
-//! [`mod@crate::gemm`] update that runs on the dispatched packed microkernel. For a
+//! [`mod@crate::gemm`] update that runs on the dispatched packed microkernel
+//! (for a left-side solve against a triangle of order ≥ 96 with at least
+//! four right-hand sides, below gemm's own packing cutoff too). For a
 //! left-side solve the freshly solved block rows are staged through a
 //! small scratch buffer (raw `Vec`, no [`crate::zmat::ZMat`] allocation)
 //! because the trailing gemm writes other rows of the same columns; the
@@ -20,7 +22,7 @@
 
 use crate::complex::Complex64;
 use crate::flops::{counts, flops_add};
-use crate::gemm::{gemm_into_unc, Op};
+use crate::gemm::{gemm_into_unc, gemm_packed_unc, Op};
 use crate::zmat::{ZMatMut, ZMatRef};
 
 /// Which side the triangular matrix is applied from, as in BLAS `SIDE`.
@@ -104,6 +106,14 @@ fn trsm_left(uplo: UpLo, op: Op, diag: Diag, a: ZMatRef<'_>, mut b: ZMatMut<'_>)
         return;
     }
     let forward = effectively_lower(uplo, op);
+    // Against a dense factor of blocked-LU size, with at least one RHS
+    // panel of the diagonal sweep, every off-diagonal update takes the
+    // packed path, below gemm's volume cutoff too: the direct loop would
+    // stream a tall panel of the triangle at scalar speed for a few
+    // columns. Thinner solves and smaller triangles keep the product's
+    // own dispatch (`docs/linalg.md` has the rows for both sides).
+    let packed = n >= crate::lu::BLOCK_MIN && m >= RHS_BLK;
+    let update = if packed { gemm_packed_unc } else { gemm_into_unc };
     // Staging buffer for solved block rows (the trailing gemm reads them
     // while writing the remaining rows of the same columns of B), carved
     // from the warm per-thread scratch — fully written before it is read.
@@ -126,7 +136,7 @@ fn trsm_left(uplo: UpLo, op: Op, diag: Diag, a: ZMatRef<'_>, mut b: ZMatMut<'_>)
                     _ => (a.sub(k0, r0, kb, rows), op),
                 };
                 let c = b.rb().sub_mut(r0, 0, rows, m);
-                gemm_into_unc(-Complex64::ONE, asub, aop, x, Op::None, Complex64::ONE, c);
+                update(-Complex64::ONE, asub, aop, x, Op::None, Complex64::ONE, c);
             }
             done += kb;
         }
@@ -424,6 +434,110 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn strided_views_across_the_packed_update_boundary() {
+        // Triangles of order 90–97 and the DFT lead's 252, at 1–16
+        // right-hand sides: either side of `lu::BLOCK_MIN` and of the
+        // four-column cutoff. Both operands are views into larger matrices
+        // whose other entries — and the triangle's unstored half — are
+        // garbage that must be neither read nor written.
+        for n in [90usize, 95, 96, 97, 252] {
+            for m in [1usize, 3, 8, 16] {
+                for side in [Side::Left, Side::Right] {
+                    for uplo in [UpLo::Lower, UpLo::Upper] {
+                        for op in [Op::None, Op::Transpose, Op::Adjoint] {
+                            for diag in [Diag::Unit, Diag::NonUnit] {
+                                check_strided(side, uplo, op, diag, n, m, (n * 31 + m) as u64);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// [`check`] on views: `A` at (3, 2) of a larger host, `B` at (2, 1) of
+    /// another; the result is held against the same materialized
+    /// reference, and everything outside `B`'s view must be untouched.
+    fn check_strided(side: Side, uplo: UpLo, op: Op, diag: Diag, n: usize, m: usize, seed: u64) {
+        // A unit triangle with O(1) entries is exponentially ill-conditioned
+        // at n = 252: shrink the strict part by √n so the residual measures
+        // the solve, not the conditioning.
+        let shrink = 1.0 / (n as f64).sqrt();
+        let mut a = triangle(n, uplo, seed);
+        for j in 0..n {
+            for i in 0..n {
+                if i == j {
+                    if diag == Diag::Unit {
+                        a[(i, i)] = c64(7.5, -2.0);
+                    }
+                } else {
+                    a[(i, j)] = a[(i, j)].scale(shrink);
+                }
+            }
+        }
+        let mut host_a = ZMat::random(n + 7, n + 5, seed + 2);
+        let junk = ZMat::random(n, n, seed + 3);
+        for j in 0..n {
+            for i in 0..n {
+                let stored = match uplo {
+                    UpLo::Lower => i >= j,
+                    UpLo::Upper => i <= j,
+                };
+                host_a[(3 + i, 2 + j)] = if stored { a[(i, j)] } else { junk[(i, j)] };
+            }
+        }
+        let (rows, cols) = match side {
+            Side::Left => (n, m),
+            Side::Right => (m, n),
+        };
+        let b0 = ZMat::random(rows, cols, seed + 1);
+        let mut host_b = ZMat::random(rows + 5, cols + 4, seed + 4);
+        host_b.set_block(2, 1, &b0);
+        let before = host_b.clone();
+        trsm(
+            side,
+            uplo,
+            op,
+            diag,
+            host_a.block_view(3, 2, n, n),
+            host_b.block_view_mut(2, 1, rows, cols),
+        );
+        for j in 0..cols + 4 {
+            for i in 0..rows + 5 {
+                if !((2..2 + rows).contains(&i) && (1..1 + cols).contains(&j)) {
+                    assert_eq!(host_b[(i, j)], before[(i, j)], "({i},{j}) clobbered");
+                }
+            }
+        }
+        let x = host_b.block(2, 1, rows, cols);
+        let mut eff = a.clone();
+        for j in 0..n {
+            for i in 0..n {
+                let stored = match uplo {
+                    UpLo::Lower => i >= j,
+                    UpLo::Upper => i <= j,
+                };
+                if !stored {
+                    eff[(i, j)] = Complex64::ZERO;
+                } else if i == j && diag == Diag::Unit {
+                    eff[(i, j)] = Complex64::ONE;
+                }
+            }
+        }
+        let eff = materialize(&eff, op);
+        let rebuilt = match side {
+            Side::Left => matmul(&eff, &x),
+            Side::Right => matmul(&x, &eff),
+        };
+        let scale = b0.norm_max().max(1.0) * n as f64;
+        assert!(
+            rebuilt.max_diff(&b0) < 1e-10 * scale,
+            "side {side:?} uplo {uplo:?} op {op:?} diag {diag:?} n {n} m {m}: {:.2e}",
+            rebuilt.max_diff(&b0)
+        );
     }
 
     #[test]

@@ -42,19 +42,25 @@ pub fn exact_frames(
     Ok(payload.chunks_exact(frame_size))
 }
 
-/// Little-endian `f64` at byte offset `off` of a frame.
-pub fn read_f64(frame: &[u8], off: usize) -> f64 {
-    f64::from_le_bytes(frame[off..off + 8].try_into().expect("8 bytes"))
+/// The `N` bytes at `off..off + N` of `frame`, or `None` when they run
+/// past its end (or the offset overflows).
+fn bytes_at<const N: usize>(frame: &[u8], off: usize) -> Option<[u8; N]> {
+    frame.get(off..off.checked_add(N)?)?.try_into().ok()
 }
 
-/// Little-endian `u32` at byte offset `off` of a frame.
-pub fn read_u32(frame: &[u8], off: usize) -> u32 {
-    u32::from_le_bytes(frame[off..off + 4].try_into().expect("4 bytes"))
+/// Little-endian `f64` at byte offset `off` of a frame, `None` past its end.
+pub fn read_f64(frame: &[u8], off: usize) -> Option<f64> {
+    bytes_at(frame, off).map(f64::from_le_bytes)
 }
 
-/// Little-endian `u16` at byte offset `off` of a frame.
-pub fn read_u16(frame: &[u8], off: usize) -> u16 {
-    u16::from_le_bytes(frame[off..off + 2].try_into().expect("2 bytes"))
+/// Little-endian `u32` at byte offset `off` of a frame, `None` past its end.
+pub fn read_u32(frame: &[u8], off: usize) -> Option<u32> {
+    bytes_at(frame, off).map(u32::from_le_bytes)
+}
+
+/// Little-endian `u16` at byte offset `off` of a frame, `None` past its end.
+pub fn read_u16(frame: &[u8], off: usize) -> Option<u16> {
+    bytes_at(frame, off).map(u16::from_le_bytes)
 }
 
 #[cfg(test)]
@@ -87,8 +93,25 @@ mod tests {
         frame.extend_from_slice(&7u32.to_le_bytes());
         frame.extend_from_slice(&3u16.to_le_bytes());
         frame.extend_from_slice(&(-1.25f64).to_le_bytes());
-        assert_eq!(read_u32(&frame, 0), 7);
-        assert_eq!(read_u16(&frame, 4), 3);
-        assert_eq!(read_f64(&frame, 6), -1.25);
+        assert_eq!(read_u32(&frame, 0), Some(7));
+        assert_eq!(read_u16(&frame, 4), Some(3));
+        assert_eq!(read_f64(&frame, 6), Some(-1.25));
+    }
+
+    #[test]
+    fn readers_past_the_end_answer_none() {
+        let frame = [0xa5u8; 11];
+        for off in 0..=frame.len() + 2 {
+            assert_eq!(read_f64(&frame, off).is_some(), off + 8 <= frame.len(), "f64 at {off}");
+            assert_eq!(read_u32(&frame, off).is_some(), off + 4 <= frame.len(), "u32 at {off}");
+            assert_eq!(read_u16(&frame, off).is_some(), off + 2 <= frame.len(), "u16 at {off}");
+        }
+        for short in 0..8 {
+            let frame = &frame[..short];
+            for off in 0..=short {
+                assert_eq!(read_f64(frame, off), None);
+            }
+        }
+        assert_eq!(read_u16(&frame, usize::MAX), None, "an overflowing offset is a miss");
     }
 }

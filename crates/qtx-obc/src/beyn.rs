@@ -25,8 +25,8 @@
 
 use crate::companion::CompanionPencil;
 use crate::error::{ObcError, ObcOutcome};
+use qtx_linalg::flops::{counts, map_counted};
 use qtx_linalg::{eig_ws, gemm, zherk, Complex64, Op, Workspace, ZMat};
-use rayon::prelude::*;
 
 /// Beyn configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -68,8 +68,9 @@ pub fn beyn_annulus(
 /// [`beyn_annulus`] over a caller-supplied buffer pool: the probe block,
 /// the two contour moments, the Gram-matrix rank revealer (the "SVD
 /// prefactorization" of `A₀`), the small `B` eigenproblem and the polish
-/// solves all recycle through `ws`, so a warm OBC sweep allocates no
-/// fresh matrices.
+/// solves all recycle through `ws`, so repeated calls against one warm
+/// pool allocate no fresh matrices (the energy-point path starts a fresh
+/// pool per mode solve; see [`crate::feast::feast_annulus_ws`]).
 pub fn beyn_annulus_ws(
     pencil: &CompanionPencil,
     cfg: BeynConfig,
@@ -116,18 +117,18 @@ fn beyn_core(
     // comes from dz = i·z·dθ on the circle). Per-node temporaries —
     // polynomial evaluation, factorization copy, solve buffers — all
     // cycle through the shared pool.
-    let partials: Vec<(ZMat, ZMat)> = nodes
-        .par_iter()
-        .map(|&(z, w)| {
-            let f = pencil.factor_poly_ws(z, ws)?;
-            let mut s0 = pencil.solve_shifted_ws(&f, z, &v_hat, ws);
-            f.recycle_into(ws);
-            let mut s1 = ws.copy_of(&s0);
-            s0.scale_assign(z.scale(w / cfg.np as f64));
-            s1.scale_assign((z * z).scale(w / cfg.np as f64));
-            Ok((s0, s1))
-        })
-        .collect::<qtx_linalg::Result<Vec<_>>>()?;
+    let work = nodes.len() as u64 * (counts::zgetrf(nf) + counts::zgetrs(nf, probes));
+    let partials: Vec<(ZMat, ZMat)> = map_counted(&nodes, work, |_, &(z, w)| {
+        let f = pencil.factor_poly_ws(z, ws)?;
+        let mut s0 = pencil.solve_shifted_ws(&f, z, &v_hat, ws);
+        f.recycle_into(ws);
+        let mut s1 = ws.copy_of(&s0);
+        s0.scale_assign(z.scale(w / cfg.np as f64));
+        s1.scale_assign((z * z).scale(w / cfg.np as f64));
+        Ok((s0, s1))
+    })
+    .into_iter()
+    .collect::<qtx_linalg::Result<Vec<_>>>()?;
     let mut a0 = ws.take(nbc, probes);
     let mut a1 = ws.take(nbc, probes);
     for (s0, s1) in partials {

@@ -14,7 +14,12 @@
 //! exactly Eq. 10. Each integration point costs one LU of the `nf`-sized
 //! polynomial `P(z_p)` (the paper's block-LU size reduction) and the
 //! points are independent — the parallelism the paper exploits across
-//! CPU cores — so the factorizations run under rayon here. Rayleigh–Ritz
+//! CPU cores. Here the factor loop and the projector loop go to threads
+//! only when their counted work covers the hand-off
+//! ([`qtx_linalg::flops::map_counted`], the library's one fan-out rule):
+//! the `nf` ≤ 26 leads of small devices stay on the calling thread, the
+//! `nf` ≥ 90 ones fan out, and the node partials are summed in node order
+//! either way, so the modes do not depend on it. Rayleigh–Ritz
 //! on the orthonormalized subspace (Eq. 7) plus residual-driven subspace
 //! iteration refine the eigenpairs.
 //!
@@ -39,11 +44,11 @@
 
 use crate::companion::{CompanionPencil, NodeFactors};
 use crate::error::{ObcError, ObcOutcome};
+use qtx_linalg::flops::{counts, map_counted};
 use qtx_linalg::{
     eig_generalized_ws, eig_ws, gemm_view, orthonormalize_ws, zherk, Complex64, LuFactors, Op,
     Workspace, ZMat,
 };
-use rayon::prelude::*;
 
 /// Orthonormalizes the contour projector output with rank truncation.
 ///
@@ -160,9 +165,11 @@ pub fn feast_annulus(
 
 /// [`feast_annulus`] over a caller-supplied buffer pool: subspaces,
 /// quadrature solves, Rayleigh–Ritz reductions, the QR orthonormalization
-/// and the dense eigensolver all recycle through `ws`, so a warm OBC
-/// sweep (one call per energy point against a shared pool) performs zero
-/// fresh matrix allocations — property-tested in the top-level suite.
+/// and the dense eigensolver all recycle through `ws`, so repeated calls
+/// against one warm pool allocate no fresh matrices (property-tested in
+/// the top-level suite). The energy-point path does not give it one: the
+/// `self_energy*` entries build a fresh [`Workspace`] per mode solve, so
+/// every point's pool starts cold.
 pub fn feast_annulus_ws(
     pencil: &CompanionPencil,
     cfg: FeastConfig,
@@ -188,18 +195,18 @@ pub fn feast_annulus_ws(
     // Hermitian pencil holds `None` and borrows its outer neighbour's
     // factors. Every node draws its fault chokepoint either way.
     let reciprocal = pencil.is_hermitian();
-    let factors = nodes
-        .par_iter()
-        .enumerate()
-        .map(|(i, (z, _))| {
-            if reciprocal && i % 2 == 1 {
-                pencil.draw_factor_fault(*z).map(|()| None)
-            } else {
-                pencil.factor_poly_ws(*z, ws).map(Some)
-            }
-        })
-        .collect::<qtx_linalg::Result<Vec<Option<LuFactors>>>>()
-        .map_err(ObcError::from);
+    let factored = if reciprocal { cfg.np } else { nodes.len() };
+    let work = factored as u64 * counts::zgetrf(pencil.nf);
+    let factors = map_counted(&nodes, work, |i, &(z, _)| {
+        if reciprocal && i % 2 == 1 {
+            pencil.draw_factor_fault(z).map(|()| None)
+        } else {
+            pencil.factor_poly_ws(z, ws).map(Some)
+        }
+    })
+    .into_iter()
+    .collect::<qtx_linalg::Result<Vec<Option<LuFactors>>>>()
+    .map_err(ObcError::from);
     let result = factors.and_then(|factors| {
         stats.factorizations = factors.iter().flatten().count();
         let r = feast_core(pencil, cfg, &nodes, &factors, ws, &mut stats);
@@ -243,21 +250,18 @@ fn apply_projector(
     stats: &mut FeastStats,
 ) -> ZMat {
     let rhs = pencil.projector_rhs_ws(y, c0, ws);
-    let partials: Vec<ZMat> = nodes
-        .par_iter()
-        .enumerate()
-        .map(|(i, &(z, w))| {
-            let f = match &factors[i] {
-                Some(own) => NodeFactors::Own(own),
-                None => NodeFactors::Reciprocal(
-                    factors[i - 1].as_ref().expect("the outer node of the pair is factored"),
-                ),
-            };
-            let mut x = pencil.solve_projector_ws(f, z, &rhs, ws);
-            x.scale_assign(w);
-            x
-        })
-        .collect();
+    let work = nodes.len() as u64 * counts::zgetrs(pencil.nf, y.cols() - c0);
+    let partials = map_counted(nodes, work, |i, &(z, w)| {
+        let f = match &factors[i] {
+            Some(own) => NodeFactors::Own(own),
+            None => NodeFactors::Reciprocal(
+                factors[i - 1].as_ref().expect("the outer node of the pair is factored"),
+            ),
+        };
+        let mut x = pencil.solve_projector_ws(f, z, &rhs, ws);
+        x.scale_assign(w);
+        x
+    });
     rhs.recycle_into(ws);
     stats.linear_solves += nodes.len();
     let mut acc = ws.take(y.rows(), y.cols() - c0);

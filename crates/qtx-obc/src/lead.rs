@@ -94,13 +94,25 @@ impl LeadBlocks {
     /// Energy-shifted blocks `(T00, T01, T10) = (E·S − H)` at energy `e`
     /// with broadening `eta` (retarded: `E + iη`).
     pub fn t_blocks(&self, e: f64, eta: f64) -> (ZMat, ZMat, ZMat) {
-        let z = c64(e, eta);
-        let t00 = &self.s00.scaled(z) - &self.h00;
-        let t01 = &self.s01.scaled(z) - &self.h01;
+        let (nf, z) = (self.nf(), c64(e, eta));
         // T10 = E·S01ᴴ − H01ᴴ (Hermitian lead ⇒ S10 = S01ᴴ, H10 = H01ᴴ);
         // with a complex shift this is (z·S01 − H01) conjugate-transposed
         // entrywise in S/H but the shift stays z (retarded convention).
-        let t10 = &self.s01.adjoint().scaled(z) - &self.h01.adjoint();
+        // One pass writes all three: column j of S01/H01 is row j of T10.
+        let (mut t00, mut t01, mut t10) =
+            (ZMat::zeros(nf, nf), ZMat::zeros(nf, nf), ZMat::zeros(nf, nf));
+        for j in 0..nf {
+            let (s00, h00) = (self.s00.col(j), self.h00.col(j));
+            for (t, (&s, &h)) in t00.col_mut(j).iter_mut().zip(s00.iter().zip(h00)) {
+                *t = s * z - h;
+            }
+            let (s01, h01) = (self.s01.col(j), self.h01.col(j));
+            for (i, (t, (&s, &h))) in t01.col_mut(j).iter_mut().zip(s01.iter().zip(h01)).enumerate()
+            {
+                *t = s * z - h;
+                t10[(j, i)] = s.conj() * z - h.conj();
+            }
+        }
         (t00, t01, t10)
     }
 
@@ -194,6 +206,34 @@ mod tests {
         let (lo, hi) = lead.band_window(64);
         assert!((lo + 2.0).abs() < 1e-6);
         assert!((hi - 2.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn fused_t_blocks_are_the_blockwise_expressions_bit_for_bit() {
+        let mut h00 = ZMat::random(7, 7, 11);
+        h00.hermitianize();
+        let mut s00 = ZMat::random(7, 7, 12).scaled(c64(0.1, 0.0));
+        s00.hermitianize();
+        for i in 0..7 {
+            s00[(i, i)] += c64(1.0, 0.0);
+        }
+        let (h01, s01) = (ZMat::random(7, 7, 13), ZMat::random(7, 7, 14).scaled(c64(0.2, 0.0)));
+        let lead = LeadBlocks::new(h00, h01, s00, s01);
+        let bits = |m: &ZMat| {
+            m.as_slice().iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect::<Vec<_>>()
+        };
+        for (e, eta) in [(0.37, 0.0), (-1.3, 1e-3)] {
+            let z = c64(e, eta);
+            let blockwise = [
+                &lead.s00.scaled(z) - &lead.h00,
+                &lead.s01.scaled(z) - &lead.h01,
+                &lead.s01.adjoint().scaled(z) - &lead.h01.adjoint(),
+            ];
+            let (t00, t01, t10) = lead.t_blocks(e, eta);
+            for (fused, reference) in [t00, t01, t10].iter().zip(&blockwise) {
+                assert_eq!(bits(fused), bits(reference), "E = {e}, η = {eta}");
+            }
+        }
     }
 
     #[test]

@@ -71,8 +71,8 @@ fn beyn_is_single_pass() {
     // factorization per node only.
     let lead = LeadBlocks::chain_1d(0.0, -1.0);
     let pencil = CompanionPencil::at_energy(&lead, 0.9, 0.0);
-    // Both methods fan their quadrature out over rayon workers, so the
-    // comparison needs the process-wide totals.
+    // Process-wide totals, like the Σ ledgers above (this one-orbital
+    // pencil's nodes run on the calling thread either way).
     let scope = FlopScope::start_process();
     let _ = beyn_annulus(&pencil, BeynConfig { np: 8, ..Default::default() }).unwrap();
     let beyn_flops = scope.elapsed();

@@ -43,8 +43,8 @@
 //! length; a dense coupling or a dense Σ is the same code at full width.
 
 use crate::error::{SolveError, SolveOutcome};
-use crate::front::{fans_out, gather_rows_into, Front, Keep};
-use qtx_linalg::flops::{counts, join_counted};
+use crate::front::{gather_rows_into, Front, Keep};
+use qtx_linalg::flops::{counts, fans_out, join_counted};
 use qtx_linalg::{gemm_into, lu_factor_owned_ws, Complex64, Op, Workspace, ZMat};
 use qtx_sparse::{broadening_factor_ws, BlockChain, CouplingSupport, Mirrored};
 

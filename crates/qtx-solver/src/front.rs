@@ -26,18 +26,6 @@ use qtx_linalg::{
 };
 use qtx_sparse::{BlockChain, CouplingSupport};
 
-/// Estimated work below which independent sweeps run one after the other
-/// on the calling thread: a thread hand-off costs tens of microseconds,
-/// about what one sweep of this size takes.
-const FAN_OUT_MIN_FLOPS: u64 = 8_000_000;
-
-/// Whether sweeps of `flops_each` estimated operations go to threads — the
-/// one fan-out rule of this crate (SplitSolve's partition sweeps, the two
-/// fronts of the Caroli kernel and of the wave-function solve).
-pub(crate) fn fans_out(flops_each: u64) -> bool {
-    flops_each >= FAN_OUT_MIN_FLOPS
-}
-
 /// Re-dimensions a scratch matrix in place; contents are unspecified.
 pub(crate) fn reshape(m: &mut ZMat, rows: usize, cols: usize) {
     let buf = std::mem::replace(m, ZMat::empty()).into_vec();

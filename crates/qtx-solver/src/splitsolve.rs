@@ -58,11 +58,11 @@
 //! Σ in and factors each block once ([`crate::two_front`]).
 
 use crate::error::{SolveError, SolveOutcome};
-use crate::front::{fans_out, gather_rows_into, reshape};
+use crate::front::{gather_rows_into, reshape};
 use crate::system::ObcSystem;
 use crate::two_front::BoundaryTerms;
 use qtx_accel::{AccelRuntime, KernelClass};
-use qtx_linalg::flops::counts;
+use qtx_linalg::flops::{counts, fans_out};
 use qtx_linalg::{
     fault, gemm_into, lu_factor_owned_ws, Complex64, FlopScope, LuFactors, Op, Workspace, ZMat,
     ZMatRef,

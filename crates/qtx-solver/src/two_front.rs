@@ -27,8 +27,8 @@
 //! one `s × m` product a block. The count is [`counts::two_front_solve`].
 
 use crate::error::{SolveError, SolveOutcome};
-use crate::front::{fans_out, gather_rows_into, reshape, Front, Keep};
-use qtx_linalg::flops::{counts, join_counted};
+use crate::front::{gather_rows_into, reshape, Front, Keep};
+use qtx_linalg::flops::{counts, fans_out, join_counted};
 use qtx_linalg::{fault, gemm_into, lu_factor_owned_ws, Complex64, Op, Workspace, ZMat};
 use qtx_sparse::{BlockChain, CouplingSupport, Reversed};
 
@@ -65,8 +65,8 @@ fn fold(sigma: &ZMat) -> impl Fn(&mut ZMat) + '_ {
 /// Returns `ψ` (`N_SS × (m_L + m_R)`, left-injected columns first).
 ///
 /// With `partitions ≥ 2` the two fronts run side by side when each is
-/// worth a thread (the rule SplitSolve's sweeps and the Caroli fronts
-/// share); `1` keeps both on the calling thread. The bits are the same
+/// worth a thread (`qtx_linalg::flops::fans_out`, the library's one
+/// fan-out rule); `1` keeps both on the calling thread. The bits are the same
 /// either way: every buffer is taken on the calling thread first, and
 /// neither front reads what the other writes. Every temporary comes from
 /// and returns to `ws`.

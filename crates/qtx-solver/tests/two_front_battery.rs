@@ -6,7 +6,7 @@
 //! bit, one thread to two in bits and counted flops, the count to
 //! `counts::two_front_solve`, and warm calls to a flat pool.
 
-use qtx_linalg::flops::counts;
+use qtx_linalg::flops::{counts, fans_out};
 use qtx_linalg::{c64, zgesv, Complex64, FlopScope, ZMat};
 use qtx_solver::{two_front_solve, BoundaryTerms, ObcSystem, SolveError, Workspace};
 use qtx_sparse::{BlockChain, Btd, CouplingSupport, EsMinusH};
@@ -195,7 +195,7 @@ fn fanned_out_fronts_give_the_inline_bits_and_flops() {
     assert_eq!(solve(&sys.a, &support, &sys, 2, &Workspace::new()).unwrap(), fanned);
     let dims: Vec<_> = support.iter().map(CouplingSupport::dims).collect();
     let (_, front_r, front_l) = counts::two_front_cut(48, &dims, 3, 2);
-    assert!(front_r.min(front_l) >= 8_000_000, "fronts too small to fan out: {front_r} {front_l}");
+    assert!(fans_out(front_r.min(front_l)), "fronts too small to fan out: {front_r} {front_l}");
     assert_eq!(fanned.1, counts::two_front_solve(48, &dims, 3, 2));
     let reference = zgesv(&sys.t_dense(), &sys.b_dense()).unwrap();
     assert!(fanned.0.max_diff(&reference) < TOLERANCE * reference.norm_max().max(1.0));
