@@ -7,7 +7,10 @@
 //! what materializing `Q` cost and its time against block-Thomas LU; and
 //! the `tonly` row: the Caroli kernel at the same shape with each Σ built
 //! from three lead modes, its operation count on the mode-thin broadening
-//! factor against the row-support one.
+//! factor against the row-support one; and the `pencil_bytes` rows: the
+//! bytes of `S` and `H` a wave-function point reads from the dense blocks
+//! and from the compact store of their non-zeros, at the long wire's and
+//! the DFT wire's shapes.
 //!
 //! The gated ratios are the footprint speedups (dense peak bytes over
 //! BTD / boundary peak bytes) and the interior and tonly flop ratios, which
@@ -19,7 +22,9 @@
 //! Run with `cargo run --release -p qtx-bench --bin bench_sparse_json
 //! [output-path] [--quick]`; `--quick` keeps the short device only.
 
+use qtx_atomistic::{BasisKind, DeviceBuilder};
 use qtx_bench::{print_table, Row};
+use qtx_core::Device;
 use qtx_linalg::flops::counts;
 use qtx_linalg::{c64, gemm, qr_least_squares, zgesv, Complex64, FlopScope, Op, ZMat};
 use qtx_solver::{
@@ -28,7 +33,7 @@ use qtx_solver::{
 };
 use qtx_sparse::{
     broadening_factor_ws, btd_stats, dense_matrix_bytes, peak_matrix_bytes,
-    reset_peak_matrix_bytes, BlockChain, Btd, CouplingSupport,
+    reset_peak_matrix_bytes, BlockChain, Btd, CouplingSupport, EsMinusH,
 };
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -174,6 +179,108 @@ fn tonly_rows(reps: usize, entries: &mut String, rows: &mut Vec<Row>) {
     let mf = 1e-6;
     rows.push(Row::new("row-support factor", vec![row_flops as f64 * mf, rows_ms, 1.0]));
     rows.push(Row::new("mode-thin factor", vec![mode_flops as f64 * mf, modes_ms, flop_speedup]));
+}
+
+/// The `pencil_bytes` rows: the bytes of `S` and `H` one wave-function
+/// point reads — two passes over the pencil (the fronts, then the
+/// residual), each over every diagonal block and every coupling support
+/// rectangle — from the dense blocks and from the compact `PencilStore`,
+/// at the long wire's and the DFT wire's shapes (both devices built, not
+/// modelled). Byte counts, hence deterministic and gated like the
+/// footprint rows. The `pencil_latency` row times, at the long wire's
+/// shape, the diagonal stream and the residual's diagonal products (two
+/// right-hand sides) on both; optional and ungated.
+fn pencil_rows(reps: usize, entries: &mut String, rows: &mut Vec<Row>) {
+    let tb = BasisKind::TightBinding;
+    let devices = [
+        ("1.5 nm wire", DeviceBuilder::nanowire(1.5).cells(128).basis(tb).build()),
+        (
+            "1.0 nm DFT wire",
+            DeviceBuilder::nanowire(1.0).cells(12).basis(BasisKind::Dft3sp).build(),
+        ),
+    ];
+    for (k, (name, spec)) in devices.into_iter().enumerate() {
+        let dk = Device::build(spec).expect("device build").at_kz(0.0);
+        let memo = dk.chain_memo();
+        let (nb, s, store) = (dk.h.num_blocks(), dk.h.block_size(), &memo.store);
+        // Both shapes hold all their coupling blocks or none of them.
+        let couplings_held = store.coupling_blocks_held() > 0;
+        assert!(!couplings_held || store.coupling_blocks_held() == 2 * (nb - 1), "{name}");
+        // `S` and `H` at one entry.
+        let entry = 2 * std::mem::size_of::<Complex64>();
+        let nonzero = |z: &Complex64| z.re != 0.0 || z.im != 0.0;
+        let nnz: usize = (dk.s.diag.iter().zip(&dk.h.diag))
+            .map(|(s, h)| {
+                let pairs = s.as_slice().iter().zip(h.as_slice());
+                pairs.filter(|&(s, h)| nonzero(s) || nonzero(h)).count()
+            })
+            .sum();
+        let fill = nnz as f64 / (nb * s * s) as f64;
+        let rects: usize =
+            (memo.support.dims().iter()).map(|&(ru, cu, rl, cl)| ru * cu + rl * cl).sum();
+        let dense = 2 * (nb * s * s + rects) * entry;
+        let streamed =
+            (nb - store.diag_blocks_held()) * s * s + if couplings_held { 0 } else { rects };
+        let stored = 2 * (store.bytes() + streamed * entry);
+        let speedup = dense as f64 / stored as f64;
+        let (ru, cu, _, _) = memo.support.dims()[0];
+        let _ = writeln!(
+            entries,
+            "    {{\"kind\": \"pencil_bytes\", \"nb\": {nb}, \"s\": {s}, \"diag_fill\": {fill:.4}, \
+             \"support_rows\": {ru}, \"support_cols\": {cu}, \
+             \"diag_blocks_stored\": {}, \"dense_bytes_per_point\": {dense}, \
+             \"store_bytes_per_point\": {stored}, \"bytes_speedup_store_vs_dense\": {speedup:.3}}},",
+            store.diag_blocks_held(),
+        );
+        let mb = 1.0 / (1024.0 * 1024.0);
+        let label = format!("{name} nb={nb} s={s}, bytes (MB)");
+        rows.push(Row::new(label, vec![fill, dense as f64 * mb, stored as f64 * mb, speedup]));
+        if k > 0 {
+            continue;
+        }
+        let x = ZMat::random(nb * s, 2, 5);
+        let with_store = dk.pencil_on(&memo, 1.3, 0.0);
+        let (dense_ms, store_ms) = [dk.pencil(1.3, 0.0), with_store]
+            .map(|pencil| median_secs(|| diag_passes(&pencil, &x), reps) * 1e3)
+            .into();
+        let _ = writeln!(
+            entries,
+            "    {{\"kind\": \"pencil_latency\", \"nb\": {nb}, \"s\": {s}, \"optional\": true, \
+             \"dense_ms_per_point\": {dense_ms:.4}, \"store_ms_per_point\": {store_ms:.4}}},",
+        );
+        let label = format!("{name}, diagonal stream + residual (ms)");
+        rows.push(Row::new(label, vec![fill, dense_ms, store_ms, dense_ms / store_ms]));
+    }
+}
+
+/// What a wave-function point does with the diagonal blocks of `pencil`:
+/// streams each into a pivot buffer, then applies it to `x` column by
+/// column with exact zeros skipped, as the residual does — from the stored
+/// non-zeros when the pencil has them.
+fn diag_passes(pencil: &EsMinusH<'_>, x: &ZMat) {
+    let (nb, s, m) = (pencil.num_blocks(), pencil.block_size(), x.cols());
+    let (mut d, mut r) = (ZMat::zeros(s, s), ZMat::zeros(s, m));
+    let mut column: Vec<(usize, Complex64)> = Vec::with_capacity(s);
+    for i in 0..nb {
+        pencil.diag_into(i, &mut d);
+        let pattern = pencil.diag_pattern(i);
+        for c in 0..s {
+            column.clear();
+            match &pattern {
+                Some(p) => column.extend(p.column(c)),
+                None => column.extend(d.col(c).iter().copied().enumerate()),
+            }
+            for k in 0..m {
+                let xk = x[(i * s + c, k)];
+                for &(row, a) in &column {
+                    if a.re != 0.0 || a.im != 0.0 {
+                        r[(row, k)] += a * xk;
+                    }
+                }
+            }
+        }
+    }
+    std::hint::black_box(&r);
 }
 
 fn median_secs(mut f: impl FnMut(), reps: usize) -> f64 {
@@ -367,13 +474,15 @@ fn main() {
     interior_rows(reps, &mut entries, &mut interior);
     let mut tonly = Vec::new();
     tonly_rows(reps, &mut entries, &mut tonly);
+    let mut pencil = Vec::new();
+    pencil_rows(reps, &mut entries, &mut pencil);
 
     let entries = entries.trim_end().trim_end_matches(',').to_string();
     let json = format!(
         "{{\n  \"bench\": \"sparsity end-to-end: dense staging vs BTD RGF vs boundary-only\",\n  \
          \"cores\": {cores},\n  \"target_cpu\": \"native\",\n  \"quick\": {quick},\n  \
          \"flags_note\": \"footprint speedups are peak matrix-byte ratios (deterministic, \
-         allocation-counter based); the interior flop speedup is the dense-Q operation count \
+         allocation-counter based); the pencil bytes speedup is the bytes of S and H a wave-function point reads from the dense blocks over those it reads from the compact store (deterministic); the interior flop speedup is the dense-Q operation count \
          over the counted operations of SplitSolve on the coupling supports, the tonly one the \
          Caroli kernel's count with each broadening carried on the rows Σ occupies over its \
          count on three lead modes a side (both deterministic); latency rows are warm ms/pt on the same systems and are optional for narrow runners\",\n  \"results\": [\n{entries}\n  ]\n}}\n"
@@ -393,6 +502,11 @@ fn main() {
         "Caroli kernel at the long-wire shape, 3 lead modes a side",
         &["broadening factor", "MFLOP", "ms/pt", "flops vs row support x"],
         &tonly,
+    );
+    print_table(
+        "Bytes of S and H a wave-function point reads: dense blocks vs compact store",
+        &["device", "diag fill", "dense", "store", "dense / store x"],
+        &pencil,
     );
     println!("\nwrote {out_path}");
 }

@@ -6,7 +6,9 @@ use qtx_cp2k::{Cp2kRun, Functional, HsFile};
 use qtx_linalg::{c64, Complex64, Result, ZMat};
 use qtx_obc::{LeadBlocks, ObcMethod};
 use qtx_solver::SolverKind;
-use qtx_sparse::{BlockChain, BlockSupport, Btd, ChainSupport, CouplingSupport, EsMinusH};
+use qtx_sparse::{
+    BlockChain, BlockSupport, Btd, ChainSupport, CouplingSupport, EsMinusH, PencilStore,
+};
 
 /// Runtime configuration of the transport engine.
 #[derive(Debug, Clone, Copy)]
@@ -212,11 +214,18 @@ impl DeviceK {
         Btd::es_minus_h(c64(e, eta), &self.s, &self.h)
     }
 
-    /// `A = (E + iη)·S − H` streamed block by block instead of assembled
-    /// ([`Self::es_minus_h_eta`] bit for bit): what the transmission-only
-    /// path hands the Caroli sweep, so no copy of `A` is ever built.
+    /// `A = (E + iη)·S − H` streamed block by block from the dense `S` and
+    /// `H` instead of assembled ([`Self::es_minus_h_eta`] bit for bit).
     pub fn pencil(&self, e: f64, eta: f64) -> EsMinusH<'_> {
-        EsMinusH { z: c64(e, eta), s: &self.s, h: &self.h }
+        EsMinusH::dense(c64(e, eta), &self.s, &self.h)
+    }
+
+    /// [`Self::pencil`] streamed from the compact copy of `S` and `H` in
+    /// `memo` (built by [`Self::chain_memo`] on this device): what both
+    /// interior routes hand their elimination fronts and the residual.
+    /// Same entries, same bits, a fraction of the bytes read.
+    pub fn pencil_on<'a>(&'a self, memo: &'a ChainMemo, e: f64, eta: f64) -> EsMinusH<'a> {
+        EsMinusH { store: Some(&memo.store), ..self.pencil(e, eta) }
     }
 
     /// Structural supports of the inter-slab coupling blocks of
@@ -241,6 +250,27 @@ impl DeviceK {
             contact_r: lead_coupling(&self.lead_r).rows,
         }
     }
+
+    /// [`Self::chain_support`] plus the compact copy of `S` and `H` on
+    /// their non-zeros ([`PencilStore`]): everything an interior solve
+    /// reads of this device besides Σ, for every energy and broadening.
+    /// The engine builds it once per folded device, at its first point.
+    pub fn chain_memo(&self) -> ChainMemo {
+        let support = self.chain_support();
+        let store = PencilStore::build(&self.s, &self.h, &support.coupling);
+        ChainMemo { support, store }
+    }
+}
+
+/// The energy-independent part of a folded device's interior solves
+/// ([`DeviceK::chain_memo`]): the chain's structure and the non-zeros of
+/// its `S` and `H`.
+#[derive(Debug, Clone)]
+pub struct ChainMemo {
+    /// Coupling supports and contact rows.
+    pub support: ChainSupport,
+    /// `S` and `H` on their non-zeros, read by [`DeviceK::pencil_on`].
+    pub store: PencilStore,
 }
 
 /// Which contact a quantity refers to (re-export sugar).

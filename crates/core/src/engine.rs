@@ -28,13 +28,12 @@
 //! between passes with [`TransportEngine::set_potential`].
 
 use crate::cache::{CacheHandle, CachePolicy, CacheStats, SigmaCache};
-use crate::device::{Device, DeviceK, TransportConfig};
+use crate::device::{ChainMemo, Device, DeviceK, TransportConfig};
 use crate::error::{TransportError, TransportResult};
 use crate::refine::{RefineConfig, RefinedSweep};
 use crate::scheduler::{Scheduler, SchedulerConfig};
 use crate::sweep::{SweepOptions, SweepPlan, SweepResult};
 use crate::transport::{self, ms_since, RobustSolve, METHOD_BOUNDARY};
-use qtx_sparse::ChainSupport;
 use std::collections::HashMap;
 use std::marker::PhantomData;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -142,25 +141,26 @@ impl TransportEngineBuilder {
 }
 
 /// A folded device at one `kz` with what the engine derives from it once:
-/// its per-lead cache handle and, on first use by a point, the structure
-/// of its block chain — coupling supports and contact rows, both
-/// energy-independent — the one memo every interior solve on this device
-/// reads, wave-function and Caroli route, point solve and sweep alike.
+/// its per-lead cache handle and, on first use by a point, the
+/// energy-independent [`ChainMemo`] — coupling supports, contact rows and
+/// the compact copy of `S` and `H` — the one memo every interior solve on
+/// this device reads, wave-function and Caroli route, point solve and
+/// sweep alike.
 #[derive(Clone)]
 pub(crate) struct FoldedK {
     pub(crate) dk: Arc<DeviceK>,
     handle: Option<CacheHandle>,
-    support: Arc<OnceLock<ChainSupport>>,
+    memo: Arc<OnceLock<ChainMemo>>,
 }
 
 impl FoldedK {
     fn new(dk: Arc<DeviceK>, cache: Option<&Arc<SigmaCache>>) -> FoldedK {
         let handle = cache.map(|c| CacheHandle::for_dk(c.clone(), &dk));
-        FoldedK { dk, handle, support: Arc::default() }
+        FoldedK { dk, handle, memo: Arc::default() }
     }
 
-    pub(crate) fn support(&self) -> &ChainSupport {
-        self.support.get_or_init(|| self.dk.chain_support())
+    pub(crate) fn memo(&self) -> &ChainMemo {
+        self.memo.get_or_init(|| self.dk.chain_memo())
     }
 }
 
@@ -315,10 +315,10 @@ impl TransportEngine {
             return self.boundary_point(&folded, e);
         }
         if policy.robust {
-            return transport::solve_point_robust_raw(dk, folded.support(), e, cfg, handle);
+            return transport::solve_point_robust_raw(dk, folded.memo(), e, cfg, handle);
         }
         let start = Instant::now();
-        match transport::solve_point_direct_on(dk, folded.support(), e, cfg, handle) {
+        match transport::solve_point_direct_on(dk, folded.memo(), e, cfg, handle) {
             Ok(result) => RobustSolve::solved(result, 0, ms_since(start)),
             Err(error) => RobustSolve::failed(error, 1, ms_since(start)),
         }
@@ -330,13 +330,7 @@ impl TransportEngine {
     fn boundary_point(&self, folded: &FoldedK, e: f64) -> RobustSolve {
         let start = Instant::now();
         let (dk, handle) = (&folded.dk, folded.handle.as_ref());
-        match transport::solve_point_transmission_only(
-            dk,
-            e,
-            &self.config,
-            handle,
-            folded.support(),
-        ) {
+        match transport::solve_point_transmission_only(dk, e, &self.config, handle, folded.memo()) {
             Ok(result) => RobustSolve::solved(result, METHOD_BOUNDARY, ms_since(start)),
             Err(error) => RobustSolve::failed(error, 1, ms_since(start)),
         }

@@ -696,7 +696,7 @@ struct ChunkSpec {
     w: f64,
     /// `(e_idx, energy)` pairs, canonical (ascending `e_idx`) order.
     points: Vec<(u32, f64)>,
-    /// The engine's folded device and its memoized coupling supports.
+    /// The engine's folded device and its memoized [`crate::device::ChainMemo`].
     folded: crate::engine::FoldedK,
     cfg: crate::device::TransportConfig,
     cache: Option<CacheHandle>,
@@ -871,8 +871,8 @@ fn compute_records(
                     ) {
                         panic!("injected scheduler panic at E={e} kz={} attempt {attempt}", c.kz);
                     }
-                    let (dk, support) = (&c.folded.dk, c.folded.support());
-                    let rs = solve_point_robust_raw(dk, support, e, &c.cfg, c.cache.as_ref());
+                    let (dk, memo) = (&c.folded.dk, c.folded.memo());
+                    let rs = solve_point_robust_raw(dk, memo, e, &c.cfg, c.cache.as_ref());
                     let solved = record_of(c, e_idx, e, rs, keep);
                     any_failed |= solved.0.status == STATUS_FAILED;
                     records.push(solved);

@@ -18,11 +18,12 @@
 //! (`sweep.rs`).
 //!
 //! Neither route to the transmission assembles `A`: the pencil
-//! `(E + iη)·S − H` is streamed block by block ([`DeviceK::pencil`]) into
-//! an elimination that touches each coupling block on its structural
-//! support only and each contact on the rows its lead coupling reaches
-//! ([`DeviceK::chain_support`], energy-independent — the engine computes
-//! it once per folded device and hands it down):
+//! `(E + iη)·S − H` is streamed block by block ([`DeviceK::pencil_on`],
+//! from the compact copy of `S` and `H` on their non-zeros) into an
+//! elimination that touches each coupling block on its structural support
+//! only and each contact on the rows its lead coupling reaches — all of it
+//! energy-independent ([`DeviceK::chain_memo`]; the engine builds it once
+//! per folded device and hands it down):
 //!
 //! * **Wave function** (Eq. 5): `SolverKind::SplitSolve { partitions }`
 //!   runs [`qtx_solver::two_front_solve`] — Σ folded into the end blocks,
@@ -50,16 +51,16 @@
 //!   wave-function point of the same device.
 
 use crate::cache::{self, CacheHandle};
-use crate::device::{DeviceK, TransportConfig};
+use crate::device::{ChainMemo, DeviceK, TransportConfig};
 use crate::error::{TransportError, TransportResult};
 use qtx_accel::AccelRuntime;
-use qtx_linalg::{gemm_into, qr_least_squares, Complex64, LinalgError, Op, ZMat};
+use qtx_linalg::{gemm_into, qr_factor_ws, Complex64, LinalgError, Op, QrFactors, ZMat};
 use qtx_obc::{self_energy_pair, BeynConfig, Eta, LeadModes, ModeSet, ObcMethod, ObcResult};
 use qtx_solver::{
     btd_lu_solve_ws, caroli_sweep_contacts, two_front_solve, BoundaryTerms, CaroliContact,
     ObcSystem, SolverKind, Workspace,
 };
-use qtx_sparse::{broadening_factor_ws, BlockChain, ChainSupport, CouplingSupport};
+use qtx_sparse::{broadening_factor_ws, BlockChain, CouplingSupport, EsMinusH};
 use std::time::Instant;
 
 thread_local! {
@@ -121,50 +122,87 @@ impl EnergyPointResult {
     }
 }
 
-/// Expansion coefficients of a boundary block over a mode set.
-fn project_onto_modes(modes: &[ModeSet], block: &[Complex64]) -> Vec<Complex64> {
-    if modes.is_empty() {
-        return Vec::new();
+/// Expansion of boundary blocks over one lead's mode set: the set is
+/// QR-factored once, on pooled scratch, and each block is a one-column
+/// least-squares solve against the factors — the bits of factoring the
+/// set anew for every block, without the factorization and the
+/// allocations per block.
+struct ModeProjection<'a> {
+    modes: &'a [ModeSet],
+    /// Factors of the `s × |modes|` mode matrix; `None` for no modes.
+    qr: Option<QrFactors>,
+    /// The block being projected (`s × 1`) and its coefficients.
+    block: ZMat,
+    coeffs: ZMat,
+}
+
+impl<'a> ModeProjection<'a> {
+    fn new(modes: &'a [ModeSet], s: usize, ws: &Workspace) -> Self {
+        let qr = (!modes.is_empty()).then(|| {
+            let u = LeadModes::mode_matrix_ws(modes, s, ws);
+            let qr = qr_factor_ws(&u, ws);
+            ws.recycle(u);
+            qr
+        });
+        let (block, coeffs) = (ws.take_scratch(s, 1), ws.take_scratch(modes.len(), 1));
+        ModeProjection { modes, qr, block, coeffs }
     }
-    let nf = block.len();
-    let mut u = ZMat::zeros(nf, modes.len());
-    for (j, m) in modes.iter().enumerate() {
-        for i in 0..nf {
-            u[(i, j)] = m.u[i];
+
+    /// `total += Σ |c_j|²` over the propagating modes `j` of the expansion
+    /// `Σ_j c_j·u_j` of `block`, in mode order.
+    fn add_propagating(
+        &mut self,
+        block: impl Iterator<Item = Complex64>,
+        total: &mut f64,
+        ws: &Workspace,
+    ) {
+        let Some(qr) = &self.qr else { return };
+        for (b, v) in self.block.col_mut(0).iter_mut().zip(block) {
+            *b = v;
+        }
+        qr.least_squares_into(self.block.view(), &mut self.coeffs, ws);
+        for (c, m) in self.coeffs.col(0).iter().zip(self.modes) {
+            if m.propagating {
+                *total += c.norm_sqr();
+            }
         }
     }
-    let mut b = ZMat::zeros(nf, 1);
-    b.col_mut(0).copy_from_slice(block);
-    let c = qr_least_squares(&u, &b);
-    c.col(0).to_vec()
+
+    fn recycle(self, ws: &Workspace) {
+        if let Some(qr) = self.qr {
+            qr.recycle_into(ws);
+        }
+        ws.recycle(self.block);
+        ws.recycle(self.coeffs);
+    }
 }
 
 /// The raw single-attempt entry: builds both lead self-energies (through
 /// the cache when a handle is given) and runs the Eq. 5 solve with the
-/// configured method at exact energy. `support` is
-/// [`DeviceK::chain_support`] of `dk`.
+/// configured method at exact energy. `memo` is
+/// [`DeviceK::chain_memo`] of `dk`.
 pub(crate) fn solve_point_direct_on(
     dk: &DeviceK,
-    support: &ChainSupport,
+    memo: &ChainMemo,
     e: f64,
     cfg: &TransportConfig,
     cache: Option<&CacheHandle>,
 ) -> TransportResult<EnergyPointResult> {
     let (obc_l, obc_r) = cache::self_energy_pair(cache, dk, e, 0.0, cfg.obc)?;
-    let states = scattering_states(dk, support, e, 0.0, cfg, &obc_l, &obc_r)?;
+    let states = scattering_states(dk, memo, e, 0.0, cfg, &obc_l, &obc_r)?;
     Ok(states.into_point(obc_l.sigma, obc_r.sigma).0)
 }
 
-/// [`solve_point_direct_on`] deriving the chain's structure on the spot —
-/// for one-shot callers; anything solving many points on one folded
-/// device computes them once.
+/// [`solve_point_direct_on`] building the chain memo on the spot — for
+/// one-shot callers; anything solving many points on one folded device
+/// builds it once.
 pub(crate) fn solve_point_direct(
     dk: &DeviceK,
     e: f64,
     cfg: &TransportConfig,
     cache: Option<&CacheHandle>,
 ) -> TransportResult<EnergyPointResult> {
-    solve_point_direct_on(dk, &dk.chain_support(), e, cfg, cache)
+    solve_point_direct_on(dk, &dk.chain_memo(), e, cfg, cache)
 }
 
 /// Inner solve with precomputed OBCs (lets the sweep reuse them and lets
@@ -189,8 +227,9 @@ pub fn solve_with_obc(
 /// [`solve_with_obc`] at finite broadening `η` (the system becomes
 /// `(E + iη)S − H − Σ`), additionally returning the max-norm residual of
 /// the scattering states — the quality figure the escalation ladder and
-/// the sweep health report record. Derives the chain's structure on the
-/// spot; the engine memoizes it per folded device instead.
+/// the sweep health report record. Builds the chain memo
+/// ([`DeviceK::chain_memo`]) on the spot; the engine memoizes it per
+/// folded device instead.
 pub fn solve_with_obc_eta(
     dk: &DeviceK,
     e: f64,
@@ -199,7 +238,7 @@ pub fn solve_with_obc_eta(
     obc_l: &ObcResult,
     obc_r: &ObcResult,
 ) -> TransportResult<(EnergyPointResult, f64)> {
-    let states = scattering_states(dk, &dk.chain_support(), e, eta, cfg, obc_l, obc_r)?;
+    let states = scattering_states(dk, &dk.chain_memo(), e, eta, cfg, obc_l, obc_r)?;
     Ok(states.into_point(obc_l.sigma.clone(), obc_r.sigma.clone()))
 }
 
@@ -241,14 +280,14 @@ impl ScatteringStates {
 /// assembled copy.
 fn scattering_states(
     dk: &DeviceK,
-    support: &ChainSupport,
+    memo: &ChainMemo,
     e: f64,
     eta: f64,
     cfg: &TransportConfig,
     obc_l: &ObcResult,
     obc_r: &ObcResult,
 ) -> TransportResult<ScatteringStates> {
-    let pencil = dk.pencil(e, eta);
+    let pencil = dk.pencil_on(memo, e, eta);
     let boundary = BoundaryTerms {
         sigma_l: &obc_l.sigma,
         sigma_r: &obc_r.sigma,
@@ -266,52 +305,38 @@ fn scattering_states(
     let (psi, residual) = SOLVER_WS.with(|ws| -> TransportResult<(ZMat, f64)> {
         let psi = match cfg.solver {
             SolverKind::SplitSolve { partitions } => {
-                two_front_solve(&pencil, &support.coupling, &boundary, partitions, ws)?
+                two_front_solve(&pencil, &memo.support.coupling, &boundary, partitions, ws)?
             }
             SolverKind::BtdLu => btd_lu_solve_ws(&assembled(), ws)?,
         };
-        let residual = chain_residual(&pencil, &support.coupling, &boundary, &psi, ws);
+        let residual = chain_residual(&pencil, &memo.support.coupling, &boundary, &psi, ws);
         Ok((psi, residual))
     })?;
     let s = pencil.block_size();
     let n = psi.rows();
     let m_left = obc_l.injection.cols();
     let m_right = obc_r.injection.cols();
-    // Left→right: project the last block on the right-going mode set.
-    let mut t_lr = 0.0;
-    let mut r_l = 0.0;
-    for j in 0..m_left {
-        let last: Vec<Complex64> = (0..s).map(|i| psi[(n - s + i, j)]).collect();
-        let coeffs = project_onto_modes(&obc_r.out_modes, &last);
-        for (c, m) in coeffs.iter().zip(&obc_r.out_modes) {
-            if m.propagating {
-                t_lr += c.norm_sqr();
-            }
+    let (mut t_lr, mut r_l, mut t_rl) = (0.0, 0.0, 0.0);
+    SOLVER_WS.with(|ws| {
+        let mut onto_r = ModeProjection::new(&obc_r.out_modes, s, ws);
+        let mut onto_l = ModeProjection::new(&obc_l.out_modes, s, ws);
+        for j in 0..m_left {
+            // Left→right: the last block on the right-going modes.
+            onto_r.add_propagating(psi.col(j)[n - s..].iter().copied(), &mut t_lr, ws);
+            // Reflection: the scattered part of the first block (the
+            // incident mode subtracted) on the left-going modes.
+            let inc = &obc_l.inc_modes[j];
+            let first = psi.col(j)[..s].iter().zip(&inc.u).map(|(&p, &u)| p - u);
+            onto_l.add_propagating(first, &mut r_l, ws);
         }
-        // Reflection: scattered part of the first block over left-going
-        // modes (subtract the incident mode).
-        let inc = &obc_l.inc_modes[j];
-        let first: Vec<Complex64> = (0..s).map(|i| psi[(i, j)] - inc.u[i]).collect();
-        let rc = project_onto_modes(&obc_l.out_modes, &first);
-        for (c, m) in rc.iter().zip(&obc_l.out_modes) {
-            if m.propagating {
-                r_l += c.norm_sqr();
-            }
+        // Right→left: right-injected columns on the left-going modes at the
+        // first block.
+        for j in 0..m_right {
+            onto_l.add_propagating(psi.col(m_left + j)[..s].iter().copied(), &mut t_rl, ws);
         }
-    }
-    // Right→left: right-injected columns projected on left-going modes at
-    // the first block.
-    let mut t_rl = 0.0;
-    for j in 0..m_right {
-        let col = m_left + j;
-        let first: Vec<Complex64> = (0..s).map(|i| psi[(i, col)]).collect();
-        let coeffs = project_onto_modes(&obc_l.out_modes, &first);
-        for (c, m) in coeffs.iter().zip(&obc_l.out_modes) {
-            if m.propagating {
-                t_rl += c.norm_sqr();
-            }
-        }
-    }
+        onto_r.recycle(ws);
+        onto_l.recycle(ws);
+    });
     if !(t_lr.is_finite() && t_rl.is_finite() && r_l.is_finite()) {
         return Err(TransportError::Linalg(LinalgError::NonFinite {
             op: "transmission",
@@ -331,67 +356,80 @@ fn scattering_states(
 }
 
 /// Max-norm residual `‖T·ψ − b‖_max` evaluated block row by block row on
-/// the streamed chain; `T` is never assembled, let alone densified (the
+/// the streamed pencil; `T` is never assembled, let alone densified (the
 /// `ObcSystem::residual` check does, which is fine for tests but not for
-/// every sweep point). The couplings act on their supports only, and every
-/// block acts entry by entry with the exact zeros skipped: a tight-binding
-/// slab fills a few percent of its diagonal block, so most of the
-/// `n_b·s²·m` products never happen.
-fn chain_residual<C: BlockChain>(
-    chain: &C,
+/// every sweep point).
+///
+/// A block acts column by column: each column's entries are evaluated
+/// once — from the pencil's stored non-zeros ([`EsMinusH::diag_pattern`]),
+/// or from the whole streamed column of a block too dense to store — and
+/// applied to every right-hand side, exact zeros skipped. The couplings
+/// act on their supports, gathered with `upper_on` / `lower_on`. Each
+/// residual entry accumulates in a fixed order: the diagonal block's
+/// columns ascending, then the upper and the lower coupling's support
+/// columns ascending, then Σ and the injection — so it is the same bits
+/// whether the pencil has a store or not. What this costs is reading `S`
+/// and `H`, not the multiply-adds: at the benchmark's `m = 2` right-hand
+/// sides a 1.5 nm wire point spends 8–10 ms here streaming the dense
+/// blocks, 1.5 ms reading the store.
+fn chain_residual(
+    pencil: &EsMinusH<'_>,
     support: &[CouplingSupport],
     boundary: &BoundaryTerms<'_>,
     x: &ZMat,
     ws: &Workspace,
 ) -> f64 {
-    let (s, nb, m) = (chain.block_size(), chain.num_blocks(), x.cols());
+    let (s, nb, m) = (pencil.block_size(), pencil.num_blocks(), x.cols());
     if m == 0 {
         return 0.0;
     }
     let mut d = ws.take_scratch(s, s);
     let mut r = ws.take_scratch(s, m);
-    // Row `c` of a block of `x`, contiguous.
-    let mut x_row = vec![Complex64::ZERO; m];
-    let load_row = |x_row: &mut [Complex64], block: usize, c: usize| {
-        for (k, xk) in x_row.iter_mut().enumerate() {
-            *xk = x.col(k)[block * s + c];
-        }
-    };
-    // `r[row, :] += a·x_row` unless `a` is an exact zero.
-    let add = |r: &mut ZMat, row: usize, a: Complex64, x_row: &[Complex64]| {
-        if a.re != 0.0 || a.im != 0.0 {
-            for (k, &xk) in x_row.iter().enumerate() {
-                r[(row, k)] += a * xk;
+    let mut entries: Vec<(usize, Complex64)> = Vec::with_capacity(s);
+    // `r[row, k] += a·x[xrow, k]` for every `(row, a)` of a column that is
+    // not an exact zero, every right-hand side `k`.
+    let apply = |r: &mut ZMat, xrow: usize, entries: &[(usize, Complex64)]| {
+        for k in 0..m {
+            let (xk, rk) = (x.col(k)[xrow], r.col_mut(k));
+            for &(row, a) in entries {
+                if a.re != 0.0 || a.im != 0.0 {
+                    rk[row] += a * xk;
+                }
             }
         }
     };
     let mut worst_sqr = 0.0f64;
     for i in 0..nb {
-        chain.diag_into(i, &mut d);
         r.as_mut_slice().fill(Complex64::ZERO);
+        let pattern = pencil.diag_pattern(i);
+        if pattern.is_none() {
+            pencil.diag_into(i, &mut d);
+        }
         for c in 0..s {
-            load_row(&mut x_row, i, c);
-            for (row, &a) in d.col(c).iter().enumerate() {
-                add(&mut r, row, a, &x_row);
+            entries.clear();
+            match &pattern {
+                Some(p) => entries.extend(p.column(c)),
+                None => entries.extend(d.col(c).iter().copied().enumerate()),
             }
+            apply(&mut r, i * s + c, &entries);
         }
-        if i + 1 < nb {
-            let on = &support[i].upper;
-            for &c in &on.cols {
-                load_row(&mut x_row, i + 1, c);
-                for &row in &on.rows {
-                    add(&mut r, row, chain.upper_at(i, row, c), &x_row);
-                }
+        let couplings = [
+            (i + 1 < nb).then(|| (&support[i].upper, i + 1)),
+            (i > 0).then(|| (&support[i - 1].lower, i - 1)),
+        ];
+        for (on, from) in couplings.into_iter().flatten().filter(|(on, _)| !on.cols.is_empty()) {
+            let mut u = ws.take_scratch(on.rows.len(), on.cols.len());
+            if from > i {
+                pencil.upper_on(i, on, &mut u);
+            } else {
+                pencil.lower_on(from, on, &mut u);
             }
-        }
-        if i > 0 {
-            let on = &support[i - 1].lower;
-            for &c in &on.cols {
-                load_row(&mut x_row, i - 1, c);
-                for &row in &on.rows {
-                    add(&mut r, row, chain.lower_at(i - 1, row, c), &x_row);
-                }
+            for (q, &c) in on.cols.iter().enumerate() {
+                entries.clear();
+                entries.extend(on.rows.iter().copied().zip(u.col(q).iter().copied()));
+                apply(&mut r, from * s + c, &entries);
             }
+            ws.recycle(u);
         }
         for (edge, sigma, rhs, col0) in [
             (0, boundary.sigma_l, boundary.rhs_top, 0),
@@ -429,14 +467,14 @@ pub fn caroli_transmission(dk: &DeviceK, e: f64, obc: ObcMethod) -> TransportRes
     let (obc_l, obc_r) = self_energy_pair(&dk.lead_l, &dk.lead_r, e, Eta::ZERO, obc)
         .map_err(|(side, source)| TransportError::Obc { side, source })?;
     let contacts = [(&obc_l.sigma, &obc_l.out_modes[..]), (&obc_r.sigma, &obc_r.out_modes[..])];
-    caroli_streamed(dk, e, 0.0, contacts, &dk.coupling_support())
+    caroli_streamed(dk, e, 0.0, contacts, &dk.chain_memo())
 }
 
 /// Caroli transmission from already-computed self-energies that come
 /// without lead modes (decimation, an outside source): each broadening
-/// enters through the rows its Σ occupies. Derives the coupling
-/// supports on the spot; the engine memoizes them per folded device
-/// instead.
+/// enters through the rows its Σ occupies. Builds the chain memo
+/// ([`DeviceK::chain_memo`]) on the spot; the engine memoizes it per
+/// folded device instead.
 pub fn caroli_from_sigmas(
     dk: &DeviceK,
     e: f64,
@@ -444,7 +482,7 @@ pub fn caroli_from_sigmas(
     sigma_l: &ZMat,
     sigma_r: &ZMat,
 ) -> TransportResult<f64> {
-    caroli_streamed(dk, e, eta, [(sigma_l, &[]), (sigma_r, &[])], &dk.coupling_support())
+    caroli_streamed(dk, e, eta, [(sigma_l, &[]), (sigma_r, &[])], &dk.chain_memo())
 }
 
 /// One contact of the Caroli route: Σ, and the outgoing lead modes it was
@@ -457,14 +495,14 @@ pub(crate) type CaroliSide<'a> = (&'a ZMat, &'a [ModeSet]);
 /// cycles through the per-thread pool. Each broadening enters through the
 /// thinner of its exact factors ([`broadening_factor_ws`]), a choice the
 /// inputs fix: a cache hit, a miss and an uncached solve hand in the same
-/// Σ and modes and get the same bits. `contacts` is `[left, right]`, `support` is
-/// [`DeviceK::coupling_support`] of `dk`.
+/// Σ and modes and get the same bits. `contacts` is `[left, right]`, `memo`
+/// is [`DeviceK::chain_memo`] of `dk`.
 pub(crate) fn caroli_streamed(
     dk: &DeviceK,
     e: f64,
     eta: f64,
     contacts: [CaroliSide<'_>; 2],
-    support: &[CouplingSupport],
+    memo: &ChainMemo,
 ) -> TransportResult<f64> {
     let t = SOLVER_WS.with(|ws| {
         let [p_l, p_r] = contacts.map(|(sigma, out_modes)| {
@@ -475,7 +513,8 @@ pub(crate) fn caroli_streamed(
         });
         let left = CaroliContact { sigma: contacts[0].0, panel: &p_l };
         let right = CaroliContact { sigma: contacts[1].0, panel: &p_r };
-        let t = caroli_sweep_contacts(&dk.pencil(e, eta), left, right, support, ws);
+        let pencil = dk.pencil_on(memo, e, eta);
+        let t = caroli_sweep_contacts(&pencil, left, right, &memo.support.coupling, ws);
         ws.recycle(p_l);
         ws.recycle(p_r);
         t
@@ -497,7 +536,7 @@ pub(crate) fn solve_point_transmission_only(
     e: f64,
     cfg: &TransportConfig,
     cache: Option<&CacheHandle>,
-    support: &ChainSupport,
+    memo: &ChainMemo,
 ) -> TransportResult<EnergyPointResult> {
     let (obc_l, obc_r) = cache::self_energy_pair(cache, dk, e, 0.0, cfg.obc)?;
     let channels = (
@@ -505,7 +544,7 @@ pub(crate) fn solve_point_transmission_only(
         obc_r.inc_modes.iter().filter(|m| m.propagating).count(),
     );
     let contacts = [(&obc_l.sigma, &obc_l.out_modes[..]), (&obc_r.sigma, &obc_r.out_modes[..])];
-    let t = caroli_streamed(dk, e, 0.0, contacts, &support.coupling)?;
+    let t = caroli_streamed(dk, e, 0.0, contacts, memo)?;
     Ok(EnergyPointResult::caroli_only(e, dk.kz, t, channels, obc_l.sigma, obc_r.sigma))
 }
 
@@ -672,7 +711,7 @@ fn ladder_rungs(cfg: &TransportConfig) -> Vec<(u8, f64, ObcMethod)> {
 /// escalated re-solve never aliases the exact-energy entry.
 fn try_rung(
     dk: &DeviceK,
-    support: &ChainSupport,
+    memo: &ChainMemo,
     e: f64,
     eta: f64,
     method: ObcMethod,
@@ -680,7 +719,7 @@ fn try_rung(
     cache: Option<&CacheHandle>,
 ) -> TransportResult<(EnergyPointResult, f64)> {
     let (obc_l, obc_r) = cache::self_energy_pair(cache, dk, e, eta, method)?;
-    let states = scattering_states(dk, support, e, eta, cfg, &obc_l, &obc_r)?;
+    let states = scattering_states(dk, memo, e, eta, cfg, &obc_l, &obc_r)?;
     Ok(states.into_point(obc_l.sigma, obc_r.sigma))
 }
 
@@ -689,13 +728,13 @@ fn try_rung(
 /// an empty `psi`; observables needing wave functions see zero columns.
 fn decimation_caroli_rung(
     dk: &DeviceK,
-    support: &ChainSupport,
+    memo: &ChainMemo,
     e: f64,
     cache: Option<&CacheHandle>,
 ) -> TransportResult<EnergyPointResult> {
     let (obc_l, obc_r) = cache::self_energy_pair(cache, dk, e, ETA_BUMP, ObcMethod::Decimation)?;
     let contacts = [(&obc_l.sigma, &[][..]), (&obc_r.sigma, &[][..])];
-    let t = caroli_streamed(dk, e, ETA_BUMP, contacts, &support.coupling)?;
+    let t = caroli_streamed(dk, e, ETA_BUMP, contacts, memo)?;
     Ok(EnergyPointResult::caroli_only(e, dk.kz, t, (0, 0), obc_l.sigma, obc_r.sigma))
 }
 
@@ -707,7 +746,7 @@ fn decimation_caroli_rung(
 /// only accepted solves are.
 pub(crate) fn solve_point_robust_raw(
     dk: &DeviceK,
-    support: &ChainSupport,
+    memo: &ChainMemo,
     e: f64,
     cfg: &TransportConfig,
     cache: Option<&CacheHandle>,
@@ -717,7 +756,7 @@ pub(crate) fn solve_point_robust_raw(
     let mut last_err: Option<TransportError> = None;
     for (code, eta, method) in ladder_rungs(cfg) {
         attempts += 1;
-        match try_rung(dk, support, e, eta, method, cfg, cache) {
+        match try_rung(dk, memo, e, eta, method, cfg, cache) {
             Ok((result, residual)) => {
                 let mut rs = RobustSolve::solved(result, code, ms_since(start));
                 rs.outcome = PointOutcome {
@@ -733,7 +772,7 @@ pub(crate) fn solve_point_robust_raw(
         }
     }
     attempts += 1;
-    let mut rs = match decimation_caroli_rung(dk, support, e, cache) {
+    let mut rs = match decimation_caroli_rung(dk, memo, e, cache) {
         Ok(result) => RobustSolve::solved(result, METHOD_DECIMATION, ms_since(start)),
         Err(err) => RobustSolve::failed(
             TransportError::Exhausted {
@@ -756,6 +795,244 @@ mod tests {
     use crate::device::Device;
     use qtx_atomistic::{BasisKind, DeviceBuilder};
     use qtx_obc::FeastConfig;
+
+    /// The residual loop before the compact store: every diagonal block
+    /// streamed dense and read entry by entry, the couplings entry by entry
+    /// on their supports. The store-backed residual must keep its bits.
+    fn chain_residual_reference<C: BlockChain>(
+        chain: &C,
+        support: &[CouplingSupport],
+        boundary: &BoundaryTerms<'_>,
+        x: &ZMat,
+        ws: &Workspace,
+    ) -> f64 {
+        let (s, nb, m) = (chain.block_size(), chain.num_blocks(), x.cols());
+        if m == 0 {
+            return 0.0;
+        }
+        let mut d = ws.take_scratch(s, s);
+        let mut r = ws.take_scratch(s, m);
+        // Row `c` of a block of `x`, contiguous.
+        let mut x_row = vec![Complex64::ZERO; m];
+        let load_row = |x_row: &mut [Complex64], block: usize, c: usize| {
+            for (k, xk) in x_row.iter_mut().enumerate() {
+                *xk = x.col(k)[block * s + c];
+            }
+        };
+        // `r[row, :] += a·x_row` unless `a` is an exact zero.
+        let add = |r: &mut ZMat, row: usize, a: Complex64, x_row: &[Complex64]| {
+            if a.re != 0.0 || a.im != 0.0 {
+                for (k, &xk) in x_row.iter().enumerate() {
+                    r[(row, k)] += a * xk;
+                }
+            }
+        };
+        let mut worst_sqr = 0.0f64;
+        for i in 0..nb {
+            chain.diag_into(i, &mut d);
+            r.as_mut_slice().fill(Complex64::ZERO);
+            for c in 0..s {
+                load_row(&mut x_row, i, c);
+                for (row, &a) in d.col(c).iter().enumerate() {
+                    add(&mut r, row, a, &x_row);
+                }
+            }
+            if i + 1 < nb {
+                let on = &support[i].upper;
+                for &c in &on.cols {
+                    load_row(&mut x_row, i + 1, c);
+                    for &row in &on.rows {
+                        add(&mut r, row, chain.upper_at(i, row, c), &x_row);
+                    }
+                }
+            }
+            if i > 0 {
+                let on = &support[i - 1].lower;
+                for &c in &on.cols {
+                    load_row(&mut x_row, i - 1, c);
+                    for &row in &on.rows {
+                        add(&mut r, row, chain.lower_at(i - 1, row, c), &x_row);
+                    }
+                }
+            }
+            for (edge, sigma, rhs, col0) in [
+                (0, boundary.sigma_l, boundary.rhs_top, 0),
+                (nb - 1, boundary.sigma_r, boundary.rhs_bottom, boundary.rhs_top.cols()),
+            ] {
+                if i != edge {
+                    continue;
+                }
+                let xi = x.block_view(i * s, 0, s, m);
+                gemm_into(
+                    -Complex64::ONE,
+                    sigma.view(),
+                    Op::None,
+                    xi,
+                    Op::None,
+                    Complex64::ONE,
+                    r.view_mut(),
+                );
+                for c in 0..rhs.cols() {
+                    for (ri, &bi) in r.col_mut(col0 + c).iter_mut().zip(rhs.col(c)) {
+                        *ri -= bi;
+                    }
+                }
+            }
+            // One square root at the end instead of a `hypot` per entry.
+            worst_sqr = r.as_slice().iter().map(|z| z.norm_sqr()).fold(worst_sqr, f64::max);
+        }
+        ws.recycle(d);
+        ws.recycle(r);
+        worst_sqr.sqrt()
+    }
+
+    /// The benchmark's four device shapes under a small potential ripple:
+    /// the UTB film, the 0.8 nm wire, the 1.5 nm wire of 128 cells and the
+    /// DFT 1.0 nm wire of 12 cells. Built once for the tests that read them.
+    fn benchmark_shapes() -> &'static [(&'static str, DeviceK)] {
+        static SHAPES: std::sync::OnceLock<Vec<(&'static str, DeviceK)>> =
+            std::sync::OnceLock::new();
+        SHAPES.get_or_init(|| {
+            let tb = BasisKind::TightBinding;
+            let specs = [
+                ("utb", DeviceBuilder::utb(0.8).cells(8).basis(tb).build()),
+                ("nw08", DeviceBuilder::nanowire(0.8).cells(8).basis(tb).build()),
+                ("nw15x128", DeviceBuilder::nanowire(1.5).cells(128).basis(tb).build()),
+                ("dft10", DeviceBuilder::nanowire(1.0).cells(12).basis(BasisKind::Dft3sp).build()),
+            ];
+            let fold = |(name, spec)| {
+                let mut dev = Device::build(spec).unwrap();
+                let v: Vec<f64> = (0..dev.n_slabs).map(|q| 0.02 * (0.7 * q as f64).sin()).collect();
+                dev.set_potential(&v);
+                (name, dev.at_kz(0.0))
+            };
+            specs.into_iter().map(fold).collect()
+        })
+    }
+
+    /// `‖T·ψ − b‖_max` from the assembled blocks, every product dense.
+    fn dense_residual(a: &qtx_sparse::Btd, boundary: &BoundaryTerms<'_>, x: &ZMat) -> f64 {
+        let (s, nb, m) = (a.block_size(), a.num_blocks(), x.cols());
+        let block = |j: usize| ZMat::from_fn(s, m, |r, c| x[(j * s + r, c)]);
+        let b = ZMat::from_fn(nb * s, m, |r, c| {
+            let (top, bottom, mt) =
+                (boundary.rhs_top, boundary.rhs_bottom, boundary.rhs_top.cols());
+            match (r < s, r >= (nb - 1) * s, c < mt) {
+                (true, _, true) => top[(r, c)],
+                (_, true, false) => bottom[(r - (nb - 1) * s, c - mt)],
+                _ => Complex64::ZERO,
+            }
+        });
+        let mut worst = 0.0f64;
+        for i in 0..nb {
+            let mut r = &a.diag[i] * &block(i);
+            if i + 1 < nb {
+                r = &r + &(&a.upper[i] * &block(i + 1));
+            }
+            if i > 0 {
+                r = &r + &(&a.lower[i - 1] * &block(i - 1));
+            }
+            if i == 0 {
+                r = &r - &(boundary.sigma_l * &block(0));
+            }
+            if i == nb - 1 {
+                r = &r - &(boundary.sigma_r * &block(nb - 1));
+            }
+            let bi = ZMat::from_fn(s, m, |row, c| b[(i * s + row, c)]);
+            worst = worst.max((&r - &bi).norm_max());
+        }
+        worst
+    }
+
+    #[test]
+    fn the_residual_on_the_store_is_the_dense_loops_bits() {
+        let ws = Workspace::new();
+        for (name, dk) in benchmark_shapes() {
+            let (s, n) = (dk.h.block_size(), dk.n_ss());
+            let memo = dk.chain_memo();
+            for (k, (e, eta, ml, mr)) in
+                [(-0.3, 0.0, 1, 1), (1.7, 0.0, 2, 1), (0.9, 1e-6, 0, 2)].into_iter().enumerate()
+            {
+                let seed = 40 + 10 * k as u64;
+                let (sigma_l, sigma_r) = (ZMat::random(s, s, seed), ZMat::random(s, s, seed + 1));
+                let (top, bottom) = (ZMat::random(s, ml, seed + 2), ZMat::random(s, mr, seed + 3));
+                let boundary = BoundaryTerms {
+                    sigma_l: &sigma_l,
+                    sigma_r: &sigma_r,
+                    rhs_top: &top,
+                    rhs_bottom: &bottom,
+                };
+                let psi = ZMat::random(n, ml + mr, seed + 4);
+                let coupling = &memo.support.coupling;
+                let got =
+                    chain_residual(&dk.pencil_on(&memo, e, eta), coupling, &boundary, &psi, &ws);
+                let want =
+                    chain_residual_reference(&dk.pencil(e, eta), coupling, &boundary, &psi, &ws);
+                assert_eq!(got.to_bits(), want.to_bits(), "{name} E={e} η={eta}");
+                let dense = dense_residual(&dk.es_minus_h_eta(e, eta), &boundary, &psi);
+                assert!((got - dense).abs() <= 1e-12 * dense, "{name}: {got} vs {dense}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_store_is_a_fraction_of_the_dense_blocks() {
+        let shapes = benchmark_shapes();
+        let memo_of = |name: &str| {
+            let (_, dk) = shapes.iter().find(|(n, _)| *n == name).unwrap();
+            let (nb, s) = (dk.h.num_blocks(), dk.h.block_size());
+            // `S` and `H`: `nb` diagonal and `2·(nb − 1)` coupling blocks each.
+            let dense = 2 * (3 * nb - 2) * s * s * std::mem::size_of::<Complex64>();
+            (dk.chain_memo().store, nb, dense)
+        };
+        let (long, nb, dense) = memo_of("nw15x128");
+        assert_eq!(long.diag_blocks_held(), nb);
+        assert_eq!(long.coupling_blocks_held(), 2 * (nb - 1));
+        assert!(10 * long.bytes() <= dense, "{} of {dense} bytes", long.bytes());
+        // The DFT wire's diagonal blocks are 68 % non-zero: it builds no copy.
+        let (dft, _, _) = memo_of("dft10");
+        assert_eq!((dft.diag_blocks_held(), dft.coupling_blocks_held(), dft.bytes()), (0, 0, 0));
+    }
+
+    /// The projection before [`ModeProjection`]: the mode set copied and
+    /// QR-factored anew for every block.
+    fn project_onto_modes(modes: &[ModeSet], block: &[Complex64]) -> Vec<Complex64> {
+        if modes.is_empty() {
+            return Vec::new();
+        }
+        let u = ZMat::from_fn(block.len(), modes.len(), |i, j| modes[j].u[i]);
+        let b = ZMat::from_fn(block.len(), 1, |i, _| block[i]);
+        qtx_linalg::qr_least_squares(&u, &b).col(0).to_vec()
+    }
+
+    #[test]
+    fn a_mode_set_factored_once_projects_in_the_per_block_bits() {
+        let ws = Workspace::new();
+        for (s, n_modes, seed) in [(90, 3, 1), (26, 8, 2), (252, 20, 3), (20, 0, 4), (12, 12, 5)] {
+            let modes: Vec<ModeSet> = (0..n_modes)
+                .map(|j| ModeSet {
+                    lambda: Complex64::ONE,
+                    u: ZMat::random(s, 1, seed * 100 + j as u64).col(0).to_vec(),
+                    velocity: 0.0,
+                    propagating: j % 3 != 1,
+                })
+                .collect();
+            let mut projection = ModeProjection::new(&modes, s, &ws);
+            let (mut got, mut want) = (0.0, 0.0);
+            for k in 0..5 {
+                let block = ZMat::random(s, 1, seed * 100 + 50 + k);
+                projection.add_propagating(block.col(0).iter().copied(), &mut got, &ws);
+                let coeffs = project_onto_modes(&modes, block.col(0));
+                for (c, m) in coeffs.iter().zip(&modes) {
+                    if m.propagating {
+                        want += c.norm_sqr();
+                    }
+                }
+                assert_eq!(got.to_bits(), want.to_bits(), "s={s} modes={n_modes} block {k}");
+            }
+            projection.recycle(&ws);
+        }
+    }
 
     fn chain_device() -> Device {
         let spec = DeviceBuilder::nanowire(0.8).cells(8).basis(BasisKind::TightBinding).build();
@@ -843,11 +1120,11 @@ mod tests {
         // fresh-allocation count must not move over 50 warm points.
         let d = chain_device();
         let dk = d.at_kz(0.0);
-        let support = dk.chain_support();
+        let memo = dk.chain_memo();
         let e0 = probe_energies(&dk.lead_l, 1)[0];
         let point = |i: usize| {
             let e = e0 + 1e-3 * (i % 7) as f64;
-            solve_point_transmission_only(&dk, e, &d.config, None, &support).unwrap()
+            solve_point_transmission_only(&dk, e, &d.config, None, &memo).unwrap()
         };
         let first = point(0);
         point(1);
@@ -869,11 +1146,11 @@ mod tests {
         // grow nor drain it.
         let d = chain_device();
         let dk = d.at_kz(0.0);
-        let support = dk.chain_support();
+        let memo = dk.chain_memo();
         let e0 = probe_energies(&dk.lead_l, 1)[0];
         let point = |i: usize| {
             let e = e0 + 1e-3 * (i % 5) as f64;
-            solve_point_robust_raw(&dk, &support, e, &d.config, None).result.unwrap()
+            solve_point_robust_raw(&dk, &memo, e, &d.config, None).result.unwrap()
         };
         let first = point(0);
         point(1);
@@ -886,7 +1163,7 @@ mod tests {
             }
         }
         assert_eq!(SOLVER_WS.with(|ws| (ws.pooled(), ws.fresh_allocations())), before);
-        // The public entry scans the supports itself: same bits.
+        // The public entry builds its memo itself: same bits.
         let (obc_l, obc_r) = self_energy_pair(&dk.lead_l, &dk.lead_r, e0, Eta::ZERO, d.config.obc)
             .map_err(|(_, e)| e)
             .unwrap();

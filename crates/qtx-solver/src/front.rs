@@ -83,7 +83,9 @@ pub(crate) struct Front<'a, C, F> {
     /// The block solves: the current one ([`Keep::Last`]) or all of them
     /// side by side, block `first` leftmost ([`Keep::Every`]).
     store: ZMat,
-    /// Gathered coupling, gathered solution rows, and their product.
+    /// Gathered coupling (the one above a block, and the one below it while
+    /// it is copied into the right-hand side), gathered solution rows, and
+    /// their product.
     u: ZMat,
     z: ZMat,
     y: ZMat,
@@ -127,9 +129,13 @@ impl<'a, C: BlockChain, F: Fn(&mut ZMat)> Front<'a, C, F> {
             support[first..].iter().map(len).max().unwrap_or(0)
         };
         let (ru, cu) = (above(|p| p.upper.rows.len()), above(|p| p.upper.cols.len()));
+        let below = (support[first.saturating_sub(1)..].iter())
+            .map(|p| p.lower.rows.len() * p.lower.cols.len())
+            .max()
+            .unwrap_or(0);
         front.d = ws.take_scratch(s, s);
         front.store = ws.take_scratch(s, stored);
-        front.u = ws.take_scratch(ru, cu);
+        front.u = ws.take_scratch((ru * cu).max(below), 1);
         front.z = ws.take_scratch(cu, widest);
         front.y = ws.take_scratch(ru, widest);
         front
@@ -199,9 +205,11 @@ impl<'a, C: BlockChain, F: Fn(&mut ZMat)> Front<'a, C, F> {
                 }
                 _ => {
                     let below = &support[i - 1].lower;
-                    for (j, &c) in below.cols.iter().enumerate() {
-                        for &r in &below.rows {
-                            *rhs.at_mut(r, j) = chain.lower_at(i - 1, r, c);
+                    reshape(u, below.rows.len(), below.cols.len());
+                    chain.lower_on(i - 1, below, u);
+                    for j in 0..below.cols.len() {
+                        for (&r, &v) in below.rows.iter().zip(u.col(j)) {
+                            *rhs.at_mut(r, j) = v;
                         }
                     }
                 }

@@ -2,15 +2,17 @@
 //! chain length, coupling-support pattern, self-energy representation per
 //! side (and with it the broadening factor the kernel carries) and
 //! broadening is checked against `tr[Γ_L·G·Γ_R·Gᴴ]` from the dense inverse,
-//! the streamed pencil against the assembled matrix bit for bit, and the
-//! fanned-out fronts against the same call run inline.
+//! the streamed pencil against the assembled matrix bit for bit, the
+//! pencil streamed from its compact store of `S` and `H` against the dense
+//! one bit for bit, and the fanned-out fronts against the same call run
+//! inline.
 
 use qtx_linalg::flops::{counts, fans_out};
 use qtx_linalg::{c64, gemm, lu_inverse, qr_least_squares, Complex64, FlopScope, Op, ZMat};
 use qtx_solver::{
     caroli_sweep, caroli_sweep_contacts, CaroliContact, ObcSystem, SolveError, Workspace,
 };
-use qtx_sparse::{broadening_factor_ws, BlockChain, Btd, CouplingSupport, EsMinusH};
+use qtx_sparse::{broadening_factor_ws, BlockChain, Btd, CouplingSupport, EsMinusH, PencilStore};
 
 /// Row/column ranges the couplings of pair `i` live on, per pattern.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -181,7 +183,7 @@ fn two_front_kernel_matches_the_dense_trace_over_the_whole_grid() {
                     for eta in [0.0, 1e-6] {
                         let z = c64(0.37, eta);
                         let a = Btd::es_minus_h(z, &ov, &h);
-                        let pencil = EsMinusH { z, s: &ov, h: &h };
+                        let pencil = EsMinusH::dense(z, &ov, &h);
                         let support = pencil.coupling_support();
                         let t = sweep(&pencil, &support, &left, &right, &ws).unwrap();
                         let reference = dense_trace(&a, &left.0, &right.0);
@@ -192,6 +194,11 @@ fn two_front_kernel_matches_the_dense_trace_over_the_whole_grid() {
                         let assembled =
                             sweep(&a, &a.coupling_support(), &left, &right, &ws).unwrap();
                         assert_eq!(t, assembled, "{case}");
+                        // Same bits from the compact store.
+                        let store = PencilStore::build(&ov, &h, &support);
+                        let stored = EsMinusH { store: Some(&store), ..pencil };
+                        let from_store = sweep(&stored, &support, &left, &right, &ws).unwrap();
+                        assert_eq!(t.to_bits(), from_store.to_bits(), "{case}");
                         // A mode-free Σ through `caroli_sweep` is this call.
                         if left.1.is_none() && right.1.is_none() {
                             let plain = caroli_sweep(&pencil, &left.0, &right.0, &support, &ws);
@@ -204,6 +211,52 @@ fn two_front_kernel_matches_the_dense_trace_over_the_whole_grid() {
         }
     }
     assert_eq!(cases, 5 * 4 * 16 * 2);
+}
+
+/// `device` with its diagonal blocks cut to a band of three diagonals, a
+/// third of each block: blocks the store holds, with `-0.0` entries in `S`
+/// off the band.
+fn banded_device(nb: usize, s: usize, pattern: Pattern, seed: u64) -> (Btd, Btd) {
+    let (mut h, mut ov) = device(nb, s, pattern, seed);
+    for (hd, sd) in h.diag.iter_mut().zip(&mut ov.diag) {
+        for c in 0..s {
+            for r in (0..s).filter(|r| r.abs_diff(c) > 1) {
+                hd[(r, c)] = Complex64::ZERO;
+                sd[(r, c)] = c64(-0.0, if (r + c) % 2 == 0 { -0.0 } else { 0.0 });
+            }
+        }
+    }
+    (h, ov)
+}
+
+#[test]
+fn the_store_backed_pencil_gives_the_dense_pencils_bits() {
+    let (s, ws) = (8, Workspace::new());
+    for nb in [1usize, 2, 3, 7] {
+        for (pi, pattern) in [Pattern::Empty, Pattern::Full, Pattern::Asymmetric, Pattern::Varying]
+            .into_iter()
+            .enumerate()
+        {
+            let seed = (2000 * nb + 100 * pi) as u64;
+            let (h, ov) = banded_device(nb, s, pattern, seed);
+            let left = contact(s, seed + 11, Form::ModeThin);
+            let right = contact(s, seed + 31, Form::RowSupport);
+            for (e, eta) in [(-0.4, 0.0), (0.37, 0.0), (0.37, 1e-6)] {
+                let z = c64(e, eta);
+                let case = format!("nb={nb} {pattern:?} z={z:?}");
+                let dense = EsMinusH::dense(z, &ov, &h);
+                let support = dense.coupling_support();
+                let store = PencilStore::build(&ov, &h, &support);
+                assert_eq!(store.diag_blocks_held(), nb, "{case}");
+                let stored = EsMinusH { store: Some(&store), ..dense };
+                let t = sweep(&dense, &support, &left, &right, &ws).unwrap();
+                let from_store = sweep(&stored, &support, &left, &right, &ws).unwrap();
+                assert_eq!(t.to_bits(), from_store.to_bits(), "{case}");
+                let reference = dense_trace(&Btd::es_minus_h(z, &ov, &h), &left.0, &right.0);
+                assert!((t - reference).abs() < 1e-10, "{case}: {t} vs {reference}");
+            }
+        }
+    }
 }
 
 #[test]

@@ -121,7 +121,7 @@ fn streamed_kernel_matches_dense_solve_over_the_whole_grid() {
                         rhs_bottom: on_rows(s, m.min(1), seed + 14, one, rows_r.as_deref()),
                     };
                     let reference = zgesv(&sys.t_dense(), &sys.b_dense()).unwrap();
-                    let pencil = EsMinusH { z, s: &ov, h: &h };
+                    let pencil = EsMinusH::dense(z, &ov, &h);
                     // The contact rows the system occupies, and all of them.
                     let occupied =
                         ChainSupport { coupling: pencil.coupling_support(), ..sys.chain_support() };
@@ -207,7 +207,7 @@ fn pencil_supports_wider_than_the_assembled_ones_change_no_entry() {
         rhs_top: ZMat::random(s, 2, 7),
         rhs_bottom: ZMat::random(s, 1, 8),
     };
-    let pencil = EsMinusH { z, s: &ov, h: &h };
+    let pencil = EsMinusH::dense(z, &ov, &h);
     let support = ChainSupport { coupling: pencil.coupling_support(), ..sys.chain_support() };
     assert!(support.coupling[0].lower.cols.len() > sys.a.coupling_support()[0].lower.cols.len());
     let boundary = BoundaryTerms {

@@ -4,12 +4,14 @@
 //! broadening is checked against a dense `zgesv` of the assembled system;
 //! each case also holds the streamed pencil to the assembled matrix bit for
 //! bit, one thread to two in bits and counted flops, the count to
-//! `counts::two_front_solve`, and warm calls to a flat pool.
+//! `counts::two_front_solve`, and warm calls to a flat pool. The pencil
+//! streamed from its compact store of `S` and `H` gives the dense pencil's
+//! bits, on blocks the store holds and on blocks it leaves dense.
 
 use qtx_linalg::flops::{counts, fans_out};
 use qtx_linalg::{c64, zgesv, Complex64, FlopScope, ZMat};
 use qtx_solver::{two_front_solve, BoundaryTerms, ObcSystem, SolveError, Workspace};
-use qtx_sparse::{BlockChain, Btd, CouplingSupport, EsMinusH};
+use qtx_sparse::{BlockChain, Btd, CouplingSupport, EsMinusH, PencilStore};
 
 /// Row/column ranges the couplings of pair `i` live on, per pattern.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -130,7 +132,7 @@ fn two_front_solve_matches_dense_solve_over_the_whole_grid() {
                             "nb={nb} {pattern:?} rows={rows_l:?}/{rows_r:?} m={ml}+{mr} η={eta}"
                         );
                         let reference = zgesv(&sys.t_dense(), &sys.b_dense()).unwrap();
-                        let pencil = EsMinusH { z, s: &ov, h: &h };
+                        let pencil = EsMinusH::dense(z, &ov, &h);
                         let support = pencil.coupling_support();
                         let ws = Workspace::new();
                         let (psi, flops) = solve(&pencil, &support, &sys, 2, &ws).unwrap();
@@ -141,6 +143,11 @@ fn two_front_solve_matches_dense_solve_over_the_whole_grid() {
                         // supports or the assembled blocks'.
                         let assembled = solve(&sys.a, &sys.a.coupling_support(), &sys, 2, &ws);
                         assert_eq!(assembled.unwrap().0, psi, "{case}");
+                        // Same bits and count from the compact store.
+                        let store = PencilStore::build(&ov, &h, &support);
+                        let stored = EsMinusH { store: Some(&store), ..pencil };
+                        let from_store = solve(&stored, &support, &sys, 2, &ws).unwrap();
+                        assert_eq!(from_store, (psi.clone(), flops), "{case}");
                         // Same bits and count on one thread.
                         let inline = solve(&pencil, &support, &sys, 1, &ws).unwrap();
                         assert_eq!(inline, (psi.clone(), flops), "{case}");
@@ -158,6 +165,56 @@ fn two_front_solve_matches_dense_solve_over_the_whole_grid() {
         }
     }
     assert_eq!(cases, 5 * 4 * 2 * 3 * 2);
+}
+
+/// `device` with its diagonal blocks cut to a band of three diagonals, a
+/// third of each block: blocks the store holds, with `-0.0` entries in `S`
+/// off the band.
+fn banded_device(nb: usize, s: usize, pattern: Pattern, seed: u64) -> (Btd, Btd) {
+    let (mut h, mut ov) = device(nb, s, pattern, seed);
+    for (hd, sd) in h.diag.iter_mut().zip(&mut ov.diag) {
+        for c in 0..s {
+            for r in (0..s).filter(|r| r.abs_diff(c) > 1) {
+                hd[(r, c)] = Complex64::ZERO;
+                sd[(r, c)] = c64(-0.0, if (r + c) % 2 == 0 { -0.0 } else { 0.0 });
+            }
+        }
+    }
+    (h, ov)
+}
+
+#[test]
+fn the_store_backed_pencil_solves_in_the_dense_pencils_bits() {
+    let s = 8;
+    let ws = Workspace::new();
+    for nb in [1usize, 2, 3, 7] {
+        for (pi, pattern) in PATTERNS.into_iter().enumerate() {
+            let seed = (2000 * nb + 100 * pi) as u64;
+            let (h, ov) = banded_device(nb, s, pattern, seed);
+            for (e, eta) in [(-0.4, 0.0), (0.37, 0.0), (0.37, 1e-6)] {
+                let z = c64(e, eta);
+                let sys = ObcSystem {
+                    a: Btd::es_minus_h(z, &ov, &h),
+                    sigma_l: on_rows(s, s, seed + 11, c64(0.3, -0.2), Some(0)),
+                    sigma_r: on_rows(s, s, seed + 12, c64(0.3, -0.2), None),
+                    rhs_top: on_rows(s, 2, seed + 13, Complex64::ONE, Some(0)),
+                    rhs_bottom: on_rows(s, 1, seed + 14, Complex64::ONE, None),
+                };
+                let case = format!("nb={nb} {pattern:?} z={z:?}");
+                let dense = EsMinusH::dense(z, &ov, &h);
+                let support = dense.coupling_support();
+                let store = PencilStore::build(&ov, &h, &support);
+                assert_eq!(store.diag_blocks_held(), nb, "{case}");
+                let stored = EsMinusH { store: Some(&store), ..dense };
+                let want = solve(&dense, &support, &sys, 2, &ws).unwrap();
+                assert_eq!(solve(&stored, &support, &sys, 2, &ws).unwrap(), want, "{case}");
+                assert_eq!(solve(&stored, &support, &sys, 1, &ws).unwrap(), want, "{case}");
+                let reference = zgesv(&sys.t_dense(), &sys.b_dense()).unwrap();
+                let err = want.0.max_diff(&reference);
+                assert!(err < TOLERANCE * reference.norm_max().max(1.0), "{case}: {err:.2e}");
+            }
+        }
+    }
 }
 
 /// A chain of 48 × 48 blocks: from a dozen blocks on, each front is worth

@@ -10,6 +10,13 @@
 //! leading blocks of either as their block-reversed adjoint / in reverse
 //! block order, so a sweep written to run towards the first block also runs
 //! away from it — on `Aᴴ` or on `A` itself.
+//!
+//! A tight-binding device's `S` and `H` are mostly exact zeros held in
+//! dense blocks (7 % of a 1.5 nm wire's diagonal block is non-zero). The
+//! [`PencilStore`] copies the non-zeros once per device, so a point reads
+//! the pencil from a few megabytes instead of the dense blocks: an
+//! [`EsMinusH`] built on one evaluates the same entries, in the same
+//! operation order, from the compact copy.
 
 use crate::btd::Btd;
 use qtx_linalg::{Complex64, ZMat};
@@ -127,28 +134,42 @@ pub trait BlockChain {
     /// `out ← A_{i,i+1}[on.rows, on.cols]`: the super-diagonal block
     /// gathered on a support, `out` being `|rows| × |cols|`.
     fn upper_on(&self, i: usize, on: &BlockSupport, out: &mut ZMat) {
-        assert_eq!((out.rows(), out.cols()), (on.rows.len(), on.cols.len()), "gather shape");
-        for (q, &c) in on.cols.iter().enumerate() {
-            for (dst, &r) in out.col_mut(q).iter_mut().zip(&on.rows) {
-                *dst = self.upper_at(i, r, c);
-            }
-        }
+        gather(on, out, |r, c| self.upper_at(i, r, c));
     }
 
     /// `out ← A_{i+1,i}[on.rows, on.cols]`, as [`BlockChain::upper_on`].
     fn lower_on(&self, i: usize, on: &BlockSupport, out: &mut ZMat) {
-        assert_eq!((out.rows(), out.cols()), (on.rows.len(), on.cols.len()), "gather shape");
-        for (q, &c) in on.cols.iter().enumerate() {
-            for (dst, &r) in out.col_mut(q).iter_mut().zip(&on.rows) {
-                *dst = self.lower_at(i, r, c);
-            }
-        }
+        gather(on, out, |r, c| self.lower_at(i, r, c));
+    }
+
+    /// `out ← A_{i,i+1}[on.cols, on.rows]ᴴ`: the adjoint of the
+    /// super-diagonal block gathered on a support of the adjoint, `out`
+    /// being `|on.rows| × |on.cols|` — what [`Mirrored`] reads.
+    fn upper_adjoint_on(&self, i: usize, on: &BlockSupport, out: &mut ZMat) {
+        gather(on, out, |r, c| self.upper_at(i, c, r).conj());
+    }
+
+    /// `out ← A_{i+1,i}[on.cols, on.rows]ᴴ`, as
+    /// [`BlockChain::upper_adjoint_on`].
+    fn lower_adjoint_on(&self, i: usize, on: &BlockSupport, out: &mut ZMat) {
+        gather(on, out, |r, c| self.lower_at(i, c, r).conj());
     }
 
     /// Supports of the `num_blocks() − 1` coupling pairs. For a pencil
     /// these are unions over `S` and `H`, hence independent of the
     /// energy: compute once per device and reuse for every point.
     fn coupling_support(&self) -> Vec<CouplingSupport>;
+}
+
+/// `out[(p, q)] ← at(on.rows[p], on.cols[q])`: the entry-by-entry gather
+/// every chain can fall back to.
+fn gather(on: &BlockSupport, out: &mut ZMat, at: impl Fn(usize, usize) -> Complex64) {
+    assert_eq!((out.rows(), out.cols()), (on.rows.len(), on.cols.len()), "gather shape");
+    for (q, &c) in on.cols.iter().enumerate() {
+        for (dst, &r) in out.col_mut(q).iter_mut().zip(&on.rows) {
+            *dst = at(r, c);
+        }
+    }
 }
 
 impl BlockChain for Btd {
@@ -194,10 +215,158 @@ pub(crate) fn es_minus_h_entry(z: Complex64, s: Complex64, h: Complex64) -> Comp
     s * z - h
 }
 
+/// Whether the [`PencilStore`] copies a block of `entries` entries of
+/// which its copy would hold `held`: only when that is at most half of
+/// them. A denser block (a DFT slab's diagonal block is 68 % non-zero)
+/// saves little over streaming from `S` and `H` and would add its copy to
+/// the device's footprint. A fixed rule read off the block, not a
+/// setting.
+fn worth_storing(held: usize, entries: usize) -> bool {
+    2 * held <= entries
+}
+
+/// `S` and `H` on the non-zeros of one diagonal block, column by column.
+#[derive(Debug, Clone)]
+struct DiagNonZeros {
+    /// Entries of column `c` are `start[c]..start[c + 1]`.
+    start: Vec<usize>,
+    /// Row of each entry, ascending within a column.
+    rows: Vec<u32>,
+    /// `[S, H]` at each entry.
+    sh: Vec<[Complex64; 2]>,
+}
+
+impl DiagNonZeros {
+    /// The entries of an `s × s` block where `S` or `H` is not `0.0`, or
+    /// `None` when they are more than [`worth_storing`] allows.
+    fn of(s: &ZMat, h: &ZMat) -> Option<DiagNonZeros> {
+        let nonzero = |z: &Complex64| z.re != 0.0 || z.im != 0.0;
+        let (n, pairs) = (s.rows(), s.as_slice().iter().zip(h.as_slice()));
+        let held = pairs.filter(|&(s, h)| nonzero(s) || nonzero(h)).count();
+        if !worth_storing(held, n * n) {
+            return None;
+        }
+        let mut nz = DiagNonZeros {
+            start: Vec::with_capacity(n + 1),
+            rows: Vec::with_capacity(held),
+            sh: Vec::with_capacity(held),
+        };
+        nz.start.push(0);
+        for c in 0..n {
+            for (r, (s, h)) in s.col(c).iter().zip(h.col(c)).enumerate() {
+                if nonzero(s) || nonzero(h) {
+                    nz.rows.push(r as u32);
+                    nz.sh.push([*s, *h]);
+                }
+            }
+            nz.start.push(nz.rows.len());
+        }
+        Some(nz)
+    }
+
+    fn bytes(&self) -> usize {
+        size_of_val(&self.start[..]) + size_of_val(&self.rows[..]) + size_of_val(&self.sh[..])
+    }
+}
+
+/// `S` and `H` on the support rectangle of one coupling block, column-major
+/// in support order.
+#[derive(Debug, Clone)]
+struct Rect {
+    on: BlockSupport,
+    sh: Vec<[Complex64; 2]>,
+}
+
+impl Rect {
+    /// The rectangle `on` of a coupling block, or `None` when it holds
+    /// more than [`worth_storing`] allows of the block.
+    fn of(s: &ZMat, h: &ZMat, on: &BlockSupport) -> Option<Rect> {
+        if !worth_storing(on.rows.len() * on.cols.len(), s.rows() * s.cols()) {
+            return None;
+        }
+        let sh = (on.cols.iter())
+            .flat_map(|&c| on.rows.iter().map(move |&r| [s[(r, c)], h[(r, c)]]))
+            .collect();
+        Some(Rect { on: on.clone(), sh })
+    }
+
+    fn bytes(&self) -> usize {
+        size_of_val(&self.on.rows[..]) + size_of_val(&self.on.cols[..]) + size_of_val(&self.sh[..])
+    }
+}
+
+/// The non-zeros of a device's overlap `S` and Hamiltonian `H`, copied
+/// once so that every point streams its pencil `z·S − H` from them
+/// instead of from the dense blocks:
+///
+/// * per diagonal block, the column pattern of the entries where `S` or
+///   `H` is not `0.0`, with both values on it;
+/// * per coupling block, both values on its support rectangle, in support
+///   order.
+///
+/// A block is held only when the copy holds at most half its entries —
+/// and a coupling block only between two held diagonal blocks; any other
+/// block is streamed from `S` and `H` as if there were no store. The store
+/// does not depend on the energy: build it once per device, from the same
+/// `S`, `H` and coupling supports the [`EsMinusH`] reading it is built on.
+#[derive(Debug, Clone)]
+pub struct PencilStore {
+    diag: Vec<Option<DiagNonZeros>>,
+    upper: Vec<Option<Rect>>,
+    lower: Vec<Option<Rect>>,
+}
+
+impl PencilStore {
+    /// Copies the non-zeros of `s` and `h` on the diagonal blocks and on
+    /// `coupling`, the supports of the pencil's coupling pairs
+    /// ([`BlockChain::coupling_support`] of `EsMinusH` over `s` and `h`).
+    pub fn build(s: &Btd, h: &Btd, coupling: &[CouplingSupport]) -> PencilStore {
+        assert_eq!(coupling.len(), h.upper.len(), "one support per coupling pair");
+        let diag: Vec<_> =
+            s.diag.iter().zip(&h.diag).map(|(s, h)| DiagNonZeros::of(s, h)).collect();
+        // A gather reads only its rectangle from the dense block too, so a
+        // coupling's copy saves no bytes, only their spread: it is kept
+        // only between two diagonal blocks the store holds.
+        let beside_held = |i: usize| diag[i].is_some() && diag[i + 1].is_some();
+        let rects = |s: &[ZMat], h: &[ZMat], on: fn(&CouplingSupport) -> &BlockSupport| {
+            (s.iter().zip(h).zip(coupling).enumerate())
+                .map(|(i, ((s, h), p))| beside_held(i).then(|| Rect::of(s, h, on(p))).flatten())
+                .collect()
+        };
+        let (upper, lower) =
+            (rects(&s.upper, &h.upper, |p| &p.upper), rects(&s.lower, &h.lower, |p| &p.lower));
+        PencilStore { diag, upper, lower }
+    }
+
+    /// Bytes the store holds: values, rows, column starts and supports.
+    pub fn bytes(&self) -> usize {
+        let rects = self.upper.iter().chain(&self.lower).flatten().map(Rect::bytes);
+        self.diag.iter().flatten().map(DiagNonZeros::bytes).sum::<usize>() + rects.sum::<usize>()
+    }
+
+    /// Number of diagonal blocks held (the rest stream from `S` and `H`).
+    pub fn diag_blocks_held(&self) -> usize {
+        self.diag.iter().flatten().count()
+    }
+
+    /// Number of coupling blocks held, upper and lower counted apart.
+    pub fn coupling_blocks_held(&self) -> usize {
+        self.upper.iter().chain(&self.lower).flatten().count()
+    }
+}
+
 /// The pencil `A = z·S − H` of Eq. 5 as a [`BlockChain`]: blocks are
 /// evaluated on demand from the device's overlap and Hamiltonian, so a
 /// streaming solver's working set never includes `A`.
 /// [`Btd::es_minus_h`] is the assembled counterpart.
+///
+/// With a [`PencilStore`] the diagonal blocks it holds are streamed from
+/// their non-zeros (`diag_into` writes the zero entry `z·0 − 0` everywhere,
+/// then the stored entries) and the coupling gathers on the store's
+/// supports read its rectangles; everything else, the `*_at` readers
+/// included, reads `S` and `H`. Every entry is the same
+/// `s·z − h` of the same values either way, so a store changes no
+/// non-zero bit; a zero may differ in its sign.
 #[derive(Debug, Clone, Copy)]
 pub struct EsMinusH<'a> {
     /// Complex energy `z = E + iη`.
@@ -206,6 +375,75 @@ pub struct EsMinusH<'a> {
     pub s: &'a Btd,
     /// Hamiltonian `H`.
     pub h: &'a Btd,
+    /// Non-zeros of `s` and `h` ([`PencilStore::build`] on these very
+    /// matrices), or `None` to stream every block from `s` and `h`.
+    pub store: Option<&'a PencilStore>,
+}
+
+/// The stored non-zeros of one diagonal block of an [`EsMinusH`].
+#[derive(Debug, Clone, Copy)]
+pub struct DiagPattern<'a> {
+    z: Complex64,
+    nz: &'a DiagNonZeros,
+}
+
+impl<'a> DiagPattern<'a> {
+    /// `(row, A[row, c])` for the stored entries of column `c`, rows
+    /// ascending; every other entry of the column is `z·0 − 0`.
+    pub fn column(&self, c: usize) -> impl Iterator<Item = (usize, Complex64)> + 'a {
+        let (z, nz) = (self.z, self.nz);
+        let span = nz.start[c]..nz.start[c + 1];
+        (nz.rows[span.clone()].iter().zip(&nz.sh[span]))
+            .map(move |(&r, &[s, h])| (r as usize, es_minus_h_entry(z, s, h)))
+    }
+}
+
+impl<'a> EsMinusH<'a> {
+    /// The pencil at `z` streamed from the dense `s` and `h`.
+    pub fn dense(z: Complex64, s: &'a Btd, h: &'a Btd) -> Self {
+        EsMinusH { z, s, h, store: None }
+    }
+
+    /// The stored non-zeros of the diagonal block `A_{i,i}`, `None` when
+    /// the pencil streams it from `S` and `H`.
+    pub fn diag_pattern(&self, i: usize) -> Option<DiagPattern<'a>> {
+        let nz = self.store?.diag[i].as_ref()?;
+        Some(DiagPattern { z: self.z, nz })
+    }
+
+    /// `[S, H]` on the rectangle `rows × cols` of a coupling block the
+    /// store holds on exactly that support.
+    fn rect(
+        &self,
+        rects: impl Fn(&'a PencilStore) -> &'a [Option<Rect>],
+        i: usize,
+        rows: &[usize],
+        cols: &[usize],
+    ) -> Option<&'a [[Complex64; 2]]> {
+        let rect = rects(self.store?)[i].as_ref()?;
+        (rect.on.rows == rows && rect.on.cols == cols).then_some(&rect.sh[..])
+    }
+
+    /// `out ← block[on.rows, on.cols]` from a stored rectangle.
+    fn rect_on(&self, sh: &[[Complex64; 2]], out: &mut ZMat) {
+        assert_eq!(out.as_slice().len(), sh.len(), "gather shape");
+        for (o, &[s, h]) in out.as_mut_slice().iter_mut().zip(sh) {
+            *o = es_minus_h_entry(self.z, s, h);
+        }
+    }
+
+    /// `out ← block[on.cols, on.rows]ᴴ` from a stored rectangle on
+    /// `on.cols × on.rows`.
+    fn rect_adjoint_on(&self, sh: &[[Complex64; 2]], out: &mut ZMat) {
+        assert_eq!(out.as_slice().len(), sh.len(), "gather shape");
+        let n = out.cols();
+        for b in 0..n {
+            for (a, o) in out.col_mut(b).iter_mut().enumerate() {
+                let [s, h] = sh[a * n + b];
+                *o = es_minus_h_entry(self.z, s, h).conj();
+            }
+        }
+    }
 }
 
 impl BlockChain for EsMinusH<'_> {
@@ -220,8 +458,18 @@ impl BlockChain for EsMinusH<'_> {
     fn diag_into(&self, i: usize, out: &mut ZMat) {
         let (s, h) = (self.s.diag[i].as_slice(), self.h.diag[i].as_slice());
         assert_eq!(out.as_slice().len(), h.len(), "diag_into output shape");
-        for ((o, &s), &h) in out.as_mut_slice().iter_mut().zip(s).zip(h) {
-            *o = es_minus_h_entry(self.z, s, h);
+        let Some(pattern) = self.diag_pattern(i) else {
+            for ((o, &s), &h) in out.as_mut_slice().iter_mut().zip(s).zip(h) {
+                *o = es_minus_h_entry(self.z, s, h);
+            }
+            return;
+        };
+        out.as_mut_slice().fill(es_minus_h_entry(self.z, Complex64::ZERO, Complex64::ZERO));
+        for c in 0..out.cols() {
+            let col = out.col_mut(c);
+            for (r, a) in pattern.column(c) {
+                col[r] = a;
+            }
         }
     }
 
@@ -235,6 +483,34 @@ impl BlockChain for EsMinusH<'_> {
 
     fn lower_at(&self, i: usize, r: usize, c: usize) -> Complex64 {
         es_minus_h_entry(self.z, self.s.lower[i][(r, c)], self.h.lower[i][(r, c)])
+    }
+
+    fn upper_on(&self, i: usize, on: &BlockSupport, out: &mut ZMat) {
+        match self.rect(|st| &st.upper, i, &on.rows, &on.cols) {
+            Some(sh) => self.rect_on(sh, out),
+            None => gather(on, out, |r, c| self.upper_at(i, r, c)),
+        }
+    }
+
+    fn lower_on(&self, i: usize, on: &BlockSupport, out: &mut ZMat) {
+        match self.rect(|st| &st.lower, i, &on.rows, &on.cols) {
+            Some(sh) => self.rect_on(sh, out),
+            None => gather(on, out, |r, c| self.lower_at(i, r, c)),
+        }
+    }
+
+    fn upper_adjoint_on(&self, i: usize, on: &BlockSupport, out: &mut ZMat) {
+        match self.rect(|st| &st.upper, i, &on.cols, &on.rows) {
+            Some(sh) => self.rect_adjoint_on(sh, out),
+            None => gather(on, out, |r, c| self.upper_at(i, c, r).conj()),
+        }
+    }
+
+    fn lower_adjoint_on(&self, i: usize, on: &BlockSupport, out: &mut ZMat) {
+        match self.rect(|st| &st.lower, i, &on.cols, &on.rows) {
+            Some(sh) => self.rect_adjoint_on(sh, out),
+            None => gather(on, out, |r, c| self.lower_at(i, c, r).conj()),
+        }
     }
 
     fn coupling_support(&self) -> Vec<CouplingSupport> {
@@ -317,6 +593,22 @@ impl<C: BlockChain> BlockChain for Mirrored<'_, C> {
         self.chain.lower_at(self.pair(j), c, r).conj()
     }
 
+    fn upper_on(&self, j: usize, on: &BlockSupport, out: &mut ZMat) {
+        self.chain.upper_adjoint_on(self.pair(j), on, out);
+    }
+
+    fn lower_on(&self, j: usize, on: &BlockSupport, out: &mut ZMat) {
+        self.chain.lower_adjoint_on(self.pair(j), on, out);
+    }
+
+    fn upper_adjoint_on(&self, j: usize, on: &BlockSupport, out: &mut ZMat) {
+        self.chain.upper_on(self.pair(j), on, out);
+    }
+
+    fn lower_adjoint_on(&self, j: usize, on: &BlockSupport, out: &mut ZMat) {
+        self.chain.lower_on(self.pair(j), on, out);
+    }
+
     fn coupling_support(&self) -> Vec<CouplingSupport> {
         Self::support_of(&self.chain.coupling_support()[..self.len - 1])
     }
@@ -392,6 +684,14 @@ impl<C: BlockChain> BlockChain for Reversed<'_, C> {
         self.chain.upper_on(self.pair(j), on, out);
     }
 
+    fn upper_adjoint_on(&self, j: usize, on: &BlockSupport, out: &mut ZMat) {
+        self.chain.lower_adjoint_on(self.pair(j), on, out);
+    }
+
+    fn lower_adjoint_on(&self, j: usize, on: &BlockSupport, out: &mut ZMat) {
+        self.chain.upper_adjoint_on(self.pair(j), on, out);
+    }
+
     fn coupling_support(&self) -> Vec<CouplingSupport> {
         Self::support_of(&self.chain.coupling_support()[..self.len - 1])
     }
@@ -446,7 +746,7 @@ mod tests {
         }
         let z = c64(0.37, 1e-6);
         let a = Btd::es_minus_h(z, &ov, &h);
-        let pencil = EsMinusH { z, s: &ov, h: &h };
+        let pencil = EsMinusH::dense(z, &ov, &h);
         assert_eq!(BlockChain::num_blocks(&pencil), nb);
         assert_eq!(BlockChain::block_size(&pencil), s);
         let mut d = ZMat::random(s, s, 99);

@@ -13,8 +13,10 @@
 //!   and the RGF kernels consume.
 //! * [`BlockChain`] — the same matrix read one block at a time, either
 //!   from an assembled [`Btd`] or from the pencil [`EsMinusH`] evaluated
-//!   on the fly, with the structural [`CouplingSupport`] of its coupling
-//!   blocks: what a streaming elimination sweep consumes.
+//!   on the fly (from the dense blocks or from the compact
+//!   [`PencilStore`] of their non-zeros), with the structural
+//!   [`CouplingSupport`] of its coupling blocks: what a streaming
+//!   elimination sweep consumes.
 //!
 //! The crate has no matrix-product kernel: products over these blocks go
 //! through `qtx_linalg::gemm`.
@@ -29,7 +31,8 @@ pub mod stats;
 
 pub use btd::Btd;
 pub use chain::{
-    BlockChain, BlockSupport, ChainSupport, CouplingSupport, EsMinusH, Mirrored, Reversed,
+    BlockChain, BlockSupport, ChainSupport, CouplingSupport, DiagPattern, EsMinusH, Mirrored,
+    PencilStore, Reversed,
 };
 pub use csr::{Csr, CsrBuilder};
 pub use error::SparseShapeError;
