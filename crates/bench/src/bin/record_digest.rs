@@ -16,11 +16,23 @@
 //! cargo run --release -p qtx-bench --bin record_digest > digest.txt
 //! ```
 //!
+//! A change meant to move records by a bounded amount is checked against
+//! the parent's saved output instead:
+//!
+//! ```text
+//! cargo run --release -p qtx-bench --bin record_digest -- --against PARENT.txt
+//! ```
+//!
+//! prints, per device × policy × momentum, the number of lines identical to
+//! the parent's, the largest |ΔT|, |ΔT_RL| and |ΔR|, and then every line
+//! whose `method` or `attempts` differ (or that exists on one side only).
+//!
 //! The exit code is 0 unless a point fails outright.
 
 use qtx_atomistic::devices::DeviceSpec;
 use qtx_atomistic::{BasisKind, DeviceBuilder};
 use qtx_core::{Device, PointPolicy, TransportEngine};
+use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::process::ExitCode;
 
@@ -92,8 +104,9 @@ fn cases() -> Vec<Case> {
     ]
 }
 
-fn main() -> ExitCode {
-    let mut digest = Fnv::new();
+/// The record lines of every case, and the number of points that failed.
+fn record_lines() -> (Vec<String>, usize) {
+    let mut lines = Vec::new();
     let mut failed = 0;
     for case in cases() {
         for (policy_name, policy) in
@@ -135,15 +148,182 @@ fn main() -> ExitCode {
                         o.method_used,
                         o.attempts
                     );
-                    println!("{line}");
-                    for byte in line.bytes() {
-                        digest.word(u64::from(byte));
-                    }
+                    lines.push(line);
                 }
             }
         }
     }
-    println!("digest {:016x}", digest.0);
+    (lines, failed)
+}
+
+/// The digest line over the record lines.
+fn digest_line(lines: &[String]) -> String {
+    let mut digest = Fnv::new();
+    for line in lines {
+        for byte in line.bytes() {
+            digest.word(u64::from(byte));
+        }
+    }
+    format!("digest {:016x}", digest.0)
+}
+
+/// A record line read back: device, policy and its `key=value` fields.
+struct Record<'a> {
+    device: &'a str,
+    policy: &'a str,
+    fields: Vec<(&'a str, &'a str)>,
+}
+
+impl<'a> Record<'a> {
+    fn parse(line: &'a str) -> Option<Record<'a>> {
+        let mut tokens = line.split_whitespace();
+        let (device, policy) = (tokens.next()?, tokens.next()?);
+        let fields = tokens.map(|t| t.split_once('=')).collect::<Option<Vec<_>>>()?;
+        Some(Record { device, policy, fields })
+    }
+
+    fn field(&self, key: &str) -> Option<&'a str> {
+        self.fields.iter().find(|(k, _)| *k == key).map(|(_, v)| *v)
+    }
+
+    /// An `f64` printed as its bits.
+    fn value(&self, key: &str) -> Option<f64> {
+        u64::from_str_radix(self.field(key)?, 16).ok().map(f64::from_bits)
+    }
+
+    /// The point the line is about: device, policy, momentum, energy.
+    fn key(&self) -> (&'a str, &'a str, Option<&'a str>, Option<&'a str>) {
+        (self.device, self.policy, self.field("kz"), self.field("e"))
+    }
+
+    /// The rung, the attempts and whether the point produced a result.
+    fn outcome(&self) -> (Option<&'a str>, Option<&'a str>, bool) {
+        (self.field("method"), self.field("attempts"), self.field("t").is_some())
+    }
+
+    fn show_outcome(&self) -> String {
+        let (method, attempts, solved) = self.outcome();
+        format!(
+            "method={} attempts={}{}",
+            method.unwrap_or("?"),
+            attempts.unwrap_or("?"),
+            if solved { "" } else { " (failed)" }
+        )
+    }
+
+    /// `device policy kz=…` with the momentum in decimal.
+    fn group(&self) -> String {
+        format!("{} {} kz={}", self.device, self.policy, self.value("kz").unwrap_or(f64::NAN))
+    }
+}
+
+/// Per device × policy × momentum: lines, identical lines, and the largest
+/// |ΔT|, |ΔT_RL| and |ΔR| against the parent.
+#[derive(Default)]
+struct Group {
+    lines: usize,
+    identical: usize,
+    max_delta: [f64; 3],
+}
+
+/// The report of `--against`: the change's lines held to the parent's.
+fn compare(parent: &str, change: &[String]) -> String {
+    let parent: HashMap<_, _> = parent
+        .lines()
+        .filter(|l| !l.starts_with("digest "))
+        .filter_map(|l| Record::parse(l).map(|r| (r.key(), (l, r))))
+        .collect();
+    let mut groups: Vec<(String, Group)> = Vec::new();
+    let mut moved = Vec::new();
+    let mut matched = 0;
+    for line in change {
+        let Some(rec) = Record::parse(line) else { continue };
+        let name = rec.group();
+        if groups.last().is_none_or(|(g, _)| *g != name) {
+            groups.push((name.clone(), Group::default()));
+        }
+        let group = &mut groups.last_mut().expect("pushed above").1;
+        group.lines += 1;
+        let Some((parent_line, old)) = parent.get(&rec.key()) else {
+            moved.push(format!(
+                "  {name} e={}: not in the parent",
+                rec.value("e").unwrap_or(f64::NAN)
+            ));
+            continue;
+        };
+        matched += 1;
+        if *parent_line == line {
+            group.identical += 1;
+            continue;
+        }
+        for (max, key) in group.max_delta.iter_mut().zip(["t", "t_rl", "r"]) {
+            if let (Some(a), Some(b)) = (old.value(key), rec.value(key)) {
+                *max = max.max((a - b).abs());
+            }
+        }
+        if old.outcome() != rec.outcome() {
+            moved.push(format!(
+                "  {name} e={}: {} -> {}",
+                rec.value("e").unwrap_or(f64::NAN),
+                old.show_outcome(),
+                rec.show_outcome()
+            ));
+        }
+    }
+    let mut out = format!(
+        "{:<28} {:>5} {:>9} {:>10} {:>10} {:>10}\n",
+        "device policy kz", "lines", "identical", "max|dT|", "max|dT_RL|", "max|dR|"
+    );
+    for (name, g) in &groups {
+        let [t, t_rl, r] = g.max_delta;
+        let _ = writeln!(
+            out,
+            "{name:<28} {:>5} {:>9} {t:>10.2e} {t_rl:>10.2e} {r:>10.2e}",
+            g.lines, g.identical
+        );
+    }
+    let _ = writeln!(out, "lines whose method or attempts differ, or unmatched: {}", moved.len());
+    for m in &moved {
+        let _ = writeln!(out, "{m}");
+    }
+    if matched < parent.len() {
+        let _ = writeln!(out, "parent lines not in this run: {}", parent.len() - matched);
+    }
+    out
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let against = match args.as_slice() {
+        [] => None,
+        [flag, path] if flag == "--against" => match std::fs::read_to_string(path) {
+            Ok(text) => Some(text),
+            Err(e) => {
+                eprintln!("record_digest: cannot read {path}: {e}");
+                return ExitCode::from(2);
+            }
+        },
+        _ => {
+            eprintln!("usage: record_digest [--against PARENT_DIGEST.txt]");
+            return ExitCode::from(2);
+        }
+    };
+    let (lines, failed) = record_lines();
+    let digest = digest_line(&lines);
+    match against {
+        Some(parent) => {
+            print!("{}", compare(&parent, &lines));
+            let old = parent.lines().find(|l| l.starts_with("digest ")).unwrap_or("digest ?");
+            let verdict = if old == digest { "equal" } else { "differs" };
+            println!("{digest} (parent: {}, {verdict})", old.trim_start_matches("digest "));
+        }
+        None => {
+            for line in &lines {
+                println!("{line}");
+            }
+            println!("{digest}");
+        }
+    }
     if failed > 0 {
         eprintln!("{failed} point(s) failed");
         return ExitCode::FAILURE;

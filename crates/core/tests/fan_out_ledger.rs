@@ -63,10 +63,11 @@ fn feast_loops_and_fronts_decide_as_the_ledger_says() {
     for (name, spec, large) in workload_devices() {
         let dk = Device::build(spec).expect("device build").at_kz(0.0);
         let nf = dk.lead_l.nf();
-        // FEAST: the outer circle's LUs of a Hermitian pencil (η = 0), and
-        // 24 solves against the 8 columns of the first projector pass.
-        let factor = np * counts::zgetrf(nf);
-        let projector = 2 * np * counts::zgetrs(nf, 8);
+        // FEAST on a real Hermitian pencil (η = 0, kz = 0): the outer LUs of
+        // the upper half plane's np/2 angles, and 2·(np/2) solves against
+        // the 8 columns of the first projector pass.
+        let factor = np / 2 * counts::zgetrf(nf);
+        let projector = 2 * (np / 2) * counts::zgetrs(nf, 8);
         assert_eq!(fans_out(factor / 2), large, "{name}: FEAST factor loop at nf = {nf}");
         assert_eq!(fans_out(projector / 2), large, "{name}: FEAST projector loop at nf = {nf}");
 

@@ -168,6 +168,16 @@ impl CompanionPencil {
         })
     }
 
+    /// Whether the three blocks are real as stored numbers (`im == 0.0`
+    /// entry for entry, no tolerance): a lead with real `H` and `S` at a
+    /// real energy. Then `P(z̄) = conj(P(z))` is an identity, the contour
+    /// projector is a real matrix and FEAST integrates over the upper half
+    /// plane only. Any broadening `η > 0` puts `iη·S00` on the diagonal of
+    /// `T00`, and a Bloch phase `kz ≠ 0` complex couplings, and fails it.
+    pub fn is_real(&self) -> bool {
+        [&self.t00, &self.t01, &self.t10].iter().all(|t| t.as_slice().iter().all(|v| v.im == 0.0))
+    }
+
     /// Deterministic fault-injection key for this pencil's quadrature
     /// factorizations: mixes the node `z` with pencil content (which
     /// carries `E`, `η` and the lead), so an escalation that changes the
@@ -179,8 +189,9 @@ impl CompanionPencil {
     }
 
     /// The `factor_poly` fault chokepoint of quadrature node `z`, drawn once
-    /// per node whether the node factors `P(z)` itself or borrows the
-    /// reciprocal node's factors — so a campaign fails the same nodes
+    /// per node whether the node factors `P(z)` itself, borrows the
+    /// reciprocal node's factors or, on a real pencil, is the conjugate of a
+    /// solved node and never solved — so a campaign fails the same nodes
     /// either way.
     pub(crate) fn draw_factor_fault(&self, z: Complex64) -> Result<()> {
         if qtx_linalg::fault::should_fail("factor_poly", self.injection_key(z)) {

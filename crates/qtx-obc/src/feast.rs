@@ -31,6 +31,16 @@
 //! pencil factors both circles through the same loop; which of the two
 //! happens is read off the pencil, never configured.
 //!
+//! The nodes at angles `θ` and `2π − θ` are complex conjugates on both
+//! circles, and for a real pencil ([`CompanionPencil::is_real`]: a lead
+//! with real blocks at a real energy) `P(z̄) = conj(P(z))`, so the
+//! projector is a real matrix: a real block `Y_F` gives
+//! `x(z̄) = conj(x(z))` and the pair sums to `2·Re(w·x)`. Such a pencil is
+//! integrated on the upper half plane's nodes only, a complex block split
+//! into its real and imaginary parts first. This too is read off the
+//! pencil: every broadened rung and every complex lead takes the full
+//! contour.
+//!
 //! Only `m ≪ N_BC` modes live in the annulus, so the random block `Y_F`
 //! starts a few columns wide and is sized by the projector itself: while
 //! the rank-truncated `Q_F` fills the block (`rank + 2 ≥ columns`) as many
@@ -137,13 +147,17 @@ pub struct FeastStats {
     /// Columns of the random block once the sizing loop stopped growing it
     /// (a report: setting it changes nothing).
     pub subspace: usize,
-    /// Factorizations of `P(z_p)` held by the run (a report): `2·np`, or
-    /// `np` when the pencil is Hermitian and the inner circle runs on the
-    /// outer factors' adjoints.
+    /// Factorizations of `P(z_p)` held by the run (a report): `2·np` in
+    /// general; `np` when the pencil is Hermitian and the inner circle runs
+    /// on the outer factors' adjoints; `⌈np/2⌉` when it is also real and
+    /// only the upper half plane's angles are solved (`2·⌈np/2⌉` for a real
+    /// pencil that is not Hermitian).
     pub factorizations: usize,
-    /// Block back-substitutions: one per quadrature node per projector
-    /// application (every subspace iteration and every growth step of the
-    /// sizing loop), each against all columns projected at that step.
+    /// Block back-substitutions: one per quadrature node solved per
+    /// projector application (every subspace iteration and every growth
+    /// step of the sizing loop), each against all columns projected at that
+    /// step — `2·np` nodes, or `2·⌈np/2⌉` on a real pencil, where a complex
+    /// block is solved as its real and imaginary parts side by side.
     pub linear_solves: usize,
     /// Worst accepted eigenpair residual.
     pub max_residual: f64,
@@ -176,43 +190,10 @@ pub fn feast_annulus_ws(
     ws: &Workspace,
 ) -> ObcOutcome<(FeastModes, FeastStats)> {
     let mut stats = FeastStats::default();
-    // Integration nodes `z_p` with their trapezoid weights `±z_p/N_p`
-    // (Eq. 10; the inner circle is traversed backwards): offset half-steps
-    // avoid band-edge eigenvalues at λ = ±1 landing exactly on a node.
-    let nodes: Vec<(Complex64, Complex64)> = (0..cfg.np)
-        .flat_map(|p| {
-            let theta = 2.0 * std::f64::consts::PI * (p as f64 + 0.5) / cfg.np as f64;
-            [(cfg.r_outer, 1.0), (1.0 / cfg.r_outer, -1.0)].map(|(r, sign)| {
-                let z = Complex64::from_polar(r, theta);
-                (z, z.scale(sign / cfg.np as f64))
-            })
-        })
-        .collect();
-    // One LU of P(z_p) per node, reused across refinements and RHS; the
-    // polynomial evaluations cycle through the shared pool and the factors
-    // adopt their buffers (handed back when the run returns). The nodes
-    // come in (outer, inner) pairs at one angle: an inner node of a
-    // Hermitian pencil holds `None` and borrows its outer neighbour's
-    // factors. Every node draws its fault chokepoint either way.
-    let reciprocal = pencil.is_hermitian();
-    let factored = if reciprocal { cfg.np } else { nodes.len() };
-    let work = factored as u64 * counts::zgetrf(pencil.nf);
-    let factors = map_counted(&nodes, work, |i, &(z, _)| {
-        if reciprocal && i % 2 == 1 {
-            pencil.draw_factor_fault(z).map(|()| None)
-        } else {
-            pencil.factor_poly_ws(z, ws).map(Some)
-        }
-    })
-    .into_iter()
-    .collect::<qtx_linalg::Result<Vec<Option<LuFactors>>>>()
-    .map_err(ObcError::from);
-    let result = factors.and_then(|factors| {
-        stats.factorizations = factors.iter().flatten().count();
-        let r = feast_core(pencil, cfg, &nodes, &factors, ws, &mut stats);
-        for f in factors.into_iter().flatten() {
-            f.recycle_into(ws);
-        }
+    let result = Contour::factor(pencil, cfg, ws).map_err(ObcError::from).and_then(|contour| {
+        stats.factorizations = contour.factors.iter().flatten().count();
+        let r = feast_core(pencil, cfg, &contour, ws, &mut stats);
+        contour.recycle_into(ws);
         r
     });
     match result {
@@ -237,39 +218,177 @@ const START_BLOCK: usize = 8;
 /// wider block drawn from the same seed extends a narrower one bit for bit.
 const BLOCK_SEED: u64 = 0x0f_ea_57;
 
-/// Applies the quadrature projector of Eq. 10 to columns `c0..` of `y`:
-/// `Σ_p w_p (z_p/N_p)(z_p B − A)⁻¹ B Y`, the node partials summed in node
-/// order so the result does not depend on which thread solved which node.
-fn apply_projector(
-    pencil: &CompanionPencil,
-    nodes: &[(Complex64, Complex64)],
-    factors: &[Option<LuFactors>],
-    y: &ZMat,
-    c0: usize,
-    ws: &Workspace,
-    stats: &mut FeastStats,
-) -> ZMat {
-    let rhs = pencil.projector_rhs_ws(y, c0, ws);
-    let work = nodes.len() as u64 * counts::zgetrs(pencil.nf, y.cols() - c0);
-    let partials = map_counted(nodes, work, |i, &(z, w)| {
-        let f = match &factors[i] {
-            Some(own) => NodeFactors::Own(own),
-            None => NodeFactors::Reciprocal(
-                factors[i - 1].as_ref().expect("the outer node of the pair is factored"),
-            ),
-        };
-        let mut x = pencil.solve_projector_ws(f, z, &rhs, ws);
-        x.scale_assign(w);
-        x
-    });
-    rhs.recycle_into(ws);
-    stats.linear_solves += nodes.len();
-    let mut acc = ws.take(y.rows(), y.cols() - c0);
-    for p in partials {
-        acc.axpy(Complex64::ONE, &p);
-        ws.recycle(p);
+/// Fills `y` from the seeded stream, its imaginary parts zeroed on a real
+/// pencil: a real block's projection needs no split.
+fn random_block(y: &mut ZMat, real: bool) {
+    y.randomize(BLOCK_SEED);
+    if real {
+        keep_real_part(y);
     }
-    acc
+}
+
+fn keep_real_part(m: &mut ZMat) {
+    for v in m.as_mut_slice() {
+        v.im = 0.0;
+    }
+}
+
+/// The trapezoid rule of Eq. 10 with the node factorizations it holds.
+struct Contour {
+    /// The nodes the projector solves at, with their weights, in (outer,
+    /// inner) pairs by angle: all `2·np`, or on a real pencil the upper half
+    /// plane's, each weight then carrying its node's multiplicity.
+    nodes: Vec<(Complex64, Complex64)>,
+    /// One per node: the LU of `P(z)`, or `None` for an inner node of a
+    /// Hermitian pencil, which borrows its outer neighbour's factors.
+    factors: Vec<Option<LuFactors>>,
+    /// The pencil is real: every node contributes `Re(w·x)`.
+    real: bool,
+}
+
+impl Contour {
+    /// Places the nodes and factors `P(z)` at those that need their own LU.
+    fn factor(
+        pencil: &CompanionPencil,
+        cfg: FeastConfig,
+        ws: &Workspace,
+    ) -> qtx_linalg::Result<Contour> {
+        let np = cfg.np;
+        // Integration nodes `z_p` with their trapezoid weights `±z_p/N_p`
+        // (Eq. 10; the inner circle is traversed backwards): offset
+        // half-steps avoid band-edge eigenvalues at λ = ±1 landing exactly
+        // on a node.
+        let all: Vec<(Complex64, Complex64)> = (0..np)
+            .flat_map(|p| {
+                let theta = 2.0 * std::f64::consts::PI * (p as f64 + 0.5) / np as f64;
+                [(cfg.r_outer, 1.0), (1.0 / cfg.r_outer, -1.0)].map(|(r, sign)| {
+                    let z = Complex64::from_polar(r, theta);
+                    (z, z.scale(sign / np as f64))
+                })
+            })
+            .collect();
+        // Angles `p` and `np − 1 − p` are conjugate. A real pencil keeps
+        // `p < np − 1 − p` at twice its weight and, for an odd `np`, the
+        // self-conjugate `θ = π` once: a prefix of the node list.
+        let real = pencil.is_real();
+        let kept = if real { np.div_ceil(2) } else { np };
+        let nodes: Vec<(Complex64, Complex64)> = all[..2 * kept]
+            .iter()
+            .enumerate()
+            .map(|(i, &(z, w))| {
+                let pair = real && i / 2 < np - 1 - i / 2;
+                (z, if pair { w.scale(2.0) } else { w })
+            })
+            .collect();
+        // One LU of P(z_p) per node, reused across refinements and RHS; the
+        // polynomial evaluations cycle through the shared pool and the
+        // factors adopt their buffers (handed back by `recycle_into`). An
+        // inner node of a Hermitian pencil holds `None` and borrows its
+        // outer neighbour's factors. Every node of the full contour draws
+        // its fault chokepoint, solved or not, so a campaign fails the
+        // runs it fails on the full contour.
+        let reciprocal = pencil.is_hermitian();
+        let factored = if reciprocal { kept } else { nodes.len() };
+        let work = factored as u64 * counts::zgetrf(pencil.nf);
+        let factors = map_counted(&nodes, work, |i, &(z, _)| {
+            if reciprocal && i % 2 == 1 {
+                pencil.draw_factor_fault(z).map(|()| None)
+            } else {
+                pencil.factor_poly_ws(z, ws).map(Some)
+            }
+        });
+        // Every draw is made, none short-circuited: a campaign counts the
+        // faults it injects.
+        let lower: Vec<_> =
+            all[nodes.len()..].iter().map(|&(z, _)| pencil.draw_factor_fault(z)).collect();
+        let factors = factors.into_iter().collect::<qtx_linalg::Result<_>>()?;
+        let contour = Contour { nodes, factors, real };
+        if let Some(e) = lower.into_iter().find_map(Result::err) {
+            contour.recycle_into(ws);
+            return Err(e);
+        }
+        Ok(contour)
+    }
+
+    /// Hands the node factorizations back to the pool.
+    fn recycle_into(self, ws: &Workspace) {
+        for f in self.factors.into_iter().flatten() {
+            f.recycle_into(ws);
+        }
+    }
+
+    /// Applies the quadrature projector of Eq. 10 to columns `c0..` of `y`:
+    /// `Σ_p w_p (z_p/N_p)(z_p B − A)⁻¹ B Y`. On a real pencil the projector
+    /// is real, so a complex block is projected as `P·Re Y + i·P·Im Y`:
+    /// both parts side by side in one real block of twice the columns.
+    fn apply(
+        &self,
+        pencil: &CompanionPencil,
+        y: &ZMat,
+        c0: usize,
+        ws: &Workspace,
+        stats: &mut FeastStats,
+    ) -> ZMat {
+        let n = y.rows();
+        let cols = &y.as_slice()[c0 * n..];
+        if !self.real || cols.iter().all(|v| v.im == 0.0) {
+            return self.sum_nodes(pencil, y, c0, ws, stats);
+        }
+        let m = y.cols() - c0;
+        let mut parts = ws.take_scratch(n, 2 * m);
+        let (re, im) = parts.as_mut_slice().split_at_mut(n * m);
+        for ((r, i), v) in re.iter_mut().zip(im).zip(cols) {
+            *r = Complex64::new(v.re, 0.0);
+            *i = Complex64::new(v.im, 0.0);
+        }
+        let both = self.sum_nodes(pencil, &parts, 0, ws, stats);
+        ws.recycle(parts);
+        let mut out = ws.take_scratch(n, m);
+        let (re, im) = both.as_slice().split_at(n * m);
+        for ((o, r), i) in out.as_mut_slice().iter_mut().zip(re).zip(im) {
+            *o = Complex64::new(r.re, i.re);
+        }
+        ws.recycle(both);
+        out
+    }
+
+    /// The node sum of [`Contour::apply`], the partials summed in node
+    /// order so the result does not depend on which thread solved which
+    /// node.
+    fn sum_nodes(
+        &self,
+        pencil: &CompanionPencil,
+        y: &ZMat,
+        c0: usize,
+        ws: &Workspace,
+        stats: &mut FeastStats,
+    ) -> ZMat {
+        let rhs = pencil.projector_rhs_ws(y, c0, ws);
+        let work = self.nodes.len() as u64 * counts::zgetrs(pencil.nf, y.cols() - c0);
+        let partials = map_counted(&self.nodes, work, |i, &(z, w)| {
+            let f = match &self.factors[i] {
+                Some(own) => NodeFactors::Own(own),
+                None => NodeFactors::Reciprocal(
+                    self.factors[i - 1].as_ref().expect("the outer node of the pair is factored"),
+                ),
+            };
+            let mut x = pencil.solve_projector_ws(f, z, &rhs, ws);
+            x.scale_assign(w);
+            if self.real {
+                // The conjugate node adds conj(w·x); the 2 is in `w`.
+                keep_real_part(&mut x);
+            }
+            x
+        });
+        rhs.recycle_into(ws);
+        stats.linear_solves += self.nodes.len();
+        let mut acc = ws.take(y.rows(), y.cols() - c0);
+        for p in partials {
+            acc.axpy(Complex64::ONE, &p);
+            ws.recycle(p);
+        }
+        acc
+    }
 }
 
 /// The refinement loop of [`feast_annulus_ws`], separated so the node
@@ -277,8 +396,7 @@ fn apply_projector(
 fn feast_core(
     pencil: &CompanionPencil,
     cfg: FeastConfig,
-    nodes: &[(Complex64, Complex64)],
-    factors: &[Option<LuFactors>],
+    contour: &Contour,
     ws: &Workspace,
     stats: &mut FeastStats,
 ) -> ObcOutcome<FeastModes> {
@@ -287,7 +405,7 @@ fn feast_core(
     let scale = pencil.scale();
     let start = if cfg.subspace == 0 { START_BLOCK } else { cfg.subspace };
     let mut y = ws.take_scratch(nbc, start.min(nbc));
-    y.randomize(BLOCK_SEED);
+    random_block(&mut y, contour.real);
     let mut accepted: Vec<(Complex64, Vec<Complex64>)> = Vec::new();
     let mut prev_accepted = usize::MAX;
     let mut prev_inside = usize::MAX;
@@ -295,7 +413,7 @@ fn feast_core(
     let mut last_inside = 0usize;
     for it in 0..cfg.max_refine {
         stats.iterations += 1;
-        let mut p = apply_projector(pencil, nodes, factors, &y, 0, ws, stats);
+        let mut p = contour.apply(pencil, &y, 0, ws, stats);
         let q = loop {
             let q = match orthonormalize_rank(&p, 1e-13, ws) {
                 Ok(q) => q,
@@ -319,9 +437,9 @@ fn feast_core(
             }
             ws.recycle(q);
             let mut wider = ws.take_scratch(nbc, (2 * m).min(nbc));
-            wider.randomize(BLOCK_SEED);
+            random_block(&mut wider, contour.real);
             ws.recycle(std::mem::replace(&mut y, wider));
-            let appended = apply_projector(pencil, nodes, factors, &y, m, ws, stats);
+            let appended = contour.apply(pencil, &y, m, ws, stats);
             let mut both = ws.take_scratch(nbc, y.cols());
             let (head, tail) = both.as_mut_slice().split_at_mut(nbc * m);
             head.copy_from_slice(p.as_slice());
@@ -562,12 +680,127 @@ mod tests {
 
     #[test]
     fn feast_counts_linear_solves() {
-        let lead = LeadBlocks::chain_1d(0.0, -1.0);
-        let pencil = CompanionPencil::at_energy(&lead, -0.9, 0.0);
+        // The chain's companion space is two columns wide, so the start
+        // block fills it and every projector application is an iteration.
         let cfg = FeastConfig { np: 6, ..FeastConfig::default() };
-        let (_, stats) = feast_annulus(&pencil, cfg).unwrap();
-        assert!(stats.linear_solves >= 12, "2 circles × np solves at least");
+        let real = CompanionPencil::at_energy(&LeadBlocks::chain_1d(0.0, -1.0), -0.9, 0.0);
+        assert!(real.is_real());
+        let (_, stats) = feast_annulus(&real, cfg).unwrap();
         assert!(stats.iterations >= 1);
+        // np/2 angles × 2 circles per application, on np/2 factorizations.
+        assert_eq!(stats.linear_solves, stats.iterations * (cfg.np / 2) * 2, "{stats:?}");
+        assert_eq!(stats.factorizations, cfg.np / 2, "{stats:?}");
+        // A complex hopping keeps the lead Hermitian but the pencil complex:
+        // the full contour, 2·np solves per application on np factorizations.
+        let phase = ZMat::from_diag(&[Complex64::from_polar(-1.0, 0.4)]);
+        let lead = LeadBlocks::new(ZMat::zeros(1, 1), phase, ZMat::identity(1), ZMat::zeros(1, 1));
+        let complex = CompanionPencil::at_energy(&lead, -0.9, 0.0);
+        assert!(!complex.is_real() && complex.is_hermitian());
+        let (_, stats) = feast_annulus(&complex, cfg).unwrap();
+        assert!(stats.iterations >= 1);
+        assert_eq!(stats.linear_solves, stats.iterations * 2 * cfg.np, "{stats:?}");
+        assert_eq!(stats.factorizations, cfg.np, "{stats:?}");
+    }
+
+    /// The four benchmark devices' left leads at momentum `kz`, rebuilt as
+    /// this crate's lead type: the UTB film, the 0.8 nm and 1.5 nm
+    /// tight-binding wires and the 1.0 nm DFT wire.
+    fn benchmark_leads(kz: f64) -> Vec<(&'static str, LeadBlocks)> {
+        use qtx_atomistic::{BasisKind, DeviceBuilder};
+        let tb = BasisKind::TightBinding;
+        [
+            ("utb", DeviceBuilder::utb(0.8), tb),
+            ("nw08", DeviceBuilder::nanowire(0.8), tb),
+            ("nw15", DeviceBuilder::nanowire(1.5), tb),
+            ("dft10", DeviceBuilder::nanowire(1.0), BasisKind::Dft3sp),
+        ]
+        .into_iter()
+        .map(|(name, builder, basis)| {
+            let spec = builder.cells(4).basis(basis).build();
+            let l = qtx_core::Device::build(spec).expect("device build").at_kz(kz).lead_l;
+            (name, LeadBlocks { h00: l.h00, h01: l.h01, s00: l.s00, s01: l.s01 })
+        })
+        .collect()
+    }
+
+    /// Every node of the full `2·np`-node contour with its weight and its
+    /// own factorization.
+    type FullContour = Vec<(Complex64, Complex64, LuFactors)>;
+
+    fn full_contour(pencil: &CompanionPencil, cfg: FeastConfig) -> FullContour {
+        let mut nodes = Vec::new();
+        for p in 0..cfg.np {
+            let theta = 2.0 * std::f64::consts::PI * (p as f64 + 0.5) / cfg.np as f64;
+            for (r, sign) in [(cfg.r_outer, 1.0), (1.0 / cfg.r_outer, -1.0)] {
+                let z = Complex64::from_polar(r, theta);
+                nodes.push((z, z.scale(sign / cfg.np as f64), pencil.factor_poly(z).unwrap()));
+            }
+        }
+        nodes
+    }
+
+    /// Eq. 10 on `y`, summed over every node of the full contour.
+    fn full_contour_sum(pencil: &CompanionPencil, nodes: &FullContour, y: &ZMat) -> ZMat {
+        let by = pencil.apply_b(y);
+        let mut acc = ZMat::zeros(y.rows(), y.cols());
+        for (z, w, f) in nodes {
+            acc.axpy(*w, &pencil.solve_shifted(f, *z, &by));
+        }
+        acc
+    }
+
+    #[test]
+    fn half_contour_of_a_real_pencil_is_the_full_sum() {
+        let mut pencils: Vec<(&str, CompanionPencil)> = benchmark_leads(0.0)
+            .into_iter()
+            .map(|(name, lead)| {
+                let e = lead.dispersive_energy(1.1, 0.3, 0.3).expect("a dispersive band");
+                (name, CompanionPencil::at_energy(&lead, e, 0.0))
+            })
+            .collect();
+        pencils.push((
+            "chain",
+            CompanionPencil::at_energy(&LeadBlocks::chain_1d(0.0, -1.0), 0.4, 0.0),
+        ));
+        let ws = Workspace::new();
+        for (name, pencil) in &pencils {
+            assert!(pencil.is_real(), "{name}: kz = 0 and η = 0 give a real pencil");
+            let mut real = ws.take_scratch(pencil.nbc(), 3);
+            random_block(&mut real, true);
+            let complex = ZMat::random(pencil.nbc(), 2, 8);
+            for np in [12, 7] {
+                let cfg = FeastConfig { np, ..FeastConfig::default() };
+                let contour = Contour::factor(pencil, cfg, &ws).unwrap();
+                assert_eq!(contour.nodes.len(), 2 * np.div_ceil(2), "{name}");
+                let full = full_contour(pencil, cfg);
+                for y in [&real, &complex] {
+                    let mut stats = FeastStats::default();
+                    let half = contour.apply(pencil, y, 0, &ws, &mut stats);
+                    let reference = full_contour_sum(pencil, &full, y);
+                    let rel = half.max_diff(&reference) / reference.norm_max();
+                    assert!(rel < 1e-12, "{name}, np = {np}, {} columns: {rel:.2e}", y.cols());
+                    assert_eq!(stats.linear_solves, contour.nodes.len());
+                }
+                contour.recycle_into(&ws);
+            }
+        }
+    }
+
+    #[test]
+    fn broadened_momentum_and_complex_leads_are_not_real() {
+        let chain = LeadBlocks::chain_1d(0.0, -1.0);
+        assert!(CompanionPencil::at_energy(&chain, 0.4, 0.0).is_real());
+        assert!(!CompanionPencil::at_energy(&chain, 0.4, 1e-6).is_real(), "η > 0");
+        let (_, utb) = benchmark_leads(0.7).swap_remove(0);
+        let e = utb.dispersive_energy(1.1, 0.3, 0.3).expect("a dispersive band");
+        let pencil = CompanionPencil::at_energy(&utb, e, 0.0);
+        assert!(pencil.is_hermitian() && !pencil.is_real(), "UTB film at kz = 0.7");
+        let mut h00 = ZMat::random(5, 5, 61);
+        h00.hermitianize();
+        let lead =
+            LeadBlocks::new(h00, ZMat::random(5, 5, 62), ZMat::identity(5), ZMat::zeros(5, 5));
+        let pencil = CompanionPencil::at_energy(&lead, 0.1, 0.0);
+        assert!(pencil.is_hermitian() && !pencil.is_real(), "random complex Hermitian lead");
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! With `FeastConfig::subspace == 0` the random block starts small and
 //! grows while the contour projector's rank fills it. These tests hold that
 //! rule to the dense eigensolver and to the run that starts from the whole
-//! companion space (`subspace: nbc`), over the leads the benchmark sweeps.
+//! companion space (`subspace: nbc`), over the leads the benchmark sweeps:
+//! real pencils at `kz = 0`, which FEAST integrates over half the contour,
+//! and the UTB film at a momentum, which takes the full one.
 
 use proptest::prelude::*;
 use qtx_atomistic::{BasisKind, DeviceBuilder};
@@ -56,13 +58,28 @@ fn scan(lead: &LeadBlocks, n: usize) {
 }
 
 fn left_lead(builder: DeviceBuilder) -> LeadBlocks {
+    left_lead_at(builder, 0.0)
+}
+
+fn left_lead_at(builder: DeviceBuilder, kz: f64) -> LeadBlocks {
     let spec = builder.cells(4).basis(BasisKind::TightBinding).build();
-    Device::build(spec).expect("device build").at_kz(0.0).lead_l
+    Device::build(spec).expect("device build").at_kz(kz).lead_l
 }
 
 #[test]
 fn utb_lead_energy_scan_matches_dense() {
     scan(&left_lead(DeviceBuilder::utb(0.8)), 96);
+}
+
+/// The other scans' leads are real at `kz = 0`, so FEAST integrates them
+/// over half the contour; a Bloch phase makes the pencil complex (still
+/// Hermitian) and keeps the full contour under the same oracle.
+#[test]
+fn utb_lead_at_a_momentum_energy_scan_matches_dense() {
+    let lead = left_lead_at(DeviceBuilder::utb(0.8), 0.7);
+    let pencil = CompanionPencil::at_energy(&lead, 0.0, 0.0);
+    assert!(!pencil.is_real() && pencil.is_hermitian(), "premise: a complex Hermitian pencil");
+    scan(&lead, 96);
 }
 
 #[test]
