@@ -1,6 +1,9 @@
 //! Emits `BENCH_qr.json`: blocked compact-WY Householder QR + blocked
 //! Hessenberg reduction vs the unblocked scalar baselines, at the kernel
-//! level (zgeqrf square + tall-skinny, least-squares apply, zgehrd).
+//! level (zgeqrf square + tall-skinny, least-squares apply, zgehrd), and
+//! the Hermitian-definite eigensolver against the general one on the same
+//! pencil (`kind: "eigh"`, eigenvalues only and with vectors, at the lead
+//! and cell orders the set-up solves: 90, 126, 252).
 //!
 //! The seed's element-indexed `qr_factor` is reproduced verbatim as the
 //! fixed before-this-PR baseline; the in-library `qr_factor_unblocked` is
@@ -12,7 +15,8 @@
 
 use qtx_bench::{print_table, Row};
 use qtx_linalg::{
-    c64, hessenberg, hessenberg_unblocked, qr_factor, qr_factor_unblocked, Complex64, ZMat,
+    c64, eig_generalized, eigh_generalized, hessenberg, hessenberg_unblocked, qr_factor,
+    qr_factor_unblocked, Complex64, Vectors, ZMat,
 };
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -85,6 +89,7 @@ fn main() {
     let sizes: &[usize] = if quick { &[64, 128, 256] } else { &[64, 128, 256, 384, 512] };
     let tall: &[(usize, usize)] = if quick { &[(512, 128)] } else { &[(512, 128), (1024, 256)] };
     let hess_sizes: &[usize] = if quick { &[128] } else { &[128, 256, 384] };
+    let eigh_sizes: &[usize] = if quick { &[90, 126] } else { &[90, 126, 252] };
 
     let mut entries = String::new();
     let mut rows = Vec::new();
@@ -189,13 +194,51 @@ fn main() {
         ));
     }
 
+    // ── Hermitian-definite pencils: eigh against the general solver ──
+    for &n in eigh_sizes {
+        let mut h = ZMat::random(n, n, 5);
+        h.hermitianize();
+        let b = ZMat::random(n, n, 6);
+        let mut s = (&b * &b.adjoint()).scaled(c64(0.25 / n as f64, 0.0));
+        for i in 0..n {
+            s[(i, i)] += c64(1.0, 0.0);
+        }
+        s.hermitianize();
+        // Medians of many calls: the gated ratio is of two medians taken
+        // apart in time, so each must hold still on a shared host.
+        let reps = (4096 / n).clamp(15, 45);
+        let t_gen = median_secs(|| drop(eig_generalized(&h, &s).unwrap()), reps);
+        let mut want: Vec<f64> =
+            eig_generalized(&h, &s).unwrap().values.iter().map(|z| z.re).collect();
+        want.sort_by(f64::total_cmp);
+        for (name, vectors) in [("values", Vectors::Skip), ("vectors", Vectors::Compute)] {
+            let t = median_secs(|| drop(eigh_generalized(&h, &s, vectors).unwrap()), reps);
+            let got = eigh_generalized(&h, &s, vectors).unwrap().values;
+            let drift = got.iter().zip(&want).map(|(g, w)| (g - w).abs()).fold(0.0, f64::max);
+            assert!(drift < 1e-10 * n as f64, "eigh drift {drift:.2e} at n = {n}");
+            let _ = writeln!(
+                entries,
+                "    {{\"kind\": \"eigh\", \"name\": \"{name}\", \"n\": {n}, \
+                 \"eigh_ms\": {:.4}, \"eig_generalized_ms\": {:.4}, \"eigh_speedup\": {:.3}}},",
+                t * 1e3,
+                t_gen * 1e3,
+                t_gen / t,
+            );
+            rows.push(Row::new(
+                format!("eigh {name} {n}"),
+                vec![t * 1e3, t_gen * 1e3, t_gen / t, f64::NAN],
+            ));
+        }
+    }
+
     let entries = entries.trim_end().trim_end_matches(',').to_string();
     let json = format!(
         "{{\n  \"bench\": \"blocked compact-WY QR + Hessenberg vs unblocked baseline\",\n  \
          \"cores\": {cores},\n  \"target_cpu\": \"native\",\n  \"quick\": {quick},\n  \
          \"flags_note\": \"speedup = seed_ms / blocked_ms (seed = verbatim pre-PR scalar QR); \
          speedup_vs_tuned_unblocked compares against the slice-rewritten unblocked path the \
-         blocked factorization dispatches to below the measured n=192 crossover\",\n  \
+         blocked factorization dispatches to below the measured n=192 crossover; \
+         eigh_speedup = eig_generalized_ms / eigh_ms on one Hermitian-definite pencil\",\n  \
          \"results\": [\n{entries}\n  ]\n}}\n"
     );
     std::fs::write(&out_path, &json).expect("write BENCH_qr.json");

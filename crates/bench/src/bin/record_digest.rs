@@ -24,8 +24,12 @@
 //! ```
 //!
 //! prints, per device × policy × momentum, the number of lines identical to
-//! the parent's, the largest |ΔT|, |ΔT_RL| and |ΔR|, and then every line
-//! whose `method` or `attempts` differ (or that exists on one side only).
+//! the parent's, the largest |ΔE|, |ΔT|, |ΔT_RL| and |ΔR|, and then every
+//! line whose `method` or `attempts` differ (or that exists on one side
+//! only). Lines are paired by their place on their device's ladder, not by
+//! the energy's bits: every ladder starts from a band edge or a dispersive
+//! energy, so a change to the band scan moves whole ladders by an ulp or
+//! two, and |ΔE| shows by how much.
 //!
 //! The exit code is 0 unless a point fails outright.
 
@@ -191,9 +195,9 @@ impl<'a> Record<'a> {
         u64::from_str_radix(self.field(key)?, 16).ok().map(f64::from_bits)
     }
 
-    /// The point the line is about: device, policy, momentum, energy.
-    fn key(&self) -> (&'a str, &'a str, Option<&'a str>, Option<&'a str>) {
-        (self.device, self.policy, self.field("kz"), self.field("e"))
+    /// The ladder the line belongs to: device, policy, momentum.
+    fn ladder(&self) -> (&'a str, &'a str, Option<&'a str>) {
+        (self.device, self.policy, self.field("kz"))
     }
 
     /// The rung, the attempts and whether the point produced a result.
@@ -218,33 +222,47 @@ impl<'a> Record<'a> {
 }
 
 /// Per device × policy × momentum: lines, identical lines, and the largest
-/// |ΔT|, |ΔT_RL| and |ΔR| against the parent.
+/// |ΔE|, |ΔT|, |ΔT_RL| and |ΔR| against the parent.
 #[derive(Default)]
 struct Group {
     lines: usize,
     identical: usize,
-    max_delta: [f64; 3],
+    max_delta: [f64; 4],
+}
+
+/// A line's place: device, policy, momentum and its ordinal on that ladder.
+type Place<'a> = (&'a str, &'a str, Option<&'a str>, usize);
+
+/// Each parsed line with its place on its ladder.
+fn on_ladders<'a>(lines: impl Iterator<Item = &'a str>) -> Vec<(Place<'a>, &'a str, Record<'a>)> {
+    let mut seen: HashMap<_, usize> = HashMap::new();
+    lines
+        .filter(|l| !l.starts_with("digest "))
+        .filter_map(|l| Record::parse(l).map(|r| (l, r)))
+        .map(|(l, r)| {
+            let place = seen.entry(r.ladder()).or_default();
+            *place += 1;
+            let (device, policy, kz) = r.ladder();
+            ((device, policy, kz, *place), l, r)
+        })
+        .collect()
 }
 
 /// The report of `--against`: the change's lines held to the parent's.
 fn compare(parent: &str, change: &[String]) -> String {
-    let parent: HashMap<_, _> = parent
-        .lines()
-        .filter(|l| !l.starts_with("digest "))
-        .filter_map(|l| Record::parse(l).map(|r| (r.key(), (l, r))))
-        .collect();
+    let parent: HashMap<_, _> =
+        on_ladders(parent.lines()).into_iter().map(|(key, l, r)| (key, (l, r))).collect();
     let mut groups: Vec<(String, Group)> = Vec::new();
     let mut moved = Vec::new();
     let mut matched = 0;
-    for line in change {
-        let Some(rec) = Record::parse(line) else { continue };
+    for (key, line, rec) in on_ladders(change.iter().map(String::as_str)) {
         let name = rec.group();
         if groups.last().is_none_or(|(g, _)| *g != name) {
             groups.push((name.clone(), Group::default()));
         }
         let group = &mut groups.last_mut().expect("pushed above").1;
         group.lines += 1;
-        let Some((parent_line, old)) = parent.get(&rec.key()) else {
+        let Some((parent_line, old)) = parent.get(&key) else {
             moved.push(format!(
                 "  {name} e={}: not in the parent",
                 rec.value("e").unwrap_or(f64::NAN)
@@ -256,7 +274,7 @@ fn compare(parent: &str, change: &[String]) -> String {
             group.identical += 1;
             continue;
         }
-        for (max, key) in group.max_delta.iter_mut().zip(["t", "t_rl", "r"]) {
+        for (max, key) in group.max_delta.iter_mut().zip(["e", "t", "t_rl", "r"]) {
             if let (Some(a), Some(b)) = (old.value(key), rec.value(key)) {
                 *max = max.max((a - b).abs());
             }
@@ -271,14 +289,14 @@ fn compare(parent: &str, change: &[String]) -> String {
         }
     }
     let mut out = format!(
-        "{:<28} {:>5} {:>9} {:>10} {:>10} {:>10}\n",
-        "device policy kz", "lines", "identical", "max|dT|", "max|dT_RL|", "max|dR|"
+        "{:<28} {:>5} {:>9} {:>10} {:>10} {:>10} {:>10}\n",
+        "device policy kz", "lines", "identical", "max|dE|", "max|dT|", "max|dT_RL|", "max|dR|"
     );
     for (name, g) in &groups {
-        let [t, t_rl, r] = g.max_delta;
+        let [e, t, t_rl, r] = g.max_delta;
         let _ = writeln!(
             out,
-            "{name:<28} {:>5} {:>9} {t:>10.2e} {t_rl:>10.2e} {r:>10.2e}",
+            "{name:<28} {:>5} {:>9} {e:>10.2e} {t:>10.2e} {t_rl:>10.2e} {r:>10.2e}",
             g.lines, g.identical
         );
     }

@@ -74,12 +74,11 @@ pub struct DeviceK {
 }
 
 impl Device {
-    /// Builds a device by running CP2K-lite with the given functional.
+    /// Builds a device by running CP2K-lite with the given functional. A
+    /// failed charge-loop eigensolve comes back as it happened (an overlap
+    /// that is not positive definite, say).
     pub fn build_with_functional(spec: DeviceSpec, functional: Functional) -> Result<Device> {
-        let base = Cp2kRun::new(spec.clone())
-            .functional(functional)
-            .generate()
-            .map_err(|_| qtx_linalg::LinalgError::NoConvergence { remaining: 1 })?;
+        let base = Cp2kRun::new(spec.clone()).functional(functional).generate()?;
         Ok(Self::from_hsfile(spec, base))
     }
 

@@ -107,10 +107,14 @@ fn id_ua_keeps_the_bits_of_the_direct_fan_out() {
     // half of the contour only: the same quadrature sum, its conjugate half
     // taken as 2·Re of the other, so Σ moved within FEAST's tolerance and
     // the currents by 14 and 97 units in the last place (1.9·10⁻¹⁵ and
-    // 1.1·10⁻¹⁴ relative). The literal bits are those of the `avx512`
+    // 1.1·10⁻¹⁴ relative). Re-pinned a fourth time where the set-up's
+    // Hermitian eigenproblems moved to `eigh`: CP2K-lite's Mulliken charges
+    // and the band edge that places the grid move in their last bits, and
+    // the currents by 258 and 10 units in the last place (3.5·10⁻¹⁴ and
+    // 1.2·10⁻¹⁵ relative). The literal bits are those of the `avx512`
     // kernels; elsewhere the values are checked.
     let iv = TransportEngine::new(fet()).id_vgs(&ScfConfig::default(), &[-0.2, 0.1]).unwrap();
-    let want = [0x3fea_2f33_ac0e_0763_u64, 0x400e_5335_74d9_8e1c];
+    let want = [0x3fea_2f33_ac0e_0865_u64, 0x400e_5335_74d9_8e26];
     for (p, bits) in iv.iter().zip(want) {
         let reference = f64::from_bits(bits);
         if qtx_linalg::active_variant().name() == "avx512" {

@@ -19,7 +19,7 @@ use crate::functional::Functional;
 use crate::hsfile::HsFile;
 use qtx_atomistic::assemble::assemble_unit_cell;
 use qtx_atomistic::devices::DeviceSpec;
-use qtx_linalg::{c64, eig_generalized, gemm, Complex64, Op, Result, ZMat};
+use qtx_linalg::{c64, eigh_generalized, gemm, gemm_view, Complex64, Op, Result, Vectors, ZMat};
 use serde::{Deserialize, Serialize};
 
 /// Convergence record of the charge self-consistency.
@@ -146,7 +146,7 @@ impl Cp2kRun {
 }
 
 /// Mulliken populations `q_a = Σ_{µ∈a} Re(P·S)_{µµ}` with the density
-/// matrix built from the lowest-half generalized eigenvectors of
+/// matrix built from the lowest-half eigenvectors of the Hermitian-definite
 /// `(H + diag(shifts))·c = E·S·c`.
 fn mulliken_charges(
     h0: &ZMat,
@@ -163,25 +163,14 @@ fn mulliken_charges(
             h[(i, i)] += c64(shift, 0.0);
         }
     }
-    let dec = eig_generalized(&h, s0)?;
-    // Order states by energy; occupy the lowest half (spin-degenerate
-    // neutrality at half filling of the model basis).
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&i, &j| dec.values[i].re.partial_cmp(&dec.values[j].re).unwrap());
-    let n_occ = n / 2;
-    // P = Σ_occ c·cᴴ (normalized so cᴴ·S·c = 1).
+    // States come out ascending and S-orthonormal (cᴴ·S·c = 1): occupy the
+    // lowest half (spin-degenerate neutrality at half filling of the model
+    // basis), P = C_occ·C_occᴴ.
+    let dec = eigh_generalized(&h, s0, Vectors::Compute)?;
+    let c = dec.vectors.expect("vectors were asked for");
+    let c_occ = c.block_view(0, 0, n, n / 2);
     let mut p = ZMat::zeros(n, n);
-    for &k in order.iter().take(n_occ) {
-        let v: Vec<Complex64> = (0..n).map(|i| dec.vectors[(i, k)]).collect();
-        let sv = s0.matvec(&v);
-        let norm: Complex64 = v.iter().zip(&sv).map(|(a, b)| a.conj() * *b).sum();
-        let scale = 1.0 / norm.re.max(1e-12);
-        for i in 0..n {
-            for j in 0..n {
-                p[(i, j)] += (v[i] * v[j].conj()).scale(scale);
-            }
-        }
-    }
+    gemm_view(Complex64::ONE, c_occ, Op::None, c_occ, Op::Adjoint, Complex64::ZERO, &mut p);
     // q_a = Σ_{µ∈a} (P·S)_{µµ}.
     let mut ps = ZMat::zeros(n, n);
     gemm(Complex64::ONE, &p, Op::None, s0, Op::None, Complex64::ZERO, &mut ps);

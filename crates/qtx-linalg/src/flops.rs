@@ -510,6 +510,30 @@ pub mod counts {
     pub fn zgehrd(n: usize) -> u64 {
         80 * (n as u64).pow(3) / 3
     }
+
+    /// Cholesky factorization of an n×n Hermitian matrix (`zpotrf`):
+    /// n³/6 complex multiply-adds ≈ (4/3)·n³ real operations.
+    #[inline]
+    pub fn zpotrf(n: usize) -> u64 {
+        (4 * (n as u64).pow(3) / 3).max(1)
+    }
+
+    /// Householder reduction of an n×n Hermitian matrix to real symmetric
+    /// tridiagonal form (`zhetrd`): (2/3)·n³ complex multiply-adds ≈
+    /// (16/3)·n³ real operations.
+    #[inline]
+    pub fn zhetrd(n: usize) -> u64 {
+        (16 * (n as u64).pow(3) / 3).max(1)
+    }
+
+    /// Implicit QL on an n×n real symmetric tridiagonal (`zsteqr`): about
+    /// 30·n² operations for the eigenvalues, plus 6·n³ for rotating the
+    /// eigenvector matrix (about 3 sweeps an eigenvalue, 6·n per rotation).
+    #[inline]
+    pub fn zsteqr(n: usize, vectors: bool) -> u64 {
+        let n = n as u64;
+        30 * n * n + if vectors { 6 * n.pow(3) } else { 0 }
+    }
 }
 
 #[cfg(test)]

@@ -41,6 +41,11 @@
 //!   shifted complex QR (Schur form), eigenvectors, and the generalized
 //!   solver used by the FEAST Rayleigh–Ritz step (`zggev`-lite), all with
 //!   pooled `_ws` forms.
+//! * [`mod@eigh`] — the Hermitian(-definite) eigensolver (`zhegv`-lite):
+//!   Cholesky, reduction on trsm, blocked Householder tridiagonalization
+//!   whose trailing rank-2k update is two gemms, implicit QL on the real
+//!   tridiagonal; real ascending eigenvalues, vectors only on request.
+//!   The set-up's band scans and the DFT substrate's charge loop run on it.
 //! * [`flops`] — deterministic FLOP accounting mirroring the paper's
 //!   PAPI/CUPTI measurement methodology (§5.B).
 //! * [`fault`] — the deterministic fault-injection chokepoints of the
@@ -52,6 +57,7 @@
 
 pub mod complex;
 pub mod eig;
+pub mod eigh;
 pub mod fault;
 pub mod flops;
 pub mod gemm;
@@ -69,6 +75,7 @@ pub use eig::{
     eig, eig_generalized, eig_generalized_ws, eig_ws, eigenvalues, hessenberg,
     hessenberg_unblocked, hessenberg_ws, schur, schur_ws, EigDecomposition, SchurDecomposition,
 };
+pub use eigh::{eigh, eigh_generalized, EighDecomposition, Vectors};
 pub use flops::{flops_reset, flops_thread, flops_total, FlopScope};
 pub use gemm::{gemm, gemm_into, gemm_view, matmul, Op};
 pub use herk::zherk;
@@ -97,6 +104,9 @@ pub enum LinalgError {
     SingularPivot { index: usize, magnitude: f64 },
     /// The QR eigen-iteration failed to deflate within the iteration cap.
     NoConvergence { remaining: usize },
+    /// A Cholesky pivot (the Schur complement's diagonal at `index`) was
+    /// `pivot ≤ 0` or NaN: the matrix is not Hermitian positive definite.
+    NotPositiveDefinite { index: usize, pivot: f64 },
     /// Matrix dimensions are inconsistent for the requested operation.
     DimensionMismatch { expected: (usize, usize), got: (usize, usize) },
     /// A kernel produced NaN/Inf entries (`count` of them) where finite
@@ -139,6 +149,9 @@ impl std::fmt::Display for LinalgError {
             }
             LinalgError::NoConvergence { remaining } => {
                 write!(f, "eigen-iteration failed to converge ({remaining} eigenvalues remaining)")
+            }
+            LinalgError::NotPositiveDefinite { index, pivot } => {
+                write!(f, "not positive definite: Cholesky pivot {pivot:.3e} at index {index}")
             }
             LinalgError::DimensionMismatch { expected, got } => {
                 write!(f, "dimension mismatch: expected {expected:?}, got {got:?}")

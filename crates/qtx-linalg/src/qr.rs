@@ -336,8 +336,10 @@ pub(crate) fn stage_v(src: &ZMatRef<'_>, vbuf: &mut ZMat) {
 /// matrix `S = VᴴV` gives `T⁻¹ = diag(1/τ) + strict_upper(S)`, solved
 /// against the identity with one trsm. A vanishing τ (exactly dependent
 /// column) voids the inverse formulation, so that case falls back to the
-/// `zlarft` column recurrence `T(0:j, j) = −τ_j·T·S(0:j, j)`.
-fn build_t(
+/// `zlarft` column recurrence `T(0:j, j) = −τ_j·T·S(0:j, j)`. Shared
+/// with the Hermitian eigensolver's back-transformation in
+/// [`mod@crate::eigh`].
+pub(crate) fn build_t(
     v: ZMatRef<'_>,
     tau: &ZMat,
     sbuf: &mut ZMat,

@@ -31,6 +31,11 @@ pub enum ObcError {
     /// An eigensolver ran to completion but produced no usable modes
     /// where modes were required.
     NoModes { method: &'static str },
+    /// An eigensolver stopped with `pending` Ritz values on the unit circle
+    /// (propagating candidates) whose residuals never met its tolerance;
+    /// `residual` is the smallest of theirs. Such a value is a mode, not
+    /// quadrature leakage, so accepting the rest would drop a channel.
+    StalledModes { method: &'static str, pending: usize, residual: f64 },
     /// A finished OBC output (`Σ`, injection, ...) contained `count`
     /// NaN/Inf entries.
     NonFinite { what: &'static str, count: usize },
@@ -49,6 +54,19 @@ impl ObcError {
             | ObcError::Beyn { source, .. }
             | ObcError::ShiftInvert { source } => source.is_injected(),
             ObcError::Linalg(e) => e.is_injected(),
+            _ => false,
+        }
+    }
+
+    /// True when the root cause is [`ObcError::StalledModes`]: propagating
+    /// modes were seen but not resolved, which the escalation ladder must
+    /// hear about rather than a fallback papering over it.
+    pub fn is_stalled_modes(&self) -> bool {
+        match self {
+            ObcError::Feast { source, .. }
+            | ObcError::Beyn { source, .. }
+            | ObcError::ShiftInvert { source } => source.is_stalled_modes(),
+            ObcError::StalledModes { .. } => true,
             _ => false,
         }
     }
@@ -91,6 +109,11 @@ impl std::fmt::Display for ObcError {
             ObcError::NoModes { method } => {
                 write!(f, "{method} produced no usable modes")
             }
+            ObcError::StalledModes { method, pending, residual } => write!(
+                f,
+                "{method} left {pending} propagating Ritz values unconverged \
+                 (best residual {residual:.3e})"
+            ),
             ObcError::NonFinite { what, count } => {
                 write!(f, "OBC output {what} has {count} non-finite entries")
             }

@@ -54,6 +54,7 @@
 
 use crate::companion::{CompanionPencil, NodeFactors};
 use crate::error::{ObcError, ObcOutcome};
+use crate::modes::PROP_TOL;
 use qtx_linalg::flops::{counts, map_counted};
 use qtx_linalg::{
     eig_generalized_ws, eig_ws, gemm_view, orthonormalize_ws, zherk, Complex64, LuFactors, Op,
@@ -411,6 +412,9 @@ fn feast_core(
     let mut prev_inside = usize::MAX;
     // Ritz values the last iteration placed inside the annulus.
     let mut last_inside = 0usize;
+    // Unit-circle Ritz values the last iteration left above `tol`, and the
+    // smallest residual among them.
+    let mut pending = (0usize, f64::INFINITY);
     for it in 0..cfg.max_refine {
         stats.iterations += 1;
         let mut p = contour.apply(pencil, &y, 0, ws, stats);
@@ -520,6 +524,7 @@ fn feast_core(
         accepted.clear();
         let mut max_res: f64 = 0.0;
         let mut inside = 0usize;
+        pending = (0, f64::INFINITY);
         let lo = 1.0 / cfg.r_outer * 0.999;
         let hi = cfg.r_outer * 1.001;
         for (j, &lam) in ritz.values.iter().enumerate() {
@@ -543,6 +548,8 @@ fn feast_core(
             if res < cfg.tol {
                 accepted.push((lam, u));
                 max_res = max_res.max(res);
+            } else if (mag - 1.0).abs() <= PROP_TOL {
+                pending = (pending.0 + 1, pending.1.min(res));
             }
         }
         stats.max_residual = max_res;
@@ -550,9 +557,12 @@ fn feast_core(
         // Converged (every Ritz value inside passed), or stabilized
         // acceptance: if the converged count repeats across two
         // refinements, the stragglers are quadrature leakage from outside
-        // the annulus, not missing modes.
+        // the annulus, not missing modes. A straggler on the unit circle is
+        // never leakage: it is a propagating mode whose residual has not
+        // (yet) met `tol`, and it keeps the iteration going.
         let converged = inside > 0 && accepted.len() == inside;
-        let stabilized = it >= 1 && !accepted.is_empty() && accepted.len() == prev_accepted;
+        let stabilized =
+            it >= 1 && !accepted.is_empty() && accepted.len() == prev_accepted && pending.0 == 0;
         // The mirror rule for gaps: no Ritz value inside on two consecutive
         // iterations leaves nothing to refine towards.
         let empty = inside == 0 && prev_inside == 0;
@@ -568,9 +578,15 @@ fn feast_core(
     }
     ws.recycle(y);
     // Converged, stabilized, or out of refinements: return what passed the
-    // residual filter.
+    // residual filter — unless a propagating mode is still unresolved, when
+    // what passed is short a channel and no answer. (Modes were found, so
+    // this is not `NoModes`.)
     stats.m_found = accepted.len();
     if !accepted.is_empty() {
+        let (stalled, residual) = pending;
+        if stalled > 0 {
+            return Err(ObcError::StalledModes { method: "feast", pending: stalled, residual });
+        }
         return Ok(accepted);
     }
     // Nothing passed the residual filter: the annulus is empty (legitimate

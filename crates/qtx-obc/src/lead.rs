@@ -6,7 +6,7 @@
 //! describe it. All OBC algorithms work on the energy-shifted blocks
 //! `T = E·S − H`.
 
-use qtx_linalg::{c64, ZMat};
+use qtx_linalg::{c64, Vectors, ZMat};
 use serde::{Deserialize, Serialize};
 
 /// Folded nearest-neighbour lead description.
@@ -118,7 +118,9 @@ impl LeadBlocks {
 
     /// Band structure sample: eigenvalues of
     /// `H(k) = H00 + H01·e^{ik} + H01ᴴ·e^{−ik}` against
-    /// `S(k)` — used to place energy grids and to locate band edges.
+    /// `S(k)`, ascending — used to place energy grids and to locate band
+    /// edges. A Hermitian-definite pencil, solved for its eigenvalues only
+    /// ([`qtx_linalg::eigh_generalized`]).
     pub fn bands_at(&self, k: f64) -> Vec<f64> {
         let phase = qtx_linalg::Complex64::from_phase(k);
         let hk = {
@@ -133,10 +135,9 @@ impl LeadBlocks {
             m.axpy(phase.conj(), &self.s01.adjoint());
             m
         };
-        let dec = qtx_linalg::eig_generalized(&hk, &sk).expect("band eigensolve");
-        let mut bands: Vec<f64> = dec.values.iter().map(|z| z.re).collect();
-        bands.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        bands
+        qtx_linalg::eigh_generalized(&hk, &sk, Vectors::Skip)
+            .expect("band eigensolve: S(k) must be positive definite")
+            .values
     }
 
     /// First dispersive band energy above `lo` at momentum `k`: bands are

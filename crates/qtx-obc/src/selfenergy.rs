@@ -168,10 +168,13 @@ fn pencil_modes(
         ObcMethod::Feast(cfg) => match feast_annulus_ws(pencil, cfg, ws) {
             Ok((p, s)) => (p, Some(s)),
             // Injected faults must surface — the robustness battery drives
-            // the escalation ladder through exactly this path. Organic
-            // FEAST stalls (modes straddling the contour at band edges)
-            // keep the exact-but-slower dense fallback.
-            Err(e) if e.is_injected() => return Err(e),
+            // the escalation ladder through exactly this path — and so must
+            // propagating modes FEAST saw but could not resolve: the
+            // ladder's broadened rung is the answer to those, and the
+            // point's record says it escalated. Other organic FEAST stalls
+            // (modes straddling the contour at band edges) keep the
+            // exact-but-slower dense fallback.
+            Err(e) if e.is_injected() || e.is_stalled_modes() => return Err(e),
             Err(_) => (shift_invert_modes(pencil, c64(0.83, 0.41))?, None),
         },
         ObcMethod::Beyn(cfg) => (beyn_annulus_ws(pencil, cfg, ws)?, None),

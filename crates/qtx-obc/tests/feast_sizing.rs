@@ -9,6 +9,7 @@
 
 use proptest::prelude::*;
 use qtx_atomistic::{BasisKind, DeviceBuilder};
+use qtx_core::transport::ETA_BUMP;
 use qtx_core::Device;
 use qtx_linalg::{c64, Complex64, Workspace, ZMat};
 use qtx_obc::{
@@ -28,13 +29,32 @@ fn annulus_mags(modes: &[(Complex64, Vec<Complex64>)], r: f64) -> Vec<f64> {
 }
 
 /// The oracle at one energy: auto-sized FEAST finds the annulus modes the
-/// dense eigensolver finds, and builds the Σ the full-width run builds.
+/// dense eigensolver finds, and builds the Σ the full-width run builds —
+/// or it says it left propagating modes unresolved, and then FEAST on the
+/// escalation ladder's next rung (`E + iη`) finds all of them.
 fn check_energy(lead: &LeadBlocks, e: f64) {
     let cfg = FeastConfig::default();
     let pencil = CompanionPencil::at_energy(lead, e, 0.0);
-    let (modes, stats) = feast_annulus(&pencil, cfg).expect("auto-sized FEAST");
-    let found = annulus_mags(&modes, cfg.r_outer);
     let dense = annulus_mags(&dense_modes(&pencil).expect("dense modes"), cfg.r_outer);
+    let (modes, stats) = match feast_annulus(&pencil, cfg) {
+        Ok(run) => run,
+        Err(err) if err.is_stalled_modes() => {
+            let broadened = CompanionPencil::at_energy(lead, e, ETA_BUMP);
+            let (modes, stats) = feast_annulus(&broadened, cfg).expect("FEAST at E + iη");
+            let found = annulus_mags(&modes, cfg.r_outer);
+            assert_eq!(
+                found.len(),
+                dense.len(),
+                "E = {e} + iη: {found:?} vs {dense:?} ({stats:?})"
+            );
+            for (f, d) in found.iter().zip(&dense) {
+                assert!((f - d).abs() < 1e-4, "E = {e} + iη: |λ| {f} vs {d}");
+            }
+            return;
+        }
+        Err(err) => panic!("E = {e}: auto-sized FEAST failed: {err}"),
+    };
+    let found = annulus_mags(&modes, cfg.r_outer);
     assert_eq!(found.len(), dense.len(), "E = {e}: feast {found:?} vs dense {dense:?} ({stats:?})");
     for (f, d) in found.iter().zip(&dense) {
         assert!((f - d).abs() < 1e-6, "E = {e}: |λ| {f} vs {d}");
@@ -90,6 +110,28 @@ fn thin_wire_lead_energy_scan_matches_dense() {
 #[test]
 fn long_wire_lead_energy_scan_matches_dense() {
     scan(&left_lead(DeviceBuilder::nanowire(1.5)), 12);
+}
+
+/// Three energies 0.18–0.2 eV above the 1.5 nm wire's conduction edge
+/// (1.299168 eV) where the propagating pair `λ = −0.347 ± 0.938i` stalls at
+/// a residual of 1.8–2.6·10⁻⁸ against `tol = 10⁻⁸` while the four evanescent
+/// modes reach 10⁻¹⁵. Taking the repeated count of four as final dropped
+/// both channels (and T read 0 at `E = 1.498154`); FEAST must find all six
+/// or say it did not.
+#[test]
+fn long_wire_lead_stalled_propagating_pair_is_never_dropped() {
+    let lead = left_lead(DeviceBuilder::nanowire(1.5));
+    for e in [1.479668, 1.498154, 1.498668] {
+        check_energy(&lead, e);
+        let pencil = CompanionPencil::at_energy(&lead, e, 0.0);
+        match feast_annulus(&pencil, FeastConfig::default()) {
+            Ok((modes, _)) => {
+                let on_circle = modes.iter().filter(|(l, _)| (l.abs() - 1.0).abs() < 1e-6);
+                assert_eq!(on_circle.count(), 2, "E = {e}: the propagating pair");
+            }
+            Err(err) => assert!(err.is_stalled_modes(), "E = {e}: {err}"),
+        }
+    }
 }
 
 proptest! {
