@@ -9,7 +9,8 @@
 //! fixed before-this-PR baseline; the in-library `qr_factor_unblocked` is
 //! the same algorithm after the column-slice rewrite (and what the
 //! blocked factorization dispatches to below the crossover), so the A/B
-//! runs in one process on identical inputs. Run with `cargo run --release -p qtx-bench --bin bench_qr_json
+//! runs in one process on identical inputs, the paths of one ratio timed
+//! in interleaved rounds (`medians_interleaved`). Run with `cargo run --release -p qtx-bench --bin bench_qr_json
 //! [output-path] [--quick]`; `--quick` shrinks sizes and repetitions for
 //! the CI smoke/regression-gate profile.
 
@@ -21,16 +22,22 @@ use qtx_linalg::{
 use std::fmt::Write as _;
 use std::time::Instant;
 
-fn median_secs(mut f: impl FnMut(), reps: usize) -> f64 {
-    let mut samples: Vec<f64> = (0..reps.max(3))
-        .map(|_| {
+/// Medians of the run times of `fs` over `reps` rounds (at least 3), each
+/// round calling every closure once in turn: a slow phase of a shared host
+/// lands on both sides of a gated ratio instead of on one.
+fn medians_interleaved<const K: usize>(mut fs: [&mut dyn FnMut(); K], reps: usize) -> [f64; K] {
+    let mut samples: [Vec<f64>; K] = std::array::from_fn(|_| Vec::new());
+    for _ in 0..reps.max(3) {
+        for (f, times) in fs.iter_mut().zip(&mut samples) {
             let t0 = Instant::now();
             f();
-            t0.elapsed().as_secs_f64()
-        })
-        .collect();
-    samples.sort_by(|x, y| x.partial_cmp(y).unwrap());
-    samples[samples.len() / 2]
+            times.push(t0.elapsed().as_secs_f64());
+        }
+    }
+    samples.map(|mut times| {
+        times.sort_by(f64::total_cmp);
+        times[times.len() / 2]
+    })
 }
 
 /// The seed's Householder QR: element-indexed reflector generation and
@@ -99,16 +106,21 @@ fn main() {
         let a = ZMat::random(n, n, 1);
         let b = ZMat::random(n, n.min(64), 2);
         let reps = (2048 / n).clamp(3, 31);
-        let t_blk = median_secs(|| drop(qr_factor(&a)), reps);
-        let t_unb = median_secs(|| drop(qr_factor_unblocked(&a)), reps);
-        let t_seed = median_secs(|| drop(seed_geqrf(&a)), reps);
+        let [t_blk, t_unb, t_seed] = medians_interleaved(
+            [&mut || drop(qr_factor(&a)), &mut || drop(qr_factor_unblocked(&a)), &mut || {
+                drop(seed_geqrf(&a))
+            }],
+            reps,
+        );
         // Correctness cross-check: both paths reproduce A = Q·R.
         let fb = qr_factor(&a);
         let fu = qr_factor_unblocked(&a);
         let qr_diff = (&fb.q_thin() * &fb.r()).max_diff(&a);
         assert!(qr_diff < 1e-8 * n as f64, "blocked QR drift {qr_diff:.2e} at n = {n}");
-        let t_ls_blk = median_secs(|| drop(fb.least_squares(&b)), reps);
-        let t_ls_unb = median_secs(|| drop(fu.least_squares(&b)), reps);
+        let [t_ls_blk, t_ls_unb] = medians_interleaved(
+            [&mut || drop(fb.least_squares(&b)), &mut || drop(fu.least_squares(&b))],
+            reps,
+        );
         let x_diff = fb.least_squares(&b).max_diff(&fu.least_squares(&b));
         assert!(x_diff < 1e-6 * n as f64, "least-squares mismatch at n = {n}");
         let gflops = 8.0 * ((n * n * n) as f64 - (n * n * n) as f64 / 3.0) / t_blk / 1e9;
@@ -145,8 +157,8 @@ fn main() {
     for &(m, n) in tall {
         let a = ZMat::random(m, n, 3);
         let reps = (262_144 / (m * n / 64)).clamp(3, 15);
-        let t_blk = median_secs(|| drop(qr_factor(&a)), reps);
-        let t_seed = median_secs(|| drop(seed_geqrf(&a)), reps);
+        let [t_blk, t_seed] =
+            medians_interleaved([&mut || drop(qr_factor(&a)), &mut || drop(seed_geqrf(&a))], reps);
         let flops = 8.0 * ((m * n * n) as f64 - (n * n * n) as f64 / 3.0);
         let gflops = flops / t_blk / 1e9;
         let _ = writeln!(
@@ -169,8 +181,10 @@ fn main() {
     for &n in hess_sizes {
         let a = ZMat::random(n, n, 4);
         let reps = (384 / n * 4).clamp(3, 11);
-        let t_blk = median_secs(|| drop(hessenberg(&a)), reps);
-        let t_unb = median_secs(|| drop(hessenberg_unblocked(&a)), reps);
+        let [t_blk, t_unb] = medians_interleaved(
+            [&mut || drop(hessenberg(&a)), &mut || drop(hessenberg_unblocked(&a))],
+            reps,
+        );
         let (hb, _) = hessenberg(&a);
         let (hu, _) = hessenberg_unblocked(&a);
         assert!(
@@ -204,15 +218,21 @@ fn main() {
             s[(i, i)] += c64(1.0, 0.0);
         }
         s.hermitianize();
-        // Medians of many calls: the gated ratio is of two medians taken
-        // apart in time, so each must hold still on a shared host.
         let reps = (4096 / n).clamp(15, 45);
-        let t_gen = median_secs(|| drop(eig_generalized(&h, &s).unwrap()), reps);
+        let [t_gen, t_values, t_vectors] = medians_interleaved(
+            [
+                &mut || drop(eig_generalized(&h, &s).unwrap()),
+                &mut || drop(eigh_generalized(&h, &s, Vectors::Skip).unwrap()),
+                &mut || drop(eigh_generalized(&h, &s, Vectors::Compute).unwrap()),
+            ],
+            reps,
+        );
         let mut want: Vec<f64> =
             eig_generalized(&h, &s).unwrap().values.iter().map(|z| z.re).collect();
         want.sort_by(f64::total_cmp);
-        for (name, vectors) in [("values", Vectors::Skip), ("vectors", Vectors::Compute)] {
-            let t = median_secs(|| drop(eigh_generalized(&h, &s, vectors).unwrap()), reps);
+        for (name, vectors, t) in
+            [("values", Vectors::Skip, t_values), ("vectors", Vectors::Compute, t_vectors)]
+        {
             let got = eigh_generalized(&h, &s, vectors).unwrap().values;
             let drift = got.iter().zip(&want).map(|(g, w)| (g - w).abs()).fold(0.0, f64::max);
             assert!(drift < 1e-10 * n as f64, "eigh drift {drift:.2e} at n = {n}");

@@ -385,6 +385,26 @@ pub(crate) fn self_energy_pair(
     .map_err(|(side, source)| TransportError::Obc { side, source })
 }
 
+/// [`self_energy_pair`] at the exact energy for a caller without the
+/// escalation ladder (the direct and transmission-only points, one-shot
+/// [`crate::caroli_transmission`]). FEAST that leaves a propagating mode
+/// unresolved ([`ObcError::StalledModes`]) fails the ladder's first rung so
+/// the broadened one answers; with no ladder to climb, the exact dense
+/// shift-invert modes at the same energy answer instead.
+pub(crate) fn self_energy_pair_exact(
+    handle: Option<&CacheHandle>,
+    dk: &DeviceK,
+    e: f64,
+    method: ObcMethod,
+) -> TransportResult<(ObcResult, ObcResult)> {
+    match self_energy_pair(handle, dk, e, 0.0, method) {
+        Err(TransportError::Obc { source, .. }) if source.is_stalled_modes() => {
+            self_energy_pair(handle, dk, e, 0.0, ObcMethod::ShiftInvert)
+        }
+        solved => solved,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

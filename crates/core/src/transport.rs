@@ -55,7 +55,7 @@ use crate::device::{ChainMemo, DeviceK, TransportConfig};
 use crate::error::{TransportError, TransportResult};
 use qtx_accel::AccelRuntime;
 use qtx_linalg::{gemm_into, qr_factor_ws, Complex64, LinalgError, Op, QrFactors, ZMat};
-use qtx_obc::{self_energy_pair, BeynConfig, Eta, LeadModes, ModeSet, ObcMethod, ObcResult};
+use qtx_obc::{BeynConfig, LeadModes, ModeSet, ObcMethod, ObcResult};
 use qtx_solver::{
     btd_lu_solve_ws, caroli_sweep_contacts, two_front_solve, BoundaryTerms, CaroliContact,
     ObcSystem, SolverKind, Workspace,
@@ -188,7 +188,7 @@ pub(crate) fn solve_point_direct_on(
     cfg: &TransportConfig,
     cache: Option<&CacheHandle>,
 ) -> TransportResult<EnergyPointResult> {
-    let (obc_l, obc_r) = cache::self_energy_pair(cache, dk, e, 0.0, cfg.obc)?;
+    let (obc_l, obc_r) = cache::self_energy_pair_exact(cache, dk, e, cfg.obc)?;
     let states = scattering_states(dk, memo, e, 0.0, cfg, &obc_l, &obc_r)?;
     Ok(states.into_point(obc_l.sigma, obc_r.sigma).0)
 }
@@ -463,9 +463,11 @@ fn chain_residual(
 }
 
 /// NEGF/Caroli transmission through the two-front kernel (Eq. 4 route).
+/// A FEAST solve that leaves a propagating mode unresolved is answered by
+/// dense shift-invert at the same energy: there is no ladder here to
+/// escalate to.
 pub fn caroli_transmission(dk: &DeviceK, e: f64, obc: ObcMethod) -> TransportResult<f64> {
-    let (obc_l, obc_r) = self_energy_pair(&dk.lead_l, &dk.lead_r, e, Eta::ZERO, obc)
-        .map_err(|(side, source)| TransportError::Obc { side, source })?;
+    let (obc_l, obc_r) = cache::self_energy_pair_exact(None, dk, e, obc)?;
     let contacts = [(&obc_l.sigma, &obc_l.out_modes[..]), (&obc_r.sigma, &obc_r.out_modes[..])];
     caroli_streamed(dk, e, 0.0, contacts, &dk.chain_memo())
 }
@@ -538,7 +540,7 @@ pub(crate) fn solve_point_transmission_only(
     cache: Option<&CacheHandle>,
     memo: &ChainMemo,
 ) -> TransportResult<EnergyPointResult> {
-    let (obc_l, obc_r) = cache::self_energy_pair(cache, dk, e, 0.0, cfg.obc)?;
+    let (obc_l, obc_r) = cache::self_energy_pair_exact(cache, dk, e, cfg.obc)?;
     let channels = (
         obc_l.inc_modes.iter().filter(|m| m.propagating).count(),
         obc_r.inc_modes.iter().filter(|m| m.propagating).count(),
@@ -794,7 +796,7 @@ mod tests {
     use super::*;
     use crate::device::Device;
     use qtx_atomistic::{BasisKind, DeviceBuilder};
-    use qtx_obc::FeastConfig;
+    use qtx_obc::{self_energy_pair, Eta, FeastConfig};
 
     /// The residual loop before the compact store: every diagonal block
     /// streamed dense and read entry by entry, the couplings entry by entry

@@ -5,31 +5,54 @@
 //! evanescent modes converge. Taking the four as the answer gave a contact
 //! with no channel: T read 0, with residual 0 and no escalation on record.
 //! FEAST now refines on while a unit-circle Ritz value is pending, and
-//! when its budget runs out first it says so and the ladder's broadened
-//! rung answers the point.
+//! when its budget runs out first it says so: the ladder's broadened rung
+//! answers a robust point, and a caller without a ladder gets the exact
+//! dense shift-invert modes at the same energy.
 
 use qtx_atomistic::{BasisKind, DeviceBuilder};
 use qtx_core::transport::ETA_BUMP;
 use qtx_core::{
     caroli_transmission, CachePolicy, Device, PointOutcome, PointPolicy, TransportEngine,
 };
-use qtx_obc::{FeastConfig, ObcMethod};
+use qtx_obc::{Eta, FeastConfig, ObcMethod, Side};
 
-/// `(T, channels, outcome)` of a robust point at `e` on an engine over
-/// `device` whose FEAST runs at most `max_refine` refinements.
-fn robust_point(device: &Device, e: f64, max_refine: usize) -> (f64, (usize, usize), PointOutcome) {
-    let mut device = device.clone();
-    device.config.obc = ObcMethod::Feast(FeastConfig { max_refine, ..FeastConfig::default() });
-    let engine = TransportEngine::builder(device).cache(CachePolicy::Off).build();
-    let rs = engine.solve_point(e, 0.0, &PointPolicy::robust());
-    let point = rs.result.expect("a rung produced the point");
+/// `(T, channels, outcome)` of a point at `e` under `policy` on an engine
+/// over `device` whose FEAST runs at most `max_refine` refinements.
+fn point_under(
+    device: &Device,
+    e: f64,
+    max_refine: usize,
+    policy: &PointPolicy<'_>,
+) -> (f64, (usize, usize), PointOutcome) {
+    let engine =
+        TransportEngine::builder(with_budget(device, max_refine)).cache(CachePolicy::Off).build();
+    let rs = engine.solve_point(e, 0.0, policy);
+    let point = rs.result.expect("the point was solved");
     (point.transmission, point.channels, rs.outcome)
+}
+
+fn robust_point(device: &Device, e: f64, max_refine: usize) -> (f64, (usize, usize), PointOutcome) {
+    point_under(device, e, max_refine, &PointPolicy::robust())
+}
+
+fn with_budget(device: &Device, max_refine: usize) -> Device {
+    let mut device = device.clone();
+    device.config.obc = ObcMethod::Feast(feast(max_refine));
+    device
+}
+
+fn feast(max_refine: usize) -> FeastConfig {
+    FeastConfig { max_refine, ..FeastConfig::default() }
+}
+
+fn long_wire() -> Device {
+    let spec = DeviceBuilder::nanowire(1.5).cells(8).basis(BasisKind::TightBinding).build();
+    Device::build(spec).unwrap()
 }
 
 #[test]
 fn stalled_propagating_pair_is_resolved_or_escalated_never_read_as_zero() {
-    let spec = DeviceBuilder::nanowire(1.5).cells(8).basis(BasisKind::TightBinding).build();
-    let device = Device::build(spec).unwrap();
+    let device = long_wire();
     let e = 1.498154;
     let reference = caroli_transmission(&device.at_kz(0.0), e, ObcMethod::ShiftInvert).unwrap();
     assert!((reference - 1.0).abs() < 1e-4, "premise: one open channel, T = {reference}");
@@ -48,4 +71,26 @@ fn stalled_propagating_pair_is_resolved_or_escalated_never_read_as_zero() {
     assert_eq!(outcome.method_name(), "configured+eta", "{outcome:?}");
     assert_eq!((outcome.attempts, outcome.eta), (2, ETA_BUMP), "{outcome:?}");
     assert!(outcome.residual > 0.0, "{outcome:?}");
+}
+
+/// The same stall with no ladder behind the call: the direct and the
+/// transmission-only points and one-shot Caroli answer it with the dense
+/// shift-invert modes at the exact energy instead of failing.
+#[test]
+fn stalled_pair_without_a_ladder_is_answered_by_shift_invert() {
+    let device = long_wire();
+    let e = 1.498154;
+    let dk = device.at_kz(0.0);
+    let reference = caroli_transmission(&dk, e, ObcMethod::ShiftInvert).unwrap();
+    let short = ObcMethod::Feast(feast(3));
+    let stalled = qtx_obc::self_energy(&dk.lead_l, e, Eta::ZERO, Side::Left, short).unwrap_err();
+    assert!(stalled.is_stalled_modes(), "premise: three refinements leave the pair: {stalled}");
+    for policy in [PointPolicy::direct(), PointPolicy::transmission_only()] {
+        let (t, channels, outcome) = point_under(&device, e, 3, &policy);
+        assert!((t - reference).abs() < 1e-4, "{policy:?}: T = {t} against {reference}");
+        assert_eq!(channels, (1, 1), "{policy:?}: both contacts keep their channel");
+        assert_eq!((outcome.attempts, outcome.eta), (1, 0.0), "{policy:?}: {outcome:?}");
+    }
+    let t = caroli_transmission(&dk, e, short).unwrap();
+    assert!((t - reference).abs() < 1e-4, "one-shot Caroli: T = {t} against {reference}");
 }

@@ -13,16 +13,14 @@
 //!    per block column). A pivot that is not positive is
 //!    [`LinalgError::NotPositiveDefinite`].
 //! 2. Reduction to the standard problem `C = L⁻¹·H·L⁻ᴴ`: two trsms.
-//! 3. Householder tridiagonalization `C = Q·T·Qᴴ`. Above `BLOCK_MIN` the
-//!    reflectors come in `NB`-wide panels (`zlatrd`): each column of a
-//!    panel sees the panel's pending two-sided updates through thin
-//!    products, and the trailing matrix takes them at the panel's end as
-//!    the rank-2k update `C −= V·Wᴴ + W·Vᴴ`, one gemm of depth `2·NB` on
-//!    `[V | W]` and `[W | V]` staged side by side. Below `BLOCK_MIN`,
-//!    and for the last `NX` reflectors, a panel is one column wide: the same
-//!    code with nothing pending. Only `C`'s lower triangle is read: each
-//!    step's matrix-vector product is a `zhemv` over it, and the trailing
-//!    update runs block column by block column below the diagonal.
+//! 3. Householder tridiagonalization `C = Q·T·Qᴴ`, one reflector at a
+//!    time: a `zhemv` over the lower triangle builds `w`, and the trailing
+//!    rank-2 update `C −= v·wᴴ + w·vᴴ` is one gemm of depth 2 on `[v | w]`
+//!    and `[w | v]` staged side by side, block column by block column
+//!    below the diagonal. Only `C`'s lower triangle is read. (LAPACK's
+//!    `zlatrd` panels, which defer the update to a depth-`2·NB` gemm, lost
+//!    to this at every order up to 252 and won only from about 320 on, an
+//!    order no caller solves.)
 //! 4. Implicit QL with Wilkinson shifts on the real tridiagonal `T` (its
 //!    off-diagonal is real because every reflector leaves a real `β`).
 //!    Rotations accumulate into `Z` only when vectors are asked for, and
@@ -41,21 +39,10 @@ use crate::trsm::{trsm, trsm_unc, Diag, Side, UpLo};
 use crate::zmat::{ZMat, ZMatRef};
 use crate::{LinalgError, Result};
 
-/// Panel width of the blocked Cholesky and tridiagonalization (the LU/QR
-/// stacks' width, so the staging tiles alike).
+/// Panel width of the blocked Cholesky and back-transformation, and the
+/// block-column width of the tridiagonalization's trailing update (the
+/// LU/QR stacks' width, so the staging tiles alike).
 const NB: usize = 32;
-
-/// Smallest order whose tridiagonalization takes `NB`-wide panels; below
-/// it the panels' thin correction products cost more than the trailing
-/// gemm saves. Interleaved A/B on one core (median of 15, blocked against
-/// one-column panels): 1.69 / 1.39 ms at n = 126, 5.05 / 4.35 at 190,
-/// 10.35 / 9.77 at 252, then 30.0 / 33.9 at 384 and 69.7 / 83.1 at 512.
-/// Every order the set-up solves today (90, 126, 252) is below it.
-const BLOCK_MIN: usize = 320;
-
-/// Once this few reflectors remain, panels are one column wide again
-/// (LAPACK's `NX`): the trailing blocks are too small to feed the gemm.
-const NX: usize = 64;
 
 /// Whether a Hermitian solve returns eigenvectors besides the eigenvalues.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -201,112 +188,57 @@ fn solve_standard(mut c: ZMat, vectors: Vectors) -> Result<EighDecomposition> {
 
 /// Householder reduction `C = Q·T·Qᴴ` in place, reading and updating the
 /// lower triangle only (the diagonal's imaginary parts are taken as zero):
-/// returns the diagonal, the
-/// off-diagonal (`e[k]` couples `k` and `k + 1`; `e[n − 1] = 0`) and the
-/// reflector coefficients. On exit column `k` of `c` holds reflector `k`'s
-/// tail below the subdiagonal (`Q = H₀·H₁⋯`, `H_k = I − τ_k·v·vᴴ`, `v`'s
-/// unit head at row `k + 1`).
+/// returns the diagonal, the off-diagonal (`e[k]` couples `k` and `k + 1`;
+/// `e[n − 1] = 0`) and the reflector coefficients. On exit column `k` of
+/// `c` holds reflector `k`'s tail below the subdiagonal (`Q = H₀·H₁⋯`,
+/// `H_k = I − τ_k·v·vᴴ`, `v`'s unit head at row `k + 1`).
+///
+/// Step `k` builds `w = τ·C·v + α·v` with `α = −τ·(wᴴ·v)/2` (one
+/// [`hemv_lower`]), and the two-sided update `C −= v·wᴴ + w·vᴴ` of the
+/// trailing matrix is one gemm of depth 2 on `[v | w]` and `[w | v]`,
+/// block column by block column on and below the diagonal.
 fn tridiagonalize(c: &mut ZMat) -> (Vec<f64>, Vec<f64>, Vec<Complex64>) {
     let n = c.rows();
     flops_add(counts::zhetrd(n));
     let mut e = vec![0.0; n];
     let mut tau = vec![Complex64::ZERO; n];
-    let mut w = ZMat::zeros(n, NB.min(n));
-    // [V | W] and [W | V] side by side: the rank-2k update is then one gemm
-    // of depth 2k, one pass over the trailing matrix.
-    let (mut vw, mut wv) = (ZMat::zeros(n, 2 * NB), ZMat::zeros(n, 2 * NB));
-    let mut k0 = 0;
-    while k0 + 1 < n {
-        let ib = if n >= BLOCK_MIN && n - k0 - 1 > NX { NB } else { 1 };
-        tridiagonal_panel(c, &mut w, k0, ib, &mut e, &mut tau);
-        // Trailing rank-2k update C −= V·Wᴴ + W·Vᴴ on and below the
-        // diagonal blocks.
-        let t0 = k0 + ib;
-        let m = n - t0;
-        for j in 0..ib {
-            let (v, wj) = (&c.col(k0 + j)[t0..], &w.col(j)[t0..]);
-            vw.col_mut(j)[..m].copy_from_slice(v);
-            vw.col_mut(ib + j)[..m].copy_from_slice(wj);
-            wv.col_mut(j)[..m].copy_from_slice(wj);
-            wv.col_mut(ib + j)[..m].copy_from_slice(v);
+    let (mut vw, mut wv) = (ZMat::zeros(n, 2), ZMat::zeros(n, 2));
+    for k in 0..n.saturating_sub(1) {
+        c[(k, k)].im = 0.0;
+        tau[k] = zlarfg(&mut c.col_mut(k)[k + 1..n]);
+        e[k] = c[(k + 1, k)].re;
+        c[(k + 1, k)] = Complex64::ONE;
+        let m = n - k - 1;
+        let v = &c.col(k)[k + 1..n];
+        let w = &mut vw.col_mut(1)[..m];
+        hemv_lower(c.block_view(k + 1, k + 1, m, m), v, w);
+        let t = tau[k];
+        for x in w.iter_mut() {
+            *x *= t;
         }
+        let alpha = -(t * Complex64::dot_conj(w, v)).scale(0.5);
+        for (x, &vi) in w.iter_mut().zip(v) {
+            *x = x.mul_add(alpha, vi);
+        }
+        wv.col_mut(0)[..m].copy_from_slice(w);
+        vw.col_mut(0)[..m].copy_from_slice(v);
+        wv.col_mut(1)[..m].copy_from_slice(v);
         for c0 in (0..m).step_by(NB) {
             let cb = NB.min(m - c0);
             gemm_into_unc(
                 -Complex64::ONE,
-                vw.block_view(c0, 0, m - c0, 2 * ib),
+                vw.block_view(c0, 0, m - c0, 2),
                 Op::None,
-                wv.block_view(c0, 0, cb, 2 * ib),
+                wv.block_view(c0, 0, cb, 2),
                 Op::Adjoint,
                 Complex64::ONE,
-                c.block_view_mut(t0 + c0, t0 + c0, m - c0, cb),
+                c.block_view_mut(k + 1 + c0, k + 1 + c0, m - c0, cb),
             );
         }
-        for j in k0..t0 {
-            c[(j + 1, j)] = c64(e[j], 0.0);
-        }
-        k0 = t0;
+        c[(k + 1, k)] = c64(e[k], 0.0);
     }
     let d = (0..n).map(|i| c[(i, i)].re).collect();
     (d, e, tau)
-}
-
-/// Reflectors `k0..k0 + ib` (`zlatrd`, lower): each column first takes the
-/// panel's pending updates `−V·Wᴴ − W·Vᴴ`, then its reflector is generated
-/// and `W`'s column `j` built as `τ·(C·v − V·(Wᴴ·v) − W·(Vᴴ·v))` with the
-/// `α·v` correction that makes the update two-sided. `C` beyond the panel
-/// is read as it stood at the panel's start. `v`'s unit head is stored in
-/// place of `β` (restored by the caller).
-fn tridiagonal_panel(
-    c: &mut ZMat,
-    w: &mut ZMat,
-    k0: usize,
-    ib: usize,
-    e: &mut [f64],
-    tau: &mut [Complex64],
-) {
-    let n = c.rows();
-    let (one, zero) = (Complex64::ONE, Complex64::ZERO);
-    let mut small = ZMat::zeros(ib, 2);
-    for j in 0..ib {
-        let col = k0 + j;
-        for p in 0..j {
-            let (fw, fv) = (w[(col, p)].conj(), c[(col, k0 + p)].conj());
-            let wp = &w.col(p)[col..n];
-            let (vp, cj) = c.two_cols_mut(k0 + p, col);
-            for ((x, &v), &wv) in cj[col..n].iter_mut().zip(&vp[col..n]).zip(wp) {
-                *x -= v * fw + wv * fv;
-            }
-        }
-        c[(col, col)].im = 0.0;
-        tau[col] = zlarfg(&mut c.col_mut(col)[col + 1..n]);
-        e[col] = c[(col + 1, col)].re;
-        c[(col + 1, col)] = one;
-        let m = n - col - 1;
-        let v = c.block_view(col + 1, col, m, 1);
-        let (wl, mut wr) = w.view_mut().split_at_col(j);
-        let mut wj = wr.rb().sub_mut(col + 1, 0, m, 1);
-        hemv_lower(c.block_view(col + 1, col + 1, m, m), v.col(0), wj.col_mut(0));
-        if j > 0 {
-            let vl = c.block_view(col + 1, k0, m, j);
-            let wl = wl.as_ref().sub(col + 1, 0, m, j);
-            let (mut t1, mut t2) = small.view_mut().split_at_col(1);
-            let (mut t1, mut t2) = (t1.rb().sub_mut(0, 0, j, 1), t2.rb().sub_mut(0, 0, j, 1));
-            gemm_into_unc(one, wl, Op::Adjoint, v, Op::None, zero, t1.rb());
-            gemm_into_unc(one, vl, Op::Adjoint, v, Op::None, zero, t2.rb());
-            gemm_into_unc(-one, vl, Op::None, t1.as_ref(), Op::None, one, wj.rb());
-            gemm_into_unc(-one, wl, Op::None, t2.as_ref(), Op::None, one, wj.rb());
-        }
-        let t = tau[col];
-        let wcol = wj.col_mut(0);
-        for x in wcol.iter_mut() {
-            *x *= t;
-        }
-        let alpha = -(t * Complex64::dot_conj(wcol, v.col(0))).scale(0.5);
-        for (x, &vi) in wcol.iter_mut().zip(v.col(0)) {
-            *x = x.mul_add(alpha, vi);
-        }
-    }
 }
 
 /// `x = A·v` for a Hermitian `A` stored in its lower triangle (`zhemv`):
@@ -455,8 +387,10 @@ mod tests {
     }
 
     #[test]
-    fn tridiagonalize_is_a_unitary_similarity_on_both_panel_widths() {
-        for n in [5usize, 330] {
+    fn tridiagonalize_is_a_unitary_similarity() {
+        // 90 crosses the 32-wide block columns of the trailing update and
+        // the back-transformation's reflector blocks.
+        for n in [5usize, 90] {
             let mut a = ZMat::random(n, n, 70 + n as u64);
             a.hermitianize();
             let mut c = a.clone();

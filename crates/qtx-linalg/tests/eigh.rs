@@ -1,9 +1,8 @@
 //! `eigh` / `eigh_generalized` against the general solver.
 //!
 //! Random Hermitian-definite pencils at orders on both sides of the
-//! Cholesky's and the back-transformation's 32-wide panels (the
-//! tridiagonalization's own 32-wide panels start at order 320 and are held
-//! by `eigh.rs`'s unit test): the eigenvalues
+//! Cholesky's and the back-transformation's 32-wide panels and of the
+//! tridiagonalization's 32-wide block columns: the eigenvalues
 //! are `eig_generalized`'s, each pair satisfies `H·x = λ·S·x`, the vectors
 //! are `S`-orthonormal, and an indefinite `S` is a typed error.
 

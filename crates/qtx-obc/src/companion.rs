@@ -36,6 +36,9 @@ pub struct CompanionPencil {
     pub t10: ZMat,
     /// Superblock dimension `nf`.
     pub nf: usize,
+    /// The broadening `η` the blocks were built at (`E + iη`): FEAST's
+    /// test for a Ritz value that may still be propagating reads it.
+    pub(crate) eta: f64,
 }
 
 /// Node-independent operands of one projector application, built by
@@ -70,7 +73,7 @@ impl CompanionPencil {
     /// Builds the pencil at energy `e` (+iη broadening).
     pub fn at_energy(lead: &LeadBlocks, e: f64, eta: f64) -> Self {
         let (t00, t01, t10) = lead.t_blocks(e, eta);
-        CompanionPencil { nf: t00.rows(), t00, t01, t10 }
+        CompanionPencil { nf: t00.rows(), t00, t01, t10, eta }
     }
 
     /// Companion size `NBC = 2·nf`.

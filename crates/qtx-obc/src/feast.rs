@@ -54,7 +54,7 @@
 
 use crate::companion::{CompanionPencil, NodeFactors};
 use crate::error::{ObcError, ObcOutcome};
-use crate::modes::PROP_TOL;
+use crate::modes::may_propagate;
 use qtx_linalg::flops::{counts, map_counted};
 use qtx_linalg::{
     eig_generalized_ws, eig_ws, gemm_view, orthonormalize_ws, zherk, Complex64, LuFactors, Op,
@@ -412,8 +412,9 @@ fn feast_core(
     let mut prev_inside = usize::MAX;
     // Ritz values the last iteration placed inside the annulus.
     let mut last_inside = 0usize;
-    // Unit-circle Ritz values the last iteration left above `tol`, and the
-    // smallest residual among them.
+    // Ritz values that may be propagating (on the unit circle or, on a
+    // broadened pencil, near it) the last iteration left above `tol`, and
+    // the smallest residual among them.
     let mut pending = (0usize, f64::INFINITY);
     for it in 0..cfg.max_refine {
         stats.iterations += 1;
@@ -548,7 +549,7 @@ fn feast_core(
             if res < cfg.tol {
                 accepted.push((lam, u));
                 max_res = max_res.max(res);
-            } else if (mag - 1.0).abs() <= PROP_TOL {
+            } else if may_propagate(mag, pencil.eta) {
                 pending = (pending.0 + 1, pending.1.min(res));
             }
         }
@@ -557,9 +558,11 @@ fn feast_core(
         // Converged (every Ritz value inside passed), or stabilized
         // acceptance: if the converged count repeats across two
         // refinements, the stragglers are quadrature leakage from outside
-        // the annulus, not missing modes. A straggler on the unit circle is
-        // never leakage: it is a propagating mode whose residual has not
-        // (yet) met `tol`, and it keeps the iteration going.
+        // the annulus, not missing modes. A straggler that may propagate is
+        // never leakage: on the unit circle, or at `E + iη` within the ring
+        // `e^{−η/|v|}` puts a propagating mode in, it is a mode whose
+        // residual has not (yet) met `tol`, and it keeps the iteration
+        // going.
         let converged = inside > 0 && accepted.len() == inside;
         let stabilized =
             it >= 1 && !accepted.is_empty() && accepted.len() == prev_accepted && pending.0 == 0;

@@ -19,6 +19,23 @@ use qtx_linalg::{Complex64, Workspace, ZMat};
 /// Tolerance band around `|λ| = 1` classifying propagating modes.
 pub const PROP_TOL: f64 = 1e-6;
 
+/// Half-width in `ln|λ|` of the ring around the unit circle where a mode
+/// of a broadened pencil may still be propagating (`|λ| = e^{−η/|v|}`);
+/// [`classify_modes_eta`] decides each candidate in it by its velocity.
+const NEAR_LN: f64 = 0.05;
+
+/// Whether a mode with `|λ| = mag` of the pencil at `E + iη` can be
+/// propagating: on the unit circle or, broadened, inside the
+/// [`NEAR_LN`] ring. FEAST never drops an unconverged Ritz value of
+/// which this holds.
+pub(crate) fn may_propagate(mag: f64, eta: f64) -> bool {
+    (mag - 1.0).abs() < PROP_TOL || near_circle(mag, eta)
+}
+
+fn near_circle(mag: f64, eta: f64) -> bool {
+    eta > 0.0 && mag.ln().abs() < NEAR_LN
+}
+
 /// One classified lead mode.
 #[derive(Debug, Clone)]
 pub struct ModeSet {
@@ -141,7 +158,7 @@ pub fn classify_modes_eta(
         // Norm and velocity of a mode on the circle or, broadened, near it —
         // once: the η test and the flux normalization read the same two.
         let on_circle = (mag - 1.0).abs() < PROP_TOL;
-        let near = eta > 0.0 && mag.ln().abs() < 0.05;
+        let near = near_circle(mag, eta);
         let (v, ns) = if on_circle || near {
             let ns = bloch_overlap(lead, *lambda, &u);
             (group_velocity(pencil, *lambda, &u, ns), ns)

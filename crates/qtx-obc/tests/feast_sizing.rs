@@ -134,6 +134,41 @@ fn long_wire_lead_stalled_propagating_pair_is_never_dropped() {
     }
 }
 
+/// The same energies on budgets short of the pair's convergence, exact and
+/// at the escalation ladder's `E + iη`: broadened, the pair sits at
+/// `|λ| = e^{−η/|v|}`, off the unit circle, and is pending all the same.
+/// FEAST returns every annulus mode the dense solver finds on that pencil,
+/// or says it did not; a short set is never `Ok`.
+#[test]
+fn short_budgets_never_return_a_short_mode_set() {
+    let lead = left_lead(DeviceBuilder::nanowire(1.5));
+    let cfg = FeastConfig::default();
+    let mut stalled = 0;
+    for e in [1.479668, 1.498154, 1.498668] {
+        for eta in [0.0, ETA_BUMP] {
+            let pencil = CompanionPencil::at_energy(&lead, e, eta);
+            let dense = annulus_mags(&dense_modes(&pencil).expect("dense modes"), cfg.r_outer);
+            for max_refine in 2..=4 {
+                match feast_annulus(&pencil, FeastConfig { max_refine, ..cfg }) {
+                    Ok((modes, _)) => {
+                        let found = annulus_mags(&modes, cfg.r_outer);
+                        assert_eq!(
+                            found.len(),
+                            dense.len(),
+                            "E = {e} + {eta}i, max_refine {max_refine}: {found:?} vs {dense:?}"
+                        );
+                    }
+                    Err(err) => {
+                        assert!(err.is_stalled_modes(), "E = {e} + {eta}i: {err}");
+                        stalled += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert!(stalled > 0, "premise: some budget is short of the pair");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
     #[test]
