@@ -16,15 +16,16 @@
 //! The `kind: "herk"` entries time `zherk` against the full gemm it
 //! replaces (`AᴴA`, `A` m × n) at the Gram shapes FEAST and Beyn pass:
 //! `herk_speedup` is that within-binary ratio, the row `docs/linalg.md`
-//! keeps `zherk` on. Run with `cargo run --release -p qtx-bench --bin bench_gemm_json
-//! [output-path] [--quick]`.
+//! keeps `zherk` on. The paths of every ratio are timed in interleaved
+//! rounds (`medians_interleaved`), so a slow phase of a shared host lands
+//! on both sides of it. Run with `cargo run --release -p qtx-bench --bin
+//! bench_gemm_json [output-path] [--quick]`.
 
-use qtx_bench::{print_table, Row};
+use qtx_bench::{medians_interleaved, print_table, Row};
 use qtx_linalg::gemm::{gemm_on_path, gemm_with};
 use qtx_linalg::kernel::kernel_of;
 use qtx_linalg::{available_variants, gemm, zherk, Complex64, KernelVariant, Op, ZMat};
 use std::fmt::Write as _;
-use std::time::Instant;
 
 /// The seed's gemm: materialize both operands, then a column-panel loop.
 fn seed_gemm(a: &ZMat, op_a: Op, b: &ZMat, op_b: Op, c: &mut ZMat) {
@@ -53,18 +54,6 @@ fn seed_gemm(a: &ZMat, op_a: Op, b: &ZMat, op_b: Op, c: &mut ZMat) {
     }
 }
 
-fn median_secs(mut f: impl FnMut(), reps: usize) -> f64 {
-    let mut samples: Vec<f64> = (0..reps.max(3))
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed().as_secs_f64()
-        })
-        .collect();
-    samples.sort_by(|x, y| x.partial_cmp(y).unwrap());
-    samples[samples.len() / 2]
-}
-
 fn main() {
     let mut out_path = "BENCH_gemm.json".to_string();
     let mut quick = false;
@@ -90,11 +79,13 @@ fn main() {
             (Op::Adjoint, Op::None, "HN"),
             (Op::None, Op::Transpose, "NT"),
         ] {
-            let t_new = median_secs(
-                || gemm(Complex64::ONE, &a, op_a, &b, op_b, Complex64::ZERO, &mut c_new),
+            let [t_new, t_old] = medians_interleaved(
+                [
+                    &mut || gemm(Complex64::ONE, &a, op_a, &b, op_b, Complex64::ZERO, &mut c_new),
+                    &mut || seed_gemm(&a, op_a, &b, op_b, &mut c_old),
+                ],
                 reps,
             );
-            let t_old = median_secs(|| seed_gemm(&a, op_a, &b, op_b, &mut c_old), reps);
             assert!(
                 c_new.max_diff(&c_old) < 1e-9 * n as f64,
                 "kernel mismatch at n = {n} ops {tag}"
@@ -117,38 +108,27 @@ fn main() {
         }
     }
     // Per-variant microkernel sweep: each available variant on the same
-    // NN product, with the scalar tile's time as the in-binary baseline.
-    // kernel_speedup is dimensionless → gated by check_bench.
+    // NN product, timed in rounds interleaved with the scalar tile, the
+    // in-binary baseline. kernel_speedup is dimensionless → gated by
+    // check_bench.
     for &n in sizes {
         if n < 128 {
             continue; // below the packed-path thresholds the ukr barely runs
         }
         let a = ZMat::random(n, n, 5);
         let b = ZMat::random(n, n, 6);
-        let mut c = ZMat::zeros(n, n);
+        let (mut c_scalar, mut c) = (ZMat::zeros(n, n), ZMat::zeros(n, n));
         let reps = (256 / (n / 32)).clamp(3, 31);
-        let mut time = |v: KernelVariant| {
+        let product = |v: KernelVariant, c: &mut ZMat| {
             let kernel = kernel_of(v).expect("listed as available");
             let (one, zero) = (Complex64::ONE, Complex64::ZERO);
-            median_secs(
-                || {
-                    gemm_with(
-                        kernel,
-                        one,
-                        a.view(),
-                        Op::None,
-                        b.view(),
-                        Op::None,
-                        zero,
-                        c.view_mut(),
-                    )
-                },
-                reps,
-            )
+            gemm_with(kernel, one, a.view(), Op::None, b.view(), Op::None, zero, c.view_mut())
         };
-        let t_scalar = time(KernelVariant::Scalar);
         for v in available_variants() {
-            let t = time(v);
+            let [t_scalar, t] = medians_interleaved(
+                [&mut || product(KernelVariant::Scalar, &mut c_scalar), &mut || product(v, &mut c)],
+                reps,
+            );
             let gflops = 8.0 * (n as f64).powi(3) / t / 1e9;
             let _ = writeln!(
                 entries,
@@ -184,22 +164,29 @@ fn main() {
                 })
             };
             let (a, b) = (thin(m, k, 11), thin(k, n, 12));
-            let mut c = ZMat::zeros(m, n);
+            let (mut c_direct, mut c_packed) = (ZMat::zeros(m, n), ZMat::zeros(m, n));
             // Enough repetitions of a µs-scale product for the clock.
             let inner = (4_000_000 / (m * n * k)).max(1);
-            let mut time = |packed: bool| {
+            let products = |packed: bool, c: &mut ZMat| {
                 let (one, zero) = (Complex64::ONE, Complex64::ZERO);
-                let (a, b) = (a.view(), b.view());
-                median_secs(
-                    || {
-                        for _ in 0..inner {
-                            gemm_on_path(packed, one, a, Op::None, b, Op::None, zero, c.view_mut());
-                        }
-                    },
-                    15,
-                ) / inner as f64
+                for _ in 0..inner {
+                    gemm_on_path(
+                        packed,
+                        one,
+                        a.view(),
+                        Op::None,
+                        b.view(),
+                        Op::None,
+                        zero,
+                        c.view_mut(),
+                    );
+                }
             };
-            let (t_direct, t_packed) = (time(false), time(true));
+            let [t_direct, t_packed] = medians_interleaved(
+                [&mut || products(false, &mut c_direct), &mut || products(true, &mut c_packed)],
+                15,
+            )
+            .map(|t| t / inner as f64);
             let gflops = |t: f64| 8.0 * (m * n * k) as f64 / t / 1e9;
             let _ = writeln!(
                 entries,
@@ -221,24 +208,20 @@ fn main() {
     // UTB film (nf = 20), the 1.5 nm wire (90) and the DFT wire (252).
     for (m, n) in [(40, 8), (40, 28), (180, 32), (180, 98), (504, 32), (504, 260)] {
         let a = ZMat::random(m, n, 13);
-        let mut c = ZMat::zeros(n, n);
+        let (mut c, mut c_gemm) = (ZMat::zeros(n, n), ZMat::zeros(n, n));
         let inner = (8_000_000 / (m * n * n)).max(1);
-        let mut time = |f: &mut dyn FnMut(&mut ZMat)| {
-            median_secs(
-                || {
-                    for _ in 0..inner {
-                        f(&mut c);
-                    }
-                },
-                15,
-            ) / inner as f64
-        };
-        let t_herk = time(&mut |c| zherk(1.0, a.view(), Op::Adjoint, 0.0, c));
         let (one, zero) = (Complex64::ONE, Complex64::ZERO);
-        let t_gemm = time(&mut |c| gemm(one, &a, Op::Adjoint, &a, Op::None, zero, c));
-        let mut c_gemm = ZMat::zeros(n, n);
-        gemm(one, &a, Op::Adjoint, &a, Op::None, zero, &mut c_gemm);
-        zherk(1.0, a.view(), Op::Adjoint, 0.0, &mut c);
+        let [t_herk, t_gemm] = medians_interleaved(
+            [
+                &mut || (0..inner).for_each(|_| zherk(1.0, a.view(), Op::Adjoint, 0.0, &mut c)),
+                &mut || {
+                    (0..inner)
+                        .for_each(|_| gemm(one, &a, Op::Adjoint, &a, Op::None, zero, &mut c_gemm))
+                },
+            ],
+            15,
+        )
+        .map(|t| t / inner as f64);
         assert!(c.max_diff(&c_gemm) < 1e-10 * m as f64, "zherk drift at {m}x{n}");
         let gflops = 4.0 * (n * n * m) as f64 / t_herk / 1e9;
         let _ = writeln!(
@@ -256,7 +239,7 @@ fn main() {
     }
     let entries = entries.trim_end().trim_end_matches(',').to_string();
     let json = format!(
-        "{{\n  \"bench\": \"zgemm tiled vs seed\",\n  \"cores\": {cores},\n  \"target_cpu\": \"native\",\n  \"flags_note\": \"speedup = seed_ms / tiled_ms, both single run on this machine\",\n  \"results\": [\n{entries}\n  ]\n}}\n"
+        "{{\n  \"bench\": \"zgemm tiled vs seed\",\n  \"cores\": {cores},\n  \"target_cpu\": \"native\",\n  \"flags_note\": \"speedup = seed_ms / tiled_ms, medians of interleaved rounds on this machine\",\n  \"results\": [\n{entries}\n  ]\n}}\n"
     );
     std::fs::write(&out_path, &json).expect("write BENCH_gemm.json");
     print_table(

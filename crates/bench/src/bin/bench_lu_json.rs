@@ -9,11 +9,12 @@
 //!
 //! The unblocked baseline is the same code path the blocked factorization
 //! dispatches to below the crossover (`lu_factor_unblocked`), so the A/B
-//! runs in one process on identical inputs. Run with `cargo run --release
+//! runs in one process on identical inputs, the paths of one ratio timed
+//! in interleaved rounds (`medians_interleaved`). Run with `cargo run --release
 //! -p qtx-bench --bin bench_lu_json [output-path] [--quick]`; `--quick`
 //! shrinks sizes and repetitions for the CI smoke profile.
 
-use qtx_bench::{print_table, Row};
+use qtx_bench::{medians_interleaved, print_table, Row};
 use qtx_linalg::{c64, gemm, lu_factor, lu_factor_unblocked, Complex64, LuFactors, Op, ZMat};
 use qtx_solver::{btd_lu_solve_ws, ObcSystem, SplitSolve, Workspace};
 use qtx_sparse::Btd;
@@ -23,18 +24,6 @@ use std::time::Instant;
 /// Reference numbers recorded by PR 1 on this container (nb=8, s=64).
 const PR1_SPLITSOLVE_MS_PER_PT: f64 = 17.2;
 const PR1_BTD_LU_MS_PER_PT: f64 = 7.0;
-
-fn median_secs(mut f: impl FnMut(), reps: usize) -> f64 {
-    let mut samples: Vec<f64> = (0..reps.max(3))
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed().as_secs_f64()
-        })
-        .collect();
-    samples.sort_by(|x, y| x.partial_cmp(y).unwrap());
-    samples[samples.len() / 2]
-}
 
 /// The seed's `zgetrf`: element-indexed pivot/rank-1 loops, reproduced
 /// verbatim (modulo the pivot bookkeeping it didn't track) as the fixed
@@ -173,12 +162,19 @@ fn main() {
         let a = diag_dominant(n, 1);
         let b = ZMat::random(n, n.min(64), 3);
         let reps = (2048 / n).clamp(3, 31);
-        let t_f_blk = median_secs(|| drop(lu_factor(&a).unwrap()), reps);
-        let t_f_unb = median_secs(|| drop(lu_factor_unblocked(&a).unwrap()), reps);
-        let t_f_seed = median_secs(|| drop(seed_getrf(&a)), reps);
+        let [t_f_blk, t_f_unb, t_f_seed] = medians_interleaved(
+            [
+                &mut || drop(lu_factor(&a).unwrap()),
+                &mut || drop(lu_factor_unblocked(&a).unwrap()),
+                &mut || drop(seed_getrf(&a)),
+            ],
+            reps,
+        );
         let f = lu_factor(&a).unwrap();
-        let t_s_new = median_secs(|| drop(f.solve(&b)), reps);
-        let t_s_seed = median_secs(|| drop(seed_getrs(&f, &b)), reps);
+        let [t_s_new, t_s_seed] = medians_interleaved(
+            [&mut || drop(f.solve(&b)), &mut || drop(seed_getrs(&f, &b))],
+            reps,
+        );
         let x_new = f.solve(&b);
         let x_seed = seed_getrs(&f, &b);
         assert!(x_new.max_diff(&x_seed) < 1e-8 * n as f64, "solve mismatch at n = {n}");
@@ -223,24 +219,24 @@ fn main() {
             let b = ZMat::random(n, nrhs, 7);
             let reps = (4096 / n).clamp(9, 31);
             let mut c = ZMat::zeros(n, nrhs);
-            let t_gemm = median_secs(
-                || gemm(Complex64::ONE, &a, Op::None, &b, Op::None, Complex64::ZERO, &mut c),
+            let (mut x, mut y) = (b.clone(), b.clone());
+            let [t_gemm, t_solve, t_adjoint] = medians_interleaved(
+                [
+                    &mut || {
+                        gemm(Complex64::ONE, &a, Op::None, &b, Op::None, Complex64::ZERO, &mut c)
+                    },
+                    &mut || {
+                        x.view_mut().copy_from_view(b.view());
+                        f.solve_in_place(&mut x);
+                    },
+                    &mut || {
+                        y.view_mut().copy_from_view(b.view());
+                        f.solve_adjoint_in_place(&mut y);
+                    },
+                ],
                 reps,
             );
-            let mut x = b.clone();
-            for adjoint in [false, true] {
-                let name = if adjoint { "solve_adjoint_in_place" } else { "solve_in_place" };
-                let t = median_secs(
-                    || {
-                        x.view_mut().copy_from_view(b.view());
-                        if adjoint {
-                            f.solve_adjoint_in_place(&mut x);
-                        } else {
-                            f.solve_in_place(&mut x);
-                        }
-                    },
-                    reps,
-                );
+            for (name, t) in [("solve_in_place", t_solve), ("solve_adjoint_in_place", t_adjoint)] {
                 let gflops = 8.0 * (n * n * nrhs) as f64 / t / 1e9;
                 let _ = writeln!(
                     entries,

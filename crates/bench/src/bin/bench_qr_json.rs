@@ -10,35 +10,17 @@
 //! the same algorithm after the column-slice rewrite (and what the
 //! blocked factorization dispatches to below the crossover), so the A/B
 //! runs in one process on identical inputs, the paths of one ratio timed
-//! in interleaved rounds (`medians_interleaved`). Run with `cargo run --release -p qtx-bench --bin bench_qr_json
-//! [output-path] [--quick]`; `--quick` shrinks sizes and repetitions for
+//! in interleaved rounds (`qtx_bench::medians_interleaved`). Run with
+//! `cargo run --release -p qtx-bench --bin bench_qr_json [output-path]
+//! [--quick]`; `--quick` shrinks sizes and repetitions for
 //! the CI smoke/regression-gate profile.
 
-use qtx_bench::{print_table, Row};
+use qtx_bench::{medians_interleaved, print_table, Row};
 use qtx_linalg::{
     c64, eig_generalized, eigh_generalized, hessenberg, hessenberg_unblocked, qr_factor,
     qr_factor_unblocked, Complex64, Vectors, ZMat,
 };
 use std::fmt::Write as _;
-use std::time::Instant;
-
-/// Medians of the run times of `fs` over `reps` rounds (at least 3), each
-/// round calling every closure once in turn: a slow phase of a shared host
-/// lands on both sides of a gated ratio instead of on one.
-fn medians_interleaved<const K: usize>(mut fs: [&mut dyn FnMut(); K], reps: usize) -> [f64; K] {
-    let mut samples: [Vec<f64>; K] = std::array::from_fn(|_| Vec::new());
-    for _ in 0..reps.max(3) {
-        for (f, times) in fs.iter_mut().zip(&mut samples) {
-            let t0 = Instant::now();
-            f();
-            times.push(t0.elapsed().as_secs_f64());
-        }
-    }
-    samples.map(|mut times| {
-        times.sort_by(f64::total_cmp);
-        times[times.len() / 2]
-    })
-}
 
 /// The seed's Householder QR: element-indexed reflector generation and
 /// per-column dot/axpy application, reproduced verbatim as the fixed

@@ -16,14 +16,15 @@
 //! BTD / boundary peak bytes) and the interior and tonly flop ratios, which
 //! are allocation and operation counts and therefore deterministic; the
 //! wall-clock rows are emitted `"optional": true` so a narrow CI runner
-//! gates them when present without owing the kind coverage. All three
+//! gates them when present without owing the kind coverage, and the paths
+//! of each are timed in interleaved rounds (`medians_interleaved`). All three
 //! routes compute the same Caroli trace on the same systems and are
 //! cross-checked in-process before anything is written.
 //! Run with `cargo run --release -p qtx-bench --bin bench_sparse_json
 //! [output-path] [--quick]`; `--quick` keeps the short device only.
 
 use qtx_atomistic::{BasisKind, DeviceBuilder};
-use qtx_bench::{print_table, Row};
+use qtx_bench::{medians_interleaved, print_table, Row};
 use qtx_core::Device;
 use qtx_linalg::flops::counts;
 use qtx_linalg::{c64, gemm, qr_least_squares, zgesv, Complex64, FlopScope, Op, ZMat};
@@ -36,7 +37,6 @@ use qtx_sparse::{
     reset_peak_matrix_bytes, BlockChain, Btd, CouplingSupport, EsMinusH,
 };
 use std::fmt::Write as _;
-use std::time::Instant;
 
 /// Diagonally dominant random BTD system with dense boundary Σ — the
 /// same shape the LU bench times, so the ms/pt rows are comparable.
@@ -108,8 +108,11 @@ fn interior_rows(reps: usize, entries: &mut String, rows: &mut Vec<Row>) {
          \"flop_speedup_support_vs_dense_q\": {flop_speedup:.3}}},",
         report.flops,
     );
-    let split_ms = median_secs(|| drop(solver.solve_ws(&sys, None, &ws)), reps) * 1e3;
-    let btd_ms = median_secs(|| drop(btd_lu_solve_ws(&sys, &ws)), reps) * 1e3;
+    let [split_ms, btd_ms] = medians_interleaved(
+        [&mut || drop(solver.solve_ws(&sys, None, &ws)), &mut || drop(btd_lu_solve_ws(&sys, &ws))],
+        reps,
+    )
+    .map(|t| t * 1e3);
     let _ = writeln!(
         entries,
         "    {{\"kind\": \"interior_latency\", \"nb\": {nb}, \"s\": {s}, \"optional\": true, \
@@ -167,8 +170,8 @@ fn tonly_rows(reps: usize, entries: &mut String, rows: &mut Vec<Row>) {
          \"mode_panel_flops\": {mode_flops}, \
          \"flop_speedup_mode_panel_vs_row_support\": {flop_speedup:.3}}},",
     );
-    let rows_ms = median_secs(|| _ = by_rows(), reps) * 1e3;
-    let modes_ms = median_secs(|| _ = by_modes(), reps) * 1e3;
+    let [rows_ms, modes_ms] =
+        medians_interleaved([&mut || _ = by_rows(), &mut || _ = by_modes()], reps).map(|t| t * 1e3);
     let _ = writeln!(
         entries,
         "    {{\"kind\": \"tonly_latency\", \"nb\": {nb}, \"s\": {s}, \"optional\": true, \
@@ -239,10 +242,12 @@ fn pencil_rows(reps: usize, entries: &mut String, rows: &mut Vec<Row>) {
             continue;
         }
         let x = ZMat::random(nb * s, 2, 5);
-        let with_store = dk.pencil_on(&memo, 1.3, 0.0);
-        let (dense_ms, store_ms) = [dk.pencil(1.3, 0.0), with_store]
-            .map(|pencil| median_secs(|| diag_passes(&pencil, &x), reps) * 1e3)
-            .into();
+        let (dense, with_store) = (dk.pencil(1.3, 0.0), dk.pencil_on(&memo, 1.3, 0.0));
+        let [dense_ms, store_ms] = medians_interleaved(
+            [&mut || diag_passes(&dense, &x), &mut || diag_passes(&with_store, &x)],
+            reps,
+        )
+        .map(|t| t * 1e3);
         let _ = writeln!(
             entries,
             "    {{\"kind\": \"pencil_latency\", \"nb\": {nb}, \"s\": {s}, \"optional\": true, \
@@ -281,18 +286,6 @@ fn diag_passes(pencil: &EsMinusH<'_>, x: &ZMat) {
         }
     }
     std::hint::black_box(&r);
-}
-
-fn median_secs(mut f: impl FnMut(), reps: usize) -> f64 {
-    let mut samples: Vec<f64> = (0..reps.max(3))
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed().as_secs_f64()
-        })
-        .collect();
-    samples.sort_by(|x, y| x.partial_cmp(y).unwrap());
-    samples[samples.len() / 2]
 }
 
 /// `Γ = i(Σ − Σᴴ)` of a boundary self-energy.
@@ -426,24 +419,15 @@ fn main() {
         );
 
         // ── Latency: warm ms per energy point per route ──
-        let dense_ms = median_secs(
-            || {
-                dense_route(&sys, &gamma_l, &gamma_r);
-            },
+        let [dense_ms, btd_ms, bnd_ms] = medians_interleaved(
+            [
+                &mut || _ = dense_route(&sys, &gamma_l, &gamma_r),
+                &mut || _ = btd_route(&sys, &gamma_l, &gamma_r, &ws_btd),
+                &mut || _ = boundary_route(&sys, &support, &ws_bnd),
+            ],
             reps,
-        ) * 1e3;
-        let btd_ms = median_secs(
-            || {
-                btd_route(&sys, &gamma_l, &gamma_r, &ws_btd);
-            },
-            reps,
-        ) * 1e3;
-        let bnd_ms = median_secs(
-            || {
-                boundary_route(&sys, &support, &ws_bnd);
-            },
-            reps,
-        ) * 1e3;
+        )
+        .map(|t| t * 1e3);
         let _ = writeln!(
             entries,
             "    {{\"kind\": \"latency\", \"nb\": {nb}, \"s\": {s}, \"optional\": true, \

@@ -2,8 +2,8 @@
 
 use qtx_atomistic::assemble::assemble_unit_cell;
 use qtx_atomistic::devices::DeviceSpec;
-use qtx_cp2k::{Cp2kRun, Functional, HsFile};
-use qtx_linalg::{c64, Complex64, Result, ZMat};
+use qtx_cp2k::{Cp2kError, Cp2kRun, Functional, HsFile};
+use qtx_linalg::{c64, Complex64, ZMat};
 use qtx_obc::{LeadBlocks, ObcMethod};
 use qtx_solver::SolverKind;
 use qtx_sparse::{
@@ -74,16 +74,20 @@ pub struct DeviceK {
 }
 
 impl Device {
-    /// Builds a device by running CP2K-lite with the given functional. A
-    /// failed charge-loop eigensolve comes back as it happened (an overlap
-    /// that is not positive definite, say).
-    pub fn build_with_functional(spec: DeviceSpec, functional: Functional) -> Result<Device> {
+    /// Builds a device by running CP2K-lite with the given functional.
+    /// CP2K-lite's error comes back as it happened: a failed charge-loop
+    /// eigensolve (an overlap that is not positive definite, say) or a loop
+    /// that did not reach self-consistency.
+    pub fn build_with_functional(
+        spec: DeviceSpec,
+        functional: Functional,
+    ) -> Result<Device, Cp2kError> {
         let base = Cp2kRun::new(spec.clone()).functional(functional).generate()?;
         Ok(Self::from_hsfile(spec, base))
     }
 
     /// Builds with the default LDA functional.
-    pub fn build(spec: DeviceSpec) -> Result<Device> {
+    pub fn build(spec: DeviceSpec) -> Result<Device, Cp2kError> {
         Self::build_with_functional(spec, Functional::Lda)
     }
 

@@ -1,6 +1,6 @@
 //! A propagating mode FEAST sees but cannot resolve escalates the point.
 //!
-//! On the 1.5 nm wire's lead at `E = 1.498154` eV the propagating pair of
+//! On the 1.5 nm wire's lead at `E = 1.498` eV the propagating pair of
 //! the annulus stalls just above FEAST's residual tolerance while the four
 //! evanescent modes converge. Taking the four as the answer gave a contact
 //! with no channel: T read 0, with residual 0 and no escalation on record.
@@ -8,6 +8,14 @@
 //! when its budget runs out first it says so: the ladder's broadened rung
 //! answers a robust point, and a caller without a ladder gets the exact
 //! dense shift-invert modes at the same energy.
+//!
+//! The stall is marginal: whether three refinements leave the pair depends
+//! on the last bits of the lead. The energy was 1.498154 eV until
+//! CP2K-lite's Mulliken charges moved by about 10⁻¹⁶ (its on-site
+//! Hartree shift with them); there the pair then converged within three
+//! refinements, and the old charge arithmetic gives the stall back. A scan
+//! of 1.40–1.60 eV in 0.5 meV steps on the new bits found the same stall
+//! and escalation at 1.4745–1.475, 1.480–1.4815, 1.489, 1.492 and 1.498 eV.
 
 use qtx_atomistic::{BasisKind, DeviceBuilder};
 use qtx_core::transport::ETA_BUMP;
@@ -53,7 +61,7 @@ fn long_wire() -> Device {
 #[test]
 fn stalled_propagating_pair_is_resolved_or_escalated_never_read_as_zero() {
     let device = long_wire();
-    let e = 1.498154;
+    let e = 1.498;
     let reference = caroli_transmission(&device.at_kz(0.0), e, ObcMethod::ShiftInvert).unwrap();
     assert!((reference - 1.0).abs() < 1e-4, "premise: one open channel, T = {reference}");
     // The default budget: refining past the repeated count of four
@@ -79,7 +87,7 @@ fn stalled_propagating_pair_is_resolved_or_escalated_never_read_as_zero() {
 #[test]
 fn stalled_pair_without_a_ladder_is_answered_by_shift_invert() {
     let device = long_wire();
-    let e = 1.498154;
+    let e = 1.498;
     let dk = device.at_kz(0.0);
     let reference = caroli_transmission(&dk, e, ObcMethod::ShiftInvert).unwrap();
     let short = ObcMethod::Feast(feast(3));

@@ -27,4 +27,4 @@ pub mod scf;
 
 pub use functional::Functional;
 pub use hsfile::HsFile;
-pub use scf::{Cp2kRun, ScfReport};
+pub use scf::{Cp2kError, Cp2kRun, ScfReport};

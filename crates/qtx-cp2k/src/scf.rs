@@ -6,11 +6,13 @@
 //! populations back. This loop implements exactly that cycle on the
 //! unit-cell Hamiltonian:
 //!
-//! 1. diagonalize the folded `H(k=0)` against `S`,
+//! 1. diagonalize the folded `H(k=0) + diag(V)` against `S`,
 //! 2. occupy the lowest half of the spectrum (charge neutrality),
 //! 3. compute Mulliken charges `q_a = Σ_{µ∈a} (P·S)_{µµ}`,
-//! 4. shift on-site energies by `U·(q_a − q⁰_a)` with damping,
-//! 5. repeat until the charges stop moving.
+//! 4. mix the on-site shifts `V_a` towards `U·(q_a − q⁰_a)`,
+//! 5. repeat until the charges reproduce the potential that made them:
+//!    `max_a |U·(q_a − q⁰_a) − V_a| < tol`, in eV (like CP2K's `EPS_SCF`,
+//!    a self-consistency test, not a distance from neutrality).
 //!
 //! The final matrices — plus the functional's gap correction — are what
 //! OMEN imports (Fig. 2).
@@ -19,7 +21,7 @@ use crate::functional::Functional;
 use crate::hsfile::HsFile;
 use qtx_atomistic::assemble::assemble_unit_cell;
 use qtx_atomistic::devices::DeviceSpec;
-use qtx_linalg::{c64, eigh_generalized, gemm, gemm_view, Complex64, Op, Result, Vectors, ZMat};
+use qtx_linalg::{c64, eigh_generalized, gemm_view, Complex64, LinalgError, Op, Vectors, ZMat};
 use serde::{Deserialize, Serialize};
 
 /// Convergence record of the charge self-consistency.
@@ -27,12 +29,56 @@ use serde::{Deserialize, Serialize};
 pub struct ScfReport {
     /// Iterations executed.
     pub iterations: usize,
-    /// Final max |Δq| (electrons).
+    /// Final self-consistency residual `max_a |U·(q_a − q⁰_a) − V_a|` (eV).
     pub charge_residual: f64,
-    /// Whether the loop met its tolerance.
+    /// Whether the loop met its tolerance (always, in a file
+    /// [`Cp2kRun::generate`] returned: a loop that does not is an error).
     pub converged: bool,
     /// Mulliken charge per atom at exit.
     pub mulliken: Vec<f64>,
+}
+
+/// Why a CP2K-lite run produced no transfer file.
+#[derive(Debug)]
+pub enum Cp2kError {
+    /// A charge-loop eigensolve failed (an overlap that is not positive
+    /// definite, say).
+    Linalg(LinalgError),
+    /// The charge loop ran `max_iter` iterations without meeting `tol`.
+    NotConverged {
+        /// Iterations executed.
+        iterations: usize,
+        /// The last self-consistency residual (eV).
+        residual: f64,
+    },
+}
+
+impl From<LinalgError> for Cp2kError {
+    fn from(e: LinalgError) -> Self {
+        Cp2kError::Linalg(e)
+    }
+}
+
+impl std::fmt::Display for Cp2kError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Cp2kError::Linalg(e) => write!(f, "charge-loop eigensolve failed: {e}"),
+            Cp2kError::NotConverged { iterations, residual } => write!(
+                f,
+                "charge loop not self-consistent after {iterations} iterations \
+                 (residual {residual:e} eV)"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for Cp2kError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            Cp2kError::Linalg(e) => Some(e),
+            Cp2kError::NotConverged { .. } => None,
+        }
+    }
 }
 
 /// A CP2K-lite run: structure + basis → self-consistent H/S + transfer file.
@@ -44,7 +90,7 @@ pub struct Cp2kRun {
     pub hubbard_u: f64,
     /// Linear mixing factor.
     pub mixing: f64,
-    /// Charge tolerance (electrons).
+    /// Self-consistency tolerance on `max_a |U·(q_a − q⁰_a) − V_a|` (eV).
     pub tol: f64,
     /// Iteration cap.
     pub max_iter: usize,
@@ -80,8 +126,10 @@ impl Cp2kRun {
         self
     }
 
-    /// Runs the charge loop and produces the OMEN transfer file.
-    pub fn generate(&self) -> Result<HsFile> {
+    /// Runs the charge loop and produces the OMEN transfer file. A loop
+    /// that is not self-consistent after `max_iter` iterations is
+    /// [`Cp2kError::NotConverged`].
+    pub fn generate(&self) -> Result<HsFile, Cp2kError> {
         let mut ucm = assemble_unit_cell(&self.spec.unit_cell, self.spec.basis, 0.0);
         let n_orb_atom = self.spec.basis.orbitals_per_atom();
         let n_atoms = self.spec.unit_cell.len();
@@ -94,31 +142,37 @@ impl Cp2kRun {
         if !self.skip_scf {
             // Reference (neutral) populations: half filling per atom.
             let q0 = n_orb_atom as f64 / 2.0;
+            let hartree = |q: &[f64]| -> Vec<f64> {
+                // Excess electrons push on-site energies up.
+                q.iter().map(|&qa| self.hubbard_u * (qa - q0)).collect()
+            };
             let mut shifts = vec![0.0; n_atoms];
-            let mut converged = false;
+            report.converged = false;
+            report.charge_residual = f64::INFINITY;
             for it in 0..self.max_iter {
                 report.iterations = it + 1;
-                let q = mulliken_charges(&ucm.h[0], &ucm.s[0], n_atoms, n_orb_atom, &shifts)?;
-                let residual = q.iter().map(|&qi| (qi - q0).abs()).fold(0.0f64, f64::max);
-                report.charge_residual = residual;
-                report.mulliken = q.clone();
-                if residual < self.tol {
-                    converged = true;
+                report.mulliken = mulliken_charges(&ucm.h[0], &ucm.s[0], n_orb_atom, &shifts)?;
+                let target = hartree(&report.mulliken);
+                report.charge_residual =
+                    target.iter().zip(&shifts).map(|(t, v)| (t - v).abs()).fold(0.0, f64::max);
+                if report.charge_residual < self.tol {
+                    report.converged = true;
                     break;
                 }
-                for (a, &qa) in q.iter().enumerate() {
-                    // Hartree: excess electrons push on-site energies up.
-                    let target = self.hubbard_u * (qa - q0);
-                    shifts[a] += self.mixing * (target - shifts[a]);
+                for (v, t) in shifts.iter_mut().zip(&target) {
+                    *v += self.mixing * (t - *v);
                 }
             }
-            report.converged = converged;
-            // Fold the converged shifts into the stored Hamiltonian.
-            apply_onsite_shifts(&mut ucm.h[0], &ucm.s[0], &report.mulliken, n_orb_atom, {
-                let q0v = q0;
-                let u = self.hubbard_u;
-                move |qa| u * (qa - q0v)
-            });
+            if !report.converged {
+                return Err(Cp2kError::NotConverged {
+                    iterations: report.iterations,
+                    residual: report.charge_residual,
+                });
+            }
+            // Fold the Hartree potential of the last charges into the stored
+            // Hamiltonian: it is within `charge_residual` of the shifts
+            // those charges came from.
+            apply_onsite_shifts(&mut ucm.h[0], &hartree(&report.mulliken), n_orb_atom);
         }
         // Functional correction: rigid shift of the conduction manifold.
         let dg = self.functional.gap_correction();
@@ -145,55 +199,39 @@ impl Cp2kRun {
     }
 }
 
-/// Mulliken populations `q_a = Σ_{µ∈a} Re(P·S)_{µµ}` with the density
-/// matrix built from the lowest-half eigenvectors of the Hermitian-definite
-/// `(H + diag(shifts))·c = E·S·c`.
+/// Mulliken populations `q_a = Σ_{µ∈a} Re(P·S)_{µµ}` of the lowest-half
+/// eigenvectors of the Hermitian-definite `(H + diag(shifts))·c = E·S·c`,
+/// one per entry of `shifts`.
 fn mulliken_charges(
     h0: &ZMat,
     s0: &ZMat,
-    n_atoms: usize,
     n_orb_atom: usize,
     shifts: &[f64],
-) -> Result<Vec<f64>> {
+) -> qtx_linalg::Result<Vec<f64>> {
     let n = h0.rows();
     let mut h = h0.clone();
-    for (a, &shift) in shifts.iter().enumerate().take(n_atoms) {
-        for o in 0..n_orb_atom {
-            let i = a * n_orb_atom + o;
-            h[(i, i)] += c64(shift, 0.0);
-        }
-    }
+    apply_onsite_shifts(&mut h, shifts, n_orb_atom);
     // States come out ascending and S-orthonormal (cᴴ·S·c = 1): occupy the
     // lowest half (spin-degenerate neutrality at half filling of the model
-    // basis), P = C_occ·C_occᴴ.
+    // basis), P = C_occ·C_occᴴ. With S = Sᴴ the diagonal of P·S is
+    // (P·S)_{µµ} = Σ_k C_{µk}·conj((S·C_occ)_{µk}): one n × n/2 product.
     let dec = eigh_generalized(&h, s0, Vectors::Compute)?;
     let c = dec.vectors.expect("vectors were asked for");
+    let mut sc = ZMat::zeros(n, n / 2);
     let c_occ = c.block_view(0, 0, n, n / 2);
-    let mut p = ZMat::zeros(n, n);
-    gemm_view(Complex64::ONE, c_occ, Op::None, c_occ, Op::Adjoint, Complex64::ZERO, &mut p);
-    // q_a = Σ_{µ∈a} (P·S)_{µµ}.
-    let mut ps = ZMat::zeros(n, n);
-    gemm(Complex64::ONE, &p, Op::None, s0, Op::None, Complex64::ZERO, &mut ps);
-    let mut q = vec![0.0; n_atoms];
-    for (a, qa) in q.iter_mut().enumerate().take(n_atoms) {
-        for o in 0..n_orb_atom {
-            let i = a * n_orb_atom + o;
-            *qa += ps[(i, i)].re;
+    gemm_view(Complex64::ONE, s0.view(), Op::None, c_occ, Op::None, Complex64::ZERO, &mut sc);
+    let mut q = vec![0.0; shifts.len()];
+    for k in 0..n / 2 {
+        for (i, (x, y)) in c.col(k).iter().zip(sc.col(k)).enumerate() {
+            q[i / n_orb_atom] += x.re * y.re + x.im * y.im;
         }
     }
     Ok(q)
 }
 
-/// Adds the converged Hartree shifts to the on-site block.
-fn apply_onsite_shifts(
-    h0: &mut ZMat,
-    _s0: &ZMat,
-    mulliken: &[f64],
-    n_orb_atom: usize,
-    shift_of: impl Fn(f64) -> f64,
-) {
-    for (a, &qa) in mulliken.iter().enumerate() {
-        let dv = shift_of(qa);
+/// Adds `shifts[a]` to the on-site energies of atom `a`'s orbitals.
+fn apply_onsite_shifts(h0: &mut ZMat, shifts: &[f64], n_orb_atom: usize) {
+    for (a, &dv) in shifts.iter().enumerate() {
         for o in 0..n_orb_atom {
             let i = a * n_orb_atom + o;
             h0[(i, i)] += c64(dv, 0.0);
@@ -243,6 +281,34 @@ mod tests {
         assert!((d - 0.65).abs() < 1e-12, "shift {d}");
         // Valence entries untouched.
         assert!((hse.unit_cell.h[0][(0, 0)] - lda.unit_cell.h[0][(0, 0)]).abs() < 1e-12);
+    }
+
+    #[test]
+    fn occupied_charges_equal_the_density_matrix_diagonal() {
+        // The DFT cell (non-orthogonal basis) at a potential that is not
+        // flat, against q_a = Σ_{µ∈a} Re(P·S)_{µµ} with P = C_occ·C_occᴴ
+        // formed in full.
+        let spec = DeviceBuilder::nanowire(1.0).cells(12).basis(BasisKind::Dft3sp).build();
+        let ucm = assemble_unit_cell(&spec.unit_cell, spec.basis, 0.0);
+        let (h0, s0) = (&ucm.h[0], &ucm.s[0]);
+        let n_orb_atom = spec.basis.orbitals_per_atom();
+        let shifts: Vec<f64> = (0..spec.unit_cell.len()).map(|a| 0.01 * (a % 5) as f64).collect();
+        let q = mulliken_charges(h0, s0, n_orb_atom, &shifts).unwrap();
+
+        let n = h0.rows();
+        let mut h = h0.clone();
+        apply_onsite_shifts(&mut h, &shifts, n_orb_atom);
+        let c = eigh_generalized(&h, s0, Vectors::Compute).unwrap().vectors.unwrap();
+        let c_occ = c.block_view(0, 0, n, n / 2);
+        let mut p = ZMat::zeros(n, n);
+        gemm_view(Complex64::ONE, c_occ, Op::None, c_occ, Op::Adjoint, Complex64::ZERO, &mut p);
+        let mut ps = ZMat::zeros(n, n);
+        qtx_linalg::gemm(Complex64::ONE, &p, Op::None, s0, Op::None, Complex64::ZERO, &mut ps);
+        for (a, &qa) in q.iter().enumerate() {
+            let full: f64 =
+                (0..n_orb_atom).map(|o| ps[(a * n_orb_atom + o, a * n_orb_atom + o)].re).sum();
+            assert!((qa - full).abs() < 1e-12, "atom {a}: {qa} against {full}");
+        }
     }
 
     #[test]
