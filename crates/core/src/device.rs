@@ -261,7 +261,11 @@ impl DeviceK {
     pub fn chain_memo(&self) -> ChainMemo {
         let support = self.chain_support();
         let store = PencilStore::build(&self.s, &self.h, &support.coupling);
-        ChainMemo { support, store }
+        let real = [&self.s, &self.h].iter().all(|m| {
+            let blocks = m.diag.iter().chain(&m.upper).chain(&m.lower);
+            blocks.flat_map(|b| b.as_slice()).all(|z| z.im == 0.0)
+        });
+        ChainMemo { support, store, real }
     }
 }
 
@@ -274,6 +278,10 @@ pub struct ChainMemo {
     pub support: ChainSupport,
     /// `S` and `H` on their non-zeros, read by [`DeviceK::pencil_on`].
     pub store: PencilStore,
+    /// Whether every entry of `S` and `H` has an imaginary part of exactly
+    /// `0.0` (`kz = 0` on a real basis): at a real energy the pencil
+    /// `E·S − H` is then real, and the interior solve runs its real path.
+    pub real: bool,
 }
 
 /// Which contact a quantity refers to (re-export sugar).

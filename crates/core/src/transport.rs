@@ -58,7 +58,7 @@ use qtx_linalg::{gemm_into, qr_factor_ws, Complex64, LinalgError, Op, QrFactors,
 use qtx_obc::{BeynConfig, LeadModes, ModeSet, ObcMethod, ObcResult};
 use qtx_solver::{
     btd_lu_solve_ws, caroli_sweep_contacts, two_front_solve, BoundaryTerms, CaroliContact,
-    ObcSystem, SolverKind, Workspace,
+    ObcSystem, Pencil, SolverKind, Workspace,
 };
 use qtx_sparse::{broadening_factor_ws, BlockChain, CouplingSupport, EsMinusH};
 use std::time::Instant;
@@ -305,7 +305,14 @@ fn scattering_states(
     let (psi, residual) = SOLVER_WS.with(|ws| -> TransportResult<(ZMat, f64)> {
         let psi = match cfg.solver {
             SolverKind::SplitSolve { partitions } => {
-                two_front_solve(&pencil, &memo.support.coupling, &boundary, partitions, ws)?
+                // One decision, read off the chain: a real `S` and `H` at a
+                // real energy make a real pencil.
+                let arith = match memo.real && pencil.z.im == 0.0 {
+                    true => Pencil::Real,
+                    false => Pencil::Complex,
+                };
+                let coupling = &memo.support.coupling;
+                two_front_solve(&pencil, coupling, &boundary, arith, partitions, ws)?
             }
             SolverKind::BtdLu => btd_lu_solve_ws(&assembled(), ws)?,
         };

@@ -225,6 +225,38 @@ pub mod counts {
         4 * (n as u64).pow(2) * nrhs as u64
     }
 
+    /// `C ← A·B` for real matrices: 2·m·n·k.
+    #[inline]
+    pub fn dgemm(m: usize, n: usize, k: usize) -> u64 {
+        2 * (m as u64) * (n as u64) * (k as u64)
+    }
+
+    /// `C ← A·B` for a real `A` and a complex `B`: 4·m·n·k (each real
+    /// entry multiplies both planes).
+    #[inline]
+    pub fn dzgemm(m: usize, n: usize, k: usize) -> u64 {
+        4 * (m as u64) * (n as u64) * (k as u64)
+    }
+
+    /// Real LU factorization of an n×n matrix: (2/3)·n³.
+    #[inline]
+    pub fn dgetrf(n: usize) -> u64 {
+        (2 * (n as u64).pow(3)) / 3
+    }
+
+    /// Real LU solve with `nrhs` right-hand sides: 2·n²·nrhs.
+    #[inline]
+    pub fn dgetrs(n: usize, nrhs: usize) -> u64 {
+        2 * (n as u64).pow(2) * nrhs as u64
+    }
+
+    /// One real triangular solve against an n×n triangle with `nrhs`
+    /// right-hand sides: n²·nrhs, half of [`dgetrs`].
+    #[inline]
+    pub fn dtrsm(n: usize, nrhs: usize) -> u64 {
+        (n as u64).pow(2) * nrhs as u64
+    }
+
     /// Hermitian rank-k update `C ← α·A·Aᴴ + β·C` for an n×n output:
     /// half of [`zgemm`]`(n, n, k)` — only one triangle is computed.
     #[inline]
@@ -351,6 +383,83 @@ pub mod counts {
         let back: u64 = couplings[c..].iter().map(|&(_, _, _, cl)| zgemm(s, m, cl)).sum::<u64>()
             + couplings[..=c].iter().map(|&(_, cu, _, _)| zgemm(s, m, cu)).sum::<u64>();
         right + left + tip + back
+    }
+
+    /// One side of the Σ-late two-front solve on a real pencil, from the
+    /// contact (block 0) to the cut (the side's last pair, `pairs[t]`),
+    /// with every pair seen from this side (`(|R_u|, |C_u|, |R_l|, |C_l|)`
+    /// with "upper" pointing away from the contact): the real front on
+    /// blocks `t … 1` carrying the `w = |C_u(t)|` cut columns (a `dgetrf`,
+    /// a `dgetrs` against `|C_l(i−1)| + w` columns and one Schur product a
+    /// block, the last of them into the contact), the complex contact block
+    /// (a `zgetrf`, a `zgetrs` against `w + ms`), and the thin sweep that
+    /// carries the contact's solve to the cut rows (one real × complex
+    /// product a block). Returns the side's flops before the tip system.
+    fn late_side(s: usize, pairs: &[(usize, usize, usize, usize)], ms: usize) -> u64 {
+        let t = pairs.len() - 1;
+        let w = pairs[t].1;
+        let front: u64 = (1..=t)
+            .map(|i| {
+                let (ru, cu, _, kc) = pairs[i - 1];
+                dgetrf(s) + dgetrs(s, kc + w) + dgemm(ru, kc + w, cu)
+            })
+            .sum();
+        let sweep: u64 = (1..=t).map(|i| dzgemm(pairs[i].3, w + ms, pairs[i - 1].3)).sum();
+        front + zgetrf(s) + zgetrs(s, w + ms) + sweep
+    }
+
+    /// The back-substitution of one Σ-late side (as [`late_side`]) on all
+    /// `m` columns: the contact block's `zgemm(s, m, w)` and one
+    /// `s × (|C_l(i−1)| + w) × m` real × complex product a real block.
+    fn late_back(s: usize, pairs: &[(usize, usize, usize, usize)], m: usize) -> u64 {
+        let t = pairs.len() - 1;
+        let w = pairs[t].1;
+        zgemm(s, m, w) + (1..=t).map(|i| dzgemm(s, m, pairs[i - 1].3 + w)).sum::<u64>()
+    }
+
+    /// The pairs of a chain seen from its right contact: in reverse order,
+    /// upper and lower exchanged.
+    fn from_right(pairs: &[(usize, usize, usize, usize)]) -> Vec<(usize, usize, usize, usize)> {
+        pairs.iter().rev().map(|&(ru, cu, rl, cl)| (rl, cl, ru, cu)).collect()
+    }
+
+    /// The two sides of the Σ-late solve at the cut of [`two_front_cut`]:
+    /// `(c, right, left)`, each side priced as the front, contact block and sweep of one Σ-late side (what the
+    /// fan-out rule weighs).
+    pub fn two_front_late_cut(
+        s: usize,
+        couplings: &[(usize, usize, usize, usize)],
+        ml: usize,
+        mr: usize,
+    ) -> (usize, u64, u64) {
+        let c = two_front_cut(s, couplings, ml, mr).0;
+        (c, late_side(s, &from_right(&couplings[c..]), mr), late_side(s, &couplings[..=c], ml))
+    }
+
+    /// The two-front wave-function solve on a *real* pencil
+    /// (`qtx_solver::two_front_solve` with `Pencil::Real`): Σ enters only
+    /// the two contact pivots, so every other pivot is factored and solved
+    /// in real arithmetic. Both sides of [`two_front_late_cut`]; the tip
+    /// system of [`two_front_solve`] on the cut rows, plus the
+    /// `|C_u| × m × |C_l|` product that carries its solution across the
+    /// cut; both back-substitutions (the contact's `zgemm(s, m, w)` and one real × complex `s × (|C_l(i−1)| + w) × m` product a real block). A single block is the
+    /// complex solve of [`two_front_solve`].
+    pub fn two_front_late_solve(
+        s: usize,
+        couplings: &[(usize, usize, usize, usize)],
+        ml: usize,
+        mr: usize,
+    ) -> u64 {
+        let m = ml + mr;
+        if couplings.is_empty() {
+            return zgetrf(s) + zgetrs(s, m);
+        }
+        let (c, right, left) = two_front_late_cut(s, couplings, ml, mr);
+        let (_, cu, _, cl) = couplings[c];
+        let tip = zgemm(cl, cl, cu) + zgemm(cl, mr, cu) + zgetrf(cl) + zgetrs(cl, m);
+        let back =
+            late_back(s, &from_right(&couplings[c..]), m) + late_back(s, &couplings[..=c], m);
+        right + left + tip + zgemm(cu, m, cl) + back
     }
 
     /// The two-front Caroli transmission kernel

@@ -50,7 +50,8 @@
 
 use crate::complex::{c64, Complex64};
 use crate::flops::{counts, flops_add};
-use crate::kernel::{active_kernel, Acc, Kernel, MR_MAX, NR_MAX};
+use crate::kernel::{active_kernel, Acc, Kernel, Planes, MR_MAX, NR_MAX};
+use crate::real::DMatRef;
 use crate::zmat::{ZMat, ZMatMut, ZMatRef};
 use rayon::prelude::*;
 
@@ -95,14 +96,14 @@ const MC: usize = 64;
 const NC: usize = 128;
 /// Below this `m·n·k` volume the direct (non-packing) path wins: packing
 /// scratch setup costs more than it saves on cache traffic.
-const SMALL_MNK: usize = 64 * 64 * 64;
+pub(crate) const SMALL_MNK: usize = 64 * 64 * 64;
 /// …except for panel shapes: with at least this panel depth and
 /// [`TALL_MN`] output elements, each packed element feeds ≥ `8·TALL_K`
 /// flops, so packing pays even under the volume cutoff (the blocked
 /// factorizations' tall-skinny `m×32×32` trailing updates live here).
-const TALL_K: usize = 24;
+pub(crate) const TALL_K: usize = 24;
 /// Minimum output-tile area for the panel-shape exception.
-const TALL_MN: usize = 64 * 64;
+pub(crate) const TALL_MN: usize = 64 * 64;
 /// Minimum `m·n·k` before the tile loop goes parallel; smaller products
 /// run inline to avoid fork-join overhead.
 const PAR_MNK: usize = 128 * 128 * 128;
@@ -198,10 +199,10 @@ pub fn gemm_with(
         scale_in_place(&mut c, beta);
         return;
     }
-    if m * n * k < SMALL_MNK && !(k >= TALL_K && m * n >= TALL_MN) {
-        gemm_direct(alpha, a, op_a, b, op_b, beta, &mut c);
+    if packs(m, n, k) {
+        gemm_tiled(kernel, alpha, (a, op_a), (b, op_b), beta, c.into_out());
     } else {
-        gemm_tiled(kernel, alpha, a, op_a, b, op_b, beta, &mut c);
+        gemm_direct(alpha, a, op_a, b, op_b, beta, &mut c);
     }
 }
 
@@ -246,9 +247,15 @@ pub(crate) fn gemm_packed_unc(
     b: ZMatRef<'_>,
     op_b: Op,
     beta: Complex64,
-    mut c: ZMatMut<'_>,
+    c: ZMatMut<'_>,
 ) {
-    gemm_tiled(active_kernel(), alpha, a, op_a, b, op_b, beta, &mut c);
+    gemm_tiled(active_kernel(), alpha, (a, op_a), (b, op_b), beta, c.into_out());
+}
+
+/// Whether a non-empty `m×n×k` product takes the packed tile loop: above
+/// the volume break-even, or as a panel shape (`TALL_K`/`TALL_MN`).
+pub(crate) fn packs(m: usize, n: usize, k: usize) -> bool {
+    m * n * k >= SMALL_MNK || (k >= TALL_K && m * n >= TALL_MN)
 }
 
 /// `C ← β·C` (handles the `β = 0`/`β = 1` fast cases). Large dense views
@@ -364,12 +371,219 @@ fn gemm_direct(
 /// (disjoint `[i0, i1) × [j0, j1)` ranges), so concurrent writes never
 /// alias.
 #[derive(Clone, Copy)]
-struct SendPtr(*mut Complex64);
+pub(crate) struct SendPtr<T>(*mut T);
 // SAFETY: the pointer is only dereferenced in `write_tile`, on the
 // rectangle of `C` its task owns; the task grid of `gemm_tiled` partitions
 // `[0, m) × [0, n)`, and the `&mut` view it came from outlives every task.
-unsafe impl Send for SendPtr {}
-unsafe impl Sync for SendPtr {}
+unsafe impl<T> Send for SendPtr<T> {}
+unsafe impl<T> Sync for SendPtr<T> {}
+
+/// The output of the packed path: where tile `(i, j)` lands, as raw
+/// parts of a mutable view (`rows × cols`, leading dimension `ld`).
+pub(crate) struct Out<T> {
+    ptr: *mut T,
+    rows: usize,
+    cols: usize,
+    ld: usize,
+}
+
+impl<'a> ZMatMut<'a> {
+    /// The view as the packed path's output.
+    pub(crate) fn into_out(mut self) -> Out<Complex64> {
+        Out { ptr: self.as_mut_ptr(), rows: self.rows(), cols: self.cols(), ld: self.ld() }
+    }
+}
+
+impl<T> Out<T> {
+    /// The packed path's output over raw view parts.
+    ///
+    /// # Safety
+    /// `ptr` must address a writable `rows × cols` column-major block with
+    /// leading dimension `ld`, exclusively borrowed for the product.
+    pub(crate) unsafe fn from_raw(ptr: *mut T, rows: usize, cols: usize, ld: usize) -> Self {
+        Out { ptr, rows, cols, ld }
+    }
+}
+
+/// A packed-path operand, with its `Op`: a complex view packs both
+/// planes, a real one only its re plane (the [`Planes`] flag).
+pub(crate) trait Operand: Copy + Sync {
+    /// Whether the im plane is absent.
+    const REAL: bool;
+    /// Shape of `op(M)`.
+    fn shape(&self) -> (usize, usize);
+    #[allow(clippy::too_many_arguments)]
+    fn pack_a(
+        &self,
+        mr: usize,
+        ic: usize,
+        mc: usize,
+        p0: usize,
+        kc: usize,
+        re: &mut [f64],
+        im: &mut [f64],
+    );
+    #[allow(clippy::too_many_arguments)]
+    fn pack_b(
+        &self,
+        nr: usize,
+        p0: usize,
+        kc: usize,
+        j0: usize,
+        nc: usize,
+        re: &mut [f64],
+        im: &mut [f64],
+    );
+}
+
+impl Operand for (ZMatRef<'_>, Op) {
+    const REAL: bool = false;
+    fn shape(&self) -> (usize, usize) {
+        self.1.shape_of(self.0.rows(), self.0.cols())
+    }
+    fn pack_a(
+        &self,
+        mr: usize,
+        ic: usize,
+        mc: usize,
+        p0: usize,
+        kc: usize,
+        re: &mut [f64],
+        im: &mut [f64],
+    ) {
+        pack_a(self.0, self.1, mr, ic, mc, p0, kc, re, im);
+    }
+    fn pack_b(
+        &self,
+        nr: usize,
+        p0: usize,
+        kc: usize,
+        j0: usize,
+        nc: usize,
+        re: &mut [f64],
+        im: &mut [f64],
+    ) {
+        pack_b(self.0, self.1, nr, p0, kc, j0, nc, re, im);
+    }
+}
+
+impl Operand for DMatRef<'_> {
+    const REAL: bool = true;
+    fn shape(&self) -> (usize, usize) {
+        (self.rows(), self.cols())
+    }
+    fn pack_a(
+        &self,
+        mr: usize,
+        ic: usize,
+        mc: usize,
+        p0: usize,
+        kc: usize,
+        re: &mut [f64],
+        _: &mut [f64],
+    ) {
+        for pm in 0..mc.div_ceil(mr) {
+            let (r0, mr_eff) = (ic + pm * mr, mr.min(mc - pm * mr));
+            for l in 0..kc {
+                let dst = &mut re[(pm * kc + l) * mr..(pm * kc + l + 1) * mr];
+                dst[..mr_eff].copy_from_slice(&self.col(p0 + l)[r0..r0 + mr_eff]);
+                dst[mr_eff..].fill(0.0);
+            }
+        }
+    }
+    fn pack_b(
+        &self,
+        nr: usize,
+        p0: usize,
+        kc: usize,
+        j0: usize,
+        nc: usize,
+        re: &mut [f64],
+        _: &mut [f64],
+    ) {
+        for qm in 0..nc.div_ceil(nr) {
+            let base = qm * kc * nr;
+            for j in 0..nr {
+                if qm * nr + j < nc {
+                    let col = &self.col(j0 + qm * nr + j)[p0..p0 + kc];
+                    for (l, &v) in col.iter().enumerate() {
+                        re[base + l * nr + j] = v;
+                    }
+                } else {
+                    for l in 0..kc {
+                        re[base + l * nr + j] = 0.0;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// An element the packed path writes: a complex tile from both
+/// accumulator planes, a real one from the re plane.
+pub(crate) trait OutElem: Copy + Send + Sync {
+    /// [`write_tile`] for this element type.
+    ///
+    /// # Safety
+    /// As [`write_tile`].
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn write(
+        c: SendPtr<Self>,
+        ld: usize,
+        at: (usize, usize),
+        eff: (usize, usize),
+        acc_re: &Acc,
+        acc_im: &Acc,
+        alpha: Self,
+        beta: Self,
+        first_panel: bool,
+    );
+}
+
+impl OutElem for Complex64 {
+    unsafe fn write(
+        c: SendPtr<Self>,
+        ld: usize,
+        (gi, gj): (usize, usize),
+        (mr_eff, nr_eff): (usize, usize),
+        acc_re: &Acc,
+        acc_im: &Acc,
+        alpha: Self,
+        beta: Self,
+        first_panel: bool,
+    ) {
+        write_tile(c, ld, gi, gj, mr_eff, nr_eff, acc_re, acc_im, alpha, beta, first_panel);
+    }
+}
+
+impl OutElem for f64 {
+    unsafe fn write(
+        c: SendPtr<Self>,
+        ld: usize,
+        (gi, gj): (usize, usize),
+        (mr_eff, nr_eff): (usize, usize),
+        acc_re: &Acc,
+        _: &Acc,
+        alpha: Self,
+        beta: Self,
+        first_panel: bool,
+    ) {
+        for (j, acc) in acc_re.iter().enumerate().take(nr_eff) {
+            let col_base = c.0.add((gj + j) * ld + gi);
+            for (i, &v) in acc.iter().enumerate().take(mr_eff) {
+                let dst = col_base.add(i);
+                let base = if !first_panel {
+                    *dst
+                } else if beta == 0.0 {
+                    0.0
+                } else {
+                    beta * *dst
+                };
+                *dst = v.mul_add(alpha, base);
+            }
+        }
+    }
+}
 
 /// Splits `total` into `parts` nearly equal strips aligned to `quantum`.
 fn strips(total: usize, parts: usize, quantum: usize) -> Vec<(usize, usize)> {
@@ -385,23 +599,30 @@ fn strips(total: usize, parts: usize, quantum: usize) -> Vec<(usize, usize)> {
     out
 }
 
-/// Cache-blocked, register-tiled, tile-parallel path on `kern`.
-#[allow(clippy::too_many_arguments)]
-fn gemm_tiled(
+/// Cache-blocked, register-tiled, tile-parallel path on `kern`, for a
+/// complex or real `A` and `B` (a real `B` only beside a real `A`) and an
+/// output of the matching element type.
+pub(crate) fn gemm_tiled<A: Operand, B: Operand, T: OutElem>(
     kern: &'static Kernel,
-    alpha: Complex64,
-    a: ZMatRef<'_>,
-    op_a: Op,
-    b: ZMatRef<'_>,
-    op_b: Op,
-    beta: Complex64,
-    c: &mut ZMatMut<'_>,
+    alpha: T,
+    a: A,
+    b: B,
+    beta: T,
+    c: Out<T>,
 ) {
-    let (m, k) = op_a.shape_of(a.rows(), a.cols());
-    let n = c.cols();
-    let c_ld = c.ld();
-    let c_ptr = SendPtr(c.as_mut_ptr());
+    let planes = match (A::REAL, B::REAL) {
+        (false, false) => Planes::Complex,
+        (true, false) => Planes::RealA,
+        (true, true) => Planes::Real,
+        (false, true) => unreachable!("a real B is packed only beside a real A"),
+    };
+    let (m, k) = a.shape();
+    assert_eq!((b.shape(), (c.rows, c.cols)), ((k, c.cols), (m, c.cols)), "packed gemm shapes");
+    let n = c.cols;
+    let c_ld = c.ld;
+    let c_ptr = SendPtr(c.ptr);
     let (mr, nr) = (kern.mr, kern.nr);
+    let (a_planes, b_planes) = (if A::REAL { 0 } else { 1 }, if B::REAL { 0 } else { 1 });
 
     // 2-D task grid over C: prefer column strips (contiguous in memory),
     // add row strips when the matrix is tall and columns are scarce.
@@ -428,9 +649,9 @@ fn gemm_tiled(
         let nc_cap = NC.min(j1 - j0).div_ceil(nr) * nr;
         let mc_cap = MC.min(i1 - i0).div_ceil(mr) * mr;
         let mut b_re = vec![0.0f64; nc_cap * kc_cap];
-        let mut b_im = vec![0.0f64; nc_cap * kc_cap];
+        let mut b_im = vec![0.0f64; nc_cap * kc_cap * b_planes];
         let mut a_re = vec![0.0f64; mc_cap * kc_cap];
-        let mut a_im = vec![0.0f64; mc_cap * kc_cap];
+        let mut a_im = vec![0.0f64; mc_cap * kc_cap * a_planes];
         // Accumulator blocks live outside the micro-tile loops: every
         // kernel fully overwrites its mr×nr corner and write_tile reads
         // only that corner, so re-zeroing per tile would be pure waste.
@@ -444,32 +665,44 @@ fn gemm_tiled(
             let mut first_panel = true;
             while p0 < k {
                 let kc = KC.min(k - p0);
-                pack_b(b, op_b, nr, p0, kc, jc, nc_eff, &mut b_re, &mut b_im);
+                b.pack_b(nr, p0, kc, jc, nc_eff, &mut b_re, &mut b_im);
                 let mut ic = i0;
                 while ic < i1 {
                     let mc = MC.min(i1 - ic);
-                    pack_a(a, op_a, mr, ic, mc, p0, kc, &mut a_re, &mut a_im);
+                    a.pack_a(mr, ic, mc, p0, kc, &mut a_re, &mut a_im);
                     for pm in 0..mc.div_ceil(mr) {
                         let ap_re = &a_re[pm * kc * mr..(pm + 1) * kc * mr];
-                        let ap_im = &a_im[pm * kc * mr..(pm + 1) * kc * mr];
+                        let ap_im =
+                            if A::REAL { &[][..] } else { &a_im[pm * kc * mr..(pm + 1) * kc * mr] };
                         let mr_eff = mr.min(mc - pm * mr);
                         for qm in 0..n_micro_b {
                             let bp_re = &b_re[qm * kc * nr..(qm + 1) * kc * nr];
-                            let bp_im = &b_im[qm * kc * nr..(qm + 1) * kc * nr];
+                            let bp_im = if B::REAL {
+                                &[][..]
+                            } else {
+                                &b_im[qm * kc * nr..(qm + 1) * kc * nr]
+                            };
                             let nr_eff = nr.min(nc_eff - qm * nr);
-                            kern.run(kc, ap_re, ap_im, bp_re, bp_im, &mut acc_re, &mut acc_im);
+                            kern.run(
+                                planes,
+                                kc,
+                                ap_re,
+                                ap_im,
+                                bp_re,
+                                bp_im,
+                                &mut acc_re,
+                                &mut acc_im,
+                            );
                             // SAFETY: this task owns rows [i0, i1) × cols
                             // [j0, j1) of C exclusively (disjoint task grid)
                             // and the tile lies inside both ranges, which
                             // the shape assert of `gemm_with` put inside `c`.
                             unsafe {
-                                write_tile(
+                                T::write(
                                     c_ptr,
                                     c_ld,
-                                    ic + pm * mr,
-                                    jc + qm * nr,
-                                    mr_eff,
-                                    nr_eff,
+                                    (ic + pm * mr, jc + qm * nr),
+                                    (mr_eff, nr_eff),
                                     &acc_re,
                                     &acc_im,
                                     alpha,
@@ -624,7 +857,7 @@ fn pack_b(
 /// must be in bounds for the `ld`-strided output buffer.
 #[allow(clippy::too_many_arguments)]
 unsafe fn write_tile(
-    c_ptr: SendPtr,
+    c_ptr: SendPtr<Complex64>,
     ld: usize,
     gi: usize,
     gj: usize,

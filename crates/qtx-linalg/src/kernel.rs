@@ -11,6 +11,13 @@
 //! | `avx512` | 8×8   | AVX-512F             | 2×-unrolled, 8-double lanes |
 //! | `scalar` | 8×4   | none (portable)      | auto-vectorized             |
 //!
+//! A real operand is a packing flag, not a kernel family: `Planes` says
+//! which operands are real, the packing layer then fills only their re
+//! plane, and each variant is instantiated once per `Planes` value with
+//! the FMA chains that would read the missing im planes compiled out —
+//! two of four for a real `A` against a complex `B`, three of four for
+//! two real operands (whose tile has no im part at all).
+//!
 //! The scalar kernel is the portable path (auto-vectorized to the host's
 //! width under the repo's `target-cpu=native`) and the baseline the
 //! equivalence battery compares the SIMD variant against. Because the
@@ -74,6 +81,22 @@ impl KernelVariant {
     }
 }
 
+/// Which operands of a packed product are real: their im plane is never
+/// packed nor read, and the tile skips the FMA chains it would feed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Planes {
+    /// Both operands complex: four FMA chains per lane.
+    Complex = 0,
+    /// `A` real, `B` complex: `cr += ar·br`, `ci += ar·bi`.
+    RealA = 1,
+    /// Both real: `cr += ar·br`; the im accumulators are not written.
+    Real = 2,
+}
+
+const COMPLEX: u8 = Planes::Complex as u8;
+const REAL_A: u8 = Planes::RealA as u8;
+const REAL: u8 = Planes::Real as u8;
+
 /// The inner-routine signature every variant implements:
 /// `(kc, ap_re, ap_im, bp_re, bp_im, acc_re, acc_im)` over the packed
 /// planar panels described in [`Kernel::run`].
@@ -88,7 +111,8 @@ pub struct Kernel {
     pub mr: usize,
     /// Register-tile columns — the B-panel micro-column width.
     pub nr: usize,
-    ukr: MicroKernelFn,
+    /// The inner routine per [`Planes`] value (indexed by its discriminant).
+    ukr: [MicroKernelFn; 3],
 }
 
 impl Kernel {
@@ -97,14 +121,17 @@ impl Kernel {
     /// the `nr`-column B micro-panel (element `(l, j)` at `l·nr + j`),
     /// both `kc` deep. The tile result lands in `acc[j][i]` for
     /// `i < mr`, `j < nr`; lanes outside the tile are left untouched.
+    /// The im plane of a real operand (`planes`) is never read, and with
+    /// both operands real neither is `acc_im`.
     ///
     /// # Panics
-    /// When a panel is shorter than `kc·mr` (A) or `kc·nr` (B): the SIMD
-    /// variants read the panels through raw pointers.
+    /// When a panel that is read is shorter than `kc·mr` (A) or `kc·nr`
+    /// (B): the SIMD variants read the panels through raw pointers.
     #[inline]
     #[allow(clippy::too_many_arguments)] // mirrors the BLIS ukr signature
     pub(crate) fn run(
         &self,
+        planes: Planes,
         kc: usize,
         ap_re: &[f64],
         ap_im: &[f64],
@@ -113,23 +140,39 @@ impl Kernel {
         acc_re: &mut Acc,
         acc_im: &mut Acc,
     ) {
-        assert!(ap_re.len() >= kc * self.mr && ap_im.len() >= kc * self.mr, "A panel too short");
-        assert!(bp_re.len() >= kc * self.nr && bp_im.len() >= kc * self.nr, "B panel too short");
-        // SAFETY: each panel holds at least `kc·mr` (A) / `kc·nr` (B)
-        // doubles (asserted above; four compares per ≥ `kc·256`-flop
-        // tile), which is every element the routine reads, and `Acc` is
+        let (a_im, b_im) = match planes {
+            Planes::Complex => (kc * self.mr, kc * self.nr),
+            Planes::RealA => (0, kc * self.nr),
+            Planes::Real => (0, 0),
+        };
+        assert!(ap_re.len() >= kc * self.mr && ap_im.len() >= a_im, "A panel too short");
+        assert!(bp_re.len() >= kc * self.nr && bp_im.len() >= b_im, "B panel too short");
+        // SAFETY: each panel the `planes` instantiation reads holds at
+        // least `kc·mr` (A) / `kc·nr` (B) doubles (asserted above; four
+        // compares per ≥ `kc·64`-flop tile), which is every element the
+        // routine reads, and `Acc` is
         // `MR_MAX × NR_MAX ≥ mr × nr`. The ISA the routine was compiled
         // for was detected before this `Kernel` became reachable: the only
         // ways to one are `kernel_of` and `active_kernel`, which check.
-        unsafe { (self.ukr)(kc, ap_re, ap_im, bp_re, bp_im, acc_re, acc_im) }
+        unsafe { (self.ukr[planes as usize])(kc, ap_re, ap_im, bp_re, bp_im, acc_re, acc_im) }
     }
 }
 
 /// The portable baseline (the pre-dispatch 8×4 kernel, verbatim).
-static SCALAR: Kernel = Kernel { variant: KernelVariant::Scalar, mr: 8, nr: 4, ukr: ukr_scalar };
+static SCALAR: Kernel = Kernel {
+    variant: KernelVariant::Scalar,
+    mr: 8,
+    nr: 4,
+    ukr: [ukr_scalar::<COMPLEX>, ukr_scalar::<REAL_A>, ukr_scalar::<REAL>],
+};
 
 #[cfg(target_arch = "x86_64")]
-static AVX512: Kernel = Kernel { variant: KernelVariant::Avx512, mr: 8, nr: 8, ukr: ukr_avx512 };
+static AVX512: Kernel = Kernel {
+    variant: KernelVariant::Avx512,
+    mr: 8,
+    nr: 8,
+    ukr: [ukr_avx512::<COMPLEX>, ukr_avx512::<REAL_A>, ukr_avx512::<REAL>],
+};
 
 /// The kernel of a named variant, `None` when the host cannot run it
 /// (scalar always can). The only constructor of a non-scalar `&Kernel`,
@@ -167,13 +210,13 @@ pub fn active_variant() -> KernelVariant {
 // ── scalar baseline ─────────────────────────────────────────────────────
 
 /// 8×4 register tile, separate re/im scalar accumulators — the exact
-/// pre-dispatch kernel. The `MR`-wide inner loops auto-vectorize to
-/// full-width FMAs when the target has them.
+/// pre-dispatch kernel at `P = COMPLEX`. The `MR`-wide inner loops
+/// auto-vectorize to full-width FMAs when the target has them.
 ///
 /// # Safety
 /// None needed (every access is a checked slice index); `unsafe` only to
 /// share [`MicroKernelFn`] with the `std::arch` variant.
-unsafe fn ukr_scalar(
+unsafe fn ukr_scalar<const P: u8>(
     kc: usize,
     ap_re: &[f64],
     ap_im: &[f64],
@@ -186,9 +229,34 @@ unsafe fn ukr_scalar(
     const NR: usize = 4;
     let mut cr = [[0.0f64; MR]; NR];
     let mut ci = [[0.0f64; MR]; NR];
-    let a_iter = ap_re[..kc * MR].chunks_exact(MR).zip(ap_im[..kc * MR].chunks_exact(MR));
-    let b_iter = bp_re[..kc * NR].chunks_exact(NR).zip(bp_im[..kc * NR].chunks_exact(NR));
-    for ((ar, ai), (br, bi)) in a_iter.zip(b_iter) {
+    let a_re = ap_re[..kc * MR].chunks_exact(MR);
+    let b_re = bp_re[..kc * NR].chunks_exact(NR);
+    if P == REAL {
+        for (ar, br) in a_re.zip(b_re) {
+            for j in 0..NR {
+                let brj = br[j];
+                let crj = &mut cr[j];
+                for i in 0..MR {
+                    #[cfg(target_feature = "fma")]
+                    {
+                        crj[i] = ar[i].mul_add(brj, crj[i]);
+                    }
+                    #[cfg(not(target_feature = "fma"))]
+                    {
+                        crj[i] += ar[i] * brj;
+                    }
+                }
+            }
+        }
+        for j in 0..NR {
+            acc_re[j][..MR].copy_from_slice(&cr[j]);
+        }
+        return;
+    }
+    let b_iter = b_re.zip(bp_im[..kc * NR].chunks_exact(NR));
+    for (l, (ar, (br, bi))) in a_re.zip(b_iter).enumerate() {
+        // A real `A` has no im plane: its chains are compiled out.
+        let ai = if P == REAL_A { ar } else { &ap_im[l * MR..(l + 1) * MR] };
         for j in 0..NR {
             let brj = br[j];
             let bij = bi[j];
@@ -199,15 +267,25 @@ unsafe fn ukr_scalar(
                 // Explicit mul_add: Rust never contracts `a*b + c` into an
                 // FMA on its own; with the `fma` target feature these
                 // lower to single vfmadd instructions and vectorize.
-                crj[i] = ai[i].mul_add(-bij, ar[i].mul_add(brj, crj[i]));
-                cij[i] = ai[i].mul_add(brj, ar[i].mul_add(bij, cij[i]));
+                if P == REAL_A {
+                    crj[i] = ar[i].mul_add(brj, crj[i]);
+                    cij[i] = ar[i].mul_add(bij, cij[i]);
+                } else {
+                    crj[i] = ai[i].mul_add(-bij, ar[i].mul_add(brj, crj[i]));
+                    cij[i] = ai[i].mul_add(brj, ar[i].mul_add(bij, cij[i]));
+                }
             }
             #[cfg(not(target_feature = "fma"))]
             for i in 0..MR {
                 // Without hardware FMA `mul_add` is a slow libm call;
                 // plain multiply-add keeps the loop vectorizable.
-                crj[i] += ar[i] * brj - ai[i] * bij;
-                cij[i] += ar[i] * bij + ai[i] * brj;
+                if P == REAL_A {
+                    crj[i] += ar[i] * brj;
+                    cij[i] += ar[i] * bij;
+                } else {
+                    crj[i] += ar[i] * brj - ai[i] * bij;
+                    cij[i] += ar[i] * bij + ai[i] * brj;
+                }
             }
         }
     }
@@ -225,16 +303,20 @@ unsafe fn ukr_scalar(
 /// saturated. The k-loop is 2×-unrolled with both steps' A-vectors loaded
 /// up front, so the loads of step `l+1` overlap the FMA chains of step
 /// `l` (software pipelining; per-lane reduction order identical to the
-/// scalar baseline).
+/// scalar baseline). With a real operand (`P`) the chains that would read
+/// its im plane are not emitted: 16 single-FMA chains for a real `A`; two
+/// real operands keep 16 chains by splitting the k-steps between the re
+/// and the (otherwise unused) im accumulators, summed at the end.
 ///
 /// # Safety
-/// The CPU must support AVX-512F, `ap_*` must hold at least `kc·8` and
-/// `bp_*` at least `kc·8` doubles: the loads below go through raw
-/// pointers at offsets `< kc·MR` / `< kc·NR`. [`Kernel::run`] asserts the
-/// lengths and [`kernel_of`] the ISA.
+/// The CPU must support AVX-512F, `ap_re` must hold at least `kc·8` and
+/// `bp_re` at least `kc·8` doubles, and so must the im planes `P` reads:
+/// the loads below go through raw pointers at offsets `< kc·MR` /
+/// `< kc·NR`. [`Kernel::run`] asserts the lengths and [`kernel_of`] the
+/// ISA.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-unsafe fn ukr_avx512(
+unsafe fn ukr_avx512<const P: u8>(
     kc: usize,
     ap_re: &[f64],
     ap_im: &[f64],
@@ -252,39 +334,73 @@ unsafe fn ukr_avx512(
     let bpi = bp_im.as_ptr();
     let mut cr = [_mm512_setzero_pd(); NR];
     let mut ci = [_mm512_setzero_pd(); NR];
+    // One k-step on loaded A vectors (a macro, not a closure, so it is
+    // compiled with this function's target features); the branches on
+    // `P` are constants.
+    macro_rules! step {
+        ($l:expr, $ar:expr, $ai:expr) => {
+            for j in 0..NR {
+                let br = _mm512_set1_pd(*bpr.add($l * NR + j));
+                if P == REAL {
+                    cr[j] = _mm512_fmadd_pd($ar, br, cr[j]);
+                    continue;
+                }
+                let bi = _mm512_set1_pd(*bpi.add($l * NR + j));
+                if P == REAL_A {
+                    cr[j] = _mm512_fmadd_pd($ar, br, cr[j]);
+                    ci[j] = _mm512_fmadd_pd($ar, bi, ci[j]);
+                } else {
+                    cr[j] = _mm512_fnmadd_pd($ai, bi, _mm512_fmadd_pd($ar, br, cr[j]));
+                    ci[j] = _mm512_fmadd_pd($ai, br, _mm512_fmadd_pd($ar, bi, ci[j]));
+                }
+            }
+        };
+    }
+    macro_rules! load_im {
+        ($l:expr) => {
+            if P == COMPLEX {
+                _mm512_loadu_pd(api.add($l * MR))
+            } else {
+                _mm512_setzero_pd()
+            }
+        };
+    }
     let mut l = 0usize;
+    if P == REAL {
+        // One FMA chain a lane would leave the FMA ports half idle: odd
+        // k-steps accumulate into the unused im registers, summed below.
+        while l + 2 <= kc {
+            let ar0 = _mm512_loadu_pd(apr.add(l * MR));
+            let ar1 = _mm512_loadu_pd(apr.add((l + 1) * MR));
+            for j in 0..NR {
+                cr[j] = _mm512_fmadd_pd(ar0, _mm512_set1_pd(*bpr.add(l * NR + j)), cr[j]);
+                ci[j] = _mm512_fmadd_pd(ar1, _mm512_set1_pd(*bpr.add((l + 1) * NR + j)), ci[j]);
+            }
+            l += 2;
+        }
+        for j in 0..NR {
+            cr[j] = _mm512_add_pd(cr[j], ci[j]);
+        }
+    }
     while l + 2 <= kc {
         let ar0 = _mm512_loadu_pd(apr.add(l * MR));
-        let ai0 = _mm512_loadu_pd(api.add(l * MR));
+        let ai0 = load_im!(l);
         let ar1 = _mm512_loadu_pd(apr.add((l + 1) * MR));
-        let ai1 = _mm512_loadu_pd(api.add((l + 1) * MR));
-        for j in 0..NR {
-            let br = _mm512_set1_pd(*bpr.add(l * NR + j));
-            let bi = _mm512_set1_pd(*bpi.add(l * NR + j));
-            cr[j] = _mm512_fnmadd_pd(ai0, bi, _mm512_fmadd_pd(ar0, br, cr[j]));
-            ci[j] = _mm512_fmadd_pd(ai0, br, _mm512_fmadd_pd(ar0, bi, ci[j]));
-        }
-        for j in 0..NR {
-            let br = _mm512_set1_pd(*bpr.add((l + 1) * NR + j));
-            let bi = _mm512_set1_pd(*bpi.add((l + 1) * NR + j));
-            cr[j] = _mm512_fnmadd_pd(ai1, bi, _mm512_fmadd_pd(ar1, br, cr[j]));
-            ci[j] = _mm512_fmadd_pd(ai1, br, _mm512_fmadd_pd(ar1, bi, ci[j]));
-        }
+        let ai1 = load_im!(l + 1);
+        step!(l, ar0, ai0);
+        step!(l + 1, ar1, ai1);
         l += 2;
     }
     if l < kc {
         let ar0 = _mm512_loadu_pd(apr.add(l * MR));
-        let ai0 = _mm512_loadu_pd(api.add(l * MR));
-        for j in 0..NR {
-            let br = _mm512_set1_pd(*bpr.add(l * NR + j));
-            let bi = _mm512_set1_pd(*bpi.add(l * NR + j));
-            cr[j] = _mm512_fnmadd_pd(ai0, bi, _mm512_fmadd_pd(ar0, br, cr[j]));
-            ci[j] = _mm512_fmadd_pd(ai0, br, _mm512_fmadd_pd(ar0, bi, ci[j]));
-        }
+        let ai0 = load_im!(l);
+        step!(l, ar0, ai0);
     }
     for j in 0..NR {
         _mm512_storeu_pd(acc_re[j].as_mut_ptr(), cr[j]);
-        _mm512_storeu_pd(acc_im[j].as_mut_ptr(), ci[j]);
+        if P != REAL {
+            _mm512_storeu_pd(acc_im[j].as_mut_ptr(), ci[j]);
+        }
     }
 }
 
@@ -314,7 +430,7 @@ mod tests {
         // A host without the ISA has only the scalar tile to protect.
         let kern = kernel_of(v).unwrap_or(&SCALAR);
         let (mut re, mut im) = ([[0.0; MR_MAX]; NR_MAX], [[0.0; MR_MAX]; NR_MAX]);
-        kern.run(1000, &[], &[], &[], &[], &mut re, &mut im);
+        kern.run(Planes::Complex, 1000, &[], &[], &[], &[], &mut re, &mut im);
     }
 
     #[test]
@@ -350,6 +466,40 @@ mod tests {
         (er, ei)
     }
 
+    /// A real `A` is the complex tile with a zero im plane, in bits (the
+    /// skipped chains would only have added `±0·x`); two real operands
+    /// agree with it to rounding (their k-steps are summed in two chains).
+    #[test]
+    fn real_planes_match_the_complex_tile_on_zero_im_planes() {
+        for v in available_variants() {
+            let kern = kernel_of(v).unwrap();
+            for kc in [1usize, 2, 5, 32] {
+                let fill = |n: usize, seed: u64| -> Vec<f64> {
+                    (0..n)
+                        .map(|i| ((i as u64 * 2654435761 + seed) % 1000) as f64 / 997.0 - 0.5)
+                        .collect()
+                };
+                let (ar, br, bi) =
+                    (fill(kc * kern.mr, 1), fill(kc * kern.nr, 2), fill(kc * kern.nr, 3));
+                let (zero_a, zero_b) = (vec![0.0; kc * kern.mr], vec![0.0; kc * kern.nr]);
+                let acc = || ([[0.0; MR_MAX]; NR_MAX], [[0.0; MR_MAX]; NR_MAX]);
+                let (mut er, mut ei) = acc();
+                kern.run(Planes::Complex, kc, &ar, &zero_a, &br, &bi, &mut er, &mut ei);
+                let (mut rr, mut ri) = acc();
+                kern.run(Planes::RealA, kc, &ar, &[], &br, &bi, &mut rr, &mut ri);
+                assert_eq!((rr, ri), (er, ei), "{v:?} kc={kc} real A");
+                let (mut er, mut ei) = acc();
+                kern.run(Planes::Complex, kc, &ar, &zero_a, &br, &zero_b, &mut er, &mut ei);
+                let (mut rr, mut ri) = acc();
+                kern.run(Planes::Real, kc, &ar, &[], &br, &[], &mut rr, &mut ri);
+                for (r, e) in rr.iter().flatten().zip(er.iter().flatten()) {
+                    assert!((r - e).abs() <= 1e-15 * kc as f64, "{v:?} kc={kc} real: {r} vs {e}");
+                }
+                assert_eq!(ri, [[0.0; MR_MAX]; NR_MAX], "{v:?} kc={kc}: a real tile leaves acc_im");
+            }
+        }
+    }
+
     #[test]
     fn every_available_variant_matches_the_naive_tile() {
         // kc values straddle the 2× unroll (odd remainders included).
@@ -371,7 +521,7 @@ mod tests {
                     (0..kc * kern.nr).map(|_| next()).collect::<Vec<_>>(),
                 );
                 let (mut ar, mut ai) = ([[0.0; MR_MAX]; NR_MAX], [[0.0; MR_MAX]; NR_MAX]);
-                kern.run(kc, &ap.0, &ap.1, &bp.0, &bp.1, &mut ar, &mut ai);
+                kern.run(Planes::Complex, kc, &ap.0, &ap.1, &bp.0, &bp.1, &mut ar, &mut ai);
                 let (er, ei) = reference(kern, kc, &ap, &bp);
                 for j in 0..kern.nr {
                     for i in 0..kern.mr {

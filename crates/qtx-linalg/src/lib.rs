@@ -24,6 +24,10 @@
 //! * [`mod@trsm`] — triangular solves over borrowed views (left/right,
 //!   lower/upper, `N`/`T`/`H`, unit/non-unit), cache-blocked on the gemm
 //!   microkernel; the substrate of every factor/solve below.
+//! * [`real`] — real blocks ([`DMat`]) and their kernels: `dgemm`
+//!   (and `dzgemm`, real × complex) on the same packed tile loop with the
+//!   real operands flagged, `dtrsm`, and the partial-pivoting `dgetrf` /
+//!   `dgetrs` — what a real pencil's Σ-late interior solve factors.
 //! * [`herk`] — Hermitian rank-k update (`zherk`): the FEAST/Beyn Gram
 //!   matrices at half the flops of a general product.
 //! * [`lu`] — partial-pivoting LU (`zgesv`) and inverses: blocked
@@ -65,6 +69,7 @@ pub mod herk;
 pub mod kernel;
 pub mod lu;
 pub mod qr;
+pub mod real;
 pub mod rng;
 pub mod trsm;
 pub mod workspace;
@@ -88,6 +93,7 @@ pub use qr::{
     orthonormality_defect, orthonormalize_ws, qr, qr_factor, qr_factor_unblocked, qr_factor_ws,
     qr_least_squares, QrFactors,
 };
+pub use real::{dgemm, dgetrf, dtrsm, dzgemm, DLu, DMat, DMatMut, DMatRef};
 pub use rng::Pcg64;
 pub use trsm::{trsm, Diag, Side, UpLo};
 pub use workspace::Workspace;

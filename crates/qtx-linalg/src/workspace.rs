@@ -24,6 +24,7 @@
 
 use crate::complex::Complex64;
 use crate::gemm::{gemm_view, Op};
+use crate::real::DMat;
 use crate::zmat::{ZMat, ZMatRef};
 use std::cell::RefCell;
 use std::sync::Mutex;
@@ -69,6 +70,28 @@ pub struct Workspace {
     fresh: Mutex<u64>,
     idx_pool: Mutex<Vec<Vec<usize>>>,
     idx_fresh: Mutex<u64>,
+    real_pool: Mutex<Vec<Vec<f64>>>,
+}
+
+/// Takes the smallest pooled buffer of at least `need` elements, so a
+/// huge buffer isn't burned on a tiny tip solve.
+fn best_fit<T>(pool: &Mutex<Vec<Vec<T>>>, need: usize) -> Option<Vec<T>> {
+    let mut pool = pool.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    let mut best: Option<(usize, usize)> = None;
+    for (idx, buf) in pool.iter().enumerate() {
+        let cap = buf.capacity();
+        if cap >= need && best.is_none_or(|(_, c)| cap < c) {
+            best = Some((idx, cap));
+        }
+    }
+    best.map(|(idx, _)| pool.swap_remove(idx))
+}
+
+/// Returns a spent buffer to `pool` (an empty one owns nothing to keep).
+fn give_back<T>(pool: &Mutex<Vec<Vec<T>>>, buf: Vec<T>) {
+    if buf.capacity() > 0 {
+        pool.lock().unwrap_or_else(std::sync::PoisonError::into_inner).push(buf);
+    }
 }
 
 impl Workspace {
@@ -97,20 +120,7 @@ impl Workspace {
             // allocated, and nothing for `recycle` to keep.
             return ZMat::zeros(rows, cols);
         }
-        let recycled = {
-            let mut pool = self.pool.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            // Best fit: the smallest pooled buffer with enough capacity,
-            // so a huge buffer isn't burned on a tiny tip solve.
-            let mut best: Option<(usize, usize)> = None;
-            for (idx, buf) in pool.iter().enumerate() {
-                let cap = buf.capacity();
-                if cap >= need && best.is_none_or(|(_, c)| cap < c) {
-                    best = Some((idx, cap));
-                }
-            }
-            best.map(|(idx, _)| pool.swap_remove(idx))
-        };
-        match recycled {
+        match best_fit(&self.pool, need) {
             Some(buf) => ZMat::from_recycled_buffer(rows, cols, buf),
             None => {
                 *self.fresh.lock().unwrap_or_else(std::sync::PoisonError::into_inner) += 1;
@@ -121,11 +131,25 @@ impl Workspace {
 
     /// Returns a spent temporary's buffer to the pool.
     pub fn recycle(&self, m: ZMat) {
-        let buf = m.into_vec();
-        if buf.capacity() == 0 {
-            return;
-        }
-        self.pool.lock().unwrap_or_else(std::sync::PoisonError::into_inner).push(buf);
+        give_back(&self.pool, m.into_vec());
+    }
+
+    /// A `rows × cols` real matrix on a pooled buffer when one fits;
+    /// contents unspecified (the real counterpart of
+    /// [`Workspace::take_scratch`]).
+    pub fn take_real(&self, rows: usize, cols: usize) -> DMat {
+        let need = rows * cols;
+        let buf = if need == 0 {
+            Vec::new()
+        } else {
+            best_fit(&self.real_pool, need).unwrap_or_default()
+        };
+        DMat::from_recycled_buffer(rows, cols, buf)
+    }
+
+    /// Returns a spent real matrix's buffer to the pool.
+    pub fn recycle_real(&self, m: DMat) {
+        give_back(&self.real_pool, m.into_vec());
     }
 
     /// Pool-backed copy of a matrix (the reusable counterpart of `clone`).
@@ -177,18 +201,7 @@ impl Workspace {
     /// consumed by `lu_factor_ws`-style factorizations for their `ipiv`
     /// vector.
     pub fn take_index(&self, n: usize) -> Vec<usize> {
-        let recycled = {
-            let mut pool = self.idx_pool.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            let mut best: Option<(usize, usize)> = None;
-            for (idx, buf) in pool.iter().enumerate() {
-                let cap = buf.capacity();
-                if cap >= n && best.is_none_or(|(_, c)| cap < c) {
-                    best = Some((idx, cap));
-                }
-            }
-            best.map(|(idx, _)| pool.swap_remove(idx))
-        };
-        match recycled {
+        match best_fit(&self.idx_pool, n) {
             Some(mut buf) => {
                 buf.clear();
                 buf.extend(0..n);
@@ -203,10 +216,7 @@ impl Workspace {
 
     /// Returns a spent index buffer to the pool.
     pub fn recycle_index(&self, v: Vec<usize>) {
-        if v.capacity() == 0 {
-            return;
-        }
-        self.idx_pool.lock().unwrap_or_else(std::sync::PoisonError::into_inner).push(v);
+        give_back(&self.idx_pool, v);
     }
 
     /// Fresh (non-recycled) allocations the pool has had to make — the

@@ -25,11 +25,37 @@
 //! side's). One `|C_l| × |C_l|` tip system joins the fronts, and
 //! `ψ_i = ŷ_i − X̂_i·ψ_{i∓1}[C, :]` back-substitutes outward from the cut,
 //! one `s × m` product a block. The count is [`counts::two_front_solve`].
+//!
+//! # Σ-late fronts on a real pencil
+//!
+//! Folding Σ into the first pivot makes every later Schur complement
+//! complex. When `A`'s entries have no imaginary part ([`Pencil::Real`]:
+//! `kz = 0` at a real energy), each side of the same cut eliminates the
+//! other way, *outward* from the cut (SC'15's Σ-free Step 1): a real
+//! `Front` on blocks `c … 1` (the left side; the right one on the
+//! `Reversed` chain) carrying the cut coupling `U_c[:, C_u]`, so every
+//! pivot, multiplier and carried column is real. Only the contact block
+//! is complex: `D̃₀ = D₀ − Σ − U₀·X̂₁[C_u, :]`, solved against
+//! `[−U₀·y₁[C_u, :] | Inj]` into `Z₀ = [W₀ | ŷ₀]`. A thin sweep carries the
+//! contact's solve to the cut rows,
+//!
+//! ```text
+//! [P | a]_0 = Z₀[C_l(0), :]      [P | a]_i = [y_i | 0][C_l(i), :] − X̂_i[C_l(i), :]·[P | a]_{i−1}
+//! ```
+//!
+//! which leaves `ψ_c[C_l] = a − P·ψ_{c+1}[C_u]` on each side: the tip
+//! system above, with `P` in place of `X̂′_c[C_l, :]`. Each side then
+//! back-substitutes from its contact, `ψ_0 = ŷ₀ − W₀·ψ_cut` and
+//! `ψ_i = −[X̂_i | y_i]·[ψ_{i−1}[C_l(i−1), :]; ψ_cut]` (one real × complex
+//! product a block). The count is [`counts::two_front_late_solve`].
 
 use crate::error::{SolveError, SolveOutcome};
 use crate::front::{gather_rows_into, reshape, Front, Keep};
 use qtx_linalg::flops::{counts, fans_out, join_counted};
-use qtx_linalg::{fault, gemm_into, lu_factor_owned_ws, Complex64, Op, Workspace, ZMat};
+use qtx_linalg::{
+    c64, dzgemm, fault, gemm_into, lu_factor_owned_ws, Complex64, DMat, LuFactors, Op, Workspace,
+    ZMat,
+};
 use qtx_sparse::{BlockChain, CouplingSupport, Reversed};
 
 /// Name this kernel reports in [`SolveError::NonFinite`].
@@ -49,6 +75,17 @@ pub struct BoundaryTerms<'a> {
     pub rhs_bottom: &'a ZMat,
 }
 
+/// The arithmetic of a chain's entries, as its caller established it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Pencil {
+    /// Complex entries: Σ-first fronts, every pivot complex.
+    Complex,
+    /// Every entry of every block has an imaginary part of exactly `0.0`
+    /// (the caller's exact test; the solver reads only real parts): Σ-late
+    /// fronts, every pivot but the two contact ones real.
+    Real,
+}
+
 /// `d ← d − Σ`.
 fn fold(sigma: &ZMat) -> impl Fn(&mut ZMat) + '_ {
     move |d: &mut ZMat| {
@@ -63,6 +100,15 @@ fn fold(sigma: &ZMat) -> impl Fn(&mut ZMat) + '_ {
 /// the same result), `support` its coupling supports
 /// ([`BlockChain::coupling_support`], energy-independent for a pencil).
 /// Returns `ψ` (`N_SS × (m_L + m_R)`, left-injected columns first).
+///
+/// `pencil` picks the arithmetic: [`Pencil::Complex`] runs the Σ-first
+/// fronts of the module docs, [`Pencil::Real`] the Σ-late ones
+/// (`docs/solver.md`, "Σ-late fronts on a real pencil"), whose count is
+/// [`counts::two_front_late_solve`]. A chain of one block is one complex
+/// solve either way. A Σ-late solve that fails — a real pivot that is
+/// singular to within 10⁻⁶ of its block, at an eigenvalue of the closed
+/// sub-chain behind it — is redone by the Σ-first fronts, which also
+/// report any error the chain itself causes.
 ///
 /// With `partitions ≥ 2` the two fronts run side by side when each is
 /// worth a thread (`qtx_linalg::flops::fans_out`, the library's one
@@ -79,6 +125,7 @@ pub fn two_front_solve<C: BlockChain + Sync>(
     chain: &C,
     support: &[CouplingSupport],
     boundary: &BoundaryTerms<'_>,
+    pencil: Pencil,
     partitions: usize,
     ws: &Workspace,
 ) -> SolveOutcome<ZMat> {
@@ -119,6 +166,13 @@ pub fn two_front_solve<C: BlockChain + Sync>(
         ws.recycle(solved);
         ws.recycle(inj);
         ran?;
+    } else if pencil == Pencil::Real
+        && late_fronts(chain, support, boundary, partitions, &mut psi, ws).is_ok()
+    {
+        // Solved in real arithmetic. A failed Σ-late solve — a real pivot
+        // past `REAL_PIVOT_TOL`, or whatever would fail the complex fronts
+        // too — falls through to them: they fold Σ first, so their pivots
+        // are not the closed sub-chains', and they report what stays wrong.
     } else {
         let dims: Vec<_> = support.iter().map(CouplingSupport::dims).collect();
         let (c, flops_r, flops_l) = counts::two_front_cut(s, &dims, ml, mr);
@@ -185,7 +239,7 @@ fn join_fronts<A, B, F, G>(
     right: &Front<'_, A, F>,
     left: &Front<'_, B, G>,
     pair: &CouplingSupport,
-    (ml, mr): (usize, usize),
+    widths: (usize, usize),
     eta: &mut ZMat,
     ws: &Workspace,
 ) -> SolveOutcome<()>
@@ -195,13 +249,34 @@ where
     F: Fn(&mut ZMat),
     G: Fn(&mut ZMat),
 {
+    let (ml, mr) = widths;
     let (_, cu, _, cl) = pair.dims();
-    let (one, zero) = (Complex64::ONE, Complex64::ZERO);
     // `[X̂′_c[C_l, :] | y_c[C_l, :]]` and `[X̂_{c+1}[C_u, :] | y_{c+1}[C_u, :]]`.
     let mut near_l = ws.take_scratch(cl, cu + ml);
     gather_rows_into(&mut near_l, left.head(), &pair.lower.cols);
     let mut near_r = ws.take_scratch(cu, cl + mr);
     gather_rows_into(&mut near_r, right.head(), &pair.upper.cols);
+    let tip = tip_system(&near_l, &near_r, widths, eta, ws);
+    ws.recycle(near_l);
+    ws.recycle(near_r);
+    tip
+}
+
+/// `(1 − P_L·P_R)·η = a_L − P_L·a_R` on the cut rows, with
+/// `near_l = [P_L | a_L]` (`|C_l| × (|C_u| + m_L)`) and
+/// `near_r = [P_R | a_R]` (`|C_u| × (|C_l| + m_R)`) the affine maps
+/// `ψ_c[C_l] = a_L − P_L·ψ_{c+1}[C_u]` and
+/// `ψ_{c+1}[C_u] = a_R − P_R·ψ_c[C_l]` each side leaves at the cut; `η`
+/// (`eta`, all `m_L + m_R` columns) is `ψ_c[C_l, :]`.
+fn tip_system(
+    near_l: &ZMat,
+    near_r: &ZMat,
+    (ml, mr): (usize, usize),
+    eta: &mut ZMat,
+    ws: &Workspace,
+) -> SolveOutcome<()> {
+    let (cl, cu) = (near_l.rows(), near_r.rows());
+    let (one, zero) = (Complex64::ONE, Complex64::ZERO);
     let p = near_l.block_view(0, 0, cl, cu);
     let mut tip = ws.take_scratch(cl, cl);
     gemm_into(-one, p, Op::None, near_r.block_view(0, 0, cu, cl), Op::None, zero, tip.view_mut());
@@ -214,8 +289,6 @@ where
     }
     let y_r = near_r.block_view(0, cl, cu, mr);
     gemm_into(-one, p, Op::None, y_r, Op::None, zero, eta.block_view_mut(0, ml, cl, mr));
-    ws.recycle(near_l);
-    ws.recycle(near_r);
     let bad = tip.non_finite_count();
     if bad > 0 {
         ws.recycle(tip);
@@ -225,4 +298,272 @@ where
     lu.solve_in_place(eta);
     lu.recycle_into(ws);
     Ok(())
+}
+
+/// The Σ-late solve of a real pencil into `psi` (`nb ≥ 2`): each side of
+/// the cut of [`counts::two_front_cut`] eliminates outward from the cut,
+/// in real arithmetic up to its contact block, which alone folds Σ; the
+/// tip system joins the two sides' affine maps on the cut rows, and each
+/// side back-substitutes from its contact towards the cut.
+fn late_fronts<C: BlockChain + Sync>(
+    chain: &C,
+    support: &[CouplingSupport],
+    boundary: &BoundaryTerms<'_>,
+    partitions: usize,
+    psi: &mut ZMat,
+    ws: &Workspace,
+) -> SolveOutcome<()> {
+    let nb = chain.num_blocks();
+    let (ml, mr) = (boundary.rhs_top.cols(), boundary.rhs_bottom.cols());
+    let dims: Vec<_> = support.iter().map(CouplingSupport::dims).collect();
+    let (c, flops_r, flops_l) = counts::two_front_late_cut(chain.block_size(), &dims, ml, mr);
+    // The right side sees the chain from its own contact: block `j` of the
+    // view is block `nb − 1 − j`, and the cut pair is its pair `nb − 2 − c`.
+    let view = Reversed::new(chain, nb);
+    let view_support = Reversed::<C>::support_of(support);
+    let carried_l = cut_columns(chain, support, c, ws);
+    let carried_r = cut_columns(&view, &view_support, nb - 2 - c, ws);
+    let (sigma_l, sigma_r) = (boundary.sigma_l, boundary.sigma_r);
+    let mut left = LateSide::new((chain, support, c), &carried_l, sigma_l, boundary.rhs_top, ws);
+    let right_side = (&view, &view_support[..], nb - 2 - c);
+    let mut right = LateSide::new(right_side, &carried_r, sigma_r, boundary.rhs_bottom, ws);
+    let (ran_l, ran_r) = if partitions >= 2 && fans_out((flops_r + flops_l) / 2) {
+        join_counted(|| left.run(ws), || right.run(ws))
+    } else {
+        (left.run(ws), right.run(ws))
+    };
+    let (cl, cu) = (support[c].lower.cols.len(), support[c].upper.cols.len());
+    let mut eta = ws.take_scratch(cl, ml + mr);
+    let mut across = ws.take_scratch(cu, ml + mr);
+    let joined = ran_l.and(ran_r).and_then(|_| {
+        tip_system(&left.near, &right.near, (ml, mr), &mut eta, ws)?;
+        // `ψ_{c+1}[C_u] = a_R − P_R·ψ_c[C_l]`, `a_R` in the right-injected
+        // columns.
+        across.as_mut_slice().fill(Complex64::ZERO);
+        for j in 0..mr {
+            across.col_mut(ml + j).copy_from_slice(right.near.col(cl + j));
+        }
+        let p_r = right.near.block_view(0, 0, cu, cl);
+        gemm_into(
+            -Complex64::ONE,
+            p_r,
+            Op::None,
+            eta.view(),
+            Op::None,
+            Complex64::ONE,
+            across.view_mut(),
+        );
+        left.back_substitute(&across, psi, 0, |i| i, ws);
+        right.back_substitute(&eta, psi, ml, |j| nb - 1 - j, ws);
+        Ok(())
+    });
+    for m in [eta, across] {
+        ws.recycle(m);
+    }
+    left.recycle(ws);
+    right.recycle(ws);
+    ws.recycle_real(carried_l);
+    ws.recycle_real(carried_r);
+    joined
+}
+
+/// The cut coupling a side carries: `A_{t,t+1}[:, C_u]` of its pair `t`,
+/// dense in the block's `s` rows.
+fn cut_columns<C: BlockChain>(
+    chain: &C,
+    support: &[CouplingSupport],
+    t: usize,
+    ws: &Workspace,
+) -> DMat {
+    let on = &support[t].upper;
+    let mut gathered = ws.take_scratch(on.rows.len(), on.cols.len());
+    chain.upper_on(t, on, &mut gathered);
+    let mut out = ws.take_real(chain.block_size(), on.cols.len());
+    out.as_mut_slice().fill(0.0);
+    for j in 0..on.cols.len() {
+        for (&r, v) in on.rows.iter().zip(gathered.col(j)) {
+            out[(r, j)] = v.re;
+        }
+    }
+    ws.recycle(gathered);
+    out
+}
+
+/// No fold: a real front never meets Σ.
+fn no_fold(_: &mut DMat) {}
+
+/// One side of the Σ-late solve, on a chain whose block 0 is its contact
+/// and whose last pair is the cut: the real front on blocks `t … 1`, the
+/// contact's complex solve `Z₀ = D̃₀⁻¹·[carried | Inj]`, and `[P | a]` on
+/// the cut rows, `ψ_t[C_l] = a − P·ψ_{t+1}[C_u]`.
+struct LateSide<'a, C> {
+    front: Front<'a, C, fn(&mut DMat), DMat>,
+    chain: &'a C,
+    support: &'a [CouplingSupport],
+    /// The cut pair (the contact is block 0).
+    t: usize,
+    carried: &'a DMat,
+    sigma: &'a ZMat,
+    inj: &'a ZMat,
+    z0: ZMat,
+    near: ZMat,
+    /// Scratch: the contact block, one step of the sweep, and a solve's
+    /// cut rows — taken with the rest on the calling thread, so a side may
+    /// run on any other.
+    d: ZMat,
+    next: ZMat,
+    rows: DMat,
+}
+
+impl<'a, C: BlockChain> LateSide<'a, C> {
+    /// The side whose cut is pair `t` of `chain`, its buffers taken.
+    fn new(
+        (chain, support, t): (&'a C, &'a [CouplingSupport], usize),
+        carried: &'a DMat,
+        sigma: &'a ZMat,
+        inj: &'a ZMat,
+        ws: &Workspace,
+    ) -> Self {
+        let no: fn(&mut DMat) = no_fold;
+        let front = Front::on(chain, support, (1, t), no, carried, Keep::Every, SOLVER, ws);
+        let (s, w) = (chain.block_size(), carried.cols());
+        let near = ws.take_scratch(s, w + inj.cols());
+        let z0 = ws.take_scratch(s, w + inj.cols());
+        let widest = (1..=t).map(|i| front.solved_at(i).1).max().unwrap_or(0);
+        let (d, next, rows) =
+            (ws.take_scratch(s, s), ws.take_scratch(s, w + inj.cols()), ws.take_real(s, widest));
+        LateSide { front, chain, support, t, carried, sigma, inj, z0, near, d, next, rows }
+    }
+
+    /// The front, the contact block and the sweep to the cut rows.
+    fn run(&mut self, ws: &Workspace) -> SolveOutcome<()> {
+        self.front.run(ws)?;
+        let (s, w, ms) = (self.chain.block_size(), self.carried.cols(), self.inj.cols());
+        let d = &mut self.d;
+        reshape(d, s, s);
+        self.chain.diag_into(0, d);
+        fold(self.sigma)(d);
+        let z0 = &mut self.z0;
+        z0.as_mut_slice().fill(Complex64::ZERO);
+        if self.t == 0 {
+            // The contact block is the cut block: it carries the cut
+            // coupling itself.
+            for j in 0..w {
+                for (z, &v) in z0.col_mut(j).iter_mut().zip(self.carried.col(j)) {
+                    *z = c64(v, 0.0);
+                }
+            }
+        } else {
+            let pair = &self.support[0];
+            let y = self.front.carry_past_head();
+            let kc = pair.lower.cols.len();
+            for (a, &r) in pair.upper.rows.iter().enumerate() {
+                for (b, &c) in pair.lower.cols.iter().enumerate() {
+                    d[(r, c)] -= c64(y[(a, b)], 0.0);
+                }
+                for j in 0..w {
+                    z0[(r, j)] = c64(-y[(a, kc + j)], 0.0);
+                }
+            }
+        }
+        for j in 0..ms {
+            z0.col_mut(w + j).copy_from_slice(self.inj.col(j));
+        }
+        let bad = d.non_finite_count();
+        if bad > 0 {
+            return Err(SolveError::NonFinite { solver: SOLVER, count: bad });
+        }
+        let lu = lu_factor_owned_ws(std::mem::replace(d, ZMat::empty()), ws)?;
+        lu.solve_in_place(z0);
+        let LuFactors { lu, ipiv } = lu;
+        ws.recycle_index(ipiv);
+        *d = lu;
+        // `[P | a]` on the rows each block hands to the next, contact to cut:
+        // `[P | a]_i = [y_i | 0][C_l(i)] − X̂_i[C_l(i), :]·[P | a]_{i−1}`.
+        gather_rows_into(&mut self.near, z0.view(), &self.support[0].lower.cols);
+        let (next, rows) = (&mut self.next, &mut self.rows);
+        for i in 1..=self.t {
+            let (off, width) = self.front.solved_at(i);
+            let kc = width - w;
+            let cut_rows = &self.support[i].lower.cols;
+            let solved = self.front.store();
+            rows.reshape(cut_rows.len(), width);
+            for j in 0..width {
+                let col = &solved.col(off + j);
+                for (p, &r) in cut_rows.iter().enumerate() {
+                    rows[(p, j)] = col[r];
+                }
+            }
+            reshape(next, cut_rows.len(), w + ms);
+            next.as_mut_slice().fill(Complex64::ZERO);
+            for j in 0..w {
+                for (z, &v) in next.col_mut(j).iter_mut().zip(rows.col(kc + j)) {
+                    *z = c64(v, 0.0);
+                }
+            }
+            let x_hat = rows.block_view(0, 0, cut_rows.len(), kc);
+            dzgemm(-1.0, x_hat, self.near.view(), 1.0, next.view_mut());
+            std::mem::swap(&mut self.near, next);
+        }
+        Ok(())
+    }
+
+    /// `ψ` on this side's blocks (block `i` is block row `row_of(i)` of
+    /// `psi`, the injected columns from `col0` on), given the other side's
+    /// cut values `ext` (`w × m`): `ψ_0 = Z₀[:, inj] − Z₀[:, carried]·ext`,
+    /// then `ψ_i = −[X̂_i | y_i]·[ψ_{i−1}[C_l(i−1), :]; ext]` towards the
+    /// cut.
+    fn back_substitute(
+        &self,
+        ext: &ZMat,
+        psi: &mut ZMat,
+        col0: usize,
+        row_of: impl Fn(usize) -> usize,
+        ws: &Workspace,
+    ) {
+        let (s, w, ms, m) =
+            (self.chain.block_size(), self.carried.cols(), self.inj.cols(), psi.cols());
+        let mut out = psi.block_view_mut(row_of(0) * s, 0, s, m);
+        let z_cut = self.z0.block_view(0, 0, s, w);
+        gemm_into(
+            -Complex64::ONE,
+            z_cut,
+            Op::None,
+            ext.view(),
+            Op::None,
+            Complex64::ZERO,
+            out.rb(),
+        );
+        for j in 0..ms {
+            for (o, &v) in out.col_mut(col0 + j).iter_mut().zip(self.z0.col(w + j)) {
+                *o += v;
+            }
+        }
+        let mut incoming = ws.take_scratch(s + w, m);
+        for i in 1..=self.t {
+            let (off, width) = self.front.solved_at(i);
+            let from = &self.support[i - 1].lower.cols;
+            reshape(&mut incoming, width, m);
+            for j in 0..m {
+                let prev = &psi.col(j)[row_of(i - 1) * s..(row_of(i - 1) + 1) * s];
+                let dst = incoming.col_mut(j);
+                for (d, &r) in dst.iter_mut().zip(from) {
+                    *d = prev[r];
+                }
+                dst[from.len()..].copy_from_slice(ext.col(j));
+            }
+            let solved = self.front.store().block_view(0, off, s, width);
+            let out = psi.block_view_mut(row_of(i) * s, 0, s, m);
+            dzgemm(-1.0, solved, incoming.view(), 0.0, out);
+        }
+        ws.recycle(incoming);
+    }
+
+    fn recycle(self, ws: &Workspace) {
+        self.front.recycle(ws);
+        for m in [self.z0, self.near, self.d, self.next] {
+            ws.recycle(m);
+        }
+        ws.recycle_real(self.rows);
+    }
 }

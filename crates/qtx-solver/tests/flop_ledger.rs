@@ -7,12 +7,15 @@
 //! the contact rows; its count must stay at a quarter of what
 //! materializing `Q` cost on the long wire, under the parent's on the long
 //! wire and the DFT wire, within a tenth of its model, and must not depend
-//! on which thread ran which sweep.
+//! on which thread ran which sweep. On a real pencil the Σ-late fronts
+//! count exactly `counts::two_front_late_solve`: about a third of the
+//! complex fronts' count on the long wire, under 0.7 of it on the DFT
+//! wire.
 
 use qtx_linalg::flops::counts;
 use qtx_linalg::{c64, Complex64, FlopScope, ZMat};
 use qtx_solver::{
-    btd_lu_solve_ws, two_front_solve, BoundaryTerms, ObcSystem, SplitSolve, Workspace,
+    btd_lu_solve_ws, two_front_solve, BoundaryTerms, ObcSystem, Pencil, SplitSolve, Workspace,
 };
 use qtx_sparse::{BlockChain, Btd, CouplingSupport};
 
@@ -134,7 +137,9 @@ fn the_two_front_solve_factors_each_block_once() {
         let ws = Workspace::new();
         let counted = |partitions: usize| {
             let scope = FlopScope::start();
-            let psi = two_front_solve(&sys.a, &support, &boundary, partitions, &ws).unwrap();
+            let psi =
+                two_front_solve(&sys.a, &support, &boundary, Pencil::Complex, partitions, &ws)
+                    .unwrap();
             (psi, scope.elapsed())
         };
         let (psi, flops) = counted(2);
@@ -149,5 +154,49 @@ fn the_two_front_solve_factors_each_block_once() {
         let fresh = ws.fresh_allocations();
         assert_eq!(counted(1), (psi, flops), "{name}");
         assert_eq!(ws.fresh_allocations(), fresh, "{name}");
+    }
+}
+
+#[test]
+fn the_real_pencil_solve_counts_its_formula() {
+    // The shapes above with every block of `A` real; Σ and the injection
+    // stay complex.
+    for (name, s, nb, coupling, m, share) in
+        [("long wire", 90, 128, (24, 18), 10, 0.4), ("dft wire", 252, 6, (162, 156), 6, 0.7)]
+    {
+        let mut sys = wire_shape(nb, s, coupling, m);
+        for b in sys.a.diag.iter_mut().chain(&mut sys.a.upper).chain(&mut sys.a.lower) {
+            b.as_mut_slice().iter_mut().for_each(|z| *z = c64(z.re, 0.0));
+        }
+        let support = sys.a.coupling_support();
+        let boundary = BoundaryTerms {
+            sigma_l: &sys.sigma_l,
+            sigma_r: &sys.sigma_r,
+            rhs_top: &sys.rhs_top,
+            rhs_bottom: &sys.rhs_bottom,
+        };
+        let ws = Workspace::new();
+        let counted = |pencil: Pencil, partitions: usize| {
+            let scope = FlopScope::start();
+            let psi =
+                two_front_solve(&sys.a, &support, &boundary, pencil, partitions, &ws).unwrap();
+            (psi, scope.elapsed())
+        };
+        let (psi, flops) = counted(Pencil::Real, 2);
+        let reference = btd_lu_solve_ws(&sys, &Workspace::new()).unwrap();
+        assert!(psi.max_diff(&reference) < 1e-10, "{name}: {:.2e}", psi.max_diff(&reference));
+        let dims: Vec<_> = support.iter().map(CouplingSupport::dims).collect();
+        let (ml, mr) = (sys.rhs_top.cols(), sys.rhs_bottom.cols());
+        assert_eq!(flops, counts::two_front_late_solve(s, &dims, ml, mr), "{name}");
+        let complex = counts::two_front_solve(s, &dims, ml, mr);
+        assert_eq!(counted(Pencil::Complex, 2).1, complex, "{name}");
+        assert!(flops as f64 <= share * complex as f64, "{name}: {flops} against {complex}");
+        let fresh = ws.fresh_allocations();
+        assert_eq!(counted(Pencil::Real, 1), (psi, flops), "{name}");
+        assert_eq!(ws.fresh_allocations(), fresh, "{name}");
+        println!(
+            "{name}: {flops} real against {complex} complex ({:.3})",
+            flops as f64 / complex as f64
+        );
     }
 }

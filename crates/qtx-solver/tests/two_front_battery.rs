@@ -6,11 +6,14 @@
 //! bit, one thread to two in bits and counted flops, the count to
 //! `counts::two_front_solve`, and warm calls to a flat pool. The pencil
 //! streamed from its compact store of `S` and `H` gives the dense pencil's
-//! bits, on blocks the store holds and on blocks it leaves dense.
+//! bits, on blocks the store holds and on blocks it leaves dense. A real
+//! pencil takes the Σ-late fronts (`Pencil::Real`): the same grid holds
+//! them to the dense solve and their count to
+//! `counts::two_front_late_solve`.
 
 use qtx_linalg::flops::{counts, fans_out};
 use qtx_linalg::{c64, zgesv, Complex64, FlopScope, ZMat};
-use qtx_solver::{two_front_solve, BoundaryTerms, ObcSystem, SolveError, Workspace};
+use qtx_solver::{two_front_solve, BoundaryTerms, ObcSystem, Pencil, SolveError, Workspace};
 use qtx_sparse::{BlockChain, Btd, CouplingSupport, EsMinusH, PencilStore};
 
 /// Row/column ranges the couplings of pair `i` live on, per pattern.
@@ -72,6 +75,17 @@ fn device(nb: usize, s: usize, pattern: Pattern, seed: u64) -> (Btd, Btd) {
     (h, ov)
 }
 
+/// [`device`] with every imaginary part dropped: a real `S` and `H`.
+fn real_device(nb: usize, s: usize, pattern: Pattern, seed: u64) -> (Btd, Btd) {
+    let (mut h, mut ov) = device(nb, s, pattern, seed);
+    for m in [&mut h, &mut ov] {
+        for b in m.diag.iter_mut().chain(&mut m.upper).chain(&mut m.lower) {
+            b.as_mut_slice().iter_mut().for_each(|z| *z = c64(z.re, 0.0));
+        }
+    }
+    (h, ov)
+}
+
 /// A random `s × cols` block scaled by `scale`, on `rows` only (all of
 /// them when `None`).
 fn on_rows(s: usize, cols: usize, seed: u64, scale: Complex64, rows: Option<usize>) -> ZMat {
@@ -95,6 +109,18 @@ fn solve<C: BlockChain + Sync>(
     partitions: usize,
     ws: &Workspace,
 ) -> Result<(ZMat, u64), SolveError> {
+    solve_as(Pencil::Complex, chain, support, sys, partitions, ws)
+}
+
+/// [`solve`] in the arithmetic `pencil` names.
+fn solve_as<C: BlockChain + Sync>(
+    pencil: Pencil,
+    chain: &C,
+    support: &[CouplingSupport],
+    sys: &ObcSystem,
+    partitions: usize,
+    ws: &Workspace,
+) -> Result<(ZMat, u64), SolveError> {
     let boundary = BoundaryTerms {
         sigma_l: &sys.sigma_l,
         sigma_r: &sys.sigma_r,
@@ -102,7 +128,7 @@ fn solve<C: BlockChain + Sync>(
         rhs_bottom: &sys.rhs_bottom,
     };
     let scope = FlopScope::start();
-    let psi = two_front_solve(chain, support, &boundary, partitions, ws)?;
+    let psi = two_front_solve(chain, support, &boundary, pencil, partitions, ws)?;
     Ok((psi, scope.elapsed()))
 }
 
@@ -165,6 +191,64 @@ fn two_front_solve_matches_dense_solve_over_the_whole_grid() {
         }
     }
     assert_eq!(cases, 5 * 4 * 2 * 3 * 2);
+}
+
+#[test]
+fn real_pencils_take_sigma_late_fronts_over_the_whole_grid() {
+    let s = 4;
+    let mut cases = 0;
+    for nb in [1usize, 2, 3, 7, 8] {
+        for (pi, pattern) in PATTERNS.into_iter().enumerate() {
+            let seed = (3000 * nb + 100 * pi) as u64;
+            let (h, ov) = real_device(nb, s, pattern, seed);
+            for (rows_l, rows_r) in [(None, None), (Some(0), Some(s - 1))] {
+                for (ml, mr) in [(0, 0), (2, 1), (3, 0), (0, 2)] {
+                    for e in [-0.4, 0.37] {
+                        let z = c64(e, 0.0);
+                        let one = Complex64::ONE;
+                        let sys = ObcSystem {
+                            a: Btd::es_minus_h(z, &ov, &h),
+                            sigma_l: on_rows(s, s, seed + 11, c64(0.3, -0.2), rows_l),
+                            sigma_r: on_rows(s, s, seed + 12, c64(0.3, -0.2), rows_r),
+                            rhs_top: on_rows(s, ml, seed + 13, one, rows_l),
+                            rhs_bottom: on_rows(s, mr, seed + 14, one, rows_r),
+                        };
+                        let case = format!(
+                            "nb={nb} {pattern:?} rows={rows_l:?}/{rows_r:?} m={ml}+{mr} E={e}"
+                        );
+                        let reference = zgesv(&sys.t_dense(), &sys.b_dense()).unwrap();
+                        let pencil = EsMinusH::dense(z, &ov, &h);
+                        let support = pencil.coupling_support();
+                        let ws = Workspace::new();
+                        let real = Pencil::Real;
+                        let (psi, flops) = solve_as(real, &pencil, &support, &sys, 2, &ws).unwrap();
+                        let scale = reference.norm_max().max(1.0);
+                        let err = psi.max_diff(&reference);
+                        assert!(err < TOLERANCE * scale, "{case}: {err:.2e}");
+                        let assembled =
+                            solve_as(real, &sys.a, &sys.a.coupling_support(), &sys, 2, &ws);
+                        assert_eq!(assembled.unwrap().0, psi, "{case}");
+                        let store = PencilStore::build(&ov, &h, &support);
+                        let stored = EsMinusH { store: Some(&store), ..pencil };
+                        let from_store = solve_as(real, &stored, &support, &sys, 2, &ws).unwrap();
+                        assert_eq!(from_store, (psi.clone(), flops), "{case}");
+                        let inline = solve_as(real, &pencil, &support, &sys, 1, &ws).unwrap();
+                        assert_eq!(inline, (psi.clone(), flops), "{case}");
+                        let dims: Vec<_> = support.iter().map(CouplingSupport::dims).collect();
+                        assert_eq!(flops, counts::two_front_late_solve(s, &dims, ml, mr), "{case}");
+                        // The complex fronts on the same chain agree to roundoff.
+                        let complex = solve(&pencil, &support, &sys, 2, &ws).unwrap().0;
+                        assert!(complex.max_diff(&psi) < TOLERANCE * scale, "{case}");
+                        let warm = (ws.pooled(), ws.fresh_allocations());
+                        assert_eq!(solve_as(real, &pencil, &support, &sys, 2, &ws).unwrap().0, psi);
+                        assert_eq!((ws.pooled(), ws.fresh_allocations()), warm, "{case}");
+                        cases += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(cases, 5 * 4 * 2 * 4 * 2);
 }
 
 /// `device` with its diagonal blocks cut to a band of three diagonals, a
@@ -258,6 +342,41 @@ fn fanned_out_fronts_give_the_inline_bits_and_flops() {
     assert!(fanned.0.max_diff(&reference) < TOLERANCE * reference.norm_max().max(1.0));
 }
 
+/// [`wide_system`] on a real chain at a real energy.
+fn wide_real_system(nb: usize) -> ObcSystem {
+    let s = 48;
+    let (h, ov) = real_device(nb, s, Pattern::Full, 5);
+    ObcSystem { a: Btd::es_minus_h(c64(0.2, 0.0), &ov, &h), ..wide_system(1) }
+}
+
+#[test]
+fn fanned_out_real_fronts_give_the_inline_bits_and_flops() {
+    let sys = wide_real_system(16);
+    let support = sys.a.coupling_support();
+    let ws = Workspace::new();
+    let real = Pencil::Real;
+    let fanned = solve_as(real, &sys.a, &support, &sys, 2, &ws).unwrap();
+    let busy = {
+        let _busy = (rayon::enter_pool_worker(), rayon::enter_pool_worker());
+        solve_as(real, &sys.a, &support, &sys, 2, &ws).unwrap()
+    };
+    assert_eq!(busy, fanned);
+    assert_eq!(solve_as(real, &sys.a, &support, &sys, 1, &ws).unwrap(), fanned);
+    assert_eq!(solve_as(real, &sys.a, &support, &sys, 2, &Workspace::new()).unwrap(), fanned);
+    let dims: Vec<_> = support.iter().map(CouplingSupport::dims).collect();
+    let (_, side_r, side_l) = counts::two_front_late_cut(48, &dims, 3, 2);
+    assert!(fans_out(side_r.min(side_l)), "sides too small to fan out: {side_r} {side_l}");
+    assert_eq!(fanned.1, counts::two_front_late_solve(48, &dims, 3, 2));
+    let reference = zgesv(&sys.t_dense(), &sys.b_dense()).unwrap();
+    assert!(fanned.0.max_diff(&reference) < TOLERANCE * reference.norm_max().max(1.0));
+    // Warm calls allocate nothing.
+    let before = (ws.pooled(), ws.fresh_allocations());
+    for _ in 0..3 {
+        assert_eq!(solve_as(real, &sys.a, &support, &sys, 2, &ws).unwrap(), fanned);
+    }
+    assert_eq!((ws.pooled(), ws.fresh_allocations()), before);
+}
+
 #[test]
 fn warm_calls_leave_the_pool_flat_on_long_chains() {
     // Inline and fanned out, every matrix buffer is taken and returned on
@@ -278,18 +397,42 @@ fn warm_calls_leave_the_pool_flat_on_long_chains() {
 
 #[test]
 fn poisoned_and_singular_chains_are_typed_errors() {
+    // The complex fronts on a complex chain, the Σ-late ones on a real one.
     let (nb, s) = (6, 4);
-    let (h, ov) = device(nb, s, Pattern::Full, 9);
-    let healthy = ObcSystem {
-        a: Btd::es_minus_h(c64(0.2, 0.0), &ov, &h),
-        sigma_l: on_rows(s, s, 1, c64(0.3, -0.2), None),
-        sigma_r: on_rows(s, s, 2, c64(0.3, -0.2), Some(1)),
-        rhs_top: on_rows(s, 2, 3, Complex64::ONE, None),
-        rhs_bottom: on_rows(s, 1, 4, Complex64::ONE, Some(1)),
-    };
+    for (pencil, build) in [(Pencil::Complex, device as Device), (Pencil::Real, real_device)] {
+        let (h, ov) = build(nb, s, Pattern::Full, 9);
+        let mut healthy = ObcSystem {
+            a: Btd::es_minus_h(c64(0.2, 0.0), &ov, &h),
+            sigma_l: on_rows(s, s, 1, c64(0.3, -0.2), None),
+            sigma_r: on_rows(s, s, 2, c64(0.3, -0.2), Some(1)),
+            rhs_top: on_rows(s, 2, 3, Complex64::ONE, None),
+            rhs_bottom: on_rows(s, 1, 4, Complex64::ONE, Some(1)),
+        };
+        if pencil == Pencil::Real {
+            // A real Σ, so that a contact block equal to it stays real.
+            for sigma in [&mut healthy.sigma_l, &mut healthy.sigma_r] {
+                sigma.as_mut_slice().iter_mut().for_each(|z| *z = c64(z.re, 0.0));
+            }
+        }
+        poisoned_and_singular_chains_fail_typed(pencil, &healthy, nb, s);
+    }
+}
+
+/// A chain builder: [`device`] or [`real_device`].
+type Device = fn(usize, usize, Pattern, u64) -> (Btd, Btd);
+
+fn poisoned_and_singular_chains_fail_typed(
+    pencil: Pencil,
+    healthy: &ObcSystem,
+    nb: usize,
+    s: usize,
+) {
     let ws = Workspace::new();
-    let run = |sys: &ObcSystem| solve(&sys.a, &sys.a.coupling_support(), sys, 2, &ws);
-    run(&healthy).unwrap();
+    let run = |sys: &ObcSystem| solve_as(pencil, &sys.a, &sys.a.coupling_support(), sys, 2, &ws);
+    run(healthy).unwrap();
+    // A failed Σ-late solve is redone by the complex fronts: warm their
+    // buffers too.
+    solve_as(Pencil::Complex, &healthy.a, &healthy.a.coupling_support(), healthy, 2, &ws).unwrap();
     let warm = ws.pooled();
     let non_finite = |got: &Result<(ZMat, u64), SolveError>| matches!(got, Err(SolveError::NonFinite { solver: "two-front", count }) if *count > 0);
     // A poisoned pivot block is named by whichever front meets it; a
@@ -337,6 +480,6 @@ fn poisoned_and_singular_chains_are_typed_errors() {
         assert!(matches!(got, Err(SolveError::Linalg(_))), "singular block {block}: {got:?}");
     }
     // Every failed call handed its buffers back.
-    assert_eq!(ws.pooled(), warm);
-    assert_eq!(run(&healthy).unwrap(), run(&healthy).unwrap());
+    assert_eq!(ws.pooled(), warm, "{pencil:?}");
+    assert_eq!(run(healthy).unwrap(), run(healthy).unwrap());
 }
