@@ -31,7 +31,13 @@
 //! energy, so a change to the band scan moves whole ladders by an ulp or
 //! two, and |ΔE| shows by how much.
 //!
-//! The exit code is 0 unless a point fails outright.
+//! Every run also holds the two routes to each other: wherever both
+//! policies solved a point, |T_tonly − T_robust| must be at most
+//! [`CROSS_ROUTE_BOUND`]. The worst value per device goes to stderr, so the
+//! record lines and the `--against` report are unchanged by it.
+//!
+//! The exit code is 0 unless a point fails outright or the two routes
+//! disagree beyond the bound.
 
 use qtx_atomistic::devices::DeviceSpec;
 use qtx_atomistic::{BasisKind, DeviceBuilder};
@@ -39,6 +45,15 @@ use qtx_core::{Device, PointPolicy, TransportEngine};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::process::ExitCode;
+
+/// The largest |T_tonly − T_robust| accepted at a point both policies
+/// solved: the benchmark's tolerance on a point's T against its Caroli
+/// reference (`benchmark/src/workloads.rs`, `T_TOL`). The routes share Σ
+/// but not the formula: FEAST keeps only the lead modes inside its
+/// annulus, so the robust route's mode projection and the Caroli trace
+/// part by 10⁻⁵–10⁻⁴ on these ladders (with every mode, shift-invert, by
+/// under 10⁻¹⁰ on the tight-binding devices).
+const CROSS_ROUTE_BOUND: f64 = 5e-3;
 
 /// FNV-1a over 64-bit words.
 struct Fnv(u64);
@@ -108,11 +123,23 @@ fn cases() -> Vec<Case> {
     ]
 }
 
-/// The record lines of every case, and the number of points that failed.
-fn record_lines() -> (Vec<String>, usize) {
+/// What one run produced: the record lines, the number of points that
+/// failed, and per device the largest |T_tonly − T_robust| over the points
+/// both policies solved.
+struct Run {
+    lines: Vec<String>,
+    failed: usize,
+    cross_route: Vec<(&'static str, f64)>,
+}
+
+fn record_lines() -> Run {
     let mut lines = Vec::new();
     let mut failed = 0;
+    let mut cross_route = Vec::new();
     for case in cases() {
+        // The robust T of each (kz, E), for the tonly pass to be held to.
+        let mut robust = HashMap::new();
+        let mut worst = 0.0f64;
         for (policy_name, policy) in
             [("robust", PointPolicy::robust()), ("tonly", PointPolicy::transmission_only())]
         {
@@ -129,6 +156,12 @@ fn record_lines() -> (Vec<String>, usize) {
                     );
                     match &rs.result {
                         Some(r) => {
+                            let at = (kz.to_bits(), e.to_bits());
+                            if policy_name == "robust" {
+                                robust.insert(at, r.transmission);
+                            } else if let Some(&t) = robust.get(&at) {
+                                worst = worst.max((r.transmission - t).abs());
+                            }
                             let mut psi = Fnv::new();
                             for z in r.psi.as_slice() {
                                 psi.word(z.re.to_bits());
@@ -156,8 +189,9 @@ fn record_lines() -> (Vec<String>, usize) {
                 }
             }
         }
+        cross_route.push((case.name, worst));
     }
-    (lines, failed)
+    Run { lines, failed, cross_route }
 }
 
 /// The digest line over the record lines.
@@ -326,7 +360,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let (lines, failed) = record_lines();
+    let Run { lines, failed, cross_route } = record_lines();
     let digest = digest_line(&lines);
     match against {
         Some(parent) => {
@@ -342,8 +376,20 @@ fn main() -> ExitCode {
             println!("{digest}");
         }
     }
+    let mut disagree = false;
+    for (name, worst) in &cross_route {
+        let within = *worst <= CROSS_ROUTE_BOUND;
+        let verdict = if within { "ok" } else { "ABOVE the bound" };
+        eprintln!("cross-route {name}: max|T_tonly - T_robust| = {worst:.2e} ({verdict})");
+        disagree |= !within;
+    }
     if failed > 0 {
         eprintln!("{failed} point(s) failed");
+    }
+    if disagree {
+        eprintln!("the routes disagree beyond {CROSS_ROUTE_BOUND:.0e}");
+    }
+    if failed > 0 || disagree {
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS

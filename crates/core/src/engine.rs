@@ -52,9 +52,10 @@ pub struct PointPolicy<'rt> {
     /// Walk the escalation ladder on failure instead of returning the
     /// first error.
     pub robust: bool,
-    /// Skip the scattering-state solve entirely and compute T(E) through
-    /// the two-front Caroli kernel (see `docs/sparsity.md`). The result
-    /// carries no wave functions.
+    /// Skip the scattering-state solve entirely and compute T(E) as the
+    /// Caroli trace: from the Σ-late corner on a real pencil, through the
+    /// two-front Caroli kernel otherwise (see `docs/sparsity.md` and
+    /// `docs/solver.md`). The result carries no wave functions.
     pub transmission_only: bool,
     lifetime: PhantomData<&'rt ()>,
 }
@@ -72,7 +73,9 @@ impl PointPolicy<'static> {
 
     /// Transmission-only NEGF: two elimination fronts over the streamed
     /// blocks of `E·S − H`, one from each contact, meet inside the device
-    /// and yield the Caroli trace directly — each block factored once,
+    /// and yield the Caroli trace directly — on a real pencil the Σ-late
+    /// corner (real fronts outward from a cut, Σ only in the contact
+    /// blocks), otherwise the Caroli kernel; each block factored once,
     /// each broadening carried through the thinner of its exact factors
     /// (a few lead modes wide when Σ was built from modes), the fronts on
     /// two threads when each is worth one. No Green's function block and
@@ -325,8 +328,9 @@ impl TransportEngine {
     }
 
     /// Transmission-only path: Σ flows from the cache (or a fresh solve)
-    /// into the two-front Caroli kernel, which streams the device blocks
-    /// and reuses the folded device's memoized coupling supports.
+    /// into `qtx_solver::two_front_corner` — the Σ-late corner on a real
+    /// pencil, the Caroli kernel otherwise — which streams the device
+    /// blocks and reuses the folded device's memoized coupling supports.
     fn boundary_point(&self, folded: &FoldedK, e: f64) -> RobustSolve {
         let start = Instant::now();
         let (dk, handle) = (&folded.dk, folded.handle.as_ref());

@@ -39,26 +39,41 @@
 //!   probabilities directly). The residual `‖T·ψ − Inj‖_max` is read off
 //!   the same streamed chain. The BTD-LU baseline is the exception: it
 //!   factors an assembled copy of `A`.
-//! * **NEGF/Caroli** (Eq. 4): `T = Tr[Γ_L·G_{0,n−1}·Γ_R·G_{0,n−1}ᴴ]` via
-//!   the two-front kernel [`qtx_solver::caroli_sweep_contacts`]: one
-//!   elimination front from each contact, each block factored once, the
-//!   two joined in a small system inside the device. Each `Γ = P·K·Pᴴ`
-//!   enters through the thinner of its two exact factors — `2m` columns
+//!   On a real pencil (`kz = 0` on a real basis at a real energy: one
+//!   decision, `ChainMemo::real` and `z.im == 0.0`) the fronts run Σ-late,
+//!   in real arithmetic up to the two contact blocks.
+//! * **NEGF/Caroli** (Eq. 4): `T = Tr[Γ_L·G_{0,n−1}·Γ_R·G_{0,n−1}ᴴ]`
+//!   through [`qtx_solver::two_front_corner`], with each `Γ = P·K·Pᴴ`
+//!   entering through the thinner of its two exact factors — `2m` columns
 //!   through the `m` outgoing lead modes Σ was assembled from, or the rows
-//!   Σ occupies ([`qtx_sparse::broadening_factor_ws`]). The
-//!   cross-check used throughout the test suite, and the whole of a
-//!   transmission-only point — which this makes cheaper than a
-//!   wave-function point of the same device.
+//!   Σ occupies ([`qtx_sparse::broadening_factor_ws`]). Which kernel runs
+//!   when:
+//!   - a transmission-only point on a real pencil runs the Σ-late corner:
+//!     `M = P_Lᴴ·G_{0,n−1}·P_R` from the wave-function solve's real sides,
+//!     with no left injection and `P_R` injected on the right, and no ψ,
+//!     back-substitution, residual or mode projection;
+//!   - a transmission-only point on a complex pencil (`kz ≠ 0`), on a
+//!     one-block chain, or where a real pivot is refused, runs the Caroli
+//!     kernel ([`qtx_solver::caroli_sweep_contacts`]): one complex
+//!     elimination front from each contact joined in a small system;
+//!   - the reference routes ([`caroli_transmission`],
+//!     [`caroli_from_sigmas`]) and the decimation rung always run the
+//!     Caroli kernel, so the cross-check used throughout the test suite
+//!     never shares the transmission-only point's real path.
+//!
+//!   Either way a transmission-only point is cheaper than a wave-function
+//!   point of the same device (`docs/solver.md`, "Transmission-only on a
+//!   real pencil").
 
 use crate::cache::{self, CacheHandle};
 use crate::device::{ChainMemo, DeviceK, TransportConfig};
 use crate::error::{TransportError, TransportResult};
 use qtx_accel::AccelRuntime;
-use qtx_linalg::{gemm_into, qr_factor_ws, Complex64, LinalgError, Op, QrFactors, ZMat};
+use qtx_linalg::{c64, gemm_into, qr_factor_ws, Complex64, LinalgError, Op, QrFactors, ZMat};
 use qtx_obc::{BeynConfig, LeadModes, ModeSet, ObcMethod, ObcResult};
 use qtx_solver::{
-    btd_lu_solve_ws, caroli_sweep_contacts, two_front_solve, BoundaryTerms, CaroliContact,
-    ObcSystem, Pencil, SolverKind, Workspace,
+    btd_lu_solve_ws, two_front_corner, two_front_solve, BoundaryTerms, CaroliContact, ObcSystem,
+    Pencil, SolverKind, Workspace,
 };
 use qtx_sparse::{broadening_factor_ws, BlockChain, CouplingSupport, EsMinusH};
 use std::time::Instant;
@@ -97,8 +112,10 @@ pub struct EnergyPointResult {
 }
 
 impl EnergyPointResult {
-    /// A point the mode-free Caroli route produced: one transmission for
-    /// both directions, no reflection and no scattering states.
+    /// A point a mode-free transmission route produced — the Σ-late corner
+    /// or the Caroli kernel of a transmission-only point, or the decimation
+    /// rung's Caroli kernel: one transmission for both directions, no
+    /// reflection and no scattering states.
     pub(crate) fn caroli_only(
         e: f64,
         kz: f64,
@@ -305,12 +322,7 @@ fn scattering_states(
     let (psi, residual) = SOLVER_WS.with(|ws| -> TransportResult<(ZMat, f64)> {
         let psi = match cfg.solver {
             SolverKind::SplitSolve { partitions } => {
-                // One decision, read off the chain: a real `S` and `H` at a
-                // real energy make a real pencil.
-                let arith = match memo.real && pencil.z.im == 0.0 {
-                    true => Pencil::Real,
-                    false => Pencil::Complex,
-                };
+                let arith = arithmetic(memo, pencil.z);
                 let coupling = &memo.support.coupling;
                 two_front_solve(&pencil, coupling, &boundary, arith, partitions, ws)?
             }
@@ -360,6 +372,16 @@ fn scattering_states(
         psi,
         residual,
     })
+}
+
+/// The one decision between the arithmetics, read off the chain: a real
+/// `S` and `H` ([`ChainMemo::real`]) at a real `z = E + iη` make a real
+/// pencil.
+fn arithmetic(memo: &ChainMemo, z: Complex64) -> Pencil {
+    match memo.real && z.im == 0.0 {
+        true => Pencil::Real,
+        false => Pencil::Complex,
+    }
 }
 
 /// Max-norm residual `‖T·ψ − b‖_max` evaluated block row by block row on
@@ -476,7 +498,7 @@ fn chain_residual(
 pub fn caroli_transmission(dk: &DeviceK, e: f64, obc: ObcMethod) -> TransportResult<f64> {
     let (obc_l, obc_r) = cache::self_energy_pair_exact(None, dk, e, obc)?;
     let contacts = [(&obc_l.sigma, &obc_l.out_modes[..]), (&obc_r.sigma, &obc_r.out_modes[..])];
-    caroli_streamed(dk, e, 0.0, contacts, &dk.chain_memo())
+    transmission_streamed(dk, e, 0.0, contacts, &dk.chain_memo(), Pencil::Complex)
 }
 
 /// Caroli transmission from already-computed self-energies that come
@@ -491,27 +513,33 @@ pub fn caroli_from_sigmas(
     sigma_l: &ZMat,
     sigma_r: &ZMat,
 ) -> TransportResult<f64> {
-    caroli_streamed(dk, e, eta, [(sigma_l, &[]), (sigma_r, &[])], &dk.chain_memo())
+    let contacts = [(sigma_l, &[][..]), (sigma_r, &[][..])];
+    transmission_streamed(dk, e, eta, contacts, &dk.chain_memo(), Pencil::Complex)
 }
 
 /// One contact of the Caroli route: Σ, and the outgoing lead modes it was
 /// assembled from (none for a mode-free Σ).
 pub(crate) type CaroliSide<'a> = (&'a ZMat, &'a [ModeSet]);
 
-/// The one Caroli route: `(E + iη)·S − H` streamed block by block into
-/// the two elimination fronts of [`caroli_sweep_contacts`] — no `A` is
-/// assembled, no Green's function block is formed, and every temporary
-/// cycles through the per-thread pool. Each broadening enters through the
+/// The one streamed transmission route: `(E + iη)·S − H` streamed block
+/// by block into [`two_front_corner`] in the arithmetic `arith` — the
+/// Caroli kernel's two fronts under [`Pencil::Complex`], the Σ-late corner
+/// under [`Pencil::Real`] — no `A` is assembled, no Green's function block
+/// is formed, and every temporary cycles through the per-thread pool. Each broadening enters through the
 /// thinner of its exact factors ([`broadening_factor_ws`]), a choice the
 /// inputs fix: a cache hit, a miss and an uncached solve hand in the same
 /// Σ and modes and get the same bits. `contacts` is `[left, right]`, `memo`
-/// is [`DeviceK::chain_memo`] of `dk`.
-pub(crate) fn caroli_streamed(
+/// is [`DeviceK::chain_memo`] of `dk`. The reference routes
+/// ([`caroli_transmission`], [`caroli_from_sigmas`]) and the decimation
+/// rung pass [`Pencil::Complex`] whatever the chain, so the oracle never
+/// shares the transmission-only point's kernel.
+pub(crate) fn transmission_streamed(
     dk: &DeviceK,
     e: f64,
     eta: f64,
     contacts: [CaroliSide<'_>; 2],
     memo: &ChainMemo,
+    arith: Pencil,
 ) -> TransportResult<f64> {
     let t = SOLVER_WS.with(|ws| {
         let [p_l, p_r] = contacts.map(|(sigma, out_modes)| {
@@ -523,7 +551,7 @@ pub(crate) fn caroli_streamed(
         let left = CaroliContact { sigma: contacts[0].0, panel: &p_l };
         let right = CaroliContact { sigma: contacts[1].0, panel: &p_r };
         let pencil = dk.pencil_on(memo, e, eta);
-        let t = caroli_sweep_contacts(&pencil, left, right, &memo.support.coupling, ws);
+        let t = two_front_corner(&pencil, left, right, &memo.support.coupling, arith, ws);
         ws.recycle(p_l);
         ws.recycle(p_r);
         t
@@ -534,12 +562,19 @@ pub(crate) fn caroli_streamed(
     Ok(t)
 }
 
-/// Transmission-only solve through the two-front Caroli kernel: Σ flows
-/// from the cache (or a fresh OBC solve) straight into the kernel, no
-/// scattering-state system and no `A` is ever formed, and the dense
-/// working set is a few `s × s` blocks whatever the device length. The
-/// transmission is bit-identical to [`caroli_transmission`] over the same
-/// self-energies.
+/// Transmission-only solve: Σ flows from the cache (or a fresh OBC solve)
+/// straight into [`two_front_corner`], no scattering-state system and no
+/// `A` is ever formed, and there is no residual and no mode projection. On
+/// a real pencil (the [`arithmetic`] decision: `kz = 0` on a real basis)
+/// the kernel is the Σ-late corner, `M = P_Lᴴ·G_{0,n−1}·P_R` from real
+/// fronts: [`caroli_transmission`]'s `T` over the same self-energies to
+/// rounding (≤ 2·10⁻¹¹ over band scans of the 0.8 and 1.5 nm wires); on a
+/// complex pencil, on a one-block chain and where a
+/// real pivot is refused it is the Caroli kernel, bit-identical to
+/// [`caroli_transmission`]. The Caroli kernel's working set is a few
+/// `s × s` blocks whatever the device length; the corner's sides keep each
+/// real block's thin solve `[X̂_i | y_i]` (`s × (|C_l| + |C_u|)` reals), so
+/// theirs grows with the length, at a fraction of one copy of `A`.
 pub(crate) fn solve_point_transmission_only(
     dk: &DeviceK,
     e: f64,
@@ -553,7 +588,8 @@ pub(crate) fn solve_point_transmission_only(
         obc_r.inc_modes.iter().filter(|m| m.propagating).count(),
     );
     let contacts = [(&obc_l.sigma, &obc_l.out_modes[..]), (&obc_r.sigma, &obc_r.out_modes[..])];
-    let t = caroli_streamed(dk, e, 0.0, contacts, memo)?;
+    let arith = arithmetic(memo, c64(e, 0.0));
+    let t = transmission_streamed(dk, e, 0.0, contacts, memo, arith)?;
     Ok(EnergyPointResult::caroli_only(e, dk.kz, t, channels, obc_l.sigma, obc_r.sigma))
 }
 
@@ -569,7 +605,9 @@ pub const ETA_BUMP: f64 = 1e-6;
 /// Human-readable names of the ladder rungs, indexed by
 /// [`PointOutcome::method_used`]. `boundary-caroli` sits *after* `failed`
 /// so the rung codes of existing checkpoints stay valid — it is not a
-/// ladder rung but the engine's transmission-only path.
+/// ladder rung but the engine's transmission-only path, whichever kernel
+/// ran it: the Σ-late corner on a real pencil, the Caroli kernel
+/// otherwise (the name predates the corner and stays, like the code).
 pub const LADDER_METHOD_NAMES: [&str; 8] = [
     "configured",
     "configured+eta",
@@ -588,8 +626,9 @@ pub(crate) const METHOD_DECIMATION: u8 = 5;
 /// `method_used` value marking a point every rung gave up on.
 pub const METHOD_FAILED: u8 = 6;
 
-/// `method_used` value of a transmission-only point solved through the
-/// two-front Caroli kernel (engine-only; never appears in sweep records).
+/// `method_used` value of a transmission-only point, solved through
+/// [`qtx_solver::two_front_corner`] (engine-only; never appears in sweep
+/// records).
 pub const METHOD_BOUNDARY: u8 = 7;
 
 /// Robustness record of one (E, k) point: which rung produced the
@@ -743,7 +782,7 @@ fn decimation_caroli_rung(
 ) -> TransportResult<EnergyPointResult> {
     let (obc_l, obc_r) = cache::self_energy_pair(cache, dk, e, ETA_BUMP, ObcMethod::Decimation)?;
     let contacts = [(&obc_l.sigma, &[][..]), (&obc_r.sigma, &[][..])];
-    let t = caroli_streamed(dk, e, ETA_BUMP, contacts, memo)?;
+    let t = transmission_streamed(dk, e, ETA_BUMP, contacts, memo, Pencil::Complex)?;
     Ok(EnergyPointResult::caroli_only(e, dk.kz, t, (0, 0), obc_l.sigma, obc_r.sigma))
 }
 

@@ -462,6 +462,30 @@ pub mod counts {
         right + left + tip + zgemm(cu, m, cl) + back
     }
 
+    /// The Σ-late corner (`qtx_solver::two_front_corner` on a real pencil):
+    /// `M = P_Lᴴ·G_{0,n−1}·P_R` for the Caroli trace, with `wl`/`wr` the
+    /// widths of the broadening factors. The two sides of
+    /// [`two_front_late_cut`] with no left-injected column and `P_R` as the
+    /// right injection, the tip system of [`two_front_late_solve`] and the
+    /// product across the cut at `m = wr`; then only the contact block of
+    /// the left side, `ψ₀ = −W₀·ψ_{c+1}[C_u, :]` (`zgemm(s, wr, |C_u|)`),
+    /// and `M = P_Lᴴ·ψ₀` — no other back-substitution. A single block is
+    /// the Caroli kernel's count, [`caroli_sweep`].
+    pub fn two_front_late_corner(
+        s: usize,
+        couplings: &[(usize, usize, usize, usize)],
+        wl: usize,
+        wr: usize,
+    ) -> u64 {
+        if couplings.is_empty() {
+            return caroli_sweep(s, couplings, wl, wr);
+        }
+        let (c, right, left) = two_front_late_cut(s, couplings, 0, wr);
+        let (_, cu, _, cl) = couplings[c];
+        let tip = zgemm(cl, cl, cu) + zgemm(cl, wr, cu) + zgetrf(cl) + zgetrs(cl, wr);
+        right + left + tip + zgemm(cu, wr, cl) + zgemm(s, wr, cu) + zgemm(wl, wr, s)
+    }
+
     /// The two-front Caroli transmission kernel
     /// (`qtx_solver::caroli_sweep`) on a chain of `s × s` blocks.
     /// `couplings` lists, per adjacent block pair,

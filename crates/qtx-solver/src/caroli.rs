@@ -43,7 +43,7 @@
 //! length; a dense coupling or a dense Σ is the same code at full width.
 
 use crate::error::{SolveError, SolveOutcome};
-use crate::front::{gather_rows_into, Front, Keep};
+use crate::front::{gather_rows_into, trace_kmkmh, Front, Keep};
 use qtx_linalg::flops::{counts, fans_out, join_counted};
 use qtx_linalg::{gemm_into, lu_factor_owned_ws, Complex64, Op, Workspace, ZMat};
 use qtx_sparse::{broadening_factor_ws, BlockChain, CouplingSupport, Mirrored};
@@ -103,13 +103,7 @@ pub fn caroli_sweep_contacts<C: BlockChain + Sync>(
     ws: &Workspace,
 ) -> SolveOutcome<f64> {
     let (nb, s) = (chain.num_blocks(), chain.block_size());
-    assert!(nb >= 1, "a chain has at least one block");
-    assert_eq!(support.len() + 1, nb, "one coupling support per adjacent block pair");
-    for contact in [left, right] {
-        let shape = (contact.sigma.rows(), contact.sigma.cols());
-        assert_eq!(shape, (s, s), "self-energy / block size mismatch");
-        assert_eq!(contact.panel.rows(), s, "broadening factor / block size mismatch");
-    }
+    check_contacts(chain, left, right, support);
     let minus = -Complex64::ONE;
     let m = if nb == 1 {
         let both = |d: &mut ZMat| {
@@ -154,6 +148,24 @@ pub fn caroli_sweep_contacts<C: BlockChain + Sync>(
         return Err(SolveError::NonFinite { solver: SOLVER, count: bad });
     }
     Ok(t)
+}
+
+/// Panics unless the chain has a block, one coupling support per adjacent
+/// pair, and both contacts' Σ and broadening factor fit its block size.
+pub(crate) fn check_contacts<C: BlockChain>(
+    chain: &C,
+    left: CaroliContact<'_>,
+    right: CaroliContact<'_>,
+    support: &[CouplingSupport],
+) {
+    let (nb, s) = (chain.num_blocks(), chain.block_size());
+    assert!(nb >= 1, "a chain has at least one block");
+    assert_eq!(support.len() + 1, nb, "one coupling support per adjacent block pair");
+    for contact in [left, right] {
+        let shape = (contact.sigma.rows(), contact.sigma.cols());
+        assert_eq!(shape, (s, s), "self-energy / block size mismatch");
+        assert_eq!(contact.panel.rows(), s, "broadening factor / block size mismatch");
+    }
 }
 
 /// `d ← d − Σᴴ`: the mirrored left front's last block is `D_0ᴴ`, so Σ
@@ -220,21 +232,6 @@ fn join_fronts<C: BlockChain>(
     ws.recycle(zr);
     ws.recycle(xl_u);
     m
-}
-
-/// `tr[K_L·M·K_R·Mᴴ]` for `K = [[0, iI], [−iI, 0]]`. With `M` split into
-/// `k_L × k_R` quadrants, `K_L·M·K_R = [[M₂₂, −M₂₁], [−M₁₂, M₁₁]]`, so the
-/// trace is `2·Re⟨M₁₁, M₂₂⟩ − 2·Re⟨M₁₂, M₂₁⟩` — real by construction.
-fn trace_kmkmh(m: &ZMat) -> f64 {
-    let (kl, kr) = (m.rows() / 2, m.cols() / 2);
-    let mut acc = 0.0;
-    for b in 0..kr {
-        for a in 0..kl {
-            acc += (m[(a, b)] * m[(kl + a, kr + b)].conj()).re;
-            acc -= (m[(a, kr + b)] * m[(kl + a, b)].conj()).re;
-        }
-    }
-    2.0 * acc
 }
 
 #[cfg(test)]

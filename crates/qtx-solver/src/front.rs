@@ -53,6 +53,21 @@ pub(crate) fn gather_rows_into(out: &mut ZMat, src: ZMatRef<'_>, rows: &[usize])
     }
 }
 
+/// `tr[K_L·M·K_R·Mᴴ]` for `K = [[0, iI], [−iI, 0]]`. With `M` split into
+/// `k_L × k_R` quadrants, `K_L·M·K_R = [[M₂₂, −M₂₁], [−M₁₂, M₁₁]]`, so the
+/// trace is `2·Re⟨M₁₁, M₂₂⟩ − 2·Re⟨M₁₂, M₂₁⟩` — real by construction.
+pub(crate) fn trace_kmkmh(m: &ZMat) -> f64 {
+    let (kl, kr) = (m.rows() / 2, m.cols() / 2);
+    let mut acc = 0.0;
+    for b in 0..kr {
+        for a in 0..kl {
+            acc += (m[(a, b)] * m[(kl + a, kr + b)].conj()).re;
+            acc -= (m[(a, kr + b)] * m[(kl + a, b)].conj()).re;
+        }
+    }
+    2.0 * acc
+}
+
 /// The arithmetic a front runs in: complex blocks ([`ZMat`]), or real ones
 /// ([`DMat`]) on a pencil whose entries have no imaginary part. Everything
 /// the elimination loop does to a block goes through here, so one loop

@@ -63,7 +63,7 @@ pub use rgf::{
 };
 pub use splitsolve::{SplitSolve, SplitSolveReport};
 pub use system::ObcSystem;
-pub use two_front::{two_front_solve, BoundaryTerms, Pencil};
+pub use two_front::{two_front_corner, two_front_solve, BoundaryTerms, Pencil};
 // The buffer pool itself lives in `qtx-linalg` (so the OBC layer can use
 // it too); re-exported here because the solver hot paths are its home.
 pub use qtx_linalg::Workspace;

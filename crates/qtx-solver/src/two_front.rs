@@ -1,5 +1,6 @@
 //! The wave-function solve of Eq. 5, `(A − Σ^RB)·ψ = Inj`, from two
-//! elimination fronts with Σ folded in: each pivot block factored once.
+//! elimination fronts with Σ folded in: each pivot block factored once;
+//! and on a real pencil the same solve's corner block for a transmission.
 //!
 //! SplitSolve ([`crate::splitsolve`]) keeps its Step 1 free of Σ so the
 //! OBC can run beside it (SC'15 §3.B, goal (ii)), and pays for that with a
@@ -48,13 +49,27 @@
 //! back-substitutes from its contact, `ψ_0 = ŷ₀ − W₀·ψ_cut` and
 //! `ψ_i = −[X̂_i | y_i]·[ψ_{i−1}[C_l(i−1), :]; ψ_cut]` (one real × complex
 //! product a block). The count is [`counts::two_front_late_solve`].
+//!
+//! # The corner on a real pencil
+//!
+//! A transmission reads `G = (A − Σ)⁻¹` only through
+//! `M = P_Lᴴ·G_{0,n−1}·P_R` (`Γ = P·K·Pᴴ`, [`crate::caroli`]), and
+//! `G_{0,n−1}·P_R` is block 0 of the solution with `P_R` injected at the
+//! right contact and nothing at the left. [`two_front_corner`] runs the
+//! same two sides on exactly that right-hand side: no left-injected
+//! column, `P_R` as the right side's. The tip system gives `ψ_c[C_l]`, the
+//! right side's map gives `ψ_{c+1}[C_u] = a_R − P·ψ_c[C_l]`, and the left
+//! contact's solve gives `ψ₀ = −W₀·ψ_{c+1}[C_u]` and `M = P_Lᴴ·ψ₀`. No
+//! `N × w` ψ is formed and nothing is back-substituted past block 0. The
+//! count is [`counts::two_front_late_corner`].
 
+use crate::caroli::{caroli_sweep_contacts, check_contacts, CaroliContact};
 use crate::error::{SolveError, SolveOutcome};
-use crate::front::{gather_rows_into, reshape, Front, Keep};
+use crate::front::{gather_rows_into, reshape, trace_kmkmh, Front, Keep};
 use qtx_linalg::flops::{counts, fans_out, join_counted};
 use qtx_linalg::{
     c64, dzgemm, fault, gemm_into, lu_factor_owned_ws, Complex64, DMat, LuFactors, Op, Workspace,
-    ZMat,
+    ZMat, ZMatMut,
 };
 use qtx_sparse::{BlockChain, CouplingSupport, Reversed};
 
@@ -78,11 +93,13 @@ pub struct BoundaryTerms<'a> {
 /// The arithmetic of a chain's entries, as its caller established it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Pencil {
-    /// Complex entries: Σ-first fronts, every pivot complex.
+    /// Complex entries: Σ-first fronts (the Caroli kernel for a
+    /// transmission), every pivot complex.
     Complex,
     /// Every entry of every block has an imaginary part of exactly `0.0`
     /// (the caller's exact test; the solver reads only real parts): Σ-late
-    /// fronts, every pivot but the two contact ones real.
+    /// fronts (the Σ-late corner for a transmission), every pivot but the
+    /// two contact ones real.
     Real,
 }
 
@@ -232,6 +249,74 @@ pub fn two_front_solve<C: BlockChain + Sync>(
     Ok(psi)
 }
 
+/// Caroli transmission `T = tr[Γ_L·G_{0,n−1}·Γ_R·G_{0,n−1}ᴴ]` of the open
+/// system `chain − Σ_L ⊕ Σ_R`, each `Γ = P·K·Pᴴ` through the exact factor
+/// its contact carries ([`CaroliContact`]), in the arithmetic `pencil`
+/// names.
+///
+/// [`Pencil::Real`] on a chain of two or more blocks takes
+/// `M = P_Lᴴ·G_{0,n−1}·P_R` from the Σ-late sides (module docs, "The
+/// corner on a real pencil"); its count is
+/// [`counts::two_front_late_corner`]. Every complex pencil, every
+/// one-block chain and every Σ-late corner that fails — a real pivot
+/// singular to within 10⁻⁶ of its block — runs the Caroli kernel instead,
+/// [`caroli_sweep_contacts`], bit for bit, which also reports any error the
+/// chain itself causes. The sides fan out under the library's one rule
+/// (`qtx_linalg::flops::fans_out`), like the Caroli fronts; the bits are
+/// the same either way, and every temporary comes from and returns to
+/// `ws`.
+pub fn two_front_corner<C: BlockChain + Sync>(
+    chain: &C,
+    left: CaroliContact<'_>,
+    right: CaroliContact<'_>,
+    support: &[CouplingSupport],
+    pencil: Pencil,
+    ws: &Workspace,
+) -> SolveOutcome<f64> {
+    check_contacts(chain, left, right, support);
+    if pencil == Pencil::Real && chain.num_blocks() >= 2 {
+        if let Ok(t) = late_corner(chain, left, right, support, ws) {
+            return Ok(t);
+        }
+    }
+    caroli_sweep_contacts(chain, left, right, support, ws)
+}
+
+/// The Σ-late corner of [`two_front_corner`] (`nb ≥ 2`): the sides of
+/// [`late_sides`] with no left-injected column and `P_R` injected at the
+/// right contact, then `ψ₀ = −W₀·ψ_{c+1}[C_u, :]` on the left contact alone
+/// and `M = P_Lᴴ·ψ₀`.
+fn late_corner<C: BlockChain + Sync>(
+    chain: &C,
+    left: CaroliContact<'_>,
+    right: CaroliContact<'_>,
+    support: &[CouplingSupport],
+    ws: &Workspace,
+) -> SolveOutcome<f64> {
+    let s = chain.block_size();
+    let uninjected = ZMat::zeros(s, 0);
+    let boundary = BoundaryTerms {
+        sigma_l: left.sigma,
+        sigma_r: right.sigma,
+        rhs_top: &uninjected,
+        rhs_bottom: right.panel,
+    };
+    let m = late_sides(chain, support, &boundary, 2, ws, |side_l, _, _, at_c1| {
+        let mut psi0 = ws.take_scratch(s, at_c1.cols());
+        side_l.contact(at_c1, psi0.view_mut(), 0);
+        let m = ws.matmul_op(left.panel, Op::Adjoint, &psi0, Op::None);
+        ws.recycle(psi0);
+        m
+    })?;
+    let bad = m.non_finite_count();
+    let t = trace_kmkmh(&m);
+    ws.recycle(m);
+    if bad > 0 {
+        return Err(SolveError::NonFinite { solver: SOLVER, count: bad });
+    }
+    Ok(t)
+}
+
 /// The tip system on the cut pair (module docs): leaves `ψ_c[C_l, :]` in
 /// `eta` (all `m_L + m_R` columns), from the heads `[X̂_{c+1} | y_{c+1}]`
 /// of `right` and `[X̂′_c | y_c]` of `left`.
@@ -300,11 +385,9 @@ fn tip_system(
     Ok(())
 }
 
-/// The Σ-late solve of a real pencil into `psi` (`nb ≥ 2`): each side of
-/// the cut of [`counts::two_front_cut`] eliminates outward from the cut,
-/// in real arithmetic up to its contact block, which alone folds Σ; the
-/// tip system joins the two sides' affine maps on the cut rows, and each
-/// side back-substitutes from its contact towards the cut.
+/// The Σ-late solve of a real pencil into `psi` (`nb ≥ 2`): the two
+/// sides of [`late_sides`], then each back-substitutes from its contact
+/// towards the cut.
 fn late_fronts<C: BlockChain + Sync>(
     chain: &C,
     support: &[CouplingSupport],
@@ -313,6 +396,29 @@ fn late_fronts<C: BlockChain + Sync>(
     psi: &mut ZMat,
     ws: &Workspace,
 ) -> SolveOutcome<()> {
+    let nb = chain.num_blocks();
+    let ml = boundary.rhs_top.cols();
+    late_sides(chain, support, boundary, partitions, ws, |left, right, at_c, at_c1| {
+        left.back_substitute(at_c1, psi, 0, |i| i, ws);
+        right.back_substitute(at_c, psi, ml, |j| nb - 1 - j, ws);
+    })
+}
+
+/// The two Σ-late sides of a real pencil (`nb ≥ 2`) at the cut `c` of
+/// [`counts::two_front_late_cut`], run and joined: each side eliminates
+/// outward from the cut, in real arithmetic up to its contact block, which
+/// alone folds Σ, and the tip system joins the two sides' affine maps on
+/// the cut rows. `finish` gets the left side, the right one (on the
+/// [`Reversed`] chain), `ψ_c[C_l, :]` and `ψ_{c+1}[C_u, :]` (all
+/// `m_L + m_R` columns); every buffer returns to `ws` after it.
+fn late_sides<C: BlockChain + Sync, R>(
+    chain: &C,
+    support: &[CouplingSupport],
+    boundary: &BoundaryTerms<'_>,
+    partitions: usize,
+    ws: &Workspace,
+    finish: impl FnOnce(&LateSide<'_, C>, &LateSide<'_, Reversed<'_, C>>, &ZMat, &ZMat) -> R,
+) -> SolveOutcome<R> {
     let nb = chain.num_blocks();
     let (ml, mr) = (boundary.rhs_top.cols(), boundary.rhs_bottom.cols());
     let dims: Vec<_> = support.iter().map(CouplingSupport::dims).collect();
@@ -353,9 +459,7 @@ fn late_fronts<C: BlockChain + Sync>(
             Complex64::ONE,
             across.view_mut(),
         );
-        left.back_substitute(&across, psi, 0, |i| i, ws);
-        right.back_substitute(&eta, psi, ml, |j| nb - 1 - j, ws);
-        Ok(())
+        Ok(finish(&left, &right, &eta, &across))
     });
     for m in [eta, across] {
         ws.recycle(m);
@@ -508,22 +612,11 @@ impl<'a, C: BlockChain> LateSide<'a, C> {
         Ok(())
     }
 
-    /// `ψ` on this side's blocks (block `i` is block row `row_of(i)` of
-    /// `psi`, the injected columns from `col0` on), given the other side's
-    /// cut values `ext` (`w × m`): `ψ_0 = Z₀[:, inj] − Z₀[:, carried]·ext`,
-    /// then `ψ_i = −[X̂_i | y_i]·[ψ_{i−1}[C_l(i−1), :]; ext]` towards the
-    /// cut.
-    fn back_substitute(
-        &self,
-        ext: &ZMat,
-        psi: &mut ZMat,
-        col0: usize,
-        row_of: impl Fn(usize) -> usize,
-        ws: &Workspace,
-    ) {
-        let (s, w, ms, m) =
-            (self.chain.block_size(), self.carried.cols(), self.inj.cols(), psi.cols());
-        let mut out = psi.block_view_mut(row_of(0) * s, 0, s, m);
+    /// `ψ₀ = Z₀[:, inj] − Z₀[:, carried]·ext` into `out` (`s × m`, the
+    /// injected columns from `col0` on), given the other side's cut values
+    /// `ext` (`w × m`).
+    fn contact(&self, ext: &ZMat, mut out: ZMatMut<'_>, col0: usize) {
+        let (s, w) = (self.chain.block_size(), self.carried.cols());
         let z_cut = self.z0.block_view(0, 0, s, w);
         gemm_into(
             -Complex64::ONE,
@@ -534,11 +627,27 @@ impl<'a, C: BlockChain> LateSide<'a, C> {
             Complex64::ZERO,
             out.rb(),
         );
-        for j in 0..ms {
+        for j in 0..self.inj.cols() {
             for (o, &v) in out.col_mut(col0 + j).iter_mut().zip(self.z0.col(w + j)) {
                 *o += v;
             }
         }
+    }
+
+    /// `ψ` on this side's blocks (block `i` is block row `row_of(i)` of
+    /// `psi`, the injected columns from `col0` on), given the other side's
+    /// cut values `ext` (`w × m`): [`Self::contact`] for `ψ_0`, then
+    /// `ψ_i = −[X̂_i | y_i]·[ψ_{i−1}[C_l(i−1), :]; ext]` towards the cut.
+    fn back_substitute(
+        &self,
+        ext: &ZMat,
+        psi: &mut ZMat,
+        col0: usize,
+        row_of: impl Fn(usize) -> usize,
+        ws: &Workspace,
+    ) {
+        let (s, w, m) = (self.chain.block_size(), self.carried.cols(), psi.cols());
+        self.contact(ext, psi.block_view_mut(row_of(0) * s, 0, s, m), col0);
         let mut incoming = ws.take_scratch(s + w, m);
         for i in 1..=self.t {
             let (off, width) = self.front.solved_at(i);

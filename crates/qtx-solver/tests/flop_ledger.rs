@@ -10,12 +10,15 @@
 //! on which thread ran which sweep. On a real pencil the Σ-late fronts
 //! count exactly `counts::two_front_late_solve`: about a third of the
 //! complex fronts' count on the long wire, under 0.7 of it on the DFT
-//! wire.
+//! wire. A transmission on a real pencil (the Σ-late corner) counts
+//! exactly `counts::two_front_late_corner`: under 0.4 of the Caroli
+//! kernel's count on the long wire, under 0.75 of it on the DFT wire.
 
 use qtx_linalg::flops::counts;
 use qtx_linalg::{c64, Complex64, FlopScope, ZMat};
 use qtx_solver::{
-    btd_lu_solve_ws, two_front_solve, BoundaryTerms, ObcSystem, Pencil, SplitSolve, Workspace,
+    btd_lu_solve_ws, caroli_sweep_contacts, two_front_corner, two_front_solve, BoundaryTerms,
+    CaroliContact, ObcSystem, Pencil, SplitSolve, Workspace,
 };
 use qtx_sparse::{BlockChain, Btd, CouplingSupport};
 
@@ -197,6 +200,53 @@ fn the_real_pencil_solve_counts_its_formula() {
         println!(
             "{name}: {flops} real against {complex} complex ({:.3})",
             flops as f64 / complex as f64
+        );
+    }
+}
+
+#[test]
+fn the_corner_counts_its_formula() {
+    // The shapes above with every block of `A` real, and broadening
+    // factors as wide as the benchmark's FEAST modes make them: 3 modes a
+    // lead on the long wire, 5 on the DFT wire (`2k` columns each).
+    for (name, s, nb, coupling, w, share) in
+        [("long wire", 90, 128, (24, 18), 6, 0.4), ("dft wire", 252, 6, (162, 156), 10, 0.75)]
+    {
+        let mut sys = wire_shape(nb, s, coupling, 2);
+        for b in sys.a.diag.iter_mut().chain(&mut sys.a.upper).chain(&mut sys.a.lower) {
+            b.as_mut_slice().iter_mut().for_each(|z| *z = c64(z.re, 0.0));
+        }
+        let p_l = on_support(s, w, 0..coupling.1, 0..w, 905);
+        let p_r = on_support(s, w, s - coupling.0..s, 0..w, 906);
+        let left = CaroliContact { sigma: &sys.sigma_l, panel: &p_l };
+        let right = CaroliContact { sigma: &sys.sigma_r, panel: &p_r };
+        let support = sys.a.coupling_support();
+        let ws = Workspace::new();
+        let counted = |pencil: Option<Pencil>| {
+            let scope = FlopScope::start();
+            let t = match pencil {
+                Some(p) => two_front_corner(&sys.a, left, right, &support, p, &ws),
+                None => caroli_sweep_contacts(&sys.a, left, right, &support, &ws),
+            };
+            (t.unwrap(), scope.elapsed())
+        };
+        let (t, flops) = counted(Some(Pencil::Real));
+        let (t_caroli, caroli) = counted(None);
+        assert!(
+            (t - t_caroli).abs() < 1e-10 * t_caroli.abs().max(1.0),
+            "{name}: {t} vs {t_caroli}"
+        );
+        let dims: Vec<_> = support.iter().map(CouplingSupport::dims).collect();
+        assert_eq!(flops, counts::two_front_late_corner(s, &dims, w, w), "{name}");
+        assert_eq!(caroli, counts::caroli_sweep(s, &dims, w, w), "{name}");
+        assert_eq!(counted(Some(Pencil::Complex)), (t_caroli, caroli), "{name}");
+        assert!(flops as f64 <= share * caroli as f64, "{name}: {flops} against {caroli}");
+        let fresh = ws.fresh_allocations();
+        assert_eq!(counted(Some(Pencil::Real)), (t, flops), "{name}");
+        assert_eq!(ws.fresh_allocations(), fresh, "{name}");
+        println!(
+            "{name}: corner {flops} against Caroli {caroli} ({:.3})",
+            flops as f64 / caroli as f64
         );
     }
 }

@@ -9,12 +9,19 @@
 //! bits, on blocks the store holds and on blocks it leaves dense. A real
 //! pencil takes the Σ-late fronts (`Pencil::Real`): the same grid holds
 //! them to the dense solve and their count to
-//! `counts::two_front_late_solve`.
+//! `counts::two_front_late_solve`. The Σ-late corner a transmission-only
+//! point runs on a real pencil (`two_front_corner`) is held on the same
+//! real grid to the Caroli kernel and to the dense trace, its count to
+//! `counts::two_front_late_corner`; on a complex pencil it is the Caroli
+//! kernel's bits.
 
 use qtx_linalg::flops::{counts, fans_out};
-use qtx_linalg::{c64, zgesv, Complex64, FlopScope, ZMat};
-use qtx_solver::{two_front_solve, BoundaryTerms, ObcSystem, Pencil, SolveError, Workspace};
-use qtx_sparse::{BlockChain, Btd, CouplingSupport, EsMinusH, PencilStore};
+use qtx_linalg::{c64, lu_inverse, zgesv, Complex64, FlopScope, ZMat};
+use qtx_solver::{
+    caroli_sweep_contacts, two_front_corner, two_front_solve, BoundaryTerms, CaroliContact,
+    ObcSystem, Pencil, SolveError, Workspace,
+};
+use qtx_sparse::{broadening_factor_ws, BlockChain, Btd, CouplingSupport, EsMinusH, PencilStore};
 
 /// Row/column ranges the couplings of pair `i` live on, per pattern.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -249,6 +256,181 @@ fn real_pencils_take_sigma_late_fronts_over_the_whole_grid() {
         }
     }
     assert_eq!(cases, 5 * 4 * 2 * 4 * 2);
+}
+
+/// `tr[Γ_L·G_{0,n−1}·Γ_R·G_{0,n−1}ᴴ]` from the dense inverse of `A − Σ`.
+fn dense_trace(sys: &ObcSystem) -> f64 {
+    let s = sys.block_size();
+    let g = lu_inverse(&sys.t_dense()).unwrap().block(0, sys.dim() - s, s, s);
+    let gamma = |sig: &ZMat| &sig.scaled(Complex64::I) - &sig.adjoint().scaled(Complex64::I);
+    (&(&gamma(&sys.sigma_l) * &g) * &(&gamma(&sys.sigma_r) * &g.adjoint())).trace().re
+}
+
+/// The corner (or, for `None`, the Caroli kernel) on `chain` with each
+/// contact's row-support broadening factor, and the operations it counted
+/// on this thread.
+fn transmission<C: BlockChain + Sync>(
+    pencil: Option<Pencil>,
+    chain: &C,
+    support: &[CouplingSupport],
+    sys: &ObcSystem,
+    ws: &Workspace,
+) -> Result<(f64, u64), SolveError> {
+    let p_l = broadening_factor_ws(&sys.sigma_l, None, ws);
+    let p_r = broadening_factor_ws(&sys.sigma_r, None, ws);
+    let left = CaroliContact { sigma: &sys.sigma_l, panel: &p_l };
+    let right = CaroliContact { sigma: &sys.sigma_r, panel: &p_r };
+    let scope = FlopScope::start();
+    let t = match pencil {
+        Some(pencil) => two_front_corner(chain, left, right, support, pencil, ws),
+        None => caroli_sweep_contacts(chain, left, right, support, ws),
+    };
+    let counted = scope.elapsed();
+    ws.recycle(p_l);
+    ws.recycle(p_r);
+    Ok((t?, counted))
+}
+
+/// The widths of `sys`'s row-support broadening factors.
+fn panel_widths(sys: &ObcSystem) -> (usize, usize) {
+    let ws = Workspace::new();
+    let [wl, wr] =
+        [&sys.sigma_l, &sys.sigma_r].map(|sigma| broadening_factor_ws(sigma, None, &ws).cols());
+    (wl, wr)
+}
+
+#[test]
+fn the_corner_matches_caroli_and_the_dense_trace_over_the_real_grid() {
+    let s = 4;
+    let mut cases = 0;
+    for nb in [1usize, 2, 3, 7, 8] {
+        for (pi, pattern) in PATTERNS.into_iter().enumerate() {
+            let seed = (4000 * nb + 100 * pi) as u64;
+            let (h, ov) = real_device(nb, s, pattern, seed);
+            for (rows_l, rows_r) in [(None, None), (Some(0), Some(s - 1)), (Some(1), None)] {
+                for e in [-0.4, 0.37] {
+                    let z = c64(e, 0.0);
+                    let sys = ObcSystem {
+                        a: Btd::es_minus_h(z, &ov, &h),
+                        sigma_l: on_rows(s, s, seed + 11, c64(0.3, -0.2), rows_l),
+                        sigma_r: on_rows(s, s, seed + 12, c64(0.3, -0.2), rows_r),
+                        rhs_top: ZMat::zeros(s, 0),
+                        rhs_bottom: ZMat::zeros(s, 0),
+                    };
+                    let case = format!("nb={nb} {pattern:?} rows={rows_l:?}/{rows_r:?} E={e}");
+                    let pencil = EsMinusH::dense(z, &ov, &h);
+                    let support = pencil.coupling_support();
+                    let ws = Workspace::new();
+                    let real = Some(Pencil::Real);
+                    let (t, flops) = transmission(real, &pencil, &support, &sys, &ws).unwrap();
+                    let reference = dense_trace(&sys);
+                    let scale = reference.abs().max(1.0);
+                    assert!(
+                        (t - reference).abs() < TOLERANCE * scale,
+                        "{case}: {t} vs {reference}"
+                    );
+                    let caroli = transmission(None, &pencil, &support, &sys, &ws).unwrap().0;
+                    assert!((t - caroli).abs() < TOLERANCE * scale, "{case}: {t} vs {caroli}");
+                    // The count is the model, term by term (one block: Caroli's).
+                    let dims: Vec<_> = support.iter().map(CouplingSupport::dims).collect();
+                    let (wl, wr) = panel_widths(&sys);
+                    let model = counts::two_front_late_corner(s, &dims, wl, wr);
+                    assert_eq!(flops, model, "{case}");
+                    // Streamed, assembled or from the store: the same bits.
+                    let assembled =
+                        transmission(real, &sys.a, &sys.a.coupling_support(), &sys, &ws).unwrap();
+                    assert_eq!(assembled, (t, flops), "{case}");
+                    let store = PencilStore::build(&ov, &h, &support);
+                    let stored = EsMinusH { store: Some(&store), ..pencil };
+                    let from_store = transmission(real, &stored, &support, &sys, &ws).unwrap();
+                    assert_eq!(from_store, (t, flops), "{case}");
+                    // A complex pencil is the Caroli kernel, bit for bit.
+                    let complex =
+                        transmission(Some(Pencil::Complex), &pencil, &support, &sys, &ws).unwrap();
+                    assert_eq!(complex.0.to_bits(), caroli.to_bits(), "{case}");
+                    // Warm calls neither grow nor drain the pool.
+                    let warm = (ws.pooled(), ws.fresh_allocations());
+                    assert_eq!(transmission(real, &pencil, &support, &sys, &ws).unwrap().0, t);
+                    assert_eq!((ws.pooled(), ws.fresh_allocations()), warm, "{case}");
+                    cases += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(cases, 5 * 4 * 3 * 2);
+}
+
+#[test]
+fn fanned_out_corner_sides_give_the_inline_bits_and_flops() {
+    // Sixteen dense 48 × 48 real blocks: each side is worth a thread. Under
+    // two pool worker guards the same call runs them on this thread.
+    let sys = ObcSystem { rhs_top: ZMat::zeros(48, 0), ..wide_real_system(16) };
+    let support = sys.a.coupling_support();
+    let ws = Workspace::new();
+    let real = Some(Pencil::Real);
+    let fanned = transmission(real, &sys.a, &support, &sys, &ws).unwrap();
+    let busy = {
+        let _busy = (rayon::enter_pool_worker(), rayon::enter_pool_worker());
+        transmission(real, &sys.a, &support, &sys, &ws).unwrap()
+    };
+    assert_eq!(busy, fanned);
+    assert_eq!(transmission(real, &sys.a, &support, &sys, &Workspace::new()).unwrap(), fanned);
+    let dims: Vec<_> = support.iter().map(CouplingSupport::dims).collect();
+    let (wl, wr) = panel_widths(&sys);
+    let (_, side_r, side_l) = counts::two_front_late_cut(48, &dims, 0, wr);
+    assert!(fans_out(side_r.min(side_l)), "sides too small to fan out: {side_r} {side_l}");
+    assert_eq!(fanned.1, counts::two_front_late_corner(48, &dims, wl, wr));
+    let reference = dense_trace(&sys);
+    assert!((fanned.0 - reference).abs() < TOLERANCE * reference.abs().max(1.0));
+    // Warm calls allocate nothing.
+    let before = (ws.pooled(), ws.fresh_allocations());
+    for _ in 0..3 {
+        assert_eq!(transmission(real, &sys.a, &support, &sys, &ws).unwrap(), fanned);
+    }
+    assert_eq!((ws.pooled(), ws.fresh_allocations()), before);
+}
+
+#[test]
+fn a_refused_real_pivot_leaves_the_corner_to_caroli() {
+    // A real chain whose block at the cut is singular to rounding: it is
+    // the first pivot of one Σ-late side, a bare block, which the side
+    // refuses; the corner is then the Caroli kernel's result, bit for bit.
+    let (nb, s) = (6, 4);
+    let (h, ov) = real_device(nb, s, Pattern::Full, 9);
+    let healthy = ObcSystem {
+        a: Btd::es_minus_h(c64(0.2, 0.0), &ov, &h),
+        sigma_l: on_rows(s, s, 1, c64(0.3, -0.2), None),
+        sigma_r: on_rows(s, s, 2, c64(0.3, -0.2), Some(1)),
+        rhs_top: ZMat::zeros(s, 0),
+        rhs_bottom: ZMat::zeros(s, 0),
+    };
+    let ws = Workspace::new();
+    let run = |sys: &ObcSystem, pencil| {
+        transmission(pencil, &sys.a, &sys.a.coupling_support(), sys, &ws).map(|(t, _)| t.to_bits())
+    };
+    let dims: Vec<_> = healthy.a.coupling_support().iter().map(CouplingSupport::dims).collect();
+    let (_, wr) = panel_widths(&healthy);
+    let c = counts::two_front_late_cut(s, &dims, 0, wr).0;
+    for block in [c, c + 1] {
+        // Rank one: singular to rounding, which pivoted LU survives but
+        // the real front must refuse.
+        let mut sys = healthy.clone();
+        let u = ZMat::random(s, 1, 40 + block as u64);
+        let v = ZMat::random(s, 1, 50 + block as u64);
+        let mut d = &u * &v.adjoint();
+        d.as_mut_slice().iter_mut().for_each(|z| *z = c64(z.re, 0.0));
+        sys.a.diag[block] = d;
+        let caroli = run(&sys, None).unwrap();
+        assert_eq!(run(&sys, Some(Pencil::Real)).unwrap(), caroli, "block {block}");
+        // The healthy chain's corner is not the Caroli bits: the fallback
+        // above is what made them equal.
+        assert_ne!(run(&healthy, Some(Pencil::Real)).unwrap(), run(&healthy, None).unwrap());
+    }
+    // A poisoned block is named by the Caroli kernel the corner falls to.
+    let mut sys = healthy.clone();
+    sys.a.diag[2][(1, 2)] = c64(f64::NAN, 0.0);
+    let got = run(&sys, Some(Pencil::Real));
+    assert!(matches!(got, Err(SolveError::NonFinite { solver: "caroli-sweep", .. })), "{got:?}");
 }
 
 /// `device` with its diagonal blocks cut to a band of three diagonals, a
