@@ -25,6 +25,7 @@ use crate::error::{TransportError, TransportResult};
 use crate::sweep::{
     PointRecord, SweepPlan, POINT_RECORD_BYTES, STATUS_FAILED, STATUS_INTERPOLATED, STATUS_OK,
 };
+use crate::transport::METHOD_FAILED;
 use std::collections::HashSet;
 use std::path::Path;
 
@@ -61,6 +62,14 @@ pub enum CheckpointError {
         /// The status byte found.
         status: u8,
     },
+    /// A record's method byte is none a sweep writes: a ladder rung or
+    /// [`METHOD_FAILED`].
+    BadMethod {
+        /// Position of the record in the file.
+        record: usize,
+        /// The method byte found.
+        method: u8,
+    },
     /// A record names a momentum the plan does not have.
     MomentumOutOfRange {
         /// Position of the record in the file.
@@ -94,6 +103,9 @@ impl std::fmt::Display for CheckpointError {
             ),
             CheckpointError::BadStatus { record, status } => {
                 write!(f, "checkpoint record {record} has unknown status {status}")
+            }
+            CheckpointError::BadMethod { record, method } => {
+                write!(f, "checkpoint record {record} has unknown method {method}")
             }
             CheckpointError::MomentumOutOfRange { record, k_idx, momenta } => write!(
                 f,
@@ -189,16 +201,20 @@ pub fn parse_with_fingerprint(buf: &[u8], fingerprint: u64) -> TransportResult<V
 }
 
 /// What the sweep takes as done from a parsed checkpoint must be records it
-/// could have written: a status it knows, a momentum of the plan's
-/// `momenta`, and each point once — a bad status would count as solved, a
-/// stray momentum index the plan out of range, a repeated point twice into
-/// the spectrum. An energy index past the base grid stays legal: a refined
+/// could have written: a status it knows, a ladder rung or
+/// [`METHOD_FAILED`] as its method, a momentum of the plan's `momenta`, and
+/// each point once — a bad status would count as solved, a bad method as
+/// escalated, a stray momentum index the plan out of range, a repeated
+/// point twice into the spectrum. An energy index past the base grid stays legal: a refined
 /// sweep's later rounds append points there.
 pub fn validate_records(records: &[PointRecord], momenta: usize) -> Result<(), CheckpointError> {
     let mut seen = HashSet::with_capacity(records.len());
     for (record, r) in records.iter().enumerate() {
         if ![STATUS_OK, STATUS_FAILED, STATUS_INTERPOLATED].contains(&r.status) {
             return Err(CheckpointError::BadStatus { record, status: r.status });
+        }
+        if r.method > METHOD_FAILED {
+            return Err(CheckpointError::BadMethod { record, method: r.method });
         }
         if r.k_idx as usize >= momenta {
             return Err(CheckpointError::MomentumOutOfRange { record, k_idx: r.k_idx, momenta });

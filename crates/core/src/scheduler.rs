@@ -142,15 +142,6 @@ pub struct BatchOptions {
     /// the item vector). Items whose key was quarantined by an earlier
     /// batch get a zero retry budget — one attempt, then fallback.
     pub keys: Option<Vec<u64>>,
-    /// Intra-batch dependencies (parallel to the item vector):
-    /// `deps[i] = Some(j)` holds task `i` back until task `j` has
-    /// *finished* — whatever its outcome; retries, quarantine and panic
-    /// fallbacks all count as finished, so a dependent is never stranded.
-    /// Every dependency must point backwards (`j < i`), which makes cycles
-    /// unrepresentable. The sweep's OBC/interior overlap split rides on
-    /// this: the Σ-prefetch task precedes its interior solve in the item
-    /// vector.
-    pub deps: Option<Vec<Option<u32>>>,
 }
 
 /// Order-sensitive stable key for [`BatchOptions::keys`] (splitmix64
@@ -228,9 +219,6 @@ struct Batch<T, R> {
     budgets: Vec<u32>,
     deadline: Option<Duration>,
     keys: Option<Vec<u64>>,
-    /// Reverse dependency map: `dependents[j]` holds the tasks to enqueue
-    /// once task `j` finishes (empty for dependency-free batches).
-    dependents: Vec<Vec<u32>>,
     /// One deque per worker: the owner pops the front, thieves the back.
     deques: Vec<Mutex<VecDeque<Task>>>,
     /// Retries waiting out their backoff, each with the instant it falls
@@ -242,11 +230,10 @@ struct Batch<T, R> {
 }
 
 impl<T: Send + Sync, R: Send> Batch<T, R> {
-    /// Validates `opts` against the items and deals the dependency-free
-    /// tasks round-robin over `queues` deques in item order (the owner
-    /// pops the front, so worker `w` walks items `w, w + W, …` — stealing
-    /// rebalances from the back). A task with a dependency is held back
-    /// until its dependency finishes.
+    /// Validates `opts` against the items and deals the tasks round-robin
+    /// over `queues` deques in item order (the owner pops the front, so
+    /// worker `w` walks items `w, w + W, …` — stealing rebalances from the
+    /// back).
     #[allow(clippy::type_complexity)]
     fn new(
         items: Vec<T>,
@@ -264,23 +251,9 @@ impl<T: Send + Sync, R: Send> Batch<T, R> {
             }
             None => vec![MAX_RETRIES; n],
         };
-        let mut dependents: Vec<Vec<u32>> = Vec::new();
-        if let Some(deps) = &opts.deps {
-            assert_eq!(deps.len(), n, "BatchOptions::deps must parallel the item vector");
-            dependents = vec![Vec::new(); n];
-        }
         let mut deques: Vec<VecDeque<Task>> = (0..queues).map(|_| VecDeque::new()).collect();
         for i in 0..n {
-            match opts.deps.as_ref().and_then(|d| d[i]) {
-                Some(j) => {
-                    assert!(
-                        (j as usize) < i,
-                        "BatchOptions::deps must point backwards (task {i} depends on {j})"
-                    );
-                    dependents[j as usize].push(i as u32);
-                }
-                None => deques[i % queues].push_back(Task::first(i as u32)),
-            }
+            deques[i % queues].push_back(Task::first(i as u32));
         }
         Batch {
             items,
@@ -291,7 +264,6 @@ impl<T: Send + Sync, R: Send> Batch<T, R> {
                 .deadline_ms
                 .and_then(|ms| Duration::try_from_secs_f64(ms.max(0.0) / 1000.0).ok()),
             keys: opts.keys.clone(),
-            dependents,
             deques: deques.into_iter().map(Mutex::new).collect(),
             delayed: Mutex::new(Vec::new()),
             progress: Mutex::new(Progress {
@@ -331,8 +303,7 @@ impl<T: Send + Sync, R: Send> Batch<T, R> {
     /// fallback after a panic). `lease` charges the rayon shim's nesting
     /// cap while the attempt runs, so point solves on pool workers never
     /// multiply threads through nested scoped spawns (a nested batch's
-    /// thread already holds one). Returns whether idle workers have new
-    /// work to look at: a retry or released dependents.
+    /// thread already holds one). Returns whether a retry is now pending.
     fn attempt(&self, mut task: Task, lease: bool) -> bool {
         let idx = task.idx as usize;
         let item = &self.items[idx];
@@ -344,8 +315,8 @@ impl<T: Send + Sync, R: Send> Batch<T, R> {
         task.attempt += 1;
         task.panics += u32::from(outcome.is_err());
         task.late |= self.deadline.is_some_and(|d| started.elapsed() > d);
-        let value = match outcome {
-            Ok(TaskAttempt::Done(value)) => return self.finish(task, value, false),
+        let (value, quarantined) = match outcome {
+            Ok(TaskAttempt::Done(value)) => (value, false),
             // A failed or panicking attempt with budget left: retry later.
             _ if task.attempt <= self.budgets[idx] => {
                 let exp = (task.attempt - 1).min(16);
@@ -353,14 +324,14 @@ impl<T: Send + Sync, R: Send> Batch<T, R> {
                 lock(&self.delayed).push((Instant::now() + Duration::from_millis(backoff), task));
                 return true;
             }
-            Ok(TaskAttempt::Retry(value)) => value,
+            Ok(TaskAttempt::Retry(value)) => (value, true),
             Err(payload) => {
                 let err = TransportError::Panic { what: panic_text(payload.as_ref()) };
                 let fallback = catch_unwind(AssertUnwindSafe(|| {
                     (self.on_panic)(idx, item, task.attempt, &err)
                 }));
                 match fallback {
-                    Ok(value) => value,
+                    Ok(value) => (value, true),
                     Err(p) => {
                         // The fallback is contractually infallible; if it
                         // panics anyway, fail the batch loudly instead of
@@ -372,18 +343,13 @@ impl<T: Send + Sync, R: Send> Batch<T, R> {
                 }
             }
         };
-        self.finish(task, value, true)
+        self.finish(task, value, quarantined);
+        false
     }
 
-    /// Reports `task` and releases its dependents first: any outcome —
-    /// success, quarantine, panic fallback — satisfies a dependency.
-    /// Returns whether it released any.
-    fn finish(&self, task: Task, value: R, quarantined: bool) -> bool {
+    /// Reports `task` into its item's slot.
+    fn finish(&self, task: Task, value: R, quarantined: bool) {
         let idx = task.idx as usize;
-        let released = self.dependents.get(idx).map_or(&[][..], Vec::as_slice);
-        for &d in released {
-            lock(&self.deques[d as usize % self.deques.len()]).push_back(Task::first(d));
-        }
         let mut p = lock(&self.progress);
         if quarantined {
             if let Some(keys) = &self.keys {
@@ -403,7 +369,6 @@ impl<T: Send + Sync, R: Send> Batch<T, R> {
         // slept through the whole batch made 40-point sweeps 10–20 % slower
         // in interleaved runs on a 2-core VM.
         self.done.notify_all();
-        !released.is_empty()
     }
 
     /// Blocks until every task finished, then hands back the reports in
@@ -425,7 +390,7 @@ impl<T: Send + Sync, R: Send> Batch<T, R> {
 
 /// What one worker turn on a batch did.
 enum Turn {
-    /// An attempt ran; `true` if it gave idle workers new work to look at.
+    /// An attempt ran; `true` if it left a retry pending.
     Ran(bool),
     /// Nothing is runnable; the first delayed retry falls due then.
     Idle(Option<Instant>),
@@ -603,8 +568,10 @@ fn worker_loop(shared: &Shared, worker: usize) {
             (state.batch.clone(), state.epoch)
         };
         let due = match batch.map(|b| b.turn(worker)) {
-            Some(Turn::Ran(enqueued)) => {
-                if enqueued {
+            Some(Turn::Ran(retry_pending)) => {
+                // The new retry may fall due before a parked worker's
+                // timeout: wake them to re-read it.
+                if retry_pending {
                     shared.update(|_| {});
                 }
                 continue;
@@ -795,56 +762,6 @@ mod tests {
         );
         assert!(reports[1].straggler, "an 80 ms task must trip a 5 ms deadline");
         assert_eq!(values(&reports), vec![1, 80], "stragglers still complete normally");
-    }
-
-    #[test]
-    fn dependent_tasks_run_after_their_dependency() {
-        for workers in [1usize, 3] {
-            let s = sched(workers);
-            let order: Arc<Mutex<Vec<usize>>> = Arc::new(Mutex::new(Vec::new()));
-            let trace = order.clone();
-            let opts = BatchOptions {
-                deps: Some(vec![None, Some(0), None, Some(2), Some(1)]),
-                ..Default::default()
-            };
-            let reports = s.execute(
-                (0..5u64).collect(),
-                &opts,
-                move |idx, &x, _| {
-                    lock(&trace).push(idx);
-                    TaskAttempt::Done(x * 10)
-                },
-                |_, _, _, _| 0,
-            );
-            assert_eq!(values(&reports), vec![0, 10, 20, 30, 40]);
-            let ran = lock(&order).clone();
-            let pos = |i: usize| ran.iter().position(|&r| r == i).expect("every task ran");
-            assert!(pos(0) < pos(1), "1 depends on 0: {ran:?}");
-            assert!(pos(2) < pos(3), "3 depends on 2: {ran:?}");
-            assert!(pos(1) < pos(4), "4 depends on 1: {ran:?}");
-        }
-    }
-
-    #[test]
-    fn dependents_are_released_by_failed_dependencies() {
-        let s = sched(2);
-        let opts = BatchOptions { deps: Some(vec![None, Some(0)]), ..Default::default() };
-        let reports = s.execute(
-            vec![10u32, 11],
-            &opts,
-            |idx, &x, _| {
-                if idx == 0 {
-                    panic!("dependency failed");
-                }
-                TaskAttempt::Done(x)
-            },
-            |_, _, _, _| 100,
-        );
-        assert_eq!(reports[0].value, 100, "failed dependency falls back");
-        assert_eq!(reports[0].attempts, 3);
-        assert!(reports[0].quarantined);
-        assert_eq!(reports[1].value, 11, "dependent still runs after the failure");
-        assert!(!reports[1].quarantined);
     }
 
     #[test]

@@ -418,9 +418,8 @@ pub struct SweepResult {
 /// How the sweep groups energy points into scheduler tasks.
 ///
 /// Batching amortizes the per-task fixed costs (deque traffic, inflight
-/// bookkeeping, one warm workspace pool and, with a Σ-cache, one
-/// Σ-prefetch task per chunk) over neighboring energy points of the same
-/// momentum — the factorization-structure reuse of §5.B: consecutive
+/// bookkeeping, one warm workspace pool) over neighboring energy points of
+/// the same momentum — the factorization-structure reuse of §5.B: consecutive
 /// points share the same block structure, so their solves profit from
 /// staying on one worker. Batching never changes *what* is computed: every point still
 /// solves independently, in canonical order within its chunk, and results
@@ -462,10 +461,7 @@ pub struct SweepOptions {
     pub scheduler: Option<Arc<Scheduler>>,
     /// Self-energy cache policy for the point solves.
     pub cache: CachePolicy,
-    /// Energy-point batching (see [`Batching`]). With a cache armed and
-    /// any non-[`Batching::PerPoint`] mode, each chunk additionally
-    /// splits into an OBC Σ-prefetch task and a dependent interior-solve
-    /// task, overlapping boundary and interior work across chunks.
+    /// Energy-point batching (see [`Batching`]).
     pub batching: Batching,
 }
 
@@ -702,30 +698,6 @@ struct ChunkSpec {
     cache: Option<CacheHandle>,
 }
 
-impl ChunkSpec {
-    /// Warms the Σ-cache for every point of the chunk at the first-rung
-    /// parameters (η = 0, the configured OBC method) — exactly the keys
-    /// the interior solve's ladder hits first. Failures are ignored: the
-    /// solve task re-derives (and properly reports) any Σ this pass could
-    /// not produce.
-    fn prefetch_sigma(&self) {
-        for &(_, e) in &self.points {
-            let (cache, dk) = (self.cache.as_ref(), &self.folded.dk);
-            let _ = crate::cache::self_energy_pair(cache, dk, e, 0.0, self.cfg.obc);
-        }
-    }
-}
-
-/// The two task flavors of the compute phase. A `Sigma` task prefetches a
-/// chunk's boundary self-energies into the shared cache; its dependent
-/// `Solve` task then runs the interior solves on a warm cache, which
-/// replays the prefetched exact frames bit for bit — overlapping one
-/// chunk's OBC work with another's interior work.
-enum SweepTask {
-    Sigma(Arc<ChunkSpec>),
-    Solve(Arc<ChunkSpec>),
-}
-
 /// A point's record and, only when the caller of [`TransportEngine::run`]
 /// asked for the solved points, the solve behind it.
 type Solved = (PointRecord, Option<Box<RobustSolve>>);
@@ -781,7 +753,7 @@ fn compute_records(
     // Consecutive same-k runs of the canonical todo list chunk into
     // scheduler tasks. Each momentum's folded device comes from the
     // engine's memo; the lead hashes bind it to this sweep's own cache.
-    let mut chunks: Vec<Arc<ChunkSpec>> = Vec::new();
+    let mut chunks: Vec<ChunkSpec> = Vec::new();
     for run in todo.chunk_by(|a, b| a.0 == b.0) {
         let k_idx = run[0].0;
         let (kz, w) = plan.k_points[k_idx as usize];
@@ -801,7 +773,7 @@ fn compute_records(
                 .iter()
                 .map(|&(_, e_idx)| (e_idx, plan.energies[k_idx as usize][e_idx as usize]))
                 .collect();
-            chunks.push(Arc::new(ChunkSpec {
+            chunks.push(ChunkSpec {
                 k_idx,
                 kz,
                 w,
@@ -809,95 +781,64 @@ fn compute_records(
                 folded: folded.clone(),
                 cfg: *engine.config(),
                 cache: handle.clone(),
-            }));
+            });
         }
     }
-    // OBC/interior overlap: with a cache to carry the prefetched Σ and any
-    // batching beyond the pinned per-point contract, every chunk splits
-    // into a Σ-prefetch task and a dependent interior-solve task.
-    let overlap = !matches!(batching, Batching::PerPoint) && cache.is_some();
-    /// Salts Σ-task keys away from their solve task's quarantine key.
-    const SIGMA_KEY_SALT: u64 = 0x0051_063A_0BC0_FFEE;
-    let mut items: Vec<SweepTask> = Vec::with_capacity(chunks.len() * if overlap { 2 } else { 1 });
-    let mut keys: Vec<u64> = Vec::with_capacity(items.capacity());
-    let mut deps: Vec<Option<u32>> = Vec::with_capacity(items.capacity());
-    let mut max_len = 1usize;
-    for c in &chunks {
-        max_len = max_len.max(c.points.len());
-        // Quarantine keys on the chunk's math identity (not plan indices),
-        // matching how the fault harness keys its draws; a 1-point chunk
-        // reproduces the historical per-point key exactly.
-        let mut parts = vec![c.kz];
-        parts.extend(c.points.iter().map(|&(_, e)| e));
-        let solve_key = scheduler::stable_key(&parts);
-        if overlap {
-            items.push(SweepTask::Sigma(c.clone()));
-            keys.push(solve_key ^ SIGMA_KEY_SALT);
-            deps.push(None);
-            let sigma_idx = (items.len() - 1) as u32;
-            items.push(SweepTask::Solve(c.clone()));
-            keys.push(solve_key);
-            deps.push(Some(sigma_idx));
-        } else {
-            items.push(SweepTask::Solve(c.clone()));
-            keys.push(solve_key);
-            deps.push(None);
-        }
-    }
+    // Quarantine keys on the chunk's math identity (not plan indices),
+    // matching how the fault harness keys its draws; a 1-point chunk
+    // reproduces the historical per-point key exactly.
+    let keys = chunks
+        .iter()
+        .map(|c| {
+            let mut parts = vec![c.kz];
+            parts.extend(c.points.iter().map(|&(_, e)| e));
+            scheduler::stable_key(&parts)
+        })
+        .collect();
+    let max_len = chunks.iter().map(|c| c.points.len()).max().unwrap_or(1);
     let batch = scheduler::BatchOptions {
         deadline_ms: Some(point_deadline_ms(&chunks[0].folded.dk) * max_len as f64),
         keys: Some(keys),
-        deps: if overlap { Some(deps) } else { None },
     };
     let reports = sched.execute(
-        items,
+        chunks,
         &batch,
-        move |_, task, attempt| match task {
-            SweepTask::Sigma(c) => {
-                c.prefetch_sigma();
-                scheduler::TaskAttempt::Done(Vec::new())
+        move |_, c, attempt| {
+            let mut records = Vec::with_capacity(c.points.len());
+            let mut any_failed = false;
+            for &(e_idx, e) in &c.points {
+                // Opt-in injected panic site: fires *before* the ladder so
+                // the pool's catch_unwind is what must absorb it. The
+                // attempt number enters the key — a retry re-draws.
+                if qtx_linalg::fault::should_fail(
+                    "sched_panic",
+                    qtx_linalg::fault::key_of(&[c.kz, e, attempt as f64]),
+                ) {
+                    panic!("injected scheduler panic at E={e} kz={} attempt {attempt}", c.kz);
+                }
+                let (dk, memo) = (&c.folded.dk, c.folded.memo());
+                let rs = solve_point_robust_raw(dk, memo, e, &c.cfg, c.cache.as_ref());
+                let solved = record_of(c, e_idx, e, rs, keep);
+                any_failed |= solved.0.status == STATUS_FAILED;
+                records.push(solved);
             }
-            SweepTask::Solve(c) => {
-                let mut records = Vec::with_capacity(c.points.len());
-                let mut any_failed = false;
-                for &(e_idx, e) in &c.points {
-                    // Opt-in injected panic site: fires *before* the
-                    // ladder so the pool's catch_unwind is what must
-                    // absorb it. The attempt number enters the key — a
-                    // retry re-draws.
-                    if qtx_linalg::fault::should_fail(
-                        "sched_panic",
-                        qtx_linalg::fault::key_of(&[c.kz, e, attempt as f64]),
-                    ) {
-                        panic!("injected scheduler panic at E={e} kz={} attempt {attempt}", c.kz);
-                    }
-                    let (dk, memo) = (&c.folded.dk, c.folded.memo());
-                    let rs = solve_point_robust_raw(dk, memo, e, &c.cfg, c.cache.as_ref());
-                    let solved = record_of(c, e_idx, e, rs, keep);
-                    any_failed |= solved.0.status == STATUS_FAILED;
-                    records.push(solved);
-                }
-                if any_failed {
-                    scheduler::TaskAttempt::Retry(records)
-                } else {
-                    scheduler::TaskAttempt::Done(records)
-                }
+            if any_failed {
+                scheduler::TaskAttempt::Retry(records)
+            } else {
+                scheduler::TaskAttempt::Done(records)
             }
         },
-        move |_, task, attempts, err| match task {
-            SweepTask::Sigma(_) => Vec::new(),
-            SweepTask::Solve(c) => {
-                let attempts = attempts.min(u16::MAX as u32) as u16;
-                let what = match err {
-                    TransportError::Panic { what } => what.clone(),
-                    other => other.to_string(),
-                };
-                let failed = |&(e_idx, e)| {
-                    let panic = TransportError::Panic { what: what.clone() };
-                    record_of(c, e_idx, e, RobustSolve::failed(panic, attempts, 0.0), keep)
-                };
-                c.points.iter().map(failed).collect()
-            }
+        move |_, c, attempts, err| {
+            let attempts = attempts.min(u16::MAX as u32) as u16;
+            let what = match err {
+                TransportError::Panic { what } => what.clone(),
+                other => other.to_string(),
+            };
+            let failed = |&(e_idx, e)| {
+                let panic = TransportError::Panic { what: what.clone() };
+                record_of(c, e_idx, e, RobustSolve::failed(panic, attempts, 0.0), keep)
+            };
+            c.points.iter().map(failed).collect()
         },
     );
     let stats = scheduler::stats_of(&reports);

@@ -11,11 +11,10 @@
 //! already runs two points abreast, so there is no idle core for a second
 //! stage to fill. With Σ in hand before the interior solve starts, that
 //! solve folds Σ in and factors each pivot block once instead of keeping a
-//! Σ-free Step 1 that factors it twice (below). The only
-//! overlap is between points: a batched sweep with a Σ-cache splits each
-//! chunk into a Σ-prefetch task and a dependent interior task, so one
-//! chunk's OBC work runs beside another's interior solves on the pool
-//! (`sweep.rs`).
+//! Σ-free Step 1 that factors it twice (below). Nothing overlaps the two
+//! stages between points either: a sweep's pool runs whole points (or
+//! chunks of them, `sweep.rs`) side by side, one per worker, each OBC then
+//! interior solve in turn.
 //!
 //! Neither route to the transmission assembles `A`: the pencil
 //! `(E + iη)·S − H` is streamed block by block ([`DeviceK::pencil_on`],

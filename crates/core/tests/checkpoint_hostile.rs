@@ -77,6 +77,23 @@ fn an_unknown_status_byte_is_refused() {
 }
 
 #[test]
+fn an_unknown_method_byte_is_refused() {
+    // Method 7 (the engine's transmission-only code, never in a sweep
+    // record) and 200 used to count as escalated in the health report.
+    for method in [7u8, 200] {
+        let err = resume_tampered("bad-method", |records| records[1].method = method);
+        assert!(
+            matches!(
+                err,
+                TransportError::Checkpoint(CheckpointError::BadMethod { record: 1, method: m })
+                    if m == method
+            ),
+            "{err:?}"
+        );
+    }
+}
+
+#[test]
 fn a_momentum_beyond_the_plan_is_refused() {
     let momenta = real_checkpoint().1.k_points.len();
     let err = resume_tampered("stray-momentum", |records| records[0].k_idx = momenta as u32);

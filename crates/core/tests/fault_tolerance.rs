@@ -11,10 +11,12 @@
 #![cfg(feature = "fault-inject")]
 
 use qtx_atomistic::{BasisKind, DeviceBuilder};
+use qtx_core::cache::CacheConfig;
 use qtx_core::transport::{ETA_BUMP, METHOD_FAILED};
 use qtx_core::{
-    landauer_current_counted_ua, Device, PointPolicy, PointRecord, ScfConfig, SweepOptions,
-    SweepPlan, SweepResult, TransportEngine, TransportError, CONDUCTANCE_QUANTUM_US,
+    landauer_current_counted_ua, Batching, CachePolicy, Device, PointPolicy, PointRecord,
+    ScfConfig, SigmaCache, SweepOptions, SweepPlan, SweepResult, TransportEngine, TransportError,
+    CONDUCTANCE_QUANTUM_US,
 };
 use qtx_core::{Scheduler, SchedulerConfig};
 use qtx_linalg::fault::{self, FaultConfig};
@@ -470,6 +472,41 @@ fn sweep_is_bit_identical_across_worker_counts_under_faults() {
         }
         assert_eq!(r.health, runs[0].health, "health must not depend on pool width");
     }
+}
+
+#[test]
+fn batched_sweeps_on_a_shared_cache_draw_the_per_point_faults() {
+    // A chunk is one task whose points read Σ through the cache, whatever
+    // the batching: under a campaign (which bypasses the cache) a chunked
+    // sweep must solve each Σ pair exactly as often as a per-point one,
+    // so its records and its whole health — the faults drawn included —
+    // are the per-point sweep's.
+    let dev = small_device();
+    let plan = small_plan(&dev);
+    let run = |batching| {
+        with_faults(Some(FaultConfig::new(0.2, 7)), || {
+            let opts = SweepOptions::builder()
+                .scheduler(pool(2))
+                .cache(CachePolicy::Shared(Arc::new(SigmaCache::new(CacheConfig::default()))))
+                .batching(batching)
+                .build()
+                .unwrap();
+            engine(&dev).sweep_resumable(&plan, 3, &opts).unwrap()
+        })
+    };
+    let per_point = run(Batching::PerPoint);
+    let chunked = run(Batching::Fixed(1));
+    assert!(per_point.health.faults_injected > 0, "the campaign must fire");
+    assert_eq!(chunked.records.len(), per_point.records.len());
+    for (a, b) in chunked.records.iter().zip(&per_point.records) {
+        assert!(
+            a.identity_eq(b),
+            "batching changed a record (k={}, e={}):\n{a:?}\nvs\n{b:?}",
+            a.k_idx,
+            a.e_idx
+        );
+    }
+    assert_eq!(chunked.health, per_point.health, "batching must not change the health");
 }
 
 #[test]

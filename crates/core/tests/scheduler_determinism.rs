@@ -125,9 +125,8 @@ fn assert_refined_identical(reference: &RefinedSweep, other: &RefinedSweep, labe
     }
 }
 
-/// Batching is a scheduling concern only: chunked tasks (with the
-/// Σ-prefetch/interior-solve overlap split) must reproduce the per-point
-/// records bit-for-bit.
+/// Batching is a scheduling concern only: chunked tasks on a shared
+/// Σ-cache must reproduce the per-point records bit-for-bit.
 #[test]
 fn batched_sweeps_match_per_point_bit_for_bit() {
     let dev = small_device();

@@ -2,16 +2,15 @@
 //!
 //! Randomized batches mix every outcome an attempt can have — done at
 //! once, failing (`TaskAttempt::Retry`) k times, panicking k times, with
-//! k ≤ 3 so that k = 3 exhausts the budget of two retries — with backward
-//! `deps` and keys an earlier batch already quarantined. Each batch runs on
-//! fresh pools of 1, 2 and 4 workers and as a nested batch inside a pool
-//! task. All four runs must give the reports the spec implies, the same
+//! k ≤ 3 so that k = 3 exhausts the budget of two retries — with keys an
+//! earlier batch already quarantined. Each batch runs on fresh pools of 1,
+//! 2 and 4 workers and as a nested batch inside a pool task. All four runs
+//! must give the reports the spec implies: the same
 //! `(value, attempts, panics, quarantined)` per item and the same poison
-//! set, and no task may start before its dependency finished.
+//! set.
 
 use proptest::prelude::*;
 use qtx_core::{BatchOptions, Scheduler, SchedulerConfig, TaskAttempt};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Once};
 
 /// Retries a fresh key gets (the scheduler's fixed budget).
@@ -30,7 +29,6 @@ enum Outcome {
 #[derive(Debug, Clone)]
 struct Item {
     outcome: Outcome,
-    dep: Option<u32>,
     /// Quarantined by a batch before this one.
     poisoned: bool,
 }
@@ -41,16 +39,14 @@ type Summary = (u64, u32, u32, bool);
 fn spec(n: usize, seed: u64) -> Vec<Item> {
     let mut rng = TestRng::new(seed);
     (0..n)
-        .map(|idx| {
+        .map(|_| {
             let k = (rng.next_u64() % 4) as u32;
             let outcome = match rng.next_u64() % 3 {
                 0 => Outcome::Done,
                 1 => Outcome::Retry(k),
                 _ => Outcome::Panic(k),
             };
-            let dep = (idx > 0 && rng.next_u64().is_multiple_of(3))
-                .then(|| (rng.next_u64() % idx as u64) as u32);
-            Item { outcome, dep, poisoned: rng.next_u64().is_multiple_of(5) }
+            Item { outcome, poisoned: rng.next_u64().is_multiple_of(5) }
         })
         .collect()
 }
@@ -122,29 +118,14 @@ fn fresh_pool(workers: usize, items: &[Item]) -> Arc<Scheduler> {
     pool
 }
 
-/// Runs the batch on `pool`, checking every dependency finished before
-/// its dependent started.
+/// Runs the batch on `pool`.
 fn run_batch(pool: &Scheduler, items: &[Item]) -> Vec<Summary> {
-    let n = items.len();
-    let done: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
-    let early = Arc::new(AtomicUsize::new(0));
-    let opts = BatchOptions {
-        keys: Some((0..n).map(key).collect()),
-        deps: Some(items.iter().map(|it| it.dep).collect()),
-        ..Default::default()
-    };
-    let too_early = early.clone();
+    let opts =
+        BatchOptions { keys: Some((0..items.len()).map(key).collect()), ..Default::default() };
     let reports = pool.execute(
         items.to_vec(),
         &opts,
         move |idx, item, attempt| {
-            if item.dep.is_some_and(|j| !done[j as usize].load(Ordering::SeqCst)) {
-                too_early.fetch_add(1, Ordering::SeqCst);
-            }
-            // The last attempt this item gets ends here, whatever it does.
-            if attempt == fails(item).min(budget(item)) {
-                done[idx].store(true, Ordering::SeqCst);
-            }
             let value = idx as u64 * 10 + attempt as u64;
             match item.outcome {
                 Outcome::Retry(k) if attempt < k => TaskAttempt::Retry(1000 + value),
@@ -154,7 +135,6 @@ fn run_batch(pool: &Scheduler, items: &[Item]) -> Vec<Summary> {
         },
         |idx, _, attempts, _| 5000 + idx as u64 * 10 + attempts as u64,
     );
-    assert_eq!(early.load(Ordering::SeqCst), 0, "a task started before its dependency finished");
     reports.iter().map(|r| (r.value, r.attempts, r.panics, r.quarantined)).collect()
 }
 

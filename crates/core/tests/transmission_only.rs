@@ -493,6 +493,14 @@ fn the_cases_hold_on_a_thrashing_64k_shared_cache() {
     let rs = thrash.solve_point(e0, 0.0, &PointPolicy::transmission_only());
     let t = rs.into_result().unwrap().transmission;
     assert!((t - reference).abs() <= REAL_PENCIL_TOL, "{t} vs {reference}");
+    // The budget really serves: a point solved again at once finds both
+    // of its sides still held. (The loops above cycle six energies through
+    // a budget of fewer frames, so they only ever miss.)
+    let before = cache.stats().hits;
+    let again = thrash.solve_point(e0, 0.0, &PointPolicy::transmission_only());
+    assert_eq!(again.into_result().unwrap().transmission.to_bits(), t.to_bits());
+    let stats = cache.stats();
+    assert!(stats.hits >= before + 2, "second solve must hit both sides: {stats:?}");
     // Any thread, same bits, while the workers race each other's evictions.
     let solve = |engine: &TransportEngine, e: f64| -> u64 {
         let rs = engine.solve_point(e, 0.0, &PointPolicy::transmission_only());
@@ -508,7 +516,7 @@ fn the_cases_hold_on_a_thrashing_64k_shared_cache() {
         |_, _, _, _| 0,
     );
     assert_eq!(reports.iter().map(|r| r.value).collect::<Vec<_>>(), here);
-    // The budget really thrashed, and really served.
+    // The budget really thrashed, and stayed within its bytes.
     let stats = cache.stats();
-    assert!(stats.evictions > 0 && stats.hits > 0 && stats.bytes <= 64 << 10, "{stats:?}");
+    assert!(stats.evictions > 0 && stats.bytes <= 64 << 10, "{stats:?}");
 }

@@ -362,8 +362,8 @@ impl DeadlineModel {
     /// batched mode: how many neighboring energy points of this structure
     /// fit into one deadline floor at the sustained rate. Small systems
     /// (estimate ≪ floor) batch up to [`MAX_BATCH_POINTS`] so one task
-    /// amortizes the warm workspace pool and the Σ-prefetch task across
-    /// its chunk; a paper-scale block already fills the floor alone and gets
+    /// amortizes the warm workspace pool and its scheduling across its
+    /// chunk; a paper-scale block already fills the floor alone and gets
     /// one point per task.
     pub fn batch_points(&self, block_size: usize, num_blocks: usize, nrhs: usize) -> usize {
         let est_ms = Self::point_flops(block_size, num_blocks, nrhs)
